@@ -99,7 +99,6 @@ def _solver_config(cfg: RunConfig) -> SolverConfig:
         dt=cfg.dt,
         t_end=cfg.t_end,
         stationarity_tol=cfg.stationarity_tol,
-        sigma_lagging=cfg.sigma_lagging,
         kappa_floor=cfg.kappa_floor,
     )
 

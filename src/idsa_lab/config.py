@@ -29,15 +29,6 @@ EXPERIMENTS = (
 )
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_float_list(text: str) -> tuple[float, ...]:
     items = [p.strip() for p in text.split(",") if p.strip()]
     return tuple(float(p) for p in items)
@@ -58,7 +49,6 @@ KEYS: dict[str, tuple] = {
     "dt": (float, 0.1, "time step"),
     "t_end": (float, None, "final time (default depends on experiment)"),
     "stationarity_tol": (float, None, "stop when the per-step relative change drops below this"),
-    "sigma_lagging": (_parse_bool, True, "evaluate the coupling source from the previous step"),
     "kappa_floor": (float, 1e-30, "floor for the total opacity in the diffusion coefficient"),
     "variant": (str, "new", "domain-split variant for convergence: old or new"),
     "kappa_list": (_parse_float_list, (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0),
@@ -179,10 +169,11 @@ def _validate(v: dict) -> None:
     need(v["oracle_tol"] > 0, "oracle_tol must be positive")
     need(v["variant"] in ("old", "new"), f"variant must be old or new, got {v['variant']!r}")
     need(all(k > 0 for k in v["kappa_list"]), "kappa_list entries must be positive")
-    need(all(e > 0 for e in v["eps_list"]), "eps_list entries must be positive")
+    need(all(0 < e < np.inf for e in v["eps_list"]),
+         "eps_list entries must be positive and finite")
     need(all(x > 0 for x in v["kappaR_list"]), "kappaR_list entries must be positive")
     need(v["exclude_largest"] >= 0, "exclude_largest must be >= 0")
-    need(v["horizon"] > 0, "horizon must be positive")
+    need(0 < v["horizon"] < np.inf, "horizon must be positive and finite")
     need(v["bound_margin"] > 0, "bound_margin must be positive")
 
 

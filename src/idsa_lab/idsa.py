@@ -5,9 +5,8 @@ Per time step, the coupling source
 
     Sigma = min( max( -D[Jt] + kappa_a * Js, 0 ), kappa_a * B )
 
-is evaluated from the previous step's fields (lagged; a self-consistent
-fixed-point variant is available through SolverConfig.sigma_lagging), the
-trapped component takes one pointwise backward-Euler step,
+is evaluated from the previous step's fields (lagged), the trapped
+component takes one pointwise backward-Euler step,
 
     Jt_new = (Jt + dt * (kappa_a * B - Sigma)) / (1 + dt * kappa_a),
 
@@ -18,12 +17,19 @@ face-flux form of the spherical diffusion operator with the total opacity
 averaged arithmetically to faces (floored to keep the coefficient finite
 in vacuum cells), zero flux at r = 0 and zero gradient at r_max.
 
+One marcher advances a batch of scenarios on one grid as (n_rows, n_cells)
+arrays, each row exactly as it would run alone; single runs are one-row
+batches.  The spurious-trapped sweep marches all its eps as one batch
+(n_eps x n_cells memory per array), retiring each row once its takeover
+is confirmed, so the smallest eps sets the cost of the sweep.
+
 Negativity is an error here, never clamped: the failure modes this module
 exists to expose must not be masked.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 
@@ -61,9 +67,7 @@ class SolverConfig:
     dt: float = 0.1
     t_end: float = 1000.0
     stationarity_tol: float = 1e-8
-    sigma_lagging: bool = True
     kappa_floor: float = 1e-30
-    max_sigma_iters: int = 100
 
     def __post_init__(self):
         if not (self.dt > 0):
@@ -97,64 +101,116 @@ def zero_state(grid: RadialGrid) -> TwoComponentState:
 
 
 class _Kernel:
-    """Precomputed per-(spec, grid) arrays for the stepping loop."""
+    """
+    Arrays for stepping a batch of specs on one grid, stacked per row (grid
+    arrays too: same-shape operands beat broadcasting on small grids).  Rows
+    on the cumprod scan come first; ``rows`` maps them to indices in ``specs``.
+    Each row evaluates the single-spec expressions, so it does not depend on
+    the rest of the batch.
+    """
 
-    def __init__(self, spec: ProblemSpec, grid: RadialGrid, kappa_floor: float):
+    def __init__(self, specs, grid: RadialGrid, cfg: SolverConfig, labels=None):
         r = grid.r_centers
-        dr = grid.dr
-        self.grid = grid
-        self.spec = spec
-        self.dr = dr
-        self.r2 = r * r
-        self.ka = spec.absorption(r)
-        self.kaB = self.ka * spec.B
-        ktot = np.maximum(spec.total_opacity(r), kappa_floor)
-        self.kf = np.maximum(0.5 * (ktot[:-1] + ktot[1:]), kappa_floor)
-        self.rf2 = grid.r_edges[1:-1] ** 2
-        self.g = free_streaming_flux_ratio(r, spec.R)
+        self.dt = cfg.dt
+        self.n_cells = grid.n_cells
+        self.labels = labels
         # Outward sweep: integration steps follow the centers, first step from r = 0.
         h = np.diff(np.concatenate(([0.0], r)))
-        c = h * self.ka / self.g
-        self.a = 1.0 / (1.0 + c)
-        self.d = h * self.r2
+        ka = np.stack([spec.absorption(r) for spec in specs])
+        B = np.array([[spec.B] for spec in specs])
+        ktot = np.maximum(np.stack([spec.total_opacity(r) for spec in specs]), cfg.kappa_floor)
+        kf = np.maximum(0.5 * (ktot[:, :-1] + ktot[:, 1:]), cfg.kappa_floor)
+        g = np.stack([free_streaming_flux_ratio(r, spec.R) for spec in specs])
+        c = h * ka / g
+        a = 1.0 / (1.0 + c)
         # The cumulative-product scan underflows once the total absorption depth
-        # is large; fall back to a sequential sweep beyond ~400 e-folds.
-        self._scan_vectorized = float(np.sum(np.log1p(c))) < 400.0
-        if not self._scan_vectorized:
-            self._a_list = self.a.tolist()
-            self._d_list = self.d.tolist()
+        # is large; such rows take a sequential sweep beyond ~400 e-folds.
+        scan = np.array([float(np.sum(np.log1p(row))) < 400.0 for row in c])
+        self.n_scan = int(np.count_nonzero(scan))
+        self.rows = np.argsort(~scan, kind="stable")
+        per_row = {
+            "ka": ka, "kaB": ka * B, "den": 1.0 + cfg.dt * ka, "kf3": 3.0 * kf * grid.dr,
+            "a": a, "P": np.cumprod(a, axis=1), "r2g": r * r * g,
+            "floor": np.broadcast_to(-1e-12 * B, ka.shape),
+            "rf2": grid.r_edges[1:-1] ** 2, "r2dr": r * r * grid.dr, "d": h * (r * r),
+        }
+        self._per_row = ("rows", *per_row)
+        for name, value in per_row.items():
+            setattr(self, name, np.broadcast_to(value, (len(specs), value.shape[-1]))[self.rows])
 
-    def diffusion(self, Jt: np.ndarray) -> np.ndarray:
-        F = np.empty(self.grid.n_cells + 1)
-        F[0] = 0.0
-        F[-1] = 0.0
-        F[1:-1] = self.rf2 * np.diff(Jt) / (3.0 * self.kf * self.dr)
-        return np.diff(F) / (self.r2 * self.dr)
+    def compact(self, keep: np.ndarray) -> None:
+        """Drop the rows where ``keep`` is False."""
+        self.n_scan = int(np.count_nonzero(keep[: self.n_scan]))
+        for name in self._per_row:
+            setattr(self, name, getattr(self, name)[keep])
 
-    def sigma(self, Jt: np.ndarray, Js: np.ndarray):
-        inner = -self.diffusion(Jt) + self.ka * Js
+    def sigma(self, Jt: np.ndarray, Js: np.ndarray, with_tags: bool = False):
+        """Switched source per row, and the regime tags when asked for."""
+        # D[Jt] from face fluxes, zero at r = 0 and at r_max.
+        F = np.zeros((len(Jt), self.n_cells + 1))
+        F[:, 1:-1] = self.rf2 * (Jt[:, 1:] - Jt[:, :-1]) / self.kf3
+        # ka Js - D equals -D + ka Js exactly (IEEE a - b is a + (-b)).
+        inner = self.ka * Js - (F[:, 1:] - F[:, :-1]) / self.r2dr
         S = np.minimum(np.maximum(inner, 0.0), self.kaB)
+        if not with_tags:
+            return S, None
         tags = np.where(
             inner <= 0.0, Regime.REACTION,
             np.where(inner >= self.kaB, Regime.FREE_STREAMING, Regime.DIFFUSION),
         ).astype(np.int8)
         return S, tags
 
-    def trapped_step(self, Jt: np.ndarray, S: np.ndarray, dt: float) -> np.ndarray:
-        return (Jt + dt * (self.kaB - S)) / (1.0 + dt * self.ka)
+    def trapped_step(self, Jt: np.ndarray, S: np.ndarray) -> np.ndarray:
+        return (Jt + self.dt * (self.kaB - S)) / self.den
 
     def stream(self, S: np.ndarray) -> np.ndarray:
-        if self._scan_vectorized:
-            P = np.cumprod(self.a)
-            Phi = P * np.cumsum(self.d * S * self.a / P)
-        else:
-            phi = 0.0
-            out = []
-            for ai, di, si in zip(self._a_list, self._d_list, S.tolist()):
-                phi = (phi + di * si) * ai
-                out.append(phi)
-            Phi = np.asarray(out)
-        return Phi / (self.r2 * self.g)
+        n = self.n_scan
+        Phi = self.P[:n] * np.cumsum(self.d[:n] * S[:n] * self.a[:n] / self.P[:n], axis=1)
+        if n < len(S):  # the other rows sweep sequentially, one at a time
+            sweep = []
+            for row in zip(self.a[n:].tolist(), self.d[n:].tolist(), S[n:].tolist()):
+                phi = 0.0  # running flux, updated by the comprehension
+                sweep.append([phi := (phi + di * si) * ai for ai, di, si in zip(*row)])
+            Phi = np.concatenate((Phi, sweep))
+        return Phi / self.r2g
+
+    def check(self, values: np.ndarray, bad: np.ndarray, which: str, t: float) -> None:
+        """Raise NegativityError at the first row with a ``bad`` cell."""
+        if np.count_nonzero(bad):
+            row = int(np.argmax(bad.any(axis=1)))
+            i = int(np.argmin(values[row]))
+            if self.labels is not None:
+                which = f"{which} ({self.labels[self.rows[row]]})"
+            raise NegativityError(which, t, i, float(values[row, i]))
+
+
+def _march(kern: _Kernel, observe, max_steps=math.inf, with_tags: bool = False):
+    """
+    March every row of ``kern`` from zero data for up to ``max_steps`` steps.
+
+    After step k, ``observe(k, t, Jt, Js, tags)`` sees the (n_rows, n_cells)
+    fields (tags only ``with_tags``) and returns None or a mask of rows to
+    retire.  Returns the fields once every row has retired or time is up.
+    """
+    Jt = np.zeros((len(kern.rows), kern.n_cells))
+    Js = np.zeros_like(Jt)
+    k = 0
+    while k < max_steps:
+        k += 1
+        t = k * kern.dt
+        # One full step: source, trapped update, streaming re-solve.
+        S, tags = kern.sigma(Jt, Js, with_tags)
+        Jt = kern.trapped_step(Jt, S)
+        kern.check(Jt, Jt < kern.floor, "trapped component", t)
+        Js = kern.stream(S)
+        kern.check(Js, Js < 0.0, "streaming component", t)
+        done = observe(k, t, Jt, Js, tags)
+        if done is not None and np.count_nonzero(done):
+            if done.all():
+                break
+            kern.compact(~done)
+            Jt, Js = Jt[~done], Js[~done]
+    return Jt, Js
 
 
 def diffusion_source(
@@ -172,9 +228,9 @@ def diffusion_source(
     clipped: REACTION when the inner max floored to 0, FREE_STREAMING when
     the outer min capped at kappa_a B, DIFFUSION otherwise.
     """
-    kern = _Kernel(spec, grid, kappa_floor)
-    S, tags = kern.sigma(Jt.values, Js.values)
-    return RadialField(grid, S), tags
+    kern = _Kernel([spec], grid, SolverConfig(kappa_floor=kappa_floor))
+    S, tags = kern.sigma(Jt.values[None], Js.values[None], with_tags=True)
+    return RadialField(grid, S[0]), tags[0]
 
 
 def step_trapped(
@@ -190,14 +246,12 @@ def step_trapped(
     The source is held fixed during the implicit solve (pass the lagged
     ``sigma``; when omitted it is evaluated from ``state``).
     """
-    kern = _Kernel(spec, grid, cfg.kappa_floor)
-    S = sigma.values if sigma is not None else kern.sigma(state.Jt.values, state.Js.values)[0]
-    Jt = kern.trapped_step(state.Jt.values, S, cfg.dt)
-    bad = Jt < -1e-12 * spec.B
-    if np.any(bad):
-        i = int(np.argmin(Jt))
-        raise NegativityError("trapped component", state.t + cfg.dt, i, float(Jt[i]))
-    return RadialField(grid, Jt)
+    kern = _Kernel([spec], grid, cfg)
+    Jt = state.Jt.values[None]
+    S = sigma.values[None] if sigma is not None else kern.sigma(Jt, state.Js.values[None])[0]
+    Jt = kern.trapped_step(Jt, S)
+    kern.check(Jt, Jt < kern.floor, "trapped component", state.t + cfg.dt)
+    return RadialField(grid, Jt[0])
 
 
 def solve_streaming_stationary(
@@ -213,12 +267,10 @@ def solve_streaming_stationary(
     if np.any(source.values < 0.0):
         i = int(np.argmin(source.values))
         raise ValueError(f"source must be nonnegative (cell {i})")
-    kern = _Kernel(spec, grid, 1e-30)
-    Js = kern.stream(source.values)
-    if np.any(Js < 0.0):
-        i = int(np.argmin(Js))
-        raise NegativityError("streaming component", 0.0, i, float(Js[i]))
-    return RadialField(grid, Js)
+    kern = _Kernel([spec], grid, SolverConfig())
+    Js = kern.stream(source.values[None])
+    kern.check(Js, Js < 0.0, "streaming component", 0.0)
+    return RadialField(grid, Js[0])
 
 
 @dataclass(eq=False)
@@ -238,35 +290,6 @@ class Trajectory:
     stopped: str = "t_end"
 
 
-def _advance(kern: _Kernel, cfg: SolverConfig, Jt, Js, t_next):
-    """One full step: source, trapped update, streaming re-solve."""
-    if cfg.sigma_lagging:
-        S, tags = kern.sigma(Jt, Js)
-    else:
-        # Self-consistent source: damped fixed-point iteration on the switch.
-        # The min-max kink can cycle, so the loop is capped, not required to
-        # converge; the last iterate is used.
-        S, tags = kern.sigma(Jt, Js)
-        cap = np.max(kern.kaB)
-        for _ in range(cfg.max_sigma_iters):
-            Jt_trial = kern.trapped_step(Jt, S, cfg.dt)
-            Js_trial = kern.stream(S)
-            S_next, tags = kern.sigma(Jt_trial, Js_trial)
-            if np.max(np.abs(S_next - S)) <= 1e-13 * max(cap, 1e-300):
-                S = S_next
-                break
-            S = 0.5 * (S + S_next)
-    Jt_new = kern.trapped_step(Jt, S, cfg.dt)
-    if np.any(Jt_new < -1e-12 * kern.spec.B):
-        i = int(np.argmin(Jt_new))
-        raise NegativityError("trapped component", t_next, i, float(Jt_new[i]))
-    Js_new = kern.stream(S)
-    if np.any(Js_new < 0.0):
-        i = int(np.argmin(Js_new))
-        raise NegativityError("streaming component", t_next, i, float(Js_new[i]))
-    return Jt_new, Js_new, tags
-
-
 def run_to_time(
     spec: ProblemSpec,
     grid: RadialGrid,
@@ -281,26 +304,19 @@ def run_to_time(
     Snapshots are taken at the steps nearest the requested times; regime
     tag counts, sup(Jt + Js) and the relative change are recorded per step.
     """
-    kern = _Kernel(spec, grid, cfg.kappa_floor)
-    n_steps = int(round(cfg.t_end / cfg.dt))
     snap_steps = {max(0, int(round(ts / cfg.dt))): ts for ts in snapshot_times}
-
-    Jt = np.zeros(grid.n_cells)
-    Js = np.zeros(grid.n_cells)
     traj = Trajectory()
     if 0 in snap_steps:
-        traj.snapshots.append(Snapshot(_make_state(grid, Jt, Js, 0.0), np.zeros(grid.n_cells, np.int8)))
+        traj.snapshots.append(Snapshot(zero_state(grid), np.zeros(grid.n_cells, np.int8)))
 
     times, rel, sup, counts = [], [], [], []
-    stopped = "t_end"
-    for k in range(1, n_steps + 1):
-        t = k * cfg.dt
-        Jt_new, Js_new, tags = _advance(kern, cfg, Jt, Js, t)
-        scale = max(Jt_new.max(initial=0.0), Js_new.max(initial=0.0), 1e-300)
-        change = max(
-            np.max(np.abs(Jt_new - Jt)), np.max(np.abs(Js_new - Js))
-        ) / scale
-        Jt, Js = Jt_new, Js_new
+    prev = [np.zeros(grid.n_cells), np.zeros(grid.n_cells)]
+
+    def observe(k, t, Jt, Js, tags):
+        (Jt, Js), tags = (Jt[0], Js[0]), tags[0]
+        scale = max(Jt.max(initial=0.0), Js.max(initial=0.0), 1e-300)
+        change = max(np.max(np.abs(Jt - prev[0])), np.max(np.abs(Js - prev[1]))) / scale
+        prev[:] = Jt, Js
         times.append(t)
         rel.append(change)
         sup.append(float(np.max(Jt + Js)))
@@ -308,15 +324,16 @@ def run_to_time(
         if k in snap_steps:
             traj.snapshots.append(Snapshot(_make_state(grid, Jt, Js, t), tags.copy()))
         if change < cfg.stationarity_tol:
-            stopped = "stationary"
-            break
+            traj.stopped = "stationary"
+            return np.array([True])
 
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    _march(_Kernel([spec], grid, cfg), observe, n_steps, with_tags=True)
     traj.times = np.asarray(times)
     traj.rel_change = np.asarray(rel)
     traj.sup_total = np.asarray(sup)
     traj.regime_counts = np.asarray(counts)
-    traj.final = _make_state(grid, Jt, Js, times[-1] if times else 0.0)
-    traj.stopped = stopped
+    traj.final = _make_state(grid, prev[0], prev[1], times[-1] if times else 0.0)
     return traj
 
 
@@ -352,39 +369,42 @@ def run_spurious_trapped_experiment(
     change plateaus at ~0.05 * eps, never below any fixed tolerance), so
     sustained domination stands in for literal step-stationarity here.
     Runs that never take over within ``horizon`` are reported censored.
+    All eps march as one batch, a row retiring once its record is known.
     """
-    records = []
-    for eps in eps_list:
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        spec = replace(spec_base, kappa_outside=float(eps))
-        kern = _Kernel(spec, grid, cfg.kappa_floor)
-        outside = grid.r_centers >= spec.R
-        Jt = np.zeros(grid.n_cells)
-        Js = np.zeros(grid.n_cells)
-        t_first = None
-        t = 0.0
-        k = 0
-        result = None
-        while True:
-            k += 1
-            t = k * cfg.dt
-            Jt, Js, _ = _advance(kern, cfg, Jt, Js, t)
-            tot = Jt[outside] + Js[outside]
-            dominated = bool(np.all(Jt[outside] > 0.5 * np.maximum(tot, 1e-300)))
-            if dominated:
-                if t_first is None:
-                    t_first = t
-                elif t >= max(confirm * t_first, t_first + min_hold):
-                    result = TakeoverRecord(float(eps), t_first, censored=False)
-                    break
-            else:
-                t_first = None
-            if t > horizon:
-                result = TakeoverRecord(float(eps), None, censored=True)
-                break
-        records.append(result)
-    return records
+    eps_all = [float(eps) for eps in eps_list]
+    for name, value in (("horizon", horizon), *(("eps", eps) for eps in eps_all)):
+        if not (0.0 < value < math.inf):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not eps_all:
+        return []
+    specs = [replace(spec_base, kappa_outside=eps) for eps in eps_all]
+    kern = _Kernel(specs, grid, cfg, labels=[f"eps = {eps:g}" for eps in eps_all])
+    # Centers increase, so the cells r >= R are a suffix of the grid.
+    outside = slice(int(np.searchsorted(grid.r_centers, spec_base.R)), None)
+    records = [None] * len(eps_all)
+    # Per row: outside dominated since `first` (NaN if not), to be held until `until`.
+    first = np.full(len(eps_all), np.nan)
+    until = np.full(len(eps_all), np.inf)
+
+    def observe(k, t, Jt, Js, tags):
+        nonlocal first, until
+        tot = Jt[:, outside] + Js[:, outside]
+        dominated = (Jt[:, outside] > 0.5 * np.maximum(tot, 1e-300)).all(axis=1)
+        done = dominated & (t >= until)
+        if np.count_nonzero(dominated == np.isnan(first)):  # a domination began or ended
+            first = np.where(dominated, np.fmin(first, t), np.nan)
+            until = np.where(dominated, np.maximum(confirm * first, first + min_hold), np.inf)
+        for row in np.flatnonzero(done):
+            i = kern.rows[row]
+            records[i] = TakeoverRecord(eps_all[i], float(first[row]), censored=False)
+        if t > horizon:
+            return np.ones_like(done)  # the rows left are censored
+        if np.count_nonzero(done):
+            first, until = first[~done], until[~done]
+        return done
+
+    _march(kern, observe)
+    return [rec or TakeoverRecord(eps, None, censored=True) for rec, eps in zip(records, eps_all)]
 
 
 @dataclass(frozen=True)
@@ -423,7 +443,6 @@ def run_instability_experiment(
     sup ever exceeds B * (1 + bound_margin); the instability is a modeling
     artifact and must stay bounded.
     """
-    kern = _Kernel(spec, grid, cfg.kappa_floor)
     r = grid.r_centers
     inside_pair = r[1:] < spec.R
     t_stop = max(cfg.t_end, max(snapshot_times, default=0.0))
@@ -431,14 +450,13 @@ def run_instability_experiment(
     snap_steps = {int(round(ts / cfg.dt)): ts for ts in snapshot_times}
     bound = spec.B * (1.0 + bound_margin)
 
-    Jt = np.zeros(grid.n_cells)
-    Js = np.zeros(grid.n_cells)
     sup = 0.0
     first_bad = None
     snaps = []
-    for k in range(1, n_steps + 1):
-        t = k * cfg.dt
-        Jt, Js, _ = _advance(kern, cfg, Jt, Js, t)
+
+    def observe(k, t, Jt, Js, tags):
+        nonlocal sup, first_bad
+        Jt, Js = Jt[0], Js[0]
         sup = max(sup, float(np.max(Jt + Js)))
         if sup > bound:
             raise UnboundedError(
@@ -451,10 +469,12 @@ def run_instability_experiment(
             above = np.nonzero(Jt > vb_threshold * spec.B)[0]
             vb = float(r[above[-1]]) if above.size else 0.0
             snaps.append(InstabilitySnapshot(t, vb, nonmono, sup))
+
+    Jt, Js = _march(_Kernel([spec], grid, cfg), observe, n_steps)
     return InstabilityResult(
         snapshots=snaps,
         first_nonmonotone_time=first_bad,
         sup_total=sup,
         vb_threshold=vb_threshold,
-        final=_make_state(grid, Jt, Js, n_steps * cfg.dt),
+        final=_make_state(grid, Jt[0], Js[0], n_steps * cfg.dt),
     )

@@ -181,6 +181,17 @@ def test_cli_config_error_exit_2(tmp_path):
     assert _run_cli(tmp_path, "experiment = err0\n", "bogus") == 2
 
 
+def test_cli_rejects_unbounded_spurious_sweep(tmp_path):
+    out = f"output_dir={tmp_path / 'out'}"
+    assert _run_cli(tmp_path, "experiment = spurious\neps_list = 0.1, inf\n", out) == 2
+    assert _run_cli(tmp_path, "experiment = spurious\nhorizon = inf\n", out) == 2
+    assert not (tmp_path / "out" / "spurious.csv").exists()
+    with pytest.raises(ConfigError, match="eps_list entries must be positive and finite"):
+        parse_config("experiment = spurious\neps_list = 0.1, 0.01, nan\n")
+    with pytest.raises(ConfigError, match="horizon must be positive and finite"):
+        parse_config("experiment = spurious\nhorizon = inf\n")
+
+
 def test_cli_missing_config_exit_4(tmp_path):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 4
 

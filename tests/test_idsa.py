@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from idsa_lab import (
     NegativityError,
@@ -20,6 +24,7 @@ from idsa_lab import (
     step_trapped,
     zero_state,
 )
+from idsa_lab.idsa import _Kernel
 
 SPEC = ProblemSpec(B=1.0, R=6.0, kappa=1.0)
 GRID = make_uniform_grid(18.0, 50)
@@ -158,25 +163,21 @@ def test_streaming_divergence_free_extension_from_edge_value():
 def test_streaming_sequential_fallback_matches_scan():
     # Huge opacity forces the sequential sweep; results must agree with the
     # vectorized scan on a case both can handle.
-    from idsa_lab.idsa import _Kernel
-
     spec_big = ProblemSpec(B=1.0, R=100.0, kappa=1e5)
-    kern = _Kernel(spec_big, GRID, 1e-30)
-    assert not kern._scan_vectorized
+    kern = _Kernel([spec_big], GRID, CFG)
+    assert kern.n_scan == 0
     S = np.full(50, 1e5)
-    Js = kern.stream(S)
+    Js = kern.stream(S[None])[0]
     assert np.all(Js <= 1.0 + 1e-9)
     assert Js[25] == pytest.approx(1.0, rel=1e-3)
 
-    kern_small = _Kernel(SPEC, GRID, 1e-30)
-    assert kern_small._scan_vectorized
+    kern_small = _Kernel([SPEC], GRID, CFG)
+    assert kern_small.n_scan == 1
     S = np.linspace(0.3, 0.0, 50)
-    fast = kern_small.stream(S)
-    slow_kern = _Kernel(SPEC, GRID, 1e-30)
-    slow_kern._scan_vectorized = False
-    slow_kern._a_list = slow_kern.a.tolist()
-    slow_kern._d_list = slow_kern.d.tolist()
-    assert np.allclose(slow_kern.stream(S), fast, rtol=1e-13)
+    fast = kern_small.stream(S[None])[0]
+    slow_kern = _Kernel([SPEC], GRID, CFG)
+    slow_kern.n_scan = 0
+    assert np.allclose(slow_kern.stream(S[None])[0], fast, rtol=1e-13)
 
 
 def test_run_all_vacuum_stays_zero():
@@ -215,14 +216,6 @@ def test_trapped_fraction_handles_empty_cells():
     assert np.allclose(frac, 0.75)
 
 
-def test_sigma_fixed_point_variant_runs():
-    cfg = SolverConfig(dt=0.1, t_end=5.0, stationarity_tol=1e-12, sigma_lagging=False)
-    traj = run_to_time(SPEC, GRID, cfg)
-    assert np.all(traj.final.Jt.values >= 0.0)
-    assert np.all(traj.final.Js.values >= 0.0)
-    assert traj.final.Jt.values.max() > 0.3
-
-
 def test_spurious_experiment_times_scale():
     records = run_spurious_trapped_experiment([1e-1, 1e-2], SPEC, GRID, CFG)
     assert not records[0].censored and not records[1].censored
@@ -233,8 +226,6 @@ def test_spurious_trapped_component_grows_outside():
     # The trapped component in the weakly absorbing region grows steadily on
     # the slow eps timescale (the switch shuffles cells between branches, so
     # only the aggregate growth is asserted, not the single-branch bound).
-    import dataclasses
-
     eps = 1e-2
     spec = dataclasses.replace(SPEC, kappa_outside=eps)
     traj = run_to_time(
@@ -250,6 +241,76 @@ def test_spurious_trapped_component_grows_outside():
 def test_spurious_censoring():
     records = run_spurious_trapped_experiment([1e-1], SPEC, GRID, CFG, horizon=1.0)
     assert records[0].censored and records[0].time is None
+
+
+@pytest.mark.parametrize(
+    "eps_list, horizon",
+    [([0.1, float("inf")], 1e6), ([0.1, 0.0], 1e6), ([0.1, float("nan")], 1e6),
+     ([0.1], float("inf"))],
+)
+def test_spurious_rejects_unbounded_input_up_front(eps_list, horizon):
+    with pytest.raises(ValueError, match="positive and finite"):
+        run_spurious_trapped_experiment(eps_list, SPEC, GRID, CFG, horizon=horizon)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    scan_eps=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3),
+    sweep_eps=st.lists(st.floats(1e6, 1e8), min_size=1, max_size=2),
+    horizon=st.floats(12.0, 60.0),
+    order=st.randoms(use_true_random=False),
+)
+def test_spurious_batch_matches_one_row_at_a_time(scan_eps, sweep_eps, horizon, order):
+    # A duplicate, a row censored at every horizon drawn (takeover near
+    # t = 75 for eps = 0.01), and rows on both streaming paths: eps >= 1e6
+    # puts more than 400 e-folds outside the sphere, forcing the sweep.
+    eps_list = scan_eps + sweep_eps + [scan_eps[0], 0.01]
+    order.shuffle(eps_list)
+    specs = [dataclasses.replace(SPEC, kappa_outside=e) for e in eps_list]
+    kern = _Kernel(specs, GRID, CFG)
+    assert kern.n_scan == len(scan_eps) + 2
+    batch = run_spurious_trapped_experiment(eps_list, SPEC, GRID, CFG, horizon=horizon)
+    single = [
+        run_spurious_trapped_experiment([e], SPEC, GRID, CFG, horizon=horizon)[0]
+        for e in eps_list
+    ]
+    assert batch == single
+    assert any(r.censored for r in batch) and any(not r.censored for r in batch)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_cells=st.integers(2, 150),
+    kappas=st.lists(st.floats(1e-3, 30.0), min_size=1, max_size=3),
+    kappa_outside=st.floats(0.0, 2.0),
+    kappa_s=st.floats(0.0, 2.0),
+    R=st.floats(1.0, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stream_scan_matches_sequential_sweep(n_cells, kappas, kappa_outside, kappa_s, R, seed):
+    grid = make_uniform_grid(3.0 * R, n_cells)
+    specs = [
+        ProblemSpec(B=1.0, R=R, kappa=k, kappa_outside=kappa_outside, kappa_s=kappa_s)
+        for k in kappas
+    ]
+    kern = _Kernel(specs, grid, CFG)
+    assume(kern.n_scan == len(specs))  # both paths valid
+    rng = np.random.default_rng(seed)
+    S = rng.random((len(specs), n_cells)) * 10.0 ** rng.uniform(-6, 3, (len(specs), 1))
+    S[rng.random(S.shape) < 0.3] = 0.0
+    fast = kern.stream(S)
+    kern.n_scan = 0
+    slow = kern.stream(S)
+    assert np.all(slow >= 0.0)
+    assert np.all(np.abs(fast - slow) <= 1e-12 * slow)
+
+
+def test_batch_negativity_names_the_row():
+    kern = _Kernel([SPEC, SPEC], GRID, CFG, labels=["eps = 0.1", "eps = 0.01"])
+    Jt = np.zeros((2, 50))
+    Jt[1, 7] = -1.0
+    with pytest.raises(NegativityError, match=r"\(eps = 0.01\) became negative at t = 3, cell 7"):
+        kern.check(Jt, Jt < kern.floor, "trapped component", 3.0)
 
 
 def test_instability_coarse_grid_stays_monotone():
