@@ -7,11 +7,19 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure (an error
 record is still written to the output directory), 4 I/O error.  Numbers
 are serialized with 17 significant digits so files round-trip doubles
 exactly; identical configs produce byte-identical CSV bodies.
+
+Runners hand ``_write_csv`` arrays, not rows.  A file is written one
+block (one snapshot) at a time: each block is formatted column-wise
+through one row template, with the same ``.17g`` text as formatting
+value by value, and goes to disk before the next is formatted.  The
+snapshot time is formatted once per block and the radius column once per
+file.  scipy is imported only when a domain-split scheme is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -60,18 +68,56 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, text) -> None:
+    """Write text (a str, or str chunks in turn) to a .tmp sibling, then move it over path."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    with open(tmp, "w") as f:
+        f.writelines([text] if isinstance(text, str) else text)
     os.replace(tmp, path)
 
 
-def _write_csv(path: Path, meta: dict, header: list[str], rows) -> None:
-    lines = [f"# {k} = {_fmt(v)}" for k, v in meta.items()]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+# Cell format per dtype kind: what ``_fmt`` writes for a value of that kind.
+_CELL = {"f": "{:.17g}", "b": "{:d}", "i": "{}"}
+
+
+def _float_text(values: np.ndarray) -> list[str]:
+    """Float cells as text, for a column that repeats across blocks."""
+    return list(map(_CELL["f"].format, values.tolist()))
+
+
+def _block_text(columns) -> str:
+    """
+    The rows of one block, columns in header order, each cell written as
+    ``_fmt`` writes it.  An array column is formatted by its dtype, a list
+    is text written verbatim, and a scalar (the snapshot time) is formatted
+    once into the row template.  At least one column must be an array or list.
+    """
+    template, cells = [], []
+    for col in columns:
+        if isinstance(col, list):
+            template.append("{}")
+            cells.append(col)
+            continue
+        a = np.asarray(col)
+        spec = _CELL.get(a.dtype.kind)
+        if spec is None:
+            raise TypeError(f"cannot write a column of dtype {a.dtype}")
+        if a.ndim:
+            template.append(spec)
+            cells.append(a.tolist())
+        else:
+            template.append(spec.format(a.item()))
+    return "".join(map((",".join(template) + "\n").format, *cells))
+
+
+def _write_csv(path: Path, meta: dict, header: list[str], blocks) -> None:
+    """
+    Write ``# key = value`` meta lines, the header and the rows of each block.
+    Each block is formatted from its columns and written before the next is
+    formatted, so only one block's text is held in memory.
+    """
+    head = "".join(f"# {k} = {_fmt(v)}\n" for k, v in meta.items()) + ",".join(header) + "\n"
+    _atomic_write(path, itertools.chain([head], map(_block_text, blocks)))
 
 
 def _scenario_meta(cfg: RunConfig) -> dict:
@@ -109,11 +155,9 @@ def _run_oracle(cfg: RunConfig, out: Path) -> list[str]:
     grid = make_uniform_grid(cfg.r_max, cfg.n_cells)
     moments = exact_moments(grid, _spec(cfg), tol=cfg.oracle_tol)
     ff = moments.flux_factors()
-    rows = zip(
-        grid.r_centers, moments.J.values, moments.H.values, moments.K.values,
-        ff.h.values, ff.k.values,
-    )
-    _write_csv(out / "oracle.csv", _scenario_meta(cfg), ["r", "J", "H", "K", "h", "k"], rows)
+    block = (grid.r_centers, moments.J.values, moments.H.values, moments.K.values,
+             ff.h.values, ff.k.values)
+    _write_csv(out / "oracle.csv", _scenario_meta(cfg), ["r", "J", "H", "K", "h", "k"], [block])
     return ["oracle.csv"]
 
 
@@ -128,18 +172,20 @@ def _run_solve_idsa(cfg: RunConfig, out: Path) -> list[str]:
         _, tags = diffusion_source(traj.final.Jt, traj.final.Js, spec, grid,
                                    kappa_floor=cfg.kappa_floor)
         snaps = snaps + [Snapshot(traj.final, tags)]
-    rows = []
-    for snap in snaps:
+    r_text = _float_text(grid.r_centers)
+    regime_names = [regime.name.lower() for regime in Regime]
+
+    def block(snap):
         st = snap.state
         tot = st.Jt.values + st.Js.values
         ht = np.where(tot > 0, st.Jt.values / np.where(tot > 0, tot, 1.0), 0.0)
         hs = np.where(tot > 0, st.Js.values / np.where(tot > 0, tot, 1.0), 0.0)
-        names = [Regime(t).name.lower() for t in snap.tags]
-        for i, r in enumerate(grid.r_centers):
-            rows.append((st.t, r, st.Jt.values[i], st.Js.values[i], ht[i], hs[i], names[i]))
+        names = [regime_names[t] for t in snap.tags.tolist()]
+        return st.t, r_text, st.Jt.values, st.Js.values, ht, hs, names
+
     _write_csv(
         out / "snapshots.csv", _scenario_meta(cfg),
-        ["t", "r", "Jt", "Js", "h_t", "h_s", "regime"], rows,
+        ["t", "r", "Jt", "Js", "h_t", "h_s", "regime"], map(block, snaps),
     )
     return ["snapshots.csv"]
 
@@ -162,18 +208,16 @@ def _run_solve_reformed(cfg: RunConfig, out: Path, variant: str) -> list[str]:
     final, _ = scheme.run_to_stationarity()
     states.append(final)
     closures = closure_set(grid, cfg.R)
-    rows = []
-    for st in states:
+    r_text = _float_text(grid.r_centers)
+
+    def block(st):
         H, K = reconstruct_HK(st, closures)
         h, k = reconstruct_flux_factors(st, closures)
-        for i, r in enumerate(grid.r_centers):
-            rows.append(
-                (st.t, r, st.Jt.values[i], st.Js.values[i],
-                 H.values[i], K.values[i], h.values[i], k.values[i])
-            )
+        return st.t, r_text, st.Jt.values, st.Js.values, H.values, K.values, h.values, k.values
+
     _write_csv(
         out / "snapshots.csv", _scenario_meta(cfg),
-        ["t", "r", "Jt", "Js", "H", "K", "h", "k"], rows,
+        ["t", "r", "Jt", "Js", "H", "K", "h", "k"], map(block, states),
     )
     return ["snapshots.csv"]
 
@@ -183,8 +227,12 @@ def _run_spurious(cfg: RunConfig, out: Path) -> list[str]:
     records = run_spurious_trapped_experiment(
         cfg.eps_list, _spec(cfg), grid, _solver_config(cfg), horizon=cfg.horizon
     )
-    rows = [(r.eps, r.time if r.time is not None else np.nan, r.censored) for r in records]
-    _write_csv(out / "spurious.csv", _scenario_meta(cfg), ["eps", "time", "censored"], rows)
+    block = (
+        np.array([r.eps for r in records], dtype=float),
+        np.array([r.time if r.time is not None else np.nan for r in records], dtype=float),
+        np.array([r.censored for r in records], dtype=bool),
+    )
+    _write_csv(out / "spurious.csv", _scenario_meta(cfg), ["eps", "time", "censored"], [block])
 
     usable = sorted((r for r in records if not r.censored), key=lambda r: -r.eps)
     kept = usable[cfg.exclude_largest :]
@@ -210,9 +258,13 @@ def _run_instability(cfg: RunConfig, out: Path) -> list[str]:
         snapshot_times=tuple(cfg.snapshot_times), vb_threshold=cfg.vb_threshold,
         bound_margin=cfg.bound_margin,
     )
-    rows = [
-        (s.t, s.virtual_boundary, s.nonmonotone, s.sup_total) for s in result.snapshots
-    ]
+    snaps = result.snapshots
+    block = (
+        np.array([s.t for s in snaps], dtype=float),
+        np.array([s.virtual_boundary for s in snaps], dtype=float),
+        np.array([s.nonmonotone for s in snaps], dtype=bool),
+        np.array([s.sup_total for s in snaps], dtype=float),
+    )
     meta = _scenario_meta(cfg)
     meta["first_nonmonotone_time"] = (
         result.first_nonmonotone_time if result.first_nonmonotone_time is not None else np.nan
@@ -220,7 +272,7 @@ def _run_instability(cfg: RunConfig, out: Path) -> list[str]:
     meta["vb_threshold"] = result.vb_threshold
     _write_csv(
         out / "instability.csv", meta,
-        ["t", "virtual_boundary", "nonmonotone_flag", "sup_norm"], rows,
+        ["t", "virtual_boundary", "nonmonotone_flag", "sup_norm"], [block],
     )
     return ["instability.csv"]
 
@@ -232,12 +284,14 @@ def _run_convergence(cfg: RunConfig, out: Path) -> list[str]:
         cfg.kappa_list, cfg.R, cfg.B, grid, cfg.variant,
         oracle_tol=cfg.oracle_tol, cfg=_solver_config(cfg), oracle=oracle,
     )
-    rows = [
-        (r.kappa, r.errJ, r.errH, r.errK, r.failure or "") for r in records
+    block = [
+        np.array([getattr(r, name) for r in records], dtype=float)
+        for name in ("kappa", "errJ", "errH", "errK")
     ]
+    block.append([r.failure or "" for r in records])
     _write_csv(
         out / "convergence.csv", _scenario_meta(cfg),
-        ["kappa", "errJ", "errH", "errK", "failure"], rows,
+        ["kappa", "errJ", "errH", "errK", "failure"], [block],
     )
     ok = [r for r in records if r.failure is None]
     files = ["convergence.csv"]
@@ -255,8 +309,8 @@ def _run_convergence(cfg: RunConfig, out: Path) -> list[str]:
 
 
 def _run_err0(cfg: RunConfig, out: Path) -> list[str]:
-    rows = err0_curve(cfg.kappaR_list)
-    _write_csv(out / "err0.csv", {"experiment": "err0"}, ["kappaR", "err0"], rows)
+    block = np.array(err0_curve(cfg.kappaR_list), dtype=float).reshape(-1, 2).T
+    _write_csv(out / "err0.csv", {"experiment": "err0"}, ["kappaR", "err0"], [block])
     return ["err0.csv"]
 
 

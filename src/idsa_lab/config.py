@@ -175,6 +175,12 @@ def _validate(v: dict) -> None:
     need(v["exclude_largest"] >= 0, "exclude_largest must be >= 0")
     need(0 < v["horizon"] < np.inf, "horizon must be positive and finite")
     need(v["bound_margin"] > 0, "bound_margin must be positive")
+    # inf passes a plain sign check; an infinite opacity sends NaN into the
+    # oracle's quadrature and an infinite time into the step counts.
+    for key, value in v.items():
+        items = value if isinstance(value, tuple) else (value,)
+        need(all(np.isfinite(x) for x in items if isinstance(x, float)),
+             f"{key} must be finite, got {value}")
 
 
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:

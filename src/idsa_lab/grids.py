@@ -108,16 +108,16 @@ class ProblemSpec:
     kappa_s: float = 0.0
 
     def __post_init__(self):
-        if not (self.B > 0):
-            raise ValueError(f"B must be positive, got {self.B}")
-        if not (self.R > 0):
-            raise ValueError(f"R must be positive, got {self.R}")
-        if not (self.kappa > 0):
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.kappa_outside < 0:
-            raise ValueError(f"kappa_outside must be >= 0, got {self.kappa_outside}")
-        if self.kappa_s < 0:
-            raise ValueError(f"kappa_s must be >= 0, got {self.kappa_s}")
+        if not (0 < self.B < np.inf):
+            raise ValueError(f"B must be positive and finite, got {self.B}")
+        if not (0 < self.R < np.inf):
+            raise ValueError(f"R must be positive and finite, got {self.R}")
+        if not (0 < self.kappa < np.inf):
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
+        if not (0 <= self.kappa_outside < np.inf):
+            raise ValueError(f"kappa_outside must be >= 0 and finite, got {self.kappa_outside}")
+        if not (0 <= self.kappa_s < np.inf):
+            raise ValueError(f"kappa_s must be >= 0 and finite, got {self.kappa_s}")
 
     def absorption(self, r: np.ndarray) -> np.ndarray:
         """Absorption opacity profile kappa_a(r) at the given radii."""

@@ -19,15 +19,14 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
 class QuadratureError(RuntimeError):
-    """Raised when a panel cannot meet its tolerance within the depth cap."""
+    """
+    A batch entry cannot be integrated: a panel misses its tolerance within
+    the depth cap, or the integrand gives a non-finite panel estimate.
+    """
 
-    def __init__(self, owner: int, error: float, max_depth: int):
+    def __init__(self, owner: int, message: str):
         self.owner = owner
-        self.error = error
-        super().__init__(
-            f"quadrature did not converge within depth {max_depth}: "
-            f"worst batch entry {owner} has panel error {error:.3e}"
-        )
+        super().__init__(message)
 
 
 def _panel_estimates(f, owners, a, b):
@@ -35,7 +34,17 @@ def _panel_estimates(f, owners, a, b):
     half = 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * _NODES[None, :]
     vals = f(owners[:, None], x)
-    return half * (vals @ _WEIGHTS)
+    est = half * (vals @ _WEIGHTS)
+    finite = np.isfinite(est)
+    if not finite.all():
+        # NaN errors never meet a budget, so bisection would double the queue
+        # at every level until memory runs out; stop at the first one instead.
+        i = int(np.argmin(finite))
+        raise QuadratureError(
+            int(owners[i]),
+            f"quadrature: batch entry {owners[i]} has a non-finite panel estimate ({est[i]})",
+        )
+    return est
 
 
 def integrate_batch(f, lo, hi, tol: float = 1e-10, max_depth: int = 40) -> np.ndarray:
@@ -54,7 +63,7 @@ def integrate_batch(f, lo, hi, tol: float = 1e-10, max_depth: int = 40) -> np.nd
         max(tol, tol * |integral|), split across panels by width.
     max_depth : int
         Bisection depth cap; exceeding it raises QuadratureError naming
-        the worst owner.
+        the worst owner.  A non-finite panel estimate raises it at once.
 
     Returns
     -------
@@ -102,7 +111,11 @@ def integrate_batch(f, lo, hi, tol: float = 1e-10, max_depth: int = 40) -> np.nd
         keep = ~done
         if np.any(depth[keep] + 1 > max_depth):
             worst = np.argmax(np.where(keep, err, -np.inf))
-            raise QuadratureError(int(owners[worst]), float(err[worst]), max_depth)
+            raise QuadratureError(
+                int(owners[worst]),
+                f"quadrature did not converge within depth {max_depth}: "
+                f"worst batch entry {owners[worst]} has panel error {err[worst]:.3e}",
+            )
 
         owners = np.concatenate([owners[keep], owners[keep]])
         a = np.concatenate([a[keep], mid[keep]])

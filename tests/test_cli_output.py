@@ -1,0 +1,121 @@
+"""
+CLI output bytes: the columnar CSV writer against value-at-a-time
+formatting, checked-in digests of the domain-split snapshot files, and a
+solve-old run through the CLI checked against the direct stationary solve.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from idsa_lab import (
+    ProblemSpec,
+    RadialField,
+    ReformedScheme,
+    SolverConfig,
+    l2_relative_error,
+    make_uniform_grid,
+)
+from idsa_lab.cli import _fmt, _write_csv, main
+
+
+def _rowwise(meta, header, rows) -> str:
+    """The CSV text formatted one value at a time through ``_fmt``."""
+    lines = [f"# {k} = {_fmt(v)}" for k, v in meta.items()]
+    lines.append(",".join(header))
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+_SPECIAL_FLOATS = [
+    -0.0, 0.0, math.nan, math.inf, -math.inf,
+    5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+    1e300, -1e300, 1.7976931348623157e308, 0.1, 1.0 / 3.0,
+]
+_floats = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+_text = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=8)
+
+
+@st.composite
+def _block(draw):
+    n = draw(st.integers(0, 12))
+    t = draw(_floats)
+    x = draw(st.lists(_floats, min_size=n, max_size=n))
+    flag = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    count = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n))
+    label = draw(st.lists(st.one_of(st.just(""), _text), min_size=n, max_size=n))
+    columns = (t, np.array(x, dtype=float), np.array(flag, dtype=bool),
+               np.array(count, dtype=np.int64), label)
+    rows = [(t, x[i], flag[i], np.int64(count[i]), label[i]) for i in range(n)]
+    return columns, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    blocks=st.lists(_block(), max_size=4),
+    meta=st.dictionaries(st.sampled_from(["kappa", "n_cells", "experiment", "flag"]),
+                         st.one_of(_floats, st.integers(), _text, st.booleans())),
+)
+def test_columnar_writer_matches_rowwise_formatting(tmp_path_factory, blocks, meta):
+    path = tmp_path_factory.mktemp("csv") / "out.csv"
+    header = ["t", "x", "flag", "count", "label"]
+    _write_csv(path, meta, header, (columns for columns, _ in blocks))
+    expected = _rowwise(meta, header, [row for _, rows in blocks for row in rows])
+    assert path.read_bytes() == expected.encode()
+    assert not path.with_name("out.csv.tmp").exists()
+
+
+# snapshots.csv of a small solve-old / solve-new run, as configured below.
+# Digests of the non-comment lines, as written by the value-at-a-time writer
+# at commit 06f6311; they pin the CSV text, so they also move if numpy,
+# scipy or LAPACK round one of the solves differently.
+_REFORMED_RUNS = {
+    "old": ("1, 2.5", "2da2304c1c7eda33b48ef1803f1a1ea1c5e374c1dbdad077781ad8eee7ac3e30"),
+    "new": ("0.5, 2, 3", "ab14b1a7515e4a19d15111514f7c90ab9b469203e4a7bf4f43488085da9ad56b"),
+}
+_N_CELLS = 300  # a multiple of 3, so R = 6 lands on a face of [0, 18]
+
+
+@pytest.fixture(scope="module")
+def reformed_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("reformed")
+    out = {}
+    for variant, (snaps, _) in _REFORMED_RUNS.items():
+        cfg = root / f"{variant}.cfg"
+        cfg.write_text(
+            f"experiment = solve-{variant}\nn_cells = {_N_CELLS}\nkappa = 2\n"
+            f"snapshot_times = {snaps}\noutput_dir = {root / variant}\n"
+        )
+        assert main(["run", str(cfg)]) == 0
+        out[variant] = root / variant / "snapshots.csv"
+    return out
+
+
+@pytest.mark.parametrize("variant", sorted(_REFORMED_RUNS))
+def test_reformed_snapshots_match_checked_in_digest(reformed_runs, variant):
+    lines = reformed_runs[variant].read_bytes().splitlines(keepends=True)
+    body = b"".join(line for line in lines if not line.startswith(b"#"))
+    assert hashlib.sha256(body).hexdigest() == _REFORMED_RUNS[variant][1]
+
+
+def test_cli_solve_old_snapshots_and_stationary_state(reformed_runs):
+    lines = reformed_runs["old"].read_text().splitlines()
+    body = [line for line in lines if not line.startswith("#")]
+    assert body[0] == "t,r,Jt,Js,H,K,h,k"
+    data = np.array([[float(x) for x in line.split(",")] for line in body[1:]])
+    assert data.shape == (_N_CELLS * 3, 8)
+
+    t = data[:, 0].reshape(3, _N_CELLS)
+    assert np.all(t == t[:, :1])
+    assert t[:2, 0] == pytest.approx([1.0, 2.5], abs=1e-9)
+    assert t[2, 0] > 2.5
+
+    grid = make_uniform_grid(18.0, _N_CELLS)
+    spec = ProblemSpec(B=1.0, R=6.0, kappa=2.0)
+    direct = ReformedScheme("old", spec, grid, SolverConfig(dt=0.1)).stationary_direct()
+    final = data[2 * _N_CELLS :]
+    total = RadialField(grid, final[:, 2] + final[:, 3])
+    assert l2_relative_error(total, direct.total()) < 1e-8

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import idsa_lab
 from idsa_lab.cli import main, run
 from idsa_lab.config import KEYS, ConfigError, describe_keys, parse_config
 
@@ -192,6 +195,23 @@ def test_cli_rejects_unbounded_spurious_sweep(tmp_path):
         parse_config("experiment = spurious\nhorizon = inf\n")
 
 
+@pytest.mark.parametrize("key", ["kappa", "kappa_outside", "kappa_s"])
+def test_cli_rejects_non_finite_scenario(tmp_path, key):
+    # err0 never builds the oracle, so a regression here fails fast instead of
+    # bisecting NaN panels until memory runs out.
+    out = tmp_path / "out"
+    assert _run_cli(tmp_path, "experiment = err0\n", f"output_dir={out}", f"{key}=inf") == 2
+    assert not (out / "err0.csv").exists()
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        parse_config(f"experiment = oracle\n{key} = inf\n")
+
+
+def test_config_rejects_non_finite_values():
+    for text in ("t_end = inf", "snapshot_times = 1, inf", "dt = inf", "kappa_list = 1, inf"):
+        with pytest.raises(ConfigError, match="must be finite"):
+            parse_config(f"experiment = solve-idsa\n{text}\n")
+
+
 def test_cli_missing_config_exit_4(tmp_path):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 4
 
@@ -230,3 +250,12 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert (out / "err0.csv").exists()
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported only when a domain-split scheme is built.
+    src = str(Path(idsa_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import idsa_lab, idsa_lab.cli, sys; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -116,6 +116,11 @@ def test_problem_spec_validation():
         dict(B=1.0, R=6.0, kappa=0.0),
         dict(B=1.0, R=6.0, kappa=1.0, kappa_outside=-1e-3),
         dict(B=1.0, R=6.0, kappa=1.0, kappa_s=-0.5),
+        dict(B=1.0, R=6.0, kappa=np.inf),
+        dict(B=1.0, R=6.0, kappa=1.0, kappa_outside=np.inf),
+        dict(B=1.0, R=6.0, kappa=1.0, kappa_s=np.inf),
+        dict(B=np.inf, R=6.0, kappa=1.0),
+        dict(B=1.0, R=np.inf, kappa=1.0),
     ):
         with pytest.raises(ValueError):
             ProblemSpec(**bad)

@@ -56,6 +56,27 @@ def test_depth_cap_raises():
     assert 0 <= ei.value.owner < 3
 
 
+def test_non_finite_integrand_raises_at_once():
+    # A NaN estimate never meets its budget; without the check every panel
+    # would be bisected to the depth cap, doubling memory at every level.
+    calls = []
+
+    def f(idx, x):
+        calls.append(x.shape[0])
+        return np.where(idx == 2, np.nan, x)
+
+    with pytest.raises(QuadratureError, match="non-finite") as ei:
+        integrate_batch(f, np.zeros(3), np.ones(3), max_depth=4)
+    assert ei.value.owner == 2
+    assert calls == [3]
+
+    def g(idx, x):
+        return np.where(x > 0.9, np.inf, x)
+
+    with pytest.raises(QuadratureError, match="non-finite"):
+        integrate_batch(g, np.zeros(2), np.ones(2), max_depth=4)
+
+
 def test_input_validation():
     def f(idx, x):
         return x

@@ -244,6 +244,19 @@ def test_old_negative_streaming_raises():
         scheme._streaming(rising, t=0.0)
 
 
+def test_old_fine_grid_roundoff_is_not_negativity():
+    # On 19998 cells the flat interior of the early "old" transient carries
+    # gradient roundoff of about -1e-12 B in Js; at this kappa it crossed
+    # the former fixed -1e-12 B threshold at t = 1.
+    grid = make_uniform_grid(18.0, 19998)
+    spec = ProblemSpec(B=1.0, R=6.0, kappa=3.1667953321301963)
+    scheme = ReformedScheme("old", spec, grid, SolverConfig(dt=0.1))
+    state = zero_state(grid)
+    for _ in range(12):
+        state = scheme.step(state)
+    assert np.all(state.Js.values >= 0.0)
+
+
 def test_new_normalization_singularity():
     grid = grid_div3(300)
     scheme = ReformedScheme("new", SPEC, grid, CFG)
