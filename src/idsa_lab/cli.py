@@ -150,8 +150,6 @@ def _solver_config(cfg: RunConfig) -> SolverConfig:
 
 
 def _run_oracle(cfg: RunConfig, out: Path) -> list[str]:
-    if cfg.kappa_outside != 0.0 or cfg.kappa_s != 0.0:
-        raise ConfigError("the oracle needs the bare sphere: kappa_outside = kappa_s = 0")
     grid = make_uniform_grid(cfg.r_max, cfg.n_cells)
     moments = exact_moments(grid, _spec(cfg), tol=cfg.oracle_tol)
     ff = moments.flux_factors()
@@ -328,8 +326,11 @@ _RUNNERS = {
 
 def run(cfg: RunConfig) -> int:
     """Execute one experiment; returns the process exit code."""
+    out = Path(cfg.output_dir)
+    # Directories this run creates, deepest first; a run rejected as a
+    # configuration error removes them again.
+    created = [d for d in (out, *out.parents) if not d.exists()]
     try:
-        out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
@@ -343,13 +344,15 @@ def run(cfg: RunConfig) -> int:
     }
     try:
         files = _RUNNERS[cfg.experiment](cfg, out)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         # Bad scenario/grid combinations surface as ValueError from the
         # domain types; they are configuration problems, not solver crashes.
         print(f"configuration error: {exc}", file=sys.stderr)
+        for d in created:
+            try:
+                d.rmdir()
+            except OSError:  # not empty: keep it and its parents
+                break
         return 2
     except _SOLVER_FAILURES as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}

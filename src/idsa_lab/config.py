@@ -84,6 +84,9 @@ EXPERIMENT_DEFAULTS: dict[str, dict] = {
 }
 
 _REQUIRED = ("experiment",)
+# Experiments whose scenario must be the bare step profile: the exact oracle
+# and the domain-split schemes exist only there.
+_BARE_SPHERE = ("oracle", "solve-old", "solve-new")
 
 
 @dataclass
@@ -166,7 +169,9 @@ def _validate(v: dict) -> None:
     need(v["t_end"] > 0, f"t_end must be positive, got {v['t_end']}")
     need(v["stationarity_tol"] > 0, "stationarity_tol must be positive")
     need(v["kappa_floor"] > 0, "kappa_floor must be positive")
-    need(v["oracle_tol"] > 0, "oracle_tol must be positive")
+    # Below roundoff no panel meets its budget and the quadrature can only
+    # bisect until its live-panel cap stops it.
+    need(v["oracle_tol"] >= 1e-15, f"oracle_tol must be >= 1e-15, got {v['oracle_tol']}")
     need(v["variant"] in ("old", "new"), f"variant must be old or new, got {v['variant']!r}")
     need(all(k > 0 for k in v["kappa_list"]), "kappa_list entries must be positive")
     need(all(0 < e < np.inf for e in v["eps_list"]),
@@ -181,6 +186,8 @@ def _validate(v: dict) -> None:
         items = value if isinstance(value, tuple) else (value,)
         need(all(np.isfinite(x) for x in items if isinstance(x, float)),
              f"{key} must be finite, got {value}")
+    need(v["experiment"] not in _BARE_SPHERE or (v["kappa_outside"] == 0 and v["kappa_s"] == 0),
+         f"{v['experiment']} needs the bare sphere: kappa_outside = kappa_s = 0")
 
 
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:

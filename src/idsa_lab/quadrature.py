@@ -2,13 +2,22 @@
 Adaptive panel-bisection quadrature, vectorized over a batch of integrals.
 
 Many radii need the same family of angular integrals, so the driver keeps
-one work queue of panels for the whole batch and evaluates every active
-panel in a single vectorized call.  Each panel carries a fixed-order
-Gauss-Legendre estimate; the error indicator is the difference between a
-panel's estimate and the sum of its two halves, and panels are bisected
-until the per-owner error budget is met.  The integrands here develop
-boundary layers of width O(1/(kappa*R)) near mu = 1, which bisection
-resolves without any opacity-specific tuning.
+one work queue of panels per block of owners and evaluates every active
+panel of the block in a single vectorized call.  Each panel carries a
+fixed-order Gauss-Legendre estimate; the error indicator is the difference
+between a panel's estimate and the sum of its two halves, and panels are
+bisected until the per-owner error budget is met.  The integrands here
+develop boundary layers of width O(1/(kappa*R)) near mu = 1, which
+bisection resolves without any opacity-specific tuning.
+
+Owners are independent, so the batch is worked through in blocks of
+``_BLOCK`` owners: every per-panel temporary then stays cache-sized, and
+the result does not depend on the block size.  An integrand may be
+vector-valued, giving several integrals of one owner (e.g. the J, H and K
+moments of one radius) from shared per-node work; an owner then retires
+only once every component meets its own budget.  A block whose queue
+outgrows ``_MAX_LIVE_PANELS`` raises QuadratureError instead of doubling
+until memory runs out, which is what a tolerance below roundoff does.
 """
 
 from __future__ import annotations
@@ -17,11 +26,22 @@ import numpy as np
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 
+# Owners integrated together; a (2 * _BLOCK, 15) array of doubles is 61 kB.
+_BLOCK = 256
+# Ceiling on the panels one block may queue for bisection, 16x the largest
+# queue of any oracle run that converges (2 * _BLOCK, over kappa 0.01 to 1000
+# at R = 6, tol 1e-10 to 1e-15, 2000 and 19998 cells).  The runs that do not
+# converge are owners just inside R bisecting every panel at every level,
+# at a tolerance below roundoff.
+_MAX_LIVE_PANELS = 32 * _BLOCK
+
 
 class QuadratureError(RuntimeError):
     """
     A batch entry cannot be integrated: a panel misses its tolerance within
-    the depth cap, or the integrand gives a non-finite panel estimate.
+    the depth cap, the integrand gives a non-finite panel estimate, or the
+    entry's block queues more than ``_MAX_LIVE_PANELS`` panels.
+    ``owner`` is the entry's index in the whole batch.
     """
 
     def __init__(self, owner: int, message: str):
@@ -30,6 +50,7 @@ class QuadratureError(RuntimeError):
 
 
 def _panel_estimates(f, owners, a, b):
+    """Gauss-Legendre estimates, shape (n_panels,) or (n_components, n_panels)."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * _NODES[None, :]
@@ -39,12 +60,84 @@ def _panel_estimates(f, owners, a, b):
     if not finite.all():
         # NaN errors never meet a budget, so bisection would double the queue
         # at every level until memory runs out; stop at the first one instead.
-        i = int(np.argmin(finite))
+        finite = np.atleast_2d(finite)
+        i = int(np.argmin(finite.all(axis=0)))
+        bad = np.atleast_2d(est)[:, i][~finite[:, i]][0]
         raise QuadratureError(
             int(owners[i]),
-            f"quadrature: batch entry {owners[i]} has a non-finite panel estimate ({est[i]})",
+            f"quadrature: batch entry {owners[i]} has a non-finite panel estimate ({bad})",
         )
     return est
+
+
+def _integrate_block(f, lo, hi, base: int, tol: float, max_depth: int) -> np.ndarray:
+    """Owners base .. base + lo.size - 1, in integrate_batch's result shape."""
+    nb = lo.size
+    span = np.maximum(hi - lo, np.finfo(float).tiny)
+
+    own = np.arange(nb)  # block-local owner of each live panel; f sees base + own
+    a, b = lo.copy(), hi.copy()
+    first = _panel_estimates(f, base + own, a, b)
+    est = np.atleast_2d(first)
+    accepted = np.zeros((est.shape[0], nb))
+    comps = slice(None)
+
+    # Every live panel is bisected once per pass, so all share one depth.
+    depth = 0
+    while own.size:
+        p = own.size
+        mid = 0.5 * (a + b)
+        halves = np.atleast_2d(_panel_estimates(
+            f, base + np.concatenate([own, own]), np.concatenate([a, mid]), np.concatenate([mid, b])
+        ))
+        refined = halves[:, :p] + halves[:, p:]
+        err = np.abs(est - refined)
+
+        # Owner-level acceptance: an owner retires once the sum of its panel
+        # errors fits the budget.  Clearly-converged panels retire early on a
+        # width-proportional budget so the queue stays small; integrands with a
+        # sqrt-like endpoint (the grazing-ray edge outside the sphere) shrink
+        # their total error geometrically and retire by the sum criterion.
+        # Each component is judged on its own budget; a panel retires once
+        # every component passes.
+        totals = accepted.copy()
+        np.add.at(totals, (comps, own), refined)
+        err_sum = np.zeros_like(accepted)
+        np.add.at(err_sum, (comps, own), err)
+        budget = np.maximum(tol, tol * np.abs(totals))[:, own]
+        done = (
+            (err_sum[:, own] <= budget) | (err <= 0.25 * budget * (b - a) / span[own])
+        ).all(axis=0)
+        np.add.at(accepted, (comps, own[done]), refined[:, done])
+
+        keep = ~done
+        if keep.any():
+            if depth + 1 > max_depth:
+                worst = np.argmax(np.where(keep, err.max(axis=0), -np.inf))
+                raise QuadratureError(
+                    int(base + own[worst]),
+                    f"quadrature did not converge within depth {max_depth}: "
+                    f"worst batch entry {base + own[worst]} has panel error "
+                    f"{err[:, worst].max():.3e}",
+                )
+            live = 2 * int(keep.sum())
+            if live > _MAX_LIVE_PANELS:
+                counts = np.bincount(own[keep], minlength=nb)
+                top = int(np.argmax(counts))
+                raise QuadratureError(
+                    base + top,
+                    f"quadrature: {live} live panels at depth {depth + 1} exceed the cap of "
+                    f"{_MAX_LIVE_PANELS}; batch entry {base + top} holds {2 * counts[top]} "
+                    f"of them (is the tolerance {tol:g} below roundoff?)",
+                )
+
+        own = np.concatenate([own[keep], own[keep]])
+        a = np.concatenate([a[keep], mid[keep]])
+        b = np.concatenate([mid[keep], b[keep]])
+        est = np.concatenate([halves[:, :p][:, keep], halves[:, p:][:, keep]], axis=1)
+        depth += 1
+
+    return accepted if first.ndim == 2 else accepted[0]
 
 
 def integrate_batch(f, lo, hi, tol: float = 1e-10, max_depth: int = 40) -> np.ndarray:
@@ -54,20 +147,26 @@ def integrate_batch(f, lo, hi, tol: float = 1e-10, max_depth: int = 40) -> np.nd
     Parameters
     ----------
     f : callable
-        Vectorized integrand ``f(owner_index, x)``; both arguments are
-        arrays of the same shape (owner index broadcast along the nodes).
+        Vectorized integrand ``f(owner_index, x)``.  ``owner_index`` has
+        shape (p, 1) and holds indices into the whole batch; ``x`` has
+        shape (p, m) (the nodes of p panels).  Returns shape (p, m) for a
+        scalar integrand, or (c, p, m) for c components integrated
+        together.
     lo, hi : array_like
         Integration limits per owner.  hi >= lo required.
     tol : float
-        Absolute and relative tolerance: the accepted error per owner is
-        max(tol, tol * |integral|), split across panels by width.
+        Absolute and relative tolerance: the accepted error per owner and
+        component is max(tol, tol * |integral|), split across panels by
+        width.
     max_depth : int
         Bisection depth cap; exceeding it raises QuadratureError naming
-        the worst owner.  A non-finite panel estimate raises it at once.
+        the worst owner.  A non-finite panel estimate raises it at once,
+        and so does a block queueing more than ``_MAX_LIVE_PANELS`` panels.
 
     Returns
     -------
-    np.ndarray of per-owner integral values.
+    np.ndarray of per-owner integral values, shape (n,) for a scalar
+    integrand and (c, n) for a vector-valued one.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -76,51 +175,10 @@ def integrate_batch(f, lo, hi, tol: float = 1e-10, max_depth: int = 40) -> np.nd
     if np.any(hi < lo):
         raise ValueError("hi must be >= lo")
     n = lo.size
-    span = np.maximum(hi - lo, np.finfo(float).tiny)
-
-    owners = np.arange(n)
-    a, b = lo.copy(), hi.copy()
-    est = _panel_estimates(f, owners, a, b)
-    depth = np.zeros(n, dtype=np.int64)
-    accepted = np.zeros(n)
-
-    while owners.size:
-        mid = 0.5 * (a + b)
-        two_owners = np.concatenate([owners, owners])
-        halves = _panel_estimates(
-            f, two_owners, np.concatenate([a, mid]), np.concatenate([mid, b])
-        )
-        refined = halves[: owners.size] + halves[owners.size :]
-        err = np.abs(est - refined)
-
-        # Owner-level acceptance: an owner retires once the sum of its panel
-        # errors fits the budget.  Clearly-converged panels retire early on a
-        # width-proportional budget so the queue stays small; integrands with a
-        # sqrt-like endpoint (the grazing-ray edge outside the sphere) shrink
-        # their total error geometrically and retire by the sum criterion.
-        totals = accepted.copy()
-        np.add.at(totals, owners, refined)
-        err_sum = np.zeros(n)
-        np.add.at(err_sum, owners, err)
-        budget = np.maximum(tol, tol * np.abs(totals))
-        done = (err_sum[owners] <= budget[owners]) | (
-            err <= 0.25 * budget[owners] * (b - a) / span[owners]
-        )
-        np.add.at(accepted, owners[done], refined[done])
-
-        keep = ~done
-        if np.any(depth[keep] + 1 > max_depth):
-            worst = np.argmax(np.where(keep, err, -np.inf))
-            raise QuadratureError(
-                int(owners[worst]),
-                f"quadrature did not converge within depth {max_depth}: "
-                f"worst batch entry {owners[worst]} has panel error {err[worst]:.3e}",
-            )
-
-        owners = np.concatenate([owners[keep], owners[keep]])
-        a = np.concatenate([a[keep], mid[keep]])
-        b = np.concatenate([mid[keep], b[keep]])
-        est = np.concatenate([halves[: keep.size][keep], halves[keep.size :][keep]])
-        depth = np.concatenate([depth[keep] + 1, depth[keep] + 1])
-
-    return accepted
+    # An empty batch still runs one (empty) block, so its result takes the
+    # integrand's shape.
+    blocks = [
+        _integrate_block(f, lo[s : s + _BLOCK], hi[s : s + _BLOCK], s, tol, max_depth)
+        for s in range(0, max(n, 1), _BLOCK)
+    ]
+    return np.concatenate(blocks, axis=-1)

@@ -109,6 +109,10 @@ class ReformedScheme:
         self.kappa_tot = spec.kappa + spec.kappa_s
         self.edge_value = special_values(spec).JR if variant == "new" else None
         self.closures = closure_set(grid, spec.R)
+        # Outside R the streaming field is the edge value carried outward by
+        # the free-streaming closure; its geometry is fixed per grid.
+        r_out = grid.r_centers[m:]
+        self._stream_denom = 2.0 * r_out**2 * free_streaming_flux_ratio(r_out, spec.R)
 
         r_in = grid.r_centers[:m]
         faces = grid.r_edges[: m + 1]
@@ -179,10 +183,7 @@ class ReformedScheme:
         n = self.grid.n_cells
         Js = np.empty(n)
         Js[: self.m] = Js_in
-        if self.m < n:
-            r_out = self.grid.r_centers[self.m :]
-            g_out = free_streaming_flux_ratio(r_out, self.spec.R)
-            Js[self.m :] = edge * self.snapped_R**2 / (2.0 * r_out**2 * g_out)
+        Js[self.m :] = edge * self.snapped_R**2 / self._stream_denom
         return Js
 
     def _assemble_state(self, Jt_in: np.ndarray, t: float) -> TwoComponentState:

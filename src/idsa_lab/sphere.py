@@ -8,10 +8,13 @@ equilibrium level B, vacuum outside, admits a closed-form distribution
 
 where s is the chord length of the backward ray inside the sphere.  Its
 first three angular moments J, H, K follow by one-dimensional integrals
-over mu, which this module evaluates with adaptive quadrature.  These
-profiles are the ground truth every solver in the package is tested
-against, together with their infinite-opacity limits and the geometric
-flux factors they induce.
+over mu, which this module evaluates with adaptive quadrature.  One
+vector-valued integrand per radius yields all three, so the geometry
+factor and the exponentials are computed once per node, and a radius
+retires only when all three meet the tolerance.  These profiles are the
+ground truth every solver in the package is tested against, together
+with their infinite-opacity limits and the geometric flux factors they
+induce.
 
 Overflow control: the inside-sphere integrands combine cosh/sinh with the
 exponential as (exp(k*(r*mu - R*G)) +/- exp(-k*(r*mu + R*G))) / 2.  The
@@ -130,25 +133,25 @@ def exact_distribution(r, mu, spec: ProblemSpec):
 
 
 def _inside_integrals(r_in: np.ndarray, kap: float, R: float, tol: float):
-    """The three mu-integrals of the inside-sphere moment formulas."""
+    """
+    The three mu-integrals of the inside-sphere moment formulas, as one
+    vector-valued integrand: G and both exponentials are computed once per
+    node and shared by the three moments.
+    """
 
-    def make(power: int, odd: bool):
-        def f(idx, mu):
-            r = r_in[idx]
-            G = np.sqrt(np.clip(1.0 - (r / R) ** 2 * (1.0 - mu**2), 0.0, None))
-            ep = np.exp(kap * (r * mu - R * G))
-            em = np.exp(-kap * (r * mu + R * G))
-            core = 0.5 * (ep - em) if odd else 0.5 * (ep + em)
-            return mu**power * core if power else core
+    def f(idx, mu):
+        r = r_in[idx]
+        G = np.sqrt(np.clip(1.0 - (r / R) ** 2 * (1.0 - mu**2), 0.0, None))
+        ep = np.exp(kap * (r * mu - R * G))
+        em = np.exp(-kap * (r * mu + R * G))
+        out = np.empty((3,) + mu.shape)
+        even = 0.5 * (ep + em)
+        out[0] = even
+        out[1] = mu * (0.5 * (ep - em))
+        out[2] = mu**2 * even
+        return out
 
-        return f
-
-    lo = np.zeros(r_in.size)
-    hi = np.ones(r_in.size)
-    i0 = integrate_batch(make(0, odd=False), lo, hi, tol=tol)
-    i1 = integrate_batch(make(1, odd=True), lo, hi, tol=tol)
-    i2 = integrate_batch(make(2, odd=False), lo, hi, tol=tol)
-    return i0, i1, i2
+    return integrate_batch(f, np.zeros(r_in.size), np.ones(r_in.size), tol=tol)
 
 
 def _outside_integrals(r_out: np.ndarray, kap: float, R: float, tol: float):
@@ -158,32 +161,29 @@ def _outside_integrals(r_out: np.ndarray, kap: float, R: float, tol: float):
     substitution removes the sqrt behavior of G at the cone edge and turns
     the large-kappa boundary layer into a plain exponential at v = 0, which
     is additionally seeded with its own panel so no spike goes unsampled.
+    The pieces [0, w] and [w, vmax] of every radius form one batch of 2n
+    owners, and the three moments one vector-valued integrand.
     """
+    n = r_out.size
     mu0 = np.sqrt(np.clip(1.0 - (R / r_out) ** 2, 0.0, None))
     vmax = R / r_out
-
-    def make(power: int):
-        def f(idx, v):
-            r = r_out[idx]
-            e = np.exp(-2.0 * kap * r * v)
-            if power == 1:
-                return v * e
-            mu = np.sqrt(mu0[idx] ** 2 + v * v)
-            if power == 0:
-                return v / mu * e
-            return mu * v * e
-
-        return f
-
-    zero = np.zeros(r_out.size)
     w = np.minimum(8.0 / (kap * r_out), 0.5 * vmax)
-    parts = []
-    for p in (0, 1, 2):
-        f = make(p)
-        parts.append(
-            integrate_batch(f, zero, w, tol=tol) + integrate_batch(f, w, vmax, tol=tol)
-        )
-    e0, e1, e2 = parts
+    r2 = np.tile(r_out, 2)
+    mu0_sq2 = np.tile(mu0**2, 2)
+
+    def f(idx, v):
+        e = np.exp(-2.0 * kap * r2[idx] * v)
+        mu = np.sqrt(mu0_sq2[idx] + v * v)
+        out = np.empty((3,) + v.shape)
+        out[1] = v * e
+        np.divide(out[1], mu, out=out[0])
+        np.multiply(mu, out[1], out=out[2])
+        return out
+
+    parts = integrate_batch(
+        f, np.concatenate([np.zeros(n), w]), np.concatenate([w, vmax]), tol=tol
+    )
+    e0, e1, e2 = parts[:, :n] + parts[:, n:]
     return mu0, e0, e1, e2
 
 
@@ -192,7 +192,10 @@ def moments_at(radii: np.ndarray, spec: ProblemSpec, tol: float = 1e-10):
     Exact J, H, K at arbitrary radii by adaptive quadrature.
 
     Returns three arrays aligned with ``radii``.  Radii equal to R are
-    classified with the r >= R branch (both branches agree there).
+    classified with the r >= R branch (both branches agree there).  A
+    ``tol`` near double-precision roundoff may be unattainable for radii
+    close to R at large kappa*R; the quadrature then raises
+    QuadratureError at its live-panel cap.
     """
     _require_bare_sphere(spec, "the exact moments")
     if tol <= 0:

@@ -184,6 +184,29 @@ def test_cli_config_error_exit_2(tmp_path):
     assert _run_cli(tmp_path, "experiment = err0\n", "bogus") == 2
 
 
+def test_rejected_run_leaves_no_output_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _run_cli(tmp_path, "experiment = oracle\nkappa_outside = 0.5\n") == 2
+    assert not (tmp_path / "idsa-lab-out").exists()
+    with pytest.raises(ConfigError, match="bare sphere"):
+        parse_config("experiment = solve-old\nkappa_s = 0.1\n")
+    # Rejected by the scheme, after the run has made its output directory:
+    # one cell inside R leaves no room for the interface.
+    nested = tmp_path / "a" / "b"
+    assert _run_cli(tmp_path, "experiment = solve-new\nn_cells = 2\n", f"output_dir={nested}") == 2
+    assert not (tmp_path / "a").exists()
+
+
+def test_cli_rejects_oracle_tol_below_roundoff(tmp_path):
+    # Unattainable budgets used to bisect every panel at every level.
+    out = tmp_path / "out"
+    assert _run_cli(tmp_path, "experiment = oracle\noracle_tol = 1e-30\n", f"output_dir={out}") == 2
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="oracle_tol must be >= 1e-15"):
+        parse_config("experiment = convergence\noracle_tol = 1e-16\n")
+    assert parse_config("experiment = oracle\noracle_tol = 1e-15\n").oracle_tol == 1e-15
+
+
 def test_cli_rejects_unbounded_spurious_sweep(tmp_path):
     out = f"output_dir={tmp_path / 'out'}"
     assert _run_cli(tmp_path, "experiment = spurious\neps_list = 0.1, inf\n", out) == 2

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from idsa_lab.quadrature import QuadratureError, integrate_batch
+from idsa_lab.quadrature import _BLOCK, _MAX_LIVE_PANELS, QuadratureError, integrate_batch
 
 
 def test_polynomials_exact():
@@ -75,6 +77,105 @@ def test_non_finite_integrand_raises_at_once():
 
     with pytest.raises(QuadratureError, match="non-finite"):
         integrate_batch(g, np.zeros(2), np.ones(2), max_depth=4)
+
+
+def test_blocks_match_singleton_calls():
+    # About 2.5 blocks; every third owner has a boundary layer of width
+    # 1e-4..1e-2 that takes several bisection levels, the rest retire at once.
+    n = 2 * _BLOCK + _BLOCK // 2
+    rng = np.random.default_rng(7)
+    k = np.where(np.arange(n) % 3 == 0, 10.0 ** rng.uniform(2.0, 4.0, n), rng.uniform(0.1, 2.0, n))
+    w = rng.uniform(0.5, 5.0, n)
+    hi = rng.uniform(0.5, 2.0, n)
+
+    def g(k, w, x):
+        return np.exp(-k * x) + np.cos(w * x)
+
+    batch = integrate_batch(lambda idx, x: g(k[idx], w[idx], x), np.zeros(n), hi, tol=1e-12)
+    for i in range(n):
+        one = integrate_batch(lambda idx, x: g(k[i], w[i], x), np.zeros(1), hi[i : i + 1], tol=1e-12)
+        assert batch[i] == pytest.approx(one[0], rel=1e-14, abs=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    params=st.lists(
+        st.tuples(st.floats(0.0, 300.0), st.floats(0.0, 3.0), st.floats(0.0, 20.0)),
+        min_size=1, max_size=8,
+    ),
+    width=st.floats(0.1, 3.0),
+    tol=st.sampled_from([1e-8, 1e-10, 1e-12]),
+)
+def test_vector_integrand_matches_components(params, width, tol):
+    k, p, w = (np.array(c) for c in zip(*params))
+    n = k.size
+    lo = np.zeros(n)
+    hi = np.full(n, width)
+    parts = (
+        lambda idx, x: np.exp(-k[idx] * x),
+        lambda idx, x: x ** p[idx],
+        lambda idx, x: np.cos(w[idx] * x),
+    )
+    fused = integrate_batch(lambda idx, x: np.stack([g(idx, x) for g in parts]), lo, hi, tol=tol)
+    assert fused.shape == (3, n)
+    for c, g in enumerate(parts):
+        alone = integrate_batch(g, lo, hi, tol=tol)
+        # Each result is within its own budget of the integral.
+        budget = np.maximum(tol, tol * np.abs(alone))
+        assert np.all(np.abs(fused[c] - alone) <= 2.0 * budget)
+
+
+def test_errors_name_the_global_owner_across_blocks():
+    n = 2 * _BLOCK + 37
+    bad = 2 * _BLOCK + 20
+    seen = []
+
+    def step(idx, x):
+        seen.append(int(idx.max()))
+        return np.where((idx == bad) & (x < 1.0 / 3.0), 0.0, 1.0)
+
+    with pytest.raises(QuadratureError, match=f"entry {bad} ") as ei:
+        integrate_batch(step, np.zeros(n), np.ones(n), tol=1e-14, max_depth=3)
+    assert ei.value.owner == bad
+    assert max(seen) >= bad  # the integrand sees batch indices, not block ones
+
+    def nan_at_bad(idx, x):
+        return np.where(idx == bad, np.nan, x)
+
+    with pytest.raises(QuadratureError, match=f"entry {bad} has a non-finite") as ei:
+        integrate_batch(nan_at_bad, np.zeros(n), np.ones(n), max_depth=4)
+    assert ei.value.owner == bad
+
+    def vector_nan(idx, x):
+        return np.stack([x, np.where(idx == bad, np.inf, x)])
+
+    with pytest.raises(QuadratureError, match=f"entry {bad} has a non-finite .*inf") as ei:
+        integrate_batch(vector_nan, np.zeros(n), np.ones(n), max_depth=4)
+    assert ei.value.owner == bad
+
+
+def test_vector_depth_cap_reports_worst_component():
+    def f(idx, x):
+        return np.stack([x, 1e6 * np.where(x < 1.0 / 3.0, 0.0, 1.0)])
+
+    with pytest.raises(QuadratureError, match="depth 3") as ei:
+        integrate_batch(f, np.zeros(2), np.ones(2), tol=1e-14, max_depth=3)
+    reported = float(str(ei.value).rsplit(" ", 1)[1])
+    assert reported > 1.0  # the step's error, not the smooth component's roundoff
+
+
+def test_live_panel_cap_stops_unattainable_tolerance():
+    # Below roundoff no panel meets its budget, so the queue doubles every
+    # level; the default depth cap of 40 would be far out of memory's reach.
+    # The cap bounds this test, and the integrand stops it should the cap fail.
+    def f(idx, x):
+        if x.shape[0] > 2 * _MAX_LIVE_PANELS:
+            pytest.fail(f"{x.shape[0]} panels in one call: the live-panel cap did not hold")
+        return np.sin(37.0 * x) + np.sqrt(x)
+
+    with pytest.raises(QuadratureError, match="live panels") as ei:
+        integrate_batch(f, np.zeros(4), np.ones(4), tol=1e-300)
+    assert 0 <= ei.value.owner < 4
 
 
 def test_input_validation():

@@ -23,6 +23,7 @@ from idsa_lab import (
     path_length,
     special_values,
 )
+from idsa_lab.quadrature import integrate_batch
 
 SPEC = ProblemSpec(B=1.0, R=6.0, kappa=1.0)
 
@@ -103,6 +104,60 @@ def test_moments_match_mpmath_high_opacity():
     spec = ProblemSpec(B=1.0, R=6.0, kappa=100.0)
     J, _, _ = moments_at(np.array([6.0165]), spec, tol=1e-11)
     assert J[0] == pytest.approx(J_OUT_100, rel=1e-9)
+
+
+def _moments_one_at_a_time(radii, spec, tol):
+    """Reference: every moment integral on its own, each outside piece apart."""
+    R, kap, B = spec.R, spec.kappa, spec.B
+    inside = radii < R
+    r_in, r_out = radii[inside], radii[~inside]
+    J, H, K = (np.empty(radii.size) for _ in range(3))
+
+    def inner(idx, mu, power, sign):
+        r = r_in[idx]
+        G = np.sqrt(np.clip(1.0 - (r / R) ** 2 * (1.0 - mu**2), 0.0, None))
+        core = 0.5 * (np.exp(kap * (r * mu - R * G)) + sign * np.exp(-kap * (r * mu + R * G)))
+        return mu**power * core
+
+    ones = np.ones(r_in.size)
+    i0, i1, i2 = (
+        integrate_batch(lambda i, m: inner(i, m, p, s), 0 * ones, ones, tol=tol)
+        for p, s in ((0, 1.0), (1, -1.0), (2, 1.0))
+    )
+    J[inside], H[inside], K[inside] = B * (1.0 - i0), B * i1, B * (1.0 / 3.0 - i2)
+
+    mu0 = np.sqrt(np.clip(1.0 - (R / r_out) ** 2, 0.0, None))
+    vmax = R / r_out
+    w = np.minimum(8.0 / (kap * r_out), 0.5 * vmax)
+
+    def outer(idx, v, p):
+        e = np.exp(-2.0 * kap * r_out[idx] * v)
+        mu = np.sqrt(mu0[idx] ** 2 + v * v)
+        return (v / mu * e, v * e, mu * v * e)[p]
+
+    e0, e1, e2 = (
+        integrate_batch(lambda i, v: outer(i, v, p), 0 * w, w, tol=tol)
+        + integrate_batch(lambda i, v: outer(i, v, p), w, vmax, tol=tol)
+        for p in range(3)
+    )
+    ratio2 = (R / r_out) ** 2
+    J[~inside] = 0.5 * B * (1.0 - mu0 - e0)
+    H[~inside] = 0.5 * B * (0.5 * ratio2 - e1)
+    K[~inside] = B / 6.0 * (1.0 - (1.0 - ratio2) ** 1.5 - 3.0 * e2)
+    return J, H, K
+
+
+@pytest.mark.parametrize("kappa", [0.5, 3.0, 500.0])
+def test_fused_moments_match_one_at_a_time(kappa):
+    # Includes r = R, r just above R, and enough radii for several blocks.
+    # (Within 1e-9 below R at kappa = 500 the lone H integral misses the
+    # near-kink of G at mu = 0 and is off by 1e-8; the fused one is not.)
+    spec = ProblemSpec(B=1.0, R=6.0, kappa=kappa)
+    radii = np.concatenate([np.linspace(0.0, 18.0, 1201), [6.0, 6.0 * (1 + 1e-12), 6.0 + 1e-6]])
+    got = moments_at(radii, spec, tol=1e-10)
+    ref = _moments_one_at_a_time(radii, spec, 1e-10)
+    for a, b in zip(got, ref):
+        assert np.allclose(a, b, rtol=1e-9, atol=0.0)
 
 
 def test_special_values():
