@@ -32,8 +32,8 @@ grid = make_uniform_grid(18.0, 3000)
 cfg = SolverConfig(dt=0.1, t_end=400.0, stationarity_tol=1e-10)
 
 print("-- stationary states at kappa = 1 --")
-old, steps_old = ReformedScheme("old", spec, grid, cfg).run_to_stationarity()
-new, steps_new = ReformedScheme("new", spec, grid, cfg).run_to_stationarity()
+old, steps_old, _ = ReformedScheme("old", spec, grid, cfg).run_to_stationarity()
+new, steps_new, _ = ReformedScheme("new", spec, grid, cfg).run_to_stationarity()
 closed = new_idsa_stationary_closed_form(grid, spec)
 print(f"   marched old in {steps_old} steps, new in {steps_new} steps")
 print(f"   marched new vs closed form (L2): "

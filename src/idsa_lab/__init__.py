@@ -39,8 +39,6 @@ from .reformed import (
     new_idsa_stationary_closed_form,
     reconstruct_HK,
     reconstruct_flux_factors,
-    step_new_idsa,
-    step_old_idsa,
 )
 from .sphere import (
     FluxFactors,

@@ -14,6 +14,10 @@ through one row template, with the same ``.17g`` text as formatting
 value by value, and goes to disk before the next is formatted.  The
 snapshot time is formatted once per block and the radius column once per
 file.  scipy is imported only when a domain-split scheme is built.
+
+``solve-old`` and ``solve-new`` march once: one call to
+``ReformedScheme.run_to_stationarity`` returns the snapshot states and the
+final stationary state, and checks every step for negativity on the way.
 """
 
 from __future__ import annotations
@@ -191,20 +195,9 @@ def _run_solve_idsa(cfg: RunConfig, out: Path) -> list[str]:
 def _run_solve_reformed(cfg: RunConfig, out: Path, variant: str) -> list[str]:
     grid = make_uniform_grid(cfg.r_max, cfg.n_cells)
     scheme = ReformedScheme(variant, _spec(cfg), grid, _solver_config(cfg))
-    states = []
-    if cfg.snapshot_times:
-        from .idsa import zero_state
-
-        state = zero_state(grid)
-        remaining = sorted(cfg.snapshot_times)
-        n_steps = int(round(max(remaining) / cfg.dt))
-        targets = {int(round(t / cfg.dt)) for t in remaining}
-        for k in range(1, n_steps + 1):
-            state = scheme.step(state)
-            if k in targets:
-                states.append(state)
-    final, _ = scheme.run_to_stationarity()
-    states.append(final)
+    final, _, snaps = scheme.run_to_stationarity(
+        [int(round(t / cfg.dt)) for t in cfg.snapshot_times]
+    )
     closures = closure_set(grid, cfg.R)
     r_text = _float_text(grid.r_centers)
 
@@ -215,7 +208,7 @@ def _run_solve_reformed(cfg: RunConfig, out: Path, variant: str) -> list[str]:
 
     _write_csv(
         out / "snapshots.csv", _scenario_meta(cfg),
-        ["t", "r", "Jt", "Js", "H", "K", "h", "k"], map(block, states),
+        ["t", "r", "Jt", "Js", "H", "K", "h", "k"], map(block, [*snaps, final]),
     )
     return ["snapshots.csv"]
 

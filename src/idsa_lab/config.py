@@ -85,8 +85,9 @@ EXPERIMENT_DEFAULTS: dict[str, dict] = {
 
 _REQUIRED = ("experiment",)
 # Experiments whose scenario must be the bare step profile: the exact oracle
-# and the domain-split schemes exist only there.
-_BARE_SPHERE = ("oracle", "solve-old", "solve-new")
+# and the domain-split schemes exist only there, and the convergence sweep
+# compares the two.
+_BARE_SPHERE = ("oracle", "solve-old", "solve-new", "convergence")
 
 
 @dataclass

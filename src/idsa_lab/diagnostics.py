@@ -67,9 +67,7 @@ def stationary_state(variant: str, spec: ProblemSpec, grid: RadialGrid, cfg: Sol
     """Stationary state of a variant: closed form for "new", marched otherwise."""
     if variant == "new":
         return new_idsa_stationary_closed_form(grid, spec)
-    scheme = ReformedScheme(variant, spec, grid, cfg)
-    state, _ = scheme.run_to_stationarity()
-    return state
+    return ReformedScheme(variant, spec, grid, cfg).run_to_stationarity()[0]
 
 
 def convergence_sweep(

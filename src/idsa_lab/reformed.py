@@ -14,6 +14,11 @@ extend it outward divergence-free: r^2 g(r) Js constant past R.
   homogeneous-sphere solution.  The stationary state of this variant has
   the closed form evaluated by ``new_idsa_stationary_closed_form``.
 
+One loop marches the trapped solve: ``run_to_stationarity`` steps the m
+inside cells from zero, checks every step for a negative trapped
+component or a negative streaming reconstruction, and builds full states
+only for the requested snapshot steps and the final state.
+
 Boundary handling: zero flux at r = 0; the Dirichlet face sits at R
 snapped to the nearest grid face (choose n_cells so R lands on a face to
 avoid O(dr) interface smearing), and both the boundary flux and the edge
@@ -31,7 +36,12 @@ import numpy as np
 
 from .grids import ProblemSpec, RadialField, RadialGrid
 from .idsa import NegativityError, SolverConfig, TwoComponentState
-from .sphere import _require_bare_sphere, free_streaming_flux_ratio, special_values
+from .sphere import (
+    _opaque_geometry,
+    _require_bare_sphere,
+    free_streaming_flux_ratio,
+    special_values,
+)
 
 
 class NormalizationSingularityError(RuntimeError):
@@ -52,10 +62,7 @@ class ClosureSet:
 
 def closure_set(grid: RadialGrid, R: float) -> ClosureSet:
     """Trapped: h=0, k=1/3.  Streaming: the opaque-sphere geometric factors."""
-    r = grid.r_centers
-    out = r >= R
-    ratio2 = np.where(out, (R / np.where(out, r, R)) ** 2, 0.0)
-    s0 = np.sqrt(1.0 - ratio2)
+    out, ratio2, s0 = _opaque_geometry(grid.r_centers, R)
     h_s = np.where(out, 0.5 * (1.0 + s0), 0.5)
     k_s = np.where(out, (2.0 - ratio2 + s0) / 3.0, 1.0 / 3.0)
     return ClosureSet(grid=grid, R=R, h_t=0.0, k_t=1.0 / 3.0, h_s=h_s, k_s=k_s)
@@ -108,7 +115,6 @@ class ReformedScheme:
         self.snapped_R = m * dr
         self.kappa_tot = spec.kappa + spec.kappa_s
         self.edge_value = special_values(spec).JR if variant == "new" else None
-        self.closures = closure_set(grid, spec.R)
         # Outside R the streaming field is the edge value carried outward by
         # the free-streaming closure; its geometry is fixed per grid.
         r_out = grid.r_centers[m:]
@@ -160,6 +166,7 @@ class ReformedScheme:
         return g, g_face
 
     def _streaming(self, Jt_in: np.ndarray, t: float):
+        """Js on the inside cells and its edge value; raises on negativity."""
         grad, grad_face = self._gradient(Jt_in)
         B = self.spec.B
         if self.variant == "old":
@@ -178,56 +185,57 @@ class ReformedScheme:
         if np.any(Js_in < -1e-12 * B * max(1.0, abs(scale) / self.grid.dr)):
             i = int(np.argmin(Js_in))
             raise NegativityError("streaming reconstruction", t, i, float(Js_in[i]))
-        Js_in = np.maximum(Js_in, 0.0)  # snap roundoff dust only; real negativity raised above
-
-        n = self.grid.n_cells
-        Js = np.empty(n)
-        Js[: self.m] = Js_in
-        Js[self.m :] = edge * self.snapped_R**2 / self._stream_denom
-        return Js
+        # Snap roundoff dust only; real negativity was raised above.
+        return np.maximum(Js_in, 0.0), edge
 
     def _assemble_state(self, Jt_in: np.ndarray, t: float) -> TwoComponentState:
         n = self.grid.n_cells
         Jt = np.zeros(n)
         Jt[: self.m] = Jt_in
-        Js = self._streaming(Jt_in, t)
+        Js = np.empty(n)
+        Js[: self.m], edge = self._streaming(Jt_in, t)
+        Js[self.m :] = edge * self.snapped_R**2 / self._stream_denom
         return TwoComponentState(
             RadialField(self.grid, Jt), RadialField(self.grid, Js), t=t
         )
 
-    def step(self, state: TwoComponentState) -> TwoComponentState:
-        """One backward-Euler step of the trapped solve plus reconstruction."""
-        Jt_in = state.Jt.values[: self.m]
-        t_next = state.t + self.cfg.dt
-        Jt_new = self._solve_banded((1, 1), self._M, Jt_in + self.cfg.dt * self._q)
-        if np.any(Jt_new < -1e-12 * self.spec.B):
-            i = int(np.argmin(Jt_new))
-            raise NegativityError("trapped component", t_next, i, float(Jt_new[i]))
-        return self._assemble_state(Jt_new, t_next)
-
-    def run_to_stationarity(self, state: TwoComponentState | None = None):
+    def run_to_stationarity(self, snapshot_steps=()):
         """
-        March until the trapped update stalls below cfg.stationarity_tol
-        (relative to max Jt) or cfg.t_end is reached.  Returns the final
-        state and the number of steps taken.
+        March from zero until every requested snapshot step is past and the
+        trapped update has stalled below cfg.stationarity_tol (relative to
+        max Jt) or cfg.t_end is reached.  Every step raises NegativityError
+        on a negative trapped component or streaming reconstruction.
+
+        Returns ``(final, steps, snapshots)``: the state at the step where
+        stationarity or t_end was reached, at t = steps * dt; that step
+        count; and the states at the requested steps, in step order, at
+        the running sum of dt.
         """
         cfg = self.cfg
-        Jt = (
-            state.Jt.values[: self.m].copy()
-            if state is not None
-            else np.zeros(self.m)
-        )
-        t = state.t if state is not None else 0.0
-        n_steps = int(round(cfg.t_end / cfg.dt))
-        steps = 0
-        for k in range(1, n_steps + 1):
-            Jt_new = self._solve_banded((1, 1), self._M, Jt + cfg.dt * self._q)
-            change = np.max(np.abs(Jt_new - Jt)) / max(np.max(np.abs(Jt_new)), 1e-300)
+        dt, B = cfg.dt, self.spec.B
+        wanted = set(snapshot_steps)
+        last = max(wanted, default=0)
+        n_steps = int(round(cfg.t_end / dt))
+        Jt = final = np.zeros(self.m)
+        steps = 0 if n_steps == 0 else None  # the final state's step, once reached
+        snapshots = []
+        k, t = 0, 0.0
+        while steps is None or k < last:
+            k += 1
+            t += dt
+            Jt_new = self._solve_banded((1, 1), self._M, Jt + dt * self._q)
+            if np.any(Jt_new < -1e-12 * B):
+                i = int(np.argmin(Jt_new))
+                raise NegativityError("trapped component", t, i, float(Jt_new[i]))
+            self._streaming(Jt_new, t)
+            if k in wanted:
+                snapshots.append(self._assemble_state(Jt_new, t))
+            if steps is None:
+                change = np.max(np.abs(Jt_new - Jt)) / max(np.max(np.abs(Jt_new)), 1e-300)
+                if change < cfg.stationarity_tol or k == n_steps:
+                    steps, final = k, Jt_new
             Jt = Jt_new
-            steps = k
-            if change < cfg.stationarity_tol:
-                break
-        return self._assemble_state(Jt, t + steps * cfg.dt), steps
+        return self._assemble_state(final, steps * dt), steps, snapshots
 
     def stationary_direct(self) -> TwoComponentState:
         """Solve the stationary linear system directly (cross-check path)."""
@@ -238,18 +246,6 @@ class ReformedScheme:
         ab[2, :-1] = -lower[1:]
         Jt = self._solve_banded((1, 1), ab, self._q)
         return self._assemble_state(Jt, np.inf)
-
-
-def step_old_idsa(state: TwoComponentState, scheme: ReformedScheme) -> TwoComponentState:
-    if scheme.variant != "old":
-        raise ValueError("scheme variant is not 'old'")
-    return scheme.step(state)
-
-
-def step_new_idsa(state: TwoComponentState, scheme: ReformedScheme) -> TwoComponentState:
-    if scheme.variant != "new":
-        raise ValueError("scheme variant is not 'new'")
-    return scheme.step(state)
 
 
 def _sinh_ratio(x: np.ndarray, X: float) -> np.ndarray:
@@ -292,17 +288,15 @@ def new_idsa_stationary_closed_form(grid: RadialGrid, spec: ProblemSpec) -> TwoC
     C = 0.5 * R * q / (1.0 - X_over_tanh)
 
     r = grid.r_centers
-    inside = r < R
+    out, _, s0 = _opaque_geometry(r, R)
+    inside = ~out
     Jt = np.zeros(grid.n_cells)
     Js = np.empty(grid.n_cells)
 
     x = np.sqrt(3.0) * kap * r[inside]
     Jt[inside] = B * (1.0 - _sinh_ratio(x, X))
     Js[inside] = C * 3.0 * kap**2 * B * R * _edge_bracket(x, X)
-
-    r_out = r[~inside]
-    s0 = np.sqrt(np.clip(1.0 - (R / r_out) ** 2, 0.0, None))
-    Js[~inside] = edge * (1.0 - s0)
+    Js[out] = edge * (1.0 - s0[out])
     return TwoComponentState(RadialField(grid, Jt), RadialField(grid, Js), t=np.inf)
 
 

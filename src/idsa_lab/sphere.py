@@ -78,6 +78,18 @@ def _require_bare_sphere(spec: ProblemSpec, what: str) -> None:
         )
 
 
+def _opaque_geometry(r, R: float):
+    """
+    The opaque-sphere geometry at radii r: the mask r >= R, ratio2 = (R/r)^2
+    and s0 = sqrt(1 - ratio2) there, with ratio2 = 0 and s0 = 1 inside.
+    The divisor is guarded, so r = 0 neither warns nor yields inf.
+    """
+    r = np.asarray(r, dtype=float)
+    out = r >= R
+    ratio2 = np.where(out, (R / np.where(out, r, R)) ** 2, 0.0)
+    return out, ratio2, np.sqrt(1.0 - ratio2)
+
+
 def geometry_factor(r, mu, R: float):
     """
     G(r, mu) = sqrt(1 - (r/R)^2 (1 - mu^2)).
@@ -154,18 +166,18 @@ def _inside_integrals(r_in: np.ndarray, kap: float, R: float, tol: float):
     return integrate_batch(f, np.zeros(r_in.size), np.ones(r_in.size), tol=tol)
 
 
-def _outside_integrals(r_out: np.ndarray, kap: float, R: float, tol: float):
+def _outside_integrals(r_out: np.ndarray, mu0: np.ndarray, kap: float, R: float, tol: float):
     """
-    Exponential-weight integrals over the admissible cone, computed in the
-    substituted variable v = sqrt(mu^2 - mu0^2), i.e. G = (r/R) v.  The
-    substitution removes the sqrt behavior of G at the cone edge and turns
-    the large-kappa boundary layer into a plain exponential at v = 0, which
-    is additionally seeded with its own panel so no spike goes unsampled.
+    Exponential-weight integrals over the admissible cone mu > mu0 of each
+    radius, computed in the substituted variable v = sqrt(mu^2 - mu0^2),
+    i.e. G = (r/R) v.  The substitution removes the sqrt behavior of G at
+    the cone edge and turns the large-kappa boundary layer into a plain
+    exponential at v = 0, which is additionally seeded with its own panel
+    so no spike goes unsampled.
     The pieces [0, w] and [w, vmax] of every radius form one batch of 2n
     owners, and the three moments one vector-valued integrand.
     """
     n = r_out.size
-    mu0 = np.sqrt(np.clip(1.0 - (R / r_out) ** 2, 0.0, None))
     vmax = R / r_out
     w = np.minimum(8.0 / (kap * r_out), 0.5 * vmax)
     r2 = np.tile(r_out, 2)
@@ -183,8 +195,7 @@ def _outside_integrals(r_out: np.ndarray, kap: float, R: float, tol: float):
     parts = integrate_batch(
         f, np.concatenate([np.zeros(n), w]), np.concatenate([w, vmax]), tol=tol
     )
-    e0, e1, e2 = parts[:, :n] + parts[:, n:]
-    return mu0, e0, e1, e2
+    return parts[:, :n] + parts[:, n:]
 
 
 def moments_at(radii: np.ndarray, spec: ProblemSpec, tol: float = 1e-10):
@@ -215,10 +226,11 @@ def moments_at(radii: np.ndarray, spec: ProblemSpec, tol: float = 1e-10):
         K[inside] = B * (1.0 / 3.0 - i2)
     if np.any(~inside):
         r_out = radii[~inside]
-        mu0, e0, e1, e2 = _outside_integrals(r_out, kap, R, tol)
+        _, ratio2, mu0 = _opaque_geometry(r_out, R)
+        e0, e1, e2 = _outside_integrals(r_out, mu0, kap, R, tol)
         J[~inside] = 0.5 * B * (1.0 - mu0 - e0)
-        H[~inside] = 0.5 * B * (0.5 * (R / r_out) ** 2 - e1)
-        K[~inside] = B / 6.0 * (1.0 - (1.0 - (R / r_out) ** 2) ** 1.5 - 3.0 * e2)
+        H[~inside] = 0.5 * B * (0.5 * ratio2 - e1)
+        K[~inside] = B / 6.0 * (1.0 - (1.0 - ratio2) ** 1.5 - 3.0 * e2)
     return J, H, K
 
 
@@ -243,10 +255,7 @@ def special_values(spec: ProblemSpec) -> SpecialValues:
 
 def limit_moments_infinite_kappa(grid: RadialGrid, R: float, B: float) -> MomentTriple:
     """Piecewise moments of the infinitely opaque sphere (kappa -> infinity)."""
-    r = grid.r_centers
-    out = r >= R
-    ratio2 = np.where(out, (R / np.where(out, r, R)) ** 2, 0.0)
-    s0 = np.sqrt(1.0 - ratio2)
+    out, ratio2, s0 = _opaque_geometry(grid.r_centers, R)
     J = np.where(out, 0.5 * B * (1.0 - s0), B)
     H = np.where(out, 0.25 * B * ratio2, 0.0)
     K = np.where(out, B / 6.0 * (1.0 - (1.0 - ratio2) ** 1.5), B / 3.0)
@@ -257,10 +266,7 @@ def limit_moments_infinite_kappa(grid: RadialGrid, R: float, B: float) -> Moment
 
 def flux_factors_infinite(grid: RadialGrid, R: float) -> FluxFactors:
     """Flux ratio and Eddington factor of the infinitely opaque sphere."""
-    r = grid.r_centers
-    out = r >= R
-    ratio2 = np.where(out, (R / r) ** 2, 0.0)
-    s0 = np.sqrt(1.0 - ratio2)
+    out, ratio2, s0 = _opaque_geometry(grid.r_centers, R)
     h = np.where(out, 0.5 * (1.0 + s0), 0.0)
     k = np.where(out, (2.0 - ratio2 + s0) / 3.0, 1.0 / 3.0)
     return FluxFactors(h=RadialField(grid, h), k=RadialField(grid, k))
@@ -271,10 +277,8 @@ def free_streaming_flux_ratio(r, R: float):
     Geometric one-moment closure of a sphere-fed streaming field:
     1/2 inside, (1 + sqrt(1 - (R/r)^2))/2 outside; tends to 1 far away.
     """
-    r = np.asarray(r, dtype=float)
-    out = r >= R
-    ratio2 = np.where(out, (R / np.where(out, r, R)) ** 2, 0.0)
-    g = np.where(out, 0.5 * (1.0 + np.sqrt(1.0 - ratio2)), 0.5)
+    out, _, s0 = _opaque_geometry(r, R)
+    g = np.where(out, 0.5 * (1.0 + s0), 0.5)
     return g if g.ndim else float(g)
 
 

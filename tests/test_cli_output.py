@@ -68,13 +68,22 @@ def test_columnar_writer_matches_rowwise_formatting(tmp_path_factory, blocks, me
     assert not path.with_name("out.csv.tmp").exists()
 
 
-# snapshots.csv of a small solve-old / solve-new run, as configured below.
-# Digests of the non-comment lines, as written by the value-at-a-time writer
-# at commit 06f6311; they pin the CSV text, so they also move if numpy,
-# scipy or LAPACK round one of the solves differently.
+# snapshots.csv of small solve-old / solve-new runs: (variant, kappa,
+# snapshot_times, digest of the non-comment lines).  The kappa = 2 digests
+# were written by the value-at-a-time writer at commit 06f6311, the
+# kappa = 10 ones by the separate snapshot and stationarity marches of
+# commit b2ec511.  At kappa = 10 stationarity comes at t = 3.4, so the
+# march goes on past it to the snapshot at t = 50.  The digests pin the CSV
+# text, so they also move if numpy, scipy or LAPACK round a solve differently.
 _REFORMED_RUNS = {
-    "old": ("1, 2.5", "2da2304c1c7eda33b48ef1803f1a1ea1c5e374c1dbdad077781ad8eee7ac3e30"),
-    "new": ("0.5, 2, 3", "ab14b1a7515e4a19d15111514f7c90ab9b469203e4a7bf4f43488085da9ad56b"),
+    "old": ("old", 2, "1, 2.5",
+            "2da2304c1c7eda33b48ef1803f1a1ea1c5e374c1dbdad077781ad8eee7ac3e30"),
+    "new": ("new", 2, "0.5, 2, 3",
+            "ab14b1a7515e4a19d15111514f7c90ab9b469203e4a7bf4f43488085da9ad56b"),
+    "old-past-stationarity": ("old", 10, "1, 50",
+                              "bfef8ac604fcf0f77dd74463641fb31a4809ddf4c29e7e3344f4dd8edda6a7d7"),
+    "new-past-stationarity": ("new", 10, "1, 50",
+                              "e3aa9201a2c6170992f852390d4bed9666a5751b2cbbfb8c567857d3a0f8bbaa"),
 }
 _N_CELLS = 300  # a multiple of 3, so R = 6 lands on a face of [0, 18]
 
@@ -83,22 +92,22 @@ _N_CELLS = 300  # a multiple of 3, so R = 6 lands on a face of [0, 18]
 def reformed_runs(tmp_path_factory):
     root = tmp_path_factory.mktemp("reformed")
     out = {}
-    for variant, (snaps, _) in _REFORMED_RUNS.items():
-        cfg = root / f"{variant}.cfg"
+    for name, (variant, kappa, snaps, _) in _REFORMED_RUNS.items():
+        cfg = root / f"{name}.cfg"
         cfg.write_text(
-            f"experiment = solve-{variant}\nn_cells = {_N_CELLS}\nkappa = 2\n"
-            f"snapshot_times = {snaps}\noutput_dir = {root / variant}\n"
+            f"experiment = solve-{variant}\nn_cells = {_N_CELLS}\nkappa = {kappa}\n"
+            f"snapshot_times = {snaps}\noutput_dir = {root / name}\n"
         )
         assert main(["run", str(cfg)]) == 0
-        out[variant] = root / variant / "snapshots.csv"
+        out[name] = root / name / "snapshots.csv"
     return out
 
 
-@pytest.mark.parametrize("variant", sorted(_REFORMED_RUNS))
-def test_reformed_snapshots_match_checked_in_digest(reformed_runs, variant):
-    lines = reformed_runs[variant].read_bytes().splitlines(keepends=True)
+@pytest.mark.parametrize("run", sorted(_REFORMED_RUNS))
+def test_reformed_snapshots_match_checked_in_digest(reformed_runs, run):
+    lines = reformed_runs[run].read_bytes().splitlines(keepends=True)
     body = b"".join(line for line in lines if not line.startswith(b"#"))
-    assert hashlib.sha256(body).hexdigest() == _REFORMED_RUNS[variant][1]
+    assert hashlib.sha256(body).hexdigest() == _REFORMED_RUNS[run][3]
 
 
 def test_cli_solve_old_snapshots_and_stationary_state(reformed_runs):

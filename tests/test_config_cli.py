@@ -190,6 +190,8 @@ def test_rejected_run_leaves_no_output_dir(tmp_path, monkeypatch):
     assert not (tmp_path / "idsa-lab-out").exists()
     with pytest.raises(ConfigError, match="bare sphere"):
         parse_config("experiment = solve-old\nkappa_s = 0.1\n")
+    with pytest.raises(ConfigError, match="bare sphere"):
+        parse_config("experiment = convergence\nkappa_outside = 0.5\n")
     # Rejected by the scheme, after the run has made its output directory:
     # one cell inside R leaves no room for the interface.
     nested = tmp_path / "a" / "b"

@@ -91,7 +91,7 @@ def test_sweep_closed_form_agrees_with_marched():
 
     from idsa_lab.reformed import ReformedScheme
 
-    marched, _ = ReformedScheme("new", spec, grid, CFG).run_to_stationarity()
+    marched, _, _ = ReformedScheme("new", spec, grid, CFG).run_to_stationarity()
     closures = closure_set(grid, 6.0)
     H, K = reconstruct_HK(marched, closures)
     from idsa_lab import l2_relative_error

@@ -19,9 +19,6 @@ from idsa_lab import (
     new_idsa_stationary_closed_form,
     reconstruct_HK,
     reconstruct_flux_factors,
-    step_new_idsa,
-    step_old_idsa,
-    zero_state,
 )
 
 SPEC = ProblemSpec(B=1.0, R=6.0, kappa=1.0)
@@ -117,7 +114,7 @@ def test_closed_form_satisfies_discrete_operator_at_second_order():
 def test_new_marched_matches_direct_stationary():
     grid = grid_div3(900)
     scheme = ReformedScheme("new", SPEC, grid, CFG)
-    marched, steps = scheme.run_to_stationarity()
+    marched, steps, _ = scheme.run_to_stationarity()
     direct = scheme.stationary_direct()
     assert steps < 400
     assert l2_relative_error(marched.total(), direct.total()) < 1e-8
@@ -126,7 +123,7 @@ def test_new_marched_matches_direct_stationary():
 def test_old_marched_matches_direct_stationary():
     grid = grid_div3(900)
     scheme = ReformedScheme("old", SPEC, grid, CFG)
-    marched, _ = scheme.run_to_stationarity()
+    marched, _, _ = scheme.run_to_stationarity()
     direct = scheme.stationary_direct()
     assert l2_relative_error(marched.total(), direct.total()) < 1e-8
 
@@ -140,7 +137,7 @@ def test_old_edge_streaming_overestimates():
     grid = grid_div3(3000)
     spec = ProblemSpec(B=1.0, R=6.0, kappa=10.0)
     scheme = ReformedScheme("old", spec, grid, CFG)
-    st, _ = scheme.run_to_stationarity()
+    st, _, _ = scheme.run_to_stationarity()
     first_out = np.argmax(grid.r_centers >= 6.0)
     edge = st.Js.values[first_out - 1]
     assert 0.60 < edge < 0.68
@@ -156,21 +153,10 @@ def test_old_edge_streaming_overestimates():
 def test_states_scale_linearly_with_equilibrium_level():
     grid = grid_div3(600)
     for variant in ("old", "new"):
-        s1, _ = ReformedScheme(variant, SPEC, grid, CFG).run_to_stationarity()
+        s1, _, _ = ReformedScheme(variant, SPEC, grid, CFG).run_to_stationarity()
         spec2 = ProblemSpec(B=2.5, R=6.0, kappa=1.0)
-        s2, _ = ReformedScheme(variant, spec2, grid, CFG).run_to_stationarity()
+        s2, _, _ = ReformedScheme(variant, spec2, grid, CFG).run_to_stationarity()
         assert np.allclose(s2.total().values, 2.5 * s1.total().values, rtol=1e-9, atol=1e-12)
-
-
-def test_step_wrappers_check_variant():
-    grid = grid_div3(300)
-    scheme = ReformedScheme("new", SPEC, grid, CFG)
-    state = zero_state(grid)
-    out = step_new_idsa(state, scheme)
-    assert out.t == pytest.approx(0.1)
-    assert out.Jt.values.max() > 0.0
-    with pytest.raises(ValueError):
-        step_old_idsa(state, scheme)
 
 
 def test_streaming_extension_flux_constant():
@@ -178,7 +164,7 @@ def test_streaming_extension_flux_constant():
     from idsa_lab import free_streaming_flux_ratio
 
     for variant in ("old", "new"):
-        st, _ = ReformedScheme(variant, SPEC, grid, CFG).run_to_stationarity()
+        st, _, _ = ReformedScheme(variant, SPEC, grid, CFG).run_to_stationarity()
         out = grid.r_centers >= 6.0
         r = grid.r_centers[out]
         q = r**2 * free_streaming_flux_ratio(r, 6.0) * st.Js.values[out]
@@ -191,7 +177,7 @@ def test_closures_and_reconstruction():
     inside = grid.r_centers < 6.0
     assert np.all(closures.h_s[inside] == 0.5)
     assert np.all(closures.k_s[inside] == pytest.approx(1.0 / 3.0))
-    st, _ = ReformedScheme("new", SPEC, grid, CFG).run_to_stationarity()
+    st, _, _ = ReformedScheme("new", SPEC, grid, CFG).run_to_stationarity()
     H, K = reconstruct_HK(st, closures)
     h, k = reconstruct_flux_factors(st, closures)
     # Outside the sphere Jt = 0, so the reconstructed flux ratio equals the
@@ -207,7 +193,7 @@ def test_old_inside_closure_is_gradient_flux():
     # Inside cells: H = -(1/(3 kappa)) dJt/dr by construction of Js.
     grid = grid_div3(900)
     scheme = ReformedScheme("old", SPEC, grid, CFG)
-    st, _ = scheme.run_to_stationarity()
+    st, _, _ = scheme.run_to_stationarity()
     closures = closure_set(grid, 6.0)
     H, _ = reconstruct_HK(st, closures)
     grad, _ = scheme._gradient(st.Jt.values[: scheme.m])
@@ -219,7 +205,7 @@ def test_old_diffusion_closure_mismatch_identity():
     # when the same centered stencil is applied throughout (interior cells).
     grid = grid_div3(900)
     scheme = ReformedScheme("old", SPEC, grid, CFG)
-    st, _ = scheme.run_to_stationarity()
+    st, _, _ = scheme.run_to_stationarity()
     m, dr = scheme.m, grid.dr
     Jt = st.Jt.values[:m]
     J_tot = st.total().values[:m]
@@ -250,11 +236,21 @@ def test_old_fine_grid_roundoff_is_not_negativity():
     # the former fixed -1e-12 B threshold at t = 1.
     grid = make_uniform_grid(18.0, 19998)
     spec = ProblemSpec(B=1.0, R=6.0, kappa=3.1667953321301963)
-    scheme = ReformedScheme("old", spec, grid, SolverConfig(dt=0.1))
-    state = zero_state(grid)
-    for _ in range(12):
-        state = scheme.step(state)
+    scheme = ReformedScheme("old", spec, grid, SolverConfig(dt=0.1, t_end=1.2))
+    state, steps, _ = scheme.run_to_stationarity()  # every step is checked
+    assert steps == 12
     assert np.all(state.Js.values >= 0.0)
+
+
+@pytest.mark.parametrize("variant", ["old", "new"])
+def test_march_checks_trapped_negativity_every_step(variant):
+    # A negative source drives the trapped field negative on the first step;
+    # the march must stop there, not carry it on to stationarity.
+    scheme = ReformedScheme(variant, SPEC, grid_div3(300), CFG)
+    scheme._q = -scheme._q
+    with pytest.raises(NegativityError, match="trapped component") as info:
+        scheme.run_to_stationarity()
+    assert info.value.t == pytest.approx(0.1)
 
 
 def test_new_normalization_singularity():
