@@ -1,0 +1,101 @@
+"""
+Loader for the native march kernel, ``_march.c``.
+
+The kernel is compiled with cffi (API mode, ``-O2 -ffp-contract=off``, no
+``-march=native``, no fast-math) on first use, into ``_native_cache/``
+next to this file.  The module name, and so the file, is keyed by a hash
+of the C source, the declarations, the flags and the interpreter's
+extension suffix (its ABI tag); a build goes to a temporary directory and
+is published by an atomic rename, so concurrent first runs are safe.
+Importing idsa_lab imports neither this module nor cffi: a march imports
+it and calls ``load``, and a built module needs only ``_cffi_backend``.
+
+When the module cannot be built or loaded (no cffi, no compiler, a
+read-only package directory), ``load`` says why on stderr once and returns
+None, and the switched scheme marches with numpy, which gives the same bits.
+"""
+
+from __future__ import annotations
+
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import time
+import zlib
+from pathlib import Path
+
+_SOURCE = Path(__file__).with_name("_march.c")
+_CACHE = Path(__file__).with_name("_native_cache")
+_CFLAGS = ["-O2", "-ffp-contract=off"]
+_CDEF = """
+typedef struct {
+    int n_rows, n_cells, n_scan;
+    double dt;
+    const double *ka, *kaB, *den, *r2dr, *a, *P, *d, *r2g, *floor;
+    const double *kf3, *rf2;
+} march_rows;
+
+long march(const march_rows *m, const double *Jt0, const double *Js0,
+           double *Jt, double *Js, signed char *tags, signed char *dom,
+           long steps, int watch, int *negative);
+"""
+
+
+class BuildError(RuntimeError):
+    """The kernel could not be compiled."""
+
+
+def _build(name: str, source: str, target: Path) -> None:
+    """Compile ``source`` as extension module ``name`` and move it to ``target``."""
+    import tempfile  # only a build needs it
+
+    try:
+        import cffi
+    except ImportError as exc:
+        raise BuildError(f"cffi is not installed ({exc})") from exc
+    ffi = cffi.FFI()
+    ffi.cdef(_CDEF)
+    ffi.set_source(name, source, extra_compile_args=_CFLAGS)
+    target.parent.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=target.parent) as tmp:
+        try:
+            built = ffi.compile(tmpdir=tmp)
+        except cffi.VerificationError as exc:
+            raise BuildError(str(exc)) from exc
+        os.replace(built, target)
+
+
+def _import(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.cache
+def load():
+    """The compiled kernel module (``.ffi``, ``.lib``), or None to march with numpy."""
+    try:
+        source = _SOURCE.read_text()
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]  # carries the ABI tag
+        # zlib, not hashlib: hashlib loads OpenSSL, 3.6 MB of resident memory.
+        key = "\0".join([source, _CDEF, *_CFLAGS, suffix]).encode()
+        name = f"_idsa_march_{zlib.crc32(key):08x}{zlib.adler32(key):08x}"
+        target = _CACHE / (name + suffix)
+        if not target.exists():
+            start = time.perf_counter()
+            _build(name, source, target)
+            print(f"idsa-lab: compiled the native march kernel in "
+                  f"{time.perf_counter() - start:.2f} s", file=sys.stderr)
+        return _import(name, target)
+    except (BuildError, ImportError, OSError) as exc:
+        print(f"idsa-lab: native march kernel unavailable, marching with numpy: {exc}",
+              file=sys.stderr)
+        return None
+
+
+def backend() -> str:
+    """Which march runs in this process: "native" or "numpy"."""
+    return "numpy" if load() is None else "native"

@@ -54,6 +54,10 @@ from .reformed import (
 )
 from .sphere import exact_moments
 
+# Experiments that march the switched scheme; their manifest says which
+# march ran ("native" or "numpy").
+_MARCHING = ("solve-idsa", "spurious", "instability")
+
 _SOLVER_FAILURES = (
     NegativityError,
     UnboundedError,
@@ -335,6 +339,10 @@ def run(cfg: RunConfig) -> int:
         "parameters": cfg.resolved(),
         "outputs": [],
     }
+    if cfg.experiment in _MARCHING:
+        from . import _native
+
+        manifest["march"] = _native.backend()
     try:
         files = _RUNNERS[cfg.experiment](cfg, out)
     except ValueError as exc:

@@ -88,6 +88,9 @@ _REQUIRED = ("experiment",)
 # and the domain-split schemes exist only there, and the convergence sweep
 # compares the two.
 _BARE_SPHERE = ("oracle", "solve-old", "solve-new", "convergence")
+# Experiments that take snapshots -> the first step they write; solve-idsa
+# writes the zero state at step 0.
+_FIRST_SNAPSHOT_STEP = {"solve-idsa": 0, "solve-old": 1, "solve-new": 1, "instability": 1}
 
 
 @dataclass
@@ -189,6 +192,16 @@ def _validate(v: dict) -> None:
              f"{key} must be finite, got {value}")
     need(v["experiment"] not in _BARE_SPHERE or (v["kappa_outside"] == 0 and v["kappa_s"] == 0),
          f"{v['experiment']} needs the bare sphere: kappa_outside = kappa_s = 0")
+    if v["experiment"] in _FIRST_SNAPSHOT_STEP:
+        # Each time is taken at its nearest step (earlier than 0 rounds up to
+        # 0); times the run would merge or never reach are rejected.
+        steps = np.maximum(np.rint(np.array(v["snapshot_times"]) / v["dt"]), 0.0).tolist()
+        first = _FIRST_SNAPSHOT_STEP[v["experiment"]]
+        need(len(set(steps)) == len(steps),
+             f"snapshot_times {list(v['snapshot_times'])} name one step twice (dt = {v['dt']})")
+        need(min(steps, default=first) >= first,
+             f"snapshot_times {list(v['snapshot_times'])} name step 0 or earlier, which "
+             f"{v['experiment']} does not write (dt = {v['dt']})")
 
 
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:

@@ -23,6 +23,16 @@ batches.  The spurious-trapped sweep marches all its eps as one batch
 (n_eps x n_cells memory per array), retiring each row once its takeover
 is confirmed, so the smallest eps sets the cost of the sweep.
 
+The steps run in a native kernel (``_march.c``, built by ``_native`` with
+cffi on first use into ``_native_cache/`` beside this file) that evaluates
+the numpy expressions of ``_Kernel`` in the same order and rounding, so
+both paths give the same bits.  The kernel also runs the negativity checks
+and the spurious domination test on every step, so it hands control back
+only at the steps an observer asked for or where a domination begins or
+ends.  When the kernel cannot be built or loaded, ``_native.load`` says so
+on stderr and the numpy step of ``_Kernel`` runs instead; the CLI manifest
+records which ran under the key ``march`` ("native" or "numpy").
+
 Negativity is an error here, never clamped: the failure modes this module
 exists to expose must not be masked.
 """
@@ -100,6 +110,10 @@ def zero_state(grid: RadialGrid) -> TwoComponentState:
     return TwoComponentState(RadialField(grid, z), RadialField(grid, z.copy()), t=0.0)
 
 
+# The per-row arrays the native kernel reads: march_rows fields in _march.c.
+_C_FIELDS = ("ka", "kaB", "den", "r2dr", "a", "P", "d", "r2g", "floor", "kf3", "rf2")
+
+
 class _Kernel:
     """
     Arrays for stepping a batch of specs on one grid, stacked per row (grid
@@ -137,12 +151,44 @@ class _Kernel:
         self._per_row = ("rows", *per_row)
         for name, value in per_row.items():
             setattr(self, name, np.broadcast_to(value, (len(specs), value.shape[-1]))[self.rows])
+        self._c_rows = None
 
     def compact(self, keep: np.ndarray) -> None:
         """Drop the rows where ``keep`` is False."""
         self.n_scan = int(np.count_nonzero(keep[: self.n_scan]))
         for name in self._per_row:
             setattr(self, name, getattr(self, name)[keep])
+        self._c_rows = None
+
+    def advance(self, native, Jt, Js, steps: int, with_tags: bool, watch, dom):
+        """
+        Up to ``steps`` steps of the native kernel from (Jt, Js), written to
+        fresh arrays, so arrays handed out before are never overwritten.
+        ``dom`` (int8 per row) is the domination state of the cells from
+        ``watch`` on; the kernel updates it and stops at a step that changes
+        it.  Returns the steps taken, Jt, Js, the last step's tags (None
+        unless ``with_tags``) and whether that step left a negative value.
+        """
+        ffi = native.ffi
+        if self._c_rows is None:  # the C view of the rows, once per compaction
+            c = ffi.new("march_rows *")
+            c.n_rows, c.n_cells, c.n_scan, c.dt = len(self.rows), self.n_cells, self.n_scan, self.dt
+            buffers = []
+            for name in _C_FIELDS:
+                buf = ffi.from_buffer("double[]", np.ascontiguousarray(getattr(self, name), float))
+                setattr(c, name, buf)
+                buffers.append(buf)  # keeps each array alive while c points into it
+            self._c_rows = c, buffers
+        Jt_new, Js_new = np.empty_like(Jt), np.empty_like(Js)
+        tags = np.empty(Jt.shape, np.int8) if with_tags else None
+        negative = ffi.new("int *")
+        taken = native.lib.march(
+            self._c_rows[0], ffi.from_buffer("double[]", Jt), ffi.from_buffer("double[]", Js),
+            ffi.from_buffer("double[]", Jt_new), ffi.from_buffer("double[]", Js_new),
+            ffi.NULL if tags is None else ffi.from_buffer("signed char[]", tags),
+            ffi.from_buffer("signed char[]", dom), steps, -1 if watch is None else watch, negative,
+        )
+        return taken, Jt_new, Js_new, tags, bool(negative[0])
 
     def sigma(self, Jt: np.ndarray, Js: np.ndarray, with_tags: bool = False):
         """Switched source per row, and the regime tags when asked for."""
@@ -184,33 +230,60 @@ class _Kernel:
             raise NegativityError(which, t, i, float(values[row, i]))
 
 
-def _march(kern: _Kernel, observe, max_steps=math.inf, with_tags: bool = False):
+def _march(kern: _Kernel, observe, max_steps=math.inf, with_tags: bool = False, watch=None):
     """
     March every row of ``kern`` from zero data for up to ``max_steps`` steps.
 
     After step k, ``observe(k, t, Jt, Js, tags)`` sees the (n_rows, n_cells)
-    fields (tags only ``with_tags``) and returns None or a mask of rows to
-    retire.  Returns the fields once every row has retired or time is up.
+    fields (tags only ``with_tags``) and returns ``(done, upcoming)``: None
+    or a mask of rows to retire, and the next step it must see.  The numpy
+    path shows it every step.  The native kernel shows it step ``upcoming``,
+    any step where a row's domination of the cells from index ``watch`` on
+    (Jt > (Jt + Js) / 2 on each) begins or ends, and the last step; so an
+    observer must have nothing to do at the steps in between.  Both paths
+    compute the same bits, and never write to an array already shown.
+    Returns the fields once every row has retired or time is up.
     """
+    from . import _native  # here: importing idsa_lab should not pay for it
+
+    native = _native.load()
     Jt = np.zeros((len(kern.rows), kern.n_cells))
     Js = np.zeros_like(Jt)
-    k = 0
+    dom = np.zeros(len(kern.rows), np.int8)  # native path: watched cells dominated, per row
+    k, upcoming = 0, 1
     while k < max_steps:
-        k += 1
+        if native is None:
+            # One full step: source, trapped update, streaming re-solve.
+            S, tags = kern.sigma(Jt, Js, with_tags)
+            Jt, Js = kern.trapped_step(Jt, S), kern.stream(S)
+            k, negative = k + 1, True
+        else:
+            stop = int(min(max(upcoming, k + 1), max_steps))
+            taken, Jt, Js, tags, negative = kern.advance(
+                native, Jt, Js, stop - k, with_tags, watch, dom
+            )
+            k += taken
         t = k * kern.dt
-        # One full step: source, trapped update, streaming re-solve.
-        S, tags = kern.sigma(Jt, Js, with_tags)
-        Jt = kern.trapped_step(Jt, S)
-        kern.check(Jt, Jt < kern.floor, "trapped component", t)
-        Js = kern.stream(S)
-        kern.check(Js, Js < 0.0, "streaming component", t)
-        done = observe(k, t, Jt, Js, tags)
+        if negative:  # name the first row, and its cell, that went negative
+            kern.check(Jt, Jt < kern.floor, "trapped component", t)
+            kern.check(Js, Js < 0.0, "streaming component", t)
+        done, upcoming = observe(k, t, Jt, Js, tags)
         if done is not None and np.count_nonzero(done):
             if done.all():
                 break
             kern.compact(~done)
-            Jt, Js = Jt[~done], Js[~done]
+            Jt, Js, dom = Jt[~done], Js[~done], dom[~done]
     return Jt, Js
+
+
+def _first_step(dt: float, k: int, x: float, past: bool = False):
+    """The first step j > k whose time j * dt reaches x (passes it, if ``past``)."""
+    if x / dt == math.inf:
+        return math.inf
+    j = max(k + 1, math.floor(x / dt) - 1)
+    while not (j * dt > x if past else j * dt >= x):
+        j += 1
+    return j
 
 
 def diffusion_source(
@@ -325,7 +398,8 @@ def run_to_time(
             traj.snapshots.append(Snapshot(_make_state(grid, Jt, Js, t), tags.copy()))
         if change < cfg.stationarity_tol:
             traj.stopped = "stationary"
-            return np.array([True])
+            return np.array([True]), None
+        return None, k + 1
 
     n_steps = int(round(cfg.t_end / cfg.dt))
     _march(_Kernel([spec], grid, cfg), observe, n_steps, with_tags=True)
@@ -372,7 +446,10 @@ def run_spurious_trapped_experiment(
     All eps march as one batch, a row retiring once its record is known.
     """
     eps_all = [float(eps) for eps in eps_list]
-    for name, value in (("horizon", horizon), *(("eps", eps) for eps in eps_all)):
+    # horizon / dt bounds the step count; it must be finite for the march to end.
+    checked = (("horizon", horizon), ("horizon / dt", horizon / cfg.dt),
+               *(("eps", eps) for eps in eps_all))
+    for name, value in checked:
         if not (0.0 < value < math.inf):
             raise ValueError(f"{name} must be positive and finite, got {value}")
     if not eps_all:
@@ -398,12 +475,15 @@ def run_spurious_trapped_experiment(
             i = kern.rows[row]
             records[i] = TakeoverRecord(eps_all[i], float(first[row]), censored=False)
         if t > horizon:
-            return np.ones_like(done)  # the rows left are censored
+            return np.ones_like(done), None  # the rows left are censored
         if np.count_nonzero(done):
             first, until = first[~done], until[~done]
-        return done
+        # Until a hold ends or the horizon passes, only a domination that
+        # begins or ends needs this observer, and the march stops there.
+        return done, min(_first_step(cfg.dt, k, float(until.min(initial=math.inf))),
+                         _first_step(cfg.dt, k, horizon, past=True))
 
-    _march(kern, observe)
+    _march(kern, observe, watch=outside.start)
     return [rec or TakeoverRecord(eps, None, censored=True) for rec, eps in zip(records, eps_all)]
 
 
@@ -469,6 +549,7 @@ def run_instability_experiment(
             above = np.nonzero(Jt > vb_threshold * spec.B)[0]
             vb = float(r[above[-1]]) if above.size else 0.0
             snaps.append(InstabilitySnapshot(t, vb, nonmono, sup))
+        return None, k + 1
 
     Jt, Js = _march(_Kernel([spec], grid, cfg), observe, n_steps)
     return InstabilityResult(

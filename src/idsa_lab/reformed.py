@@ -207,9 +207,9 @@ class ReformedScheme:
         on a negative trapped component or streaming reconstruction.
 
         Returns ``(final, steps, snapshots)``: the state at the step where
-        stationarity or t_end was reached, at t = steps * dt; that step
-        count; and the states at the requested steps, in step order, at
-        the running sum of dt.
+        stationarity or t_end was reached; that step count; and the states
+        at the requested steps, in step order.  The state of step k is
+        stamped t = k * dt.
         """
         cfg = self.cfg
         dt, B = cfg.dt, self.spec.B
@@ -219,10 +219,10 @@ class ReformedScheme:
         Jt = final = np.zeros(self.m)
         steps = 0 if n_steps == 0 else None  # the final state's step, once reached
         snapshots = []
-        k, t = 0, 0.0
+        k = 0
         while steps is None or k < last:
             k += 1
-            t += dt
+            t = k * dt
             Jt_new = self._solve_banded((1, 1), self._M, Jt + dt * self._q)
             if np.any(Jt_new < -1e-12 * B):
                 i = int(np.argmin(Jt_new))

@@ -69,21 +69,23 @@ def test_columnar_writer_matches_rowwise_formatting(tmp_path_factory, blocks, me
 
 
 # snapshots.csv of small solve-old / solve-new runs: (variant, kappa,
-# snapshot_times, digest of the non-comment lines).  The kappa = 2 digests
-# were written by the value-at-a-time writer at commit 06f6311, the
-# kappa = 10 ones by the separate snapshot and stationarity marches of
-# commit b2ec511.  At kappa = 10 stationarity comes at t = 3.4, so the
-# march goes on past it to the snapshot at t = 50.  The digests pin the CSV
-# text, so they also move if numpy, scipy or LAPACK round a solve differently.
+# snapshot_times, digest of the non-comment lines).  The values were written
+# by the value-at-a-time writer at commit 06f6311 (kappa = 2) and by the
+# separate snapshot and stationarity marches of commit b2ec511 (kappa = 10);
+# the digests were re-pinned when snapshots came to be stamped t = k * dt
+# instead of the running sum of dt, which changed only the t column.  At
+# kappa = 10 stationarity comes at t = 3.4, so the march goes on past it to
+# the snapshot at t = 50.  The digests pin the CSV text, so they also move if
+# numpy, scipy or LAPACK round a solve differently.
 _REFORMED_RUNS = {
     "old": ("old", 2, "1, 2.5",
-            "2da2304c1c7eda33b48ef1803f1a1ea1c5e374c1dbdad077781ad8eee7ac3e30"),
+            "e44d1046a503ca72cf3994d1fafec6d5b02e71b06237a7c3f98248543799aba5"),
     "new": ("new", 2, "0.5, 2, 3",
-            "ab14b1a7515e4a19d15111514f7c90ab9b469203e4a7bf4f43488085da9ad56b"),
+            "b5c2207b3ff601c7005a0ee1d17bb440d11e363f7765f452bd92fe6e30b5a348"),
     "old-past-stationarity": ("old", 10, "1, 50",
-                              "bfef8ac604fcf0f77dd74463641fb31a4809ddf4c29e7e3344f4dd8edda6a7d7"),
+                              "7496dfb57ff04b5bb5cc90a0af32a7d52e68dccd85c459a389730c255c274035"),
     "new-past-stationarity": ("new", 10, "1, 50",
-                              "e3aa9201a2c6170992f852390d4bed9666a5751b2cbbfb8c567857d3a0f8bbaa"),
+                              "da3a03ef7034e69185e1e7381bd439ac4e517ad413711ac1650359305c1bb02d"),
 }
 _N_CELLS = 300  # a multiple of 3, so R = 6 lands on a face of [0, 18]
 
@@ -119,7 +121,7 @@ def test_cli_solve_old_snapshots_and_stationary_state(reformed_runs):
 
     t = data[:, 0].reshape(3, _N_CELLS)
     assert np.all(t == t[:, :1])
-    assert t[:2, 0] == pytest.approx([1.0, 2.5], abs=1e-9)
+    assert t[:2, 0].tolist() == [1.0, 2.5]  # step k is stamped k * dt
     assert t[2, 0] > 2.5
 
     grid = make_uniform_grid(18.0, _N_CELLS)

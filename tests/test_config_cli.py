@@ -284,3 +284,33 @@ def test_import_leaves_scipy_unloaded():
     code = "import idsa_lab, idsa_lab.cli, sys; assert 'scipy' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("experiment", ["solve-idsa", "solve-old", "solve-new", "instability"])
+def test_cli_rejects_snapshot_times_on_one_step(tmp_path, experiment):
+    # 1 and 1.04 both round to step 10; the run would write one block for both.
+    out = tmp_path / "a" / "out"
+    text = f"experiment = {experiment}\nn_cells = 60\nsnapshot_times = 2, 1, 1.04\n"
+    assert _run_cli(tmp_path, text, f"output_dir={out}") == 2
+    assert not (tmp_path / "a").exists()
+    with pytest.raises(ConfigError, match="name one step twice"):
+        parse_config(f"experiment = {experiment}\ndt = 0.5\nsnapshot_times = 1, 1.2\n")
+
+
+@pytest.mark.parametrize("experiment", ["solve-old", "solve-new", "instability"])
+def test_cli_rejects_snapshot_time_at_step_zero(tmp_path, experiment):
+    # 0.04 rounds to step 0, which these runs never write.
+    out = tmp_path / "a" / "out"
+    text = f"experiment = {experiment}\nn_cells = 60\nsnapshot_times = 0.04, 1\n"
+    assert _run_cli(tmp_path, text, f"output_dir={out}") == 2
+    assert not (tmp_path / "a").exists()
+    with pytest.raises(ConfigError, match="name step 0 or earlier"):
+        parse_config(f"experiment = {experiment}\nsnapshot_times = -1, 1\n")
+
+
+def test_solve_idsa_keeps_its_step_zero_snapshot(tmp_path):
+    out = tmp_path / "out"
+    text = "experiment = solve-idsa\nn_cells = 30\nt_end = 1\nsnapshot_times = 0.04, 1\n"
+    assert _run_cli(tmp_path, text, f"output_dir={out}") == 0
+    lines = (out / "snapshots.csv").read_text().splitlines()
+    assert {line.split(",")[0] for line in lines if line[0].isdigit()} == {"0", "1"}

@@ -24,7 +24,8 @@ from idsa_lab import (
     step_trapped,
     zero_state,
 )
-from idsa_lab.idsa import _Kernel
+from idsa_lab import _native
+from idsa_lab.idsa import _Kernel, _march
 
 SPEC = ProblemSpec(B=1.0, R=6.0, kappa=1.0)
 GRID = make_uniform_grid(18.0, 50)
@@ -246,7 +247,7 @@ def test_spurious_censoring():
 @pytest.mark.parametrize(
     "eps_list, horizon",
     [([0.1, float("inf")], 1e6), ([0.1, 0.0], 1e6), ([0.1, float("nan")], 1e6),
-     ([0.1], float("inf"))],
+     ([0.1], float("inf")), ([0.1], 1e308)],
 )
 def test_spurious_rejects_unbounded_input_up_front(eps_list, horizon):
     with pytest.raises(ValueError, match="positive and finite"):
@@ -305,12 +306,29 @@ def test_stream_scan_matches_sequential_sweep(n_cells, kappas, kappa_outside, ka
     assert np.all(np.abs(fast - slow) <= 1e-12 * slow)
 
 
-def test_batch_negativity_names_the_row():
+def test_batch_negativity_names_the_row(monkeypatch):
     kern = _Kernel([SPEC, SPEC], GRID, CFG, labels=["eps = 0.1", "eps = 0.01"])
     Jt = np.zeros((2, 50))
     Jt[1, 7] = -1.0
     with pytest.raises(NegativityError, match=r"\(eps = 0.01\) became negative at t = 3, cell 7"):
         kern.check(Jt, Jt < kern.floor, "trapped component", 3.0)
+
+    # A march names the row, time, cell and value alike on the native and
+    # the numpy path.
+    def march(which):
+        kern = _Kernel([SPEC, SPEC], GRID, CFG, labels=["eps = 0.1", "eps = 0.01"])
+        getattr(kern, which)[1] *= -1.0  # row 1 turns negative
+        with pytest.raises(NegativityError) as info:
+            _march(kern, lambda k, t, Jt, Js, tags: (None, k + 1), max_steps=20)
+        return str(info.value)
+
+    for which, component in (("den", "trapped"), ("r2g", "streaming")):
+        native = march(which)
+        with monkeypatch.context() as m:
+            m.setattr(_native, "load", lambda: None)
+            reference = march(which)
+        assert native == reference
+        assert reference.startswith(f"{component} component (eps = 0.01) became negative at t = ")
 
 
 def test_instability_coarse_grid_stays_monotone():
