@@ -21,13 +21,9 @@ from .idsa import (
     SolverConfig,
     TwoComponentState,
     UnboundedError,
-    diffusion_source,
     run_instability_experiment,
     run_spurious_trapped_experiment,
     run_to_time,
-    solve_streaming_stationary,
-    step_trapped,
-    zero_state,
 )
 from .quadrature import QuadratureError, integrate_batch
 from .reformed import (
@@ -49,11 +45,9 @@ from .sphere import (
     exact_moments,
     flux_factors_infinite,
     free_streaming_flux_ratio,
-    geometry_factor,
     limit_moments_infinite_kappa,
     moments_at,
     neutrinosphere_radius,
-    path_length,
     special_values,
 )
 from .diagnostics import (

@@ -18,6 +18,8 @@ file.  scipy is imported only when a domain-split scheme is built.
 ``solve-old`` and ``solve-new`` march once: one call to
 ``ReformedScheme.run_to_stationarity`` returns the snapshot states and the
 final stationary state, and checks every step for negativity on the way.
+``solve-idsa`` writes what ``run_to_time`` returns: the snapshots, then
+the final state with the regime tags of the step that produced it.
 """
 
 from __future__ import annotations
@@ -149,12 +151,7 @@ def _spec(cfg: RunConfig) -> ProblemSpec:
 
 
 def _solver_config(cfg: RunConfig) -> SolverConfig:
-    return SolverConfig(
-        dt=cfg.dt,
-        t_end=cfg.t_end,
-        stationarity_tol=cfg.stationarity_tol,
-        kappa_floor=cfg.kappa_floor,
-    )
+    return SolverConfig(dt=cfg.dt, t_end=cfg.t_end, stationarity_tol=cfg.stationarity_tol)
 
 
 def _run_oracle(cfg: RunConfig, out: Path) -> list[str]:
@@ -169,29 +166,23 @@ def _run_oracle(cfg: RunConfig, out: Path) -> list[str]:
 
 def _run_solve_idsa(cfg: RunConfig, out: Path) -> list[str]:
     grid = make_uniform_grid(cfg.r_max, cfg.n_cells)
-    spec = _spec(cfg)
-    traj = run_to_time(spec, grid, _solver_config(cfg), tuple(cfg.snapshot_times))
-    snaps = traj.snapshots or []
-    if not any(s.state.t == traj.final.t for s in snaps):
-        from .idsa import Snapshot, diffusion_source
-
-        _, tags = diffusion_source(traj.final.Jt, traj.final.Js, spec, grid,
-                                   kappa_floor=cfg.kappa_floor)
-        snaps = snaps + [Snapshot(traj.final, tags)]
+    traj = run_to_time(_spec(cfg), grid, _solver_config(cfg), tuple(cfg.snapshot_times))
+    blocks = [(s.state, s.tags) for s in traj.snapshots]
+    if not any(st.t == traj.final.t for st, _ in blocks):
+        blocks.append((traj.final, traj.final_tags))
     r_text = _float_text(grid.r_centers)
     regime_names = [regime.name.lower() for regime in Regime]
 
     def block(snap):
-        st = snap.state
+        st, tags = snap
         tot = st.Jt.values + st.Js.values
-        ht = np.where(tot > 0, st.Jt.values / np.where(tot > 0, tot, 1.0), 0.0)
         hs = np.where(tot > 0, st.Js.values / np.where(tot > 0, tot, 1.0), 0.0)
-        names = [regime_names[t] for t in snap.tags.tolist()]
-        return st.t, r_text, st.Jt.values, st.Js.values, ht, hs, names
+        names = [regime_names[t] for t in tags.tolist()]
+        return st.t, r_text, st.Jt.values, st.Js.values, st.trapped_fraction(), hs, names
 
     _write_csv(
         out / "snapshots.csv", _scenario_meta(cfg),
-        ["t", "r", "Jt", "Js", "h_t", "h_s", "regime"], map(block, snaps),
+        ["t", "r", "Jt", "Js", "h_t", "h_s", "regime"], map(block, blocks),
     )
     return ["snapshots.csv"]
 

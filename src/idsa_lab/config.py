@@ -45,11 +45,10 @@ KEYS: dict[str, tuple] = {
     "kappa_outside": (float, 0.0, "absorption opacity at r >= R"),
     "kappa_s": (float, 0.0, "scattering opacity (constant)"),
     "r_max": (float, None, "outer domain edge (default 3*R)"),
-    "n_cells": (int, None, "number of grid cells (default depends on experiment)"),
+    "n_cells": (int, 2000, "number of grid cells"),
     "dt": (float, 0.1, "time step"),
-    "t_end": (float, None, "final time (default depends on experiment)"),
-    "stationarity_tol": (float, None, "stop when the per-step relative change drops below this"),
-    "kappa_floor": (float, 1e-30, "floor for the total opacity in the diffusion coefficient"),
+    "t_end": (float, 1000.0, "final time"),
+    "stationarity_tol": (float, 1e-8, "stop when the per-step relative change drops below this"),
     "variant": (str, "new", "domain-split variant for convergence: old or new"),
     "kappa_list": (_parse_float_list, (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0),
                    "opacities for the convergence sweep (comma separated)"),
@@ -60,7 +59,7 @@ KEYS: dict[str, tuple] = {
                     (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 15.0, 20.0, 30.0, 50.0, 100.0),
                     "kappa*R values for the center-error curve"),
     "oracle_tol": (float, 1e-10, "quadrature tolerance for the exact moments"),
-    "snapshot_times": (_parse_float_list, None, "times to snapshot (comma separated)"),
+    "snapshot_times": (_parse_float_list, (), "times to snapshot (comma separated)"),
     "output_dir": (str, "idsa-lab-out", "directory for CSV artifacts and the manifest"),
     "vb_threshold": (float, 0.9, "trapped level (times B) defining the virtual boundary"),
     "bound_margin": (float, 1e-6, "instability hard-failure margin: sup(Jt+Js) <= B(1+margin)"),
@@ -69,15 +68,12 @@ KEYS: dict[str, tuple] = {
 
 # experiment -> key -> default overriding the global one
 EXPERIMENT_DEFAULTS: dict[str, dict] = {
-    "oracle": {"n_cells": 2000},
-    "solve-idsa": {"n_cells": 50, "t_end": 1000.0, "stationarity_tol": 1e-8,
-                   "snapshot_times": (5.0, 500.0, 1000.0)},
-    "solve-old": {"n_cells": 19998, "t_end": 400.0, "stationarity_tol": 1e-10,
-                  "snapshot_times": ()},
-    "solve-new": {"n_cells": 19998, "t_end": 400.0, "stationarity_tol": 1e-10,
-                  "snapshot_times": ()},
-    "spurious": {"n_cells": 50, "stationarity_tol": 1e-8},
-    "instability": {"n_cells": 10000, "t_end": 200.0, "stationarity_tol": 1e-8,
+    "oracle": {},
+    "solve-idsa": {"n_cells": 50, "snapshot_times": (5.0, 500.0, 1000.0)},
+    "solve-old": {"n_cells": 19998, "t_end": 400.0, "stationarity_tol": 1e-10},
+    "solve-new": {"n_cells": 19998, "t_end": 400.0, "stationarity_tol": 1e-10},
+    "spurious": {"n_cells": 50},
+    "instability": {"n_cells": 10000, "t_end": 200.0,
                     "snapshot_times": (10.0, 50.0, 100.0, 200.0)},
     "convergence": {"n_cells": 19998, "t_end": 400.0, "stationarity_tol": 1e-10},
     "err0": {},
@@ -143,14 +139,6 @@ def _resolve(raw: dict[str, str]) -> RunConfig:
     # Dependent defaults.
     if values["r_max"] is None:
         values["r_max"] = 3.0 * values["R"]
-    if values["n_cells"] is None:
-        values["n_cells"] = 2000
-    if values["t_end"] is None:
-        values["t_end"] = 1000.0
-    if values["stationarity_tol"] is None:
-        values["stationarity_tol"] = 1e-8
-    if values["snapshot_times"] is None:
-        values["snapshot_times"] = ()
 
     _validate(values)
     return RunConfig(values)
@@ -172,7 +160,6 @@ def _validate(v: dict) -> None:
     need(v["dt"] > 0, f"dt must be positive, got {v['dt']}")
     need(v["t_end"] > 0, f"t_end must be positive, got {v['t_end']}")
     need(v["stationarity_tol"] > 0, "stationarity_tol must be positive")
-    need(v["kappa_floor"] > 0, "kappa_floor must be positive")
     # Below roundoff no panel meets its budget and the quadrature can only
     # bisect until its live-panel cap stops it.
     need(v["oracle_tol"] >= 1e-15, f"oracle_tol must be >= 1e-15, got {v['oracle_tol']}")
@@ -232,7 +219,7 @@ def describe_keys() -> str:
         if default is None:
             default_text = "required" if key in _REQUIRED else "derived"
         elif isinstance(default, tuple):
-            default_text = ",".join(f"{x:g}" for x in default)
+            default_text = ",".join(f"{x:g}" for x in default) or "none"
         else:
             default_text = f"{default}"
         lines.append(f"  {key:18s} {help_line} [default: {default_text}]")

@@ -64,10 +64,13 @@ def oracle_moments_for(
 
 
 def stationary_state(variant: str, spec: ProblemSpec, grid: RadialGrid, cfg: SolverConfig):
-    """Stationary state of a variant: closed form for "new", marched otherwise."""
+    """
+    Stationary state of a variant: the closed form for "new"; for "old" the
+    direct solve of the scheme's stationary linear system, not a march.
+    """
     if variant == "new":
         return new_idsa_stationary_closed_form(grid, spec)
-    return ReformedScheme(variant, spec, grid, cfg).run_to_stationarity()[0]
+    return ReformedScheme(variant, spec, grid, cfg).stationary_direct()
 
 
 def convergence_sweep(
@@ -86,7 +89,7 @@ def convergence_sweep(
     recorded on the failing row instead of aborting the sweep.
     """
     if cfg is None:
-        cfg = SolverConfig(dt=0.1, t_end=400.0, stationarity_tol=1e-10)
+        cfg = SolverConfig()
     closures = closure_set(grid, R)
     records = []
     for kap in kappa_list:

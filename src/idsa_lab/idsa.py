@@ -72,20 +72,22 @@ class UnboundedError(RuntimeError):
     """sup(Jt + Js) exceeded the admissible bound."""
 
 
+# Floor for the total opacity in the diffusion coefficient, so it stays
+# finite in vacuum cells.
+_KAPPA_FLOOR = 1e-30
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     dt: float = 0.1
     t_end: float = 1000.0
     stationarity_tol: float = 1e-8
-    kappa_floor: float = 1e-30
 
     def __post_init__(self):
         if not (self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not (self.stationarity_tol > 0):
             raise ValueError(f"stationarity_tol must be positive, got {self.stationarity_tol}")
-        if not (self.kappa_floor > 0):
-            raise ValueError(f"kappa_floor must be positive, got {self.kappa_floor}")
 
 
 @dataclass(eq=False)
@@ -103,11 +105,6 @@ class TwoComponentState:
         """Jt / (Jt + Js) per cell; 0 where both components vanish."""
         tot = self.Jt.values + self.Js.values
         return np.where(tot > 0.0, self.Jt.values / np.where(tot > 0.0, tot, 1.0), 0.0)
-
-
-def zero_state(grid: RadialGrid) -> TwoComponentState:
-    z = np.zeros(grid.n_cells)
-    return TwoComponentState(RadialField(grid, z), RadialField(grid, z.copy()), t=0.0)
 
 
 # The per-row arrays the native kernel reads: march_rows fields in _march.c.
@@ -132,8 +129,8 @@ class _Kernel:
         h = np.diff(np.concatenate(([0.0], r)))
         ka = np.stack([spec.absorption(r) for spec in specs])
         B = np.array([[spec.B] for spec in specs])
-        ktot = np.maximum(np.stack([spec.total_opacity(r) for spec in specs]), cfg.kappa_floor)
-        kf = np.maximum(0.5 * (ktot[:, :-1] + ktot[:, 1:]), cfg.kappa_floor)
+        ktot = np.maximum(np.stack([spec.total_opacity(r) for spec in specs]), _KAPPA_FLOOR)
+        kf = np.maximum(0.5 * (ktot[:, :-1] + ktot[:, 1:]), _KAPPA_FLOOR)
         g = np.stack([free_streaming_flux_ratio(r, spec.R) for spec in specs])
         c = h * ka / g
         a = 1.0 / (1.0 + c)
@@ -286,66 +283,6 @@ def _first_step(dt: float, k: int, x: float, past: bool = False):
     return j
 
 
-def diffusion_source(
-    Jt: RadialField,
-    Js: RadialField,
-    spec: ProblemSpec,
-    grid: RadialGrid,
-    kappa_floor: float = 1e-30,
-):
-    """
-    Min-max switched coupling source and the active regime per cell.
-
-    Sigma_i = min(max(-D_i[Jt] + kappa_a Js_i, 0), kappa_a B) with D the
-    conservative discrete diffusion operator.  The tag records which branch
-    clipped: REACTION when the inner max floored to 0, FREE_STREAMING when
-    the outer min capped at kappa_a B, DIFFUSION otherwise.
-    """
-    kern = _Kernel([spec], grid, SolverConfig(kappa_floor=kappa_floor))
-    S, tags = kern.sigma(Jt.values[None], Js.values[None], with_tags=True)
-    return RadialField(grid, S[0]), tags[0]
-
-
-def step_trapped(
-    state: TwoComponentState,
-    spec: ProblemSpec,
-    grid: RadialGrid,
-    cfg: SolverConfig,
-    sigma: RadialField | None = None,
-) -> RadialField:
-    """
-    One pointwise backward-Euler update of the trapped component.
-
-    The source is held fixed during the implicit solve (pass the lagged
-    ``sigma``; when omitted it is evaluated from ``state``).
-    """
-    kern = _Kernel([spec], grid, cfg)
-    Jt = state.Jt.values[None]
-    S = sigma.values[None] if sigma is not None else kern.sigma(Jt, state.Js.values[None])[0]
-    Jt = kern.trapped_step(Jt, S)
-    kern.check(Jt, Jt < kern.floor, "trapped component", state.t + cfg.dt)
-    return RadialField(grid, Jt[0])
-
-
-def solve_streaming_stationary(
-    source: RadialField, spec: ProblemSpec, grid: RadialGrid
-) -> RadialField:
-    """
-    Stationary streaming field driven by ``source``.
-
-    Outward first-order integration of Phi = r^2 g Js with Phi(0) = 0 (the
-    homogeneous solution diverges at the origin and is discarded); the
-    absorption sink is folded in implicitly per cell.
-    """
-    if np.any(source.values < 0.0):
-        i = int(np.argmin(source.values))
-        raise ValueError(f"source must be nonnegative (cell {i})")
-    kern = _Kernel([spec], grid, SolverConfig())
-    Js = kern.stream(source.values[None])
-    kern.check(Js, Js < 0.0, "streaming component", 0.0)
-    return RadialField(grid, Js[0])
-
-
 @dataclass(eq=False)
 class Snapshot:
     state: TwoComponentState
@@ -360,6 +297,7 @@ class Trajectory:
     sup_total: np.ndarray | None = None
     regime_counts: np.ndarray | None = None
     final: TwoComponentState | None = None
+    final_tags: np.ndarray | None = None
     stopped: str = "t_end"
 
 
@@ -372,42 +310,51 @@ def run_to_time(
     """
     March the coupled system from zero initial data.
 
-    Stops at cfg.t_end or earlier once the per-step relative change
-    max(|dJt|, |dJs|) / max(|Jt|, |Js|) falls below cfg.stationarity_tol.
-    Snapshots are taken at the steps nearest the requested times; regime
-    tag counts, sup(Jt + Js) and the relative change are recorded per step.
+    The final state is the one at cfg.t_end, or at the first step where the
+    per-step relative change max(|dJt|, |dJs|) / max(|Jt|, |Js|) falls below
+    cfg.stationarity_tol; regime tag counts, sup(Jt + Js) and the relative
+    change are recorded per step up to it.  The march goes on past it to the
+    last requested snapshot.  Snapshots are taken at the steps nearest the
+    requested times.  A snapshot and the final state carry the regime tags
+    of the source that produced them (REACTION everywhere at t = 0).
     """
-    snap_steps = {max(0, int(round(ts / cfg.dt))): ts for ts in snapshot_times}
-    traj = Trajectory()
-    if 0 in snap_steps:
-        traj.snapshots.append(Snapshot(zero_state(grid), np.zeros(grid.n_cells, np.int8)))
+    snap_steps = sorted({max(0, int(round(ts / cfg.dt))) for ts in snapshot_times})
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    zeros = np.zeros(grid.n_cells)
+    start = Snapshot(_make_state(grid, zeros, zeros, 0.0), np.zeros(grid.n_cells, np.int8))
+    traj = Trajectory(snapshots=[start] if 0 in snap_steps else [])
+    if n_steps == 0:
+        traj.final, traj.final_tags = start.state, start.tags
 
     times, rel, sup, counts = [], [], [], []
-    prev = [np.zeros(grid.n_cells), np.zeros(grid.n_cells)]
+    prev = [zeros, zeros]
 
     def observe(k, t, Jt, Js, tags):
         (Jt, Js), tags = (Jt[0], Js[0]), tags[0]
-        scale = max(Jt.max(initial=0.0), Js.max(initial=0.0), 1e-300)
-        change = max(np.max(np.abs(Jt - prev[0])), np.max(np.abs(Js - prev[1]))) / scale
-        prev[:] = Jt, Js
-        times.append(t)
-        rel.append(change)
-        sup.append(float(np.max(Jt + Js)))
-        counts.append(np.bincount(tags, minlength=3))
         if k in snap_steps:
             traj.snapshots.append(Snapshot(_make_state(grid, Jt, Js, t), tags.copy()))
-        if change < cfg.stationarity_tol:
-            traj.stopped = "stationary"
-            return np.array([True]), None
-        return None, k + 1
+        if traj.final is None:
+            scale = max(Jt.max(initial=0.0), Js.max(initial=0.0), 1e-300)
+            change = max(np.max(np.abs(Jt - prev[0])), np.max(np.abs(Js - prev[1]))) / scale
+            prev[:] = Jt, Js
+            times.append(t)
+            rel.append(change)
+            sup.append(float(np.max(Jt + Js)))
+            counts.append(np.bincount(tags, minlength=3))
+            if change < cfg.stationarity_tol:
+                traj.stopped = "stationary"
+            elif k < n_steps:
+                return None, k + 1
+            traj.final, traj.final_tags = _make_state(grid, Jt, Js, t), tags.copy()
+        # Past the final state only the snapshot steps are left to see.
+        later = [j for j in snap_steps if j > k]
+        return (None, later[0]) if later else (np.array([True]), None)
 
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    _march(_Kernel([spec], grid, cfg), observe, n_steps, with_tags=True)
+    _march(_Kernel([spec], grid, cfg), observe, max([n_steps, *snap_steps]), with_tags=True)
     traj.times = np.asarray(times)
     traj.rel_change = np.asarray(rel)
     traj.sup_total = np.asarray(sup)
     traj.regime_counts = np.asarray(counts)
-    traj.final = _make_state(grid, prev[0], prev[1], times[-1] if times else 0.0)
     return traj
 
 

@@ -238,7 +238,7 @@ class ReformedScheme:
         return self._assemble_state(final, steps * dt), steps, snapshots
 
     def stationary_direct(self) -> TwoComponentState:
-        """Solve the stationary linear system directly (cross-check path)."""
+        """The exact stationary state: one direct solve of L Jt = -q, no march."""
         lower, diag, upper = self._L
         ab = np.zeros((3, self.m))
         ab[0, 1:] = -upper[:-1]

@@ -90,40 +90,6 @@ def _opaque_geometry(r, R: float):
     return out, ratio2, np.sqrt(1.0 - ratio2)
 
 
-def geometry_factor(r, mu, R: float):
-    """
-    G(r, mu) = sqrt(1 - (r/R)^2 (1 - mu^2)).
-
-    Negative radicands (beyond roundoff) mean the ray misses the sphere and
-    raise ValueError; callers must restrict mu for r > R.
-    """
-    r = np.asarray(r, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    rad = 1.0 - (r / R) ** 2 * (1.0 - mu**2)
-    if np.any(rad < -1e-12):
-        raise ValueError("geometry factor: ray does not intersect the sphere")
-    out = np.sqrt(np.clip(rad, 0.0, None))
-    return out if out.ndim else float(out)
-
-
-def path_length(r: float, mu: float, R: float) -> float:
-    """
-    Chord length s(r, mu) of the backward ray inside the sphere.
-
-    For r < R any -1 < mu < 1 is admissible and s = r*mu + R*G; for r >= R
-    the ray must point into the sphere, mu > sqrt(1 - (R/r)^2), and
-    s = 2*R*G.
-    """
-    if r < R:
-        if not -1.0 < mu < 1.0:
-            raise ValueError(f"mu = {mu} outside (-1, 1)")
-        return float(r * mu + R * geometry_factor(r, mu, R))
-    mu_min = np.sqrt(max(1.0 - (R / r) ** 2, 0.0))
-    if not mu_min < mu <= 1.0:
-        raise ValueError(f"mu = {mu} outside the admissible cone ({mu_min:g}, 1] at r = {r:g}")
-    return float(2.0 * R * geometry_factor(r, mu, R))
-
-
 def exact_distribution(r, mu, spec: ProblemSpec):
     """
     Stationary distribution f(r, mu) = B (1 - exp(-kappa s)); zero outside

@@ -16,7 +16,6 @@ from idsa_lab import (
     Regime,
     ReformedScheme,
     SolverConfig,
-    diffusion_source,
     err0,
     exact_moments,
     l2_relative_error,
@@ -35,7 +34,7 @@ from idsa_lab.diagnostics import (
     oracle_moments_for,
     stationary_state,
 )
-from idsa_lab.grids import RadialField
+from idsa_lab.idsa import _Kernel
 
 KAPPAS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 R, B = 6.0, 1.0
@@ -351,13 +350,12 @@ def test_criterion_9_center_error_curve():
 def test_criterion_10_switch_value_exact():
     grid = make_uniform_grid(18.0, 50)
     spec = ProblemSpec(B=1.0, R=30.0, kappa=1e-3)  # flat absorption over the grid
-    Jt = RadialField(grid, np.full(50, 0.25))
-    Js = RadialField(grid, np.full(50, 0.3))
-    S, tags = diffusion_source(Jt, Js, spec, grid)
-    exact = np.all(S.values == 1e-3 * 0.3)
+    kern = _Kernel([spec], grid, SolverConfig())
+    S, tags = kern.sigma(np.full((1, 50), 0.25), np.full((1, 50), 0.3), with_tags=True)
+    exact = np.all(S == 1e-3 * 0.3)
     no_free = not np.any(tags == Regime.FREE_STREAMING)
     report(
         "criterion 10 (switch picks the middle branch)", exact and no_free,
-        f"Sigma = kappa_a*Js exactly ({S.values[0]!r}), regime "
-        f"{Regime(int(tags[0])).name} (not FREE_STREAMING)",
+        f"Sigma = kappa_a*Js exactly ({S[0, 0]!r}), regime "
+        f"{Regime(int(tags[0, 0])).name} (not FREE_STREAMING)",
     )

@@ -52,6 +52,49 @@ def test_spurious_defaults_match_reference_setup():
     assert min(cfg.eps_list) == pytest.approx(1e-4)
 
 
+# parse_config("experiment = X").resolved(): the global defaults, then what
+# each experiment sets differently.
+_RESOLVED_DEFAULTS = {
+    "B": 1.0, "R": 6.0, "bound_margin": 1e-06, "dt": 0.1,
+    "eps_list": [0.1, 0.053367, 0.0284804, 0.0151991, 0.00811131, 0.00432876, 0.00231013,
+                 0.00123285, 0.000657933, 0.000351119, 0.000187382, 0.0001],
+    "exclude_largest": 5, "horizon": 1000000.0, "kappa": 1.0,
+    "kappaR_list": [0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 15.0, 20.0, 30.0, 50.0, 100.0],
+    "kappa_list": [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0], "kappa_outside": 0.0,
+    "kappa_s": 0.0, "n_cells": 2000, "oracle_tol": 1e-10, "output_dir": "idsa-lab-out",
+    "r_max": 18.0, "snapshot_times": [], "stationarity_tol": 1e-08, "t_end": 1000.0,
+    "variant": "new", "vb_threshold": 0.9,
+}
+_DOMAIN_SPLIT = {"n_cells": 19998, "stationarity_tol": 1e-10, "t_end": 400.0}
+_RESOLVED_BY_EXPERIMENT = {
+    "oracle": {},
+    "solve-idsa": {"n_cells": 50, "snapshot_times": [5.0, 500.0, 1000.0]},
+    "solve-old": _DOMAIN_SPLIT,
+    "solve-new": _DOMAIN_SPLIT,
+    "spurious": {"n_cells": 50},
+    "instability": {"n_cells": 10000, "snapshot_times": [10.0, 50.0, 100.0, 200.0],
+                    "t_end": 200.0},
+    "convergence": _DOMAIN_SPLIT,
+    "err0": {},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_RESOLVED_BY_EXPERIMENT))
+def test_default_config_resolves_to_pinned_parameters(experiment):
+    expected = {**_RESOLVED_DEFAULTS, **_RESOLVED_BY_EXPERIMENT[experiment],
+                "experiment": experiment}
+    assert parse_config(f"experiment = {experiment}").resolved() == expected
+
+
+def test_kappa_floor_is_not_a_key(tmp_path, capsys):
+    # The opacity floor of the switched scheme is a constant, not a setting.
+    out = tmp_path / "a" / "out"
+    text = "experiment = solve-idsa\nkappa_floor = 1e-30\n"
+    assert _run_cli(tmp_path, text, f"output_dir={out}") == 2
+    assert "unknown key: 'kappa_floor'" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+
+
 def test_describe_keys_lists_everything():
     text = describe_keys()
     for key in KEYS:
@@ -116,6 +159,42 @@ def test_cli_solve_idsa_snapshots(tmp_path):
     assert header == "t,r,Jt,Js,h_t,h_s,regime"
     first = next(l for l in lines if l.startswith("1,"))
     assert first.split(",")[-1] in ("reaction", "diffusion", "free_streaming")
+
+
+def _idsa_blocks(path):
+    """The regime column of each block of a solve-idsa snapshots.csv, by t, in file order."""
+    blocks = {}
+    for line in path.read_text().splitlines():
+        if line[0].isdigit():
+            t, *_, regime = line.split(",")
+            blocks.setdefault(t, []).append(regime)
+    return blocks
+
+
+def test_cli_solve_idsa_default_writes_every_snapshot(tmp_path):
+    # The default run is stationary at step 133; the march goes on to the
+    # snapshots at 500 and 1000, and the final state is written last.
+    out = tmp_path / "out"
+    assert _run_cli(tmp_path, "experiment = solve-idsa\n", f"output_dir={out}") == 0
+    assert list(_idsa_blocks(out / "snapshots.csv")) == ["5", "500", "1000", "13.300000000000001"]
+    lines = (out / "snapshots.csv").read_text().splitlines()
+    data = np.array([[float(x) for x in line.split(",")[:6]] for line in lines if line[0].isdigit()])
+    Jt, Js, h_t, h_s = data[:, 2:].T
+    assert np.all(Jt + Js > 0.0)
+    assert np.array_equal(h_t, Jt / (Jt + Js)) and np.array_equal(h_s, Js / (Jt + Js))
+
+
+def test_cli_solve_idsa_final_regime_does_not_depend_on_snapshots(tmp_path):
+    # At kappa_outside = 0.01 the switch chatters: the source that produced
+    # the state at t = 50 and the one it would feed next differ on most
+    # cells.  The final block carries the former, snapshot or not.
+    runs = []
+    for name, times in (("a", "5"), ("b", "5, 50")):
+        text = f"experiment = solve-idsa\nkappa_outside = 0.01\nt_end = 50\nsnapshot_times = {times}\n"
+        assert _run_cli(tmp_path, text, f"output_dir={tmp_path / name}") == 0
+        runs.append(_idsa_blocks(tmp_path / name / "snapshots.csv"))
+    assert list(runs[0]) == list(runs[1]) == ["5", "50"]
+    assert runs[0]["50"] == runs[1]["50"]
 
 
 def test_cli_solve_new_runs(tmp_path):

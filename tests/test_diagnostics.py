@@ -3,6 +3,7 @@ import pytest
 
 from idsa_lab import (
     ProblemSpec,
+    ReformedScheme,
     SolverConfig,
     err0,
     exact_moments,
@@ -48,6 +49,17 @@ def test_err0_curve():
     assert pts[1][1] == pytest.approx(err0(6.0))
     assert 0.5 < abs(pts[0][1]) <= 1.0  # translucent sphere: order-one error
     assert abs(pts[3][1]) < abs(pts[2][1]) < abs(pts[1][1])
+
+
+def test_old_stationary_state_is_the_direct_solve():
+    # No march: a 1-step t_end or a loose tolerance would change a marched state.
+    grid = make_uniform_grid(18.0, 300)
+    spec = ProblemSpec(B=1.0, R=6.0, kappa=2.0)
+    direct = ReformedScheme("old", spec, grid, CFG).stationary_direct()
+    for cfg in (CFG, SolverConfig(dt=0.1, t_end=0.1, stationarity_tol=0.5)):
+        state = stationary_state("old", spec, grid, cfg)
+        assert np.array_equal(state.Jt.values, direct.Jt.values)
+        assert np.array_equal(state.Js.values, direct.Js.values)
 
 
 def test_sweep_zero_for_injected_identical_fields():

@@ -13,16 +13,12 @@ from idsa_lab import (
     SolverConfig,
     TwoComponentState,
     UnboundedError,
-    diffusion_source,
     exact_moments,
     l2_relative_error,
     make_uniform_grid,
     run_instability_experiment,
     run_spurious_trapped_experiment,
     run_to_time,
-    solve_streaming_stationary,
-    step_trapped,
-    zero_state,
 )
 from idsa_lab import _native
 from idsa_lab.idsa import _Kernel, _march
@@ -36,35 +32,55 @@ def _state(grid, Jt, Js, t=0.0):
     return TwoComponentState(RadialField(grid, Jt), RadialField(grid, Js), t=t)
 
 
+def _sigma(Jt, Js, spec):
+    """The march's switched source and regime tags for one state on GRID."""
+    S, tags = _Kernel([spec], GRID, CFG).sigma(Jt[None], Js[None], with_tags=True)
+    return S[0], tags[0]
+
+
+def _stream(S, spec, grid=GRID):
+    """The march's stationary streaming field for one source."""
+    return _Kernel([spec], grid, CFG).stream(S[None])[0]
+
+
 def test_source_zero_where_no_absorption():
     # kappa_a = 0 outside caps the switch at zero there, whatever Js does.
     rng = np.random.default_rng(0)
-    Jt = RadialField(GRID, rng.random(50))
-    Js = RadialField(GRID, rng.random(50))
-    S, tags = diffusion_source(Jt, Js, SPEC, GRID)
+    S, tags = _sigma(rng.random(50), rng.random(50), SPEC)
     outside = GRID.r_centers >= 6.0
-    assert np.all(S.values[outside] == 0.0)
+    assert np.all(S[outside] == 0.0)
 
 
 def test_source_flat_trapped_small_absorption():
     # Flat trapped profile with 0 < Js < B: the switch picks the middle
     # branch with value kappa_a * Js, never the free-streaming cap.
     spec = ProblemSpec(B=1.0, R=20.0, kappa=1e-3)  # every cell inside
-    Jt = RadialField(GRID, np.full(50, 0.7))
-    Js = RadialField(GRID, np.full(50, 0.3))
-    S, tags = diffusion_source(Jt, Js, spec, GRID)
-    assert np.all(S.values == 1e-3 * 0.3)
+    S, tags = _sigma(np.full(50, 0.7), np.full(50, 0.3), spec)
+    assert np.all(S == 1e-3 * 0.3)
     assert np.all(tags == Regime.DIFFUSION)
     assert not np.any(tags == Regime.FREE_STREAMING)
 
 
 def test_source_flat_trapped_no_streaming_is_reaction():
     spec = ProblemSpec(B=1.0, R=20.0, kappa=2.0)
-    Jt = RadialField(GRID, np.full(50, 0.4))
-    Js = RadialField(GRID, np.zeros(50))
-    S, tags = diffusion_source(Jt, Js, spec, GRID)
-    assert np.all(S.values == 0.0)
+    S, tags = _sigma(np.full(50, 0.4), np.zeros(50), spec)
+    assert np.all(S == 0.0)
     assert np.all(tags == Regime.REACTION)
+
+
+def test_source_diffusion_uses_the_true_opacity():
+    # Jt = c (r_max^2 - r^2) with c = kappa^2 / 8 gives -D[Jt] = kappa B / 4
+    # up to the conservative form's factor 1 + dr^2 / (12 r^2), which is
+    # exact for a quadratic.  At kappa = 1e-6 this is far above the
+    # opacity floor, and the middle branch shows the unclipped value.
+    kappa = 1e-6
+    spec = ProblemSpec(B=1.0, R=30.0, kappa=kappa)  # every cell inside
+    r, dr = GRID.r_centers, GRID.dr
+    S, tags = _sigma(kappa**2 / 8.0 * (18.0**2 - r**2), np.full(50, 0.3), spec)
+    expect = kappa * 0.3 + kappa / 4.0 * (1.0 + dr**2 / (12.0 * r**2))
+    inner = slice(1, -1)  # the end cells see the zero-flux boundaries
+    assert np.all(tags[inner] == Regime.DIFFUSION)
+    assert np.allclose(S[inner], expect[inner], rtol=1e-6, atol=0.0)
 
 
 def test_source_bounds_and_tag_consistency():
@@ -72,42 +88,37 @@ def test_source_bounds_and_tag_consistency():
     spec = ProblemSpec(B=1.0, R=6.0, kappa=3.0, kappa_outside=1e-2)
     kaB = spec.absorption(GRID.r_centers) * spec.B
     for _ in range(20):
-        Jt = RadialField(GRID, np.abs(np.cumsum(rng.standard_normal(50))) * 0.05)
-        Js = RadialField(GRID, rng.random(50))
-        S, tags = diffusion_source(Jt, Js, spec, GRID)
-        assert np.all(S.values >= 0.0) and np.all(S.values <= kaB + 1e-15)
+        Jt = np.abs(np.cumsum(rng.standard_normal(50))) * 0.05
+        S, tags = _sigma(Jt, rng.random(50), spec)
+        assert np.all(S >= 0.0) and np.all(S <= kaB + 1e-15)
         free = tags == Regime.FREE_STREAMING
-        assert np.all(S.values[free] == kaB[free])
-        assert np.all(S.values[tags == Regime.REACTION] == 0.0)
+        assert np.all(S[free] == kaB[free])
+        assert np.all(S[tags == Regime.REACTION] == 0.0)
         mid = tags == Regime.DIFFUSION
-        assert np.all((S.values[mid] > 0.0) & (S.values[mid] < kaB[mid]))
+        assert np.all((S[mid] > 0.0) & (S[mid] < kaB[mid]))
 
 
 def test_trapped_step_from_zero():
-    state = zero_state(GRID)
-    sigma = RadialField(GRID, np.zeros(50))
-    out = step_trapped(state, SPEC, GRID, CFG, sigma=sigma)
+    out = _Kernel([SPEC], GRID, CFG).trapped_step(np.zeros((1, 50)), np.zeros((1, 50)))[0]
     inside = GRID.r_centers < 6.0
     expect = 0.1 * 1.0 / (1.0 + 0.1)
-    assert np.allclose(out.values[inside], expect, rtol=1e-14)
-    assert np.all(out.values[~inside] == 0.0)  # kappa_a = 0 there: frozen
+    assert np.allclose(out[inside], expect, rtol=1e-14)
+    assert np.all(out[~inside] == 0.0)  # kappa_a = 0 there: frozen
 
 
 def test_trapped_step_decay_under_cap():
     # Sigma at the cap turns the update into pure decay by 1/(1 + dt kappa_a).
     spec = ProblemSpec(B=1.0, R=20.0, kappa=1.0)
-    Jt = np.full(50, 0.8)
-    state = _state(GRID, Jt, np.zeros(50))
-    sigma = RadialField(GRID, spec.absorption(GRID.r_centers) * spec.B)
-    out = step_trapped(state, spec, GRID, CFG, sigma=sigma)
-    assert np.allclose(out.values, 0.8 / 1.1, rtol=1e-14)
+    sigma = spec.absorption(GRID.r_centers) * spec.B
+    out = _Kernel([spec], GRID, CFG).trapped_step(np.full((1, 50), 0.8), sigma[None])
+    assert np.allclose(out, 0.8 / 1.1, rtol=1e-14)
 
 
 def test_trapped_negativity_raises():
-    state = _state(GRID, np.zeros(50), np.zeros(50))
-    huge = RadialField(GRID, np.full(50, 50.0))
-    with pytest.raises(NegativityError):
-        step_trapped(state, SPEC, GRID, CFG, sigma=huge)
+    kern = _Kernel([SPEC], GRID, CFG)
+    Jt = kern.trapped_step(np.zeros((1, 50)), np.full((1, 50), 50.0))
+    with pytest.raises(NegativityError, match="trapped component became negative at t = 0.1"):
+        kern.check(Jt, Jt < kern.floor, "trapped component", CFG.dt)
 
 
 def test_trapped_mass_accounting():
@@ -115,19 +126,17 @@ def test_trapped_mass_accounting():
     # so the shell-integrated change matches the integrated source terms.
     rng = np.random.default_rng(5)
     Jt = rng.random(50) * 0.5
-    state = _state(GRID, Jt, rng.random(50) * 0.3)
-    S, _ = diffusion_source(state.Jt, state.Js, SPEC, GRID)
-    out = step_trapped(state, SPEC, GRID, CFG, sigma=S)
+    S, _ = _sigma(Jt, rng.random(50) * 0.3, SPEC)
+    out = _Kernel([SPEC], GRID, CFG).trapped_step(Jt[None], S[None])[0]
     r, dr = GRID.r_centers, GRID.dr
     ka = SPEC.absorption(r)
-    lhs = np.sum(r**2 * (out.values - Jt)) * dr
-    rhs = CFG.dt * np.sum(r**2 * (ka * (SPEC.B - out.values) - S.values)) * dr
+    lhs = np.sum(r**2 * (out - Jt)) * dr
+    rhs = CFG.dt * np.sum(r**2 * (ka * (SPEC.B - out) - S)) * dr
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_streaming_zero_source():
-    Js = solve_streaming_stationary(RadialField(GRID, np.zeros(50)), SPEC, GRID)
-    assert np.all(Js.values == 0.0)
+    assert np.all(_stream(np.zeros(50), SPEC) == 0.0)
 
 
 def test_streaming_point_source_conserves_flux():
@@ -136,13 +145,13 @@ def test_streaming_point_source_conserves_flux():
     spec = ProblemSpec(B=1.0, R=1e-9, kappa=1.0)  # every center is vacuum
     S = np.zeros(50)
     S[0] = 2.5
-    Js = solve_streaming_stationary(RadialField(GRID, S), spec, GRID)
+    Js = _stream(S, spec)
     r = GRID.r_centers
     from idsa_lab import free_streaming_flux_ratio
 
-    phi = r**2 * free_streaming_flux_ratio(r, spec.R) * Js.values
+    phi = r**2 * free_streaming_flux_ratio(r, spec.R) * Js
     assert np.allclose(phi[1:], phi[1], rtol=1e-12)
-    assert np.all(Js.values > 0.0)
+    assert np.all(Js > 0.0)
 
 
 def test_streaming_divergence_free_extension_from_edge_value():
@@ -152,13 +161,13 @@ def test_streaming_divergence_free_extension_from_edge_value():
     grid = make_uniform_grid(18.0, n)
     spec = ProblemSpec(B=1.0, R=6.0, kappa=1e5)
     S = spec.absorption(grid.r_centers) * spec.B
-    Js = solve_streaming_stationary(RadialField(grid, S), spec, grid)
+    Js = _stream(S, spec, grid)
     out = grid.r_centers >= 6.0
     r = grid.r_centers[out]
-    JsR = Js.values[np.argmax(out) - 1]  # saturated local equilibrium = B
+    JsR = Js[np.argmax(out) - 1]  # saturated local equilibrium = B
     shape = 1.0 - np.sqrt(1.0 - (6.0 / r) ** 2)
     assert JsR == pytest.approx(1.0, rel=1e-3)
-    assert np.allclose(Js.values[out], JsR / 2.0 * shape * 2.0, rtol=5e-3)
+    assert np.allclose(Js[out], JsR / 2.0 * shape * 2.0, rtol=5e-3)
 
 
 def test_streaming_sequential_fallback_matches_scan():
@@ -208,8 +217,39 @@ def test_run_coarse_sphere_is_stable_and_close_to_exact():
     assert traj.regime_counts.shape[1] == 3
 
 
+def test_run_marches_on_to_snapshots_after_the_final_state():
+    # Stationary at step 133; the snapshots at t = 20 (after the stop) and
+    # t = 40 (after t_end) are still taken, and the final state, its tags
+    # and the per-step records stay those of the stop.
+    cfg = SolverConfig(dt=0.1, t_end=30.0, stationarity_tol=1e-8)
+    traj = run_to_time(SPEC, GRID, cfg, snapshot_times=(5.0, 20.0, 40.0))
+    assert traj.stopped == "stationary"
+    assert [s.state.t for s in traj.snapshots] == [5.0, 20.0, 40.0]
+    assert len(traj.times) == 133 and traj.final.t == traj.times[-1] == 133 * 0.1
+    # A run that ends at that step's t_end, with a snapshot there: the same
+    # final state, and the final tags are those of the step that produced it.
+    ref_cfg = dataclasses.replace(cfg, t_end=13.3, stationarity_tol=1e-30)
+    ref = run_to_time(SPEC, GRID, ref_cfg, snapshot_times=(13.3,))
+    assert ref.stopped == "t_end" and ref.final.t == traj.final.t
+    assert np.array_equal(ref.final.Jt.values, traj.final.Jt.values)
+    assert np.array_equal(ref.final.Js.values, traj.final.Js.values)
+    assert np.array_equal(ref.final_tags, traj.final_tags)
+    assert np.array_equal(ref.snapshots[0].tags, traj.final_tags)
+
+
+def test_run_shorter_than_half_a_step_ends_at_the_zero_state():
+    # t_end rounds to step 0: the final state is the zero state, tagged as
+    # the step-0 snapshot is; a later snapshot is still marched to.
+    cfg = SolverConfig(dt=0.1, t_end=0.04)
+    traj = run_to_time(SPEC, GRID, cfg, snapshot_times=(1.0,))
+    assert traj.final.t == 0.0 and traj.stopped == "t_end" and len(traj.times) == 0
+    assert np.all(traj.final.Jt.values == 0.0) and np.all(traj.final.Js.values == 0.0)
+    assert np.all(traj.final_tags == Regime.REACTION)
+    assert [s.state.t for s in traj.snapshots] == [1.0]
+
+
 def test_trapped_fraction_handles_empty_cells():
-    state = zero_state(GRID)
+    state = _state(GRID, np.zeros(50), np.zeros(50))
     assert np.all(state.trapped_fraction() == 0.0)
     Jt = np.full(50, 0.6)
     Js = np.full(50, 0.2)

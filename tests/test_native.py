@@ -178,15 +178,31 @@ def test_run_to_time_trajectory_matches_numpy():
     spec = ProblemSpec(B=1.0, R=6.0, kappa=1.0, kappa_outside=0.01)
     cfg = SolverConfig(dt=0.1, t_end=40.0, stationarity_tol=1e-30)
     native, reference = _both(lambda: run_to_time(spec, grid, cfg, (0.0, 5.0, 12.3)))
+    _assert_same_trajectory(native, reference, n_snapshots=3)
+
+
+@needs_native
+def test_run_to_time_past_the_final_state_matches_numpy():
+    # Past the stationary stop at step 133 the native march runs straight
+    # to the next snapshot step; the numpy march shows every step.
+    grid = make_uniform_grid(18.0, 50)
+    spec = ProblemSpec(B=1.0, R=6.0, kappa=1.0)
+    cfg = SolverConfig(dt=0.1, t_end=30.0, stationarity_tol=1e-8)
+    native, reference = _both(lambda: run_to_time(spec, grid, cfg, (5.0, 20.0, 40.0)))
+    assert native.stopped == "stationary"
+    _assert_same_trajectory(native, reference, n_snapshots=3)
+
+
+def _assert_same_trajectory(native, reference, n_snapshots):
     for name in ("times", "rel_change", "sup_total", "regime_counts"):
         assert np.array_equal(getattr(native, name), getattr(reference, name)), name
     assert native.stopped == reference.stopped
-    assert len(native.snapshots) == len(reference.snapshots) == 3
-    for a, b in zip(native.snapshots, reference.snapshots):
-        assert np.array_equal(a.tags, b.tags)
-    states = [(a.state, b.state) for a, b in zip(native.snapshots, reference.snapshots)]
-    for a, b in states + [(native.final, reference.final)]:
+    assert len(native.snapshots) == len(reference.snapshots) == n_snapshots
+    pairs = [(a.state, a.tags, b.state, b.tags) for a, b in zip(native.snapshots, reference.snapshots)]
+    pairs.append((native.final, native.final_tags, reference.final, reference.final_tags))
+    for a, a_tags, b, b_tags in pairs:
         assert a.t == b.t
+        assert np.array_equal(a_tags, b_tags)
         assert np.array_equal(a.Jt.values, b.Jt.values)
         assert np.array_equal(a.Js.values, b.Js.values)
 

@@ -3,8 +3,12 @@ Domain-split variant tests.  Frozen constants from 40-digit mpmath
 evaluation of the closed-form stationary state at kappa=1, R=6, B=1.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idsa_lab import (
     NegativityError,
@@ -126,6 +130,32 @@ def test_old_marched_matches_direct_stationary():
     marched, _, _ = scheme.run_to_stationarity()
     direct = scheme.stationary_direct()
     assert l2_relative_error(marched.total(), direct.total()) < 1e-8
+
+
+@settings(max_examples=60, deadline=2000)
+@given(kappa=st.floats(0.5, 50.0), R=st.floats(2.0, 10.0), extra=st.integers(0, 200))
+def test_new_direct_stationary_converges_to_closed_form_at_second_order(kappa, R, extra):
+    # r_max = 3R and n a multiple of 3 put R on a face; kappa * dr <= 0.1
+    # keeps the edge layer resolved.  At most 31200 cells per solve.
+    spec = ProblemSpec(B=1.0, R=R, kappa=kappa)
+    j = math.ceil(10.0 * kappa * R) + extra
+    gaps = []
+    for n in (3 * j, 6 * j):
+        grid = make_uniform_grid(3.0 * R, n)
+        direct = ReformedScheme("new", spec, grid, CFG).stationary_direct()
+        closed = new_idsa_stationary_closed_form(grid, spec)
+        gaps.append(l2_relative_error(direct.total(), closed.total()))
+    assert 3.5 <= gaps[0] / gaps[1] <= 4.5
+
+
+@settings(max_examples=20, deadline=2000)
+@given(kappa=st.floats(0.5, 50.0), j=st.integers(30, 300))
+def test_old_direct_stationary_matches_marched(kappa, j):
+    # The march stops at a per-step change of 1e-10 relative; the gap it
+    # leaves measured at most 6.4e-10 over this range.
+    scheme = ReformedScheme("old", ProblemSpec(B=1.0, R=6.0, kappa=kappa), grid_div3(3 * j), CFG)
+    marched, _, _ = scheme.run_to_stationarity()
+    assert l2_relative_error(marched.total(), scheme.stationary_direct().total()) < 1e-8
 
 
 def test_old_edge_streaming_overestimates():

@@ -15,12 +15,10 @@ from idsa_lab import (
     exact_moments,
     flux_factors_infinite,
     free_streaming_flux_ratio,
-    geometry_factor,
     limit_moments_infinite_kappa,
     make_uniform_grid,
     moments_at,
     neutrinosphere_radius,
-    path_length,
     special_values,
 )
 from idsa_lab.quadrature import integrate_batch
@@ -37,41 +35,25 @@ J9, H9, K9 = 0.12528374763185573455, 0.10956802449808733529, 0.09648342158943419
 J_OUT_100 = 0.462990621967583759  # r = 6.0165
 
 
-def test_geometry_factor_values():
-    assert geometry_factor(0.0, 0.3, 6.0) == pytest.approx(1.0, rel=1e-15)
-    for mu in (-0.7, 0.2, 0.9):
-        assert geometry_factor(6.0, mu, 6.0) == pytest.approx(abs(mu), rel=1e-12)
-    assert geometry_factor(12.0, np.sqrt(3.0) / 2.0, 6.0) == pytest.approx(0.0, abs=1e-7)
-    with pytest.raises(ValueError):
-        geometry_factor(12.0, 0.5, 6.0)
-
-
-def test_path_length_values():
-    assert path_length(0.0, 0.4, 6.0) == pytest.approx(6.0, rel=1e-15)
-    assert path_length(6.0, 1.0, 6.0) == pytest.approx(12.0, rel=1e-15)
-    assert path_length(12.0, 1.0, 6.0) == pytest.approx(12.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        path_length(3.0, 1.0, 6.0)
-    with pytest.raises(ValueError):
-        path_length(12.0, 0.5, 6.0)
-
-
-def test_path_length_branches_agree_at_edge():
-    rng = np.random.default_rng(3)
-    R = 6.0
-    for mu in rng.uniform(1e-6, 1.0, size=50):
-        inside = R * mu + R * geometry_factor(R, mu, R)
-        outside = 2.0 * R * geometry_factor(R, mu, R)
-        assert inside == pytest.approx(outside, rel=1e-12)
-        assert inside == pytest.approx(2.0 * R * mu, rel=1e-12)
-
-
 def test_distribution_values():
     assert exact_distribution(0.0, 0.5, SPEC) == pytest.approx(J0, rel=1e-14)
     assert exact_distribution(12.0, 0.0, SPEC) == 0.0
     # Deep inside a very opaque sphere the distribution saturates at B.
     opaque = ProblemSpec(B=1.0, R=6.0, kappa=1e5)
     assert exact_distribution(3.0, -0.4, opaque) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_distribution_chord_lengths():
+    # f = B (1 - exp(-kappa s)): s = R from the center and 2R along a
+    # diameter, from the surface or from outside; the inside and outside
+    # chord formulas meet at r = R (one ulp inside R the radicand, about
+    # mu^2, carries a roundoff of about 1e-16 / mu^2 relative).
+    for r, mu, s in ((0.0, 0.4, 6.0), (6.0, 1.0, 12.0), (12.0, 1.0, 12.0)):
+        assert exact_distribution(r, mu, SPEC) == pytest.approx(-np.expm1(-s), rel=1e-14)
+    mu = np.random.default_rng(3).uniform(1e-3, 1.0, size=50)
+    inside = exact_distribution(np.nextafter(6.0, 0.0), mu, SPEC)
+    assert np.allclose(inside, exact_distribution(6.0, mu, SPEC), rtol=1e-9, atol=0.0)
+    assert np.allclose(inside, -np.expm1(-12.0 * mu), rtol=1e-9, atol=0.0)
 
 
 def test_distribution_monotone_in_kappa():
