@@ -1,18 +1,23 @@
 """
-Loader for the native march kernel, ``_march.c``.
+Loader for the native kernels, ``_march.c``: the switched scheme's march,
+the domain-split schemes' tridiagonal solve and the CSV row formatter.
 
-The kernel is compiled with cffi (API mode, ``-O2 -ffp-contract=off``, no
+The module is compiled with cffi (API mode, ``-O2 -ffp-contract=off``, no
 ``-march=native``, no fast-math) on first use, into ``_native_cache/``
 next to this file.  The module name, and so the file, is keyed by a hash
 of the C source, the declarations, the flags and the interpreter's
 extension suffix (its ABI tag); a build goes to a temporary directory and
 is published by an atomic rename, so concurrent first runs are safe.
-Importing idsa_lab imports neither this module nor cffi: a march imports
-it and calls ``load``, and a built module needs only ``_cffi_backend``.
+
+Importing idsa_lab imports neither this module nor cffi: the first march,
+domain-split scheme or CSV file imports it and calls ``load``, and a built
+module needs only ``_cffi_backend``.
 
 When the module cannot be built or loaded (no cffi, no compiler, a
 read-only package directory), ``load`` says why on stderr once and returns
-None, and the switched scheme marches with numpy, which gives the same bits.
+None.  Each kernel then falls back to its reference, which gives the same
+bits: the switched scheme marches with numpy, and the solve and the CSV
+formatting run in Python.
 """
 
 from __future__ import annotations
@@ -40,11 +45,24 @@ typedef struct {
 long march(const march_rows *m, const double *Jt0, const double *Js0,
            double *Jt, double *Js, signed char *tags, signed char *dom,
            long steps, int watch, int *negative);
+
+int gtsv_factor(int n, double *dl, double *d, double *du, double *fact, signed char *swap);
+void gtsv_solve(int n, const double *dl, const double *d, const double *du,
+                const double *fact, const signed char *swap, double *b);
+
+typedef struct {
+    char kind;
+    const void *data;
+    const long long *ends;
+    long long len;
+} csv_column;
+
+long long format_rows(long long n_rows, int n_cols, const csv_column *cols, char *out);
 """
 
 
 class BuildError(RuntimeError):
-    """The kernel could not be compiled."""
+    """The native module could not be compiled."""
 
 
 def _build(name: str, source: str, target: Path) -> None:
@@ -76,7 +94,7 @@ def _import(name: str, path: Path):
 
 @functools.cache
 def load():
-    """The compiled kernel module (``.ffi``, ``.lib``), or None to march with numpy."""
+    """The compiled module (``.ffi``, ``.lib``), or None to use the references."""
     try:
         source = _SOURCE.read_text()
         suffix = importlib.machinery.EXTENSION_SUFFIXES[0]  # carries the ABI tag
@@ -87,15 +105,15 @@ def load():
         if not target.exists():
             start = time.perf_counter()
             _build(name, source, target)
-            print(f"idsa-lab: compiled the native march kernel in "
+            print(f"idsa-lab: compiled the native kernels in "
                   f"{time.perf_counter() - start:.2f} s", file=sys.stderr)
         return _import(name, target)
     except (BuildError, ImportError, OSError) as exc:
-        print(f"idsa-lab: native march kernel unavailable, marching with numpy: {exc}",
-              file=sys.stderr)
+        print("idsa-lab: native kernels unavailable, solving and formatting in Python "
+              f"and marching with numpy: {exc}", file=sys.stderr)
         return None
 
 
 def backend() -> str:
-    """Which march runs in this process: "native" or "numpy"."""
+    """Which kernels run in this process: "native", or "numpy" for the references."""
     return "numpy" if load() is None else "native"

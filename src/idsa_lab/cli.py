@@ -9,11 +9,12 @@ are serialized with 17 significant digits so files round-trip doubles
 exactly; identical configs produce byte-identical CSV bodies.
 
 Runners hand ``_write_csv`` arrays, not rows.  A file is written one
-block (one snapshot) at a time: each block is formatted column-wise
-through one row template, with the same ``.17g`` text as formatting
-value by value, and goes to disk before the next is formatted.  The
-snapshot time is formatted once per block and the radius column once per
-file.  scipy is imported only when a domain-split scheme is built.
+block (one snapshot) at a time: the native formatter (``_march.c``)
+writes a block's rows from its columns, with the same ``.17g`` text as
+formatting value by value, and the block goes to disk before the next is
+formatted.  ``_block_text_python`` is its reference, and the fallback
+when the native module cannot be built.  The snapshot time is formatted
+once per block.
 
 ``solve-old`` and ``solve-new`` march once: one call to
 ``ReformedScheme.run_to_stationarity`` returns the snapshot states and the
@@ -56,9 +57,9 @@ from .reformed import (
 )
 from .sphere import exact_moments
 
-# Experiments that march the switched scheme; their manifest says which
-# march ran ("native" or "numpy").
-_MARCHING = ("solve-idsa", "spurious", "instability")
+# Experiments that march the switched or a domain-split scheme; their
+# manifest says which kernels stepped it ("native" or "numpy").
+_MARCHING = ("solve-idsa", "solve-old", "solve-new", "spurious", "instability")
 
 _SOLVER_FAILURES = (
     NegativityError,
@@ -88,11 +89,16 @@ def _atomic_write(path: Path, text) -> None:
 
 # Cell format per dtype kind: what ``_fmt`` writes for a value of that kind.
 _CELL = {"f": "{:.17g}", "b": "{:d}", "i": "{}"}
+# The dtype the native formatter reads a column of that kind as, and the
+# widest cell it writes for it: "-2.2250738585072014e-308",
+# "-9223372036854775808", "1".
+_NATIVE = {"f": (np.float64, 24), "b": (np.bool_, 1), "i": (np.int64, 20)}
 
 
-def _float_text(values: np.ndarray) -> list[str]:
-    """Float cells as text, for a column that repeats across blocks."""
-    return list(map(_CELL["f"].format, values.tolist()))
+def _kind(a: np.ndarray) -> str:
+    if a.dtype.kind not in _CELL:
+        raise TypeError(f"cannot write a column of dtype {a.dtype}")
+    return a.dtype.kind
 
 
 def _block_text(columns) -> str:
@@ -100,8 +106,48 @@ def _block_text(columns) -> str:
     The rows of one block, columns in header order, each cell written as
     ``_fmt`` writes it.  An array column is formatted by its dtype, a list
     is text written verbatim, and a scalar (the snapshot time) is formatted
-    once into the row template.  At least one column must be an array or list.
+    once.  At least one column must be an array or list.  The rows are
+    written by the native formatter, or by ``_block_text_python``, its
+    reference, when the native module cannot be built.
     """
+    from . import _native  # here: importing idsa_lab should not pay for it
+
+    native = _native.load()
+    if native is None:
+        return _block_text_python(columns)
+    ffi = native.ffi
+    n_rows = min(len(col) for col in columns if isinstance(col, list) or np.ndim(col))
+    cols = ffi.new("csv_column[]", len(columns))
+    keep = []  # the buffers cols points into
+    size = n_rows * len(columns)  # separators and newlines
+    for c, col in zip(cols, columns):
+        if isinstance(col, list):
+            cells = [cell.encode() for cell in col[:n_rows]]
+            ends = np.cumsum([len(cell) for cell in cells], dtype=np.int64)
+            c.ends = ffi.from_buffer("long long[]", ends)
+            keep.append(ends)
+            text = b"".join(cells)
+            size += len(text)
+        elif np.ndim(col) == 0:
+            a = np.asarray(col)
+            text = _CELL[_kind(a)].format(a.item()).encode()
+            size += n_rows * len(text)
+        else:
+            a = np.asarray(col)
+            dtype, width = _NATIVE[_kind(a)]
+            a = np.ascontiguousarray(a[:n_rows], dtype=dtype)
+            c.kind, c.data = a.dtype.kind.encode(), ffi.from_buffer(a)
+            keep.append(a)
+            size += n_rows * width
+            continue
+        c.kind, c.data, c.len = b"t", ffi.from_buffer(text), len(text)
+        keep.append(text)
+    out = bytearray(size)
+    return out[: native.lib.format_rows(n_rows, len(columns), cols, ffi.from_buffer(out))].decode()
+
+
+def _block_text_python(columns) -> str:
+    """``_block_text`` in Python, one row template formatted per row."""
     template, cells = [], []
     for col in columns:
         if isinstance(col, list):
@@ -109,9 +155,7 @@ def _block_text(columns) -> str:
             cells.append(col)
             continue
         a = np.asarray(col)
-        spec = _CELL.get(a.dtype.kind)
-        if spec is None:
-            raise TypeError(f"cannot write a column of dtype {a.dtype}")
+        spec = _CELL[_kind(a)]
         if a.ndim:
             template.append(spec)
             cells.append(a.tolist())
@@ -170,7 +214,6 @@ def _run_solve_idsa(cfg: RunConfig, out: Path) -> list[str]:
     blocks = [(s.state, s.tags) for s in traj.snapshots]
     if not any(st.t == traj.final.t for st, _ in blocks):
         blocks.append((traj.final, traj.final_tags))
-    r_text = _float_text(grid.r_centers)
     regime_names = [regime.name.lower() for regime in Regime]
 
     def block(snap):
@@ -178,7 +221,7 @@ def _run_solve_idsa(cfg: RunConfig, out: Path) -> list[str]:
         tot = st.Jt.values + st.Js.values
         hs = np.where(tot > 0, st.Js.values / np.where(tot > 0, tot, 1.0), 0.0)
         names = [regime_names[t] for t in tags.tolist()]
-        return st.t, r_text, st.Jt.values, st.Js.values, st.trapped_fraction(), hs, names
+        return st.t, grid.r_centers, st.Jt.values, st.Js.values, st.trapped_fraction(), hs, names
 
     _write_csv(
         out / "snapshots.csv", _scenario_meta(cfg),
@@ -194,12 +237,11 @@ def _run_solve_reformed(cfg: RunConfig, out: Path, variant: str) -> list[str]:
         [int(round(t / cfg.dt)) for t in cfg.snapshot_times]
     )
     closures = closure_set(grid, cfg.R)
-    r_text = _float_text(grid.r_centers)
 
     def block(st):
         H, K = reconstruct_HK(st, closures)
         h, k = reconstruct_flux_factors(st, closures)
-        return st.t, r_text, st.Jt.values, st.Js.values, H.values, K.values, h.values, k.values
+        return st.t, grid.r_centers, st.Jt.values, st.Js.values, H.values, K.values, h.values, k.values
 
     _write_csv(
         out / "snapshots.csv", _scenario_meta(cfg),

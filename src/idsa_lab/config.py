@@ -75,7 +75,8 @@ EXPERIMENT_DEFAULTS: dict[str, dict] = {
     "spurious": {"n_cells": 50},
     "instability": {"n_cells": 10000, "t_end": 200.0,
                     "snapshot_times": (10.0, 50.0, 100.0, 200.0)},
-    "convergence": {"n_cells": 19998, "t_end": 400.0, "stationarity_tol": 1e-10},
+    # Both variants take the exact stationary state, so no march settings.
+    "convergence": {"n_cells": 19998},
     "err0": {},
 }
 
@@ -84,6 +85,8 @@ _REQUIRED = ("experiment",)
 # and the domain-split schemes exist only there, and the convergence sweep
 # compares the two.
 _BARE_SPHERE = ("oracle", "solve-old", "solve-new", "convergence")
+# Experiments that integrate the exact moments at oracle_tol.
+_ORACLE = ("oracle", "convergence")
 # Experiments that take snapshots -> the first step they write; solve-idsa
 # writes the zero state at step 0.
 _FIRST_SNAPSHOT_STEP = {"solve-idsa": 0, "solve-old": 1, "solve-new": 1, "instability": 1}
@@ -144,6 +147,20 @@ def _resolve(raw: dict[str, str]) -> RunConfig:
     return RunConfig(values)
 
 
+def _oracle_tol_floor(kappa_R: float) -> float:
+    """
+    The smallest oracle_tol the quadrature meets at opacity times radius
+    kappa_R: 1e-15 * max(1, kappa_R / 6), to three digits.  Near r = R the
+    exponents of the oracle's integrands cancel to about eps * kappa_R, and
+    below that roundoff no panel meets its budget; the quadrature bisects
+    until its live-panel cap stops it.  Measured over kappa_R from 0.1 to
+    1e5 and 256 radii within 1e-16 to 1e-2 R of R, spaced 1e-8 R to 1e-2 R
+    apart: the whole scan passed at half this floor, and the failures start
+    at 0.2 to 0.5 eps * kappa_R.
+    """
+    return float(f"{1e-15 * max(1.0, kappa_R / 6.0):.3g}")
+
+
 def _validate(v: dict) -> None:
     def need(cond, msg):
         if not cond:
@@ -177,6 +194,12 @@ def _validate(v: dict) -> None:
         items = value if isinstance(value, tuple) else (value,)
         need(all(np.isfinite(x) for x in items if isinstance(x, float)),
              f"{key} must be finite, got {value}")
+    if v["experiment"] in _ORACLE:
+        kappa = v["kappa"] if v["experiment"] == "oracle" else max(v["kappa_list"], default=0.0)
+        floor = _oracle_tol_floor(kappa * v["R"])
+        need(v["oracle_tol"] >= floor,
+             f"oracle_tol = {v['oracle_tol']:g} is below roundoff at kappa*R = {kappa * v['R']:g}:"
+             f" the smallest admissible oracle_tol there is {floor:g}")
     need(v["experiment"] not in _BARE_SPHERE or (v["kappa_outside"] == 0 and v["kappa_s"] == 0),
          f"{v['experiment']} needs the bare sphere: kappa_outside = kappa_s = 0")
     if v["experiment"] in _FIRST_SNAPSHOT_STEP:

@@ -24,8 +24,10 @@ snapped to the nearest grid face (choose n_cells so R lands on a face to
 avoid O(dr) interface smearing), and both the boundary flux and the edge
 gradient use a one-sided second-order stencil through the zero face value.
 
-scipy (for the banded solve) is imported when the first scheme is built,
-so importing the package does not pay for it.
+The tridiagonal systems are solved as LAPACK's dgtsv solves them: the
+matrix is factored once (``_Tridiagonal``), with dgtsv's row interchanges,
+and each step repeats only dgtsv's right-hand-side work, in the native
+module when it can be built and in Python otherwise, with the same bits.
 """
 
 from __future__ import annotations
@@ -89,13 +91,102 @@ def reconstruct_flux_factors(state: TwoComponentState, closures: ClosureSet):
     return RadialField(grid, h), RadialField(grid, k)
 
 
+def _gtsv_factor(dl: list, d: list, du: list):
+    """
+    dgtsv's factor pass, in place on the sub-, main and superdiagonal lists;
+    returns (fact, swap): each elimination's multiplier and whether it
+    interchanged rows.  The reference for ``gtsv_factor`` in ``_march.c``.
+    """
+    n = len(d)
+    fact, swap = [0.0] * (n - 1), [False] * (n - 1)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise ValueError(f"singular tridiagonal matrix: zero pivot in row {i + 1}")
+            fact[i] = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact[i] * du[i]
+            if i < n - 2:
+                dl[i] = 0.0
+        else:
+            f, temp = d[i] / dl[i], d[i + 1]
+            fact[i], swap[i] = f, True
+            d[i] = dl[i]
+            d[i + 1] = du[i] - f * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -f * dl[i]
+            du[i] = temp
+    if d[n - 1] == 0.0:
+        raise ValueError(f"singular tridiagonal matrix: zero pivot in row {n}")
+    return fact, swap
+
+
+def _gtsv_solve(dl, d, du, fact, swap, b: list) -> list:
+    """dgtsv's right-hand-side pass, in place on b; the reference for ``gtsv_solve``."""
+    n = len(b)
+    for i in range(n - 1):
+        if swap[i]:
+            b[i], b[i + 1] = b[i + 1], b[i] - fact[i] * b[i + 1]
+        else:
+            b[i + 1] = b[i + 1] - fact[i] * b[i]
+    b[n - 1] = b[n - 1] / d[n - 1]
+    if n > 1:
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
+
+
+class _Tridiagonal:
+    """
+    The tridiagonal matrix with sub-, main and superdiagonals ``dl`` (n - 1),
+    ``d`` (n) and ``du`` (n - 1), factored once as LAPACK's dgtsv factors it
+    (what scipy's ``solve_banded((1, 1), ...)`` calls), so that ``solve``
+    gives dgtsv's bits with only its right-hand-side work.
+    """
+
+    def __init__(self, dl: np.ndarray, d: np.ndarray, du: np.ndarray):
+        from . import _native  # here: importing idsa_lab should not pay for it
+
+        n = d.size
+        if n == 0 or d.shape != (n,) or not dl.shape == du.shape == (n - 1,):
+            raise ValueError(f"diagonals of lengths {dl.shape}, {d.shape}, {du.shape}")
+        if not (np.isfinite(dl).all() and np.isfinite(d).all() and np.isfinite(du).all()):
+            raise ValueError("tridiagonal matrix has non-finite entries")
+        self.n = n
+        self._native = _native.load()
+        if self._native is None:
+            self._factors = [dl.tolist(), d.tolist(), du.tolist()]
+            self._factors += _gtsv_factor(*self._factors)
+            return
+        ffi, lib = self._native.ffi, self._native.lib
+        self._factors = [np.array(dl, dtype=float), np.array(d, dtype=float),
+                         np.array(du, dtype=float), np.empty(n - 1), np.empty(n - 1, np.int8)]
+        self._ptrs = [ffi.from_buffer(t + "[]", a) for t, a in
+                      zip(["double"] * 4 + ["signed char"], self._factors)]
+        info = lib.gtsv_factor(n, *self._ptrs)
+        if info:
+            raise ValueError(f"singular tridiagonal matrix: zero pivot in row {info}")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """The solution x of A x = b, as a new array."""
+        if b.shape != (self.n,):
+            raise ValueError(f"right-hand side of shape {b.shape} for {self.n} unknowns")
+        if not np.isfinite(b).all():
+            raise ValueError("right-hand side has non-finite entries")
+        if self._native is None:
+            return np.array(_gtsv_solve(*self._factors, b.tolist()))
+        x = np.array(b, dtype=float)
+        self._native.lib.gtsv_solve(
+            x.size, *self._ptrs, self._native.ffi.from_buffer("double[]", x)
+        )
+        return x
+
+
 class ReformedScheme:
     """One domain-split variant bound to a scenario, grid and time step."""
 
     def __init__(self, variant: str, spec: ProblemSpec, grid: RadialGrid, cfg: SolverConfig):
-        from scipy.linalg import solve_banded
-
-        self._solve_banded = solve_banded
         variant = variant.lower()
         if variant not in ("old", "new"):
             raise ValueError(f"variant must be 'old' or 'new', got {variant!r}")
@@ -149,10 +240,7 @@ class ReformedScheme:
         self._L = (lower, diag, upper)
         self._q = np.full(m, spec.kappa * spec.B)
         dt = cfg.dt
-        self._M = np.zeros((3, m))
-        self._M[0, 1:] = -dt * upper[:-1]
-        self._M[1, :] = 1.0 - dt * diag
-        self._M[2, :-1] = -dt * lower[1:]
+        self._M = _Tridiagonal(-dt * lower[1:], 1.0 - dt * diag, -dt * upper[:-1])
 
     def _gradient(self, Jt_in: np.ndarray):
         """Second-order trapped gradient at centers, plus the face-R value."""
@@ -223,7 +311,7 @@ class ReformedScheme:
         while steps is None or k < last:
             k += 1
             t = k * dt
-            Jt_new = self._solve_banded((1, 1), self._M, Jt + dt * self._q)
+            Jt_new = self._M.solve(Jt + dt * self._q)
             if np.any(Jt_new < -1e-12 * B):
                 i = int(np.argmin(Jt_new))
                 raise NegativityError("trapped component", t, i, float(Jt_new[i]))
@@ -240,11 +328,7 @@ class ReformedScheme:
     def stationary_direct(self) -> TwoComponentState:
         """The exact stationary state: one direct solve of L Jt = -q, no march."""
         lower, diag, upper = self._L
-        ab = np.zeros((3, self.m))
-        ab[0, 1:] = -upper[:-1]
-        ab[1, :] = -diag
-        ab[2, :-1] = -lower[1:]
-        Jt = self._solve_banded((1, 1), ab, self._q)
+        Jt = _Tridiagonal(-lower[1:], -diag, -upper[:-1]).solve(self._q)
         return self._assemble_state(Jt, np.inf)
 
 

@@ -76,7 +76,8 @@ def test_columnar_writer_matches_rowwise_formatting(tmp_path_factory, blocks, me
 # instead of the running sum of dt, which changed only the t column.  At
 # kappa = 10 stationarity comes at t = 3.4, so the march goes on past it to
 # the snapshot at t = 50.  The digests pin the CSV text, so they also move if
-# numpy, scipy or LAPACK round a solve differently.
+# numpy or the tridiagonal solve round differently; the solve keeps LAPACK
+# dgtsv's operations, so these digests held when it replaced scipy's.
 _REFORMED_RUNS = {
     "old": ("old", 2, "1, 2.5",
             "e44d1046a503ca72cf3994d1fafec6d5b02e71b06237a7c3f98248543799aba5"),

@@ -74,7 +74,7 @@ _RESOLVED_BY_EXPERIMENT = {
     "spurious": {"n_cells": 50},
     "instability": {"n_cells": 10000, "snapshot_times": [10.0, 50.0, 100.0, 200.0],
                     "t_end": 200.0},
-    "convergence": _DOMAIN_SPLIT,
+    "convergence": {"n_cells": 19998},
     "err0": {},
 }
 
@@ -288,6 +288,25 @@ def test_cli_rejects_oracle_tol_below_roundoff(tmp_path):
     assert parse_config("experiment = oracle\noracle_tol = 1e-15\n").oracle_tol == 1e-15
 
 
+@pytest.mark.parametrize(
+    "n_cells, kappa, tol, floor", [(2000, 100, "1e-15", "1e-13"), (19998, 1000, "1e-14", "1e-12")]
+)
+def test_cli_rejects_oracle_tol_below_the_kappa_R_floor(tmp_path, capsys, n_cells, kappa, tol, floor):
+    # These tolerances used to bisect panels just inside R until the
+    # live-panel cap stopped the run with exit 3; the floor rejects them up
+    # front, names the smallest admissible one, and that one runs.
+    text = f"experiment = oracle\nn_cells = {n_cells}\nkappa = {kappa}\n"
+    out = tmp_path / "a" / "out"
+    assert _run_cli(tmp_path, text + f"oracle_tol = {tol}\n", f"output_dir={out}") == 2
+    assert f"the smallest admissible oracle_tol there is {floor}" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+    assert _run_cli(tmp_path, text + f"oracle_tol = {floor}\n", f"output_dir={out}") == 0
+    # convergence takes the floor of its largest kappa
+    with pytest.raises(ConfigError, match=f"kappa\\*R = {6 * kappa:g}"):
+        parse_config(f"experiment = convergence\nkappa_list = 1, {kappa}\noracle_tol = {tol}\n")
+    parse_config(f"experiment = convergence\nkappa_list = 1, {kappa}\noracle_tol = {floor}\n")
+
+
 def test_cli_rejects_unbounded_spurious_sweep(tmp_path):
     out = f"output_dir={tmp_path / 'out'}"
     assert _run_cli(tmp_path, "experiment = spurious\neps_list = 0.1, inf\n", out) == 2
@@ -356,13 +375,28 @@ def test_console_entry_point(tmp_path):
     assert (out / "err0.csv").exists()
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is imported only when a domain-split scheme is built.
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # scipy is a test dependency only: importing the package and running
+    # both domain-split schemes, which solve tridiagonal systems, never load it.
     src = str(Path(idsa_lab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import idsa_lab, idsa_lab.cli, sys; assert 'scipy' not in sys.modules"
+    runs = []
+    for variant in ("old", "new"):
+        cfg = tmp_path / f"{variant}.cfg"
+        cfg.write_text(f"experiment = solve-{variant}\nn_cells = 300\nsnapshot_times = 1\n"
+                       f"output_dir = {tmp_path / variant}\n")
+        runs.append(f"assert main(['run', {str(cfg)!r}]) == 0")
+    code = "\n".join([
+        "import idsa_lab, idsa_lab.cli, sys",
+        "assert 'scipy' not in sys.modules",
+        "from idsa_lab.cli import main",
+        *runs,
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)",
+    ])
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    for variant in ("old", "new"):
+        assert (tmp_path / variant / "snapshots.csv").exists()
 
 
 @pytest.mark.parametrize("experiment", ["solve-idsa", "solve-old", "solve-new", "instability"])

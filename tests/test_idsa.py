@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -385,3 +386,62 @@ def test_instability_bound_violation_raises():
         run_instability_experiment(
             SPEC, GRID, CFG, snapshot_times=(10.0,), bound_margin=-0.9
         )
+
+
+@st.composite
+def _coarse_scenario(draw):
+    """
+    A bare sphere on a coarse grid: kappa dr <= 1 and a diffusion number
+    dt / (3 kappa dr^2) <= 1/2, at most 100 cells.  Finer grids (the edge
+    instability), cells a mean free path or more wide, and a nonzero opacity
+    outside R all let sup(Jt + Js) overshoot B by up to 20 %.
+    """
+    kappa = draw(st.floats(0.1, 20.0))
+    R = draw(st.floats(1.0, 10.0))
+    r_max = R * draw(st.floats(1.2, 4.0))
+    dt = draw(st.floats(0.01, 1.0))
+    n_lo = math.ceil(kappa * r_max)
+    n_hi = math.floor(r_max / math.sqrt(2.0 * dt / (3.0 * kappa)))
+    assume(max(n_lo, 10) <= min(n_hi, 100))
+    n = draw(st.integers(max(n_lo, 10), min(n_hi, 100)))
+    B = draw(st.floats(1e-2, 1e2))
+    t_end = draw(st.floats(5.0, 100.0))
+    return ProblemSpec(B=B, R=R, kappa=kappa), make_uniform_grid(r_max, n), dt, t_end
+
+
+@settings(max_examples=60, deadline=2000)
+@given(scenario=_coarse_scenario())
+def test_coarse_switched_scheme_stays_below_equilibrium(scenario):
+    spec, grid, dt, t_end = scenario
+    traj = run_to_time(spec, grid, SolverConfig(dt=dt, t_end=t_end, stationarity_tol=1e-12))
+    assert traj.sup_total.max() <= spec.B * (1.0 + 1e-6)
+
+
+@settings(max_examples=40, deadline=2000)
+@given(
+    scenario=_coarse_scenario(),
+    k=st.integers(-30, 30),
+    kappa_outside=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+)
+def test_switched_states_are_linear_in_the_equilibrium_level(scenario, k, kappa_outside):
+    # The min-max source, the trapped update and the streaming sweep are all
+    # homogeneous in (Jt, Js, B), and so are the stop and domination tests:
+    # scaling B by a power of two scales every state bit for bit, except
+    # where a value is subnormal (the streaming field deep inside an opaque
+    # sphere) and scaling it rounds.
+    spec, grid, dt, t_end = scenario
+    spec = dataclasses.replace(spec, kappa_outside=kappa_outside)
+    cfg = SolverConfig(dt=dt, t_end=t_end, stationarity_tol=1e-8)
+    factor = 2.0**k
+    traj = run_to_time(spec, grid, cfg, (1.0, 3.0))
+    scaled = run_to_time(dataclasses.replace(spec, B=factor * spec.B), grid, cfg, (1.0, 3.0))
+    assert scaled.stopped == traj.stopped
+    pairs = [(a.state, b.state) for a, b in zip(traj.snapshots, scaled.snapshots, strict=True)]
+    tiny = 2.0**-990  # times 2^+-30 still normal
+    for a, b in [*pairs, (traj.final, scaled.final)]:
+        assert b.t == a.t
+        for x, x_c in ((a.Jt.values, b.Jt.values), (a.Js.values, b.Js.values)):
+            normal = np.abs(x) >= tiny
+            assert np.array_equal(x_c[normal], factor * x[normal])
+            assert np.all(np.abs(x_c[~normal]) <= tiny * max(factor, 1.0))
+    assert np.array_equal(scaled.final_tags, traj.final_tags)

@@ -1,9 +1,15 @@
 """
-The native march kernel against the numpy march: bit-identical fields,
-tags, stops and records; the fallback when the kernel cannot be built.
+The native kernels against their references: the march against the numpy
+march (fields, tags, stops and records), the tridiagonal solve against the
+Python dgtsv and scipy, and the CSV formatter against Python's ``.17g``,
+all bit for bit; and the fallback when the module cannot be built.
 """
 
 import contextlib
+import itertools
+import math
+import signal
+from decimal import Decimal
 import importlib.util
 import json
 import os
@@ -28,8 +34,9 @@ from idsa_lab import (
     run_to_time,
 )
 from idsa_lab import _native
-from idsa_lab.cli import main
+from idsa_lab.cli import _block_text, _block_text_python, main
 from idsa_lab.idsa import _Kernel, _first_step, _march
+from idsa_lab.reformed import ReformedScheme, _gtsv_factor, _gtsv_solve, _Tridiagonal
 
 needs_native = pytest.mark.skipif(
     _native.load() is None, reason="the native march kernel cannot be built here"
@@ -45,6 +52,22 @@ def _numpy_march():
         yield
     finally:
         _native.load = load
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: float):
+    """Fail the test, instead of hanging it, once the block runs past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"test ran past its {seconds} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _both(fn):
@@ -244,7 +267,7 @@ def _run_spurious(tmp_path, name):
 @needs_native
 def test_failed_build_falls_back_to_numpy(tmp_path, monkeypatch, fresh_load, capsys):
     native_csv, native_march = _run_spurious(tmp_path, "native")
-    assert "compiled the native march kernel in" in capsys.readouterr().err
+    assert "compiled the native kernels in" in capsys.readouterr().err
 
     def broken(*args):
         raise _native.BuildError("no C compiler")
@@ -270,3 +293,167 @@ def test_import_neither_loads_cffi_nor_builds():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
 
+
+
+# ------------------------------------------------------------ CSV formatter
+
+def _python_text(values) -> str:
+    return "".join(format(x, ".17g") + "\n" for x in values.tolist())
+
+
+@needs_native
+def test_native_formatter_matches_python_on_random_bit_patterns():
+    # 2M random 64-bit patterns: half drawn over every pattern (NaNs, infinities,
+    # subnormals and wide exponents, which glibc formats), half with the
+    # exponent of a normal value in (1e-6, 1e17), where the integer path runs.
+    rng = np.random.default_rng(20261018)
+    n = 1_000_000
+    wide = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+    mantissa = rng.integers(0, 2**52, size=n, dtype=np.uint64)
+    sign = rng.integers(0, 2, size=n, dtype=np.uint64) << np.uint64(63)
+    exponent = rng.integers(1002, 1080, size=n, dtype=np.uint64) << np.uint64(52)
+    with _time_limit(60):
+        for bits in (wide, sign | exponent | mantissa):
+            values = bits.view(np.float64)
+            assert _block_text([values]) == _python_text(values)
+    narrow = (sign | exponent | mantissa).view(np.float64)
+    assert np.mean((np.abs(narrow) > 1e-6) & (np.abs(narrow) < 1e17)) > 0.9
+
+
+def _exact_ties():
+    """
+    Doubles k 2^-n whose exact decimal expansion has 18 significant digits
+    ending in 5: the 17-digit text is a tie, rounded half to even.
+    """
+    ties = []
+    for k, n in itertools.product(range(1, 2**12, 2), range(0, 60)):
+        x = math.ldexp(k, -n)
+        digits = format(Decimal(x), "f").replace(".", "").strip("0")
+        if len(digits) == 18 and digits[-1] == "5" and 1e-6 < x < 1e17:
+            ties.append(x)
+    return ties
+
+
+_FORMAT_EDGES = [
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+    5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+    9.9999999999999999e16, 99999999999999984.0, 1e17, 1e16, 9999999999999998.0,
+    1e-6, 1.0000000000000002e-06, 9.9999999999999995e-07,
+    1e-5, 9.9999999999999991e-06, 1.0000000000000001e-05,
+    1e-4, 9.9999999999999991e-05, 1.0000000000000002e-04,
+    0.5, 1.0, 0.1, 1.0 / 3.0, 2.0 / 3.0, 123456789012345678.0, 1234567890123456.25,
+]
+
+
+@needs_native
+def test_native_formatter_matches_python_on_edge_values():
+    ties = _exact_ties()
+    assert len(ties) > 1000
+    values = np.array(_FORMAT_EDGES + [-x for x in _FORMAT_EDGES] + ties + [-x for x in ties])
+    assert np.signbit(values[3]) and math.isnan(values[3])  # a NaN with the sign bit set
+    with _time_limit(30):
+        text = _block_text([values])
+    assert text == _python_text(values)
+    assert text == _block_text_python([values])
+    assert "-nan" not in text
+
+
+# ------------------------------------------------------------ tridiagonal solve
+
+def _banded_matrices(n_cells, kappa, variant, dt):
+    """The scheme's step matrix I - dt L and its stationary matrix -L as (dl, d, du)."""
+    grid = make_uniform_grid(18.0, n_cells)
+    scheme = ReformedScheme(variant, ProblemSpec(B=1.0, R=6.0, kappa=kappa), grid,
+                            SolverConfig(dt=dt))
+    lower, diag, upper = scheme._L
+    return scheme, [(-dt * lower[1:], 1.0 - dt * diag, -dt * upper[:-1]),
+                    (-lower[1:], -diag, -upper[:-1])]
+
+
+@needs_native
+def test_native_solve_matches_python_dgtsv_and_scipy():
+    # The step and stationary matrices of both variants, against the Python
+    # dgtsv and scipy's solve_banded (LAPACK dgtsv), bit for bit.
+    solve_banded = pytest.importorskip("scipy.linalg").solve_banded
+    rng = np.random.default_rng(7)
+    swapped, solves = set(), 0
+    with _time_limit(120):
+        for n_cells, kappa, variant, dt in itertools.product(
+            (30, 600, 3999, 19998), (0.5, 1.0, 3.0, 10.0, 100.0), ("old", "new"), (0.01, 0.1, 1.0)
+        ):
+            scheme, matrices = _banded_matrices(n_cells, kappa, variant, dt)
+            m = scheme.m
+            for which, (dl, d, du) in enumerate(matrices):
+                ab = np.zeros((3, m))
+                ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+                factors = [dl.tolist(), d.tolist(), du.tolist()]
+                fact, swap = _gtsv_factor(*factors)
+                if which == 0 and any(swap):
+                    swapped.add((n_cells, variant, dt, swap.index(True) - m))
+                native = scheme._M if which == 0 else _Tridiagonal(dl, d, du)
+                for b in [scheme._q, *(rng.random(m) * 10.0 ** rng.uniform(-3, 3) for _ in range(2))]:
+                    expected = solve_banded((1, 1), ab, b)
+                    reference = np.array(_gtsv_solve(*factors, fact, swap, b.tolist()))
+                    assert reference.tobytes() == expected.tobytes()
+                    assert native.solve(b).tobytes() == expected.tobytes()
+                    solves += 1
+            direct = scheme.stationary_direct().Jt.values[:m]
+            assert direct.tobytes() == _Tridiagonal(*matrices[1]).solve(scheme._q).tobytes()
+    # dgtsv interchanges rows where |d_i| < |dl_i|: at 19998 cells it does
+    # so for each variant and dt, and only ever at row m - 2.
+    assert {(v, dt, offset) for n, v, dt, offset in swapped if n == 19998} == {
+        (v, dt, -2) for v in ("old", "new") for dt in (0.01, 0.1, 1.0)
+    }
+    assert solves == 4 * 5 * 2 * 3 * 2 * 3
+
+
+@needs_native
+def test_native_solve_matches_python_dgtsv_and_scipy_on_random_matrices():
+    # General matrices interchange rows anywhere, so the second superdiagonal
+    # that dgtsv fills in takes part in the back substitution.
+    solve_banded = pytest.importorskip("scipy.linalg").solve_banded
+    rng = np.random.default_rng(11)
+    interior_swaps = 0
+    with _time_limit(60):
+        for n in (1, 2, 3, 4, 7, 50, 1000):
+            for _ in range(20):
+                dl, d, du = (rng.standard_normal(k) * 10.0 ** rng.uniform(-3, 3, k)
+                             for k in (n - 1, n, n - 1))
+                ab = np.zeros((3, n))
+                ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+                factors = [dl.tolist(), d.tolist(), du.tolist()]
+                fact, swap = _gtsv_factor(*factors)
+                interior_swaps += any(swap[: n - 2])
+                matrix = _Tridiagonal(dl, d, du)
+                for b in rng.standard_normal((3, n)):
+                    expected = solve_banded((1, 1), ab, b)
+                    reference = np.array(_gtsv_solve(*factors, fact, swap, b.tolist()))
+                    assert reference.tobytes() == expected.tobytes()
+                    assert matrix.solve(b).tobytes() == expected.tobytes()
+    assert interior_swaps > 50
+
+
+# ------------------------------------------------------------ fallback
+
+@needs_native
+@pytest.mark.parametrize("experiment", ["oracle", "solve-old", "solve-new", "spurious", "instability"])
+def test_cli_without_native_module_writes_the_same_bytes(tmp_path, experiment):
+    # Default configs: the numpy march, the Python solve and the Python
+    # formatter write what the native module writes.
+    bodies = {}
+    with _time_limit(120):
+        for name in ("native", "numpy"):
+            out = tmp_path / name
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(f"experiment = {experiment}\noutput_dir = {out}\n")
+            with _numpy_march() if name == "numpy" else contextlib.nullcontext():
+                assert main(["run", str(cfg)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest.get("march", name) == name
+            bodies[name] = {
+                f: b"".join(line for line in (out / f).read_bytes().splitlines(True)
+                            if not line.startswith(b"#"))
+                for f in manifest["outputs"]
+            }
+    assert bodies["numpy"] == bodies["native"]

@@ -189,6 +189,60 @@ def test_states_scale_linearly_with_equilibrium_level():
         assert np.allclose(s2.total().values, 2.5 * s1.total().values, rtol=1e-9, atol=1e-12)
 
 
+_POWER_OF_TWO = st.integers(-30, 30).map(lambda k: 2.0**k)
+
+
+@settings(max_examples=40, deadline=2000)
+@given(
+    variant=st.sampled_from(["old", "new"]),
+    kappa=st.floats(0.5, 20.0),
+    j=st.integers(10, 100),
+    factor=st.one_of(_POWER_OF_TWO, st.floats(1e-3, 1e3)),
+)
+def test_marched_states_are_linear_in_the_equilibrium_level(variant, kappa, j, factor):
+    # Every solve and check of the march is homogeneous in B: scaling B
+    # scales the snapshots and the final state, and the stop comes at the
+    # same step.  A power of two scales every rounding too, so bit for bit.
+    grid = grid_div3(3 * j)
+
+    def march(B):
+        scheme = ReformedScheme(variant, ProblemSpec(B=B, R=6.0, kappa=kappa), grid, CFG)
+        final, steps, snaps = scheme.run_to_stationarity([1, 7])
+        return steps, [(s.Jt.values, s.Js.values) for s in [*snaps, final]]
+
+    steps, states = march(1.0)
+    scaled_steps, scaled = march(factor)
+    assert scaled_steps == steps
+    exact = math.frexp(factor)[0] == 0.5
+    for (Jt, Js), (Jt_c, Js_c) in zip(states, scaled, strict=True):
+        for x, x_c in ((Jt, Jt_c), (Js, Js_c)):
+            if exact:
+                assert np.array_equal(x_c, factor * x)
+            else:
+                assert np.allclose(x_c, factor * x, rtol=1e-9, atol=1e-12 * factor)
+
+
+def test_overflowing_source_is_rejected():
+    # kappa * B overflows to inf; the solve rejects it, as LAPACK's caller
+    # did, instead of marching NaN.
+    scheme = ReformedScheme("old", ProblemSpec(B=1e308, R=6.0, kappa=10.0), grid_div3(300), CFG)
+    with pytest.raises(ValueError, match="non-finite"):
+        scheme.run_to_stationarity()
+
+
+def test_tridiagonal_solve_rejects_mismatched_shapes():
+    # The native solve reads n - 1, n and n - 1 diagonal entries and n
+    # right-hand-side entries; other shapes must not reach it.
+    from idsa_lab.reformed import _Tridiagonal
+
+    with pytest.raises(ValueError, match="diagonals of lengths"):
+        _Tridiagonal(np.ones(1), np.ones(3), np.ones(2))
+    matrix = _Tridiagonal(np.ones(2), np.full(3, 4.0), np.ones(2))
+    with pytest.raises(ValueError, match="right-hand side of shape"):
+        matrix.solve(np.ones(4))
+    assert np.allclose(matrix.solve(np.array([5.0, 6.0, 5.0])), 1.0)
+
+
 def test_streaming_extension_flux_constant():
     grid = grid_div3(900)
     from idsa_lab import free_streaming_flux_ratio
