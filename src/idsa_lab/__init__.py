@@ -27,14 +27,11 @@ from .idsa import (
 )
 from .quadrature import QuadratureError, integrate_batch
 from .reformed import (
-    ClosureSet,
     NormalizationSingularityError,
     ReformedScheme,
-    closure_set,
     err0,
     new_idsa_stationary_closed_form,
-    reconstruct_HK,
-    reconstruct_flux_factors,
+    reconstruct_moments,
 )
 from .sphere import (
     FluxFactors,
@@ -44,6 +41,7 @@ from .sphere import (
     exact_distribution,
     exact_moments,
     flux_factors_infinite,
+    free_streaming_closures,
     free_streaming_flux_ratio,
     limit_moments_infinite_kappa,
     moments_at,

@@ -179,12 +179,12 @@ void gtsv_solve(int n, const double *dl, const double *d, const double *du,
  * CSV rows: format_rows writes n_rows rows of n_cols cells, separated by
  * commas and ended by newlines, into out, and returns the bytes written.
  * A float cell is written as "%.17g" (what Python's format(x, ".17g")
- * writes: every NaN is "nan"), an integer in decimal, a bool as 0 or 1 and
- * a text cell verbatim.  out must hold the widest case: 24 bytes per float
- * cell, 20 per integer, 1 per bool, the text, and n_cols separators per row.
+ * writes: every NaN is "nan"), a bool as 0 or 1 and a text cell verbatim.
+ * out must hold the widest case: 24 bytes per float cell, 1 per bool, the
+ * text, and n_cols separators per row.
  */
 typedef struct {
-    char kind;                  /* 'f' double, 'i' int64, 'b' bool (one byte), 't' text */
+    char kind;                  /* 'f' double, 'b' bool (one byte), 't' text */
     const void *data;
     const long long *ends;      /* 't': end of each row's text in data; NULL: the same text every row */
     long long len;              /* 't' without ends: the text's length */
@@ -290,22 +290,6 @@ static int format_double(double x, char *out)
     return (int)(o - out);
 }
 
-static int format_int(long long x, char *out)
-{
-    char tmp[20];
-    unsigned long long v = x < 0 ? 0ULL - (unsigned long long)x : (unsigned long long)x;
-    int k = 0, len = 0;
-    do {
-        tmp[k++] = (char)('0' + v % 10);
-        v /= 10;
-    } while (v);
-    if (x < 0)
-        out[len++] = '-';
-    while (k)
-        out[len++] = tmp[--k];
-    return len;
-}
-
 long long format_rows(long long n_rows, int n_cols, const csv_column *cols, char *out)
 {
     char *o = out;
@@ -317,9 +301,6 @@ long long format_rows(long long n_rows, int n_cols, const csv_column *cols, char
             switch (col->kind) {
             case 'f':
                 o += format_double(((const double *)col->data)[r], o);
-                break;
-            case 'i':
-                o += format_int(((const long long *)col->data)[r], o);
                 break;
             case 'b':
                 *o++ = ((const unsigned char *)col->data)[r] ? '1' : '0';

@@ -48,14 +48,8 @@ from .idsa import (
     run_to_time,
 )
 from .quadrature import QuadratureError
-from .reformed import (
-    NormalizationSingularityError,
-    ReformedScheme,
-    closure_set,
-    reconstruct_flux_factors,
-    reconstruct_HK,
-)
-from .sphere import exact_moments
+from .reformed import NormalizationSingularityError, ReformedScheme, reconstruct_moments
+from .sphere import exact_moments, free_streaming_closures
 
 # Experiments that march the switched or a domain-split scheme; their
 # manifest says which kernels stepped it ("native" or "numpy").
@@ -88,11 +82,10 @@ def _atomic_write(path: Path, text) -> None:
 
 
 # Cell format per dtype kind: what ``_fmt`` writes for a value of that kind.
-_CELL = {"f": "{:.17g}", "b": "{:d}", "i": "{}"}
+_CELL = {"f": "{:.17g}", "b": "{:d}"}
 # The dtype the native formatter reads a column of that kind as, and the
-# widest cell it writes for it: "-2.2250738585072014e-308",
-# "-9223372036854775808", "1".
-_NATIVE = {"f": (np.float64, 24), "b": (np.bool_, 1), "i": (np.int64, 20)}
+# widest cell it writes for it: "-2.2250738585072014e-308", "1".
+_NATIVE = {"f": (np.float64, 24), "b": (np.bool_, 1)}
 
 
 def _kind(a: np.ndarray) -> str:
@@ -211,9 +204,7 @@ def _run_oracle(cfg: RunConfig, out: Path) -> list[str]:
 def _run_solve_idsa(cfg: RunConfig, out: Path) -> list[str]:
     grid = make_uniform_grid(cfg.r_max, cfg.n_cells)
     traj = run_to_time(_spec(cfg), grid, _solver_config(cfg), tuple(cfg.snapshot_times))
-    blocks = [(s.state, s.tags) for s in traj.snapshots]
-    if not any(st.t == traj.final.t for st, _ in blocks):
-        blocks.append((traj.final, traj.final_tags))
+    blocks = [(s.state, s.tags) for s in traj.snapshots] + [(traj.final, traj.final_tags)]
     regime_names = [regime.name.lower() for regime in Regime]
 
     def block(snap):
@@ -236,12 +227,13 @@ def _run_solve_reformed(cfg: RunConfig, out: Path, variant: str) -> list[str]:
     final, _, snaps = scheme.run_to_stationarity(
         [int(round(t / cfg.dt)) for t in cfg.snapshot_times]
     )
-    closures = closure_set(grid, cfg.R)
+    closures = free_streaming_closures(grid.r_centers, cfg.R)
 
     def block(st):
-        H, K = reconstruct_HK(st, closures)
-        h, k = reconstruct_flux_factors(st, closures)
-        return st.t, grid.r_centers, st.Jt.values, st.Js.values, H.values, K.values, h.values, k.values
+        moments = reconstruct_moments(st, closures)
+        ff = moments.flux_factors()
+        return (st.t, grid.r_centers, st.Jt.values, st.Js.values, moments.H.values,
+                moments.K.values, ff.h.values, ff.k.values)
 
     _write_csv(
         out / "snapshots.csv", _scenario_meta(cfg),

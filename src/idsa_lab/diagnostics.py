@@ -10,14 +10,8 @@ import numpy as np
 
 from .grids import ProblemSpec, RadialGrid, l2_relative_error
 from .idsa import SolverConfig
-from .reformed import (
-    ReformedScheme,
-    closure_set,
-    err0,
-    new_idsa_stationary_closed_form,
-    reconstruct_HK,
-)
-from .sphere import MomentTriple, exact_moments
+from .reformed import ReformedScheme, err0, new_idsa_stationary_closed_form, reconstruct_moments
+from .sphere import MomentTriple, exact_moments, free_streaming_closures
 
 
 @dataclass(frozen=True)
@@ -90,21 +84,20 @@ def convergence_sweep(
     """
     if cfg is None:
         cfg = SolverConfig()
-    closures = closure_set(grid, R)
+    closures = free_streaming_closures(grid.r_centers, R)
     records = []
     for kap in kappa_list:
         kap = float(kap)
         spec = ProblemSpec(B=B, R=R, kappa=kap)
         try:
             moments = oracle[kap] if oracle is not None else exact_moments(grid, spec, oracle_tol)
-            state = stationary_state(variant, spec, grid, cfg)
-            H, K = reconstruct_HK(state, closures)
+            approx = reconstruct_moments(stationary_state(variant, spec, grid, cfg), closures)
             records.append(
                 ConvergenceRecord(
                     kappa=kap,
-                    errJ=l2_relative_error(state.total(), moments.J),
-                    errH=l2_relative_error(H, moments.H),
-                    errK=l2_relative_error(K, moments.K),
+                    errJ=l2_relative_error(approx.J, moments.J),
+                    errH=l2_relative_error(approx.H, moments.H),
+                    errK=l2_relative_error(approx.K, moments.K),
                 )
             )
         except Exception as exc:  # noqa: BLE001 - annotate and continue the sweep

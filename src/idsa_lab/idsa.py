@@ -292,10 +292,6 @@ class Snapshot:
 @dataclass(eq=False)
 class Trajectory:
     snapshots: list = field(default_factory=list)
-    times: np.ndarray | None = None
-    rel_change: np.ndarray | None = None
-    sup_total: np.ndarray | None = None
-    regime_counts: np.ndarray | None = None
     final: TwoComponentState | None = None
     final_tags: np.ndarray | None = None
     stopped: str = "t_end"
@@ -312,11 +308,11 @@ def run_to_time(
 
     The final state is the one at cfg.t_end, or at the first step where the
     per-step relative change max(|dJt|, |dJs|) / max(|Jt|, |Js|) falls below
-    cfg.stationarity_tol; regime tag counts, sup(Jt + Js) and the relative
-    change are recorded per step up to it.  The march goes on past it to the
-    last requested snapshot.  Snapshots are taken at the steps nearest the
-    requested times.  A snapshot and the final state carry the regime tags
-    of the source that produced them (REACTION everywhere at t = 0).
+    cfg.stationarity_tol; ``stopped`` says which ("t_end" or "stationary").
+    The march goes on past it to the last requested snapshot.  Snapshots
+    are taken at the steps nearest the requested times.  A snapshot and the
+    final state carry the regime tags of the source that produced them
+    (REACTION everywhere at t = 0).
     """
     snap_steps = sorted({max(0, int(round(ts / cfg.dt))) for ts in snapshot_times})
     n_steps = int(round(cfg.t_end / cfg.dt))
@@ -326,7 +322,6 @@ def run_to_time(
     if n_steps == 0:
         traj.final, traj.final_tags = start.state, start.tags
 
-    times, rel, sup, counts = [], [], [], []
     prev = [zeros, zeros]
 
     def observe(k, t, Jt, Js, tags):
@@ -337,10 +332,6 @@ def run_to_time(
             scale = max(Jt.max(initial=0.0), Js.max(initial=0.0), 1e-300)
             change = max(np.max(np.abs(Jt - prev[0])), np.max(np.abs(Js - prev[1]))) / scale
             prev[:] = Jt, Js
-            times.append(t)
-            rel.append(change)
-            sup.append(float(np.max(Jt + Js)))
-            counts.append(np.bincount(tags, minlength=3))
             if change < cfg.stationarity_tol:
                 traj.stopped = "stationary"
             elif k < n_steps:
@@ -351,15 +342,17 @@ def run_to_time(
         return (None, later[0]) if later else (np.array([True]), None)
 
     _march(_Kernel([spec], grid, cfg), observe, max([n_steps, *snap_steps]), with_tags=True)
-    traj.times = np.asarray(times)
-    traj.rel_change = np.asarray(rel)
-    traj.sup_total = np.asarray(sup)
-    traj.regime_counts = np.asarray(counts)
     return traj
 
 
 def _make_state(grid, Jt, Js, t):
     return TwoComponentState(RadialField(grid, Jt.copy()), RadialField(grid, Js.copy()), t=t)
+
+
+# A takeover first seen at t is confirmed once it holds until
+# max(_CONFIRM * t, t + _MIN_HOLD).
+_CONFIRM = 2.0
+_MIN_HOLD = 10.0
 
 
 @dataclass(frozen=True)
@@ -375,8 +368,6 @@ def run_spurious_trapped_experiment(
     grid: RadialGrid,
     cfg: SolverConfig,
     horizon: float = 1e6,
-    confirm: float = 2.0,
-    min_hold: float = 10.0,
 ) -> list[TakeoverRecord]:
     """
     Time for spurious trapped particles to take over the streaming region.
@@ -384,7 +375,7 @@ def run_spurious_trapped_experiment(
     For each eps the absorption outside the sphere is set to eps and the
     system is marched from zero data.  The takeover time is the first t at
     which the trapped fraction Jt/(Jt+Js) exceeds 1/2 on every cell r >= R,
-    confirmed by holding until max(confirm * t, t + min_hold).
+    confirmed by holding until max(2 t, t + 10).
 
     The switch chatters forever at the interface cells (per-step relative
     change plateaus at ~0.05 * eps, never below any fixed tolerance), so
@@ -417,7 +408,7 @@ def run_spurious_trapped_experiment(
         done = dominated & (t >= until)
         if np.count_nonzero(dominated == np.isnan(first)):  # a domination began or ended
             first = np.where(dominated, np.fmin(first, t), np.nan)
-            until = np.where(dominated, np.maximum(confirm * first, first + min_hold), np.inf)
+            until = np.where(dominated, np.maximum(_CONFIRM * first, first + _MIN_HOLD), np.inf)
         for row in np.flatnonzero(done):
             i = kern.rows[row]
             records[i] = TakeoverRecord(eps_all[i], float(first[row]), censored=False)

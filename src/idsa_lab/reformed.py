@@ -19,6 +19,11 @@ inside cells from zero, checks every step for a negative trapped
 component or a negative streaming reconstruction, and builds full states
 only for the requested snapshot steps and the final state.
 
+``reconstruct_moments`` turns a state into J, H, K: the trapped component
+is isotropic (h = 0, k = 1/3) and the streaming component carries the
+opaque-sphere closures of ``sphere.free_streaming_closures``, which a
+caller computes once per grid and reuses for every state on it.
+
 Boundary handling: zero flux at r = 0; the Dirichlet face sits at R
 snapped to the nearest grid face (choose n_cells so R lands on a face to
 avoid O(dr) interface smearing), and both the boundary flux and the edge
@@ -32,13 +37,12 @@ module when it can be built and in Python otherwise, with the same bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grids import ProblemSpec, RadialField, RadialGrid
 from .idsa import NegativityError, SolverConfig, TwoComponentState
 from .sphere import (
+    MomentTriple,
     _opaque_geometry,
     _require_bare_sphere,
     free_streaming_flux_ratio,
@@ -50,45 +54,22 @@ class NormalizationSingularityError(RuntimeError):
     """The trapped edge gradient vanished; the streaming scale is undefined."""
 
 
-@dataclass(eq=False)
-class ClosureSet:
-    """Flux-factor closures for the trapped and streaming components."""
-
-    grid: RadialGrid
-    R: float
-    h_t: float
-    k_t: float
-    h_s: np.ndarray
-    k_s: np.ndarray
-
-
-def closure_set(grid: RadialGrid, R: float) -> ClosureSet:
-    """Trapped: h=0, k=1/3.  Streaming: the opaque-sphere geometric factors."""
-    out, ratio2, s0 = _opaque_geometry(grid.r_centers, R)
-    h_s = np.where(out, 0.5 * (1.0 + s0), 0.5)
-    k_s = np.where(out, (2.0 - ratio2 + s0) / 3.0, 1.0 / 3.0)
-    return ClosureSet(grid=grid, R=R, h_t=0.0, k_t=1.0 / 3.0, h_s=h_s, k_s=k_s)
-
-
-def reconstruct_HK(state: TwoComponentState, closures: ClosureSet):
-    """First and second moments from the component closures."""
+def reconstruct_moments(state: TwoComponentState, closures) -> MomentTriple:
+    """
+    J, H, K of a two-component state: the trapped part isotropic (h = 0,
+    k = 1/3), the streaming part closed by ``closures``, the pair (h_s, k_s)
+    of ``free_streaming_closures`` at the state's cell centers.
+    """
+    Jt, Js = state.Jt.values, state.Js.values
+    h_s, k_s = closures
     grid = state.Jt.grid
-    if grid != closures.grid:
-        raise ValueError("state and closures live on different grids")
-    H = closures.h_t * state.Jt.values + closures.h_s * state.Js.values
-    K = closures.k_t * state.Jt.values + closures.k_s * state.Js.values
-    return RadialField(grid, H), RadialField(grid, K)
-
-
-def reconstruct_flux_factors(state: TwoComponentState, closures: ClosureSet):
-    """h = H/(Jt+Js), k = K/(Jt+Js); NaN where the total vanishes."""
-    H, K = reconstruct_HK(state, closures)
-    tot = state.Jt.values + state.Js.values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where(tot > 0.0, H.values / tot, np.nan)
-        k = np.where(tot > 0.0, K.values / tot, np.nan)
-    grid = state.Jt.grid
-    return RadialField(grid, h), RadialField(grid, k)
+    # (1/3) * Jt, not Jt / 3: the two round differently, and the CSV bytes
+    # of solve-old / solve-new are those of the product.
+    return MomentTriple(
+        J=RadialField(grid, Jt + Js),
+        H=RadialField(grid, h_s * Js),
+        K=RadialField(grid, (1.0 / 3.0) * Jt + k_s * Js),
+    )
 
 
 def _gtsv_factor(dl: list, d: list, du: list):

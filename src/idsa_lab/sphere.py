@@ -230,21 +230,29 @@ def limit_moments_infinite_kappa(grid: RadialGrid, R: float, B: float) -> Moment
     )
 
 
+def free_streaming_closures(r, R: float):
+    """
+    The closures of a sphere-fed streaming field at radii r: the flux ratio
+    h_s = (1 + s0)/2 and Eddington factor k_s = (2 - (R/r)^2 + s0)/3, with
+    s0 = sqrt(1 - (R/r)^2), of the infinitely opaque sphere outside R;
+    1/2 and 1/3 inside.  h_s tends to 1 and k_s to 1 far away.
+    """
+    out, ratio2, s0 = _opaque_geometry(r, R)
+    h = np.where(out, 0.5 * (1.0 + s0), 0.5)
+    k = np.where(out, (2.0 - ratio2 + s0) / 3.0, 1.0 / 3.0)
+    return h, k
+
+
 def flux_factors_infinite(grid: RadialGrid, R: float) -> FluxFactors:
     """Flux ratio and Eddington factor of the infinitely opaque sphere."""
-    out, ratio2, s0 = _opaque_geometry(grid.r_centers, R)
-    h = np.where(out, 0.5 * (1.0 + s0), 0.0)
-    k = np.where(out, (2.0 - ratio2 + s0) / 3.0, 1.0 / 3.0)
-    return FluxFactors(h=RadialField(grid, h), k=RadialField(grid, k))
+    r = grid.r_centers
+    h, k = free_streaming_closures(r, R)
+    return FluxFactors(h=RadialField(grid, np.where(r >= R, h, 0.0)), k=RadialField(grid, k))
 
 
 def free_streaming_flux_ratio(r, R: float):
-    """
-    Geometric one-moment closure of a sphere-fed streaming field:
-    1/2 inside, (1 + sqrt(1 - (R/r)^2))/2 outside; tends to 1 far away.
-    """
-    out, _, s0 = _opaque_geometry(r, R)
-    g = np.where(out, 0.5 * (1.0 + s0), 0.5)
+    """The flux ratio h_s of ``free_streaming_closures``, a float for a scalar r."""
+    g = free_streaming_closures(r, R)[0]
     return g if g.ndim else float(g)
 
 

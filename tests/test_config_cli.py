@@ -162,13 +162,11 @@ def test_cli_solve_idsa_snapshots(tmp_path):
 
 
 def _idsa_blocks(path):
-    """The regime column of each block of a solve-idsa snapshots.csv, by t, in file order."""
-    blocks = {}
-    for line in path.read_text().splitlines():
-        if line[0].isdigit():
-            t, *_, regime = line.split(",")
-            blocks.setdefault(t, []).append(regime)
-    return blocks
+    """(t, regime column) of each block of a solve-idsa snapshots.csv, in file order."""
+    lines = path.read_text().splitlines()
+    n = int(next(line for line in lines if line.startswith("# n_cells = ")).split("=")[1])
+    rows = [line.split(",") for line in lines if line[0].isdigit()]
+    return [(rows[i][0], [row[-1] for row in rows[i : i + n]]) for i in range(0, len(rows), n)]
 
 
 def test_cli_solve_idsa_default_writes_every_snapshot(tmp_path):
@@ -176,7 +174,8 @@ def test_cli_solve_idsa_default_writes_every_snapshot(tmp_path):
     # snapshots at 500 and 1000, and the final state is written last.
     out = tmp_path / "out"
     assert _run_cli(tmp_path, "experiment = solve-idsa\n", f"output_dir={out}") == 0
-    assert list(_idsa_blocks(out / "snapshots.csv")) == ["5", "500", "1000", "13.300000000000001"]
+    blocks = _idsa_blocks(out / "snapshots.csv")
+    assert [t for t, _ in blocks] == ["5", "500", "1000", "13.300000000000001"]
     lines = (out / "snapshots.csv").read_text().splitlines()
     data = np.array([[float(x) for x in line.split(",")[:6]] for line in lines if line[0].isdigit()])
     Jt, Js, h_t, h_s = data[:, 2:].T
@@ -187,14 +186,16 @@ def test_cli_solve_idsa_default_writes_every_snapshot(tmp_path):
 def test_cli_solve_idsa_final_regime_does_not_depend_on_snapshots(tmp_path):
     # At kappa_outside = 0.01 the switch chatters: the source that produced
     # the state at t = 50 and the one it would feed next differ on most
-    # cells.  The final block carries the former, snapshot or not.
+    # cells.  The final block carries the former, snapshot or not, and is
+    # written last even when a snapshot holds the same state.
     runs = []
     for name, times in (("a", "5"), ("b", "5, 50")):
         text = f"experiment = solve-idsa\nkappa_outside = 0.01\nt_end = 50\nsnapshot_times = {times}\n"
         assert _run_cli(tmp_path, text, f"output_dir={tmp_path / name}") == 0
         runs.append(_idsa_blocks(tmp_path / name / "snapshots.csv"))
-    assert list(runs[0]) == list(runs[1]) == ["5", "50"]
-    assert runs[0]["50"] == runs[1]["50"]
+    assert [t for t, _ in runs[0]] == ["5", "50"]
+    assert [t for t, _ in runs[1]] == ["5", "50", "50"]
+    assert runs[0][-1] == runs[1][-1] == runs[1][1]
 
 
 def test_cli_solve_new_runs(tmp_path):

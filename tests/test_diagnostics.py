@@ -16,8 +16,8 @@ from idsa_lab.diagnostics import (
     oracle_moments_for,
     stationary_state,
 )
-from idsa_lab.reformed import closure_set, reconstruct_HK
-from idsa_lab.sphere import MomentTriple
+from idsa_lab.reformed import reconstruct_moments
+from idsa_lab.sphere import free_streaming_closures
 
 CFG = SolverConfig(dt=0.1, t_end=400.0, stationarity_tol=1e-10)
 
@@ -64,11 +64,9 @@ def test_old_stationary_state_is_the_direct_solve():
 
 def test_sweep_zero_for_injected_identical_fields():
     grid = make_uniform_grid(18.0, 300)
-    closures = closure_set(grid, 6.0)
     spec = ProblemSpec(B=1.0, R=6.0, kappa=2.0)
     state = stationary_state("new", spec, grid, CFG)
-    H, K = reconstruct_HK(state, closures)
-    fake_oracle = {2.0: MomentTriple(J=state.total(), H=H, K=K)}
+    fake_oracle = {2.0: reconstruct_moments(state, free_streaming_closures(grid.r_centers, 6.0))}
     rec = convergence_sweep([2.0], 6.0, 1.0, grid, "new", cfg=CFG, oracle=fake_oracle)[0]
     assert rec.errJ == 0.0 and rec.errH == 0.0 and rec.errK == 0.0
     assert rec.failure is None
@@ -104,8 +102,6 @@ def test_sweep_closed_form_agrees_with_marched():
     from idsa_lab.reformed import ReformedScheme
 
     marched, _, _ = ReformedScheme("new", spec, grid, CFG).run_to_stationarity()
-    closures = closure_set(grid, 6.0)
-    H, K = reconstruct_HK(marched, closures)
     from idsa_lab import l2_relative_error
 
     errJ = l2_relative_error(marched.total(), oracle[1.0].J)

@@ -213,20 +213,18 @@ def test_run_coarse_sphere_is_stable_and_close_to_exact():
     assert err < 0.25
     dJt = np.diff(traj.final.Jt.values)
     assert not np.any((dJt > 1e-10) & (GRID.r_centers[1:] < 6.0))
-    assert traj.sup_total.max() <= 1.0 + 1e-6
     assert len(traj.snapshots) == 1 and traj.snapshots[0].state.t == pytest.approx(5.0)
-    assert traj.regime_counts.shape[1] == 3
 
 
 def test_run_marches_on_to_snapshots_after_the_final_state():
     # Stationary at step 133; the snapshots at t = 20 (after the stop) and
-    # t = 40 (after t_end) are still taken, and the final state, its tags
-    # and the per-step records stay those of the stop.
+    # t = 40 (after t_end) are still taken, and the final state and its
+    # tags stay those of the stop.
     cfg = SolverConfig(dt=0.1, t_end=30.0, stationarity_tol=1e-8)
     traj = run_to_time(SPEC, GRID, cfg, snapshot_times=(5.0, 20.0, 40.0))
     assert traj.stopped == "stationary"
     assert [s.state.t for s in traj.snapshots] == [5.0, 20.0, 40.0]
-    assert len(traj.times) == 133 and traj.final.t == traj.times[-1] == 133 * 0.1
+    assert traj.final.t == 133 * 0.1
     # A run that ends at that step's t_end, with a snapshot there: the same
     # final state, and the final tags are those of the step that produced it.
     ref_cfg = dataclasses.replace(cfg, t_end=13.3, stationarity_tol=1e-30)
@@ -243,7 +241,7 @@ def test_run_shorter_than_half_a_step_ends_at_the_zero_state():
     # the step-0 snapshot is; a later snapshot is still marched to.
     cfg = SolverConfig(dt=0.1, t_end=0.04)
     traj = run_to_time(SPEC, GRID, cfg, snapshot_times=(1.0,))
-    assert traj.final.t == 0.0 and traj.stopped == "t_end" and len(traj.times) == 0
+    assert traj.final.t == 0.0 and traj.stopped == "t_end"
     assert np.all(traj.final.Jt.values == 0.0) and np.all(traj.final.Js.values == 0.0)
     assert np.all(traj.final_tags == Regime.REACTION)
     assert [s.state.t for s in traj.snapshots] == [1.0]
@@ -412,9 +410,13 @@ def _coarse_scenario(draw):
 @settings(max_examples=60, deadline=2000)
 @given(scenario=_coarse_scenario())
 def test_coarse_switched_scheme_stays_below_equilibrium(scenario):
+    # The instability run raises UnboundedError once sup(Jt + Js) passes
+    # B (1 + bound_margin) on any step.
     spec, grid, dt, t_end = scenario
-    traj = run_to_time(spec, grid, SolverConfig(dt=dt, t_end=t_end, stationarity_tol=1e-12))
-    assert traj.sup_total.max() <= spec.B * (1.0 + 1e-6)
+    result = run_instability_experiment(
+        spec, grid, SolverConfig(dt=dt, t_end=t_end), snapshot_times=(), bound_margin=1e-6
+    )
+    assert result.sup_total <= spec.B * (1.0 + 1e-6)
 
 
 @settings(max_examples=40, deadline=2000)

@@ -16,13 +16,12 @@ from idsa_lab import (
     ProblemSpec,
     ReformedScheme,
     SolverConfig,
-    closure_set,
     err0,
+    free_streaming_closures,
     l2_relative_error,
     make_uniform_grid,
     new_idsa_stationary_closed_form,
-    reconstruct_HK,
-    reconstruct_flux_factors,
+    reconstruct_moments,
 )
 
 SPEC = ProblemSpec(B=1.0, R=6.0, kappa=1.0)
@@ -257,20 +256,21 @@ def test_streaming_extension_flux_constant():
 
 def test_closures_and_reconstruction():
     grid = grid_div3(900)
-    closures = closure_set(grid, 6.0)
+    h_s, k_s = closures = free_streaming_closures(grid.r_centers, 6.0)
     inside = grid.r_centers < 6.0
-    assert np.all(closures.h_s[inside] == 0.5)
-    assert np.all(closures.k_s[inside] == pytest.approx(1.0 / 3.0))
+    assert np.all(h_s[inside] == 0.5)
+    assert np.all(k_s[inside] == pytest.approx(1.0 / 3.0))
     st, _, _ = ReformedScheme("new", SPEC, grid, CFG).run_to_stationarity()
-    H, K = reconstruct_HK(st, closures)
-    h, k = reconstruct_flux_factors(st, closures)
+    moments = reconstruct_moments(st, closures)
+    ff = moments.flux_factors()
+    assert np.array_equal(moments.J.values, st.total().values)
     # Outside the sphere Jt = 0, so the reconstructed flux ratio equals the
     # opaque-sphere geometric one.
     out = ~inside
-    assert np.allclose(h.values[out], closures.h_s[out], rtol=1e-14)
+    assert np.allclose(ff.h.values[out], h_s[out], rtol=1e-14)
     # Inside, the Eddington factor is exactly 1/3.
-    assert np.allclose(k.values[inside], 1.0 / 3.0, atol=1e-15)
-    assert np.allclose(H.values, closures.h_s * st.Js.values)
+    assert np.allclose(ff.k.values[inside], 1.0 / 3.0, atol=1e-15)
+    assert np.array_equal(moments.H.values, h_s * st.Js.values)
 
 
 def test_old_inside_closure_is_gradient_flux():
@@ -278,8 +278,7 @@ def test_old_inside_closure_is_gradient_flux():
     grid = grid_div3(900)
     scheme = ReformedScheme("old", SPEC, grid, CFG)
     st, _, _ = scheme.run_to_stationarity()
-    closures = closure_set(grid, 6.0)
-    H, _ = reconstruct_HK(st, closures)
+    H = reconstruct_moments(st, free_streaming_closures(grid.r_centers, 6.0)).H
     grad, _ = scheme._gradient(st.Jt.values[: scheme.m])
     assert np.allclose(H.values[: scheme.m], -grad / 3.0, rtol=1e-13, atol=1e-16)
 

@@ -14,6 +14,7 @@ from idsa_lab import (
     exact_distribution,
     exact_moments,
     flux_factors_infinite,
+    free_streaming_closures,
     free_streaming_flux_ratio,
     limit_moments_infinite_kappa,
     make_uniform_grid,
@@ -242,6 +243,21 @@ def test_flux_factors_infinite():
     edge = make_uniform_grid(12.0, 2)  # centers 3, 9
     just_out = 6.0 * (1.0 + 1e-12)
     assert free_streaming_flux_ratio(just_out, 6.0) == pytest.approx(0.5, abs=2e-6)
+
+
+def test_free_streaming_closures_give_the_infinite_opacity_factors():
+    # Inside R the streaming closures are 1/2 and 1/3; outside they are the
+    # infinite-opacity flux factors, whose h is 0 inside instead.
+    for n in (300, 600, 19998):
+        grid = make_uniform_grid(18.0, n)
+        r = grid.r_centers
+        h_s, k_s = free_streaming_closures(r, 6.0)
+        ff = flux_factors_infinite(grid, 6.0)
+        assert np.array_equal(h_s, free_streaming_flux_ratio(r, 6.0))
+        assert np.array_equal(k_s, ff.k.values)
+        assert np.array_equal(h_s[r >= 6.0], ff.h.values[r >= 6.0])
+        assert np.all(h_s[r < 6.0] == 0.5) and np.all(ff.h.values[r < 6.0] == 0.0)
+        assert np.all(k_s[r < 6.0] == 1.0 / 3.0)
 
 
 def test_free_streaming_flux_ratio():
