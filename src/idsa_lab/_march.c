@@ -20,23 +20,40 @@
  * March kernel for the switched two-component scheme (idsa.py).
  *
  * march() advances every row of a batch by up to `steps` steps.  Each step
- * evaluates, per row and in one outward pass over the cells, exactly the
- * numpy expressions of idsa._Kernel in the same order: the face fluxes, the
- * min-max source (and its regime tag), the backward-Euler trapped update and
- * the streaming re-solve.  Rows below n_scan use the cumulative-product scan
- * (acc += d S a / P, Phi = P acc), the others the sequential sweep
- * (phi = (phi + d S) a).  Built without fast-math and without contraction
- * into fused multiply-adds, every operation rounds as numpy's does, so the
- * fields are bit-identical to the numpy path.
+ * evaluates, per row, exactly the numpy expressions of idsa._Kernel in the
+ * same order, in four passes over the cells:
  *
- * The pass is in place from the second step on: cell i reads the old Jt of
- * cells i and i + 1 and the old Js of cell i before it overwrites cell i.
+ *   1. the face fluxes;
+ *   2. the min-max source (and its regime tag), the backward-Euler trapped
+ *      update and the streaming terms: d S, times a / P on the rows below
+ *      n_scan (the cumulative-product scan);
+ *   3. the serial prefix, the flux r^2 g Js: P times the running sum of the
+ *      terms on a scan row, phi = (phi + d S) a on the others (the
+ *      sequential sweep);
+ *   4. the streaming field, flux / r2g, and the negativity checks.
  *
- * The kernel returns early, after completing the step, when a trapped value
- * falls below its row's floor or a streaming value below zero (*negative is
- * set; the caller names the row and cell), or when a watched row's
- * domination of the cells i >= watch (Jt > (Jt + Js) / 2 on every one of
- * them) begins or ends; `dom` holds each row's domination flag.
+ * The passes write to the scratch rows of march_rows; the new fields then
+ * replace the old ones, and the reductions and the domination test read
+ * them.  Every loop but the prefix, the relative change and the max of
+ * Jt + Js (taken only at a step where a sum passes the running sup) carries
+ * no dependence from one cell to the next, and vectorizes.  Built without
+ * fast-math and without contraction into fused multiply-adds, every
+ * operation rounds as numpy's does, so the fields are bit-identical to the
+ * numpy path.
+ *
+ * Given `red`, each step also reduces per row what the observers in
+ * idsa.py would reduce with numpy (march_reductions).  The kernel returns
+ * after completing a step at which
+ *
+ *   - a trapped value fell below its row's floor or a streaming value below
+ *     zero: *negative is set, and the caller names the row and cell;
+ *   - a watched row's domination of the cells i >= watch (Jt > (Jt + Js) / 2
+ *     on every one of them) began or ended; `dom` holds each row's flag;
+ *   - a row's running sup of Jt + Js exceeded red->bound;
+ *   - a row's relative change fell below red->stat_tol;
+ *
+ * or after `steps` steps.  The first non-monotone step is recorded, not
+ * returned at.
  */
 
 typedef struct {
@@ -46,73 +63,219 @@ typedef struct {
     const double *ka, *kaB, *den, *r2dr, *a, *P, *d, *r2g, *floor;
     /* (n_rows, n_cells - 1) arrays, one value per interior face */
     const double *kf3, *rf2;
+    /* scratch rows: n_cells + 1 face fluxes, n_cells trapped values, n_cells
+     * streaming terms and n_cells tags (when the caller asks for none) */
+    double *flux, *trapped, *terms;
+    signed char *tags;
 } march_rows;
 
-/* numpy's maximum and minimum: a NaN operand propagates, and of two equal
- * operands (+0 and -0) the second is returned. */
-static double np_max(double a, double b) { return (a != a || a > b) ? a : b; }
-static double np_min(double a, double b) { return (a != a || a < b) ? a : b; }
+/*
+ * The observers' reductions.  A max over cells is numpy's (NaN if any value
+ * is), a max of two scalars Python's (the first unless the second is
+ * greater); max and compare are exact, so the values are the observers'.
+ */
+typedef struct {
+    double bound;             /* stop once a row's sup exceeds it */
+    double stat_tol;          /* stop once a row's change falls below it; 0: no change */
+    double mono_tol;          /* a pair is non-monotone where Jt[i + 1] - Jt[i] > mono_tol */
+    int mono_pairs;           /* the pairs i < mono_pairs are checked */
+    long long step;           /* the steps taken before the call */
+    /* per row */
+    double *sup;              /* max(sup, max(Jt + Js)) */
+    double *change;           /* max(max|dJt|, max|dJs|) / max(max(0, Jt), max(0, Js), 1e-300) */
+    signed char *nonmono;     /* the last step had a non-monotone pair */
+    long long *first_nonmono; /* the first step that had one, or -1 */
+} march_reductions;
 
-long march(const march_rows *m, const double *Jt0, const double *Js0,
+/* numpy's maximum(a, b): a NaN operand propagates, and of two equal
+ * operands (+0 and -0) b is returned. */
+static double np_max(double a, double b) { return (a != a || a > b) ? a : b; }
+
+/* numpy's maximum(a, b) and minimum(a, b) where b is not NaN (a constant,
+ * or kaB), as one compare and one select, so that the passes vectorize. */
+static double max_b(double a, double b) { return !(a <= b) ? a : b; }
+static double min_b(double a, double b) { return !(a >= b) ? a : b; }
+
+/* Python's max(a, b). */
+static double py_max(double a, double b) { return b > a ? b : a; }
+
+/* The flags below are doubles, 0.0 or 1.0, set by a select: a flag of the
+ * width of the values keeps its loop vectorizable. */
+
+/* Pass 1: the n + 1 face fluxes, zero at r = 0 and at r_max. */
+static void face_fluxes(int n, const double *restrict jt, const double *restrict rf2,
+                        const double *restrict kf3, double *restrict F)
+{
+    F[0] = F[n] = 0.0;
+    for (int i = 0; i < n - 1; i++)
+        F[i + 1] = rf2[i] * (jt[i + 1] - jt[i]) / kf3[i];
+}
+
+/* Pass 2: the source, its regime tags, the new trapped values and the
+ * streaming terms d S. */
+static void sources(int n, double dt, const double *restrict jt, const double *restrict js,
+                    const double *restrict F, const double *restrict ka,
+                    const double *restrict kaB, const double *restrict den,
+                    const double *restrict r2dr, const double *restrict d,
+                    double *restrict jt_new, double *restrict terms, signed char *restrict tag)
+{
+    for (int i = 0; i < n; i++) {
+        const double inner = ka[i] * js[i] - (F[i + 1] - F[i]) / r2dr[i];
+        const double S = min_b(max_b(inner, 0.0), kaB[i]);
+        jt_new[i] = (jt[i] + dt * (kaB[i] - S)) / den[i];
+        terms[i] = d[i] * S;
+        tag[i] = inner <= 0.0 ? 0 : inner >= kaB[i] ? 2 : 1;
+    }
+}
+
+/* Pass 2 of a scan row: the terms d S a / P. */
+static void scan_terms(int n, const double *restrict a, const double *restrict P,
+                       double *restrict terms)
+{
+    for (int i = 0; i < n; i++)
+        terms[i] = terms[i] * a[i] / P[i];
+}
+
+/* Pass 3, in place: the flux r^2 g Js, as P times the scan's running sum or
+ * as the sweep's running phi = (phi + d S) a. */
+static void prefix(int n, int scan, const double *restrict a, const double *restrict P,
+                   double *restrict acc)
+{
+    if (scan) {
+        double sum = acc[0];
+        acc[0] = P[0] * sum;
+        for (int i = 1; i < n; i++) {
+            sum = sum + acc[i];
+            acc[i] = P[i] * sum;
+        }
+    } else {
+        double phi = 0.0;
+        for (int i = 0; i < n; i++)
+            acc[i] = phi = (phi + acc[i]) * a[i];
+    }
+}
+
+/* Pass 4, in place: the new streaming values; returns 1.0 if a value fell
+ * below its floor. */
+static double streaming(int n, const double *restrict jt_new, const double *restrict floor,
+                        const double *restrict r2g, double *restrict flux)
+{
+    double bad = 0.0;
+    for (int i = 0; i < n; i++) {
+        const double js_new = flux[i] / r2g[i];
+        bad = jt_new[i] < floor[i] ? 1.0 : bad;
+        bad = js_new < 0.0 ? 1.0 : bad;
+        flux[i] = js_new;
+    }
+    return bad;
+}
+
+/* max(max|dJt|, max|dJs|) / max(max(0, Jt), max(0, Js), 1e-300) from
+ * (jt, js) to (jt_new, js_new), the maxima over cells numpy's. */
+static double relative_change(int n, const double *jt, const double *js,
+                              const double *jt_new, const double *js_new)
+{
+    double djt = 0.0, djs = 0.0, mjt = 0.0, mjs = 0.0;
+    for (int i = 0; i < n; i++) {
+        djt = np_max(djt, fabs(jt_new[i] - jt[i]));
+        djs = np_max(djs, fabs(js_new[i] - js[i]));
+        mjt = np_max(mjt, jt_new[i]);
+        mjs = np_max(mjs, js_new[i]);
+    }
+    return py_max(djt, djs) / py_max(py_max(mjt, mjs), 1e-300);
+}
+
+/* max(sup, max(Jt + Js)), the max over cells numpy's: a NaN sum leaves sup
+ * as it is.  Only when a sum exceeds sup is the max taken. */
+static double running_sup(int n, double sup, const double *restrict jt,
+                          const double *restrict js)
+{
+    double above = 0.0, nan = 0.0;
+    for (int i = 0; i < n; i++) {
+        const double t = jt[i] + js[i];
+        above = t > sup ? 1.0 : above;
+        nan = t != t ? 1.0 : nan;
+    }
+    if (above == 0.0 || nan != 0.0)
+        return sup;
+    for (int i = 0; i < n; i++)
+        sup = py_max(sup, jt[i] + js[i]);
+    return sup;
+}
+
+/* Whether Jt[i + 1] - Jt[i] > tol for some i < pairs. */
+static int nonmonotone(int pairs, double tol, const double *restrict jt)
+{
+    double any = 0.0;
+    for (int i = 0; i < pairs; i++)
+        any = jt[i + 1] - jt[i] > tol ? 1.0 : any;
+    return any != 0.0;
+}
+
+/* Whether Jt > (Jt + Js) / 2 on every cell from i0 on. */
+static int dominated(int n, int i0, const double *restrict jt, const double *restrict js)
+{
+    double not_all = 0.0;
+    for (int i = i0; i < n; i++)
+        not_all = !(jt[i] > 0.5 * max_b(jt[i] + js[i], 1e-300)) ? 1.0 : not_all;
+    return not_all == 0.0;
+}
+
+long march(const march_rows *m, march_reductions *red, const double *Jt0, const double *Js0,
            double *Jt, double *Js, signed char *tags, signed char *dom,
            long steps, int watch, int *negative)
 {
     const int n = m->n_cells;
-    const double dt = m->dt;
+    const size_t row = n * sizeof(double);
+    /* js_new holds the streaming terms, then the flux, then the new values */
+    double *F = m->flux, *jt_new = m->trapped, *js_new = m->terms;
 
+    /* Every step works in place on the output. */
+    memcpy(Jt, Jt0, m->n_rows * row);
+    memcpy(Js, Js0, m->n_rows * row);
     *negative = 0;
-    for (long s = 0; s < steps; s++) {
-        int bad = 0, changed = 0;
+    long s = 0;
+    while (s < steps) {
+        int bad = 0, stop = 0;
         for (int r = 0; r < m->n_rows; r++) {
             const long o = (long)r * n, of = (long)r * (n - 1);
-            const double *jt = (s ? Jt : Jt0) + o, *js = (s ? Js : Js0) + o;
-            double *jt_out = Jt + o, *js_out = Js + o;
-            const double *ka = m->ka + o, *kaB = m->kaB + o, *den = m->den + o;
-            const double *r2dr = m->r2dr + o, *a = m->a + o, *P = m->P + o;
-            const double *d = m->d + o, *r2g = m->r2g + o, *floor = m->floor + o;
-            const double *kf3 = m->kf3 + of, *rf2 = m->rf2 + of;
-            signed char *tag = tags ? tags + o : 0;
             const int scan = r < m->n_scan;
-            double F_in = 0.0, acc = 0.0;  /* acc: the scan's sum, or the sweep's flux */
-            int dominated = 1;
+            double *jt = Jt + o, *js = Js + o;
 
-            for (int i = 0; i < n; i++) {
-                const double F_out = i + 1 < n ? rf2[i] * (jt[i + 1] - jt[i]) / kf3[i] : 0.0;
-                const double inner = ka[i] * js[i] - (F_out - F_in) / r2dr[i];
-                const double S = np_min(np_max(inner, 0.0), kaB[i]);
-                const double jt_new = (jt[i] + dt * (kaB[i] - S)) / den[i];
-                double js_new;
-
-                if (scan) {
-                    const double x = d[i] * S * a[i] / P[i];
-                    acc = i ? acc + x : x;
-                    js_new = P[i] * acc / r2g[i];
-                } else {
-                    acc = (acc + d[i] * S) * a[i];
-                    js_new = acc / r2g[i];
-                }
-                if (tag)
-                    tag[i] = inner <= 0.0 ? 0 : inner >= kaB[i] ? 2 : 1;
-                bad |= (jt_new < floor[i]) | (js_new < 0.0);
-                if (watch >= 0 && i >= watch)
-                    dominated &= jt_new > 0.5 * np_max(jt_new + js_new, 1e-300);
-                jt_out[i] = jt_new;
-                js_out[i] = js_new;
-                F_in = F_out;
+            face_fluxes(n, jt, m->rf2 + of, m->kf3 + of, F);
+            sources(n, m->dt, jt, js, F, m->ka + o, m->kaB + o, m->den + o, m->r2dr + o,
+                    m->d + o, jt_new, js_new, tags ? tags + o : m->tags);
+            if (scan)
+                scan_terms(n, m->a + o, m->P + o, js_new);
+            prefix(n, scan, m->a + o, m->P + o, js_new);
+            bad |= streaming(n, jt_new, m->floor + o, m->r2g + o, js_new) != 0.0;
+            if (red && red->stat_tol > 0.0) {
+                red->change[r] = relative_change(n, jt, js, jt_new, js_new);
+                stop |= red->change[r] < red->stat_tol;
             }
-            if (watch >= 0 && dominated != dom[r]) {
-                dom[r] = (signed char)dominated;
-                changed = 1;
+            memcpy(jt, jt_new, row);
+            memcpy(js, js_new, row);
+            if (red) {
+                const int nm = nonmonotone(red->mono_pairs, red->mono_tol, jt);
+                red->sup[r] = running_sup(n, red->sup[r], jt, js);
+                red->nonmono[r] = (signed char)nm;
+                if (nm && red->first_nonmono[r] < 0)
+                    red->first_nonmono[r] = red->step + s + 1;
+                stop |= red->sup[r] > red->bound;
+            }
+            if (watch >= 0) {
+                const int d = dominated(n, watch, jt, js);
+                stop |= d != dom[r];
+                dom[r] = (signed char)d;
             }
         }
-        if (bad) {
-            *negative = 1;
-            return s + 1;
+        s++;
+        if (bad || stop) {
+            *negative = bad;
+            break;
         }
-        if (changed)
-            return s + 1;
     }
-    return steps;
+    return s;
 }
 
 /*

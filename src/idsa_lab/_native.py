@@ -2,12 +2,23 @@
 Loader for the native kernels, ``_march.c``: the switched scheme's march,
 the domain-split schemes' tridiagonal solve and the CSV row formatter.
 
-The module is compiled with cffi (API mode, ``-O2 -ffp-contract=off``, no
-``-march=native``, no fast-math) on first use, into ``_native_cache/``
-next to this file.  The module name, and so the file, is keyed by a hash
-of the C source, the declarations, the flags and the interpreter's
-extension suffix (its ABI tag); a build goes to a temporary directory and
-is published by an atomic rename, so concurrent first runs are safe.
+The module is compiled with cffi (API mode) on first use, into
+``_native_cache/`` next to this file, with ``-O3 -ffp-contract=off``:
+
+- ``-O3`` lets gcc vectorize the march's elementwise passes, two doubles
+  per SSE2 instruction (SSE2 is the x86-64 baseline).  A vector add,
+  multiply, divide or compare rounds each element as the scalar one does,
+  and gcc reorders no floating-point sum or product without
+  ``-fassociative-math``, so the bits do not move.
+- ``-ffp-contract=off`` keeps ``a * b + c`` from fusing into one rounding.
+- No fast-math, which would reorder sums, assume no NaN and flush
+  subnormals; no ``-march``, so a build gives the same bits on every
+  x86-64 machine.
+
+The module name, and so the file, is keyed by a hash of the C source, the
+declarations, the flags and the interpreter's extension suffix (its ABI
+tag); a build goes to a temporary directory and is published by an atomic
+rename, so concurrent first runs are safe.
 
 Importing idsa_lab imports neither this module nor cffi: the first march,
 domain-split scheme or CSV file imports it and calls ``load``, and a built
@@ -33,16 +44,27 @@ from pathlib import Path
 
 _SOURCE = Path(__file__).with_name("_march.c")
 _CACHE = Path(__file__).with_name("_native_cache")
-_CFLAGS = ["-O2", "-ffp-contract=off"]
+_CFLAGS = ["-O3", "-ffp-contract=off"]
 _CDEF = """
 typedef struct {
     int n_rows, n_cells, n_scan;
     double dt;
     const double *ka, *kaB, *den, *r2dr, *a, *P, *d, *r2g, *floor;
     const double *kf3, *rf2;
+    double *flux, *trapped, *terms;
+    signed char *tags;
 } march_rows;
 
-long march(const march_rows *m, const double *Jt0, const double *Js0,
+typedef struct {
+    double bound, stat_tol, mono_tol;
+    int mono_pairs;
+    long long step;
+    double *sup, *change;
+    signed char *nonmono;
+    long long *first_nonmono;
+} march_reductions;
+
+long march(const march_rows *m, march_reductions *red, const double *Jt0, const double *Js0,
            double *Jt, double *Js, signed char *tags, signed char *dom,
            long steps, int watch, int *negative);
 

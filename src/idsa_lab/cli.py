@@ -43,6 +43,7 @@ from .idsa import (
     Regime,
     SolverConfig,
     UnboundedError,
+    diffusion_number,
     run_instability_experiment,
     run_spurious_trapped_experiment,
     run_to_time,
@@ -209,10 +210,9 @@ def _run_solve_idsa(cfg: RunConfig, out: Path) -> list[str]:
 
     def block(snap):
         st, tags = snap
-        tot = st.Jt.values + st.Js.values
-        hs = np.where(tot > 0, st.Js.values / np.where(tot > 0, tot, 1.0), 0.0)
         names = [regime_names[t] for t in tags.tolist()]
-        return st.t, grid.r_centers, st.Jt.values, st.Js.values, st.trapped_fraction(), hs, names
+        return (st.t, grid.r_centers, st.Jt.values, st.Js.values, *st.component_fractions(),
+                names)
 
     _write_csv(
         out / "snapshots.csv", _scenario_meta(cfg),
@@ -369,6 +369,9 @@ def run(cfg: RunConfig) -> int:
 
         manifest["march"] = _native.backend()
     try:
+        if cfg.experiment == "instability":  # above 1/2 the sup bound may not hold
+            grid = make_uniform_grid(cfg.r_max, cfg.n_cells)
+            manifest["diffusion_number"] = diffusion_number(_spec(cfg), grid, _solver_config(cfg))
         files = _RUNNERS[cfg.experiment](cfg, out)
     except ValueError as exc:
         # Bad scenario/grid combinations surface as ValueError from the

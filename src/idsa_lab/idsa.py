@@ -26,12 +26,22 @@ is confirmed, so the smallest eps sets the cost of the sweep.
 The steps run in a native kernel (``_march.c``, built by ``_native`` with
 cffi on first use into ``_native_cache/`` beside this file) that evaluates
 the numpy expressions of ``_Kernel`` in the same order and rounding, so
-both paths give the same bits.  The kernel also runs the negativity checks
-and the spurious domination test on every step, so it hands control back
-only at the steps an observer asked for or where a domination begins or
-ends.  When the kernel cannot be built or loaded, ``_native.load`` says so
-on stderr and the numpy step of ``_Kernel`` runs instead; the CLI manifest
-records which ran under the key ``march`` ("native" or "numpy").
+both paths give the same bits.  The kernel also runs, on every step, the
+negativity checks, the spurious domination test and the reductions of
+``_Reductions`` (the running sup of Jt + Js, the first non-monotone step,
+the relative change), so it hands control back only at
+
+- a step an observer asked for (a snapshot, t_end);
+- a negative value;
+- a domination that begins or ends (the spurious sweep);
+- a sup above the bound (the instability run);
+- a relative change below the tolerance (the stationary stop of
+  ``run_to_time``).
+
+When the kernel cannot be built or loaded, ``_native.load`` says so on
+stderr, and the numpy step of ``_Kernel`` and ``_Reductions.update`` run
+instead; the CLI manifest records which ran under the key ``march``
+("native" or "numpy").
 
 Negativity is an error here, never clamped: the failure modes this module
 exists to expose must not be masked.
@@ -101,10 +111,13 @@ class TwoComponentState:
     def total(self) -> RadialField:
         return RadialField(self.Jt.grid, self.Jt.values + self.Js.values)
 
-    def trapped_fraction(self) -> np.ndarray:
-        """Jt / (Jt + Js) per cell; 0 where both components vanish."""
+    def component_fractions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Jt / (Jt + Js) and Js / (Jt + Js) per cell; 0 where both components vanish."""
         tot = self.Jt.values + self.Js.values
-        return np.where(tot > 0.0, self.Jt.values / np.where(tot > 0.0, tot, 1.0), 0.0)
+        filled = tot > 0.0
+        safe = np.where(filled, tot, 1.0)
+        return (np.where(filled, self.Jt.values / safe, 0.0),
+                np.where(filled, self.Js.values / safe, 0.0))
 
 
 # The per-row arrays the native kernel reads: march_rows fields in _march.c.
@@ -157,30 +170,38 @@ class _Kernel:
             setattr(self, name, getattr(self, name)[keep])
         self._c_rows = None
 
-    def advance(self, native, Jt, Js, steps: int, with_tags: bool, watch, dom):
+    def advance(self, native, Jt, Js, steps: int, with_tags: bool, watch, dom, red, k: int):
         """
-        Up to ``steps`` steps of the native kernel from (Jt, Js), written to
-        fresh arrays, so arrays handed out before are never overwritten.
-        ``dom`` (int8 per row) is the domination state of the cells from
-        ``watch`` on; the kernel updates it and stops at a step that changes
-        it.  Returns the steps taken, Jt, Js, the last step's tags (None
-        unless ``with_tags``) and whether that step left a negative value.
+        Up to ``steps`` steps of the native kernel from (Jt, Js) at step
+        ``k``, written to fresh arrays, so arrays handed out before are
+        never overwritten.  ``dom`` (int8 per row) is the domination state
+        of the cells from ``watch`` on; the kernel updates it and stops at a
+        step that changes it.  ``red`` (a ``_Reductions``, or None) is
+        updated as its numpy reference would be, and the kernel stops where
+        it asks.  Returns the steps taken, Jt, Js, the last step's tags
+        (None unless ``with_tags``) and whether that step left a negative
+        value.
         """
         ffi = native.ffi
         if self._c_rows is None:  # the C view of the rows, once per compaction
             c = ffi.new("march_rows *")
             c.n_rows, c.n_cells, c.n_scan, c.dt = len(self.rows), self.n_cells, self.n_scan, self.dt
-            buffers = []
-            for name in _C_FIELDS:
-                buf = ffi.from_buffer("double[]", np.ascontiguousarray(getattr(self, name), float))
+            scratch = np.empty((3, self.n_cells + 1))  # the kernel's scratch rows
+            arrays = [(name, np.ascontiguousarray(getattr(self, name), float)) for name in _C_FIELDS]
+            buffers = [ffi.from_buffer("signed char[]", np.empty(self.n_cells, np.int8))]
+            c.tags = buffers[0]
+            for name, array in [*arrays, *zip(("flux", "trapped", "terms"), scratch)]:
+                buf = ffi.from_buffer("double[]", array)
                 setattr(c, name, buf)
                 buffers.append(buf)  # keeps each array alive while c points into it
             self._c_rows = c, buffers
+        c_red = ffi.NULL if red is None else red.c_view(ffi, k)
         Jt_new, Js_new = np.empty_like(Jt), np.empty_like(Js)
         tags = np.empty(Jt.shape, np.int8) if with_tags else None
         negative = ffi.new("int *")
         taken = native.lib.march(
-            self._c_rows[0], ffi.from_buffer("double[]", Jt), ffi.from_buffer("double[]", Js),
+            self._c_rows[0], c_red,
+            ffi.from_buffer("double[]", Jt), ffi.from_buffer("double[]", Js),
             ffi.from_buffer("double[]", Jt_new), ffi.from_buffer("double[]", Js_new),
             ffi.NULL if tags is None else ffi.from_buffer("signed char[]", tags),
             ffi.from_buffer("signed char[]", dom), steps, -1 if watch is None else watch, negative,
@@ -227,19 +248,76 @@ class _Kernel:
             raise NegativityError(which, t, i, float(values[row, i]))
 
 
-def _march(kern: _Kernel, observe, max_steps=math.inf, with_tags: bool = False, watch=None):
+class _Reductions:
+    """
+    What an observer of single runs reduces from each step's fields, per
+    row: the running sup of Jt + Js; whether the step has a non-monotone
+    pair among the first ``mono_pairs`` (Jt[i + 1] - Jt[i] > ``mono_tol``),
+    and the first step that had one (-1 if none); and, while ``stat_tol``
+    is positive, the relative change max(|dJt|, |dJs|) / max(max Jt, max
+    Js, 1e-300).  ``update`` is the numpy reference; the native kernel
+    reduces the same values itself and returns at a step whose sup exceeds
+    ``bound`` or whose change falls below ``stat_tol``.
+    """
+
+    def __init__(self, n_rows: int, bound=math.inf, stat_tol=0.0, mono_tol=0.0, mono_pairs=0):
+        self.bound, self.stat_tol = bound, stat_tol
+        self.mono_tol, self.mono_pairs = mono_tol, mono_pairs
+        self.sup = np.zeros(n_rows)
+        self.change = np.full(n_rows, np.nan)
+        self.nonmono = np.zeros(n_rows, np.int8)
+        self.first_nonmono = np.full(n_rows, -1, np.int64)
+
+    def update(self, k: int, Jt_old, Js_old, Jt, Js) -> None:
+        """Reduce step ``k``, which took (Jt_old, Js_old) to (Jt, Js)."""
+        tot = np.max(Jt + Js, axis=1)
+        self.sup = _py_max(self.sup, tot)
+        pairs = np.diff(Jt[:, : self.mono_pairs + 1], axis=1)
+        self.nonmono = np.any(pairs > self.mono_tol, axis=1).astype(np.int8)
+        self.first_nonmono[(self.nonmono == 1) & (self.first_nonmono < 0)] = k
+        if self.stat_tol > 0.0:
+            dJt = np.max(np.abs(Jt - Jt_old), axis=1)
+            dJs = np.max(np.abs(Js - Js_old), axis=1)
+            scale = _py_max(Jt.max(axis=1, initial=0.0), Js.max(axis=1, initial=0.0))
+            self.change = _py_max(dJt, dJs) / _py_max(scale, 1e-300)
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Drop the rows where ``rows`` is False."""
+        for name in ("sup", "change", "nonmono", "first_nonmono"):
+            setattr(self, name, getattr(self, name)[rows])
+
+    def c_view(self, ffi, k: int):
+        """The march_reductions the native kernel updates in place, at step ``k``."""
+        c = ffi.new("march_reductions *")
+        c.bound, c.stat_tol, c.mono_tol = self.bound, self.stat_tol, self.mono_tol
+        c.mono_pairs, c.step = self.mono_pairs, k
+        c.sup, c.change = ffi.from_buffer("double[]", self.sup), ffi.from_buffer("double[]", self.change)
+        c.nonmono = ffi.from_buffer("signed char[]", self.nonmono)
+        c.first_nonmono = ffi.from_buffer("long long[]", self.first_nonmono)
+        return c
+
+
+def _py_max(a, b):
+    """Python's max(a, b) per element: a unless b > a."""
+    return np.where(b > a, b, a)
+
+
+def _march(kern: _Kernel, observe, max_steps=math.inf, with_tags: bool = False, watch=None,
+           red: _Reductions | None = None):
     """
     March every row of ``kern`` from zero data for up to ``max_steps`` steps.
 
     After step k, ``observe(k, t, Jt, Js, tags)`` sees the (n_rows, n_cells)
     fields (tags only ``with_tags``) and returns ``(done, upcoming)``: None
-    or a mask of rows to retire, and the next step it must see.  The numpy
-    path shows it every step.  The native kernel shows it step ``upcoming``,
-    any step where a row's domination of the cells from index ``watch`` on
-    (Jt > (Jt + Js) / 2 on each) begins or ends, and the last step; so an
-    observer must have nothing to do at the steps in between.  Both paths
-    compute the same bits, and never write to an array already shown.
-    Returns the fields once every row has retired or time is up.
+    or a mask of rows to retire, and the next step it must see.  ``red``,
+    if given, holds the step's reductions when the observer sees it.  The
+    numpy path shows every step.  The native kernel shows step
+    ``upcoming``, any step where a row's domination of the cells from index
+    ``watch`` on (Jt > (Jt + Js) / 2 on each) begins or ends, any step where
+    ``red`` asks to stop, and the last step; so an observer must have
+    nothing to do at the steps in between.  Both paths compute the same
+    bits, and never write to an array already shown.  Returns the fields
+    once every row has retired or time is up.
     """
     from . import _native  # here: importing idsa_lab should not pay for it
 
@@ -252,12 +330,15 @@ def _march(kern: _Kernel, observe, max_steps=math.inf, with_tags: bool = False, 
         if native is None:
             # One full step: source, trapped update, streaming re-solve.
             S, tags = kern.sigma(Jt, Js, with_tags)
+            Jt_old, Js_old = Jt, Js
             Jt, Js = kern.trapped_step(Jt, S), kern.stream(S)
             k, negative = k + 1, True
+            if red is not None:
+                red.update(k, Jt_old, Js_old, Jt, Js)
         else:
             stop = int(min(max(upcoming, k + 1), max_steps))
             taken, Jt, Js, tags, negative = kern.advance(
-                native, Jt, Js, stop - k, with_tags, watch, dom
+                native, Jt, Js, stop - k, with_tags, watch, dom, red, k
             )
             k += taken
         t = k * kern.dt
@@ -270,6 +351,8 @@ def _march(kern: _Kernel, observe, max_steps=math.inf, with_tags: bool = False, 
                 break
             kern.compact(~done)
             Jt, Js, dom = Jt[~done], Js[~done], dom[~done]
+            if red is not None:
+                red.keep(~done)
     return Jt, Js
 
 
@@ -322,26 +405,27 @@ def run_to_time(
     if n_steps == 0:
         traj.final, traj.final_tags = start.state, start.tags
 
-    prev = [zeros, zeros]
+    # Until the final state the observer needs the snapshot steps, the
+    # stationary stop (the kernel's change below the tolerance) and t_end.
+    red = _Reductions(1, stat_tol=cfg.stationarity_tol if traj.final is None else 0.0)
 
     def observe(k, t, Jt, Js, tags):
         (Jt, Js), tags = (Jt[0], Js[0]), tags[0]
         if k in snap_steps:
             traj.snapshots.append(Snapshot(_make_state(grid, Jt, Js, t), tags.copy()))
+        later = [j for j in snap_steps if j > k]
         if traj.final is None:
-            scale = max(Jt.max(initial=0.0), Js.max(initial=0.0), 1e-300)
-            change = max(np.max(np.abs(Jt - prev[0])), np.max(np.abs(Js - prev[1]))) / scale
-            prev[:] = Jt, Js
-            if change < cfg.stationarity_tol:
+            if red.change[0] < cfg.stationarity_tol:
                 traj.stopped = "stationary"
             elif k < n_steps:
-                return None, k + 1
+                return None, min([*later, n_steps])
             traj.final, traj.final_tags = _make_state(grid, Jt, Js, t), tags.copy()
+            red.stat_tol = 0.0
         # Past the final state only the snapshot steps are left to see.
-        later = [j for j in snap_steps if j > k]
         return (None, later[0]) if later else (np.array([True]), None)
 
-    _march(_Kernel([spec], grid, cfg), observe, max([n_steps, *snap_steps]), with_tags=True)
+    _march(_Kernel([spec], grid, cfg), observe, max([n_steps, *snap_steps]), with_tags=True,
+           red=red)
     return traj
 
 
@@ -425,6 +509,15 @@ def run_spurious_trapped_experiment(
     return [rec or TakeoverRecord(eps, None, censored=True) for rec, eps in zip(records, eps_all)]
 
 
+def diffusion_number(spec: ProblemSpec, grid: RadialGrid, cfg: SolverConfig) -> float:
+    """
+    dt / (3 kappa dr^2), kappa the total opacity inside the sphere.  The
+    lagged source makes each step's diffusion explicit, and explicit
+    diffusion is stable only while this is at most 1/2.
+    """
+    return cfg.dt / (3.0 * (spec.kappa + spec.kappa_s) * grid.dr**2)
+
+
 @dataclass(frozen=True)
 class InstabilitySnapshot:
     t: float
@@ -459,41 +552,38 @@ def run_instability_experiment(
     discrete forward difference positive with both centers < R), and the
     running sup of Jt + Js.  The run fails hard with UnboundedError if that
     sup ever exceeds B * (1 + bound_margin); the instability is a modeling
-    artifact and must stay bounded.
+    artifact and must stay bounded.  The bound is expected to hold only
+    while ``diffusion_number`` is at most 1/2, so the error gives it.
     """
     r = grid.r_centers
-    inside_pair = r[1:] < spec.R
     t_stop = max(cfg.t_end, max(snapshot_times, default=0.0))
     n_steps = int(round(t_stop / cfg.dt))
     snap_steps = {int(round(ts / cfg.dt)): ts for ts in snapshot_times}
-    bound = spec.B * (1.0 + bound_margin)
-
-    sup = 0.0
-    first_bad = None
+    # Centers increase, so the pairs with both centers inside R are a prefix.
+    red = _Reductions(1, bound=spec.B * (1.0 + bound_margin), mono_tol=1e-10 * spec.B,
+                      mono_pairs=int(np.count_nonzero(r[1:] < spec.R)))
     snaps = []
 
     def observe(k, t, Jt, Js, tags):
-        nonlocal sup, first_bad
-        Jt, Js = Jt[0], Js[0]
-        sup = max(sup, float(np.max(Jt + Js)))
-        if sup > bound:
+        sup = float(red.sup[0])
+        if sup > red.bound:
             raise UnboundedError(
-                f"sup(Jt + Js) = {sup:.9g} exceeds B(1 + {bound_margin:g}) at t = {t:g}"
+                f"sup(Jt + Js) = {sup:.9g} exceeds B(1 + {bound_margin:g}) at t = {t:g}; "
+                f"diffusion number dt/(3 kappa dr^2) = {diffusion_number(spec, grid, cfg):.3g}"
             )
-        nonmono = bool(np.any((np.diff(Jt) > 1e-10 * spec.B) & inside_pair))
-        if nonmono and first_bad is None:
-            first_bad = t
         if k in snap_steps:
-            above = np.nonzero(Jt > vb_threshold * spec.B)[0]
+            above = np.nonzero(Jt[0] > vb_threshold * spec.B)[0]
             vb = float(r[above[-1]]) if above.size else 0.0
-            snaps.append(InstabilitySnapshot(t, vb, nonmono, sup))
-        return None, k + 1
+            snaps.append(InstabilitySnapshot(t, vb, bool(red.nonmono[0]), sup))
+        # The bound and the first non-monotone step are the kernel's to watch.
+        return None, min([j for j in snap_steps if j > k], default=n_steps)
 
-    Jt, Js = _march(_Kernel([spec], grid, cfg), observe, n_steps)
+    Jt, Js = _march(_Kernel([spec], grid, cfg), observe, n_steps, red=red)
+    first_bad = int(red.first_nonmono[0])
     return InstabilityResult(
         snapshots=snaps,
-        first_nonmonotone_time=first_bad,
-        sup_total=sup,
+        first_nonmonotone_time=first_bad * cfg.dt if first_bad >= 0 else None,
+        sup_total=float(red.sup[0]),
         vb_threshold=vb_threshold,
         final=_make_state(grid, Jt[0], Js[0], n_steps * cfg.dt),
     )

@@ -363,6 +363,21 @@ def test_cli_solver_failure_exit_3(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("n_cells, code", [(60, 0), (92, 3)])
+def test_instability_manifest_records_the_diffusion_number(tmp_path, n_cells, code):
+    # dt / (3 kappa dr^2): 0.417 at 60 cells, inside the explicit limit 1/2;
+    # 0.871 at 92 cells, where the run overshoots B and its error says so.
+    out = tmp_path / "out"
+    text = f"experiment = instability\nn_cells = {n_cells}\nt_end = 5\nsnapshot_times = 5\n"
+    assert _run_cli(tmp_path, text, f"output_dir={out}") == code
+    manifest = json.loads((out / "manifest.json").read_text())
+    number = 0.1 / (3.0 * (18.0 / n_cells) ** 2)
+    assert manifest["diffusion_number"] == pytest.approx(number, rel=1e-12)
+    if code == 3:
+        message = json.loads((out / "error.json").read_text())["message"]
+        assert message.endswith(f"diffusion number dt/(3 kappa dr^2) = {number:.3g}")
+
+
 def test_console_entry_point(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("experiment = err0\n")

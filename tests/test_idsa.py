@@ -249,11 +249,12 @@ def test_run_shorter_than_half_a_step_ends_at_the_zero_state():
 
 def test_trapped_fraction_handles_empty_cells():
     state = _state(GRID, np.zeros(50), np.zeros(50))
-    assert np.all(state.trapped_fraction() == 0.0)
+    h_t, h_s = state.component_fractions()
+    assert np.all(h_t == 0.0) and np.all(h_s == 0.0)
     Jt = np.full(50, 0.6)
     Js = np.full(50, 0.2)
-    frac = _state(GRID, Jt, Js).trapped_fraction()
-    assert np.allclose(frac, 0.75)
+    h_t, h_s = _state(GRID, Jt, Js).component_fractions()
+    assert np.allclose(h_t, 0.75) and np.allclose(h_s, 0.25)
 
 
 def test_spurious_experiment_times_scale():

@@ -18,6 +18,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from idsa_lab import (
     NegativityError,
     ProblemSpec,
     SolverConfig,
+    UnboundedError,
     make_uniform_grid,
     run_instability_experiment,
     run_spurious_trapped_experiment,
@@ -36,7 +38,7 @@ from idsa_lab import (
 )
 from idsa_lab import _native
 from idsa_lab.cli import _block_text, _block_text_python, main
-from idsa_lab.idsa import _Kernel, _first_step, _march
+from idsa_lab.idsa import _Kernel, _Reductions, _first_step, _march, diffusion_number
 from idsa_lab.reformed import ReformedScheme, _gtsv_factor, _gtsv_solve, _Tridiagonal
 
 needs_native = pytest.mark.skipif(
@@ -163,6 +165,74 @@ def test_native_march_matches_numpy_bit_for_bit(
         state.update(zip(rows, map(bool, dominated)))
 
 
+def _reductions_log(specs, grid, cfg, steps, stride, retire, n_sweep, bound, stat_tol):
+    """
+    March a batch with ``_Reductions`` (the pairs inside R checked for
+    monotonicity) and log them at each step the observer is shown, which
+    asks for every stride-th step and for step ``retire``, where it retires
+    the first row.  Returns the log and the NegativityError message, if one
+    was raised.
+    """
+    kern = _Kernel(specs, grid, cfg)
+    kern.n_scan = min(kern.n_scan, len(specs) - n_sweep)
+    pairs = int(np.count_nonzero(grid.r_centers[1:] < specs[0].R))
+    red = _Reductions(len(specs), bound=bound, stat_tol=stat_tol, mono_tol=1e-10, mono_pairs=pairs)
+    log = {}
+
+    def observe(k, t, Jt, Js, tags):
+        log[k] = [kern.rows.tolist()] + [
+            a.copy() for a in (red.sup, red.change, red.nonmono, red.first_nonmono)
+        ]
+        done = None
+        if k == retire and len(Jt) > 1:
+            done = np.arange(len(Jt)) == 0
+        return done, k + stride if k >= retire else min(k + stride, retire)
+
+    try:
+        _march(kern, observe, steps, red=red)
+    except NegativityError as exc:
+        return log, str(exc)
+    return log, None
+
+
+@needs_native
+@settings(max_examples=30, deadline=None)
+@given(
+    n_cells=st.integers(2, 300),
+    kappa=st.floats(-1.0, 2.0).map(lambda x: 10.0**x),
+    kappa_outside=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+    R=st.floats(0.5, 10.0),
+    dt=st.floats(0.01, 1.0),
+    steps=st.integers(1, 200),
+    stride=st.integers(1, 60),
+    retire=st.integers(1, 200),
+    n_sweep=st.integers(0, 2),
+    bound=st.floats(0.9, 1.2),
+    stat_tol=st.floats(-6.0, -1.0).map(lambda x: 10.0**x),
+)
+def test_native_reductions_match_numpy(
+    n_cells, kappa, kappa_outside, R, dt, steps, stride, retire, n_sweep, bound, stat_tol
+):
+    # The kernel's sup, relative change and non-monotone steps are those of
+    # _Reductions.update, and it stops at every step where a row's sup
+    # passes the bound or its change falls below the tolerance.
+    grid = make_uniform_grid(3.0 * R, n_cells)
+    specs = [ProblemSpec(B=1.0, R=R, kappa=kappa, kappa_outside=k) for k in kappa_outside]
+    cfg = SolverConfig(dt=dt)
+    n_sweep = min(n_sweep, len(specs))
+    (native, native_err), (reference, reference_err) = _both(
+        lambda: _reductions_log(specs, grid, cfg, steps, stride, retire, n_sweep, bound, stat_tol)
+    )
+    assert native_err == reference_err
+    assert native and set(native) <= set(reference)
+    for k, (rows, *values) in native.items():
+        assert rows == reference[k][0]
+        for a, b in zip(values, reference[k][1:]):
+            assert np.array_equal(a, b, equal_nan=True)
+    for k, (_, sup, change, _, _) in reference.items():
+        assert k in native or not (np.any(sup > bound) or np.any(change < stat_tol))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     dt=st.floats(1e-3, 10.0),
@@ -257,16 +327,82 @@ def test_march_never_writes_to_an_array_it_has_shown(path):
 
 @needs_native
 def test_instability_result_matches_numpy():
-    grid = make_uniform_grid(18.0, 600)
+    # The native kernel reduces the sup and the first non-monotone step
+    # itself, and returns only at the snapshots: at 80 cells the first
+    # non-monotone step (t = 2.8) lies between two of them.
     spec = ProblemSpec(B=1.0, R=6.0, kappa=1.0)
     cfg = SolverConfig(dt=0.1, t_end=20.0)
-    native, reference = _both(
-        lambda: run_instability_experiment(spec, grid, cfg, snapshot_times=(5.0, 20.0))
+    for n_cells, snapshot_times in [(600, (5.0, 20.0)), (80, (1.0, 5.0, 20.0))]:
+        grid = make_uniform_grid(18.0, n_cells)
+        native, reference = _both(
+            lambda: run_instability_experiment(spec, grid, cfg, snapshot_times=snapshot_times)
+        )
+        assert native.snapshots == reference.snapshots
+        assert native.first_nonmonotone_time == reference.first_nonmonotone_time
+        assert native.sup_total == reference.sup_total
+        assert np.array_equal(native.final.Jt.values, reference.final.Jt.values)
+        assert np.array_equal(native.final.Js.values, reference.final.Js.values)
+    assert 1.0 < native.first_nonmonotone_time < 5.0
+    assert [s.nonmonotone for s in native.snapshots] == [False, True, True]
+
+
+@needs_native
+def test_instability_run_returns_from_the_kernel_only_at_snapshots(monkeypatch):
+    # The default run: 10000 cells, 2000 steps, four snapshots.
+    native = _native.load()
+    steps = []
+
+    def march(*args):
+        taken = native.lib.march(*args)
+        steps.append(taken)
+        return taken
+
+    counting = SimpleNamespace(ffi=native.ffi, lib=SimpleNamespace(march=march))
+    monkeypatch.setattr(_native, "load", lambda: counting)
+    snapshot_times = (10.0, 50.0, 100.0, 200.0)
+    result = run_instability_experiment(
+        ProblemSpec(B=1.0, R=6.0, kappa=1.0), make_uniform_grid(18.0, 10000),
+        SolverConfig(dt=0.1, t_end=200.0), snapshot_times,
     )
-    assert native.snapshots == reference.snapshots
-    assert native.first_nonmonotone_time == reference.first_nonmonotone_time
-    assert np.array_equal(native.final.Jt.values, reference.final.Jt.values)
-    assert np.array_equal(native.final.Js.values, reference.final.Js.values)
+    assert len(steps) <= len(snapshot_times) + 3
+    assert sum(steps) == 2000
+    assert [s.t for s in result.snapshots] == list(snapshot_times)
+    assert result.first_nonmonotone_time is not None
+
+
+# sup(Jt + Js) <= B is not a property of the switched scheme outside the
+# explicit diffusion limit dt / (3 kappa dr^2) <= 1/2: the default
+# instability run (R = 6, r_max = 18, dt = 0.1, t_end = 200) overshoots at
+# 92 cells and at kappa = 10 on 1000 cells, and holds at 80 and 400 cells,
+# all above the limit.  Both marches stop at the same step with the same sup.
+_BOUND_CASES = [
+    (92, 1.0, "sup(Jt + Js) = 1.00288904 exceeds B(1 + 1e-06) at t = 1.8; "
+              "diffusion number dt/(3 kappa dr^2) = 0.871"),
+    (1000, 10.0, "sup(Jt + Js) = 1.01995967 exceeds B(1 + 1e-06) at t = 0.8; "
+                 "diffusion number dt/(3 kappa dr^2) = 10.3"),
+    (80, 1.0, None),
+    (400, 1.0, None),
+]
+
+
+@pytest.mark.parametrize("path", [pytest.param("native", marks=needs_native), "numpy"])
+@pytest.mark.parametrize("n_cells, kappa, message", _BOUND_CASES)
+def test_sup_bound_outside_the_diffusion_limit(path, n_cells, kappa, message):
+    spec = ProblemSpec(B=1.0, R=6.0, kappa=kappa)
+    grid = make_uniform_grid(18.0, n_cells)
+    cfg = SolverConfig(dt=0.1, t_end=200.0)
+    assert diffusion_number(spec, grid, cfg) > 0.5
+
+    def run():
+        return run_instability_experiment(spec, grid, cfg, (10.0, 50.0, 100.0, 200.0))
+
+    with contextlib.nullcontext() if path == "native" else _numpy_march():
+        if message is None:
+            assert run().sup_total <= 1.0 + 1e-6
+        else:
+            with pytest.raises(UnboundedError) as raised:
+                run()
+            assert str(raised.value) == message
 
 
 @pytest.fixture
