@@ -5,7 +5,9 @@
  * - gtsv_factor() and gtsv_solve(): the domain-split schemes' tridiagonal
  *   solve (reformed.py), LAPACK's dgtsv split into a factor pass and a
  *   right-hand-side pass;
- * - format_rows(): the CSV rows of a block (cli.py), with "%.17g" floats.
+ * - format_rows(): the CSV rows of a block (cli.py), with "%.17g" floats,
+ *   written with exact integer arithmetic for +-0 and 1e-38 < |x| < 1e17
+ *   and by glibc's snprintf otherwise.
  *
  * Each gives the bits of its Python reference: built without fast-math and
  * without contraction into fused multiply-adds, every operation rounds as
@@ -345,6 +347,10 @@ void gtsv_solve(int n, const double *dl, const double *d, const double *du,
  * writes: every NaN is "nan"), a bool as 0 or 1 and a text cell verbatim.
  * out must hold the widest case: 24 bytes per float cell, 1 per bool, the
  * text, and n_cols separators per row.
+ *
+ * format_double writes NaN, +-0 and every 1e-38 < |x| < 1e17 itself, with
+ * exact integer arithmetic; glibc's snprintf, which is exact too, writes
+ * the rest: subnormals, 0 < |x| <= 1e-38, |x| >= 1e17 and the infinities.
  */
 typedef struct {
     char kind;                  /* 'f' double, 'b' bool (one byte), 't' text */
@@ -354,86 +360,139 @@ typedef struct {
 } csv_column;
 
 typedef unsigned __int128 u128;
+typedef unsigned long long u64;
 
-static const unsigned long long P10[20] = {
-    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
-    100000000ULL, 1000000000ULL, 10000000000ULL, 100000000000ULL, 1000000000000ULL,
-    10000000000000ULL, 100000000000000ULL, 1000000000000000ULL, 10000000000000000ULL,
-    100000000000000000ULL, 1000000000000000000ULL, 10000000000000000000ULL,
+static const u64 P10_16 = 10000000000000000ULL, P10_17 = 100000000000000000ULL;
+
+/* 5^0 .. 5^27, the powers of five below 2^63. */
+static const u64 P5[28] = {
+    1ULL, 5ULL, 25ULL, 125ULL, 625ULL, 3125ULL, 15625ULL, 78125ULL, 390625ULL, 1953125ULL,
+    9765625ULL, 48828125ULL, 244140625ULL, 1220703125ULL, 6103515625ULL, 30517578125ULL,
+    152587890625ULL, 762939453125ULL, 3814697265625ULL, 19073486328125ULL,
+    95367431640625ULL, 476837158203125ULL, 2384185791015625ULL, 11920928955078125ULL,
+    59604644775390625ULL, 298023223876953125ULL, 1490116119384765625ULL,
+    7450580596923828125ULL,
 };
 
-static u128 pow10_u128(int p) { return p < 20 ? P10[p] : (u128)P10[19] * P10[p - 19]; }
+/* "00" .. "99" */
+static const char DIGIT_PAIRS[200] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/*
+ * floor(M 2^e2 10^p), for 0 <= p <= 54, given that it is below 10^18; *up
+ * is 1 where the rest rounds it up, half to even.  M 2^e2 10^p is
+ * M 5^p 2^(p + e2), and M 5^p < 2^53 5^54 < 2^179 is held as t 2^64 + l,
+ * exactly; a right shift by s keeps bit s - 1 and whether any bit below
+ * it is set.
+ */
+static u64 scaled(u64 M, int e2, int p, int *up)
+{
+    const u128 f = p <= 27 ? P5[p] : (u128)P5[27] * P5[p - 27];  /* 5^p */
+    const u128 lo = (u128)M * (u64)f;
+    const u128 t = (u128)M * (u64)(f >> 64) + (lo >> 64);
+    const u64 l = (u64)lo;
+    int s = -(p + e2), sticky = 0;
+    u128 v;
+    if (s >= 64) {  /* of the 63 low bits of l, only whether one is set matters */
+        v = t << 1 | l >> 63;
+        sticky = (l << 1) != 0;
+        s -= 63;
+    } else {        /* the product is below 2^(60 + s): it fits */
+        v = t << 64 | l;
+    }
+    if (s <= 0) {
+        *up = 0;
+        return (u64)(v << -s);
+    }
+    const u64 q = (u64)(v >> s);
+    const u128 rem = v & (((u128)1 << s) - 1), half = (u128)1 << (s - 1);
+    *up = rem > half || (rem == half && (sticky || (q & 1)));
+    return q;
+}
+
+/* v < 10^8 as the eight digits at d, two at a time. */
+static void eight_digits(unsigned v, char *d)
+{
+    for (int k = 6; k >= 0; k -= 2) {
+        memcpy(d + k, DIGIT_PAIRS + 2 * (v % 100), 2);
+        v /= 100;
+    }
+}
 
 /* x as "%.17g", returning the length (at most 24). */
 static int format_double(double x, char *out)
 {
     const double ax = fabs(x);
+    u64 bits;
+    memcpy(&bits, &x, sizeof bits);
 
     if (x != x) {  /* glibc writes "-nan" for a negative NaN; Python writes "nan" */
         memcpy(out, "nan", 3);
         return 3;
     }
-    /* Outside (1e-6, 1e17) (subnormals, zeros, infinities and wide
-     * exponents) glibc is exact; 1e-6 as a double is below 10^-6, so a
-     * strict bound keeps the decimal exponent at -6 or above. */
-    if (!(ax > 1e-6 && ax < 1e17))
+    /* 1e-38 as a double is below 10^-38, so the strict bound keeps the
+     * decimal exponent at -38 or above. */
+    if (ax != 0.0 && !(ax > 1e-38 && ax < 1e17))
         return snprintf(out, 25, "%.17g", x);
+    char *o = out;
+    if (bits >> 63)
+        *o++ = '-';
+    if (ax == 0.0) {
+        *o++ = '0';
+        return (int)(o - out);
+    }
 
-    /* ax = M 2^e2 with M < 2^53.  The 17 digits are q = round(ax 10^p) with
-     * p = 16 - E, E = floor(log10 ax) in [-6, 16], so p is in [0, 22] and
-     * M 10^p < 2^127: the product is exact in 128 bits, and q is rounded
-     * half to even, as glibc and Python round. */
-    unsigned long long bits;
-    memcpy(&bits, &ax, sizeof bits);
-    const int e2 = (int)(bits >> 52) - 1075;
-    const unsigned long long M = (bits & ((1ULL << 52) - 1)) | (1ULL << 52);
-    int p = 16 - (int)floor((e2 + 52) * 0.30102999566398120);  /* within one of 16 - E */
-    p = p < 0 ? 0 : p > 22 ? 22 : p;
-    u128 N, q;
+    /* ax = M 2^e2 with 2^52 <= M < 2^53.  The 17 digits are
+     * q = round(ax 10^p), p = 16 - E with E = floor(log10 ax) in [-38, 16].
+     * E is floor((e2 + 52) log10 2) or one more: (k 78913) >> 18 is
+     * floor(k log10 2) for |k| <= 1650 (gcc shifts a negative int
+     * arithmetically), so p starts at its value or one above it, but not
+     * above 54, the largest power scaled() takes. */
+    const int e2 = (int)(bits >> 52 & 0x7ff) - 1075;
+    const u64 M = (bits & ((1ULL << 52) - 1)) | (1ULL << 52);
+    int p = 16 - (((e2 + 52) * 78913) >> 18), up;
+    p = p > 54 ? 54 : p;
+    u64 q;
     for (;;) {
-        N = (u128)M * pow10_u128(p);
-        q = e2 >= 0 ? N << e2 : N >> -e2;   /* floor(ax 10^p) */
-        if (q < P10[16])
+        q = scaled(M, e2, p, &up);
+        if (q < P10_16)
             p++;
-        else if (q >= P10[17])
+        else if (q >= P10_17)
             p--;
         else
             break;
     }
-    if (e2 < 0) {
-        const u128 rem = N & (((u128)1 << -e2) - 1), half = (u128)1 << (-e2 - 1);
-        q += rem > half || (rem == half && (q & 1));
+    q += up;
+    int E = 16 - p;
+    if (q == P10_17) {  /* 1e-14 as a double is below 10^-14 and rounds up to it */
+        q = P10_16;
+        E++;
     }
-    /* q cannot round up to 10^17: the largest double below each power of
-     * ten from 10^-6 to 10^17 is more than half a unit in the 17th digit
-     * below it. */
-    const int E = 16 - p;
 
     char dig[17];
-    unsigned long long v = (unsigned long long)q;
-    for (int k = 16; k >= 0; k--) {
-        dig[k] = (char)('0' + v % 10);
-        v /= 10;
-    }
+    const u64 top = q / 100000000;  /* the first nine digits */
+    eight_digits((unsigned)(q % 100000000), dig + 9);
+    eight_digits((unsigned)(top % 100000000), dig + 1);
+    dig[0] = (char)('0' + top / 100000000);
     int nd = 17;
     while (nd > 1 && dig[nd - 1] == '0')
         nd--;
 
-    char *o = out;
-    if (x < 0)
-        *o++ = '-';
-    if (E < -4 || E >= 17) {
+    if (E < -4) {
         *o++ = dig[0];
         if (nd > 1) {
             *o++ = '.';
             memcpy(o, dig + 1, nd - 1);
             o += nd - 1;
         }
-        const int ex = E < 0 ? -E : E;
         *o++ = 'e';
-        *o++ = E < 0 ? '-' : '+';
-        *o++ = (char)('0' + ex / 10);
-        *o++ = (char)('0' + ex % 10);
+        *o++ = '-';
+        memcpy(o, DIGIT_PAIRS + 2 * -E, 2);
+        o += 2;
     } else if (E >= 0) {
         memcpy(o, dig, E + 1);
         o += E + 1;

@@ -1,6 +1,11 @@
 """
 Loader for the native kernels, ``_march.c``: the switched scheme's march,
 the domain-split schemes' tridiagonal solve and the CSV row formatter.
+The formatter writes ``%.17g`` itself for +-0, NaN and every
+1e-38 < |x| < 1e17, with exact integer arithmetic, and calls glibc's
+``snprintf`` only for the rest (subnormals, 0 < |x| <= 1e-38,
+|x| >= 1e17, the infinities); ``cli`` writes its buffer to the file as
+bytes.
 
 The module is compiled with cffi (API mode) on first use, into
 ``_native_cache/`` next to this file, with ``-O3 -ffp-contract=off``:

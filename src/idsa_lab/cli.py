@@ -10,8 +10,9 @@ exactly; identical configs produce byte-identical CSV bodies.
 
 Runners hand ``_write_csv`` arrays, not rows.  A file is written one
 block (one snapshot) at a time: the native formatter (``_march.c``)
-writes a block's rows from its columns, with the same ``.17g`` text as
-formatting value by value, and the block goes to disk before the next is
+writes a block's rows from its columns into a byte buffer, with the same
+``.17g`` text as formatting value by value, and the buffer goes to disk
+as bytes, neither decoded nor re-encoded, before the next block is
 formatted.  ``_block_text_python`` is its reference, and the fallback
 when the native module cannot be built.  The snapshot time is formatted
 once per block.
@@ -74,11 +75,15 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _atomic_write(path: Path, text) -> None:
-    """Write text (a str, or str chunks in turn) to a .tmp sibling, then move it over path."""
+def _atomic_write(path: Path, data) -> None:
+    """
+    Write data to a .tmp sibling, then move it over path: a str as text, or
+    bytes-like chunks in turn as bytes.
+    """
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as f:
-        f.writelines([text] if isinstance(text, str) else text)
+    text = isinstance(data, str)
+    with open(tmp, "w" if text else "wb") as f:
+        f.writelines([data] if text else data)
     os.replace(tmp, path)
 
 
@@ -95,14 +100,15 @@ def _kind(a: np.ndarray) -> str:
     return a.dtype.kind
 
 
-def _block_text(columns) -> str:
+def _block_text(columns):
     """
-    The rows of one block, columns in header order, each cell written as
-    ``_fmt`` writes it.  An array column is formatted by its dtype, a list
-    is text written verbatim, and a scalar (the snapshot time) is formatted
-    once.  At least one column must be an array or list.  The rows are
-    written by the native formatter, or by ``_block_text_python``, its
-    reference, when the native module cannot be built.
+    The rows of one block as bytes, columns in header order, each cell
+    written as ``_fmt`` writes it.  An array column is formatted by its
+    dtype, a list is text written verbatim, and a scalar (the snapshot
+    time) is formatted once.  At least one column must be an array or list.
+    The rows are written by the native formatter, which returns a
+    memoryview of its buffer, or by ``_block_text_python``, its reference,
+    when the native module cannot be built.
     """
     from . import _native  # here: importing idsa_lab should not pay for it
 
@@ -137,10 +143,11 @@ def _block_text(columns) -> str:
         c.kind, c.data, c.len = b"t", ffi.from_buffer(text), len(text)
         keep.append(text)
     out = bytearray(size)
-    return out[: native.lib.format_rows(n_rows, len(columns), cols, ffi.from_buffer(out))].decode()
+    n = native.lib.format_rows(n_rows, len(columns), cols, ffi.from_buffer(out))
+    return memoryview(out)[:n]
 
 
-def _block_text_python(columns) -> str:
+def _block_text_python(columns) -> bytes:
     """``_block_text`` in Python, one row template formatted per row."""
     template, cells = [], []
     for col in columns:
@@ -155,17 +162,17 @@ def _block_text_python(columns) -> str:
             cells.append(a.tolist())
         else:
             template.append(spec.format(a.item()))
-    return "".join(map((",".join(template) + "\n").format, *cells))
+    return "".join(map((",".join(template) + "\n").format, *cells)).encode()
 
 
 def _write_csv(path: Path, meta: dict, header: list[str], blocks) -> None:
     """
     Write ``# key = value`` meta lines, the header and the rows of each block.
     Each block is formatted from its columns and written before the next is
-    formatted, so only one block's text is held in memory.
+    formatted, so only one block's bytes are held in memory.
     """
     head = "".join(f"# {k} = {_fmt(v)}\n" for k, v in meta.items()) + ",".join(header) + "\n"
-    _atomic_write(path, itertools.chain([head], map(_block_text, blocks)))
+    _atomic_write(path, itertools.chain([head.encode()], map(_block_text, blocks)))
 
 
 def _scenario_meta(cfg: RunConfig) -> dict:

@@ -302,22 +302,23 @@ def _py_max(a, b):
     return np.where(b > a, b, a)
 
 
-def _march(kern: _Kernel, observe, max_steps=math.inf, with_tags: bool = False, watch=None,
-           red: _Reductions | None = None):
+def _march(kern: _Kernel, observe, max_steps=math.inf, *, first, with_tags: bool = False,
+           watch=None, red: _Reductions | None = None):
     """
     March every row of ``kern`` from zero data for up to ``max_steps`` steps.
 
     After step k, ``observe(k, t, Jt, Js, tags)`` sees the (n_rows, n_cells)
     fields (tags only ``with_tags``) and returns ``(done, upcoming)``: None
-    or a mask of rows to retire, and the next step it must see.  ``red``,
-    if given, holds the step's reductions when the observer sees it.  The
-    numpy path shows every step.  The native kernel shows step
-    ``upcoming``, any step where a row's domination of the cells from index
-    ``watch`` on (Jt > (Jt + Js) / 2 on each) begins or ends, any step where
-    ``red`` asks to stop, and the last step; so an observer must have
-    nothing to do at the steps in between.  Both paths compute the same
-    bits, and never write to an array already shown.  Returns the fields
-    once every row has retired or time is up.
+    or a mask of rows to retire, and the next step it must see; ``first``
+    is the first step it must see.  ``red``, if given, holds the step's
+    reductions when the observer sees it.  The numpy path shows every step.
+    The native kernel shows step ``first``, then each ``upcoming`` step, any
+    step where a row's domination of the cells from index ``watch`` on
+    (Jt > (Jt + Js) / 2 on each) begins or ends, any step where ``red``
+    asks to stop, and the last step; so an observer must have nothing to do
+    at the steps in between.  Both paths compute the same bits, and never
+    write to an array already shown.  Returns the fields once every row has
+    retired or time is up.
     """
     from . import _native  # here: importing idsa_lab should not pay for it
 
@@ -325,7 +326,7 @@ def _march(kern: _Kernel, observe, max_steps=math.inf, with_tags: bool = False, 
     Jt = np.zeros((len(kern.rows), kern.n_cells))
     Js = np.zeros_like(Jt)
     dom = np.zeros(len(kern.rows), np.int8)  # native path: watched cells dominated, per row
-    k, upcoming = 0, 1
+    k, upcoming = 0, first
     while k < max_steps:
         if native is None:
             # One full step: source, trapped update, streaming re-solve.
@@ -409,23 +410,29 @@ def run_to_time(
     # stationary stop (the kernel's change below the tolerance) and t_end.
     red = _Reductions(1, stat_tol=cfg.stationarity_tol if traj.final is None else 0.0)
 
+    def upcoming(k):
+        """The next step to see after step k: a snapshot or t_end, then only snapshots."""
+        later = [j for j in snap_steps if j > k]
+        if traj.final is None:
+            return min([*later, n_steps])
+        return later[0] if later else None
+
     def observe(k, t, Jt, Js, tags):
         (Jt, Js), tags = (Jt[0], Js[0]), tags[0]
         if k in snap_steps:
             traj.snapshots.append(Snapshot(_make_state(grid, Jt, Js, t), tags.copy()))
-        later = [j for j in snap_steps if j > k]
         if traj.final is None:
             if red.change[0] < cfg.stationarity_tol:
                 traj.stopped = "stationary"
             elif k < n_steps:
-                return None, min([*later, n_steps])
+                return None, upcoming(k)
             traj.final, traj.final_tags = _make_state(grid, Jt, Js, t), tags.copy()
             red.stat_tol = 0.0
-        # Past the final state only the snapshot steps are left to see.
-        return (None, later[0]) if later else (np.array([True]), None)
+        j = upcoming(k)
+        return (None, j) if j is not None else (np.array([True]), None)
 
     _march(_Kernel([spec], grid, cfg), observe, max([n_steps, *snap_steps]), with_tags=True,
-           red=red)
+           red=red, first=upcoming(0))
     return traj
 
 
@@ -485,6 +492,11 @@ def run_spurious_trapped_experiment(
     first = np.full(len(eps_all), np.nan)
     until = np.full(len(eps_all), np.inf)
 
+    def upcoming(k):
+        """The first step after k that ends a hold or passes the horizon."""
+        return min(_first_step(cfg.dt, k, float(until.min(initial=math.inf))),
+                   _first_step(cfg.dt, k, horizon, past=True))
+
     def observe(k, t, Jt, Js, tags):
         nonlocal first, until
         tot = Jt[:, outside] + Js[:, outside]
@@ -502,10 +514,9 @@ def run_spurious_trapped_experiment(
             first, until = first[~done], until[~done]
         # Until a hold ends or the horizon passes, only a domination that
         # begins or ends needs this observer, and the march stops there.
-        return done, min(_first_step(cfg.dt, k, float(until.min(initial=math.inf))),
-                         _first_step(cfg.dt, k, horizon, past=True))
+        return done, upcoming(k)
 
-    _march(kern, observe, watch=outside.start)
+    _march(kern, observe, watch=outside.start, first=upcoming(0))
     return [rec or TakeoverRecord(eps, None, censored=True) for rec, eps in zip(records, eps_all)]
 
 
@@ -564,6 +575,9 @@ def run_instability_experiment(
                       mono_pairs=int(np.count_nonzero(r[1:] < spec.R)))
     snaps = []
 
+    def upcoming(k):
+        return min([j for j in snap_steps if j > k], default=n_steps)
+
     def observe(k, t, Jt, Js, tags):
         sup = float(red.sup[0])
         if sup > red.bound:
@@ -576,9 +590,9 @@ def run_instability_experiment(
             vb = float(r[above[-1]]) if above.size else 0.0
             snaps.append(InstabilitySnapshot(t, vb, bool(red.nonmono[0]), sup))
         # The bound and the first non-monotone step are the kernel's to watch.
-        return None, min([j for j in snap_steps if j > k], default=n_steps)
+        return None, upcoming(k)
 
-    Jt, Js = _march(_Kernel([spec], grid, cfg), observe, n_steps, red=red)
+    Jt, Js = _march(_Kernel([spec], grid, cfg), observe, n_steps, red=red, first=upcoming(0))
     first_bad = int(red.first_nonmono[0])
     return InstabilityResult(
         snapshots=snaps,

@@ -33,9 +33,13 @@ The tridiagonal systems are solved as LAPACK's dgtsv solves them: the
 matrix is factored once (``_Tridiagonal``), with dgtsv's row interchanges,
 and each step repeats only dgtsv's right-hand-side work, in the native
 module when it can be built and in Python otherwise, with the same bits.
+The step matrix I - dt L is factored on the first step of a march, so a
+direct stationary solve factors only its own matrix.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -220,8 +224,13 @@ class ReformedScheme:
 
         self._L = (lower, diag, upper)
         self._q = np.full(m, spec.kappa * spec.B)
-        dt = cfg.dt
-        self._M = _Tridiagonal(-dt * lower[1:], 1.0 - dt * diag, -dt * upper[:-1])
+
+    @functools.cached_property
+    def _M(self) -> _Tridiagonal:
+        """The step matrix I - dt L, factored when a march first needs it."""
+        lower, diag, upper = self._L
+        dt = self.cfg.dt
+        return _Tridiagonal(-dt * lower[1:], 1.0 - dt * diag, -dt * upper[:-1])
 
     def _gradient(self, Jt_in: np.ndarray):
         """Second-order trapped gradient at centers, plus the face-R value."""

@@ -359,7 +359,7 @@ def test_batch_negativity_names_the_row(monkeypatch):
         kern = _Kernel([SPEC, SPEC], GRID, CFG, labels=["eps = 0.1", "eps = 0.01"])
         getattr(kern, which)[1] *= -1.0  # row 1 turns negative
         with pytest.raises(NegativityError) as info:
-            _march(kern, lambda k, t, Jt, Js, tags: (None, k + 1), max_steps=20)
+            _march(kern, lambda k, t, Jt, Js, tags: (None, k + 1), max_steps=20, first=1)
         return str(info.value)
 
     for which, component in (("den", "trapped"), ("r2g", "streaming")):

@@ -110,7 +110,7 @@ def _march_log(specs, grid, cfg, steps, with_tags, stride, retire, n_sweep, watc
         return done, k + stride if k >= retire else min(k + stride, retire)
 
     try:
-        _march(kern, observe, steps, with_tags=with_tags, watch=watch)
+        _march(kern, observe, steps, first=min(stride, retire), with_tags=with_tags, watch=watch)
     except NegativityError as exc:
         return log, str(exc)
     return log, None
@@ -189,7 +189,7 @@ def _reductions_log(specs, grid, cfg, steps, stride, retire, n_sweep, bound, sta
         return done, k + stride if k >= retire else min(k + stride, retire)
 
     try:
-        _march(kern, observe, steps, red=red)
+        _march(kern, observe, steps, first=min(stride, retire), red=red)
     except NegativityError as exc:
         return log, str(exc)
     return log, None
@@ -318,7 +318,8 @@ def test_march_never_writes_to_an_array_it_has_shown(path):
         return done, min([k + 4, *retire[:1]])
 
     with contextlib.nullcontext() if path == "native" else _numpy_march():
-        _march(kern, observe, 80, with_tags=True, watch=int(np.searchsorted(grid.r_centers, 6.0)))
+        _march(kern, observe, 80, first=4, with_tags=True,
+               watch=int(np.searchsorted(grid.r_centers, 6.0)))
     assert not retire and len(kern.rows) == 2
     assert len(kept) >= 3 * 20
     for shown, copy in kept:
@@ -364,7 +365,7 @@ def test_instability_run_returns_from_the_kernel_only_at_snapshots(monkeypatch):
         ProblemSpec(B=1.0, R=6.0, kappa=1.0), make_uniform_grid(18.0, 10000),
         SolverConfig(dt=0.1, t_end=200.0), snapshot_times,
     )
-    assert len(steps) <= len(snapshot_times) + 3
+    assert steps == [100, 400, 500, 1000]  # one call per snapshot, none before the first
     assert sum(steps) == 2000
     assert [s.t for s in result.snapshots] == list(snapshot_times)
     assert result.first_nonmonotone_time is not None
@@ -458,8 +459,16 @@ def test_import_neither_loads_cffi_nor_builds():
 
 # ------------------------------------------------------------ CSV formatter
 
-def _python_text(values) -> str:
-    return "".join(format(x, ".17g") + "\n" for x in values.tolist())
+def _python_text(values) -> bytes:
+    return "".join(format(x, ".17g") + "\n" for x in values.tolist()).encode()
+
+
+def _random_bit_patterns(rng, n, exponents):
+    """n doubles of random sign and mantissa, biased exponents drawn from range(*exponents)."""
+    mantissa = rng.integers(0, 2**52, size=n, dtype=np.uint64)
+    sign = rng.integers(0, 2, size=n, dtype=np.uint64) << np.uint64(63)
+    exponent = rng.integers(*exponents, size=n, dtype=np.uint64) << np.uint64(52)
+    return (sign | exponent | mantissa).view(np.float64)
 
 
 @needs_native
@@ -469,30 +478,58 @@ def test_native_formatter_matches_python_on_random_bit_patterns():
     # exponent of a normal value in (1e-6, 1e17), where the integer path runs.
     rng = np.random.default_rng(20261018)
     n = 1_000_000
-    wide = rng.integers(0, 2**64, size=n, dtype=np.uint64)
-    mantissa = rng.integers(0, 2**52, size=n, dtype=np.uint64)
-    sign = rng.integers(0, 2, size=n, dtype=np.uint64) << np.uint64(63)
-    exponent = rng.integers(1002, 1080, size=n, dtype=np.uint64) << np.uint64(52)
+    wide = rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
+    narrow = _random_bit_patterns(rng, n, (1002, 1080))
     with _time_limit(60):
-        for bits in (wide, sign | exponent | mantissa):
-            values = bits.view(np.float64)
-            assert _block_text([values]) == _python_text(values)
-    narrow = (sign | exponent | mantissa).view(np.float64)
+        for values in (wide, narrow):
+            assert bytes(_block_text([values])) == _python_text(values)
     assert np.mean((np.abs(narrow) > 1e-6) & (np.abs(narrow) < 1e17)) > 0.9
+
+
+@needs_native
+def test_native_formatter_matches_python_below_1e_minus_6():
+    # 500k random patterns with exponents from 2^-140 (about 7e-43) to 2^-20
+    # (about 1e-6): the integer path's 192-bit products down to its bound
+    # 1e-38, and glibc below it.
+    values = _random_bit_patterns(np.random.default_rng(20261019), 500_000, (883, 1003))
+    with _time_limit(30):
+        assert bytes(_block_text([values])) == _python_text(values)
+    assert 0.85 < np.mean(np.abs(values) > 1e-38) < 0.95
 
 
 def _exact_ties():
     """
     Doubles k 2^-n whose exact decimal expansion has 18 significant digits
-    ending in 5: the 17-digit text is a tie, rounded half to even.
+    ending in 5: the 17-digit text is a tie, rounded half to even.  The
+    expansion of k 2^-n (k odd) has as many digits as k 5^n, so there are
+    none below 2^-25.
     """
     ties = []
     for k, n in itertools.product(range(1, 2**12, 2), range(0, 60)):
         x = math.ldexp(k, -n)
         digits = format(Decimal(x), "f").replace(".", "").strip("0")
-        if len(digits) == 18 and digits[-1] == "5" and 1e-6 < x < 1e17:
+        if len(digits) == 18 and digits[-1] == "5" and x < 1e17:
             ties.append(x)
     return ties
+
+
+def _near_ties(rng):
+    """
+    In each decade from 1e-38 to 1e16, the doubles nearest to ten random
+    18-digit decimals ending in 5: each lies within half an ulp of a tie, so
+    the bits below the 17th digit decide its rounding.
+    """
+    return [float(f"{rng.integers(10**16, 10**17)}5e{e - 17}")
+            for e in range(-38, 17) for _ in range(10)]
+
+
+def _ulp_neighbours(x, n):
+    """x and the n doubles on either side of it."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
 
 
 _FORMAT_EDGES = [
@@ -505,19 +542,101 @@ _FORMAT_EDGES = [
     1e-4, 9.9999999999999991e-05, 1.0000000000000002e-04,
     0.5, 1.0, 0.1, 1.0 / 3.0, 2.0 / 3.0, 123456789012345678.0, 1234567890123456.25,
 ]
+# 3 ulps either side of every power of ten from the integer path's lower
+# bound, 1e-38, to 1e17; 1e-14 as a double is below 10^-14 and is written
+# "1e-14".
+_POWERS_OF_TEN = [y for e in range(-38, 18) for y in _ulp_neighbours(float(f"1e{e}"), 3)]
 
 
 @needs_native
 def test_native_formatter_matches_python_on_edge_values():
     ties = _exact_ties()
-    assert len(ties) > 1000
-    values = np.array(_FORMAT_EDGES + [-x for x in _FORMAT_EDGES] + ties + [-x for x in ties])
+    assert len(ties) > 1000 and sum(x < 1e-6 for x in ties) == 9
+    edges = _FORMAT_EDGES + _POWERS_OF_TEN + ties + _near_ties(np.random.default_rng(5))
+    values = np.array(edges + [-x for x in edges])
     assert np.signbit(values[3]) and math.isnan(values[3])  # a NaN with the sign bit set
     with _time_limit(30):
-        text = _block_text([values])
+        text = bytes(_block_text([values]))
     assert text == _python_text(values)
     assert text == _block_text_python([values])
-    assert "-nan" not in text
+    assert b"-nan" not in text
+
+
+# A preloaded snprintf (and its fortified twin) that counts its calls.
+_COUNTING_SNPRINTF = r"""
+#include <stdarg.h>
+#include <stdio.h>
+
+static long calls;
+
+long snprintf_calls(void) { return calls; }
+
+int snprintf(char *s, size_t n, const char *format, ...)
+{
+    va_list ap;
+    va_start(ap, format);
+    const int r = vsnprintf(s, n, format, ap);
+    va_end(ap);
+    calls++;
+    return r;
+}
+
+int __snprintf_chk(char *s, size_t n, int flag, size_t len, const char *format, ...)
+{
+    va_list ap;
+    va_start(ap, format);
+    const int r = vsnprintf(s, n, format, ap);
+    va_end(ap);
+    calls++;
+    return r;
+}
+"""
+
+_COUNT_CALLS = """
+import ctypes, sys
+import numpy as np
+from idsa_lab import _native
+from idsa_lab.cli import _block_text
+_native.load()
+calls = ctypes.CDLL(sys.argv[1]).snprintf_calls
+calls.restype = ctypes.c_long
+for path in sys.argv[2:]:
+    before = calls()
+    _block_text([np.load(path)])
+    print(calls() - before)
+"""
+
+
+@needs_native
+def test_native_formatter_calls_glibc_only_outside_its_range(tmp_path):
+    # NaN, +-0 and every 1e-38 < |x| < 1e17 are written without snprintf;
+    # subnormals, the rest of |x| <= 1e-38, |x| >= 1e17 and the infinities
+    # with one call each.
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        pytest.skip("no C compiler to build the counting snprintf")
+    (tmp_path / "count.c").write_text(_COUNTING_SNPRINTF)
+    shim = tmp_path / "count.so"
+    subprocess.run([cc, "-shared", "-fPIC", "-O2", "-o", str(shim), str(tmp_path / "count.c")],
+                   check=True)
+    rng = np.random.default_rng(3)
+    inside = np.concatenate([
+        [0.0, -0.0, math.nan, math.nextafter(1e-38, 1.0), 1e-14, 1e-6, 0.5,
+         99999999999999984.0],
+        rng.choice([-1.0, 1.0], 100_000) * 10.0 ** rng.uniform(-37.99, 16.99, 100_000),
+    ])
+    outside = np.array([1e-38, -1e-300, 5e-324, 2.2250738585072014e-308, 1e17, -3e20,
+                        1.7976931348623157e308, math.inf, -math.inf])
+    paths = [tmp_path / "inside.npy", tmp_path / "outside.npy"]
+    for path, values in zip(paths, (inside, outside)):
+        np.save(path, values)
+    src = str(Path(idsa_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "LD_PRELOAD": str(shim),
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _COUNT_CALLS, str(shim), *map(str, paths)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", str(outside.size)]
 
 
 # ------------------------------------------------------------ tridiagonal solve
@@ -598,7 +717,10 @@ def test_native_solve_matches_python_dgtsv_and_scipy_on_random_matrices():
 # ------------------------------------------------------------ fallback
 
 @needs_native
-@pytest.mark.parametrize("experiment", ["oracle", "solve-old", "solve-new", "spurious", "instability"])
+@pytest.mark.parametrize("experiment", [
+    "oracle", "solve-idsa", "solve-old", "solve-new", "spurious", "instability", "convergence",
+    "err0",
+])
 def test_cli_without_native_module_writes_the_same_bytes(tmp_path, experiment):
     # Default configs: the numpy march, the Python solve and the Python
     # formatter write what the native module writes.

@@ -242,6 +242,28 @@ def test_tridiagonal_solve_rejects_mismatched_shapes():
     assert np.allclose(matrix.solve(np.array([5.0, 6.0, 5.0])), 1.0)
 
 
+def test_direct_solve_factors_only_its_own_matrix(monkeypatch):
+    # The direct stationary solve never steps, so it factors -L and not the
+    # step matrix I - dt L; a march factors I - dt L once for all its steps.
+    from idsa_lab import reformed
+
+    factored = []
+
+    class Counting(reformed._Tridiagonal):
+        def __init__(self, dl, d, du):
+            factored.append(d.copy())
+            super().__init__(dl, d, du)
+
+    monkeypatch.setattr(reformed, "_Tridiagonal", Counting)
+    scheme = ReformedScheme("old", SPEC, grid_div3(300), CFG)
+    assert factored == []
+    scheme.stationary_direct()
+    assert len(factored) == 1 and np.array_equal(factored[0], -scheme._L[1])
+    _, steps, _ = scheme.run_to_stationarity()
+    assert steps > 100 and len(factored) == 2
+    assert np.array_equal(factored[1], 1.0 - CFG.dt * scheme._L[1])
+
+
 def test_streaming_extension_flux_constant():
     grid = grid_div3(900)
     from idsa_lab import free_streaming_flux_ratio
