@@ -6,18 +6,32 @@ one work queue of panels per block of owners and evaluates every active
 panel of the block in a single vectorized call.  Each panel carries a
 fixed-order Gauss-Legendre estimate; the error indicator is the difference
 between a panel's estimate and the sum of its two halves, and panels are
-bisected until the per-owner error budget is met.  The integrands here
-develop boundary layers of width O(1/(kappa*R)) near mu = 1, which
-bisection resolves without any opacity-specific tuning.
+bisected until the per-owner error budget is met.  Level 0 is one call per
+block, holding every owner's whole panel and both its halves; most owners
+retire there, and each deeper level adds one call for the halves of the
+panels still live.  The integrands here develop boundary layers of width
+O(1/(kappa*R)) near mu = 1, which bisection resolves without any
+opacity-specific tuning.
 
 Owners are independent, so the batch is worked through in blocks of
-``_BLOCK`` owners: every per-panel temporary then stays cache-sized, and
-the result does not depend on the block size.  An integrand may be
-vector-valued, giving several integrals of one owner (e.g. the J, H and K
-moments of one radius) from shared per-node work; an owner then retires
-only once every component meets its own budget.  A block whose queue
-outgrows ``_MAX_LIVE_PANELS`` raises QuadratureError instead of doubling
-until memory runs out, which is what a tolerance below roundoff does.
+``_BLOCK`` owners: every per-panel temporary then stays cache-sized.  An
+integrand may be vector-valued, giving several integrals of one owner
+(e.g. the J, H and K moments of one radius) from shared per-node work; an
+owner then retires only once every component meets its own budget.  A
+block whose queue outgrows ``_MAX_LIVE_PANELS`` raises QuadratureError
+instead of doubling until memory runs out, which is what a tolerance below
+roundoff does.
+
+Results depend on the block size only in the last ulps.  BLAS rounds a row
+of the weighted sum ``vals @ _WEIGHTS`` by the row count of its product
+(OpenBLAS's gemv kernel takes rows in fours and rounds the remainder
+another way), and a block's row counts follow from its owners: blocks of
+1 and 7 owners change 143 and 13 of the 640 values of
+``test_blocks_match_singleton_calls`` from those at 256, by at most
+1.3e-15 relative, while 64 and 1000 change none.  For the same reason
+level 0 weights its whole panels and its halves in two products, each with
+the rows a call of its own would have; one product over all of them moves
+some oracle values by an ulp.
 """
 
 from __future__ import annotations
@@ -26,7 +40,8 @@ import numpy as np
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 
-# Owners integrated together; a (2 * _BLOCK, 15) array of doubles is 61 kB.
+# Owners integrated together.  Level 0 holds 3 * _BLOCK panels, and a
+# (3 * _BLOCK, 15) array of doubles is 92 kB.
 _BLOCK = 256
 # Ceiling on the panels one block may queue for bisection, 16x the largest
 # queue of any oracle run that converges (2 * _BLOCK, over kappa 0.01 to 1000
@@ -49,13 +64,19 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
 
 
-def _panel_estimates(f, owners, a, b):
-    """Gauss-Legendre estimates, shape (n_panels,) or (n_components, n_panels)."""
+def _panel_estimates(f, owners, a, b, split: int = 0):
+    """
+    Gauss-Legendre estimates, shape (n_panels,) or (n_components, n_panels).
+    With ``split``, the panels before it and those from it on are weighted in
+    two products, so each set rounds as it would in a call of its own.
+    """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * _NODES[None, :]
     vals = f(owners[:, None], x)
-    est = half * (vals @ _WEIGHTS)
+    parts = (slice(None, split), slice(split, None)) if split else (slice(None),)
+    est = np.concatenate([vals[..., s, :] @ _WEIGHTS for s in parts], axis=-1)
+    est *= half
     finite = np.isfinite(est)
     if not finite.all():
         # NaN errors never meet a budget, so bisection would double the queue
@@ -70,72 +91,88 @@ def _panel_estimates(f, owners, a, b):
     return est
 
 
+def _retired(err, err_sum, totals, width, span, tol: float) -> np.ndarray:
+    """
+    Which live panels retire, given each panel's error and width and its
+    owner's error sum, integral and span.  An owner retires once the
+    sum of its panel errors fits the budget.  Clearly-converged panels
+    retire early on a width-proportional budget so the queue stays small;
+    integrands with a sqrt-like endpoint (the grazing-ray edge outside the
+    sphere) shrink their total error geometrically and retire by the sum
+    criterion.  Each component is judged on its own budget; a panel retires
+    once every component passes.
+    """
+    budget = np.maximum(tol, tol * np.abs(totals))
+    return ((err_sum <= budget) | (err <= 0.25 * budget * width / span)).all(axis=0)
+
+
 def _integrate_block(f, lo, hi, base: int, tol: float, max_depth: int) -> np.ndarray:
     """Owners base .. base + lo.size - 1, in integrate_batch's result shape."""
     nb = lo.size
     span = np.maximum(hi - lo, np.finfo(float).tiny)
 
+    # Level 0 is one integrand call: every owner's whole panel, then both its
+    # halves.  Each owner holds one panel there, so the owner sums are the
+    # panel values and need no scatter (0.0 + turns -0.0 into 0.0, as adding
+    # into zeroed sums does).
     own = np.arange(nb)  # block-local owner of each live panel; f sees base + own
-    a, b = lo.copy(), hi.copy()
-    first = _panel_estimates(f, base + own, a, b)
-    est = np.atleast_2d(first)
-    accepted = np.zeros((est.shape[0], nb))
-    comps = slice(None)
+    a, b = lo, hi
+    mid = 0.5 * (a + b)
+    ids = base + own
+    first = _panel_estimates(
+        f, np.concatenate([ids, ids, ids]), np.concatenate([a, a, mid]), np.concatenate([b, mid, b]), nb
+    )
+    level = np.atleast_2d(first)
+    est, left, right = level[:, :nb], level[:, nb : 2 * nb], level[:, 2 * nb :]
+    refined = left + right
+    err = np.abs(est - refined)
+    totals = 0.0 + refined
+    done = _retired(err, err, totals, b - a, span, tol)
+    accepted = np.where(done, totals, 0.0)
 
     # Every live panel is bisected once per pass, so all share one depth.
+    comps = slice(None)
     depth = 0
-    while own.size:
+    while not done.all():
+        keep = ~done
+        if depth + 1 > max_depth:
+            worst = np.argmax(np.where(keep, err.max(axis=0), -np.inf))
+            raise QuadratureError(
+                int(base + own[worst]),
+                f"quadrature did not converge within depth {max_depth}: "
+                f"worst batch entry {base + own[worst]} has panel error "
+                f"{err[:, worst].max():.3e}",
+            )
+        live = 2 * int(keep.sum())
+        if live > _MAX_LIVE_PANELS:
+            counts = np.bincount(own[keep], minlength=nb)
+            top = int(np.argmax(counts))
+            raise QuadratureError(
+                base + top,
+                f"quadrature: {live} live panels at depth {depth + 1} exceed the cap of "
+                f"{_MAX_LIVE_PANELS}; batch entry {base + top} holds {2 * counts[top]} "
+                f"of them (is the tolerance {tol:g} below roundoff?)",
+            )
+
+        own = np.concatenate([own[keep], own[keep]])
+        a, b = np.concatenate([a[keep], mid[keep]]), np.concatenate([mid[keep], b[keep]])
+        est = np.concatenate([left[:, keep], right[:, keep]], axis=1)
+        depth += 1
+
         p = own.size
         mid = 0.5 * (a + b)
         halves = np.atleast_2d(_panel_estimates(
             f, base + np.concatenate([own, own]), np.concatenate([a, mid]), np.concatenate([mid, b])
         ))
-        refined = halves[:, :p] + halves[:, p:]
+        left, right = halves[:, :p], halves[:, p:]
+        refined = left + right
         err = np.abs(est - refined)
-
-        # Owner-level acceptance: an owner retires once the sum of its panel
-        # errors fits the budget.  Clearly-converged panels retire early on a
-        # width-proportional budget so the queue stays small; integrands with a
-        # sqrt-like endpoint (the grazing-ray edge outside the sphere) shrink
-        # their total error geometrically and retire by the sum criterion.
-        # Each component is judged on its own budget; a panel retires once
-        # every component passes.
         totals = accepted.copy()
         np.add.at(totals, (comps, own), refined)
         err_sum = np.zeros_like(accepted)
         np.add.at(err_sum, (comps, own), err)
-        budget = np.maximum(tol, tol * np.abs(totals))[:, own]
-        done = (
-            (err_sum[:, own] <= budget) | (err <= 0.25 * budget * (b - a) / span[own])
-        ).all(axis=0)
+        done = _retired(err, err_sum[:, own], totals[:, own], b - a, span[own], tol)
         np.add.at(accepted, (comps, own[done]), refined[:, done])
-
-        keep = ~done
-        if keep.any():
-            if depth + 1 > max_depth:
-                worst = np.argmax(np.where(keep, err.max(axis=0), -np.inf))
-                raise QuadratureError(
-                    int(base + own[worst]),
-                    f"quadrature did not converge within depth {max_depth}: "
-                    f"worst batch entry {base + own[worst]} has panel error "
-                    f"{err[:, worst].max():.3e}",
-                )
-            live = 2 * int(keep.sum())
-            if live > _MAX_LIVE_PANELS:
-                counts = np.bincount(own[keep], minlength=nb)
-                top = int(np.argmax(counts))
-                raise QuadratureError(
-                    base + top,
-                    f"quadrature: {live} live panels at depth {depth + 1} exceed the cap of "
-                    f"{_MAX_LIVE_PANELS}; batch entry {base + top} holds {2 * counts[top]} "
-                    f"of them (is the tolerance {tol:g} below roundoff?)",
-                )
-
-        own = np.concatenate([own[keep], own[keep]])
-        a = np.concatenate([a[keep], mid[keep]])
-        b = np.concatenate([mid[keep], b[keep]])
-        est = np.concatenate([halves[:, :p][:, keep], halves[:, p:][:, keep]], axis=1)
-        depth += 1
 
     return accepted if first.ndim == 2 else accepted[0]
 

@@ -119,14 +119,35 @@ def _inside_integrals(r_in: np.ndarray, kap: float, R: float, tol: float):
 
     def f(idx, mu):
         r = r_in[idx]
-        G = np.sqrt(np.clip(1.0 - (r / R) ** 2 * (1.0 - mu**2), 0.0, None))
-        ep = np.exp(kap * (r * mu - R * G))
-        em = np.exp(-kap * (r * mu + R * G))
+        # One ufunc per operation of the closed form, in place in out and in
+        # its order: a reordered operation moves the oracle's bits.
         out = np.empty((3,) + mu.shape)
-        even = 0.5 * (ep + em)
-        out[0] = even
-        out[1] = mu * (0.5 * (ep - em))
-        out[2] = mu**2 * even
+        ep, em, RG = out
+        # R * G with G = sqrt(max(0, 1 - (r/R)^2 * (1 - mu^2)))
+        np.square(mu, out=RG)
+        np.subtract(1.0, RG, out=RG)
+        np.multiply((r / R) ** 2, RG, out=RG)
+        np.subtract(1.0, RG, out=RG)
+        np.clip(RG, 0.0, None, out=RG)
+        np.sqrt(RG, out=RG)
+        np.multiply(R, RG, out=RG)
+        # ep = exp(kap * (r*mu - R*G)), em = exp(-kap * (r*mu + R*G))
+        rmu = r * mu
+        np.subtract(rmu, RG, out=ep)
+        np.multiply(kap, ep, out=ep)
+        np.exp(ep, out=ep)
+        np.add(rmu, RG, out=em)
+        np.multiply(-kap, em, out=em)
+        np.exp(em, out=em)
+        # even = (ep + em) / 2, then the integrands even, mu * (ep - em) / 2
+        # and mu^2 * even
+        odd = np.subtract(ep, em, out=rmu)
+        np.multiply(0.5, odd, out=odd)
+        even = np.add(ep, em, out=out[0])
+        np.multiply(0.5, even, out=even)
+        np.multiply(mu, odd, out=out[1])
+        np.square(mu, out=out[2])
+        np.multiply(out[2], even, out=out[2])
         return out
 
     return integrate_batch(f, np.zeros(r_in.size), np.ones(r_in.size), tol=tol)
@@ -146,16 +167,22 @@ def _outside_integrals(r_out: np.ndarray, mu0: np.ndarray, kap: float, R: float,
     n = r_out.size
     vmax = R / r_out
     w = np.minimum(8.0 / (kap * r_out), 0.5 * vmax)
-    r2 = np.tile(r_out, 2)
+    rate2 = -2.0 * kap * np.tile(r_out, 2)
     mu0_sq2 = np.tile(mu0**2, 2)
 
     def f(idx, v):
-        e = np.exp(-2.0 * kap * r2[idx] * v)
-        mu = np.sqrt(mu0_sq2[idx] + v * v)
+        # e = exp(-2 kap r v), mu = sqrt(mu0^2 + v^2); integrands v e / mu,
+        # v e and mu v e, in place in out
         out = np.empty((3,) + v.shape)
-        out[1] = v * e
-        np.divide(out[1], mu, out=out[0])
-        np.multiply(mu, out[1], out=out[2])
+        e, ve, mu = out
+        np.multiply(rate2[idx], v, out=e)
+        np.exp(e, out=e)
+        np.multiply(v, v, out=mu)
+        np.add(mu0_sq2[idx], mu, out=mu)
+        np.sqrt(mu, out=mu)
+        np.multiply(v, e, out=ve)
+        np.divide(ve, mu, out=out[0])
+        np.multiply(mu, ve, out=out[2])
         return out
 
     parts = integrate_batch(

@@ -1,7 +1,8 @@
 """
 CLI output bytes: the columnar CSV writer against value-at-a-time
-formatting, checked-in digests of the domain-split snapshot files, and a
-solve-old run through the CLI checked against the direct stationary solve.
+formatting, checked-in digests of the domain-split snapshot files and of
+oracle and convergence outputs, and a solve-old run through the CLI checked
+against the direct stationary solve.
 """
 
 import hashlib
@@ -91,6 +92,32 @@ _REFORMED_RUNS = {
 }
 _N_CELLS = 300  # a multiple of 3, so R = 6 lands on a face of [0, 18]
 
+# Exact-oracle outputs at sizes where one matrix product over a block's whole
+# panels and halves together moved bits: the BLAS row product rounds a row by
+# the row count of its product, so the quadrature weights the two sets apart.
+# (n_cells, kappa) -> digest of the non-comment lines of oracle.csv, and the
+# digests of the whole convergence.csv and fit.txt of one sweep at 90 cells.
+# Pinned at commit cf3dd6a, before level 0 became one integrand call; they
+# also move if numpy or BLAS round differently.
+_ORACLE_RUNS = {
+    (33, 1): "805459fe73fbc15d058bbce3bec5a94c50720a8e5125bbb8d4138902a1b8dcf9",
+    (33, 20): "958a4357a74f683955c3428b22ebddc3e9cf4f6011c138b25093ab9f0610724c",
+    (90, 1): "33eda43ad2b89b22c84a3471192f29234110c890e9e56df630fc53bb4d440b65",
+    (90, 20): "b0c7102ef02b8cf632bda0bd650398c77ffe03feea7be086824441eaf99e078c",
+}
+_CONVERGENCE_KAPPAS = "1, 2, 5, 10, 20"
+_CONVERGENCE_RUN = {
+    "convergence.csv": "493945448a396b1e484eddb43d85353746667edf26eaeb17261ae036bdcccd31",
+    "fit.txt": "e1b22f824a7fa9f3ac23855f5e044ae6133f07e09adab3108d7b1bb860d4ff36",
+}
+
+
+def _body_sha256(path) -> str:
+    """sha256 of the file's lines that are not ``#`` comments."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    body = b"".join(line for line in lines if not line.startswith(b"#"))
+    return hashlib.sha256(body).hexdigest()
+
 
 @pytest.fixture(scope="module")
 def reformed_runs(tmp_path_factory):
@@ -109,9 +136,29 @@ def reformed_runs(tmp_path_factory):
 
 @pytest.mark.parametrize("run", sorted(_REFORMED_RUNS))
 def test_reformed_snapshots_match_checked_in_digest(reformed_runs, run):
-    lines = reformed_runs[run].read_bytes().splitlines(keepends=True)
-    body = b"".join(line for line in lines if not line.startswith(b"#"))
-    assert hashlib.sha256(body).hexdigest() == _REFORMED_RUNS[run][3]
+    assert _body_sha256(reformed_runs[run]) == _REFORMED_RUNS[run][3]
+
+
+@pytest.mark.parametrize("n_cells, kappa", sorted(_ORACLE_RUNS))
+def test_oracle_matches_checked_in_digest(tmp_path, n_cells, kappa):
+    cfg = tmp_path / "oracle.cfg"
+    cfg.write_text(
+        f"experiment = oracle\nn_cells = {n_cells}\nkappa = {kappa}\n"
+        f"output_dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["run", str(cfg)]) == 0
+    assert _body_sha256(tmp_path / "out" / "oracle.csv") == _ORACLE_RUNS[n_cells, kappa]
+
+
+def test_convergence_matches_checked_in_digests(tmp_path):
+    cfg = tmp_path / "convergence.cfg"
+    cfg.write_text(
+        f"experiment = convergence\nn_cells = 90\nkappa_list = {_CONVERGENCE_KAPPAS}\n"
+        f"output_dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["run", str(cfg)]) == 0
+    for name, digest in _CONVERGENCE_RUN.items():
+        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
 
 
 def test_cli_solve_old_snapshots_and_stationary_state(reformed_runs):

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from idsa_lab.quadrature import _BLOCK, _MAX_LIVE_PANELS, QuadratureError, integrate_batch
+from idsa_lab.quadrature import (
+    _BLOCK,
+    _MAX_LIVE_PANELS,
+    _NODES,
+    _WEIGHTS,
+    QuadratureError,
+    integrate_batch,
+)
 
 
 def test_polynomials_exact():
@@ -70,13 +77,68 @@ def test_non_finite_integrand_raises_at_once():
     with pytest.raises(QuadratureError, match="non-finite") as ei:
         integrate_batch(f, np.zeros(3), np.ones(3), max_depth=4)
     assert ei.value.owner == 2
-    assert calls == [3]
+    # One call: the whole panel and both halves of each of the 3 owners.
+    assert calls == [9]
 
     def g(idx, x):
         return np.where(x > 0.9, np.inf, x)
 
     with pytest.raises(QuadratureError, match="non-finite"):
         integrate_batch(g, np.zeros(2), np.ones(2), max_depth=4)
+
+
+def test_level_zero_is_one_call_per_block():
+    # 2.5 blocks of smooth integrands that all retire at level 0: one call per
+    # block, holding each owner's whole panel and both halves.
+    n = 2 * _BLOCK + _BLOCK // 2
+    w = np.linspace(0.1, 1.0, n)
+    calls = []
+
+    def f(idx, x):
+        calls.append(x.shape[0])
+        return np.cos(w[idx] * x)
+
+    vals = integrate_batch(f, np.zeros(n), np.ones(n), tol=1e-10)
+    assert calls == [3 * _BLOCK, 3 * _BLOCK, 3 * (_BLOCK // 2)]
+    assert np.allclose(vals, np.sin(w) / w, rtol=1e-13)
+
+    # Owners that need deeper levels add one call per level: each later call
+    # of a block holds the halves of the next level's panels, all one width.
+    k = np.zeros(n)
+    k[[3, _BLOCK + 5]] = [3e3, 1e3]
+    calls.clear()
+    widths = []
+
+    def g(idx, x):
+        calls.append(x.shape[0])
+        widths.append((x[:, -1] - x[:, 0]) / (_NODES[-1] - _NODES[0]) * 2.0)
+        return np.exp(-k[idx] * x) + np.cos(w[idx] * x)
+
+    integrate_batch(g, np.zeros(n), np.ones(n), tol=1e-12)
+    starts = [i for i, c in enumerate(calls) if c > 4]
+    assert [calls[i] for i in starts] == [3 * _BLOCK, 3 * _BLOCK, 3 * (_BLOCK // 2)]
+    assert starts[0] == 0 and starts[2] == len(calls) - 1
+    for first, end in zip(starts, starts[1:]):
+        assert end - first - 1 >= 3  # the boundary layer takes several levels
+        for level, i in enumerate(range(first + 1, end), start=1):
+            assert calls[i] == 4  # one owner: two live panels, two halves each
+            assert np.allclose(widths[i], 0.5 ** (level + 1), rtol=1e-12)
+
+
+def test_empty_batch_keeps_the_integrand_shape():
+    calls = []
+
+    def scalar(idx, x):
+        calls.append(x.shape)
+        return x
+
+    assert integrate_batch(scalar, np.zeros(0), np.zeros(0)).shape == (0,)
+    assert calls == [(0, 15)]
+
+    def vector(idx, x):
+        return np.stack([x, x, x, x])
+
+    assert integrate_batch(vector, np.zeros(0), np.zeros(0)).shape == (4, 0)
 
 
 def test_blocks_match_singleton_calls():
@@ -95,6 +157,76 @@ def test_blocks_match_singleton_calls():
     for i in range(n):
         one = integrate_batch(lambda idx, x: g(k[i], w[i], x), np.zeros(1), hi[i : i + 1], tol=1e-12)
         assert batch[i] == pytest.approx(one[0], rel=1e-14, abs=0.0)
+
+
+def _scatter_reference(f, lo, hi, tol):
+    """
+    The bisection of one block with level 0 as two integrand calls and a
+    scatter-add at every level, without the error checks: the arithmetic
+    whose bits integrate_batch keeps.
+    """
+    nb = lo.size
+    span = np.maximum(hi - lo, np.finfo(float).tiny)
+
+    def estimates(owners, a, b):
+        half = 0.5 * (b - a)
+        x = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
+        return half * (f(owners[:, None], x) @ _WEIGHTS)
+
+    own, a, b = np.arange(nb), lo, hi
+    first = estimates(own, a, b)
+    est = np.atleast_2d(first)
+    accepted = np.zeros((est.shape[0], nb))
+    comps = slice(None)
+    while own.size:
+        p = own.size
+        mid = 0.5 * (a + b)
+        halves = np.atleast_2d(estimates(
+            np.concatenate([own, own]), np.concatenate([a, mid]), np.concatenate([mid, b])
+        ))
+        refined = halves[:, :p] + halves[:, p:]
+        err = np.abs(est - refined)
+        totals = accepted.copy()
+        np.add.at(totals, (comps, own), refined)
+        err_sum = np.zeros_like(accepted)
+        np.add.at(err_sum, (comps, own), err)
+        budget = np.maximum(tol, tol * np.abs(totals))[:, own]
+        done = (
+            (err_sum[:, own] <= budget) | (err <= 0.25 * budget * (b - a) / span[own])
+        ).all(axis=0)
+        np.add.at(accepted, (comps, own[done]), refined[:, done])
+        keep = ~done
+        own = np.concatenate([own[keep], own[keep]])
+        a, b = np.concatenate([a[keep], mid[keep]]), np.concatenate([mid[keep], b[keep]])
+        est = np.concatenate([halves[:, :p][:, keep], halves[:, p:][:, keep]], axis=1)
+    return accepted if first.ndim == 2 else accepted[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    params=st.lists(
+        st.tuples(st.floats(-1.0, 4.0), st.floats(0.0, 20.0), st.floats(-1.0, 1.0), st.floats(0.0, 3.0)),
+        min_size=1, max_size=40,
+    ),
+    vector=st.booleans(),
+    tol=st.sampled_from([1e-8, 1e-10, 1e-12]),
+)
+# Batches where weighting the whole panels and the halves in one product moves bits.
+@example(params=[(0.9, 13.4, 0.9, 1.5)], vector=True, tol=1e-10)
+@example(params=[(1.3, 18.8, 0.9, 2.8), (1.1, 2.4, -0.9, 1.0)], vector=False, tol=1e-10)
+def test_level_zero_keeps_the_scatter_reference_bits(params, vector, tol):
+    log_k, w, lo, width = (np.array(c) for c in zip(*params))
+    k = 10.0 ** log_k
+    hi = lo + width
+
+    def f(idx, x):
+        layer = np.exp(-k[idx] * (x - lo[idx]))
+        if vector:
+            return np.stack([layer, np.cos(w[idx] * x), np.sqrt(np.abs(x))])
+        return layer + np.cos(w[idx] * x)
+
+    got = integrate_batch(f, lo, hi, tol=tol)
+    assert got.tobytes() == _scatter_reference(f, lo, hi, tol).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
