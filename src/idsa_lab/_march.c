@@ -44,18 +44,21 @@
  * numpy path.
  *
  * Given `red`, each step also reduces per row what the observers in
- * idsa.py would reduce with numpy (march_reductions).  The kernel returns
- * after completing a step at which
+ * idsa.py would reduce with numpy (march_reductions); given `hold`, it
+ * keeps per row the step at which the current domination of the cells
+ * i >= hold->watch (Jt > (Jt + Js) / 2 on every one of them) began
+ * (march_holds).  The kernel returns after completing a step at which
  *
  *   - a trapped value fell below its row's floor or a streaming value below
  *     zero: *negative is set, and the caller names the row and cell;
- *   - a watched row's domination of the cells i >= watch (Jt > (Jt + Js) / 2
- *     on every one of them) began or ended; `dom` holds each row's flag;
+ *   - a row's hold ended: it had been dominated since step j and the step's
+ *     time reached max(confirm t, t + min_hold), t = j dt (a confirmed
+ *     takeover of the spurious sweep);
  *   - a row's running sup of Jt + Js exceeded red->bound;
  *   - a row's relative change fell below red->stat_tol;
  *
- * or after `steps` steps.  The first non-monotone step is recorded, not
- * returned at.
+ * or after `steps` steps.  The first non-monotone step is recorded, and a
+ * domination that begins or ends is recorded, not returned at.
  */
 
 typedef struct {
@@ -81,13 +84,23 @@ typedef struct {
     double stat_tol;          /* stop once a row's change falls below it; 0: no change */
     double mono_tol;          /* a pair is non-monotone where Jt[i + 1] - Jt[i] > mono_tol */
     int mono_pairs;           /* the pairs i < mono_pairs are checked */
-    long long step;           /* the steps taken before the call */
     /* per row */
     double *sup;              /* max(sup, max(Jt + Js)) */
     double *change;           /* max(max|dJt|, max|dJs|) / max(max(0, Jt), max(0, Js), 1e-300) */
     signed char *nonmono;     /* the last step had a non-monotone pair */
     long long *first_nonmono; /* the first step that had one, or -1 */
 } march_reductions;
+
+/*
+ * The spurious sweep's takeover holds (idsa._Holds).  The hold's end is
+ * computed as numpy computes it: the times are the step counts times dt,
+ * and the max is of two values that are not NaN.
+ */
+typedef struct {
+    int watch;                /* the cells i >= watch are watched */
+    double confirm, min_hold; /* a hold from t ends at max(confirm t, t + min_hold) */
+    long long *since;         /* per row: the step its domination began, or -1 */
+} march_holds;
 
 /* numpy's maximum(a, b): a NaN operand propagates, and of two equal
  * operands (+0 and -0) b is returned. */
@@ -223,9 +236,24 @@ static int dominated(int n, int i0, const double *restrict jt, const double *res
     return not_all == 0.0;
 }
 
-long march(const march_rows *m, march_reductions *red, const double *Jt0, const double *Js0,
-           double *Jt, double *Js, signed char *tags, signed char *dom,
-           long steps, int watch, int *negative)
+/* Updates row r's hold after step k; returns whether the hold ended there. */
+static int hold_ended(const march_holds *h, int r, long long k, double dt, int n,
+                      const double *jt, const double *js)
+{
+    if (!dominated(n, h->watch, jt, js)) {
+        h->since[r] = -1;
+        return 0;
+    }
+    if (h->since[r] < 0)
+        h->since[r] = k;
+    const double t = (double)h->since[r] * dt;
+    return (double)k * dt >= py_max(h->confirm * t, t + h->min_hold);
+}
+
+/* Steps k0 + 1 .. k0 + steps from (Jt0, Js0), into (Jt, Js); returns the steps taken. */
+long march(const march_rows *m, march_reductions *red, march_holds *hold, const double *Jt0,
+           const double *Js0, double *Jt, double *Js, signed char *tags, long long k0,
+           long steps, int *negative)
 {
     const int n = m->n_cells;
     const size_t row = n * sizeof(double);
@@ -262,14 +290,11 @@ long march(const march_rows *m, march_reductions *red, const double *Jt0, const 
                 red->sup[r] = running_sup(n, red->sup[r], jt, js);
                 red->nonmono[r] = (signed char)nm;
                 if (nm && red->first_nonmono[r] < 0)
-                    red->first_nonmono[r] = red->step + s + 1;
+                    red->first_nonmono[r] = k0 + s + 1;
                 stop |= red->sup[r] > red->bound;
             }
-            if (watch >= 0) {
-                const int d = dominated(n, watch, jt, js);
-                stop |= d != dom[r];
-                dom[r] = (signed char)d;
-            }
+            if (hold)
+                stop |= hold_ended(hold, r, k0 + s + 1, m->dt, n, jt, js);
         }
         s++;
         if (bad || stop) {

@@ -63,15 +63,20 @@ typedef struct {
 typedef struct {
     double bound, stat_tol, mono_tol;
     int mono_pairs;
-    long long step;
     double *sup, *change;
     signed char *nonmono;
     long long *first_nonmono;
 } march_reductions;
 
-long march(const march_rows *m, march_reductions *red, const double *Jt0, const double *Js0,
-           double *Jt, double *Js, signed char *tags, signed char *dom,
-           long steps, int watch, int *negative);
+typedef struct {
+    int watch;
+    double confirm, min_hold;
+    long long *since;
+} march_holds;
+
+long march(const march_rows *m, march_reductions *red, march_holds *hold, const double *Jt0,
+           const double *Js0, double *Jt, double *Js, signed char *tags, long long k0,
+           long steps, int *negative);
 
 int gtsv_factor(int n, double *dl, double *d, double *du, double *fact, signed char *swap);
 void gtsv_solve(int n, const double *dl, const double *d, const double *du,

@@ -6,7 +6,10 @@ Batch front end: one experiment per invocation, deterministic CSV out.
 Exit codes: 0 success, 2 configuration error, 3 solver failure (an error
 record is still written to the output directory), 4 I/O error.  Numbers
 are serialized with 17 significant digits so files round-trip doubles
-exactly; identical configs produce byte-identical CSV bodies.
+exactly; identical configs produce byte-identical CSV bodies.  A run that
+exits 0 or 3 lists its files in ``manifest.json`` and removes those the
+previous run's manifest listed that it did not write again, so a rerun
+into one output directory leaves no stale artifact beside its own.
 
 Runners hand ``_write_csv`` arrays, not rows.  A file is written one
 block (one snapshot) at a time: the native formatter (``_march.c``)
@@ -353,6 +356,24 @@ _RUNNERS = {
 }
 
 
+def _listed_outputs(out: Path) -> list[str]:
+    """The files the manifest in ``out`` lists, if there is one to read."""
+    try:
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return []
+    # A manifest lists plain file names; anything else is not this tool's.
+    return [name for name in outputs if isinstance(name, str) and name == Path(name).name
+            and name not in ("", "..", "manifest.json")]
+
+
+def _finish(out: Path, manifest: dict, previous: list[str]) -> None:
+    """Write the manifest, then remove the files only the previous one listed."""
+    _atomic_write(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    for name in sorted(set(previous) - set(manifest["outputs"])):
+        (out / name).unlink(missing_ok=True)
+
+
 def run(cfg: RunConfig) -> int:
     """Execute one experiment; returns the process exit code."""
     out = Path(cfg.output_dir)
@@ -364,6 +385,7 @@ def run(cfg: RunConfig) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 4
+    previous = _listed_outputs(out)
 
     manifest = {
         "tool": "idsa-lab",
@@ -394,7 +416,7 @@ def run(cfg: RunConfig) -> int:
         record = {"error": type(exc).__name__, "message": str(exc)}
         _atomic_write(out / "error.json", json.dumps(record, indent=2, sort_keys=True) + "\n")
         manifest["outputs"] = ["error.json"]
-        _atomic_write(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        _finish(out, manifest, previous)
         print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
@@ -403,7 +425,7 @@ def run(cfg: RunConfig) -> int:
 
     manifest["outputs"] = files
     try:
-        _atomic_write(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        _finish(out, manifest, previous)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 4

@@ -27,21 +27,22 @@ The steps run in a native kernel (``_march.c``, built by ``_native`` with
 cffi on first use into ``_native_cache/`` beside this file) that evaluates
 the numpy expressions of ``_Kernel`` in the same order and rounding, so
 both paths give the same bits.  The kernel also runs, on every step, the
-negativity checks, the spurious domination test and the reductions of
-``_Reductions`` (the running sup of Jt + Js, the first non-monotone step,
-the relative change), so it hands control back only at
+negativity checks, the takeover holds of ``_Holds`` (the step at which each
+row's domination of the cells outside the sphere began) and the
+reductions of ``_Reductions`` (the running sup of Jt + Js, the first
+non-monotone step, the relative change), so it hands control back only at
 
-- a step an observer asked for (a snapshot, t_end);
+- a step an observer asked for (a snapshot, t_end, the horizon);
 - a negative value;
-- a domination that begins or ends (the spurious sweep);
+- a confirmed takeover, where a row's hold ends (the spurious sweep);
 - a sup above the bound (the instability run);
 - a relative change below the tolerance (the stationary stop of
   ``run_to_time``).
 
 When the kernel cannot be built or loaded, ``_native.load`` says so on
-stderr, and the numpy step of ``_Kernel`` and ``_Reductions.update`` run
-instead; the CLI manifest records which ran under the key ``march``
-("native" or "numpy").
+stderr, and the numpy step of ``_Kernel``, ``_Holds.update`` and
+``_Reductions.update`` run instead; the CLI manifest records which ran
+under the key ``march`` ("native" or "numpy").
 
 Negativity is an error here, never clamped: the failure modes this module
 exists to expose must not be masked.
@@ -170,17 +171,16 @@ class _Kernel:
             setattr(self, name, getattr(self, name)[keep])
         self._c_rows = None
 
-    def advance(self, native, Jt, Js, steps: int, with_tags: bool, watch, dom, red, k: int):
+    def advance(self, native, Jt, Js, steps: int, with_tags: bool, hold, red, k: int):
         """
         Up to ``steps`` steps of the native kernel from (Jt, Js) at step
         ``k``, written to fresh arrays, so arrays handed out before are
-        never overwritten.  ``dom`` (int8 per row) is the domination state
-        of the cells from ``watch`` on; the kernel updates it and stops at a
-        step that changes it.  ``red`` (a ``_Reductions``, or None) is
-        updated as its numpy reference would be, and the kernel stops where
-        it asks.  Returns the steps taken, Jt, Js, the last step's tags
-        (None unless ``with_tags``) and whether that step left a negative
-        value.
+        never overwritten.  ``hold`` (a ``_Holds``) and ``red`` (a
+        ``_Reductions``), each optional, are updated as their numpy
+        references would be, and the kernel stops where they ask: at a
+        step that ends a hold, or whose sup or change crosses its limit.
+        Returns the steps taken, Jt, Js, the last step's tags (None unless
+        ``with_tags``) and whether that step left a negative value.
         """
         ffi = native.ffi
         if self._c_rows is None:  # the C view of the rows, once per compaction
@@ -195,16 +195,16 @@ class _Kernel:
                 setattr(c, name, buf)
                 buffers.append(buf)  # keeps each array alive while c points into it
             self._c_rows = c, buffers
-        c_red = ffi.NULL if red is None else red.c_view(ffi, k)
         Jt_new, Js_new = np.empty_like(Jt), np.empty_like(Js)
         tags = np.empty(Jt.shape, np.int8) if with_tags else None
         negative = ffi.new("int *")
         taken = native.lib.march(
-            self._c_rows[0], c_red,
+            self._c_rows[0], ffi.NULL if red is None else red.c_view(ffi),
+            ffi.NULL if hold is None else hold.c_view(ffi),
             ffi.from_buffer("double[]", Jt), ffi.from_buffer("double[]", Js),
             ffi.from_buffer("double[]", Jt_new), ffi.from_buffer("double[]", Js_new),
             ffi.NULL if tags is None else ffi.from_buffer("signed char[]", tags),
-            ffi.from_buffer("signed char[]", dom), steps, -1 if watch is None else watch, negative,
+            k, steps, negative,
         )
         return taken, Jt_new, Js_new, tags, bool(negative[0])
 
@@ -286,14 +286,58 @@ class _Reductions:
         for name in ("sup", "change", "nonmono", "first_nonmono"):
             setattr(self, name, getattr(self, name)[rows])
 
-    def c_view(self, ffi, k: int):
-        """The march_reductions the native kernel updates in place, at step ``k``."""
+    def c_view(self, ffi):
+        """The march_reductions the native kernel updates in place."""
         c = ffi.new("march_reductions *")
         c.bound, c.stat_tol, c.mono_tol = self.bound, self.stat_tol, self.mono_tol
-        c.mono_pairs, c.step = self.mono_pairs, k
+        c.mono_pairs = self.mono_pairs
         c.sup, c.change = ffi.from_buffer("double[]", self.sup), ffi.from_buffer("double[]", self.change)
         c.nonmono = ffi.from_buffer("signed char[]", self.nonmono)
         c.first_nonmono = ffi.from_buffer("long long[]", self.first_nonmono)
+        return c
+
+
+# A takeover first seen at t is confirmed once it holds until
+# max(_CONFIRM * t, t + _MIN_HOLD).
+_CONFIRM = 2.0
+_MIN_HOLD = 10.0
+
+
+class _Holds:
+    """
+    The spurious sweep's takeover holds, per row: ``since``, the step at
+    which the current domination of the cells from ``watch`` on (Jt >
+    (Jt + Js) / 2 on each) began, or -1.  A hold from t = since * dt ends,
+    confirming the takeover, at the first step k still dominated whose time
+    k * dt reaches max(_CONFIRM t, t + _MIN_HOLD).  ``update`` is the numpy
+    reference; the native kernel keeps ``since`` itself and returns after
+    every step at which a hold ends.
+    """
+
+    def __init__(self, n_rows: int, watch: int, dt: float):
+        self.watch, self.dt = watch, dt
+        self.since = np.full(n_rows, -1, np.int64)
+
+    def update(self, k: int, Jt, Js) -> None:
+        """Update the holds after step ``k``, which left (Jt, Js)."""
+        out = slice(self.watch, None)
+        dominated = (Jt[:, out] > 0.5 * np.maximum(Jt[:, out] + Js[:, out], 1e-300)).all(axis=1)
+        self.since = np.where(dominated, np.where(self.since < 0, k, self.since), -1)
+
+    def ended(self, k: int) -> np.ndarray:
+        """The rows whose hold ends at step ``k``, the last one updated."""
+        t = self.since * self.dt
+        return (self.since >= 0) & (k * self.dt >= np.maximum(_CONFIRM * t, t + _MIN_HOLD))
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Drop the rows where ``rows`` is False."""
+        self.since = self.since[rows]
+
+    def c_view(self, ffi):
+        """The march_holds the native kernel updates in place."""
+        c = ffi.new("march_holds *")
+        c.watch, c.confirm, c.min_hold = self.watch, _CONFIRM, _MIN_HOLD
+        c.since = ffi.from_buffer("long long[]", self.since)
         return c
 
 
@@ -303,29 +347,27 @@ def _py_max(a, b):
 
 
 def _march(kern: _Kernel, observe, max_steps=math.inf, *, first, with_tags: bool = False,
-           watch=None, red: _Reductions | None = None):
+           hold: _Holds | None = None, red: _Reductions | None = None):
     """
     March every row of ``kern`` from zero data for up to ``max_steps`` steps.
 
     After step k, ``observe(k, t, Jt, Js, tags)`` sees the (n_rows, n_cells)
     fields (tags only ``with_tags``) and returns ``(done, upcoming)``: None
     or a mask of rows to retire, and the next step it must see; ``first``
-    is the first step it must see.  ``red``, if given, holds the step's
-    reductions when the observer sees it.  The numpy path shows every step.
-    The native kernel shows step ``first``, then each ``upcoming`` step, any
-    step where a row's domination of the cells from index ``watch`` on
-    (Jt > (Jt + Js) / 2 on each) begins or ends, any step where ``red``
-    asks to stop, and the last step; so an observer must have nothing to do
-    at the steps in between.  Both paths compute the same bits, and never
-    write to an array already shown.  Returns the fields once every row has
-    retired or time is up.
+    is the first step it must see.  ``hold`` and ``red``, if given, hold the
+    step's takeover holds and reductions when the observer sees it.  The
+    numpy path shows every step.  The native kernel shows step ``first``,
+    then each ``upcoming`` step, any step at which a row's hold ends, any
+    step where ``red`` asks to stop, and the last step; so an observer must
+    have nothing to do at the steps in between.  Both paths compute the
+    same bits, and never write to an array already shown.  Returns the
+    fields once every row has retired or time is up.
     """
     from . import _native  # here: importing idsa_lab should not pay for it
 
     native = _native.load()
     Jt = np.zeros((len(kern.rows), kern.n_cells))
     Js = np.zeros_like(Jt)
-    dom = np.zeros(len(kern.rows), np.int8)  # native path: watched cells dominated, per row
     k, upcoming = 0, first
     while k < max_steps:
         if native is None:
@@ -334,12 +376,14 @@ def _march(kern: _Kernel, observe, max_steps=math.inf, *, first, with_tags: bool
             Jt_old, Js_old = Jt, Js
             Jt, Js = kern.trapped_step(Jt, S), kern.stream(S)
             k, negative = k + 1, True
+            if hold is not None:
+                hold.update(k, Jt, Js)
             if red is not None:
                 red.update(k, Jt_old, Js_old, Jt, Js)
         else:
             stop = int(min(max(upcoming, k + 1), max_steps))
             taken, Jt, Js, tags, negative = kern.advance(
-                native, Jt, Js, stop - k, with_tags, watch, dom, red, k
+                native, Jt, Js, stop - k, with_tags, hold, red, k
             )
             k += taken
         t = k * kern.dt
@@ -351,18 +395,17 @@ def _march(kern: _Kernel, observe, max_steps=math.inf, *, first, with_tags: bool
             if done.all():
                 break
             kern.compact(~done)
-            Jt, Js, dom = Jt[~done], Js[~done], dom[~done]
-            if red is not None:
-                red.keep(~done)
+            Jt, Js = Jt[~done], Js[~done]
+            for kept in (hold, red):
+                if kept is not None:
+                    kept.keep(~done)
     return Jt, Js
 
 
-def _first_step(dt: float, k: int, x: float, past: bool = False):
-    """The first step j > k whose time j * dt reaches x (passes it, if ``past``)."""
-    if x / dt == math.inf:
-        return math.inf
-    j = max(k + 1, math.floor(x / dt) - 1)
-    while not (j * dt > x if past else j * dt >= x):
+def _first_step(dt: float, x: float) -> int:
+    """The first step j >= 1 whose time j * dt passes x, for a finite x / dt."""
+    j = max(1, math.floor(x / dt) - 1)
+    while j * dt <= x:
         j += 1
     return j
 
@@ -440,12 +483,6 @@ def _make_state(grid, Jt, Js, t):
     return TwoComponentState(RadialField(grid, Jt.copy()), RadialField(grid, Js.copy()), t=t)
 
 
-# A takeover first seen at t is confirmed once it holds until
-# max(_CONFIRM * t, t + _MIN_HOLD).
-_CONFIRM = 2.0
-_MIN_HOLD = 10.0
-
-
 @dataclass(frozen=True)
 class TakeoverRecord:
     eps: float
@@ -486,37 +523,22 @@ def run_spurious_trapped_experiment(
     specs = [replace(spec_base, kappa_outside=eps) for eps in eps_all]
     kern = _Kernel(specs, grid, cfg, labels=[f"eps = {eps:g}" for eps in eps_all])
     # Centers increase, so the cells r >= R are a suffix of the grid.
-    outside = slice(int(np.searchsorted(grid.r_centers, spec_base.R)), None)
+    hold = _Holds(len(eps_all), int(np.searchsorted(grid.r_centers, spec_base.R)), cfg.dt)
     records = [None] * len(eps_all)
-    # Per row: outside dominated since `first` (NaN if not), to be held until `until`.
-    first = np.full(len(eps_all), np.nan)
-    until = np.full(len(eps_all), np.inf)
-
-    def upcoming(k):
-        """The first step after k that ends a hold or passes the horizon."""
-        return min(_first_step(cfg.dt, k, float(until.min(initial=math.inf))),
-                   _first_step(cfg.dt, k, horizon, past=True))
+    # Between the holds' ends, where the kernel stops, only the horizon
+    # needs this observer.
+    last = _first_step(cfg.dt, horizon)
 
     def observe(k, t, Jt, Js, tags):
-        nonlocal first, until
-        tot = Jt[:, outside] + Js[:, outside]
-        dominated = (Jt[:, outside] > 0.5 * np.maximum(tot, 1e-300)).all(axis=1)
-        done = dominated & (t >= until)
-        if np.count_nonzero(dominated == np.isnan(first)):  # a domination began or ended
-            first = np.where(dominated, np.fmin(first, t), np.nan)
-            until = np.where(dominated, np.maximum(_CONFIRM * first, first + _MIN_HOLD), np.inf)
+        done = hold.ended(k)
         for row in np.flatnonzero(done):
             i = kern.rows[row]
-            records[i] = TakeoverRecord(eps_all[i], float(first[row]), censored=False)
+            records[i] = TakeoverRecord(eps_all[i], float(hold.since[row] * cfg.dt), censored=False)
         if t > horizon:
             return np.ones_like(done), None  # the rows left are censored
-        if np.count_nonzero(done):
-            first, until = first[~done], until[~done]
-        # Until a hold ends or the horizon passes, only a domination that
-        # begins or ends needs this observer, and the march stops there.
-        return done, upcoming(k)
+        return done, last
 
-    _march(kern, observe, watch=outside.start, first=upcoming(0))
+    _march(kern, observe, hold=hold, first=last)
     return [rec or TakeoverRecord(eps, None, censored=True) for rec, eps in zip(records, eps_all)]
 
 

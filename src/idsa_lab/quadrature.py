@@ -11,7 +11,12 @@ block, holding every owner's whole panel and both its halves; most owners
 retire there, and each deeper level adds one call for the halves of the
 panels still live.  The integrands here develop boundary layers of width
 O(1/(kappa*R)) near mu = 1, which bisection resolves without any
-opacity-specific tuning.
+opacity-specific tuning.  Level 0 can accept a layer narrower than a half
+panel's nodes, since the whole panel and both halves then miss it alike,
+which is a limit for other integrands and not for the oracle's: its
+outside integrals give their edge layer a panel of its own, and its inside
+ones bisect into theirs just inside R (``test_sphere.py`` checks both
+against mpmath).
 
 Owners are independent, so the batch is worked through in blocks of
 ``_BLOCK`` owners: every per-panel temporary then stays cache-sized.  An

@@ -363,6 +363,34 @@ def test_cli_solver_failure_exit_3(tmp_path):
     assert code == 0
 
 
+def test_rerun_removes_the_previous_runs_outputs(tmp_path):
+    # Each run into one directory leaves exactly the files its manifest
+    # lists: a one-eps sweep after a three-eps one drops the old fit.txt, a
+    # run that exits 3 drops the CSV before it, and a run that succeeds
+    # drops the error record.  Files no manifest listed stay.
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("not written by a run\n")
+
+    def rerun(text, code):
+        assert _run_cli(tmp_path, text, f"output_dir={out}") == code
+        listed = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*listed, "manifest.json", "notes.txt"]
+        )
+        return listed
+
+    sweep = "experiment = spurious\nexclude_largest = 0\neps_list = "
+    assert rerun(sweep + "0.1, 0.05, 0.03\n", 0) == ["spurious.csv", "fit.txt"]
+    csv = (out / "spurious.csv").read_bytes()
+    assert rerun(sweep + "0.1\n", 0) == ["spurious.csv"]
+    # The row of eps = 0.1, the first of three before, is the same bytes.
+    assert (out / "spurious.csv").read_bytes().splitlines()[-1] == csv.splitlines()[-3]
+    failing = "experiment = instability\nn_cells = 92\nt_end = 5\nsnapshot_times = 5\n"
+    assert rerun(failing, 3) == ["error.json"]
+    assert rerun("experiment = err0\nkappaR_list = 1, 2\n", 0) == ["err0.csv"]
+
+
 @pytest.mark.parametrize("n_cells, code", [(60, 0), (92, 3)])
 def test_instability_manifest_records_the_diffusion_number(tmp_path, n_cells, code):
     # dt / (3 kappa dr^2): 0.417 at 60 cells, inside the explicit limit 1/2;

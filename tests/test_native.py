@@ -38,7 +38,8 @@ from idsa_lab import (
 )
 from idsa_lab import _native
 from idsa_lab.cli import _block_text, _block_text_python, main
-from idsa_lab.idsa import _Kernel, _Reductions, _first_step, _march, diffusion_number
+from idsa_lab.config import parse_config
+from idsa_lab.idsa import _Holds, _Kernel, _Reductions, _first_step, _march, diffusion_number
 from idsa_lab.reformed import ReformedScheme, _gtsv_factor, _gtsv_solve, _Tridiagonal
 
 needs_native = pytest.mark.skipif(
@@ -87,22 +88,34 @@ def test_native_kernel_builds_here():
     assert _native.backend() == "native"
 
 
+def test_native_source_compiles_without_warnings():
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler: the numpy march is the only one")
+    proc = subprocess.run(
+        ["cc", "-O3", "-ffp-contract=off", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+         str(_native._SOURCE)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
 def _march_log(specs, grid, cfg, steps, with_tags, stride, retire, n_sweep, watch):
     """
-    March a batch and log what the observer was shown: step -> (rows, Jt,
-    Js, tags, dominated), keeping the arrays themselves, not copies.  It
-    asks for every stride-th step and for step ``retire``, where it
-    retires the first row; the last ``n_sweep`` rows take the sweep.
-    Returns the log and the NegativityError message, if one was raised.
+    March a batch with ``_Holds`` on the cells from ``watch`` on and log
+    what the observer was shown: step -> (rows, Jt, Js, tags, since, ended),
+    keeping the arrays themselves, not copies.  It asks for every stride-th
+    step and for step ``retire``, where it retires the first row; the last
+    ``n_sweep`` rows take the sweep.  Returns the log and the
+    NegativityError message, if one was raised.
     """
     kern = _Kernel(specs, grid, cfg)
     kern.n_scan = min(kern.n_scan, len(specs) - n_sweep)
+    hold = _Holds(len(specs), watch, cfg.dt)
     log = {}
 
     def observe(k, t, Jt, Js, tags):
-        out = slice(watch, None)
-        dominated = (Jt[:, out] > 0.5 * np.maximum(Jt[:, out] + Js[:, out], 1e-300)).all(axis=1)
-        log[k] = (kern.rows.tolist(), Jt, Js, tags, dominated)
+        log[k] = (kern.rows.tolist(), Jt, Js, tags, hold.since.copy(), hold.ended(k))
         done = None
         if k == retire and len(Jt) > 1:
             done = np.zeros(len(Jt), bool)
@@ -110,7 +123,7 @@ def _march_log(specs, grid, cfg, steps, with_tags, stride, retire, n_sweep, watc
         return done, k + stride if k >= retire else min(k + stride, retire)
 
     try:
-        _march(kern, observe, steps, first=min(stride, retire), with_tags=with_tags, watch=watch)
+        _march(kern, observe, steps, first=min(stride, retire), with_tags=with_tags, hold=hold)
     except NegativityError as exc:
         return log, str(exc)
     return log, None
@@ -146,23 +159,81 @@ def test_native_march_matches_numpy_bit_for_bit(
     assert native_err == reference_err
     assert native and set(native) <= set(reference)
     assert max(native) == max(reference)
-    for k, (rows, Jt, Js, tags, dominated) in native.items():
-        ref_rows, ref_Jt, ref_Js, ref_tags, ref_dominated = reference[k]
+    for k, (rows, Jt, Js, tags, since, ended) in native.items():
+        ref_rows, ref_Jt, ref_Js, ref_tags, ref_since, ref_ended = reference[k]
         assert rows == ref_rows
         assert np.array_equal(Jt, ref_Jt) and np.array_equal(Js, ref_Js)
         assert np.array_equal(np.signbit(Jt), np.signbit(ref_Jt))
         assert np.array_equal(np.signbit(Js), np.signbit(ref_Js))
         assert (tags is None) == (not with_tags)
         assert tags is None or np.array_equal(tags, ref_tags)
-        assert np.array_equal(dominated, ref_dominated)
-    # The native march stops at every step where a row's domination of the
-    # cells r >= R begins or ends.
-    state = {}
-    for k in sorted(reference):
-        rows, dominated = reference[k][0], reference[k][4]
-        changed = any(state.get(row, False) != bool(d) for row, d in zip(rows, dominated))
-        assert not changed or k in native, f"domination changed at step {k} unseen"
-        state.update(zip(rows, map(bool, dominated)))
+        # The kernel's hold record is _Holds.update's.
+        assert np.array_equal(since, ref_since) and np.array_equal(ended, ref_ended)
+    # The native march stops at every step where a row's hold of the cells
+    # r >= R ends; a domination that begins or ends is no stop.
+    for k, (*_, ended) in reference.items():
+        assert k in native or not ended.any(), f"a hold ended at step {k} unseen"
+
+
+def _holds_log(specs, grid, cfg, steps, retire, n_sweep):
+    """
+    March a batch with ``_Holds`` on the cells r >= R, retiring each row at
+    the step its hold ends, as the spurious sweep does, and the first row at
+    step ``retire``; the last ``n_sweep`` rows take the sweep.  Logs step ->
+    (rows, since, ended) at each step the observer is shown, which asks for
+    no step but ``retire``.  Returns the log and the NegativityError
+    message, if one was raised.
+    """
+    kern = _Kernel(specs, grid, cfg)
+    kern.n_scan = min(kern.n_scan, len(specs) - n_sweep)
+    hold = _Holds(len(specs), int(np.searchsorted(grid.r_centers, specs[0].R)), cfg.dt)
+    log = {}
+
+    def observe(k, t, Jt, Js, tags):
+        ended = hold.ended(k)
+        log[k] = (kern.rows.tolist(), hold.since.copy(), ended)
+        done = ended | ((np.arange(len(Jt)) == 0) & (k == retire))
+        return done, retire if k < retire else steps
+
+    try:
+        _march(kern, observe, steps, first=retire, hold=hold)
+    except NegativityError as exc:
+        return log, str(exc)
+    return log, None
+
+
+@needs_native
+@settings(max_examples=40, deadline=None)
+@given(
+    n_cells=st.integers(2, 120),
+    kappa=st.floats(-1.0, 2.0).map(lambda x: 10.0**x),
+    kappa_outside=st.lists(st.floats(-2.5, 0.5).map(lambda x: 10.0**x), min_size=1, max_size=4),
+    R=st.floats(0.5, 10.0),
+    dt=st.floats(0.02, 1.0),
+    steps=st.integers(1, 400),
+    retire=st.integers(1, 400),
+    n_sweep=st.integers(0, 2),
+)
+def test_native_holds_match_numpy(n_cells, kappa, kappa_outside, R, dt, steps, retire, n_sweep):
+    # The kernel's hold record is that of _Holds.update at every step it
+    # shows, and it stops at every step where a hold ends, so both marches
+    # retire the same rows at the same steps.
+    grid = make_uniform_grid(3.0 * R, n_cells)
+    specs = [ProblemSpec(B=1.0, R=R, kappa=kappa, kappa_outside=k) for k in kappa_outside]
+    cfg = SolverConfig(dt=dt)
+    n_sweep = min(n_sweep, len(specs))
+    (native, native_err), (reference, reference_err) = _both(
+        lambda: _holds_log(specs, grid, cfg, steps, retire, n_sweep)
+    )
+    assert native_err == reference_err
+    assert native and set(native) <= set(reference)
+    assert max(native) == max(reference)
+    for k, (rows, since, ended) in native.items():
+        ref_rows, ref_since, ref_ended = reference[k]
+        assert rows == ref_rows
+        assert np.array_equal(since, ref_since) and np.array_equal(ended, ref_ended)
+    for k, (_, _, ended) in reference.items():
+        assert k in native or not ended.any(), f"a hold ended at step {k} unseen"
 
 
 def _reductions_log(specs, grid, cfg, steps, stride, retire, n_sweep, bound, stat_tol):
@@ -234,19 +305,14 @@ def test_native_reductions_match_numpy(
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    dt=st.floats(1e-3, 10.0),
-    k=st.integers(0, 10**6),
-    x=st.floats(0.0, 1e7),
-    past=st.booleans(),
-)
-def test_first_step_is_the_first_to_reach_the_time(dt, k, x, past):
-    # The step the spurious observer asks for: a late one would retire a row
-    # after its hold ends, an early one costs a call.
-    reached = (lambda j: j * dt > x) if past else (lambda j: j * dt >= x)
-    j = _first_step(dt, k, x, past)
-    assert j > k and reached(j)
-    assert j == k + 1 or not reached(j - 1)
+@given(dt=st.floats(1e-3, 10.0), x=st.floats(0.0, 1e7))
+def test_first_step_is_the_first_to_reach_the_time(dt, x):
+    # The step the spurious observer asks for, the first past the horizon:
+    # a late one would censor the rows left too late, an early one costs a
+    # call.
+    j = _first_step(dt, x)
+    assert j >= 1 and j * dt > x
+    assert j == 1 or not (j - 1) * dt > x
 
 
 @needs_native
@@ -317,9 +383,9 @@ def test_march_never_writes_to_an_array_it_has_shown(path):
             done = np.arange(len(Jt)) == 0
         return done, min([k + 4, *retire[:1]])
 
+    hold = _Holds(len(specs), int(np.searchsorted(grid.r_centers, 6.0)), 0.1)
     with contextlib.nullcontext() if path == "native" else _numpy_march():
-        _march(kern, observe, 80, first=4, with_tags=True,
-               watch=int(np.searchsorted(grid.r_centers, 6.0)))
+        _march(kern, observe, 80, first=4, with_tags=True, hold=hold)
     assert not retire and len(kern.rows) == 2
     assert len(kept) >= 3 * 20
     for shown, copy in kept:
@@ -369,6 +435,32 @@ def test_instability_run_returns_from_the_kernel_only_at_snapshots(monkeypatch):
     assert sum(steps) == 2000
     assert [s.t for s in result.snapshots] == list(snapshot_times)
     assert result.first_nonmonotone_time is not None
+
+
+@needs_native
+def test_spurious_sweep_returns_from_the_kernel_only_at_retirements(monkeypatch):
+    # The default sweep: 12 eps on 50 cells, dt = 0.1.  The kernel keeps
+    # each row's hold itself, so it returns once per confirmed takeover (216
+    # times when it returned at every step where a domination began or ended).
+    native = _native.load()
+    steps = []
+
+    def march(*args):
+        taken = native.lib.march(*args)
+        steps.append(taken)
+        return taken
+
+    counting = SimpleNamespace(ffi=native.ffi, lib=SimpleNamespace(march=march))
+    monkeypatch.setattr(_native, "load", lambda: counting)
+    cfg = parse_config("experiment = spurious\n")
+    records = run_spurious_trapped_experiment(
+        cfg.eps_list, ProblemSpec(B=cfg.B, R=cfg.R, kappa=cfg.kappa),
+        make_uniform_grid(cfg.r_max, cfg.n_cells), SolverConfig(dt=cfg.dt), horizon=cfg.horizon,
+    )
+    assert steps == [171, 123, 272, 516, 952, 1790, 3358, 6284, 11782, 22070, 41356, 77492]
+    # Each call ends at the step that confirms the next takeover.
+    confirmed = [round(max(2.0 * r.time, r.time + 10.0) / cfg.dt) for r in records]
+    assert list(itertools.accumulate(steps)) == confirmed
 
 
 # sup(Jt + Js) <= B is not a property of the switched scheme outside the

@@ -89,6 +89,34 @@ def test_moments_match_mpmath_high_opacity():
     assert J[0] == pytest.approx(J_OUT_100, rel=1e-9)
 
 
+# mpmath (45 digits, both the cosh/sinh form and the defining integral over
+# mu in [-1, 1], split at sqrt((R - r)/R) and kappa (R - r) times 0.1 to 30):
+# J, H, K just inside R = 6, at r = 6 - d as a double.
+_INSIDE_EDGE = {
+    (1000.0, 1e-4): ("0.6386867760608859814046756612631162", "0.2081491946658889568967106827565386",
+                     "0.1894647021862716866523882248239349"),
+    (1000.0, 1e-5): ("0.5251230831654654287508772174741595", "0.2451386871851056185256601874828219",
+                     "0.1691421405675570388912255635777528"),
+    (3000.0, 1e-4): ("0.7654301434174094174492850728234198", "0.1500234133112527742112904046605564",
+                     "0.2248649642540326897945893312929843"),
+    (3000.0, 1e-5): ("0.5591501682877986404919812480535648", "0.2359992365455105408154581326086511",
+                     "0.1739523684333908640535014361909010"),
+}
+
+
+@pytest.mark.parametrize("kappa, d", list(_INSIDE_EDGE))
+def test_inside_moments_just_inside_R_match_mpmath(kappa, d):
+    # Just inside R the inside integrands exp(kappa (r mu - R G)) rise from
+    # about e^-30 to e^-1 over mu from kappa d / 30 to kappa d, a layer at
+    # mu = 0 that level 0 does not accept: the quadrature bisects 3 to 6
+    # levels into it.  What is left, at most 1.43e-12 (J at kappa = 3000,
+    # d = 1e-5), is the cancellation of the exponents to about
+    # eps * kappa*R that sets the oracle_tol floor.
+    J, H, K = moments_at(np.array([6.0 - d]), ProblemSpec(B=1.0, R=6.0, kappa=kappa))
+    for value, ref in zip((J[0], H[0], K[0]), _INSIDE_EDGE[kappa, d]):
+        assert value == pytest.approx(float(ref), rel=2e-12)
+
+
 def _moments_one_at_a_time(radii, spec, tol):
     """Reference: every moment integral on its own, each outside piece apart."""
     R, kap, B = spec.R, spec.kappa, spec.B
