@@ -12,11 +12,36 @@
  * Each gives the bits of its Python reference: built without fast-math and
  * without contraction into fused multiply-adds, every operation rounds as
  * numpy's and Python's do.
+ *
+ * With gcc 12 or later on x86-64 and glibc, march() is compiled three
+ * times from this one source (MARCH_CLONES), for x86-64-v4 (AVX-512),
+ * x86-64-v3 (AVX2) and the x86-64 baseline (SSE2), and the loader's ifunc
+ * resolver runs the widest clone the CPU supports; march_isa() names it.
+ * The pass helpers are inlined into each clone, so each compiles its loops
+ * at its own width.  A vector add, multiply, divide or compare rounds each
+ * element as the scalar one does, so every clone gives the same bits.
+ * Elsewhere (another compiler or target, or no glibc) march() is one plain
+ * function.
  */
 
 #include <math.h>
 #include <stdio.h>
 #include <string.h>
+
+/* Clones need gcc's ifunc, which needs glibc; gcc 12 knows the level names. */
+#if defined(__GNUC__) && __GNUC__ >= 12 && !defined(__clang__) && defined(__x86_64__) && \
+    defined(__GLIBC__)
+#define MARCH_CLONES __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#define INLINE inline __attribute__((always_inline))
+/* The resolver's choice: the first level of the clone list the CPU supports. */
+#define MARCH_ISA()                                                  \
+    (__builtin_cpu_supports("x86-64-v4")   ? "x86-64-v4"             \
+     : __builtin_cpu_supports("x86-64-v3") ? "x86-64-v3" : "x86-64")
+#else
+#define MARCH_CLONES
+#define INLINE inline
+#define MARCH_ISA() "default"
+#endif
 
 /*
  * March kernel for the switched two-component scheme (idsa.py).
@@ -104,22 +129,22 @@ typedef struct {
 
 /* numpy's maximum(a, b): a NaN operand propagates, and of two equal
  * operands (+0 and -0) b is returned. */
-static double np_max(double a, double b) { return (a != a || a > b) ? a : b; }
+static INLINE double np_max(double a, double b) { return (a != a || a > b) ? a : b; }
 
 /* numpy's maximum(a, b) and minimum(a, b) where b is not NaN (a constant,
  * or kaB), as one compare and one select, so that the passes vectorize. */
-static double max_b(double a, double b) { return !(a <= b) ? a : b; }
-static double min_b(double a, double b) { return !(a >= b) ? a : b; }
+static INLINE double max_b(double a, double b) { return !(a <= b) ? a : b; }
+static INLINE double min_b(double a, double b) { return !(a >= b) ? a : b; }
 
 /* Python's max(a, b). */
-static double py_max(double a, double b) { return b > a ? b : a; }
+static INLINE double py_max(double a, double b) { return b > a ? b : a; }
 
 /* The flags below are doubles, 0.0 or 1.0, set by a select: a flag of the
  * width of the values keeps its loop vectorizable. */
 
 /* Pass 1: the n + 1 face fluxes, zero at r = 0 and at r_max. */
-static void face_fluxes(int n, const double *restrict jt, const double *restrict rf2,
-                        const double *restrict kf3, double *restrict F)
+static INLINE void face_fluxes(int n, const double *restrict jt, const double *restrict rf2,
+                               const double *restrict kf3, double *restrict F)
 {
     F[0] = F[n] = 0.0;
     for (int i = 0; i < n - 1; i++)
@@ -128,11 +153,12 @@ static void face_fluxes(int n, const double *restrict jt, const double *restrict
 
 /* Pass 2: the source, its regime tags, the new trapped values and the
  * streaming terms d S. */
-static void sources(int n, double dt, const double *restrict jt, const double *restrict js,
-                    const double *restrict F, const double *restrict ka,
-                    const double *restrict kaB, const double *restrict den,
-                    const double *restrict r2dr, const double *restrict d,
-                    double *restrict jt_new, double *restrict terms, signed char *restrict tag)
+static INLINE void sources(int n, double dt, const double *restrict jt, const double *restrict js,
+                           const double *restrict F, const double *restrict ka,
+                           const double *restrict kaB, const double *restrict den,
+                           const double *restrict r2dr, const double *restrict d,
+                           double *restrict jt_new, double *restrict terms,
+                           signed char *restrict tag)
 {
     for (int i = 0; i < n; i++) {
         const double inner = ka[i] * js[i] - (F[i + 1] - F[i]) / r2dr[i];
@@ -144,8 +170,8 @@ static void sources(int n, double dt, const double *restrict jt, const double *r
 }
 
 /* Pass 2 of a scan row: the terms d S a / P. */
-static void scan_terms(int n, const double *restrict a, const double *restrict P,
-                       double *restrict terms)
+static INLINE void scan_terms(int n, const double *restrict a, const double *restrict P,
+                              double *restrict terms)
 {
     for (int i = 0; i < n; i++)
         terms[i] = terms[i] * a[i] / P[i];
@@ -153,8 +179,8 @@ static void scan_terms(int n, const double *restrict a, const double *restrict P
 
 /* Pass 3, in place: the flux r^2 g Js, as P times the scan's running sum or
  * as the sweep's running phi = (phi + d S) a. */
-static void prefix(int n, int scan, const double *restrict a, const double *restrict P,
-                   double *restrict acc)
+static INLINE void prefix(int n, int scan, const double *restrict a, const double *restrict P,
+                          double *restrict acc)
 {
     if (scan) {
         double sum = acc[0];
@@ -172,8 +198,8 @@ static void prefix(int n, int scan, const double *restrict a, const double *rest
 
 /* Pass 4, in place: the new streaming values; returns 1.0 if a value fell
  * below its floor. */
-static double streaming(int n, const double *restrict jt_new, const double *restrict floor,
-                        const double *restrict r2g, double *restrict flux)
+static INLINE double streaming(int n, const double *restrict jt_new, const double *restrict floor,
+                               const double *restrict r2g, double *restrict flux)
 {
     double bad = 0.0;
     for (int i = 0; i < n; i++) {
@@ -187,8 +213,8 @@ static double streaming(int n, const double *restrict jt_new, const double *rest
 
 /* max(max|dJt|, max|dJs|) / max(max(0, Jt), max(0, Js), 1e-300) from
  * (jt, js) to (jt_new, js_new), the maxima over cells numpy's. */
-static double relative_change(int n, const double *jt, const double *js,
-                              const double *jt_new, const double *js_new)
+static INLINE double relative_change(int n, const double *jt, const double *js,
+                                     const double *jt_new, const double *js_new)
 {
     double djt = 0.0, djs = 0.0, mjt = 0.0, mjs = 0.0;
     for (int i = 0; i < n; i++) {
@@ -202,8 +228,8 @@ static double relative_change(int n, const double *jt, const double *js,
 
 /* max(sup, max(Jt + Js)), the max over cells numpy's: a NaN sum leaves sup
  * as it is.  Only when a sum exceeds sup is the max taken. */
-static double running_sup(int n, double sup, const double *restrict jt,
-                          const double *restrict js)
+static INLINE double running_sup(int n, double sup, const double *restrict jt,
+                                 const double *restrict js)
 {
     double above = 0.0, nan = 0.0;
     for (int i = 0; i < n; i++) {
@@ -219,7 +245,7 @@ static double running_sup(int n, double sup, const double *restrict jt,
 }
 
 /* Whether Jt[i + 1] - Jt[i] > tol for some i < pairs. */
-static int nonmonotone(int pairs, double tol, const double *restrict jt)
+static INLINE int nonmonotone(int pairs, double tol, const double *restrict jt)
 {
     double any = 0.0;
     for (int i = 0; i < pairs; i++)
@@ -228,7 +254,7 @@ static int nonmonotone(int pairs, double tol, const double *restrict jt)
 }
 
 /* Whether Jt > (Jt + Js) / 2 on every cell from i0 on. */
-static int dominated(int n, int i0, const double *restrict jt, const double *restrict js)
+static INLINE int dominated(int n, int i0, const double *restrict jt, const double *restrict js)
 {
     double not_all = 0.0;
     for (int i = i0; i < n; i++)
@@ -237,8 +263,8 @@ static int dominated(int n, int i0, const double *restrict jt, const double *res
 }
 
 /* Updates row r's hold after step k; returns whether the hold ended there. */
-static int hold_ended(const march_holds *h, int r, long long k, double dt, int n,
-                      const double *jt, const double *js)
+static INLINE int hold_ended(const march_holds *h, int r, long long k, double dt, int n,
+                             const double *jt, const double *js)
 {
     if (!dominated(n, h->watch, jt, js)) {
         h->since[r] = -1;
@@ -251,6 +277,7 @@ static int hold_ended(const march_holds *h, int r, long long k, double dt, int n
 }
 
 /* Steps k0 + 1 .. k0 + steps from (Jt0, Js0), into (Jt, Js); returns the steps taken. */
+MARCH_CLONES
 long march(const march_rows *m, march_reductions *red, march_holds *hold, const double *Jt0,
            const double *Js0, double *Jt, double *Js, signed char *tags, long long k0,
            long steps, int *negative)
@@ -304,6 +331,10 @@ long march(const march_rows *m, march_reductions *red, march_holds *hold, const 
     }
     return s;
 }
+
+/* The instruction-set level of the march() clone that runs in this process,
+ * or "default" where march() is not cloned. */
+const char *march_isa(void) { return MARCH_ISA(); }
 
 /*
  * Tridiagonal solve, split from LAPACK's dgtsv (what scipy's

@@ -10,15 +10,24 @@ bytes.
 The module is compiled with cffi (API mode) on first use, into
 ``_native_cache/`` next to this file, with ``-O3 -ffp-contract=off``:
 
-- ``-O3`` lets gcc vectorize the march's elementwise passes, two doubles
-  per SSE2 instruction (SSE2 is the x86-64 baseline).  A vector add,
-  multiply, divide or compare rounds each element as the scalar one does,
-  and gcc reorders no floating-point sum or product without
+- ``-O3`` lets gcc vectorize the march's elementwise passes.  A vector
+  add, multiply, divide or compare rounds each element as the scalar one
+  does, and gcc reorders no floating-point sum or product without
   ``-fassociative-math``, so the bits do not move.
-- ``-ffp-contract=off`` keeps ``a * b + c`` from fusing into one rounding.
+- ``-ffp-contract=off`` keeps ``a * b + c`` from fusing into one rounding,
+  also where the CPU has fused multiply-adds.
 - No fast-math, which would reorder sums, assume no NaN and flush
-  subnormals; no ``-march``, so a build gives the same bits on every
-  x86-64 machine.
+  subnormals.
+- With gcc 12 or later on x86-64 and glibc, ``march()`` is compiled
+  three times from the one source (``target_clones``): for x86-64-v4
+  (AVX-512, eight doubles per instruction), x86-64-v3 (AVX2, four) and
+  the x86-64 baseline (SSE2, two).  The loader runs the widest clone the
+  CPU supports, and ``march_isa()`` names it; the manifest records it.
+  The flags above hold for every clone, so every clone gives the same
+  bits.  The build is not ``-march=native``: the cache key below does not
+  name the CPU, and a package directory shared between machines would
+  load code that another CPU cannot run.  A cold build takes about 2 s,
+  once per source change.
 
 The module name, and so the file, is keyed by a hash of the C source, the
 declarations, the flags and the interpreter's extension suffix (its ABI
@@ -38,6 +47,7 @@ formatting run in Python.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import importlib.machinery
 import importlib.util
@@ -77,6 +87,7 @@ typedef struct {
 long march(const march_rows *m, march_reductions *red, march_holds *hold, const double *Jt0,
            const double *Js0, double *Jt, double *Js, signed char *tags, long long k0,
            long steps, int *negative);
+const char *march_isa(void);
 
 int gtsv_factor(int n, double *dl, double *d, double *du, double *fact, signed char *swap);
 void gtsv_solve(int n, const double *dl, const double *d, const double *du,
@@ -98,7 +109,12 @@ class BuildError(RuntimeError):
 
 
 def _build(name: str, source: str, target: Path) -> None:
-    """Compile ``source`` as extension module ``name`` and move it to ``target``."""
+    """
+    Compile ``source`` as extension module ``name``, move it to ``target``
+    and remove the other builds for the same interpreter beside it: each
+    was built from another source or with other flags, and is never loaded
+    again.
+    """
     import tempfile  # only a build needs it
 
     try:
@@ -115,6 +131,11 @@ def _build(name: str, source: str, target: Path) -> None:
         except cffi.VerificationError as exc:
             raise BuildError(str(exc)) from exc
         os.replace(built, target)
+    suffix = target.name[len(name):]
+    for stale in target.parent.glob(f"_idsa_march_*{suffix}"):
+        if stale != target:
+            with contextlib.suppress(OSError):
+                stale.unlink()
 
 
 def _import(name: str, path: Path):
@@ -149,3 +170,9 @@ def load():
 def backend() -> str:
     """Which kernels run in this process: "native", or "numpy" for the references."""
     return "numpy" if load() is None else "native"
+
+
+def march_isa() -> str | None:
+    """The instruction-set level of the native march in this process, or None on numpy."""
+    native = load()
+    return None if native is None else native.ffi.string(native.lib.march_isa()).decode()

@@ -57,7 +57,8 @@ from .reformed import NormalizationSingularityError, ReformedScheme, reconstruct
 from .sphere import exact_moments, free_streaming_closures
 
 # Experiments that march the switched or a domain-split scheme; their
-# manifest says which kernels stepped it ("native" or "numpy").
+# manifest says which kernels stepped it ("native" or "numpy") and, when
+# native, which clone of the march the CPU runs ("march_isa").
 _MARCHING = ("solve-idsa", "solve-old", "solve-new", "spurious", "instability")
 
 _SOLVER_FAILURES = (
@@ -262,7 +263,9 @@ def _run_spurious(cfg: RunConfig, out: Path) -> list[str]:
         np.array([r.time if r.time is not None else np.nan for r in records], dtype=float),
         np.array([r.censored for r in records], dtype=bool),
     )
-    _write_csv(out / "spurious.csv", _scenario_meta(cfg), ["eps", "time", "censored"], [block])
+    meta = _scenario_meta(cfg)
+    del meta["kappa_outside"]  # each row's is its eps
+    _write_csv(out / "spurious.csv", meta, ["eps", "time", "censored"], [block])
 
     usable = sorted((r for r in records if not r.censored), key=lambda r: -r.eps)
     kept = usable[cfg.exclude_largest :]
@@ -397,6 +400,8 @@ def run(cfg: RunConfig) -> int:
         from . import _native
 
         manifest["march"] = _native.backend()
+        if manifest["march"] == "native":
+            manifest["march_isa"] = _native.march_isa()
     try:
         if cfg.experiment == "instability":  # above 1/2 the sup bound may not hold
             grid = make_uniform_grid(cfg.r_max, cfg.n_cells)

@@ -202,6 +202,8 @@ def _validate(v: dict) -> None:
              f" the smallest admissible oracle_tol there is {floor:g}")
     need(v["experiment"] not in _BARE_SPHERE or (v["kappa_outside"] == 0 and v["kappa_s"] == 0),
          f"{v['experiment']} needs the bare sphere: kappa_outside = kappa_s = 0")
+    need(v["experiment"] != "spurious" or v["kappa_outside"] == 0,
+         "spurious sets kappa_outside to each eps of eps_list: kappa_outside must be 0")
     if v["experiment"] in _FIRST_SNAPSHOT_STEP:
         # Each time is taken at its nearest step (earlier than 0 rounds up to
         # 0); times the run would merge or never reach are rejected.

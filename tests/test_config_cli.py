@@ -233,8 +233,22 @@ def test_cli_spurious_small(tmp_path):
     lines = (out / "spurious.csv").read_text().splitlines()
     header = next(l for l in lines if not l.startswith("#"))
     assert header == "eps,time,censored"
+    # Each row runs at kappa_outside = its eps, so the scenario echo leaves the key out.
+    assert not any(l.startswith("# kappa_outside") for l in lines)
+    assert "# kappa = 1" in lines
     fit = (out / "fit.txt").read_text()
     assert "exponent" in fit
+
+
+def test_spurious_rejects_kappa_outside(tmp_path, monkeypatch):
+    # Each row sets kappa_outside to its eps; a value set in the config used
+    # to be overridden without a word.
+    monkeypatch.chdir(tmp_path)
+    assert _run_cli(tmp_path, "experiment = spurious\nkappa_outside = 5\n") == 2
+    assert not (tmp_path / "idsa-lab-out").exists()
+    with pytest.raises(ConfigError, match="kappa_outside must be 0"):
+        parse_config("experiment = spurious\nkappa_outside = 0.01\n")
+    assert parse_config("experiment = spurious\nkappa_outside = 0\n").kappa_outside == 0.0
 
 
 def test_cli_instability_small(tmp_path):

@@ -2,8 +2,10 @@
 The native kernels against their references: the march against the numpy
 march (fields, tags, stops and records), the tridiagonal solve against the
 Python dgtsv and scipy, and the CSV formatter against Python's ``.17g``,
-all bit for bit; both marches never writing to an array they have shown;
-and the fallback when the module cannot be built.
+all bit for bit; the march built on its own at each x86-64 level this CPU
+runs, against the numpy march; both marches never writing to an array they
+have shown; the removal of stale builds; and the fallback when the module
+cannot be built.
 """
 
 import contextlib
@@ -11,9 +13,12 @@ import itertools
 import math
 import signal
 from decimal import Decimal
+import importlib.machinery
 import importlib.util
 import json
 import os
+import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -88,16 +93,54 @@ def test_native_kernel_builds_here():
     assert _native.backend() == "native"
 
 
+# The x86-64 levels of the march's clones, and the /proc/cpuinfo flags each
+# needs beyond the baseline (lzcnt is "abm" there).
+_V3_FLAGS = {"cx16", "lahf_lm", "popcnt", "sse4_1", "sse4_2", "ssse3", "avx", "avx2", "bmi1",
+             "bmi2", "f16c", "fma", "abm", "movbe", "xsave"}
+_LEVEL_FLAGS = {
+    "x86-64": set(),
+    "x86-64-v3": _V3_FLAGS,
+    "x86-64-v4": _V3_FLAGS | {"avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl"},
+}
+
+
+def _host_levels() -> list[str]:
+    """The levels of _LEVEL_FLAGS this CPU runs, baseline first; none off x86-64 Linux."""
+    cpuinfo = Path("/proc/cpuinfo")
+    if platform.machine() != "x86_64" or not cpuinfo.exists():
+        return []
+    line = next(line for line in cpuinfo.read_text().splitlines() if line.startswith("flags"))
+    flags = set(line.split(":", 1)[1].split())
+    return [level for level, need in _LEVEL_FLAGS.items() if need <= flags]
+
+
+def _cc_clones_the_march() -> bool:
+    """Whether cc builds the march's clones: gcc 12 or later, with glibc."""
+    version = subprocess.run(["cc", "--version"], capture_output=True, text=True).stdout
+    major = subprocess.run(["cc", "-dumpversion"], capture_output=True, text=True).stdout
+    return ("Free Software Foundation" in version and int(major.split(".")[0]) >= 12
+            and platform.libc_ver()[0] == "glibc")
+
+
 def test_native_source_compiles_without_warnings():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler: the numpy march is the only one")
     proc = subprocess.run(
-        ["cc", "-O3", "-ffp-contract=off", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+        ["cc", *_native._CFLAGS, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
          str(_native._SOURCE)],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+    if not (_host_levels() and _cc_clones_the_march()):
+        return
+    # The cached module holds the march's three clones, and names the widest
+    # this CPU runs.
+    native = _native.load()
+    module = Path(native.__file__).read_bytes()
+    for clone in ("march.arch_x86_64_v4", "march.arch_x86_64_v3", "march.default"):
+        assert clone.encode() + b"\0" in module
+    assert _native.march_isa() == _host_levels()[-1]
 
 
 def _march_log(specs, grid, cfg, steps, with_tags, stride, retire, n_sweep, watch):
@@ -515,12 +558,103 @@ def _run_spurious(tmp_path, name):
     cfg.write_text(_SPURIOUS + f"output_dir = {tmp_path / name}\n")
     assert main(["run", str(cfg)]) == 0
     manifest = json.loads((tmp_path / name / "manifest.json").read_text())
-    return (tmp_path / name / "spurious.csv").read_bytes(), manifest["march"]
+    return (tmp_path / name / "spurious.csv").read_bytes(), manifest
+
+
+@needs_native
+def test_manifest_names_the_march_clone_only_on_the_native_path(tmp_path):
+    _, native = _run_spurious(tmp_path, "native")
+    with _numpy_march():
+        _, reference = _run_spurious(tmp_path, "numpy")
+    assert native["march"] == "native"
+    assert native["march_isa"] == _native.march_isa()
+    assert native["march_isa"] in ("x86-64-v4", "x86-64-v3", "x86-64", "default")
+    assert reference["march"] == "numpy" and "march_isa" not in reference
+
+
+@needs_native
+def test_build_removes_stale_builds(tmp_path, fresh_load):
+    # Builds of another source for this interpreter go; other interpreters'
+    # builds and other files stay, and one that cannot be removed is skipped.
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    stale = cache / f"_idsa_march_0123456789abcdef{suffix}"
+    stale.write_bytes(b"")
+    (cache / f"_idsa_march_fedcba9876543210{suffix}").mkdir()
+    kept = ["_idsa_march_0123456789abcdef.abi3.so", "notes.txt"]
+    for name in kept:
+        (cache / name).write_bytes(b"")
+    native = _native.load()
+    assert native is not None
+    built = Path(native.__file__)
+    assert built.parent == cache
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        [built.name, f"_idsa_march_fedcba9876543210{suffix}", *kept]
+    )
+
+
+def _clone_cases():
+    """An instability row with its reductions, a spurious batch with a sweep
+    row and confirmed holds, and a run_to_time stationary stop."""
+    spec = ProblemSpec(B=1.0, R=6.0, kappa=1.0)
+    coarse = make_uniform_grid(18.0, 50)
+    instability = run_instability_experiment(
+        spec, make_uniform_grid(18.0, 2000), SolverConfig(dt=0.1, t_end=40.0), (10.0, 40.0)
+    )
+    spurious = run_spurious_trapped_experiment(
+        [0.1, 1e7, 0.03, 0.01], spec, coarse, SolverConfig(dt=0.1), horizon=80.0
+    )
+    stationary = run_to_time(
+        spec, coarse, SolverConfig(dt=0.1, t_end=30.0, stationarity_tol=1e-8), (5.0, 20.0, 40.0)
+    )
+    return instability, spurious, stationary
+
+
+@pytest.fixture(scope="module")
+def numpy_clone_cases():
+    with _numpy_march():
+        return _clone_cases()
+
+
+@pytest.mark.parametrize("level", list(_LEVEL_FLAGS))
+def test_every_clone_level_matches_numpy_bit_for_bit(
+    level, numpy_clone_cases, monkeypatch, tmp_path, fresh_load
+):
+    # The resolver runs one clone per host, so each level this CPU can run
+    # is built on its own: the source without the clone attribute, compiled
+    # with -march=<level>.
+    if level not in _host_levels() or not (shutil.which("cc") and importlib.util.find_spec("cffi")):
+        pytest.skip(f"this host cannot build or run {level}")
+    source, clones = re.subn(
+        r"__attribute__\(\(target_clones\([^)]*\)\)\)", "", _native._SOURCE.read_text()
+    )
+    assert clones == 1
+    copy = tmp_path / "_march.c"
+    copy.write_text(source)
+    monkeypatch.setattr(_native, "_SOURCE", copy)
+    monkeypatch.setattr(_native, "_CFLAGS", [*_native._CFLAGS, f"-march={level}"])
+    native = _native.load()
+    assert native is not None and Path(native.__file__).parent == tmp_path / "cache"
+    assert b"march.arch_x86_64" not in Path(native.__file__).read_bytes()
+
+    instability, spurious, stationary = _clone_cases()
+    instability_ref, spurious_ref, stationary_ref = numpy_clone_cases
+    assert instability.snapshots == instability_ref.snapshots
+    assert instability.first_nonmonotone_time == instability_ref.first_nonmonotone_time
+    assert instability.first_nonmonotone_time is not None
+    assert instability.sup_total == instability_ref.sup_total
+    assert np.array_equal(instability.final.Jt.values, instability_ref.final.Jt.values)
+    assert np.array_equal(instability.final.Js.values, instability_ref.final.Js.values)
+    assert spurious == spurious_ref
+    assert any(r.censored for r in spurious) and any(not r.censored for r in spurious)
+    assert stationary.stopped == "stationary"
+    _assert_same_trajectory(stationary, stationary_ref, n_snapshots=3)
 
 
 @needs_native
 def test_failed_build_falls_back_to_numpy(tmp_path, monkeypatch, fresh_load, capsys):
-    native_csv, native_march = _run_spurious(tmp_path, "native")
+    native_csv, native = _run_spurious(tmp_path, "native")
     assert "compiled the native kernels in" in capsys.readouterr().err
 
     def broken(*args):
@@ -529,9 +663,9 @@ def test_failed_build_falls_back_to_numpy(tmp_path, monkeypatch, fresh_load, cap
     monkeypatch.setattr(_native, "_build", broken)
     monkeypatch.setattr(_native, "_CACHE", tmp_path / "empty")
     _native.load.cache_clear()
-    numpy_csv, numpy_march = _run_spurious(tmp_path, "numpy")
+    numpy_csv, reference = _run_spurious(tmp_path, "numpy")
     err = capsys.readouterr().err
-    assert (native_march, numpy_march) == ("native", "numpy")
+    assert (native["march"], reference["march"]) == ("native", "numpy")
     assert numpy_csv == native_csv
     assert err.count("idsa-lab:") == 1 and "marching with numpy: no C compiler" in err
 
