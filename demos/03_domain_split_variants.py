@@ -32,10 +32,11 @@ grid = make_uniform_grid(18.0, 3000)
 cfg = SolverConfig(dt=0.1, t_end=400.0, stationarity_tol=1e-10)
 
 print("-- stationary states at kappa = 1 --")
-old, steps_old, _ = ReformedScheme("old", spec, grid, cfg).run_to_stationarity()
-new, steps_new, _ = ReformedScheme("new", spec, grid, cfg).run_to_stationarity()
+old_run = ReformedScheme("old", spec, grid, cfg).run_to_stationarity()
+new_run = ReformedScheme("new", spec, grid, cfg).run_to_stationarity()
+old, new = old_run.final, new_run.final
 closed = new_idsa_stationary_closed_form(grid, spec)
-print(f"   marched old in {steps_old} steps, new in {steps_new} steps")
+print(f"   marched old in {old_run.steps} steps, new in {new_run.steps} steps")
 print(f"   marched new vs closed form (L2): "
       f"{l2_relative_error(new.total(), closed.total()):.2e}  (discretization only)")
 

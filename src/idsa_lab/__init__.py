@@ -18,6 +18,8 @@ from .grids import (
 from .idsa import (
     NegativityError,
     Regime,
+    RunRecord,
+    Schedule,
     SolverConfig,
     TwoComponentState,
     UnboundedError,

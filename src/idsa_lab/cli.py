@@ -20,11 +20,9 @@ formatted.  ``_block_text_python`` is its reference, and the fallback
 when the native module cannot be built.  The snapshot time is formatted
 once per block.
 
-``solve-old`` and ``solve-new`` march once: one call to
-``ReformedScheme.run_to_stationarity`` returns the snapshot states and the
-final stationary state, and checks every step for negativity on the way.
-``solve-idsa`` writes what ``run_to_time`` returns: the snapshots, then
-the final state with the regime tags of the step that produced it.
+``solve-idsa``, ``solve-old`` and ``solve-new`` each march once and write
+the snapshots, then the final state, of the ``RunRecord`` their marcher
+returns; ``idsa.Schedule`` says which steps those are.
 """
 
 from __future__ import annotations
@@ -180,16 +178,8 @@ def _write_csv(path: Path, meta: dict, header: list[str], blocks) -> None:
 
 
 def _scenario_meta(cfg: RunConfig) -> dict:
-    return {
-        "experiment": cfg.experiment,
-        "B": cfg.B,
-        "R": cfg.R,
-        "kappa": cfg.kappa,
-        "kappa_outside": cfg.kappa_outside,
-        "kappa_s": cfg.kappa_s,
-        "r_max": cfg.r_max,
-        "n_cells": cfg.n_cells,
-    }
+    keys = ("experiment", "B", "R", "kappa", "kappa_outside", "kappa_s", "r_max", "n_cells")
+    return {key: cfg.values[key] for key in keys}
 
 
 def _spec(cfg: RunConfig) -> ProblemSpec:
@@ -213,43 +203,30 @@ def _run_oracle(cfg: RunConfig, out: Path) -> list[str]:
     return ["oracle.csv"]
 
 
-def _run_solve_idsa(cfg: RunConfig, out: Path) -> list[str]:
+def _run_solve(cfg: RunConfig, out: Path) -> list[str]:
     grid = make_uniform_grid(cfg.r_max, cfg.n_cells)
-    traj = run_to_time(_spec(cfg), grid, _solver_config(cfg), tuple(cfg.snapshot_times))
-    blocks = [(s.state, s.tags) for s in traj.snapshots] + [(traj.final, traj.final_tags)]
-    regime_names = [regime.name.lower() for regime in Regime]
+    variant = cfg.experiment.removeprefix("solve-")
+    if variant == "idsa":
+        run = run_to_time(_spec(cfg), grid, _solver_config(cfg), cfg.snapshot_times)
+        regime_names = [regime.name.lower() for regime in Regime]
+        header = ["h_t", "h_s", "regime"]
 
-    def block(snap):
-        st, tags = snap
-        names = [regime_names[t] for t in tags.tolist()]
-        return (st.t, grid.r_centers, st.Jt.values, st.Js.values, *st.component_fractions(),
-                names)
+        def columns(st):
+            return (*st.component_fractions(), [regime_names[t] for t in st.tags.tolist()])
+    else:
+        scheme = ReformedScheme(variant, _spec(cfg), grid, _solver_config(cfg))
+        run = scheme.run_to_stationarity(cfg.snapshot_times)
+        closures = free_streaming_closures(grid.r_centers, cfg.R)
+        header = ["H", "K", "h", "k"]
 
-    _write_csv(
-        out / "snapshots.csv", _scenario_meta(cfg),
-        ["t", "r", "Jt", "Js", "h_t", "h_s", "regime"], map(block, blocks),
-    )
-    return ["snapshots.csv"]
+        def columns(st):
+            moments = reconstruct_moments(st, closures)
+            ff = moments.flux_factors()
+            return moments.H.values, moments.K.values, ff.h.values, ff.k.values
 
-
-def _run_solve_reformed(cfg: RunConfig, out: Path, variant: str) -> list[str]:
-    grid = make_uniform_grid(cfg.r_max, cfg.n_cells)
-    scheme = ReformedScheme(variant, _spec(cfg), grid, _solver_config(cfg))
-    final, _, snaps = scheme.run_to_stationarity(
-        [int(round(t / cfg.dt)) for t in cfg.snapshot_times]
-    )
-    closures = free_streaming_closures(grid.r_centers, cfg.R)
-
-    def block(st):
-        moments = reconstruct_moments(st, closures)
-        ff = moments.flux_factors()
-        return (st.t, grid.r_centers, st.Jt.values, st.Js.values, moments.H.values,
-                moments.K.values, ff.h.values, ff.k.values)
-
-    _write_csv(
-        out / "snapshots.csv", _scenario_meta(cfg),
-        ["t", "r", "Jt", "Js", "H", "K", "h", "k"], map(block, [*snaps, final]),
-    )
+    blocks = ((st.t, grid.r_centers, st.Jt.values, st.Js.values, *columns(st))
+              for st in [*run.snapshots, run.final])
+    _write_csv(out / "snapshots.csv", _scenario_meta(cfg), ["t", "r", "Jt", "Js", *header], blocks)
     return ["snapshots.csv"]
 
 
@@ -349,9 +326,9 @@ def _run_err0(cfg: RunConfig, out: Path) -> list[str]:
 
 _RUNNERS = {
     "oracle": _run_oracle,
-    "solve-idsa": _run_solve_idsa,
-    "solve-old": lambda cfg, out: _run_solve_reformed(cfg, out, "old"),
-    "solve-new": lambda cfg, out: _run_solve_reformed(cfg, out, "new"),
+    "solve-idsa": _run_solve,
+    "solve-old": _run_solve,
+    "solve-new": _run_solve,
     "spurious": _run_spurious,
     "instability": _run_instability,
     "convergence": _run_convergence,

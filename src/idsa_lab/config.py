@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .idsa import Schedule, SolverConfig
+
 
 class ConfigError(ValueError):
     """Unknown key, missing key, unparsable or invalid value."""
@@ -87,8 +89,7 @@ _REQUIRED = ("experiment",)
 _BARE_SPHERE = ("oracle", "solve-old", "solve-new", "convergence")
 # Experiments that integrate the exact moments at oracle_tol.
 _ORACLE = ("oracle", "convergence")
-# Experiments that take snapshots -> the first step they write; solve-idsa
-# writes the zero state at step 0.
+# Experiments that take snapshots -> the first step they write (idsa.Schedule).
 _FIRST_SNAPSHOT_STEP = {"solve-idsa": 0, "solve-old": 1, "solve-new": 1, "instability": 1}
 
 
@@ -205,15 +206,12 @@ def _validate(v: dict) -> None:
     need(v["experiment"] != "spurious" or v["kappa_outside"] == 0,
          "spurious sets kappa_outside to each eps of eps_list: kappa_outside must be 0")
     if v["experiment"] in _FIRST_SNAPSHOT_STEP:
-        # Each time is taken at its nearest step (earlier than 0 rounds up to
-        # 0); times the run would merge or never reach are rejected.
-        steps = np.maximum(np.rint(np.array(v["snapshot_times"]) / v["dt"]), 0.0).tolist()
-        first = _FIRST_SNAPSHOT_STEP[v["experiment"]]
-        need(len(set(steps)) == len(steps),
-             f"snapshot_times {list(v['snapshot_times'])} name one step twice (dt = {v['dt']})")
-        need(min(steps, default=first) >= first,
-             f"snapshot_times {list(v['snapshot_times'])} name step 0 or earlier, which "
-             f"{v['experiment']} does not write (dt = {v['dt']})")
+        # Snapshot times the run would merge or never reach are rejected.
+        try:
+            Schedule(SolverConfig(v["dt"], v["t_end"], v["stationarity_tol"]), v["snapshot_times"],
+                     first=_FIRST_SNAPSHOT_STEP[v["experiment"]], name=v["experiment"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:

@@ -74,7 +74,7 @@ def convergence_sweep(
     grid: RadialGrid,
     variant: str,
     oracle_tol: float = 1e-10,
-    cfg: SolverConfig | None = None,
+    cfg: SolverConfig = SolverConfig(),
     oracle: dict[float, MomentTriple] | None = None,
 ) -> list[ConvergenceRecord]:
     """
@@ -82,8 +82,6 @@ def convergence_sweep(
     against the exact sphere, one record per opacity.  Solver failures are
     recorded on the failing row instead of aborting the sweep.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     closures = free_streaming_closures(grid.r_centers, R)
     records = []
     for kap in kappa_list:

@@ -51,8 +51,9 @@ exists to expose must not be masked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,19 +96,24 @@ class SolverConfig:
     stationarity_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (0.0 < self.dt < math.inf):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (0.0 <= self.t_end / self.dt < math.inf):
+            raise ValueError(f"t_end must be >= 0 and finite in steps of dt = {self.dt}, "
+                             f"got {self.t_end}")
         if not (self.stationarity_tol > 0):
             raise ValueError(f"stationarity_tol must be positive, got {self.stationarity_tol}")
 
 
 @dataclass(eq=False)
 class TwoComponentState:
-    """Trapped and streaming zeroth moments at one time level."""
+    """Trapped and streaming zeroth moments at one time level; ``tags`` are the
+    regime tags of the switched source that produced them, if one did."""
 
     Jt: RadialField
     Js: RadialField
     t: float = 0.0
+    tags: np.ndarray | None = None
 
     def total(self) -> RadialField:
         return RadialField(self.Jt.grid, self.Jt.values + self.Js.values)
@@ -119,6 +125,82 @@ class TwoComponentState:
         safe = np.where(filled, tot, 1.0)
         return (np.where(filled, self.Jt.values / safe, 0.0),
                 np.where(filled, self.Js.values / safe, 0.0))
+
+
+class RunRecord(NamedTuple):
+    """What a marcher returns: the final state, its step, the snapshot states
+    in step order, and why it stopped, "stationary" or "t_end" (``Schedule``)."""
+
+    final: TwoComponentState
+    steps: int
+    snapshots: list
+    stopped: str
+
+
+class Schedule:
+    """
+    The steps a march from zero data looks at, from a ``SolverConfig`` and
+    snapshot times: the stop and snapshot policy of ``run_to_time``,
+    ``ReformedScheme.run_to_stationarity`` and ``run_instability_experiment``.
+
+    - A time t is taken at its nearest step, round(t / dt), or at step 0
+      if earlier; the state of step k is stamped k * dt.
+    - The final state is that of the first step whose relative change (each
+      scheme has its own measure) falls below stationarity_tol, or of step
+      ``n_steps`` = round(t_end / dt), whichever comes first; step 0 only
+      when n_steps is 0.
+    - The march goes on to the last snapshot step: it ends at ``last``.
+
+    Snapshot times that name one step twice, or a step before ``first`` (the
+    march's first written step; ``name`` names the march), raise ValueError.
+    ``see`` follows one march, and ``record`` returns what it kept.
+    """
+
+    def __init__(self, cfg: SolverConfig, snapshot_times=(), first: int = 1,
+                 name: str = "this march"):
+        self.dt, self.tol = cfg.dt, cfg.stationarity_tol
+        self.n_steps = self.step(cfg.t_end)
+        times = list(snapshot_times)
+        if not all(math.isfinite(t / cfg.dt) for t in times):
+            raise ValueError(f"snapshot_times {times} must be finite in steps of dt = {cfg.dt}")
+        steps = [max(0, self.step(t)) for t in times]
+        if len(set(steps)) < len(steps):
+            raise ValueError(f"snapshot_times {times} name one step twice (dt = {cfg.dt})")
+        if min(steps, default=first) < first:
+            raise ValueError(f"snapshot_times {times} name step 0 or earlier, which {name} "
+                             f"does not write (dt = {cfg.dt})")
+        self.snap_steps = sorted(steps)
+        self.last = max([self.n_steps, *steps])
+        self.final = self.steps = self.stopped = None
+        self.snapshots = []
+
+    def step(self, t: float) -> int:
+        """The step nearest time t."""
+        return int(round(t / self.dt))
+
+    def upcoming(self, k: int) -> int | None:
+        """The next step after k to look at: a snapshot, or n_steps until the final state."""
+        later = [j for j in self.snap_steps if j > k]
+        if self.final is None and self.n_steps > k:
+            later.append(self.n_steps)
+        return min(later, default=None)
+
+    def see(self, k: int, change: float, state) -> int | None:
+        """Step k, of relative change ``change``: keep ``state()`` (built at most
+        once) as a snapshot and the final state as due.  Returns ``upcoming(k)``."""
+        stop = None
+        if self.final is None:
+            stop = "stationary" if change < self.tol else "t_end" if k >= self.n_steps else None
+        if stop or k in self.snap_steps:
+            kept = state()
+            if k in self.snap_steps:
+                self.snapshots.append(kept)
+            if stop:
+                self.final, self.steps, self.stopped = kept, k, stop
+        return self.upcoming(k)
+
+    def record(self) -> RunRecord:
+        return RunRecord(self.final, self.steps, self.snapshots, self.stopped)
 
 
 # The per-row arrays the native kernel reads: march_rows fields in _march.c.
@@ -410,77 +492,39 @@ def _first_step(dt: float, x: float) -> int:
     return j
 
 
-@dataclass(eq=False)
-class Snapshot:
-    state: TwoComponentState
-    tags: np.ndarray
-
-
-@dataclass(eq=False)
-class Trajectory:
-    snapshots: list = field(default_factory=list)
-    final: TwoComponentState | None = None
-    final_tags: np.ndarray | None = None
-    stopped: str = "t_end"
-
-
 def run_to_time(
     spec: ProblemSpec,
     grid: RadialGrid,
     cfg: SolverConfig,
     snapshot_times: tuple = (),
-) -> Trajectory:
+) -> RunRecord:
     """
-    March the coupled system from zero initial data.
-
-    The final state is the one at cfg.t_end, or at the first step where the
-    per-step relative change max(|dJt|, |dJs|) / max(|Jt|, |Js|) falls below
-    cfg.stationarity_tol; ``stopped`` says which ("t_end" or "stationary").
-    The march goes on past it to the last requested snapshot.  Snapshots
-    are taken at the steps nearest the requested times.  A snapshot and the
-    final state carry the regime tags of the source that produced them
-    (REACTION everywhere at t = 0).
+    March the coupled system from zero initial data and take the snapshots
+    and the final state as ``Schedule`` says, with the per-step relative
+    change max(|dJt|, |dJs|) / max(|Jt|, |Js|).  Each state carries the
+    regime tags of the source that produced it (REACTION everywhere at t = 0).
     """
-    snap_steps = sorted({max(0, int(round(ts / cfg.dt))) for ts in snapshot_times})
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    zeros = np.zeros(grid.n_cells)
-    start = Snapshot(_make_state(grid, zeros, zeros, 0.0), np.zeros(grid.n_cells, np.int8))
-    traj = Trajectory(snapshots=[start] if 0 in snap_steps else [])
-    if n_steps == 0:
-        traj.final, traj.final_tags = start.state, start.tags
-
-    # Until the final state the observer needs the snapshot steps, the
-    # stationary stop (the kernel's change below the tolerance) and t_end.
-    red = _Reductions(1, stat_tol=cfg.stationarity_tol if traj.final is None else 0.0)
-
-    def upcoming(k):
-        """The next step to see after step k: a snapshot or t_end, then only snapshots."""
-        later = [j for j in snap_steps if j > k]
-        if traj.final is None:
-            return min([*later, n_steps])
-        return later[0] if later else None
+    sched = Schedule(cfg, snapshot_times, first=0)
+    zero = np.zeros((1, grid.n_cells))
+    first = sched.see(0, math.inf, lambda: _make_state(grid, zero, zero, 0.0, zero.astype(np.int8)))
+    # The kernel returns at a stationary step only until the final state.
+    red = _Reductions(1, stat_tol=cfg.stationarity_tol if sched.final is None else 0.0)
 
     def observe(k, t, Jt, Js, tags):
-        (Jt, Js), tags = (Jt[0], Js[0]), tags[0]
-        if k in snap_steps:
-            traj.snapshots.append(Snapshot(_make_state(grid, Jt, Js, t), tags.copy()))
-        if traj.final is None:
-            if red.change[0] < cfg.stationarity_tol:
-                traj.stopped = "stationary"
-            elif k < n_steps:
-                return None, upcoming(k)
-            traj.final, traj.final_tags = _make_state(grid, Jt, Js, t), tags.copy()
+        upcoming = sched.see(k, red.change[0], lambda: _make_state(grid, Jt, Js, t, tags))
+        if sched.final is not None:
             red.stat_tol = 0.0
-        j = upcoming(k)
-        return (None, j) if j is not None else (np.array([True]), None)
+        # A stationary stop may leave nothing to see before sched.last.
+        return (None, upcoming) if upcoming is not None else (np.array([True]), None)
 
-    _march(_Kernel([spec], grid, cfg), observe, max([n_steps, *snap_steps]), with_tags=True,
-           red=red, first=upcoming(0))
-    return traj
+    _march(_Kernel([spec], grid, cfg), observe, sched.last, with_tags=True, red=red, first=first)
+    return sched.record()
 
 
-def _make_state(grid, Jt, Js, t):
-    return TwoComponentState(RadialField(grid, Jt.copy()), RadialField(grid, Js.copy()), t=t)
+def _make_state(grid, Jt, Js, t, tags=None):
+    """The state of row 0 of the (n_rows, n_cells) fields, copied."""
+    return TwoComponentState(RadialField(grid, Jt[0].copy()), RadialField(grid, Js[0].copy()), t=t,
+                             tags=None if tags is None else tags[0].copy())
 
 
 @dataclass(frozen=True)
@@ -579,26 +623,22 @@ def run_instability_experiment(
     """
     Track the coupling instability at the sphere edge.
 
-    Per snapshot: the virtual-boundary radius (largest r whose trapped value
-    still exceeds vb_threshold * B, i.e. the edge of the intact plateau),
-    whether the trapped profile is non-monotone inside the sphere (some
-    discrete forward difference positive with both centers < R), and the
-    running sup of Jt + Js.  The run fails hard with UnboundedError if that
+    Snapshots are taken as ``Schedule`` says; ``final`` is the state of its
+    ``last`` step.  Per snapshot: the virtual-boundary radius (largest r
+    whose trapped value still exceeds vb_threshold * B, i.e. the edge of the
+    intact plateau), whether the trapped profile is non-monotone inside the
+    sphere (some discrete forward difference positive with both centers <
+    R), and the running sup of Jt + Js.  The run fails hard with UnboundedError if that
     sup ever exceeds B * (1 + bound_margin); the instability is a modeling
     artifact and must stay bounded.  The bound is expected to hold only
     while ``diffusion_number`` is at most 1/2, so the error gives it.
     """
     r = grid.r_centers
-    t_stop = max(cfg.t_end, max(snapshot_times, default=0.0))
-    n_steps = int(round(t_stop / cfg.dt))
-    snap_steps = {int(round(ts / cfg.dt)): ts for ts in snapshot_times}
+    sched = Schedule(cfg, snapshot_times)
     # Centers increase, so the pairs with both centers inside R are a prefix.
     red = _Reductions(1, bound=spec.B * (1.0 + bound_margin), mono_tol=1e-10 * spec.B,
                       mono_pairs=int(np.count_nonzero(r[1:] < spec.R)))
     snaps = []
-
-    def upcoming(k):
-        return min([j for j in snap_steps if j > k], default=n_steps)
 
     def observe(k, t, Jt, Js, tags):
         sup = float(red.sup[0])
@@ -607,19 +647,20 @@ def run_instability_experiment(
                 f"sup(Jt + Js) = {sup:.9g} exceeds B(1 + {bound_margin:g}) at t = {t:g}; "
                 f"diffusion number dt/(3 kappa dr^2) = {diffusion_number(spec, grid, cfg):.3g}"
             )
-        if k in snap_steps:
+        if k in sched.snap_steps:
             above = np.nonzero(Jt[0] > vb_threshold * spec.B)[0]
             vb = float(r[above[-1]]) if above.size else 0.0
             snaps.append(InstabilitySnapshot(t, vb, bool(red.nonmono[0]), sup))
         # The bound and the first non-monotone step are the kernel's to watch.
-        return None, upcoming(k)
+        return None, sched.upcoming(k)
 
-    Jt, Js = _march(_Kernel([spec], grid, cfg), observe, n_steps, red=red, first=upcoming(0))
+    Jt, Js = _march(_Kernel([spec], grid, cfg), observe, sched.last, red=red,
+                    first=sched.upcoming(0))
     first_bad = int(red.first_nonmono[0])
     return InstabilityResult(
         snapshots=snaps,
         first_nonmonotone_time=first_bad * cfg.dt if first_bad >= 0 else None,
         sup_total=float(red.sup[0]),
         vb_threshold=vb_threshold,
-        final=_make_state(grid, Jt[0], Js[0], n_steps * cfg.dt),
+        final=_make_state(grid, Jt, Js, sched.last * cfg.dt),
     )

@@ -14,11 +14,6 @@ extend it outward divergence-free: r^2 g(r) Js constant past R.
   homogeneous-sphere solution.  The stationary state of this variant has
   the closed form evaluated by ``new_idsa_stationary_closed_form``.
 
-One loop marches the trapped solve: ``run_to_stationarity`` steps the m
-inside cells from zero, checks every step for a negative trapped
-component or a negative streaming reconstruction, and builds full states
-only for the requested snapshot steps and the final state.
-
 ``reconstruct_moments`` turns a state into J, H, K: the trapped component
 is isotropic (h = 0, k = 1/3) and the streaming component carries the
 opaque-sphere closures of ``sphere.free_streaming_closures``, which a
@@ -40,11 +35,12 @@ direct stationary solve factors only its own matrix.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 from .grids import ProblemSpec, RadialField, RadialGrid
-from .idsa import NegativityError, SolverConfig, TwoComponentState
+from .idsa import NegativityError, RunRecord, Schedule, SolverConfig, TwoComponentState
 from .sphere import (
     MomentTriple,
     _opaque_geometry,
@@ -277,28 +273,18 @@ class ReformedScheme:
             RadialField(self.grid, Jt), RadialField(self.grid, Js), t=t
         )
 
-    def run_to_stationarity(self, snapshot_steps=()):
+    def run_to_stationarity(self, snapshot_times=()) -> RunRecord:
         """
-        March from zero until every requested snapshot step is past and the
-        trapped update has stalled below cfg.stationarity_tol (relative to
-        max Jt) or cfg.t_end is reached.  Every step raises NegativityError
-        on a negative trapped component or streaming reconstruction.
-
-        Returns ``(final, steps, snapshots)``: the state at the step where
-        stationarity or t_end was reached; that step count; and the states
-        at the requested steps, in step order.  The state of step k is
-        stamped t = k * dt.
+        March the m inside cells from zero, checking every step for a negative
+        trapped component or streaming reconstruction, and build full states
+        only for the snapshots and the final state ``idsa.Schedule`` names,
+        with the trapped update's relative change max |dJt| / max |Jt|.
         """
-        cfg = self.cfg
-        dt, B = cfg.dt, self.spec.B
-        wanted = set(snapshot_steps)
-        last = max(wanted, default=0)
-        n_steps = int(round(cfg.t_end / dt))
-        Jt = final = np.zeros(self.m)
-        steps = 0 if n_steps == 0 else None  # the final state's step, once reached
-        snapshots = []
-        k = 0
-        while steps is None or k < last:
+        dt, B = self.cfg.dt, self.spec.B
+        sched = Schedule(self.cfg, snapshot_times)
+        Jt, change = np.zeros(self.m), math.inf
+        k, upcoming = 0, sched.see(0, change, lambda: self._assemble_state(Jt, 0.0))
+        while upcoming is not None:
             k += 1
             t = k * dt
             Jt_new = self._M.solve(Jt + dt * self._q)
@@ -306,14 +292,11 @@ class ReformedScheme:
                 i = int(np.argmin(Jt_new))
                 raise NegativityError("trapped component", t, i, float(Jt_new[i]))
             self._streaming(Jt_new, t)
-            if k in wanted:
-                snapshots.append(self._assemble_state(Jt_new, t))
-            if steps is None:
+            if sched.final is None:  # no change is read after the final state
                 change = np.max(np.abs(Jt_new - Jt)) / max(np.max(np.abs(Jt_new)), 1e-300)
-                if change < cfg.stationarity_tol or k == n_steps:
-                    steps, final = k, Jt_new
+            upcoming = sched.see(k, change, lambda: self._assemble_state(Jt_new, t))
             Jt = Jt_new
-        return self._assemble_state(final, steps * dt), steps, snapshots
+        return sched.record()
 
     def stationary_direct(self) -> TwoComponentState:
         """The exact stationary state: one direct solve of L Jt = -q, no march."""

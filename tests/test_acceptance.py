@@ -178,7 +178,7 @@ def test_criterion_4_marched_new_matches_closed_form(grid_sweep, grid_sweep_2x):
     discrepancies = []
     for grid in (grid_sweep, grid_sweep_2x):
         scheme = ReformedScheme("new", spec, grid, SWEEP_CFG)
-        state, _, _ = scheme.run_to_stationarity()
+        state = scheme.run_to_stationarity().final
         closed = new_idsa_stationary_closed_form(grid, spec)
         discrepancies.append(l2_relative_error(state.total(), closed.total()))
     d1, d2 = discrepancies

@@ -1,8 +1,8 @@
 """
 CLI output bytes: the columnar CSV writer against value-at-a-time
-formatting, checked-in digests of the domain-split snapshot files and of
-oracle and convergence outputs, and a solve-old run through the CLI checked
-against the direct stationary solve.
+formatting, checked-in digests of the domain-split snapshot files, of
+small switched-scheme runs and of oracle and convergence outputs, and a
+solve-old run through the CLI checked against the direct stationary solve.
 """
 
 import hashlib
@@ -112,6 +112,28 @@ _CONVERGENCE_RUN = {
 }
 
 
+# Small runs of the switched scheme: name -> (config lines, {file: digest of
+# its non-comment lines}).  Pinned at commit f2196bd, before the step
+# schedule was shared.  The solve-idsa run is stationary at t = 13.3 and
+# marches on to the snapshot at t = 40; the spurious run fits three of its
+# four eps.
+_SWITCHED_RUNS = {
+    "solve-idsa": (
+        "experiment = solve-idsa\nn_cells = 50\nt_end = 30\nsnapshot_times = 0, 5, 20, 40\n",
+        {"snapshots.csv": "0ad98d39dc6fcdded5f588518194c13fa98629c481edebacfc3ff95789bf0242"},
+    ),
+    "instability": (
+        "experiment = instability\nn_cells = 402\nt_end = 50\nsnapshot_times = 10, 25, 50\n",
+        {"instability.csv": "e7d36bb1b3cf51d79220a8addb558b9f45d60f55eecb1002f70a179ca8dee21d"},
+    ),
+    "spurious": (
+        "experiment = spurious\neps_list = 0.1, 0.05, 0.03, 0.02\nexclude_largest = 1\n",
+        {"spurious.csv": "8fb67ea280d9afd21b7e450dd82bdcdbec86ef8a376fd10edadd770edc9c8912",
+         "fit.txt": "fe0f745be28c3091c18975e157794305ea4e334687b939b3e8a8196251248a7a"},
+    ),
+}
+
+
 def _body_sha256(path) -> str:
     """sha256 of the file's lines that are not ``#`` comments."""
     lines = path.read_bytes().splitlines(keepends=True)
@@ -159,6 +181,16 @@ def test_convergence_matches_checked_in_digests(tmp_path):
     assert main(["run", str(cfg)]) == 0
     for name, digest in _CONVERGENCE_RUN.items():
         assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("run", sorted(_SWITCHED_RUNS))
+def test_switched_runs_match_checked_in_digests(tmp_path, run):
+    text, digests = _SWITCHED_RUNS[run]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{text}output_dir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 0
+    for name, digest in digests.items():
+        assert _body_sha256(tmp_path / "out" / name) == digest
 
 
 def test_cli_solve_old_snapshots_and_stationary_state(reformed_runs):

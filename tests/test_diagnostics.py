@@ -101,7 +101,7 @@ def test_sweep_closed_form_agrees_with_marched():
 
     from idsa_lab.reformed import ReformedScheme
 
-    marched, _, _ = ReformedScheme("new", spec, grid, CFG).run_to_stationarity()
+    marched = ReformedScheme("new", spec, grid, CFG).run_to_stationarity().final
     from idsa_lab import l2_relative_error
 
     errJ = l2_relative_error(marched.total(), oracle[1.0].J)

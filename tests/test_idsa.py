@@ -213,7 +213,7 @@ def test_run_coarse_sphere_is_stable_and_close_to_exact():
     assert err < 0.25
     dJt = np.diff(traj.final.Jt.values)
     assert not np.any((dJt > 1e-10) & (GRID.r_centers[1:] < 6.0))
-    assert len(traj.snapshots) == 1 and traj.snapshots[0].state.t == pytest.approx(5.0)
+    assert len(traj.snapshots) == 1 and traj.snapshots[0].t == pytest.approx(5.0)
 
 
 def test_run_marches_on_to_snapshots_after_the_final_state():
@@ -223,7 +223,7 @@ def test_run_marches_on_to_snapshots_after_the_final_state():
     cfg = SolverConfig(dt=0.1, t_end=30.0, stationarity_tol=1e-8)
     traj = run_to_time(SPEC, GRID, cfg, snapshot_times=(5.0, 20.0, 40.0))
     assert traj.stopped == "stationary"
-    assert [s.state.t for s in traj.snapshots] == [5.0, 20.0, 40.0]
+    assert [s.t for s in traj.snapshots] == [5.0, 20.0, 40.0]
     assert traj.final.t == 133 * 0.1
     # A run that ends at that step's t_end, with a snapshot there: the same
     # final state, and the final tags are those of the step that produced it.
@@ -232,8 +232,8 @@ def test_run_marches_on_to_snapshots_after_the_final_state():
     assert ref.stopped == "t_end" and ref.final.t == traj.final.t
     assert np.array_equal(ref.final.Jt.values, traj.final.Jt.values)
     assert np.array_equal(ref.final.Js.values, traj.final.Js.values)
-    assert np.array_equal(ref.final_tags, traj.final_tags)
-    assert np.array_equal(ref.snapshots[0].tags, traj.final_tags)
+    assert np.array_equal(ref.final.tags, traj.final.tags)
+    assert np.array_equal(ref.snapshots[0].tags, traj.final.tags)
 
 
 def test_run_shorter_than_half_a_step_ends_at_the_zero_state():
@@ -243,8 +243,8 @@ def test_run_shorter_than_half_a_step_ends_at_the_zero_state():
     traj = run_to_time(SPEC, GRID, cfg, snapshot_times=(1.0,))
     assert traj.final.t == 0.0 and traj.stopped == "t_end"
     assert np.all(traj.final.Jt.values == 0.0) and np.all(traj.final.Js.values == 0.0)
-    assert np.all(traj.final_tags == Regime.REACTION)
-    assert [s.state.t for s in traj.snapshots] == [1.0]
+    assert np.all(traj.final.tags == Regime.REACTION)
+    assert [s.t for s in traj.snapshots] == [1.0]
 
 
 def test_trapped_fraction_handles_empty_cells():
@@ -274,7 +274,7 @@ def test_spurious_trapped_component_grows_outside():
         snapshot_times=(50.0, 100.0, 200.0),
     )
     outside = GRID.r_centers >= 6.0
-    mins = [s.state.Jt.values[outside].min() for s in traj.snapshots]
+    mins = [s.Jt.values[outside].min() for s in traj.snapshots]
     assert mins[0] < mins[1] < mins[2]
     assert mins[2] > 0.3
 
@@ -439,7 +439,7 @@ def test_switched_states_are_linear_in_the_equilibrium_level(scenario, k, kappa_
     traj = run_to_time(spec, grid, cfg, (1.0, 3.0))
     scaled = run_to_time(dataclasses.replace(spec, B=factor * spec.B), grid, cfg, (1.0, 3.0))
     assert scaled.stopped == traj.stopped
-    pairs = [(a.state, b.state) for a, b in zip(traj.snapshots, scaled.snapshots, strict=True)]
+    pairs = list(zip(traj.snapshots, scaled.snapshots, strict=True))
     tiny = 2.0**-990  # times 2^+-30 still normal
     for a, b in [*pairs, (traj.final, scaled.final)]:
         assert b.t == a.t
@@ -447,4 +447,4 @@ def test_switched_states_are_linear_in_the_equilibrium_level(scenario, k, kappa_
             normal = np.abs(x) >= tiny
             assert np.array_equal(x_c[normal], factor * x[normal])
             assert np.all(np.abs(x_c[~normal]) <= tiny * max(factor, 1.0))
-    assert np.array_equal(scaled.final_tags, traj.final_tags)
+    assert np.array_equal(scaled.final.tags, traj.final.tags)

@@ -397,11 +397,10 @@ def test_run_to_time_past_the_final_state_matches_numpy():
 def _assert_same_trajectory(native, reference, n_snapshots):
     assert native.stopped == reference.stopped
     assert len(native.snapshots) == len(reference.snapshots) == n_snapshots
-    pairs = [(a.state, a.tags, b.state, b.tags) for a, b in zip(native.snapshots, reference.snapshots)]
-    pairs.append((native.final, native.final_tags, reference.final, reference.final_tags))
-    for a, a_tags, b, b_tags in pairs:
+    pairs = [*zip(native.snapshots, reference.snapshots), (native.final, reference.final)]
+    for a, b in pairs:
         assert a.t == b.t
-        assert np.array_equal(a_tags, b_tags)
+        assert np.array_equal(a.tags, b.tags)
         assert np.array_equal(a.Jt.values, b.Jt.values)
         assert np.array_equal(a.Js.values, b.Js.values)
 

@@ -117,16 +117,16 @@ def test_closed_form_satisfies_discrete_operator_at_second_order():
 def test_new_marched_matches_direct_stationary():
     grid = grid_div3(900)
     scheme = ReformedScheme("new", SPEC, grid, CFG)
-    marched, steps, _ = scheme.run_to_stationarity()
+    run = scheme.run_to_stationarity()
     direct = scheme.stationary_direct()
-    assert steps < 400
-    assert l2_relative_error(marched.total(), direct.total()) < 1e-8
+    assert run.steps < 400
+    assert l2_relative_error(run.final.total(), direct.total()) < 1e-8
 
 
 def test_old_marched_matches_direct_stationary():
     grid = grid_div3(900)
     scheme = ReformedScheme("old", SPEC, grid, CFG)
-    marched, _, _ = scheme.run_to_stationarity()
+    marched = scheme.run_to_stationarity().final
     direct = scheme.stationary_direct()
     assert l2_relative_error(marched.total(), direct.total()) < 1e-8
 
@@ -153,7 +153,7 @@ def test_old_direct_stationary_matches_marched(kappa, j):
     # The march stops at a per-step change of 1e-10 relative; the gap it
     # leaves measured at most 6.4e-10 over this range.
     scheme = ReformedScheme("old", ProblemSpec(B=1.0, R=6.0, kappa=kappa), grid_div3(3 * j), CFG)
-    marched, _, _ = scheme.run_to_stationarity()
+    marched = scheme.run_to_stationarity().final
     assert l2_relative_error(marched.total(), scheme.stationary_direct().total()) < 1e-8
 
 
@@ -166,7 +166,7 @@ def test_old_edge_streaming_overestimates():
     grid = grid_div3(3000)
     spec = ProblemSpec(B=1.0, R=6.0, kappa=10.0)
     scheme = ReformedScheme("old", spec, grid, CFG)
-    st, _, _ = scheme.run_to_stationarity()
+    st = scheme.run_to_stationarity().final
     first_out = np.argmax(grid.r_centers >= 6.0)
     edge = st.Js.values[first_out - 1]
     assert 0.60 < edge < 0.68
@@ -182,9 +182,9 @@ def test_old_edge_streaming_overestimates():
 def test_states_scale_linearly_with_equilibrium_level():
     grid = grid_div3(600)
     for variant in ("old", "new"):
-        s1, _, _ = ReformedScheme(variant, SPEC, grid, CFG).run_to_stationarity()
+        s1 = ReformedScheme(variant, SPEC, grid, CFG).run_to_stationarity().final
         spec2 = ProblemSpec(B=2.5, R=6.0, kappa=1.0)
-        s2, _, _ = ReformedScheme(variant, spec2, grid, CFG).run_to_stationarity()
+        s2 = ReformedScheme(variant, spec2, grid, CFG).run_to_stationarity().final
         assert np.allclose(s2.total().values, 2.5 * s1.total().values, rtol=1e-9, atol=1e-12)
 
 
@@ -206,8 +206,8 @@ def test_marched_states_are_linear_in_the_equilibrium_level(variant, kappa, j, f
 
     def march(B):
         scheme = ReformedScheme(variant, ProblemSpec(B=B, R=6.0, kappa=kappa), grid, CFG)
-        final, steps, snaps = scheme.run_to_stationarity([1, 7])
-        return steps, [(s.Jt.values, s.Js.values) for s in [*snaps, final]]
+        run = scheme.run_to_stationarity([0.1, 0.7])
+        return run.steps, [(s.Jt.values, s.Js.values) for s in [*run.snapshots, run.final]]
 
     steps, states = march(1.0)
     scaled_steps, scaled = march(factor)
@@ -259,8 +259,7 @@ def test_direct_solve_factors_only_its_own_matrix(monkeypatch):
     assert factored == []
     scheme.stationary_direct()
     assert len(factored) == 1 and np.array_equal(factored[0], -scheme._L[1])
-    _, steps, _ = scheme.run_to_stationarity()
-    assert steps > 100 and len(factored) == 2
+    assert scheme.run_to_stationarity().steps > 100 and len(factored) == 2
     assert np.array_equal(factored[1], 1.0 - CFG.dt * scheme._L[1])
 
 
@@ -269,7 +268,7 @@ def test_streaming_extension_flux_constant():
     from idsa_lab import free_streaming_flux_ratio
 
     for variant in ("old", "new"):
-        st, _, _ = ReformedScheme(variant, SPEC, grid, CFG).run_to_stationarity()
+        st = ReformedScheme(variant, SPEC, grid, CFG).run_to_stationarity().final
         out = grid.r_centers >= 6.0
         r = grid.r_centers[out]
         q = r**2 * free_streaming_flux_ratio(r, 6.0) * st.Js.values[out]
@@ -282,7 +281,7 @@ def test_closures_and_reconstruction():
     inside = grid.r_centers < 6.0
     assert np.all(h_s[inside] == 0.5)
     assert np.all(k_s[inside] == pytest.approx(1.0 / 3.0))
-    st, _, _ = ReformedScheme("new", SPEC, grid, CFG).run_to_stationarity()
+    st = ReformedScheme("new", SPEC, grid, CFG).run_to_stationarity().final
     moments = reconstruct_moments(st, closures)
     ff = moments.flux_factors()
     assert np.array_equal(moments.J.values, st.total().values)
@@ -299,7 +298,7 @@ def test_old_inside_closure_is_gradient_flux():
     # Inside cells: H = -(1/(3 kappa)) dJt/dr by construction of Js.
     grid = grid_div3(900)
     scheme = ReformedScheme("old", SPEC, grid, CFG)
-    st, _, _ = scheme.run_to_stationarity()
+    st = scheme.run_to_stationarity().final
     H = reconstruct_moments(st, free_streaming_closures(grid.r_centers, 6.0)).H
     grad, _ = scheme._gradient(st.Jt.values[: scheme.m])
     assert np.allclose(H.values[: scheme.m], -grad / 3.0, rtol=1e-13, atol=1e-16)
@@ -310,7 +309,7 @@ def test_old_diffusion_closure_mismatch_identity():
     # when the same centered stencil is applied throughout (interior cells).
     grid = grid_div3(900)
     scheme = ReformedScheme("old", SPEC, grid, CFG)
-    st, _, _ = scheme.run_to_stationarity()
+    st = scheme.run_to_stationarity().final
     m, dr = scheme.m, grid.dr
     Jt = st.Jt.values[:m]
     J_tot = st.total().values[:m]
@@ -342,9 +341,9 @@ def test_old_fine_grid_roundoff_is_not_negativity():
     grid = make_uniform_grid(18.0, 19998)
     spec = ProblemSpec(B=1.0, R=6.0, kappa=3.1667953321301963)
     scheme = ReformedScheme("old", spec, grid, SolverConfig(dt=0.1, t_end=1.2))
-    state, steps, _ = scheme.run_to_stationarity()  # every step is checked
-    assert steps == 12
-    assert np.all(state.Js.values >= 0.0)
+    run = scheme.run_to_stationarity()  # every step is checked
+    assert run.steps == 12
+    assert np.all(run.final.Js.values >= 0.0)
 
 
 @pytest.mark.parametrize("variant", ["old", "new"])
