@@ -80,13 +80,18 @@ def _fmt(x) -> str:
 def _atomic_write(path: Path, data) -> None:
     """
     Write data to a .tmp sibling, then move it over path: a str as text, or
-    bytes-like chunks in turn as bytes.
+    bytes-like chunks in turn as bytes.  Should writing or producing a chunk
+    fail, the .tmp file is removed and path left as it was.
     """
     tmp = path.with_name(path.name + ".tmp")
     text = isinstance(data, str)
-    with open(tmp, "w" if text else "wb") as f:
-        f.writelines([data] if text else data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w" if text else "wb") as f:
+            f.writelines([data] if text else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # Cell format per dtype kind: what ``_fmt`` writes for a value of that kind.

@@ -208,10 +208,16 @@ def _validate(v: dict) -> None:
     if v["experiment"] in _FIRST_SNAPSHOT_STEP:
         # Snapshot times the run would merge or never reach are rejected.
         try:
-            Schedule(SolverConfig(v["dt"], v["t_end"], v["stationarity_tol"]), v["snapshot_times"],
-                     first=_FIRST_SNAPSHOT_STEP[v["experiment"]], name=v["experiment"])
+            sched = Schedule(SolverConfig(v["dt"], v["t_end"], v["stationarity_tol"]),
+                             v["snapshot_times"], first=_FIRST_SNAPSHOT_STEP[v["experiment"]],
+                             name=v["experiment"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # The domain-split schemes need a state past zero data: at step 0 the
+        # interface gradient and J vanish.
+        need(sched.n_steps >= 1 or v["experiment"] not in ("solve-old", "solve-new"),
+             f"t_end = {v['t_end']:g} is step 0 at dt = {v['dt']:g}: {v['experiment']} needs"
+             " at least one step")
 
 
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:

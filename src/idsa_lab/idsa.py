@@ -484,14 +484,6 @@ def _march(kern: _Kernel, observe, max_steps=math.inf, *, first, with_tags: bool
     return Jt, Js
 
 
-def _first_step(dt: float, x: float) -> int:
-    """The first step j >= 1 whose time j * dt passes x, for a finite x / dt."""
-    j = max(1, math.floor(x / dt) - 1)
-    while j * dt <= x:
-        j += 1
-    return j
-
-
 def run_to_time(
     spec: ProblemSpec,
     grid: RadialGrid,
@@ -552,7 +544,8 @@ def run_spurious_trapped_experiment(
     The switch chatters forever at the interface cells (per-step relative
     change plateaus at ~0.05 * eps, never below any fixed tolerance), so
     sustained domination stands in for literal step-stationarity here.
-    Runs that never take over within ``horizon`` are reported censored.
+    A run whose takeover is not confirmed by the step nearest ``horizon``
+    (``Schedule.step``) is reported censored.
     All eps march as one batch, a row retiring once its record is known.
     """
     eps_all = [float(eps) for eps in eps_list]
@@ -571,14 +564,14 @@ def run_spurious_trapped_experiment(
     records = [None] * len(eps_all)
     # Between the holds' ends, where the kernel stops, only the horizon
     # needs this observer.
-    last = _first_step(cfg.dt, horizon)
+    last = Schedule(cfg).step(horizon)
 
     def observe(k, t, Jt, Js, tags):
         done = hold.ended(k)
         for row in np.flatnonzero(done):
             i = kern.rows[row]
             records[i] = TakeoverRecord(eps_all[i], float(hold.since[row] * cfg.dt), censored=False)
-        if t > horizon:
+        if k >= last:
             return np.ones_like(done), None  # the rows left are censored
         return done, last
 

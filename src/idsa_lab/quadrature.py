@@ -27,16 +27,13 @@ block whose queue outgrows ``_MAX_LIVE_PANELS`` raises QuadratureError
 instead of doubling until memory runs out, which is what a tolerance below
 roundoff does.
 
-Results depend on the block size only in the last ulps.  BLAS rounds a row
-of the weighted sum ``vals @ _WEIGHTS`` by the row count of its product
-(OpenBLAS's gemv kernel takes rows in fours and rounds the remainder
-another way), and a block's row counts follow from its owners: blocks of
-1 and 7 owners change 143 and 13 of the 640 values of
-``test_blocks_match_singleton_calls`` from those at 256, by at most
-1.3e-15 relative, while 64 and 1000 change none.  For the same reason
-level 0 weights its whole panels and its halves in two products, each with
-the rows a call of its own would have; one product over all of them moves
-some oracle values by an ulp.
+An owner's value does not depend on its batch or on ``_BLOCK``.  A panel
+estimate weights the panel's own nodes row by row, in node order
+(``np.einsum``; a BLAS product would round a row by the row count of its
+call), and an owner's panels, their bisection and its running sums follow
+from its own values alone.  So for an integrand that computes each node
+from its owner and x alone, an owner gets the same bits by itself, in any
+batch and at any offset.
 """
 
 from __future__ import annotations
@@ -49,11 +46,11 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 # (3 * _BLOCK, 15) array of doubles is 92 kB.
 _BLOCK = 256
 # Ceiling on the panels one block may queue for bisection, 16x the largest
-# queue of any oracle run that converges (2 * _BLOCK, over kappa 0.01 to 1000
-# at R = 6, tol 1e-10 to 1e-15, 2000 and 19998 cells).  The runs that do not
-# converge are owners just inside R bisecting every panel at every level,
-# at a tolerance below roundoff.
-_MAX_LIVE_PANELS = 32 * _BLOCK
+# queue of any oracle run that converges (512 panels, over kappa 0.01 to 1000
+# at R = 6, tol 1e-10 to 1e-15, 2000 and 19998 cells, in blocks of 256).  The
+# runs that do not converge are owners just inside R bisecting every panel at
+# every level, at a tolerance below roundoff.
+_MAX_LIVE_PANELS = 8192
 
 
 class QuadratureError(RuntimeError):
@@ -69,18 +66,16 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
 
 
-def _panel_estimates(f, owners, a, b, split: int = 0):
+def _panel_estimates(f, owners, a, b):
     """
     Gauss-Legendre estimates, shape (n_panels,) or (n_components, n_panels).
-    With ``split``, the panels before it and those from it on are weighted in
-    two products, so each set rounds as it would in a call of its own.
+    Each row is weighted alone, so its bits do not depend on the other rows.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * _NODES[None, :]
     vals = f(owners[:, None], x)
-    parts = (slice(None, split), slice(split, None)) if split else (slice(None),)
-    est = np.concatenate([vals[..., s, :] @ _WEIGHTS for s in parts], axis=-1)
+    est = np.einsum("...j,j->...", vals, _WEIGHTS)
     est *= half
     finite = np.isfinite(est)
     if not finite.all():
@@ -125,7 +120,7 @@ def _integrate_block(f, lo, hi, base: int, tol: float, max_depth: int) -> np.nda
     mid = 0.5 * (a + b)
     ids = base + own
     first = _panel_estimates(
-        f, np.concatenate([ids, ids, ids]), np.concatenate([a, a, mid]), np.concatenate([b, mid, b]), nb
+        f, np.concatenate([ids, ids, ids]), np.concatenate([a, a, mid]), np.concatenate([b, mid, b])
     )
     level = np.atleast_2d(first)
     est, left, right = level[:, :nb], level[:, nb : 2 * nb], level[:, 2 * nb :]

@@ -70,6 +70,20 @@ def test_columnar_writer_matches_rowwise_formatting(tmp_path_factory, blocks, me
         _write_csv(path, meta, ["count"], [(np.arange(3, dtype=np.int64),)])
 
 
+def test_failed_write_removes_its_tmp_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("previous\n")
+
+    def blocks():
+        yield (np.ones(2),)
+        raise ValueError("field values must be finite")
+
+    with pytest.raises(ValueError, match="finite"):
+        _write_csv(path, {}, ["x"], blocks())
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
 # snapshots.csv of small solve-old / solve-new runs: (variant, kappa,
 # snapshot_times, digest of the non-comment lines).  The values were written
 # by the value-at-a-time writer at commit 06f6311 (kappa = 2) and by the
@@ -92,23 +106,23 @@ _REFORMED_RUNS = {
 }
 _N_CELLS = 300  # a multiple of 3, so R = 6 lands on a face of [0, 18]
 
-# Exact-oracle outputs at sizes where one matrix product over a block's whole
-# panels and halves together moved bits: the BLAS row product rounds a row by
-# the row count of its product, so the quadrature weights the two sets apart.
-# (n_cells, kappa) -> digest of the non-comment lines of oracle.csv, and the
-# digests of the whole convergence.csv and fit.txt of one sweep at 90 cells.
-# Pinned at commit cf3dd6a, before level 0 became one integrand call; they
-# also move if numpy or BLAS round differently.
+# Exact-oracle outputs at sizes where a BLAS product over a block's whole
+# panels and halves together moved bits, since it rounds a row by the row
+# count of its product.  (n_cells, kappa) -> digest of the non-comment lines
+# of oracle.csv, and the digests of the whole convergence.csv and fit.txt of
+# one sweep at 90 cells.  Re-pinned after commit e5a6962, when the weighted
+# sum became per-row; that moved 73 of the 1476 oracle values here by at
+# most 3.5e-16 relative.  They also move if numpy rounds differently.
 _ORACLE_RUNS = {
-    (33, 1): "805459fe73fbc15d058bbce3bec5a94c50720a8e5125bbb8d4138902a1b8dcf9",
-    (33, 20): "958a4357a74f683955c3428b22ebddc3e9cf4f6011c138b25093ab9f0610724c",
-    (90, 1): "33eda43ad2b89b22c84a3471192f29234110c890e9e56df630fc53bb4d440b65",
-    (90, 20): "b0c7102ef02b8cf632bda0bd650398c77ffe03feea7be086824441eaf99e078c",
+    (33, 1): "6602f244e0783230e345fe787748165b2a43ffe4d59ff737e18943ed7689ed93",
+    (33, 20): "84b1a1ca91e9509c5f08cb3a697619950ae173ed870dbac7b37fa9375563bf9f",
+    (90, 1): "a0a8a074e209113843a07febf5c50e4a0dd78a03a9ce3c5a39af2d09189e6298",
+    (90, 20): "6c4a8c7c039e0b9eb067bdf07c43e30fcd62a51eee04cfb628b7f21fa5c5f0b1",
 }
 _CONVERGENCE_KAPPAS = "1, 2, 5, 10, 20"
 _CONVERGENCE_RUN = {
-    "convergence.csv": "493945448a396b1e484eddb43d85353746667edf26eaeb17261ae036bdcccd31",
-    "fit.txt": "e1b22f824a7fa9f3ac23855f5e044ae6133f07e09adab3108d7b1bb860d4ff36",
+    "convergence.csv": "7bc20d6bc951673afc5788a16916ef1837a686c3975dafc6f3e9bf9cdd4aeaf8",
+    "fit.txt": "4827d40d7da8fa1dcdab748705817187b41974799aba7b43ed7403677eaff712",
 }
 
 

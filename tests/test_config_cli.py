@@ -479,6 +479,30 @@ def test_cli_rejects_snapshot_time_at_step_zero(tmp_path, experiment):
         parse_config(f"experiment = {experiment}\nsnapshot_times = -1, 1\n")
 
 
+@pytest.mark.parametrize("experiment", ["solve-old", "solve-new"])
+def test_cli_rejects_t_end_before_the_first_step(tmp_path, capsys, experiment):
+    # 0.04 rounds to step 0: the final state would be the zero data, where
+    # solve-new has no interface gradient and solve-old no h = H / J.
+    out = tmp_path / "a" / "out"
+    text = f"experiment = {experiment}\nn_cells = 300\nt_end = 0.04\n"
+    assert _run_cli(tmp_path, text, f"output_dir={out}") == 2
+    err = capsys.readouterr().err
+    assert "dt = 0.1" in err and "needs at least one step" in err
+    assert not (tmp_path / "a").exists()
+
+
+def test_failed_write_leaves_no_output_dir(tmp_path, capsys):
+    # Past the config check, a solve-old run ending at the zero state fails
+    # while it writes snapshots.csv; its .tmp file must not keep the new
+    # directory alive.
+    out = tmp_path / "a" / "out"
+    cfg = parse_config(f"experiment = solve-old\nn_cells = 300\noutput_dir = {out}\n")
+    cfg.values["t_end"] = 0.04
+    assert run(cfg) == 2
+    assert "field values must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+
+
 def test_solve_idsa_keeps_its_step_zero_snapshot(tmp_path):
     out = tmp_path / "out"
     text = "experiment = solve-idsa\nn_cells = 30\nt_end = 1\nsnapshot_times = 0.04, 1\n"

@@ -44,7 +44,9 @@ from idsa_lab import (
 from idsa_lab import _native
 from idsa_lab.cli import _block_text, _block_text_python, main
 from idsa_lab.config import parse_config
-from idsa_lab.idsa import _Holds, _Kernel, _Reductions, _first_step, _march, diffusion_number
+from idsa_lab.idsa import (
+    _CONFIRM, _MIN_HOLD, _Holds, _Kernel, _Reductions, _march, diffusion_number,
+)
 from idsa_lab.reformed import ReformedScheme, _gtsv_factor, _gtsv_solve, _Tridiagonal
 
 needs_native = pytest.mark.skipif(
@@ -347,15 +349,29 @@ def test_native_reductions_match_numpy(
         assert k in native or not (np.any(sup > bound) or np.any(change < stat_tol))
 
 
-@settings(max_examples=300, deadline=None)
-@given(dt=st.floats(1e-3, 10.0), x=st.floats(0.0, 1e7))
-def test_first_step_is_the_first_to_reach_the_time(dt, x):
-    # The step the spurious observer asks for, the first past the horizon:
-    # a late one would censor the rows left too late, an early one costs a
-    # call.
-    j = _first_step(dt, x)
-    assert j >= 1 and j * dt > x
-    assert j == 1 or not (j - 1) * dt > x
+@pytest.mark.parametrize("path", [pytest.param("native", marks=needs_native), "numpy"])
+def test_spurious_horizon_is_taken_at_its_nearest_step(path):
+    # A takeover confirmed at the step nearest the horizon is recorded; a
+    # horizon nearest the step before censors it.
+    grid = make_uniform_grid(18.0, 50)
+    spec = ProblemSpec(B=1.0, R=6.0, kappa=1.0)
+    dt = 0.1
+    cfg = SolverConfig(dt=dt)
+
+    def sweep(horizon):
+        with contextlib.nullcontext() if path == "native" else _numpy_march():
+            [record] = run_spurious_trapped_experiment([0.1], spec, grid, cfg, horizon=horizon)
+        return record
+
+    taken = sweep(1e3)
+    t = taken.time
+    # The hold from t ends at the first step whose time reaches its end.
+    confirmed = next(k for k in itertools.count(round(t / dt))
+                     if k * dt >= max(_CONFIRM * t, t + _MIN_HOLD))
+    for horizon in (confirmed * dt, (confirmed - 0.4) * dt):
+        assert sweep(horizon) == taken
+    for horizon in ((confirmed - 1) * dt, (confirmed - 0.6) * dt):
+        assert sweep(horizon).censored
 
 
 @needs_native

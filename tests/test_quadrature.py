@@ -156,7 +156,7 @@ def test_blocks_match_singleton_calls():
     batch = integrate_batch(lambda idx, x: g(k[idx], w[idx], x), np.zeros(n), hi, tol=1e-12)
     for i in range(n):
         one = integrate_batch(lambda idx, x: g(k[i], w[i], x), np.zeros(1), hi[i : i + 1], tol=1e-12)
-        assert batch[i] == pytest.approx(one[0], rel=1e-14, abs=0.0)
+        assert batch[i] == one[0]
 
 
 def _scatter_reference(f, lo, hi, tol):
@@ -171,7 +171,7 @@ def _scatter_reference(f, lo, hi, tol):
     def estimates(owners, a, b):
         half = 0.5 * (b - a)
         x = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
-        return half * (f(owners[:, None], x) @ _WEIGHTS)
+        return half * np.einsum("...j,j->...", f(owners[:, None], x), _WEIGHTS)
 
     own, a, b = np.arange(nb), lo, hi
     first = estimates(own, a, b)
@@ -202,22 +202,14 @@ def _scatter_reference(f, lo, hi, tol):
     return accepted if first.ndim == 2 else accepted[0]
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    params=st.lists(
-        st.tuples(st.floats(-1.0, 4.0), st.floats(0.0, 20.0), st.floats(-1.0, 1.0), st.floats(0.0, 3.0)),
-        min_size=1, max_size=40,
-    ),
-    vector=st.booleans(),
-    tol=st.sampled_from([1e-8, 1e-10, 1e-12]),
-)
-# Batches where weighting the whole panels and the halves in one product moves bits.
-@example(params=[(0.9, 13.4, 0.9, 1.5)], vector=True, tol=1e-10)
-@example(params=[(1.3, 18.8, 0.9, 2.8), (1.1, 2.4, -0.9, 1.0)], vector=False, tol=1e-10)
-def test_level_zero_keeps_the_scatter_reference_bits(params, vector, tol):
+def _layers(params, vector):
+    """
+    An integrand with a boundary layer at lo of width 10^-log_k per owner
+    (log_k, w, lo, width): scalar, or with two more components.  Returns
+    it, lo and hi.
+    """
     log_k, w, lo, width = (np.array(c) for c in zip(*params))
     k = 10.0 ** log_k
-    hi = lo + width
 
     def f(idx, x):
         layer = np.exp(-k[idx] * (x - lo[idx]))
@@ -225,8 +217,51 @@ def test_level_zero_keeps_the_scatter_reference_bits(params, vector, tol):
             return np.stack([layer, np.cos(w[idx] * x), np.sqrt(np.abs(x))])
         return layer + np.cos(w[idx] * x)
 
+    return f, lo, lo + width
+
+
+_layer_params = st.tuples(st.floats(-1.0, 4.0), st.floats(0.0, 20.0), st.floats(-1.0, 1.0),
+                          st.floats(0.0, 3.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    params=st.lists(_layer_params, min_size=1, max_size=40),
+    vector=st.booleans(),
+    tol=st.sampled_from([1e-8, 1e-10, 1e-12]),
+)
+# Batches where a BLAS product over the whole panels and the halves together
+# moved bits.
+@example(params=[(0.9, 13.4, 0.9, 1.5)], vector=True, tol=1e-10)
+@example(params=[(1.3, 18.8, 0.9, 2.8), (1.1, 2.4, -0.9, 1.0)], vector=False, tol=1e-10)
+def test_level_zero_keeps_the_scatter_reference_bits(params, vector, tol):
+    f, lo, hi = _layers(params, vector)
     got = integrate_batch(f, lo, hi, tol=tol)
     assert got.tobytes() == _scatter_reference(f, lo, hi, tol).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    params=st.lists(_layer_params, min_size=1, max_size=10),
+    vector=st.booleans(),
+    tol=st.sampled_from([1e-8, 1e-10, 1e-12]),
+    order=st.randoms(use_true_random=False),
+    cut=st.integers(0, 9),
+)
+def test_an_owners_value_does_not_depend_on_its_batch(params, vector, tol, order, cut):
+    # Each owner's value alone, then in a shuffled batch of the others, then
+    # in that batch behind filler owners of its own kind, placed so that the
+    # drawn owners straddle the first block boundary (a single one ends the
+    # first block).
+    alone = [integrate_batch(*_layers([p], vector), tol=tol) for p in params]
+    shuffled = list(range(len(params)))
+    order.shuffle(shuffled)
+    before = _BLOCK - 1 - cut % max(len(params) - 1, 1)
+    filler = [(log_k, 3.0, -0.5, 1.5) for log_k in np.linspace(-1.0, 4.0, before)]
+    for batch in ([params[i] for i in shuffled], filler + [params[i] for i in shuffled]):
+        got = integrate_batch(*_layers(batch, vector), tol=tol)
+        for pos, i in enumerate(shuffled, start=len(batch) - len(params)):
+            assert got[..., pos].tobytes() == alone[i][..., 0].tobytes()
 
 
 @settings(max_examples=40, deadline=None)
