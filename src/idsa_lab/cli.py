@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, describe_keys, parse_config
+from .config import SCENARIO, ConfigError, RunConfig, describe_keys, parse_config
 from .diagnostics import convergence_sweep, err0_curve, fit_power_law, oracle_moments_for
 from .grids import ProblemSpec, make_uniform_grid
 from .idsa import (
@@ -53,11 +53,6 @@ from .idsa import (
 from .quadrature import QuadratureError
 from .reformed import NormalizationSingularityError, ReformedScheme, reconstruct_moments
 from .sphere import exact_moments, free_streaming_closures
-
-# Experiments that march the switched or a domain-split scheme; their
-# manifest says which kernels stepped it ("native" or "numpy") and, when
-# native, which clone of the march the CPU runs ("march_isa").
-_MARCHING = ("solve-idsa", "solve-old", "solve-new", "spurious", "instability")
 
 _SOLVER_FAILURES = (
     NegativityError,
@@ -183,19 +178,14 @@ def _write_csv(path: Path, meta: dict, header: list[str], blocks) -> None:
 
 
 def _scenario_meta(cfg: RunConfig) -> dict:
-    keys = ("experiment", "B", "R", "kappa", "kappa_outside", "kappa_s", "r_max", "n_cells")
-    return {key: cfg.values[key] for key in keys}
+    """The experiment and the scenario keys the run reads, in ``SCENARIO`` order."""
+    return {key: cfg.values[key] for key in ("experiment", *SCENARIO) if key in cfg.values}
 
 
 def _spec(cfg: RunConfig) -> ProblemSpec:
-    return ProblemSpec(
-        B=cfg.B, R=cfg.R, kappa=cfg.kappa,
-        kappa_outside=cfg.kappa_outside, kappa_s=cfg.kappa_s,
-    )
-
-
-def _solver_config(cfg: RunConfig) -> SolverConfig:
-    return SolverConfig(dt=cfg.dt, t_end=cfg.t_end, stationarity_tol=cfg.stationarity_tol)
+    # An opacity the run does not read is 0: the config admits no other value.
+    opacities = {key: cfg.values[key] for key in ("kappa_outside", "kappa_s") if key in cfg.values}
+    return ProblemSpec(B=cfg.B, R=cfg.R, kappa=cfg.kappa, **opacities)
 
 
 def _run_oracle(cfg: RunConfig, out: Path) -> list[str]:
@@ -211,15 +201,16 @@ def _run_oracle(cfg: RunConfig, out: Path) -> list[str]:
 def _run_solve(cfg: RunConfig, out: Path) -> list[str]:
     grid = make_uniform_grid(cfg.r_max, cfg.n_cells)
     variant = cfg.experiment.removeprefix("solve-")
+    solver = SolverConfig(cfg.dt, cfg.t_end, cfg.stationarity_tol)
     if variant == "idsa":
-        run = run_to_time(_spec(cfg), grid, _solver_config(cfg), cfg.snapshot_times)
+        run = run_to_time(_spec(cfg), grid, solver, cfg.snapshot_times)
         regime_names = [regime.name.lower() for regime in Regime]
         header = ["h_t", "h_s", "regime"]
 
         def columns(st):
             return (*st.component_fractions(), [regime_names[t] for t in st.tags.tolist()])
     else:
-        scheme = ReformedScheme(variant, _spec(cfg), grid, _solver_config(cfg))
+        scheme = ReformedScheme(variant, _spec(cfg), grid, solver)
         run = scheme.run_to_stationarity(cfg.snapshot_times)
         closures = free_streaming_closures(grid.r_centers, cfg.R)
         header = ["H", "K", "h", "k"]
@@ -238,16 +229,14 @@ def _run_solve(cfg: RunConfig, out: Path) -> list[str]:
 def _run_spurious(cfg: RunConfig, out: Path) -> list[str]:
     grid = make_uniform_grid(cfg.r_max, cfg.n_cells)
     records = run_spurious_trapped_experiment(
-        cfg.eps_list, _spec(cfg), grid, _solver_config(cfg), horizon=cfg.horizon
+        cfg.eps_list, _spec(cfg), grid, SolverConfig(dt=cfg.dt), horizon=cfg.horizon
     )
     block = (
         np.array([r.eps for r in records], dtype=float),
         np.array([r.time if r.time is not None else np.nan for r in records], dtype=float),
         np.array([r.censored for r in records], dtype=bool),
     )
-    meta = _scenario_meta(cfg)
-    del meta["kappa_outside"]  # each row's is its eps
-    _write_csv(out / "spurious.csv", meta, ["eps", "time", "censored"], [block])
+    _write_csv(out / "spurious.csv", _scenario_meta(cfg), ["eps", "time", "censored"], [block])
 
     usable = sorted((r for r in records if not r.censored), key=lambda r: -r.eps)
     kept = usable[cfg.exclude_largest :]
@@ -269,7 +258,7 @@ def _run_spurious(cfg: RunConfig, out: Path) -> list[str]:
 def _run_instability(cfg: RunConfig, out: Path) -> list[str]:
     grid = make_uniform_grid(cfg.r_max, cfg.n_cells)
     result = run_instability_experiment(
-        _spec(cfg), grid, _solver_config(cfg),
+        _spec(cfg), grid, SolverConfig(dt=cfg.dt, t_end=cfg.t_end),
         snapshot_times=tuple(cfg.snapshot_times), vb_threshold=cfg.vb_threshold,
         bound_margin=cfg.bound_margin,
     )
@@ -284,7 +273,7 @@ def _run_instability(cfg: RunConfig, out: Path) -> list[str]:
     meta["first_nonmonotone_time"] = (
         result.first_nonmonotone_time if result.first_nonmonotone_time is not None else np.nan
     )
-    meta["vb_threshold"] = result.vb_threshold
+    meta["vb_threshold"] = cfg.vb_threshold
     _write_csv(
         out / "instability.csv", meta,
         ["t", "virtual_boundary", "nonmonotone_flag", "sup_norm"], [block],
@@ -297,7 +286,7 @@ def _run_convergence(cfg: RunConfig, out: Path) -> list[str]:
     oracle = oracle_moments_for(cfg.kappa_list, grid, cfg.R, cfg.B, tol=cfg.oracle_tol)
     records = convergence_sweep(
         cfg.kappa_list, cfg.R, cfg.B, grid, cfg.variant,
-        oracle_tol=cfg.oracle_tol, cfg=_solver_config(cfg), oracle=oracle,
+        oracle_tol=cfg.oracle_tol, oracle=oracle,
     )
     block = [
         np.array([getattr(r, name) for r in records], dtype=float)
@@ -325,7 +314,7 @@ def _run_convergence(cfg: RunConfig, out: Path) -> list[str]:
 
 def _run_err0(cfg: RunConfig, out: Path) -> list[str]:
     block = np.array(err0_curve(cfg.kappaR_list), dtype=float).reshape(-1, 2).T
-    _write_csv(out / "err0.csv", {"experiment": "err0"}, ["kappaR", "err0"], [block])
+    _write_csv(out / "err0.csv", _scenario_meta(cfg), ["kappaR", "err0"], [block])
     return ["err0.csv"]
 
 
@@ -361,6 +350,9 @@ def _finish(out: Path, manifest: dict, previous: list[str]) -> None:
 
 def run(cfg: RunConfig) -> int:
     """Execute one experiment; returns the process exit code."""
+    for key in cfg.unread:
+        print(f"note: {cfg.experiment} does not read {key}; it is ignored and not recorded",
+              file=sys.stderr)
     out = Path(cfg.output_dir)
     # Directories this run creates, deepest first; a run rejected as a
     # configuration error removes them again.
@@ -378,7 +370,9 @@ def run(cfg: RunConfig) -> int:
         "parameters": cfg.resolved(),
         "outputs": [],
     }
-    if cfg.experiment in _MARCHING:
+    # The runs that read dt march a scheme; the manifest says which kernels
+    # did ("native" or "numpy") and, if native, which clone ran ("march_isa").
+    if "dt" in cfg.values:
         from . import _native
 
         manifest["march"] = _native.backend()
@@ -387,7 +381,7 @@ def run(cfg: RunConfig) -> int:
     try:
         if cfg.experiment == "instability":  # above 1/2 the sup bound may not hold
             grid = make_uniform_grid(cfg.r_max, cfg.n_cells)
-            manifest["diffusion_number"] = diffusion_number(_spec(cfg), grid, _solver_config(cfg))
+            manifest["diffusion_number"] = diffusion_number(_spec(cfg), grid, SolverConfig(dt=cfg.dt))
         files = _RUNNERS[cfg.experiment](cfg, out)
     except ValueError as exc:
         # Bad scenario/grid combinations surface as ValueError from the

@@ -1,13 +1,15 @@
 """
-Flat key = value run configuration with per-experiment defaults.
+Flat key = value run configuration, and the keys each experiment reads.
 
-A config file is plain text: one ``key = value`` per line, ``#`` starts a
-comment.  Every run resolves to a complete parameter set (the manifest
-records all of it), so two runs with the same config are bit-identical.
+A config file is plain text: one ``key = value`` per line, set once; ``#``
+starts a comment.  A run resolves the keys ``EXPERIMENTS`` says it reads
+(the manifest records all of them), so two runs with the same config are
+bit-identical.  Any other key set is checked, then named in ``unread``.
 """
 
 from __future__ import annotations
 
+import textwrap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,16 +21,42 @@ class ConfigError(ValueError):
     """Unknown key, missing key, unparsable or invalid value."""
 
 
-EXPERIMENTS = (
-    "oracle",
-    "solve-idsa",
-    "solve-old",
-    "solve-new",
-    "spurious",
-    "instability",
-    "convergence",
-    "err0",
-)
+@dataclass(frozen=True)
+class Experiment:
+    """The keys an experiment reads besides experiment and output_dir, its own
+    defaults, and the first step its snapshots may name (None: it takes none)."""
+
+    reads: tuple[str, ...]
+    defaults: dict = field(default_factory=dict)
+    first_snapshot_step: int | None = None
+
+
+# The scenario: the keys of it a run reads are echoed above each CSV header.
+SCENARIO = ("B", "R", "kappa", "kappa_outside", "kappa_s", "r_max", "n_cells")
+_BARE_SCENARIO = ("B", "R", "kappa", "r_max", "n_cells")
+_MARCH = ("dt", "t_end", "stationarity_tol", "snapshot_times")
+# The domain-split schemes exist only on the bare sphere.
+_DOMAIN_SPLIT = Experiment((*_BARE_SCENARIO, *_MARCH),
+                           {"n_cells": 19998, "t_end": 400.0, "stationarity_tol": 1e-10}, 1)
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "oracle": Experiment((*_BARE_SCENARIO, "oracle_tol")),
+    "solve-idsa": Experiment((*SCENARIO, *_MARCH),
+                             {"n_cells": 50, "snapshot_times": (5.0, 500.0, 1000.0)}, 0),
+    "solve-old": _DOMAIN_SPLIT,
+    "solve-new": _DOMAIN_SPLIT,
+    # Each row runs at kappa_outside = its eps.
+    "spurious": Experiment(("B", "R", "kappa", "kappa_s", "r_max", "n_cells", "dt",
+                            "eps_list", "exclude_largest", "horizon"), {"n_cells": 50}),
+    "instability": Experiment(
+        (*SCENARIO, "dt", "t_end", "snapshot_times", "vb_threshold", "bound_margin"),
+        {"n_cells": 10000, "t_end": 200.0, "snapshot_times": (10.0, 50.0, 100.0, 200.0)}, 1),
+    # Both variants take the exact stationary state, so no march settings;
+    # its opacities are those of kappa_list.
+    "convergence": Experiment(("B", "R", "r_max", "n_cells", "variant", "kappa_list",
+                               "oracle_tol"), {"n_cells": 19998}),
+    "err0": Experiment(("kappaR_list",)),
+}
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -68,34 +96,13 @@ KEYS: dict[str, tuple] = {
     "horizon": (float, 1e6, "censoring horizon for the spurious-trapped sweep"),
 }
 
-# experiment -> key -> default overriding the global one
-EXPERIMENT_DEFAULTS: dict[str, dict] = {
-    "oracle": {},
-    "solve-idsa": {"n_cells": 50, "snapshot_times": (5.0, 500.0, 1000.0)},
-    "solve-old": {"n_cells": 19998, "t_end": 400.0, "stationarity_tol": 1e-10},
-    "solve-new": {"n_cells": 19998, "t_end": 400.0, "stationarity_tol": 1e-10},
-    "spurious": {"n_cells": 50},
-    "instability": {"n_cells": 10000, "t_end": 200.0,
-                    "snapshot_times": (10.0, 50.0, 100.0, 200.0)},
-    # Both variants take the exact stationary state, so no march settings.
-    "convergence": {"n_cells": 19998},
-    "err0": {},
-}
-
-_REQUIRED = ("experiment",)
-# Experiments whose scenario must be the bare step profile: the exact oracle
-# and the domain-split schemes exist only there, and the convergence sweep
-# compares the two.
-_BARE_SPHERE = ("oracle", "solve-old", "solve-new", "convergence")
-# Experiments that integrate the exact moments at oracle_tol.
-_ORACLE = ("oracle", "convergence")
-# Experiments that take snapshots -> the first step they write (idsa.Schedule).
-_FIRST_SNAPSHOT_STEP = {"solve-idsa": 0, "solve-old": 1, "solve-new": 1, "instability": 1}
-
 
 @dataclass
 class RunConfig:
+    """The resolved keys a run reads, and the keys set that it does not."""
+
     values: dict = field(default_factory=dict)
+    unread: tuple[str, ...] = ()
 
     def __getattr__(self, name):
         try:
@@ -104,7 +111,7 @@ class RunConfig:
             raise AttributeError(name) from None
 
     def resolved(self) -> dict:
-        """Full parameter set, JSON-friendly, for the manifest."""
+        """The parameters the run reads, JSON-friendly, for the manifest."""
         out = {}
         for key in sorted(self.values):
             v = self.values[key]
@@ -116,36 +123,31 @@ def _resolve(raw: dict[str, str]) -> RunConfig:
     for key in raw:
         if key not in KEYS:
             raise ConfigError(f"unknown key: {key!r}")
-    for key in _REQUIRED:
-        if key not in raw:
-            raise ConfigError(f"missing required key: {key!r}")
+    if "experiment" not in raw:
+        raise ConfigError("missing required key: 'experiment'")
+    if raw["experiment"] not in EXPERIMENTS:
+        raise ConfigError(f"invalid value for 'experiment': {raw['experiment']!r}")
+    spec = EXPERIMENTS[raw["experiment"]]
 
+    # Every key resolves, so a key the run does not read is checked as well.
     values: dict = {}
-    exp = raw["experiment"].strip()
-    if exp not in EXPERIMENTS:
-        raise ConfigError(f"invalid value for 'experiment': {exp!r}")
-    values["experiment"] = exp
-    overrides = EXPERIMENT_DEFAULTS[exp]
-
     for key, (parser, default, _help) in KEYS.items():
-        if key == "experiment":
-            continue
         if key in raw:
             try:
                 values[key] = parser(raw[key])
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"invalid value for {key!r}: {raw[key]!r} ({exc})") from exc
-        elif key in overrides:
-            values[key] = overrides[key]
         else:
-            values[key] = default
+            values[key] = spec.defaults.get(key, default)
 
     # Dependent defaults.
     if values["r_max"] is None:
         values["r_max"] = 3.0 * values["R"]
 
-    _validate(values)
-    return RunConfig(values)
+    _validate(values, spec)
+    kept = {"experiment", "output_dir", *spec.reads}
+    return RunConfig({key: v for key, v in values.items() if key in kept},
+                     unread=tuple(key for key in KEYS if key in raw and key not in kept))
 
 
 def _oracle_tol_floor(kappa_R: float) -> float:
@@ -162,61 +164,59 @@ def _oracle_tol_floor(kappa_R: float) -> float:
     return float(f"{1e-15 * max(1.0, kappa_R / 6.0):.3g}")
 
 
-def _validate(v: dict) -> None:
+def _validate(v: dict, spec: Experiment) -> None:
+    """Check each key, then the keys the run reads against each other."""
+
     def need(cond, msg):
         if not cond:
             raise ConfigError(msg)
 
-    need(v["B"] > 0, f"B must be positive, got {v['B']}")
-    need(v["R"] > 0, f"R must be positive, got {v['R']}")
-    need(v["kappa"] > 0, f"kappa must be positive, got {v['kappa']}")
-    need(v["kappa_outside"] >= 0, f"kappa_outside must be >= 0, got {v['kappa_outside']}")
-    need(v["kappa_s"] >= 0, f"kappa_s must be >= 0, got {v['kappa_s']}")
-    need(v["r_max"] > v["R"] or v["experiment"] == "err0",
-         f"r_max = {v['r_max']} must exceed R = {v['R']}")
+    for key in ("B", "R", "kappa", "dt", "t_end", "stationarity_tol", "bound_margin"):
+        need(v[key] > 0, f"{key} must be positive, got {v[key]}")
+    for key in ("kappa_outside", "kappa_s", "exclude_largest"):
+        need(v[key] >= 0, f"{key} must be >= 0, got {v[key]}")
     need(v["n_cells"] >= 2, f"n_cells must be >= 2, got {v['n_cells']}")
-    need(v["dt"] > 0, f"dt must be positive, got {v['dt']}")
-    need(v["t_end"] > 0, f"t_end must be positive, got {v['t_end']}")
-    need(v["stationarity_tol"] > 0, "stationarity_tol must be positive")
     # Below roundoff no panel meets its budget and the quadrature can only
     # bisect until its live-panel cap stops it.
     need(v["oracle_tol"] >= 1e-15, f"oracle_tol must be >= 1e-15, got {v['oracle_tol']}")
     need(v["variant"] in ("old", "new"), f"variant must be old or new, got {v['variant']!r}")
-    need(all(k > 0 for k in v["kappa_list"]), "kappa_list entries must be positive")
+    for key in ("kappa_list", "kappaR_list"):
+        need(all(x > 0 for x in v[key]), f"{key} entries must be positive")
     need(all(0 < e < np.inf for e in v["eps_list"]),
          "eps_list entries must be positive and finite")
-    need(all(x > 0 for x in v["kappaR_list"]), "kappaR_list entries must be positive")
-    need(v["exclude_largest"] >= 0, "exclude_largest must be >= 0")
     need(0 < v["horizon"] < np.inf, "horizon must be positive and finite")
-    need(v["bound_margin"] > 0, "bound_margin must be positive")
     # inf passes a plain sign check; an infinite opacity sends NaN into the
     # oracle's quadrature and an infinite time into the step counts.
     for key, value in v.items():
         items = value if isinstance(value, tuple) else (value,)
         need(all(np.isfinite(x) for x in items if isinstance(x, float)),
              f"{key} must be finite, got {value}")
-    if v["experiment"] in _ORACLE:
-        kappa = v["kappa"] if v["experiment"] == "oracle" else max(v["kappa_list"], default=0.0)
+
+    exp, reads = v["experiment"], set(spec.reads)
+    # A run that does not read an opacity runs it at 0.
+    for key in ("kappa_outside", "kappa_s"):
+        need(key in reads or v[key] == 0,
+             f"{exp} does not read {key}: {key} must be 0, as on the bare sphere")
+    # The checks across keys, each where the run reads every key it involves.
+    if {"R", "r_max"} <= reads:
+        need(v["r_max"] > v["R"], f"r_max = {v['r_max']} must exceed R = {v['R']}")
+    if "oracle_tol" in reads:
+        kappa = v["kappa"] if "kappa" in reads else max(v["kappa_list"], default=0.0)
         floor = _oracle_tol_floor(kappa * v["R"])
         need(v["oracle_tol"] >= floor,
              f"oracle_tol = {v['oracle_tol']:g} is below roundoff at kappa*R = {kappa * v['R']:g}:"
              f" the smallest admissible oracle_tol there is {floor:g}")
-    need(v["experiment"] not in _BARE_SPHERE or (v["kappa_outside"] == 0 and v["kappa_s"] == 0),
-         f"{v['experiment']} needs the bare sphere: kappa_outside = kappa_s = 0")
-    need(v["experiment"] != "spurious" or v["kappa_outside"] == 0,
-         "spurious sets kappa_outside to each eps of eps_list: kappa_outside must be 0")
-    if v["experiment"] in _FIRST_SNAPSHOT_STEP:
+    if spec.first_snapshot_step is not None:
         # Snapshot times the run would merge or never reach are rejected.
         try:
-            sched = Schedule(SolverConfig(v["dt"], v["t_end"], v["stationarity_tol"]),
-                             v["snapshot_times"], first=_FIRST_SNAPSHOT_STEP[v["experiment"]],
-                             name=v["experiment"])
+            sched = Schedule(SolverConfig(v["dt"], v["t_end"]), v["snapshot_times"],
+                             first=spec.first_snapshot_step, name=exp)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         # The domain-split schemes need a state past zero data: at step 0 the
         # interface gradient and J vanish.
-        need(sched.n_steps >= 1 or v["experiment"] not in ("solve-old", "solve-new"),
-             f"t_end = {v['t_end']:g} is step 0 at dt = {v['dt']:g}: {v['experiment']} needs"
+        need(sched.n_steps >= 1 or exp not in ("solve-old", "solve-new"),
+             f"t_end = {v['t_end']:g} is step 0 at dt = {v['dt']:g}: {exp} needs"
              " at least one step")
 
 
@@ -225,39 +225,45 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
     Parse ``key = value`` configuration text into a resolved RunConfig.
 
     ``overrides`` (from --set flags) replace file values before resolution.
-    Raises ConfigError naming the offending key for anything malformed.
+    Raises ConfigError naming the offending key for anything malformed, and
+    for a key the text sets twice.
     """
     raw: dict[str, str] = {}
+    where: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
-        key, value = stripped.split("=", 1)
-        raw[key.strip()] = value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in where:
+            raise ConfigError(f"{key!r} is set twice, on lines {where[key]} and {lineno}")
+        where[key] = lineno
+        raw[key] = value
     if overrides:
         raw.update({k.strip(): str(v).strip() for k, v in overrides.items()})
     return _resolve(raw)
 
 
+def _text(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(f"{x:g}" for x in value) or "none"
+    return f"{value}"
+
+
 def describe_keys() -> str:
-    """Help text: every key, its global default, and experiment overrides."""
+    """Help text: every key and its global default, then the keys each experiment reads."""
     lines = ["configuration keys (key = value per line, # comments):"]
     for key, (_parser, default, help_line) in KEYS.items():
-        if default is None:
-            default_text = "required" if key in _REQUIRED else "derived"
-        elif isinstance(default, tuple):
-            default_text = ",".join(f"{x:g}" for x in default) or "none"
-        else:
-            default_text = f"{default}"
-        lines.append(f"  {key:18s} {help_line} [default: {default_text}]")
-    lines.append("per-experiment defaults:")
-    for exp, over in EXPERIMENT_DEFAULTS.items():
-        if not over:
-            continue
-        parts = []
-        for k, v in over.items():
-            parts.append(f"{k}={','.join(f'{x:g}' for x in v) if isinstance(v, tuple) else v}")
-        lines.append(f"  {exp:12s} " + "  ".join(parts))
+        shown = "derived" if key == "r_max" else "required" if default is None else _text(default)
+        lines.append(f"  {key:18s} {help_line} [default: {shown}]")
+    lines.append("keys each experiment reads besides experiment and output_dir, with its own"
+                 " defaults;\nany other key is ignored with a note, and kappa_outside and kappa_s"
+                 " must then be 0:")
+    for exp, spec in EXPERIMENTS.items():
+        reads = [f"{key}={_text(spec.defaults[key])}" if key in spec.defaults else key
+                 for key in spec.reads]
+        lines.append(textwrap.fill(" ".join(reads), 79, initial_indent=f"  {exp:12s} ",
+                                   subsequent_indent=" " * 15))
     return "\n".join(lines)

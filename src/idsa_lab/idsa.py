@@ -601,7 +601,6 @@ class InstabilityResult:
     snapshots: list
     first_nonmonotone_time: float | None
     sup_total: float
-    vb_threshold: float
     final: TwoComponentState
 
 
@@ -654,6 +653,5 @@ def run_instability_experiment(
         snapshots=snaps,
         first_nonmonotone_time=first_bad * cfg.dt if first_bad >= 0 else None,
         sup_total=float(red.sup[0]),
-        vb_threshold=vb_threshold,
         final=_make_state(grid, Jt, Js, sched.last * cfg.dt),
     )

@@ -9,7 +9,7 @@ import pytest
 
 import idsa_lab
 from idsa_lab.cli import main, run
-from idsa_lab.config import KEYS, ConfigError, describe_keys, parse_config
+from idsa_lab.config import EXPERIMENTS, KEYS, SCENARIO, ConfigError, describe_keys, parse_config
 
 
 def test_parse_minimal_with_defaults():
@@ -52,8 +52,9 @@ def test_spurious_defaults_match_reference_setup():
     assert min(cfg.eps_list) == pytest.approx(1e-4)
 
 
-# parse_config("experiment = X").resolved(): the global defaults, then what
-# each experiment sets differently.
+# parse_config("experiment = X").resolved(): the keys X reads, at the
+# global defaults or at those X sets differently, with experiment and
+# output_dir.
 _RESOLVED_DEFAULTS = {
     "B": 1.0, "R": 6.0, "bound_margin": 1e-06, "dt": 0.1,
     "eps_list": [0.1, 0.053367, 0.0284804, 0.0151991, 0.00811131, 0.00432876, 0.00231013,
@@ -65,25 +66,46 @@ _RESOLVED_DEFAULTS = {
     "r_max": 18.0, "snapshot_times": [], "stationarity_tol": 1e-08, "t_end": 1000.0,
     "variant": "new", "vb_threshold": 0.9,
 }
-_DOMAIN_SPLIT = {"n_cells": 19998, "stationarity_tol": 1e-10, "t_end": 400.0}
+
+
+def _reads(keys: str, **own) -> dict:
+    return {**{key: _RESOLVED_DEFAULTS[key] for key in keys.split()}, **own}
+
+
+_DOMAIN_SPLIT = _reads("B R kappa r_max dt snapshot_times",
+                       n_cells=19998, stationarity_tol=1e-10, t_end=400.0)
 _RESOLVED_BY_EXPERIMENT = {
-    "oracle": {},
-    "solve-idsa": {"n_cells": 50, "snapshot_times": [5.0, 500.0, 1000.0]},
+    "oracle": _reads("B R kappa r_max n_cells oracle_tol"),
+    "solve-idsa": _reads("B R kappa kappa_outside kappa_s r_max dt t_end stationarity_tol",
+                         n_cells=50, snapshot_times=[5.0, 500.0, 1000.0]),
     "solve-old": _DOMAIN_SPLIT,
     "solve-new": _DOMAIN_SPLIT,
-    "spurious": {"n_cells": 50},
-    "instability": {"n_cells": 10000, "snapshot_times": [10.0, 50.0, 100.0, 200.0],
-                    "t_end": 200.0},
-    "convergence": {"n_cells": 19998},
-    "err0": {},
+    "spurious": _reads("B R kappa kappa_s r_max dt eps_list exclude_largest horizon",
+                       n_cells=50),
+    "instability": _reads("B R kappa kappa_outside kappa_s r_max dt vb_threshold bound_margin",
+                          n_cells=10000, snapshot_times=[10.0, 50.0, 100.0, 200.0],
+                          t_end=200.0),
+    "convergence": _reads("B R r_max variant kappa_list oracle_tol", n_cells=19998),
+    "err0": _reads("kappaR_list"),
 }
 
 
 @pytest.mark.parametrize("experiment", sorted(_RESOLVED_BY_EXPERIMENT))
 def test_default_config_resolves_to_pinned_parameters(experiment):
-    expected = {**_RESOLVED_DEFAULTS, **_RESOLVED_BY_EXPERIMENT[experiment],
-                "experiment": experiment}
+    expected = {**_RESOLVED_BY_EXPERIMENT[experiment], "experiment": experiment,
+                "output_dir": "idsa-lab-out"}
     assert parse_config(f"experiment = {experiment}").resolved() == expected
+
+
+def test_config_rejects_a_key_set_twice(tmp_path, capsys):
+    # The second value used to win without a word.
+    text = "experiment = oracle\nn_cells = 10\n# a comment\n\nn_cells = 40\n"
+    out = tmp_path / "a" / "out"
+    assert _run_cli(tmp_path, text, f"output_dir={out}") == 2
+    assert "'n_cells' is set twice, on lines 2 and 5" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+    # --set still overrides the value the file sets.
+    assert parse_config("experiment = oracle\nn_cells = 10\n", {"n_cells": "40"}).n_cells == 40
 
 
 def test_kappa_floor_is_not_a_key(tmp_path, capsys):
@@ -99,6 +121,9 @@ def test_describe_keys_lists_everything():
     text = describe_keys()
     for key in KEYS:
         assert key in text
+    # The keys of each experiment, with the defaults it sets itself.
+    assert "  convergence  B R r_max n_cells=19998 variant kappa_list oracle_tol\n" in text
+    assert text.endswith("\n  err0         kappaR_list")
 
 
 def _run_cli(tmp_path, text, *sets):
@@ -119,9 +144,92 @@ def test_cli_err0_roundtrip(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["tool"] == "idsa-lab"
     assert manifest["outputs"] == ["err0.csv"]
-    # Manifest completeness: every configuration key is recorded.
-    for key in KEYS:
-        assert key in manifest["parameters"]
+    # The manifest records the keys the run reads, and only those.
+    assert manifest["parameters"] == {
+        "experiment": "err0", "output_dir": str(out),
+        "kappaR_list": [0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 15.0, 20.0, 30.0, 50.0, 100.0],
+    }
+
+
+# Small runs of each experiment, and for each key a value other than every
+# default that the runs that do not read it admit.
+_SMALL_RUNS = {
+    "oracle": "n_cells = 40\n",
+    "solve-idsa": "n_cells = 30\nt_end = 2\nsnapshot_times = 1, 2\n",
+    "solve-old": "n_cells = 60\nt_end = 2\nsnapshot_times = 1\n",
+    "solve-new": "n_cells = 60\nt_end = 2\nsnapshot_times = 1\n",
+    "spurious": "eps_list = 0.1, 0.05, 0.02\nexclude_largest = 0\n",
+    "instability": "n_cells = 400\nt_end = 5\nsnapshot_times = 2, 5\n",
+    "convergence": "n_cells = 90\nkappa_list = 1, 2\n",
+    "err0": "kappaR_list = 1, 2, 4\n",
+}
+_OTHER_VALUE = {
+    "B": "2", "R": "5", "kappa": "3", "kappa_outside": "0.1", "kappa_s": "0.1", "r_max": "20",
+    "n_cells": "40", "dt": "0.05", "t_end": "50", "stationarity_tol": "1e-6", "variant": "old",
+    "kappa_list": "1, 2", "eps_list": "0.1, 0.05", "exclude_largest": "2", "kappaR_list": "1, 2",
+    "oracle_tol": "1e-8", "snapshot_times": "1, 2", "vb_threshold": "0.5", "bound_margin": "0.1",
+    "horizon": "100",
+}
+_UNREAD = [(exp, key) for exp, spec in EXPERIMENTS.items() for key in KEYS
+           if key not in ("experiment", "output_dir", *spec.reads)]
+
+
+def _bodies(out):
+    """Each file but the manifest, without its ``#`` lines."""
+    return {p.name: [line for line in p.read_bytes().splitlines() if not line.startswith(b"#")]
+            for p in out.iterdir() if p.name != "manifest.json"}
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("small")
+    runs = {}
+
+    def get(experiment):
+        if experiment not in runs:
+            cfg = root / f"{experiment}.cfg"
+            cfg.write_text(f"experiment = {experiment}\n{_SMALL_RUNS[experiment]}")
+            assert main(["run", str(cfg), "--set", f"output_dir={root / experiment}"]) == 0
+            runs[experiment] = root / experiment
+        return runs[experiment]
+
+    return get
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_run_records_and_echoes_the_keys_it_reads(small_run, experiment):
+    out = small_run(experiment)
+    reads = {"experiment", "output_dir", *EXPERIMENTS[experiment].reads}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["parameters"]) == reads
+    for name in manifest["outputs"]:
+        if name.endswith(".csv"):
+            echo = [line[2:].split(" = ")[0] for line in (out / name).read_text().splitlines()
+                    if line.startswith("# ")]
+            scenario = [key for key in ("experiment", *SCENARIO) if key in reads]
+            assert echo[: len(scenario)] == scenario
+            assert not set(echo[len(scenario):]) & set(SCENARIO)
+
+
+@pytest.mark.parametrize("experiment, key", _UNREAD)
+def test_a_key_the_run_does_not_read_changes_nothing(tmp_path, capsys, small_run, experiment, key):
+    base = small_run(experiment)
+    capsys.readouterr()
+    out = tmp_path / "a" / "out"
+    text = f"experiment = {experiment}\n{_SMALL_RUNS[experiment]}"
+    code = _run_cli(tmp_path, text, f"output_dir={out}", f"{key}={_OTHER_VALUE[key]}")
+    err = capsys.readouterr().err
+    if key in ("kappa_outside", "kappa_s"):
+        # The run would go on at 0 instead.
+        assert code == 2
+        assert f"{experiment} does not read {key}: {key} must be 0" in err
+        assert not (tmp_path / "a").exists()
+        return
+    assert code == 0
+    assert f"note: {experiment} does not read {key}; it is ignored and not recorded\n" in err
+    assert _bodies(out) == _bodies(base)
+    parameters = json.loads((out / "manifest.json").read_text())["parameters"]
+    assert set(parameters) == {"experiment", "output_dir", *EXPERIMENTS[experiment].reads}
 
 
 def test_cli_determinism(tmp_path):
@@ -248,7 +356,8 @@ def test_spurious_rejects_kappa_outside(tmp_path, monkeypatch):
     assert not (tmp_path / "idsa-lab-out").exists()
     with pytest.raises(ConfigError, match="kappa_outside must be 0"):
         parse_config("experiment = spurious\nkappa_outside = 0.01\n")
-    assert parse_config("experiment = spurious\nkappa_outside = 0\n").kappa_outside == 0.0
+    # 0 is admitted, as a key the run does not read.
+    assert parse_config("experiment = spurious\nkappa_outside = 0\n").unread == ("kappa_outside",)
 
 
 def test_cli_instability_small(tmp_path):
