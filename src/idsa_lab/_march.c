@@ -7,21 +7,23 @@
  *   right-hand-side pass;
  * - format_rows(): the CSV rows of a block (cli.py), with "%.17g" floats,
  *   written with exact integer arithmetic for +-0 and 1e-38 < |x| < 1e17
- *   and by glibc's snprintf otherwise.
+ *   and by glibc's snprintf otherwise;
+ * - oracle_nodes() and oracle_panels(): the exact sphere's quadrature
+ *   panels (sphere.py), two passes with numpy's exp between them.
  *
  * Each gives the bits of its Python reference: built without fast-math and
  * without contraction into fused multiply-adds, every operation rounds as
  * numpy's and Python's do.
  *
- * With gcc 12 or later on x86-64 and glibc, march() is compiled three
- * times from this one source (MARCH_CLONES), for x86-64-v4 (AVX-512),
- * x86-64-v3 (AVX2) and the x86-64 baseline (SSE2), and the loader's ifunc
- * resolver runs the widest clone the CPU supports; march_isa() names it.
- * The pass helpers are inlined into each clone, so each compiles its loops
- * at its own width.  A vector add, multiply, divide or compare rounds each
- * element as the scalar one does, so every clone gives the same bits.
- * Elsewhere (another compiler or target, or no glibc) march() is one plain
- * function.
+ * With gcc 12 or later on x86-64 and glibc, march(), oracle_nodes() and
+ * oracle_panels() are compiled three times from this one source
+ * (MARCH_CLONES), for x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and the x86-64
+ * baseline (SSE2), and the loader's ifunc resolver runs the widest clone
+ * the CPU supports; march_isa() names it.  The pass helpers are inlined
+ * into each clone, so each compiles its loops at its own width.  A vector
+ * add, multiply, divide, square root or compare rounds each element as the
+ * scalar one does, so every clone gives the same bits.  Elsewhere (another
+ * compiler or target, or no glibc) each is one plain function.
  */
 
 #include <math.h>
@@ -332,9 +334,149 @@ long march(const march_rows *m, march_reductions *red, march_holds *hold, const 
     return s;
 }
 
-/* The instruction-set level of the march() clone that runs in this process,
- * or "default" where march() is not cloned. */
+/* The instruction-set level of the clones (march() and the oracle passes)
+ * that run in this process, or "default" where nothing is cloned. */
 const char *march_isa(void) { return MARCH_ISA(); }
+
+/*
+ * Oracle panels for the exact sphere's two integrands (sphere.py), as two
+ * passes with numpy's exp between them.  For p panels [a_i, b_i] of owners
+ * owners[i], oracle_nodes writes the nodes x = mid + half node_j, with
+ * mid = 0.5 (a + b) and half = 0.5 (b - a), to buf[0] and the exponent
+ * arguments to buf[1] (and buf[2]), each a (15, p) block, node-major.  The
+ * caller runs numpy's exp over those blocks in place.  oracle_panels then
+ * evaluates the three integrands at every node, weighs each panel's nodes
+ * as np.einsum does, and writes the sums times half to est, shape (3, p).
+ *
+ * The inside integrand (two exponent blocks) at mu, of owner radius r:
+ *   RG = R sqrt(max(0, 1 - (r/R)^2 (1 - mu^2))),
+ *   ep = exp(kappa (r mu - RG)), em = exp(-kappa (r mu + RG)),
+ *   even = 0.5 (ep + em): even, mu 0.5 (ep - em) and mu^2 even.
+ * The outside one (one exponent block) at v, of owner rate -2 kappa r:
+ *   e = exp(rate v), mu = sqrt(mu0^2 + v^2): v e / mu, v e and mu v e.
+ *
+ * Each operation is the one numpy runs in sphere.py, in its order, and is
+ * correctly rounded, as numpy's is; exp, the one that is not, stays
+ * numpy's.  So the estimates are the bits of the numpy path.  Both passes
+ * work on tiles of ORACLE_TILE panels, looping over the panels of a tile
+ * innermost, so every loop runs across panels and vectorizes.
+ */
+#define ORACLE_NODES 15
+#define ORACLE_TILE 256
+
+typedef struct {
+    int inside;                  /* 1: the inside integrand, 0: the outside one */
+    const double *node, *weight; /* the Gauss-Legendre nodes and weights on [-1, 1] */
+    /* per owner: inside, the radius r; outside, the rate and mu0^2 */
+    const double *r, *rate, *mu0_sq;
+    double R, kappa;             /* inside */
+} oracle_integrand;
+
+/*
+ * The order in which np.einsum("...j,j->...", v, w) adds a row of 15 on
+ * numpy's baseline (SSE2) build: two lanes, the even nodes and the odd; the
+ * first eight nodes from the back (6, 4, 2, 0 and 7, 5, 3, 1), then the rest
+ * in order, the odd lane ending on its zero padding, 0 * 0; then
+ * 0 + (even lane + odd lane).  Each lane starts at 0 and adds v_j w_j.
+ */
+static const int WEIGH_ORDER[ORACLE_NODES] = {6, 7, 4, 5, 2, 3, 0, 1, 8, 9, 10, 11, 12, 13, 14};
+
+static INLINE long long tile_size(long long p, long long i0)
+{
+    return p - i0 < ORACLE_TILE ? p - i0 : ORACLE_TILE;
+}
+
+MARCH_CLONES
+void oracle_nodes(const oracle_integrand *g, long long p, const long long *owners,
+                  const double *a, const double *b, double *buf)
+{
+    const double R = g->R, kappa = g->kappa;
+    for (long long i0 = 0; i0 < p; i0 += ORACLE_TILE) {
+        const long long m = tile_size(p, i0);
+        double mid[ORACLE_TILE], half[ORACLE_TILE], c[ORACLE_TILE], q2[ORACLE_TILE];
+        for (long long t = 0; t < m; t++) {
+            mid[t] = 0.5 * (a[i0 + t] + b[i0 + t]);
+            half[t] = 0.5 * (b[i0 + t] - a[i0 + t]);
+        }
+        if (g->inside) {
+            for (long long t = 0; t < m; t++) {
+                c[t] = g->r[owners[i0 + t]];
+                const double q = c[t] / R;
+                q2[t] = q * q;
+            }
+        } else {
+            for (long long t = 0; t < m; t++)
+                c[t] = g->rate[owners[i0 + t]];
+        }
+        for (int j = 0; j < ORACLE_NODES; j++) {
+            double *restrict x = buf + j * p + i0, *restrict e0 = x + ORACLE_NODES * p;
+            const double node = g->node[j];
+            for (long long t = 0; t < m; t++)
+                x[t] = mid[t] + half[t] * node;
+            if (g->inside) {
+                double *restrict e1 = e0 + ORACLE_NODES * p;
+                for (long long t = 0; t < m; t++) {
+                    /* np.clip(., 0, None): NaN stays NaN, -0 becomes 0 */
+                    const double arg = max_b(1.0 - q2[t] * (1.0 - x[t] * x[t]), 0.0);
+                    const double RG = R * sqrt(arg), rmu = c[t] * x[t];
+                    e0[t] = kappa * (rmu - RG);
+                    e1[t] = -kappa * (rmu + RG);
+                }
+            } else {
+                for (long long t = 0; t < m; t++)
+                    e0[t] = c[t] * x[t];
+            }
+        }
+    }
+}
+
+MARCH_CLONES
+void oracle_panels(const oracle_integrand *g, long long p, const long long *owners,
+                   const double *a, const double *b, const double *buf, double *est)
+{
+    for (long long i0 = 0; i0 < p; i0 += ORACLE_TILE) {
+        const long long m = tile_size(p, i0);
+        /* lane[k][c]: lane k of component c */
+        double lane[2][3][ORACLE_TILE], mu0_sq[ORACLE_TILE];
+        for (long long t = 0; t < m; t++) {
+            lane[0][0][t] = lane[0][1][t] = lane[0][2][t] = 0.0;
+            lane[1][0][t] = lane[1][1][t] = lane[1][2][t] = 0.0;
+        }
+        if (!g->inside)
+            for (long long t = 0; t < m; t++)
+                mu0_sq[t] = g->mu0_sq[owners[i0 + t]];
+        for (int s = 0; s < ORACLE_NODES; s++) {
+            const int j = WEIGH_ORDER[s];
+            const double w = g->weight[j];
+            const double *restrict x = buf + j * p + i0, *restrict e0 = x + ORACLE_NODES * p;
+            double *restrict l0 = lane[j & 1][0], *restrict l1 = lane[j & 1][1],
+                   *restrict l2 = lane[j & 1][2];
+            if (g->inside) {
+                const double *restrict e1 = e0 + ORACLE_NODES * p;
+                for (long long t = 0; t < m; t++) {
+                    const double mu = x[t], even = 0.5 * (e0[t] + e1[t]);
+                    const double odd = 0.5 * (e0[t] - e1[t]);
+                    l0[t] = l0[t] + even * w;
+                    l1[t] = l1[t] + mu * odd * w;
+                    l2[t] = l2[t] + mu * mu * even * w;
+                }
+            } else {
+                for (long long t = 0; t < m; t++) {
+                    const double v = x[t], mu = sqrt(mu0_sq[t] + v * v), ve = v * e0[t];
+                    l0[t] = l0[t] + ve / mu * w;
+                    l1[t] = l1[t] + ve * w;
+                    l2[t] = l2[t] + mu * ve * w;
+                }
+            }
+        }
+        /* the odd lane's zero padding, then 0 + (even lane + odd lane) */
+        for (int k = 0; k < 3; k++)
+            for (long long t = 0; t < m; t++) {
+                const double half = 0.5 * (b[i0 + t] - a[i0 + t]);
+                est[k * p + i0 + t] = (0.0 + (lane[0][k][t] + (lane[1][k][t] + 0.0 * 0.0))) * half;
+            }
+    }
+}
 
 /*
  * Tridiagonal solve, split from LAPACK's dgtsv (what scipy's

@@ -1,14 +1,17 @@
 """
 Loader for the native kernels, ``_march.c``: the switched scheme's march,
-the domain-split schemes' tridiagonal solve and the CSV row formatter.
-The formatter writes ``%.17g`` itself for +-0, NaN and every
-1e-38 < |x| < 1e17, with exact integer arithmetic, and calls glibc's
-``snprintf`` only for the rest (subnormals, 0 < |x| <= 1e-38,
-|x| >= 1e17, the infinities); ``cli`` writes its buffer to the file as
-bytes.
+the exact sphere's quadrature panels, the domain-split schemes'
+tridiagonal solve and the CSV row formatter.  The oracle's two passes
+evaluate its integrands and weigh each panel, with numpy's exp run between
+them, so only exp is left to numpy.  The formatter writes ``%.17g``
+itself for +-0, NaN and every 1e-38 < |x| < 1e17, with exact integer
+arithmetic, and calls glibc's ``snprintf`` only for the rest (subnormals,
+0 < |x| <= 1e-38, |x| >= 1e17, the infinities); ``cli`` writes its buffer
+to the file as bytes.
 
 The module is compiled with cffi (API mode) on first use, into
-``_native_cache/`` next to this file, with ``-O3 -ffp-contract=off``:
+``_native_cache/`` next to this file, with
+``-O3 -ffp-contract=off -fno-math-errno``:
 
 - ``-O3`` lets gcc vectorize the march's elementwise passes.  A vector
   add, multiply, divide or compare rounds each element as the scalar one
@@ -16,17 +19,21 @@ The module is compiled with cffi (API mode) on first use, into
   ``-fassociative-math``, so the bits do not move.
 - ``-ffp-contract=off`` keeps ``a * b + c`` from fusing into one rounding,
   also where the CPU has fused multiply-adds.
+- ``-fno-math-errno`` lets ``sqrt`` compile to the vector square root
+  instruction, which is correctly rounded as the scalar one is; only
+  ``errno`` is no longer set for a negative argument.
 - No fast-math, which would reorder sums, assume no NaN and flush
   subnormals.
-- With gcc 12 or later on x86-64 and glibc, ``march()`` is compiled
-  three times from the one source (``target_clones``): for x86-64-v4
-  (AVX-512, eight doubles per instruction), x86-64-v3 (AVX2, four) and
-  the x86-64 baseline (SSE2, two).  The loader runs the widest clone the
-  CPU supports, and ``march_isa()`` names it; the manifest records it.
-  The flags above hold for every clone, so every clone gives the same
-  bits.  The build is not ``-march=native``: the cache key below does not
-  name the CPU, and a package directory shared between machines would
-  load code that another CPU cannot run.  A cold build takes about 2 s,
+- With gcc 12 or later on x86-64 and glibc, ``march()`` and the two
+  oracle passes are compiled three times from the one source
+  (``target_clones``): for x86-64-v4 (AVX-512, eight doubles per
+  instruction), x86-64-v3 (AVX2, four) and the x86-64 baseline (SSE2,
+  two).  The loader runs the widest clone the CPU supports, and
+  ``march_isa()`` names it; the manifest records it.  The flags above hold
+  for every clone, so every clone gives the same bits.  The build is not
+  ``-march=native``: the cache key below does not name the CPU, and a
+  package directory shared between machines would load code that another
+  CPU cannot run.  A cold build takes about 3 s on a 2-vCPU x86-64 host,
   once per source change.
 
 The module name, and so the file, is keyed by a hash of the C source, the
@@ -35,14 +42,14 @@ tag); a build goes to a temporary directory and is published by an atomic
 rename, so concurrent first runs are safe.
 
 Importing idsa_lab imports neither this module nor cffi: the first march,
-domain-split scheme or CSV file imports it and calls ``load``, and a built
-module needs only ``_cffi_backend``.
+exact moments, domain-split scheme or CSV file imports it and calls
+``load``, and a built module needs only ``_cffi_backend``.
 
 When the module cannot be built or loaded (no cffi, no compiler, a
 read-only package directory), ``load`` says why on stderr once and returns
 None.  Each kernel then falls back to its reference, which gives the same
-bits: the switched scheme marches with numpy, and the solve and the CSV
-formatting run in Python.
+bits: the switched scheme marches with numpy, the oracle evaluates its
+numpy integrands, and the solve and the CSV formatting run in Python.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ from pathlib import Path
 
 _SOURCE = Path(__file__).with_name("_march.c")
 _CACHE = Path(__file__).with_name("_native_cache")
-_CFLAGS = ["-O3", "-ffp-contract=off"]
+_CFLAGS = ["-O3", "-ffp-contract=off", "-fno-math-errno"]
 _CDEF = """
 typedef struct {
     int n_rows, n_cells, n_scan;
@@ -101,6 +108,18 @@ typedef struct {
 } csv_column;
 
 long long format_rows(long long n_rows, int n_cols, const csv_column *cols, char *out);
+
+typedef struct {
+    int inside;
+    const double *node, *weight;
+    const double *r, *rate, *mu0_sq;
+    double R, kappa;
+} oracle_integrand;
+
+void oracle_nodes(const oracle_integrand *g, long long p, const long long *owners,
+                  const double *a, const double *b, double *buf);
+void oracle_panels(const oracle_integrand *g, long long p, const long long *owners,
+                   const double *a, const double *b, const double *buf, double *est);
 """
 
 
@@ -162,8 +181,8 @@ def load():
                   f"{time.perf_counter() - start:.2f} s", file=sys.stderr)
         return _import(name, target)
     except (BuildError, ImportError, OSError) as exc:
-        print("idsa-lab: native kernels unavailable, solving and formatting in Python "
-              f"and marching with numpy: {exc}", file=sys.stderr)
+        print("idsa-lab: native kernels unavailable, solving and formatting in Python, "
+              f"integrating and marching with numpy: {exc}", file=sys.stderr)
         return None
 
 
@@ -173,6 +192,7 @@ def backend() -> str:
 
 
 def march_isa() -> str | None:
-    """The instruction-set level of the native march in this process, or None on numpy."""
+    """The instruction-set level of the native march and oracle clones in this
+    process, or None on numpy."""
     native = load()
     return None if native is None else native.ffi.string(native.lib.march_isa()).decode()

@@ -370,13 +370,16 @@ def run(cfg: RunConfig) -> int:
         "parameters": cfg.resolved(),
         "outputs": [],
     }
-    # The runs that read dt march a scheme; the manifest says which kernels
-    # did ("native" or "numpy") and, if native, which clone ran ("march_isa").
-    if "dt" in cfg.values:
+    # The runs that read dt march a scheme, and those that read oracle_tol
+    # integrate the exact sphere; the manifest says which kernels did
+    # ("native" or "numpy") and, if native, which clone ran ("march_isa").
+    kernels = [name for key, name in (("dt", "march"), ("oracle_tol", "oracle"))
+               if key in cfg.values]
+    if kernels:
         from . import _native
 
-        manifest["march"] = _native.backend()
-        if manifest["march"] == "native":
+        manifest.update(dict.fromkeys(kernels, _native.backend()))
+        if _native.backend() == "native":
             manifest["march_isa"] = _native.march_isa()
     try:
         if cfg.experiment == "instability":  # above 1/2 the sup bound may not hold
@@ -442,7 +445,10 @@ def main(argv=None) -> int:
         if "=" not in item:
             print(f"configuration error: --set expects KEY=VALUE, got {item!r}", file=sys.stderr)
             return 2
-        key, value = item.split("=", 1)
+        key, value = (part.strip() for part in item.split("=", 1))
+        if key in overrides:
+            print(f"configuration error: {key!r} is set twice by --set", file=sys.stderr)
+            return 2
         overrides[key] = value
     try:
         cfg = parse_config(text, overrides)

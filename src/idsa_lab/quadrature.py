@@ -28,12 +28,23 @@ instead of doubling until memory runs out, which is what a tolerance below
 roundoff does.
 
 An owner's value does not depend on its batch or on ``_BLOCK``.  A panel
-estimate weights the panel's own nodes row by row, in node order
-(``np.einsum``; a BLAS product would round a row by the row count of its
-call), and an owner's panels, their bisection and its running sums follow
-from its own values alone.  So for an integrand that computes each node
-from its owner and x alone, an owner gets the same bits by itself, in any
-batch and at any offset.
+estimate weights the panel's own nodes row by row with ``np.einsum`` (a
+BLAS product would round a row by the row count of its call), and an
+owner's panels, their bisection and its running sums follow from its own
+values alone.  So for an integrand that computes each node from its owner
+and x alone, an owner gets the same bits by itself, in any batch and at
+any offset.  That einsum does not add a row in node order: numpy's
+x86-64 build, compiled for its SSE baseline, keeps two lanes, the even
+nodes and the odd, adds the first eight nodes from the back (6, 4, 2, 0
+and 7, 5, 3, 1) and the rest in order, and returns
+0 + (even lane + odd lane).
+
+A caller may hand ``integrate_batch`` estimates of its own (``native``) in
+place of evaluating and weighing ``f``: the exact sphere's native passes
+(``_march.c``), which write that two-lane order down and leave only
+``exp`` to numpy, and so give the bits of ``f``'s path
+(``test_native.py`` checks that this numpy still adds in that order).
+Everything else, the non-finite check and the bisection, is shared.
 """
 
 from __future__ import annotations
@@ -42,15 +53,19 @@ import numpy as np
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 
-# Owners integrated together.  Level 0 holds 3 * _BLOCK panels, and a
-# (3 * _BLOCK, 15) array of doubles is 92 kB.
-_BLOCK = 256
-# Ceiling on the panels one block may queue for bisection, 16x the largest
-# queue of any oracle run that converges (512 panels, over kappa 0.01 to 1000
-# at R = 6, tol 1e-10 to 1e-15, 2000 and 19998 cells, in blocks of 256).  The
+# Owners integrated together.  Level 0 holds 3 * _BLOCK panels: a
+# (3 * _BLOCK, 15) array of doubles is 369 kB, and the oracle's three
+# components of them 1.1 MB, within a 2 MB-per-core L2.  Larger blocks mean
+# fewer calls, each with its fixed Python cost.
+_BLOCK = 1024
+# Ceiling on the panels one block may queue for bisection, 4x the largest
+# queue of any oracle run that converges (2048 panels, over kappa 0.01 to 1000
+# at R = 6, tol 1e-10 to 1e-15, 2000 and 19998 cells, in blocks of 1024).  The
 # runs that do not converge are owners just inside R bisecting every panel at
-# every level, at a tolerance below roundoff.
+# every level, at a tolerance below roundoff; they are the same runs in blocks
+# of 256 and of 1024.
 _MAX_LIVE_PANELS = 8192
+_TINY = np.finfo(float).tiny
 
 
 class QuadratureError(RuntimeError):
@@ -66,17 +81,21 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
 
 
-def _panel_estimates(f, owners, a, b):
+def _panel_estimates(f, owners, a, b, native=None):
     """
-    Gauss-Legendre estimates, shape (n_panels,) or (n_components, n_panels).
-    Each row is weighted alone, so its bits do not depend on the other rows.
+    Gauss-Legendre estimates, shape (n_panels,) or (n_components, n_panels),
+    from ``native(owners, a, b)`` if given, else from f's values.  Each row
+    is weighted alone, so its bits do not depend on the other rows.
     """
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = mid[:, None] + half[:, None] * _NODES[None, :]
-    vals = f(owners[:, None], x)
-    est = np.einsum("...j,j->...", vals, _WEIGHTS)
-    est *= half
+    if native is not None:
+        est = native(owners, a, b)
+    else:
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        x = mid[:, None] + half[:, None] * _NODES[None, :]
+        vals = f(owners[:, None], x)
+        est = np.einsum("...j,j->...", vals, _WEIGHTS)
+        est *= half
     finite = np.isfinite(est)
     if not finite.all():
         # NaN errors never meet a budget, so bisection would double the queue
@@ -106,10 +125,10 @@ def _retired(err, err_sum, totals, width, span, tol: float) -> np.ndarray:
     return ((err_sum <= budget) | (err <= 0.25 * budget * width / span)).all(axis=0)
 
 
-def _integrate_block(f, lo, hi, base: int, tol: float, max_depth: int) -> np.ndarray:
+def _integrate_block(f, lo, hi, base: int, tol: float, max_depth: int, native) -> np.ndarray:
     """Owners base .. base + lo.size - 1, in integrate_batch's result shape."""
     nb = lo.size
-    span = np.maximum(hi - lo, np.finfo(float).tiny)
+    span = np.maximum(hi - lo, _TINY)
 
     # Level 0 is one integrand call: every owner's whole panel, then both its
     # halves.  Each owner holds one panel there, so the owner sums are the
@@ -120,7 +139,8 @@ def _integrate_block(f, lo, hi, base: int, tol: float, max_depth: int) -> np.nda
     mid = 0.5 * (a + b)
     ids = base + own
     first = _panel_estimates(
-        f, np.concatenate([ids, ids, ids]), np.concatenate([a, a, mid]), np.concatenate([b, mid, b])
+        f, np.concatenate([ids, ids, ids]), np.concatenate([a, a, mid]), np.concatenate([b, mid, b]),
+        native,
     )
     level = np.atleast_2d(first)
     est, left, right = level[:, :nb], level[:, nb : 2 * nb], level[:, 2 * nb :]
@@ -162,7 +182,8 @@ def _integrate_block(f, lo, hi, base: int, tol: float, max_depth: int) -> np.nda
         p = own.size
         mid = 0.5 * (a + b)
         halves = np.atleast_2d(_panel_estimates(
-            f, base + np.concatenate([own, own]), np.concatenate([a, mid]), np.concatenate([mid, b])
+            f, base + np.concatenate([own, own]), np.concatenate([a, mid]), np.concatenate([mid, b]),
+            native,
         ))
         left, right = halves[:, :p], halves[:, p:]
         refined = left + right
@@ -177,7 +198,9 @@ def _integrate_block(f, lo, hi, base: int, tol: float, max_depth: int) -> np.nda
     return accepted if first.ndim == 2 else accepted[0]
 
 
-def integrate_batch(f, lo, hi, tol: float = 1e-10, max_depth: int = 40) -> np.ndarray:
+def integrate_batch(
+    f, lo, hi, tol: float = 1e-10, max_depth: int = 40, native=None
+) -> np.ndarray:
     """
     Integrate f over [lo_i, hi_i] for a batch of owners i = 0..n-1.
 
@@ -199,6 +222,10 @@ def integrate_batch(f, lo, hi, tol: float = 1e-10, max_depth: int = 40) -> np.nd
         Bisection depth cap; exceeding it raises QuadratureError naming
         the worst owner.  A non-finite panel estimate raises it at once,
         and so does a block queueing more than ``_MAX_LIVE_PANELS`` panels.
+    native : callable, optional
+        ``native(owners, a, b)`` returns, bit for bit and in the same shape,
+        the estimates ``f`` would give over the panels [a, b] of
+        ``owners``, and is called instead of evaluating ``f``.
 
     Returns
     -------
@@ -215,7 +242,7 @@ def integrate_batch(f, lo, hi, tol: float = 1e-10, max_depth: int = 40) -> np.nd
     # An empty batch still runs one (empty) block, so its result takes the
     # integrand's shape.
     blocks = [
-        _integrate_block(f, lo[s : s + _BLOCK], hi[s : s + _BLOCK], s, tol, max_depth)
+        _integrate_block(f, lo[s : s + _BLOCK], hi[s : s + _BLOCK], s, tol, max_depth, native)
         for s in range(0, max(n, 1), _BLOCK)
     ]
     return np.concatenate(blocks, axis=-1)

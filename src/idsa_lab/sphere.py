@@ -20,6 +20,12 @@ Overflow control: the inside-sphere integrands combine cosh/sinh with the
 exponential as (exp(k*(r*mu - R*G)) +/- exp(-k*(r*mu + R*G))) / 2.  The
 first exponent is negative for r < R (r*mu < R*G there) and the second is
 always negative, so nothing overflows even at kappa*R of several hundred.
+
+Each integrand is written here once in numpy, one ufunc per operation, and
+once in C (``oracle_nodes`` and ``oracle_panels`` in ``_march.c``) with the
+same operations in the same order; numpy's exp runs between the two C
+passes.  ``_native.load`` picks the C passes whenever the module can be
+built, and both give the same bits.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import ProblemSpec, RadialField, RadialGrid
-from .quadrature import integrate_batch
+from .quadrature import _NODES, _WEIGHTS, integrate_batch
 
 
 @dataclass(eq=False)
@@ -110,6 +116,44 @@ def exact_distribution(r, mu, spec: ProblemSpec):
     return f if f.ndim else float(f)
 
 
+def _native_estimates(inside: bool, R: float = 0.0, kappa: float = 0.0, **per_owner):
+    """
+    ``integrate_batch``'s ``native`` panel estimates for the inside or the
+    outside integrand, or None where the native module cannot be built.
+    ``per_owner`` holds the integrand's arrays, indexed by owner: ``r``
+    inside, ``rate`` and ``mu0_sq`` outside.
+    """
+    from . import _native  # here: importing idsa_lab should not pay for it
+
+    native = _native.load()
+    if native is None:
+        return None
+    ffi, lib = native.ffi, native.lib
+    g = ffi.new("oracle_integrand *")
+    g.inside, g.R, g.kappa = inside, R, kappa
+    keep = []  # the buffers g points into
+    for name, a in {"node": _NODES, "weight": _WEIGHTS, **per_owner}.items():
+        keep.append(ffi.from_buffer("double[]", a))
+        setattr(g, name, keep[-1])
+    exponents = 2 if inside else 1
+
+    def estimates(owners, a, b):
+        # The nodes go to buf[0] and the exponent arguments after them, for
+        # numpy's exp to turn into the exponentials in place.
+        p = owners.size
+        buf = np.empty((1 + exponents, _NODES.size, p))
+        args = (g, p, ffi.from_buffer("long long[]", owners), ffi.from_buffer("double[]", a),
+                ffi.from_buffer("double[]", b), ffi.from_buffer("double[]", buf))
+        lib.oracle_nodes(*args)
+        np.exp(buf[1:], out=buf[1:])
+        est = np.empty((3, p))
+        lib.oracle_panels(*args, ffi.from_buffer("double[]", est))
+        return est
+
+    estimates.keep = keep  # g points into these buffers: they live as long as it is used
+    return estimates
+
+
 def _inside_integrals(r_in: np.ndarray, kap: float, R: float, tol: float):
     """
     The three mu-integrals of the inside-sphere moment formulas, as one
@@ -150,7 +194,8 @@ def _inside_integrals(r_in: np.ndarray, kap: float, R: float, tol: float):
         np.multiply(out[2], even, out=out[2])
         return out
 
-    return integrate_batch(f, np.zeros(r_in.size), np.ones(r_in.size), tol=tol)
+    native = _native_estimates(True, R, kap, r=r_in)
+    return integrate_batch(f, np.zeros(r_in.size), np.ones(r_in.size), tol=tol, native=native)
 
 
 def _outside_integrals(r_out: np.ndarray, mu0: np.ndarray, kap: float, R: float, tol: float):
@@ -185,8 +230,9 @@ def _outside_integrals(r_out: np.ndarray, mu0: np.ndarray, kap: float, R: float,
         np.multiply(mu, ve, out=out[2])
         return out
 
+    native = _native_estimates(False, rate=rate2, mu0_sq=mu0_sq2)
     parts = integrate_batch(
-        f, np.concatenate([np.zeros(n), w]), np.concatenate([w, vmax]), tol=tol
+        f, np.concatenate([np.zeros(n), w]), np.concatenate([w, vmax]), tol=tol, native=native
     )
     return parts[:, :n] + parts[:, n:]
 
@@ -199,12 +245,18 @@ def moments_at(radii: np.ndarray, spec: ProblemSpec, tol: float = 1e-10):
     classified with the r >= R branch (both branches agree there).  A
     ``tol`` near double-precision roundoff may be unattainable for radii
     close to R at large kappa*R; the quadrature then raises
-    QuadratureError at its live-panel cap.
+    QuadratureError at its live-panel cap.  A radius that is negative or
+    not finite raises ValueError naming its index.
     """
     _require_bare_sphere(spec, "the exact moments")
     if tol <= 0:
         raise ValueError("tol must be positive")
     radii = np.asarray(radii, dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(radii) & (radii >= 0.0)))
+    if bad.size:
+        raise ValueError(
+            f"radii[{bad[0]}] = {float(radii.flat[bad[0]])!r}: a radius must be finite and non-negative"
+        )
     R, kap, B = spec.R, spec.kappa, spec.B
     J = np.empty(radii.size)
     H = np.empty(radii.size)

@@ -108,6 +108,20 @@ def test_config_rejects_a_key_set_twice(tmp_path, capsys):
     assert parse_config("experiment = oracle\nn_cells = 10\n", {"n_cells": "40"}).n_cells == 40
 
 
+def test_cli_rejects_a_key_set_twice_by_set(tmp_path, capsys):
+    # The last --set used to win without a word.
+    out = tmp_path / "a" / "out"
+    code = _run_cli(tmp_path, "experiment = err0\n", f"output_dir={out}",
+                    "kappaR_list=1", " kappaR_list = 2")
+    assert code == 2
+    assert "'kappaR_list' is set twice by --set" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+    # A --set still overrides a value the file sets.
+    assert _run_cli(tmp_path, "experiment = err0\nkappaR_list = 1\n", f"output_dir={out}",
+                    "kappaR_list=2") == 0
+    assert (out / "err0.csv").read_text().splitlines()[-1].startswith("2,")
+
+
 def test_kappa_floor_is_not_a_key(tmp_path, capsys):
     # The opacity floor of the switched scheme is a constant, not a setting.
     out = tmp_path / "a" / "out"

@@ -1,11 +1,12 @@
 """
 The native kernels against their references: the march against the numpy
-march (fields, tags, stops and records), the tridiagonal solve against the
-Python dgtsv and scipy, and the CSV formatter against Python's ``.17g``,
-all bit for bit; the march built on its own at each x86-64 level this CPU
-runs, against the numpy march; both marches never writing to an array they
-have shown; the removal of stale builds; and the fallback when the module
-cannot be built.
+march (fields, tags, stops and records), the oracle's panel passes against
+its numpy integrands, the tridiagonal solve against the Python dgtsv and
+scipy, and the CSV formatter against Python's ``.17g``, all bit for bit;
+the march and the oracle built on their own at each x86-64 level this CPU
+runs, against numpy; both marches never writing to an array they have
+shown; the removal of stale builds; and the fallback when the module cannot
+be built.
 """
 
 import contextlib
@@ -47,7 +48,9 @@ from idsa_lab.config import parse_config
 from idsa_lab.idsa import (
     _CONFIRM, _MIN_HOLD, _Holds, _Kernel, _Reductions, _march, diffusion_number,
 )
+from idsa_lab.quadrature import _WEIGHTS, QuadratureError
 from idsa_lab.reformed import ReformedScheme, _gtsv_factor, _gtsv_solve, _Tridiagonal
+from idsa_lab.sphere import moments_at
 
 needs_native = pytest.mark.skipif(
     _native.load() is None, reason="the native march kernel cannot be built here"
@@ -56,7 +59,8 @@ needs_native = pytest.mark.skipif(
 
 @contextlib.contextmanager
 def _numpy_march():
-    """March with numpy inside the block, whatever this process could build."""
+    """Run every kernel's reference inside the block (the numpy march and
+    oracle, the Python solve and formatter), whatever this process could build."""
     load = _native.load
     _native.load = lambda: None
     try:
@@ -136,12 +140,14 @@ def test_native_source_compiles_without_warnings():
     assert proc.stderr == ""
     if not (_host_levels() and _cc_clones_the_march()):
         return
-    # The cached module holds the march's three clones, and names the widest
-    # this CPU runs.
+    # The cached module holds three clones of the march and of each oracle
+    # pass, and names the widest this CPU runs.
     native = _native.load()
     module = Path(native.__file__).read_bytes()
-    for clone in ("march.arch_x86_64_v4", "march.arch_x86_64_v3", "march.default"):
-        assert clone.encode() + b"\0" in module
+    for kernel, level in itertools.product(
+        ("march", "oracle_nodes", "oracle_panels"), ("arch_x86_64_v4", "arch_x86_64_v3", "default")
+    ):
+        assert f"{kernel}.{level}".encode() + b"\0" in module
     assert _native.march_isa() == _host_levels()[-1]
 
 
@@ -609,9 +615,23 @@ def test_build_removes_stale_builds(tmp_path, fresh_load):
     )
 
 
+def _oracle_bytes(radii, spec, tol):
+    """J, H and K as bytes, or the QuadratureError's message."""
+    try:
+        return np.stack(moments_at(radii, spec, tol)).tobytes()
+    except QuadratureError as exc:
+        return str(exc)
+
+
+def _edge_radii(R, *more):
+    """0, R, R one ulp either side, and ``more``."""
+    return np.array([0.0, R, np.nextafter(R, 0.0), np.nextafter(R, np.inf), *more])
+
+
 def _clone_cases():
     """An instability row with its reductions, a spurious batch with a sweep
-    row and confirmed holds, and a run_to_time stationary stop."""
+    row and confirmed holds, a run_to_time stationary stop, and the oracle
+    at four opacities."""
     spec = ProblemSpec(B=1.0, R=6.0, kappa=1.0)
     coarse = make_uniform_grid(18.0, 50)
     instability = run_instability_experiment(
@@ -623,7 +643,10 @@ def _clone_cases():
     stationary = run_to_time(
         spec, coarse, SolverConfig(dt=0.1, t_end=30.0, stationarity_tol=1e-8), (5.0, 20.0, 40.0)
     )
-    return instability, spurious, stationary
+    radii = _edge_radii(6.0, *make_uniform_grid(18.0, 600).r_centers)
+    oracle = [_oracle_bytes(radii, ProblemSpec(B=1.0, R=6.0, kappa=kappa), 1e-10)
+              for kappa in (0.01, 1.0, 97.0, 1000.0)]
+    return instability, spurious, stationary, oracle
 
 
 @pytest.fixture(scope="module")
@@ -653,8 +676,8 @@ def test_every_clone_level_matches_numpy_bit_for_bit(
     assert native is not None and Path(native.__file__).parent == tmp_path / "cache"
     assert b"march.arch_x86_64" not in Path(native.__file__).read_bytes()
 
-    instability, spurious, stationary = _clone_cases()
-    instability_ref, spurious_ref, stationary_ref = numpy_clone_cases
+    instability, spurious, stationary, oracle = _clone_cases()
+    instability_ref, spurious_ref, stationary_ref, oracle_ref = numpy_clone_cases
     assert instability.snapshots == instability_ref.snapshots
     assert instability.first_nonmonotone_time == instability_ref.first_nonmonotone_time
     assert instability.first_nonmonotone_time is not None
@@ -665,6 +688,8 @@ def test_every_clone_level_matches_numpy_bit_for_bit(
     assert any(r.censored for r in spurious) and any(not r.censored for r in spurious)
     assert stationary.stopped == "stationary"
     _assert_same_trajectory(stationary, stationary_ref, n_snapshots=3)
+    assert all(isinstance(case, bytes) for case in oracle_ref)
+    assert oracle == oracle_ref
 
 
 @needs_native
@@ -696,6 +721,86 @@ def test_import_neither_loads_cffi_nor_builds():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
 
+
+
+# ------------------------------------------------------------ oracle
+
+@needs_native
+@settings(max_examples=40, deadline=None)
+@given(
+    kappa=st.floats(-2.0, 3.0).map(lambda e: 10.0**e),
+    R=st.floats(0.5, 10.0),
+    tol=st.floats(-13.0, -8.0).map(lambda e: 10.0**e),
+    fractions=st.lists(st.floats(0.0, 3.0), max_size=12),
+)
+def test_native_oracle_matches_numpy_bit_for_bit(kappa, R, tol, fractions):
+    # The C passes run the numpy integrands' operations in their order, with
+    # numpy's exp between them: the same J, H and K, or the same failure.
+    radii = _edge_radii(R, *(f * R for f in fractions))
+    spec = ProblemSpec(B=1.0, R=R, kappa=kappa)
+    native, reference = _both(lambda: _oracle_bytes(radii, spec, tol))
+    assert native == reference
+
+
+@needs_native
+def test_native_panel_sum_adds_in_einsums_order():
+    # The panels pass writes down the order in which np.einsum adds a row of
+    # 15 (quadrature's docstring), and the numpy oracle weighs with einsum.
+    # The outside integrand's second component is v e, so at v = 1 and
+    # half = 1 it weighs the rows of e as they are.  A numpy whose einsum
+    # adds in another order fails here, not by splitting the two oracles.
+    rng = np.random.default_rng(19)
+    n = 3000
+    zeros = np.where(rng.random((n, 15)) < 0.5, 0.0, -0.0)
+    rows = np.concatenate([
+        rng.standard_normal((n, 15)),                                    # cancelling sums
+        rng.standard_normal((n, 15)) * 10.0 ** rng.uniform(-20, 20, (n, 15)),
+        rng.standard_normal((n, 15)) * 10.0 ** rng.uniform(299, 301, (n, 1)),
+        rng.standard_normal((n, 15)) * 1e-310,                           # subnormal
+        np.where(rng.random((n, 15)) < 0.7, zeros, rng.standard_normal((n, 15))),
+        zeros,
+        -np.zeros((1, 15)),
+        _random_bit_patterns(rng, n * 15, (0, 2040)).reshape(n, 15),
+    ])
+    p = len(rows)
+    native = _native.load()
+    ffi = native.ffi
+    keep = [np.ascontiguousarray(a) for a in (
+        _WEIGHTS, np.zeros(p), np.arange(p), np.zeros(p), np.full(p, 2.0),
+        np.stack([np.ones((15, p)), rows.T]),  # v and e, node-major
+    )]
+    weights, mu0_sq, owners, a, b, buf = keep
+    g = ffi.new("oracle_integrand *")
+    g.weight, g.mu0_sq = ffi.from_buffer("double[]", weights), ffi.from_buffer("double[]", mu0_sq)
+    est = np.empty((3, p))
+    native.lib.oracle_panels(
+        g, p, ffi.from_buffer("long long[]", owners), ffi.from_buffer("double[]", a),
+        ffi.from_buffer("double[]", b), ffi.from_buffer("double[]", buf),
+        ffi.from_buffer("double[]", est),
+    )
+    expected = np.einsum("...j,j->...", rows, _WEIGHTS)
+    assert np.isfinite(expected).all()
+    assert est[1].tobytes() == expected.tobytes()
+
+
+@needs_native
+@pytest.mark.parametrize("experiment", ["oracle", "convergence"])
+def test_manifest_names_the_oracle_path(tmp_path, experiment):
+    bodies, manifests = {}, {}
+    for name in ("native", "numpy"):
+        cfg = tmp_path / f"{name}.cfg"
+        sweep = "kappa_list = 1, 10\n" if experiment == "convergence" else ""
+        cfg.write_text(f"experiment = {experiment}\nn_cells = 300\n{sweep}"
+                       f"output_dir = {tmp_path / name}\n")
+        with _numpy_march() if name == "numpy" else contextlib.nullcontext():
+            assert main(["run", str(cfg)]) == 0
+        manifests[name] = json.loads((tmp_path / name / "manifest.json").read_text())
+        bodies[name] = [(tmp_path / name / f).read_bytes() for f in manifests[name]["outputs"]]
+    native, reference = manifests["native"], manifests["numpy"]
+    assert native["oracle"] == "native" and native["march_isa"] == _native.march_isa()
+    assert reference["oracle"] == "numpy" and "march_isa" not in reference
+    assert "march" not in native and "march" not in reference
+    assert bodies["native"] == bodies["numpy"]
 
 
 # ------------------------------------------------------------ CSV formatter

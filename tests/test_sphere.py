@@ -171,6 +171,17 @@ def test_fused_moments_match_one_at_a_time(kappa):
         assert np.allclose(a, b, rtol=1e-9, atol=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+def test_moments_reject_a_radius_that_is_negative_or_not_finite(bad, recwarn):
+    # Named by its index in radii, before any quadrature (which used to warn,
+    # then name the radius's index in the outside sub-batch).
+    with pytest.raises(ValueError, match=rf"radii\[1\] = {bad!r}: a radius must be finite"):
+        moments_at([7.0, bad, 1.0], SPEC)
+    assert not recwarn.list
+    J, H, K = moments_at([7.0, -0.0, 1.0], SPEC)  # -0 is the center
+    assert J[1] == moments_at([0.0], SPEC)[0][0]
+
+
 def test_special_values():
     sv = special_values(SPEC)
     assert sv.J0 == pytest.approx(J0, rel=1e-14)
