@@ -34,7 +34,8 @@ cfg = SolverConfig(dt=0.1, t_end=1000.0, stationarity_tol=1e-8)
 
 print("-- spurious trapped takeover times --")
 eps_list = np.logspace(-1, -3, 7)
-records = run_spurious_trapped_experiment(eps_list, spec, grid50, cfg)
+# A t_end far past the slowest takeover, so that no eps is censored.
+records = run_spurious_trapped_experiment(eps_list, spec, grid50, SolverConfig(dt=0.1, t_end=1e6))
 for rec in records:
     print(f"   eps = {rec.eps:8.2e}   takeover t = {rec.time:9.1f}")
 fit = fit_power_law([r.eps for r in records], [r.time for r in records])

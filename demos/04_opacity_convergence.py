@@ -9,7 +9,7 @@ weighted relative L2 norms; fitted log-log slopes summarize the rates.
 ``convergence`` experiment; this demo uses a lighter grid.)
 """
 
-from idsa_lab import SolverConfig, make_uniform_grid
+from idsa_lab import make_uniform_grid
 from idsa_lab.diagnostics import (
     convergence_sweep,
     fit_power_law,
@@ -18,13 +18,12 @@ from idsa_lab.diagnostics import (
 
 kappas = [1.0, 2.0, 5.0, 10.0, 20.0, 50.0]
 grid = make_uniform_grid(18.0, 3000)
-cfg = SolverConfig(dt=0.1, t_end=400.0, stationarity_tol=1e-10)
 
 print("computing exact moments once per opacity ...")
 oracle = oracle_moments_for(kappas, grid, 6.0, 1.0, tol=1e-10)
 
 for variant in ("new", "old"):
-    records = convergence_sweep(kappas, 6.0, 1.0, grid, variant, cfg=cfg, oracle=oracle)
+    records = convergence_sweep(kappas, 6.0, 1.0, grid, variant, oracle)
     print(f"\n-- {variant} variant --")
     print(f"   {'kappa':>6} {'errJ':>9} {'errH':>9} {'errK':>9}")
     for rec in records:

@@ -229,7 +229,7 @@ def _run_solve(cfg: RunConfig, out: Path) -> list[str]:
 def _run_spurious(cfg: RunConfig, out: Path) -> list[str]:
     grid = make_uniform_grid(cfg.r_max, cfg.n_cells)
     records = run_spurious_trapped_experiment(
-        cfg.eps_list, _spec(cfg), grid, SolverConfig(dt=cfg.dt), horizon=cfg.horizon
+        cfg.eps_list, _spec(cfg), grid, SolverConfig(dt=cfg.dt, t_end=cfg.horizon)
     )
     block = (
         np.array([r.eps for r in records], dtype=float),
@@ -284,10 +284,7 @@ def _run_instability(cfg: RunConfig, out: Path) -> list[str]:
 def _run_convergence(cfg: RunConfig, out: Path) -> list[str]:
     grid = make_uniform_grid(cfg.r_max, cfg.n_cells)
     oracle = oracle_moments_for(cfg.kappa_list, grid, cfg.R, cfg.B, tol=cfg.oracle_tol)
-    records = convergence_sweep(
-        cfg.kappa_list, cfg.R, cfg.B, grid, cfg.variant,
-        oracle_tol=cfg.oracle_tol, oracle=oracle,
-    )
+    records = convergence_sweep(cfg.kappa_list, cfg.R, cfg.B, grid, cfg.variant, oracle)
     block = [
         np.array([getattr(r, name) for r in records], dtype=float)
         for name in ("kappa", "errJ", "errH", "errK")

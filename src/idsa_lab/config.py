@@ -184,7 +184,9 @@ def _validate(v: dict, spec: Experiment) -> None:
         need(all(x > 0 for x in v[key]), f"{key} entries must be positive")
     need(all(0 < e < np.inf for e in v["eps_list"]),
          "eps_list entries must be positive and finite")
-    need(0 < v["horizon"] < np.inf, "horizon must be positive and finite")
+    # The spurious sweep runs to the step nearest horizon (an infinite dt is named below).
+    need(not np.isfinite(v["dt"]) or 0 < v["horizon"] / v["dt"] < np.inf,
+         f"horizon must be positive and finite in steps of dt = {v['dt']}, got {v['horizon']}")
     # inf passes a plain sign check; an infinite opacity sends NaN into the
     # oracle's quadrature and an infinite time into the step counts.
     for key, value in v.items():

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import ProblemSpec, RadialGrid, l2_relative_error
-from .idsa import SolverConfig
 from .reformed import ReformedScheme, err0, new_idsa_stationary_closed_form, reconstruct_moments
 from .sphere import MomentTriple, exact_moments, free_streaming_closures
 
@@ -57,14 +56,15 @@ def oracle_moments_for(
     }
 
 
-def stationary_state(variant: str, spec: ProblemSpec, grid: RadialGrid, cfg: SolverConfig):
+def stationary_state(variant: str, spec: ProblemSpec, grid: RadialGrid):
     """
     Stationary state of a variant: the closed form for "new"; for "old" the
-    direct solve of the scheme's stationary linear system, not a march.
+    direct solve of the scheme's stationary linear system, not a march, so
+    no step or tolerance enters.
     """
     if variant == "new":
         return new_idsa_stationary_closed_form(grid, spec)
-    return ReformedScheme(variant, spec, grid, cfg).stationary_direct()
+    return ReformedScheme(variant, spec, grid).stationary_direct()
 
 
 def convergence_sweep(
@@ -73,23 +73,23 @@ def convergence_sweep(
     B: float,
     grid: RadialGrid,
     variant: str,
-    oracle_tol: float = 1e-10,
-    cfg: SolverConfig = SolverConfig(),
-    oracle: dict[float, MomentTriple] | None = None,
+    oracle: dict[float, MomentTriple],
 ) -> list[ConvergenceRecord]:
     """
     Shell-weighted relative L2 errors of a variant's stationary J, H, K
-    against the exact sphere, one record per opacity.  Solver failures are
-    recorded on the failing row instead of aborting the sweep.
+    (``stationary_state``) against ``oracle``, the exact moments per opacity
+    on ``grid`` (``oracle_moments_for``), one record per opacity.  Solver
+    failures are recorded on the failing row instead of aborting the sweep;
+    an opacity missing from ``oracle`` raises KeyError.
     """
     closures = free_streaming_closures(grid.r_centers, R)
     records = []
     for kap in kappa_list:
         kap = float(kap)
         spec = ProblemSpec(B=B, R=R, kappa=kap)
+        moments = oracle[kap]  # a missing opacity is the caller's error, not a solver failure
         try:
-            moments = oracle[kap] if oracle is not None else exact_moments(grid, spec, oracle_tol)
-            approx = reconstruct_moments(stationary_state(variant, spec, grid, cfg), closures)
+            approx = reconstruct_moments(stationary_state(variant, spec, grid), closures)
             records.append(
                 ConvergenceRecord(
                     kappa=kap,

@@ -32,7 +32,7 @@ row's domination of the cells outside the sphere began) and the
 reductions of ``_Reductions`` (the running sup of Jt + Js, the first
 non-monotone step, the relative change), so it hands control back only at
 
-- a step an observer asked for (a snapshot, t_end, the horizon);
+- a step an observer asked for (a snapshot, t_end);
 - a negative value;
 - a confirmed takeover, where a row's hold ends (the spurious sweep);
 - a sup above the bound (the instability run);
@@ -428,46 +428,31 @@ def _py_max(a, b):
     return np.where(b > a, b, a)
 
 
-def _march(kern: _Kernel, observe, max_steps=math.inf, *, first, with_tags: bool = False,
+def _march(kern: _Kernel, observe, *, with_tags: bool = False,
            hold: _Holds | None = None, red: _Reductions | None = None):
     """
-    March every row of ``kern`` from zero data for up to ``max_steps`` steps.
+    March every row of ``kern`` from zero data while its observer has steps to see.
 
-    After step k, ``observe(k, t, Jt, Js, tags)`` sees the (n_rows, n_cells)
-    fields (tags only ``with_tags``) and returns ``(done, upcoming)``: None
-    or a mask of rows to retire, and the next step it must see; ``first``
-    is the first step it must see.  ``hold`` and ``red``, if given, hold the
-    step's takeover holds and reductions when the observer sees it.  The
-    numpy path shows every step.  The native kernel shows step ``first``,
-    then each ``upcoming`` step, any step at which a row's hold ends, any
-    step where ``red`` asks to stop, and the last step; so an observer must
-    have nothing to do at the steps in between.  Both paths compute the
-    same bits, and never write to an array already shown.  Returns the
-    fields once every row has retired or time is up.
+    ``observe(k, t, Jt, Js, tags)`` sees the (n_rows, n_cells) fields (tags
+    only ``with_tags``) of step 0, zero with REACTION tags, then of later
+    steps, and returns ``(done, upcoming)``: None or a mask of rows to
+    retire, and the next step it must see, or None once it has none.  ``hold`` and ``red``,
+    if given, hold the step's takeover holds and reductions when the
+    observer sees it.  The numpy path shows every step.  The native kernel
+    shows each ``upcoming`` step, any step at which a row's hold ends and
+    any step where ``red`` asks to stop; so an observer must have nothing to
+    do at the steps in between.  Both paths compute the same bits, and never
+    write to an array already shown.  Returns the fields once the observer
+    names no upcoming step or every row has retired.
     """
     from . import _native  # here: importing idsa_lab should not pay for it
 
     native = _native.load()
     Jt = np.zeros((len(kern.rows), kern.n_cells))
     Js = np.zeros_like(Jt)
-    k, upcoming = 0, first
-    while k < max_steps:
-        if native is None:
-            # One full step: source, trapped update, streaming re-solve.
-            S, tags = kern.sigma(Jt, Js, with_tags)
-            Jt_old, Js_old = Jt, Js
-            Jt, Js = kern.trapped_step(Jt, S), kern.stream(S)
-            k, negative = k + 1, True
-            if hold is not None:
-                hold.update(k, Jt, Js)
-            if red is not None:
-                red.update(k, Jt_old, Js_old, Jt, Js)
-        else:
-            stop = int(min(max(upcoming, k + 1), max_steps))
-            taken, Jt, Js, tags, negative = kern.advance(
-                native, Jt, Js, stop - k, with_tags, hold, red, k
-            )
-            k += taken
+    tags = np.full(Jt.shape, Regime.REACTION, np.int8) if with_tags else None
+    k, negative = 0, False
+    while True:
         t = k * kern.dt
         if negative:  # name the first row, and its cell, that went negative
             kern.check(Jt, Jt < kern.floor, "trapped component", t)
@@ -481,6 +466,23 @@ def _march(kern: _Kernel, observe, max_steps=math.inf, *, first, with_tags: bool
             for kept in (hold, red):
                 if kept is not None:
                     kept.keep(~done)
+        if upcoming is None:
+            break
+        if native is None:
+            # One full step: source, trapped update, streaming re-solve.
+            S, tags = kern.sigma(Jt, Js, with_tags)
+            Jt_old, Js_old = Jt, Js
+            Jt, Js = kern.trapped_step(Jt, S), kern.stream(S)
+            k, negative = k + 1, True
+            if hold is not None:
+                hold.update(k, Jt, Js)
+            if red is not None:
+                red.update(k, Jt_old, Js_old, Jt, Js)
+        else:
+            taken, Jt, Js, tags, negative = kern.advance(
+                native, Jt, Js, max(upcoming - k, 1), with_tags, hold, red, k
+            )
+            k += taken
     return Jt, Js
 
 
@@ -493,23 +495,20 @@ def run_to_time(
     """
     March the coupled system from zero initial data and take the snapshots
     and the final state as ``Schedule`` says, with the per-step relative
-    change max(|dJt|, |dJs|) / max(|Jt|, |Js|).  Each state carries the
-    regime tags of the source that produced it (REACTION everywhere at t = 0).
+    change max(|dJt|, |dJs|) / max(|Jt|, |Js|); the march ends at the last
+    step the schedule still names.  Each state carries the regime tags of
+    the source that produced it (REACTION everywhere at t = 0).
     """
     sched = Schedule(cfg, snapshot_times, first=0)
-    zero = np.zeros((1, grid.n_cells))
-    first = sched.see(0, math.inf, lambda: _make_state(grid, zero, zero, 0.0, zero.astype(np.int8)))
-    # The kernel returns at a stationary step only until the final state.
-    red = _Reductions(1, stat_tol=cfg.stationarity_tol if sched.final is None else 0.0)
+    red = _Reductions(1, stat_tol=cfg.stationarity_tol)
 
     def observe(k, t, Jt, Js, tags):
         upcoming = sched.see(k, red.change[0], lambda: _make_state(grid, Jt, Js, t, tags))
-        if sched.final is not None:
+        if sched.final is not None:  # the kernel returns at a stationary step only until then
             red.stat_tol = 0.0
-        # A stationary stop may leave nothing to see before sched.last.
-        return (None, upcoming) if upcoming is not None else (np.array([True]), None)
+        return None, upcoming
 
-    _march(_Kernel([spec], grid, cfg), observe, sched.last, with_tags=True, red=red, first=first)
+    _march(_Kernel([spec], grid, cfg), observe, with_tags=True, red=red)
     return sched.record()
 
 
@@ -531,7 +530,6 @@ def run_spurious_trapped_experiment(
     spec_base: ProblemSpec,
     grid: RadialGrid,
     cfg: SolverConfig,
-    horizon: float = 1e6,
 ) -> list[TakeoverRecord]:
     """
     Time for spurious trapped particles to take over the streaming region.
@@ -544,17 +542,14 @@ def run_spurious_trapped_experiment(
     The switch chatters forever at the interface cells (per-step relative
     change plateaus at ~0.05 * eps, never below any fixed tolerance), so
     sustained domination stands in for literal step-stationarity here.
-    A run whose takeover is not confirmed by the step nearest ``horizon``
-    (``Schedule.step``) is reported censored.
+    A run whose takeover is not confirmed by step ``Schedule(cfg).n_steps``,
+    the step nearest ``cfg.t_end``, is reported censored.
     All eps march as one batch, a row retiring once its record is known.
     """
     eps_all = [float(eps) for eps in eps_list]
-    # horizon / dt bounds the step count; it must be finite for the march to end.
-    checked = (("horizon", horizon), ("horizon / dt", horizon / cfg.dt),
-               *(("eps", eps) for eps in eps_all))
-    for name, value in checked:
-        if not (0.0 < value < math.inf):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    for eps in eps_all:
+        if not (0.0 < eps < math.inf):
+            raise ValueError(f"eps must be positive and finite, got {eps}")
     if not eps_all:
         return []
     specs = [replace(spec_base, kappa_outside=eps) for eps in eps_all]
@@ -562,20 +557,16 @@ def run_spurious_trapped_experiment(
     # Centers increase, so the cells r >= R are a suffix of the grid.
     hold = _Holds(len(eps_all), int(np.searchsorted(grid.r_centers, spec_base.R)), cfg.dt)
     records = [None] * len(eps_all)
-    # Between the holds' ends, where the kernel stops, only the horizon
-    # needs this observer.
-    last = Schedule(cfg).step(horizon)
+    last = Schedule(cfg).n_steps  # the one step besides the holds' ends this observer needs
 
     def observe(k, t, Jt, Js, tags):
         done = hold.ended(k)
         for row in np.flatnonzero(done):
             i = kern.rows[row]
             records[i] = TakeoverRecord(eps_all[i], float(hold.since[row] * cfg.dt), censored=False)
-        if k >= last:
-            return np.ones_like(done), None  # the rows left are censored
-        return done, last
+        return done, last if k < last else None  # the rows left at t_end are censored
 
-    _march(kern, observe, hold=hold, first=last)
+    _march(kern, observe, hold=hold)
     return [rec or TakeoverRecord(eps, None, censored=True) for rec, eps in zip(records, eps_all)]
 
 
@@ -646,8 +637,7 @@ def run_instability_experiment(
         # The bound and the first non-monotone step are the kernel's to watch.
         return None, sched.upcoming(k)
 
-    Jt, Js = _march(_Kernel([spec], grid, cfg), observe, sched.last, red=red,
-                    first=sched.upcoming(0))
+    Jt, Js = _march(_Kernel([spec], grid, cfg), observe, red=red)
     first_bad = int(red.first_nonmono[0])
     return InstabilityResult(
         snapshots=snaps,

@@ -65,14 +65,16 @@ _BLOCK = 1024
 # every level, at a tolerance below roundoff; they are the same runs in blocks
 # of 256 and of 1024.
 _MAX_LIVE_PANELS = 8192
+# Bisection depth cap: an owner still live past it raises QuadratureError.
+_MAX_DEPTH = 40
 _TINY = np.finfo(float).tiny
 
 
 class QuadratureError(RuntimeError):
     """
     A batch entry cannot be integrated: a panel misses its tolerance within
-    the depth cap, the integrand gives a non-finite panel estimate, or the
-    entry's block queues more than ``_MAX_LIVE_PANELS`` panels.
+    ``_MAX_DEPTH`` bisections, the integrand gives a non-finite estimate, or
+    the entry's block queues more than ``_MAX_LIVE_PANELS`` panels.
     ``owner`` is the entry's index in the whole batch.
     """
 
@@ -125,7 +127,7 @@ def _retired(err, err_sum, totals, width, span, tol: float) -> np.ndarray:
     return ((err_sum <= budget) | (err <= 0.25 * budget * width / span)).all(axis=0)
 
 
-def _integrate_block(f, lo, hi, base: int, tol: float, max_depth: int, native) -> np.ndarray:
+def _integrate_block(f, lo, hi, base: int, tol: float, native) -> np.ndarray:
     """Owners base .. base + lo.size - 1, in integrate_batch's result shape."""
     nb = lo.size
     span = np.maximum(hi - lo, _TINY)
@@ -155,11 +157,11 @@ def _integrate_block(f, lo, hi, base: int, tol: float, max_depth: int, native) -
     depth = 0
     while not done.all():
         keep = ~done
-        if depth + 1 > max_depth:
+        if depth + 1 > _MAX_DEPTH:
             worst = np.argmax(np.where(keep, err.max(axis=0), -np.inf))
             raise QuadratureError(
                 int(base + own[worst]),
-                f"quadrature did not converge within depth {max_depth}: "
+                f"quadrature did not converge within depth {_MAX_DEPTH}: "
                 f"worst batch entry {base + own[worst]} has panel error "
                 f"{err[:, worst].max():.3e}",
             )
@@ -198,9 +200,7 @@ def _integrate_block(f, lo, hi, base: int, tol: float, max_depth: int, native) -
     return accepted if first.ndim == 2 else accepted[0]
 
 
-def integrate_batch(
-    f, lo, hi, tol: float = 1e-10, max_depth: int = 40, native=None
-) -> np.ndarray:
+def integrate_batch(f, lo, hi, tol: float = 1e-10, native=None) -> np.ndarray:
     """
     Integrate f over [lo_i, hi_i] for a batch of owners i = 0..n-1.
 
@@ -217,9 +217,7 @@ def integrate_batch(
     tol : float
         Absolute and relative tolerance: the accepted error per owner and
         component is max(tol, tol * |integral|), split across panels by
-        width.
-    max_depth : int
-        Bisection depth cap; exceeding it raises QuadratureError naming
+        width.  Bisecting past ``_MAX_DEPTH`` raises QuadratureError naming
         the worst owner.  A non-finite panel estimate raises it at once,
         and so does a block queueing more than ``_MAX_LIVE_PANELS`` panels.
     native : callable, optional
@@ -242,7 +240,7 @@ def integrate_batch(
     # An empty batch still runs one (empty) block, so its result takes the
     # integrand's shape.
     blocks = [
-        _integrate_block(f, lo[s : s + _BLOCK], hi[s : s + _BLOCK], s, tol, max_depth, native)
+        _integrate_block(f, lo[s : s + _BLOCK], hi[s : s + _BLOCK], s, tol, native)
         for s in range(0, max(n, 1), _BLOCK)
     ]
     return np.concatenate(blocks, axis=-1)

@@ -167,7 +167,8 @@ class _Tridiagonal:
 class ReformedScheme:
     """One domain-split variant bound to a scenario, grid and time step."""
 
-    def __init__(self, variant: str, spec: ProblemSpec, grid: RadialGrid, cfg: SolverConfig):
+    def __init__(self, variant: str, spec: ProblemSpec, grid: RadialGrid,
+                 cfg: SolverConfig = SolverConfig()):
         variant = variant.lower()
         if variant not in ("old", "new"):
             raise ValueError(f"variant must be 'old' or 'new', got {variant!r}")

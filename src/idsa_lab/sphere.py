@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import ProblemSpec, RadialField, RadialGrid
-from .quadrature import _NODES, _WEIGHTS, integrate_batch
+from .quadrature import _NODES, _WEIGHTS, QuadratureError, integrate_batch
 
 
 @dataclass(eq=False)
@@ -245,8 +245,9 @@ def moments_at(radii: np.ndarray, spec: ProblemSpec, tol: float = 1e-10):
     classified with the r >= R branch (both branches agree there).  A
     ``tol`` near double-precision roundoff may be unattainable for radii
     close to R at large kappa*R; the quadrature then raises
-    QuadratureError at its live-panel cap.  A radius that is negative or
-    not finite raises ValueError naming its index.
+    QuadratureError at its live-panel cap, naming the radius by its index
+    in ``radii``.  A radius that is negative or not finite raises
+    ValueError naming its index.
     """
     _require_bare_sphere(spec, "the exact moments")
     if tol <= 0:
@@ -263,19 +264,28 @@ def moments_at(radii: np.ndarray, spec: ProblemSpec, tol: float = 1e-10):
     K = np.empty(radii.size)
 
     inside = radii < R
-    if np.any(inside):
-        r_in = radii[inside]
-        i0, i1, i2 = _inside_integrals(r_in, kap, R, tol)
-        J[inside] = B * (1.0 - i0)
-        H[inside] = B * i1
-        K[inside] = B * (1.0 / 3.0 - i2)
-    if np.any(~inside):
-        r_out = radii[~inside]
-        _, ratio2, mu0 = _opaque_geometry(r_out, R)
-        e0, e1, e2 = _outside_integrals(r_out, mu0, kap, R, tol)
-        J[~inside] = 0.5 * B * (1.0 - mu0 - e0)
-        H[~inside] = 0.5 * B * (0.5 * ratio2 - e1)
-        K[~inside] = B / 6.0 * (1.0 - (1.0 - ratio2) ** 1.5 - 3.0 * e2)
+    batch = inside  # the radii of the batch being integrated
+    try:
+        if np.any(inside):
+            r_in = radii[inside]
+            i0, i1, i2 = _inside_integrals(r_in, kap, R, tol)
+            J[inside] = B * (1.0 - i0)
+            H[inside] = B * i1
+            K[inside] = B * (1.0 / 3.0 - i2)
+        batch = ~inside
+        if np.any(batch):
+            r_out = radii[~inside]
+            _, ratio2, mu0 = _opaque_geometry(r_out, R)
+            e0, e1, e2 = _outside_integrals(r_out, mu0, kap, R, tol)
+            J[~inside] = 0.5 * B * (1.0 - mu0 - e0)
+            H[~inside] = 0.5 * B * (0.5 * ratio2 - e1)
+            K[~inside] = B / 6.0 * (1.0 - (1.0 - ratio2) ** 1.5 - 3.0 * e2)
+    except QuadratureError as exc:
+        # A batch holds one owner per radius of its n, or, outside, two pieces
+        # per radius, owners j and n + j: name the radius by its index in radii.
+        i = int(np.flatnonzero(batch)[exc.owner % np.count_nonzero(batch)])
+        named = f"radius radii[{i}] = {float(radii.flat[i])!r}"
+        raise QuadratureError(i, str(exc).replace(f"batch entry {exc.owner}", named)) from exc
     return J, H, K
 
 

@@ -70,19 +70,17 @@ def oracle_sweep_2x(grid_sweep_2x):
 
 @pytest.fixture(scope="module")
 def new_records(grid_sweep, oracle_sweep):
-    return convergence_sweep(KAPPAS, R, B, grid_sweep, "new", cfg=SWEEP_CFG, oracle=oracle_sweep)
+    return convergence_sweep(KAPPAS, R, B, grid_sweep, "new", oracle_sweep)
 
 
 @pytest.fixture(scope="module")
 def new_records_2x(grid_sweep_2x, oracle_sweep_2x):
-    return convergence_sweep(
-        KAPPAS, R, B, grid_sweep_2x, "new", cfg=SWEEP_CFG, oracle=oracle_sweep_2x
-    )
+    return convergence_sweep(KAPPAS, R, B, grid_sweep_2x, "new", oracle_sweep_2x)
 
 
 @pytest.fixture(scope="module")
 def old_records(grid_sweep, oracle_sweep):
-    return convergence_sweep(KAPPAS, R, B, grid_sweep, "old", cfg=SWEEP_CFG, oracle=oracle_sweep)
+    return convergence_sweep(KAPPAS, R, B, grid_sweep, "old", oracle_sweep)
 
 
 def test_criterion_1_closed_form_identities():
@@ -258,8 +256,8 @@ def test_criterion_5d_old_variant_does_not_converge(old_records):
 
 def test_criterion_6_pointwise_error_in_streaming_region(grid_sweep, oracle_sweep):
     spec = ProblemSpec(B=B, R=R, kappa=1.0)
-    new = stationary_state("new", spec, grid_sweep, SWEEP_CFG)
-    old = stationary_state("old", spec, grid_sweep, SWEEP_CFG)
+    new = stationary_state("new", spec, grid_sweep)
+    old = stationary_state("old", spec, grid_sweep)
     exact_J = oracle_sweep[1.0].J
     sel = (grid_sweep.r_centers > R) & (grid_sweep.r_centers < 3.0 * R)
     med_new = np.median(pointwise_relative_error(new.total(), exact_J).values[sel])
@@ -283,10 +281,8 @@ def test_criterion_7_spurious_trapped_growth_law():
     """
     eps_list = np.logspace(-1, -4, 12)
     grid = make_uniform_grid(18.0, 50)
-    cfg = SolverConfig(dt=0.1, t_end=1000.0, stationarity_tol=1e-8)
-    records = run_spurious_trapped_experiment(
-        eps_list, ProblemSpec(B=B, R=R, kappa=1.0), grid, cfg, horizon=1e6
-    )
+    cfg = SolverConfig(dt=0.1, t_end=1e6, stationarity_tol=1e-8)
+    records = run_spurious_trapped_experiment(eps_list, ProblemSpec(B=B, R=R, kappa=1.0), grid, cfg)
     assert len(records) >= 8
     usable = sorted((r for r in records if not r.censored), key=lambda r: -r.eps)
     kept = usable[5:]

@@ -456,6 +456,19 @@ def test_cli_rejects_unbounded_spurious_sweep(tmp_path):
         parse_config("experiment = spurious\nhorizon = inf\n")
 
 
+def test_config_rejects_a_horizon_with_no_finite_step_count(tmp_path, capsys):
+    # horizon / dt overflows: the sweep would have no step to end at.  This
+    # used to pass the config and exit 2 from inside the run.
+    text = "experiment = spurious\ndt = 1e-300\nhorizon = 1e10\n"
+    with pytest.raises(ConfigError, match=r"^horizon must be positive and finite in steps of "
+                                          r"dt = 1e-300, got 10000000000\.0$"):
+        parse_config(text)
+    out = tmp_path / "a" / "out"
+    assert _run_cli(tmp_path, text, f"output_dir={out}") == 2
+    assert "configuration error: horizon must be" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+
+
 @pytest.mark.parametrize("key", ["kappa", "kappa_outside", "kappa_s"])
 def test_cli_rejects_non_finite_scenario(tmp_path, key):
     # err0 never builds the oracle, so a regression here fails fast instead of

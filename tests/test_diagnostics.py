@@ -55,9 +55,9 @@ def test_old_stationary_state_is_the_direct_solve():
     # No march: a 1-step t_end or a loose tolerance would change a marched state.
     grid = make_uniform_grid(18.0, 300)
     spec = ProblemSpec(B=1.0, R=6.0, kappa=2.0)
-    direct = ReformedScheme("old", spec, grid, CFG).stationary_direct()
+    state = stationary_state("old", spec, grid)
     for cfg in (CFG, SolverConfig(dt=0.1, t_end=0.1, stationarity_tol=0.5)):
-        state = stationary_state("old", spec, grid, cfg)
+        direct = ReformedScheme("old", spec, grid, cfg).stationary_direct()
         assert np.array_equal(state.Jt.values, direct.Jt.values)
         assert np.array_equal(state.Js.values, direct.Js.values)
 
@@ -65,17 +65,27 @@ def test_old_stationary_state_is_the_direct_solve():
 def test_sweep_zero_for_injected_identical_fields():
     grid = make_uniform_grid(18.0, 300)
     spec = ProblemSpec(B=1.0, R=6.0, kappa=2.0)
-    state = stationary_state("new", spec, grid, CFG)
+    state = stationary_state("new", spec, grid)
     fake_oracle = {2.0: reconstruct_moments(state, free_streaming_closures(grid.r_centers, 6.0))}
-    rec = convergence_sweep([2.0], 6.0, 1.0, grid, "new", cfg=CFG, oracle=fake_oracle)[0]
+    rec = convergence_sweep([2.0], 6.0, 1.0, grid, "new", fake_oracle)[0]
     assert rec.errJ == 0.0 and rec.errH == 0.0 and rec.errK == 0.0
     assert rec.failure is None
+
+
+def test_sweep_rejects_an_opacity_its_oracle_lacks():
+    # A caller's error, not a solver failure: it used to become a row
+    # reading "KeyError: 3.0".
+    grid = make_uniform_grid(18.0, 300)
+    oracle = oracle_moments_for([2.0], grid, 6.0, 1.0)
+    with pytest.raises(KeyError):
+        convergence_sweep([3.0, 2.0], 6.0, 1.0, grid, "new", oracle)
 
 
 def test_sweep_errors_decrease_for_new_variant():
     grid = make_uniform_grid(18.0, 750)
     kappas = [1.0, 4.0, 16.0]
-    recs = convergence_sweep(kappas, 6.0, 1.0, grid, "new", cfg=CFG)
+    oracle = oracle_moments_for(kappas, grid, 6.0, 1.0)
+    recs = convergence_sweep(kappas, 6.0, 1.0, grid, "new", oracle)
     errs = [r.errJ for r in recs]
     assert errs[0] > errs[1] > errs[2]
     fit = fit_power_law(kappas, errs)
@@ -86,7 +96,8 @@ def test_sweep_annotates_failures():
     # The old variant needs at least two cells inside the interface; the
     # sweep must annotate the failing opacity instead of aborting.
     grid = make_uniform_grid(18.0, 3)
-    recs = convergence_sweep([1.0], 6.0, 1.0, grid, "old", cfg=CFG)
+    oracle = oracle_moments_for([1.0], grid, 6.0, 1.0)
+    recs = convergence_sweep([1.0], 6.0, 1.0, grid, "old", oracle)
     assert recs[0].failure is not None
     assert np.isnan(recs[0].errJ)
 
@@ -97,7 +108,7 @@ def test_sweep_closed_form_agrees_with_marched():
     grid = make_uniform_grid(18.0, 750)
     spec = ProblemSpec(B=1.0, R=6.0, kappa=1.0)
     oracle = oracle_moments_for([1.0], grid, 6.0, 1.0)
-    closed = convergence_sweep([1.0], 6.0, 1.0, grid, "new", cfg=CFG, oracle=oracle)[0]
+    closed = convergence_sweep([1.0], 6.0, 1.0, grid, "new", oracle)[0]
 
     from idsa_lab.reformed import ReformedScheme
 
@@ -115,7 +126,7 @@ def test_l2_error_cross_checked_with_trapezoid_rule():
     grid = make_uniform_grid(18.0, 750)
     spec = ProblemSpec(B=1.0, R=6.0, kappa=1.0)
     m = exact_moments(grid, spec, tol=1e-10)
-    state = stationary_state("new", spec, grid, CFG)
+    state = stationary_state("new", spec, grid)
     from idsa_lab import l2_relative_error
 
     ours = l2_relative_error(state.total(), m.J)

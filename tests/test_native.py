@@ -156,9 +156,9 @@ def _march_log(specs, grid, cfg, steps, with_tags, stride, retire, n_sweep, watc
     March a batch with ``_Holds`` on the cells from ``watch`` on and log
     what the observer was shown: step -> (rows, Jt, Js, tags, since, ended),
     keeping the arrays themselves, not copies.  It asks for every stride-th
-    step and for step ``retire``, where it retires the first row; the last
-    ``n_sweep`` rows take the sweep.  Returns the log and the
-    NegativityError message, if one was raised.
+    step and for step ``retire``, where it retires the first row, up to
+    step ``steps``; the last ``n_sweep`` rows take the sweep.  Returns the
+    log and the NegativityError message, if one was raised.
     """
     kern = _Kernel(specs, grid, cfg)
     kern.n_scan = min(kern.n_scan, len(specs) - n_sweep)
@@ -171,10 +171,11 @@ def _march_log(specs, grid, cfg, steps, with_tags, stride, retire, n_sweep, watc
         if k == retire and len(Jt) > 1:
             done = np.zeros(len(Jt), bool)
             done[0] = True
-        return done, k + stride if k >= retire else min(k + stride, retire)
+        upcoming = k + stride if k >= retire else min(k + stride, retire)
+        return done, min(upcoming, steps) if k < steps else None
 
     try:
-        _march(kern, observe, steps, first=min(stride, retire), with_tags=with_tags, hold=hold)
+        _march(kern, observe, with_tags=with_tags, hold=hold)
     except NegativityError as exc:
         return log, str(exc)
     return log, None
@@ -232,8 +233,8 @@ def _holds_log(specs, grid, cfg, steps, retire, n_sweep):
     the step its hold ends, as the spurious sweep does, and the first row at
     step ``retire``; the last ``n_sweep`` rows take the sweep.  Logs step ->
     (rows, since, ended) at each step the observer is shown, which asks for
-    no step but ``retire``.  Returns the log and the NegativityError
-    message, if one was raised.
+    no step but ``retire`` and the last, ``steps``.  Returns the log and the
+    NegativityError message, if one was raised.
     """
     kern = _Kernel(specs, grid, cfg)
     kern.n_scan = min(kern.n_scan, len(specs) - n_sweep)
@@ -244,10 +245,11 @@ def _holds_log(specs, grid, cfg, steps, retire, n_sweep):
         ended = hold.ended(k)
         log[k] = (kern.rows.tolist(), hold.since.copy(), ended)
         done = ended | ((np.arange(len(Jt)) == 0) & (k == retire))
-        return done, retire if k < retire else steps
+        upcoming = retire if k < retire else steps
+        return done, min(upcoming, steps) if k < steps else None
 
     try:
-        _march(kern, observe, steps, first=retire, hold=hold)
+        _march(kern, observe, hold=hold)
     except NegativityError as exc:
         return log, str(exc)
     return log, None
@@ -292,7 +294,7 @@ def _reductions_log(specs, grid, cfg, steps, stride, retire, n_sweep, bound, sta
     March a batch with ``_Reductions`` (the pairs inside R checked for
     monotonicity) and log them at each step the observer is shown, which
     asks for every stride-th step and for step ``retire``, where it retires
-    the first row.  Returns the log and the NegativityError message, if one
+    the first row, up to step ``steps``.  Returns the log and the NegativityError message, if one
     was raised.
     """
     kern = _Kernel(specs, grid, cfg)
@@ -308,10 +310,11 @@ def _reductions_log(specs, grid, cfg, steps, stride, retire, n_sweep, bound, sta
         done = None
         if k == retire and len(Jt) > 1:
             done = np.arange(len(Jt)) == 0
-        return done, k + stride if k >= retire else min(k + stride, retire)
+        upcoming = k + stride if k >= retire else min(k + stride, retire)
+        return done, min(upcoming, steps) if k < steps else None
 
     try:
-        _march(kern, observe, steps, first=min(stride, retire), red=red)
+        _march(kern, observe, red=red)
     except NegativityError as exc:
         return log, str(exc)
     return log, None
@@ -357,16 +360,16 @@ def test_native_reductions_match_numpy(
 
 @pytest.mark.parametrize("path", [pytest.param("native", marks=needs_native), "numpy"])
 def test_spurious_horizon_is_taken_at_its_nearest_step(path):
-    # A takeover confirmed at the step nearest the horizon is recorded; a
-    # horizon nearest the step before censors it.
+    # A takeover confirmed at the step nearest t_end is recorded; a t_end
+    # nearest the step before censors it.
     grid = make_uniform_grid(18.0, 50)
     spec = ProblemSpec(B=1.0, R=6.0, kappa=1.0)
     dt = 0.1
-    cfg = SolverConfig(dt=dt)
 
-    def sweep(horizon):
+    def sweep(t_end):
+        cfg = SolverConfig(dt=dt, t_end=t_end)
         with contextlib.nullcontext() if path == "native" else _numpy_march():
-            [record] = run_spurious_trapped_experiment([0.1], spec, grid, cfg, horizon=horizon)
+            [record] = run_spurious_trapped_experiment([0.1], spec, grid, cfg)
         return record
 
     taken = sweep(1e3)
@@ -374,10 +377,10 @@ def test_spurious_horizon_is_taken_at_its_nearest_step(path):
     # The hold from t ends at the first step whose time reaches its end.
     confirmed = next(k for k in itertools.count(round(t / dt))
                      if k * dt >= max(_CONFIRM * t, t + _MIN_HOLD))
-    for horizon in (confirmed * dt, (confirmed - 0.4) * dt):
-        assert sweep(horizon) == taken
-    for horizon in ((confirmed - 1) * dt, (confirmed - 0.6) * dt):
-        assert sweep(horizon).censored
+    for t_end in (confirmed * dt, (confirmed - 0.4) * dt):
+        assert sweep(t_end) == taken
+    for t_end in ((confirmed - 1) * dt, (confirmed - 0.6) * dt):
+        assert sweep(t_end).censored
 
 
 @needs_native
@@ -386,11 +389,9 @@ def test_spurious_records_match_numpy():
     # outside the sphere), a censored row and a repeated eps.
     grid = make_uniform_grid(18.0, 50)
     spec = ProblemSpec(B=1.0, R=6.0, kappa=1.0)
-    cfg = SolverConfig(dt=0.1)
+    cfg = SolverConfig(dt=0.1, t_end=80.0)
     eps = [0.1, 1e7, 0.03, 0.01, 0.1]
-    native, reference = _both(
-        lambda: run_spurious_trapped_experiment(eps, spec, grid, cfg, horizon=80.0)
-    )
+    native, reference = _both(lambda: run_spurious_trapped_experiment(eps, spec, grid, cfg))
     assert native == reference
     assert any(r.censored for r in native) and any(not r.censored for r in native)
 
@@ -445,11 +446,11 @@ def test_march_never_writes_to_an_array_it_has_shown(path):
         if retire and k == retire[0]:
             retire.pop(0)
             done = np.arange(len(Jt)) == 0
-        return done, min([k + 4, *retire[:1]])
+        return done, min([k + 4, *retire[:1], 80]) if k < 80 else None
 
     hold = _Holds(len(specs), int(np.searchsorted(grid.r_centers, 6.0)), 0.1)
     with contextlib.nullcontext() if path == "native" else _numpy_march():
-        _march(kern, observe, 80, first=4, with_tags=True, hold=hold)
+        _march(kern, observe, with_tags=True, hold=hold)
     assert not retire and len(kern.rows) == 2
     assert len(kept) >= 3 * 20
     for shown, copy in kept:
@@ -519,7 +520,7 @@ def test_spurious_sweep_returns_from_the_kernel_only_at_retirements(monkeypatch)
     cfg = parse_config("experiment = spurious\n")
     records = run_spurious_trapped_experiment(
         cfg.eps_list, ProblemSpec(B=cfg.B, R=cfg.R, kappa=cfg.kappa),
-        make_uniform_grid(cfg.r_max, cfg.n_cells), SolverConfig(dt=cfg.dt), horizon=cfg.horizon,
+        make_uniform_grid(cfg.r_max, cfg.n_cells), SolverConfig(dt=cfg.dt, t_end=cfg.horizon),
     )
     assert steps == [171, 123, 272, 516, 952, 1790, 3358, 6284, 11782, 22070, 41356, 77492]
     # Each call ends at the step that confirms the next takeover.
@@ -638,7 +639,7 @@ def _clone_cases():
         spec, make_uniform_grid(18.0, 2000), SolverConfig(dt=0.1, t_end=40.0), (10.0, 40.0)
     )
     spurious = run_spurious_trapped_experiment(
-        [0.1, 1e7, 0.03, 0.01], spec, coarse, SolverConfig(dt=0.1), horizon=80.0
+        [0.1, 1e7, 0.03, 0.01], spec, coarse, SolverConfig(dt=0.1, t_end=80.0)
     )
     stationary = run_to_time(
         spec, coarse, SolverConfig(dt=0.1, t_end=30.0, stationarity_tol=1e-8), (5.0, 20.0, 40.0)

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from idsa_lab import quadrature
 from idsa_lab.quadrature import (
     _BLOCK,
     _MAX_LIVE_PANELS,
@@ -55,17 +56,18 @@ def test_sqrt_endpoint():
     assert val == pytest.approx(2.0 / 3.0, rel=1e-9)
 
 
-def test_depth_cap_raises():
+def test_depth_cap_raises(monkeypatch):
     # A discontinuity never converges under bisection with a tiny depth cap.
     def f(idx, x):
         return np.where(x < 1.0 / 3.0, 0.0, 1.0)
 
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 3)
     with pytest.raises(QuadratureError) as ei:
-        integrate_batch(f, np.zeros(3), np.ones(3), tol=1e-14, max_depth=3)
+        integrate_batch(f, np.zeros(3), np.ones(3), tol=1e-14)
     assert 0 <= ei.value.owner < 3
 
 
-def test_non_finite_integrand_raises_at_once():
+def test_non_finite_integrand_raises_at_once(monkeypatch):
     # A NaN estimate never meets its budget; without the check every panel
     # would be bisected to the depth cap, doubling memory at every level.
     calls = []
@@ -74,8 +76,9 @@ def test_non_finite_integrand_raises_at_once():
         calls.append(x.shape[0])
         return np.where(idx == 2, np.nan, x)
 
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 4)
     with pytest.raises(QuadratureError, match="non-finite") as ei:
-        integrate_batch(f, np.zeros(3), np.ones(3), max_depth=4)
+        integrate_batch(f, np.zeros(3), np.ones(3))
     assert ei.value.owner == 2
     # One call: the whole panel and both halves of each of the 3 owners.
     assert calls == [9]
@@ -84,7 +87,7 @@ def test_non_finite_integrand_raises_at_once():
         return np.where(x > 0.9, np.inf, x)
 
     with pytest.raises(QuadratureError, match="non-finite"):
-        integrate_batch(g, np.zeros(2), np.ones(2), max_depth=4)
+        integrate_batch(g, np.zeros(2), np.ones(2))
 
 
 def test_level_zero_is_one_call_per_block():
@@ -292,7 +295,7 @@ def test_vector_integrand_matches_components(params, width, tol):
         assert np.all(np.abs(fused[c] - alone) <= 2.0 * budget)
 
 
-def test_errors_name_the_global_owner_across_blocks():
+def test_errors_name_the_global_owner_across_blocks(monkeypatch):
     n = 2 * _BLOCK + 37
     bad = 2 * _BLOCK + 20
     seen = []
@@ -301,32 +304,35 @@ def test_errors_name_the_global_owner_across_blocks():
         seen.append(int(idx.max()))
         return np.where((idx == bad) & (x < 1.0 / 3.0), 0.0, 1.0)
 
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 3)
     with pytest.raises(QuadratureError, match=f"entry {bad} ") as ei:
-        integrate_batch(step, np.zeros(n), np.ones(n), tol=1e-14, max_depth=3)
+        integrate_batch(step, np.zeros(n), np.ones(n), tol=1e-14)
     assert ei.value.owner == bad
     assert max(seen) >= bad  # the integrand sees batch indices, not block ones
 
     def nan_at_bad(idx, x):
         return np.where(idx == bad, np.nan, x)
 
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 4)
     with pytest.raises(QuadratureError, match=f"entry {bad} has a non-finite") as ei:
-        integrate_batch(nan_at_bad, np.zeros(n), np.ones(n), max_depth=4)
+        integrate_batch(nan_at_bad, np.zeros(n), np.ones(n))
     assert ei.value.owner == bad
 
     def vector_nan(idx, x):
         return np.stack([x, np.where(idx == bad, np.inf, x)])
 
     with pytest.raises(QuadratureError, match=f"entry {bad} has a non-finite .*inf") as ei:
-        integrate_batch(vector_nan, np.zeros(n), np.ones(n), max_depth=4)
+        integrate_batch(vector_nan, np.zeros(n), np.ones(n))
     assert ei.value.owner == bad
 
 
-def test_vector_depth_cap_reports_worst_component():
+def test_vector_depth_cap_reports_worst_component(monkeypatch):
     def f(idx, x):
         return np.stack([x, 1e6 * np.where(x < 1.0 / 3.0, 0.0, 1.0)])
 
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 3)
     with pytest.raises(QuadratureError, match="depth 3") as ei:
-        integrate_batch(f, np.zeros(2), np.ones(2), tol=1e-14, max_depth=3)
+        integrate_batch(f, np.zeros(2), np.ones(2), tol=1e-14)
     reported = float(str(ei.value).rsplit(" ", 1)[1])
     assert reported > 1.0  # the step's error, not the smooth component's roundoff
 

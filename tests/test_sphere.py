@@ -22,7 +22,8 @@ from idsa_lab import (
     neutrinosphere_radius,
     special_values,
 )
-from idsa_lab.quadrature import integrate_batch
+from idsa_lab import sphere
+from idsa_lab.quadrature import QuadratureError, integrate_batch
 
 SPEC = ProblemSpec(B=1.0, R=6.0, kappa=1.0)
 
@@ -180,6 +181,35 @@ def test_moments_reject_a_radius_that_is_negative_or_not_finite(bad, recwarn):
     assert not recwarn.list
     J, H, K = moments_at([7.0, -0.0, 1.0], SPEC)  # -0 is the center
     assert J[1] == moments_at([0.0], SPEC)[0][0]
+
+
+def test_quadrature_error_names_the_failing_radius_by_its_index_in_radii():
+    # At a tolerance below roundoff R(1 - 1e-12) fails: entry 1 of the inside
+    # sub-batch, radii[2] of the whole (radii[1] is R).
+    R = 6.0
+    radii = np.array([0.0, R, R * (1 - 1e-12), R * (1 + 1e-12),
+                      *make_uniform_grid(3 * R, 1999).r_centers])
+    with pytest.raises(QuadratureError, match=r"; radius radii\[2\] = 5\.999999999994 holds") as ei:
+        moments_at(radii, ProblemSpec(B=1.0, R=R, kappa=1000.0), tol=1e-13)
+    assert ei.value.owner == 2
+
+
+def test_an_outside_piece_names_its_radius(monkeypatch):
+    # The outside batch holds two pieces per radius, [0, w] of each, then
+    # [w, vmax] of each: entry n + j is radius j of the n outside radii.
+    radii = np.array([1.0, 7.0, 8.0, 2.0, 9.0])  # outside: radii[1], radii[2], radii[4]
+    integrate = sphere.integrate_batch
+
+    def failing(f, lo, hi, **kw):
+        if lo.size == 6:  # the outside batch
+            raise QuadratureError(4, "quadrature: batch entry 4 has a non-finite panel estimate")
+        return integrate(f, lo, hi, **kw)
+
+    monkeypatch.setattr(sphere, "integrate_batch", failing)
+    with pytest.raises(QuadratureError) as ei:
+        moments_at(radii, SPEC)
+    assert ei.value.owner == 2
+    assert str(ei.value) == "quadrature: radius radii[2] = 8.0 has a non-finite panel estimate"
 
 
 def test_special_values():
