@@ -8,15 +8,17 @@
  * - format_rows(): the CSV rows of a block (cli.py), with "%.17g" floats,
  *   written with exact integer arithmetic for +-0 and 1e-38 < |x| < 1e17
  *   and by glibc's snprintf otherwise;
- * - oracle_nodes() and oracle_panels(): the exact sphere's quadrature
- *   panels (sphere.py), two passes with numpy's exp between them.
+ * - oracle_integrate(): the exact sphere's adaptive quadrature (sphere.py
+ *   and quadrature.py), whole, with an exp of its own (fixed_exp(), also
+ *   as oracle_exp()) fused into its pass over the nodes.
  *
  * Each gives the bits of its Python reference: built without fast-math and
  * without contraction into fused multiply-adds, every operation rounds as
  * numpy's and Python's do.
  *
- * With gcc 12 or later on x86-64 and glibc, march(), oracle_nodes() and
- * oracle_panels() are compiled three times from this one source
+ * With gcc 12 or later on x86-64 and glibc, march() and the oracle's pass
+ * over its panels (panel_estimates()) are compiled three times from this
+ * one source
  * (MARCH_CLONES), for x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and the x86-64
  * baseline (SSE2), and the loader's ifunc resolver runs the widest clone
  * the CPU supports; march_isa() names it.  The pass helpers are inlined
@@ -26,8 +28,10 @@
  * compiler or target, or no glibc) each is one plain function.
  */
 
+#include <float.h>
 #include <math.h>
 #include <stdio.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* Clones need gcc's ifunc, which needs glibc; gcc 12 knows the level names. */
@@ -334,35 +338,89 @@ long march(const march_rows *m, march_reductions *red, march_holds *hold, const 
     return s;
 }
 
-/* The instruction-set level of the clones (march() and the oracle passes)
+/* The instruction-set level of the clones (march() and the oracle's pass)
  * that run in this process, or "default" where nothing is cloned. */
 const char *march_isa(void) { return MARCH_ISA(); }
 
 /*
- * Oracle panels for the exact sphere's two integrands (sphere.py), as two
- * passes with numpy's exp between them.  For p panels [a_i, b_i] of owners
- * owners[i], oracle_nodes writes the nodes x = mid + half node_j, with
- * mid = 0.5 (a + b) and half = 0.5 (b - a), to buf[0] and the exponent
- * arguments to buf[1] (and buf[2]), each a (15, p) block, node-major.  The
- * caller runs numpy's exp over those blocks in place.  oracle_panels then
- * evaluates the three integrands at every node, weighs each panel's nodes
- * as np.einsum does, and writes the sums times half to est, shape (3, p).
+ * The exact sphere's oracle (sphere.py): the adaptive quadrature of
+ * quadrature.integrate_batch, run whole here for the oracle's two
+ * integrands, with an exp of its own fused into the pass over the nodes.
  *
- * The inside integrand (two exponent blocks) at mu, of owner radius r:
- *   RG = R sqrt(max(0, 1 - (r/R)^2 (1 - mu^2))),
- *   ep = exp(kappa (r mu - RG)), em = exp(-kappa (r mu + RG)),
- *   even = 0.5 (ep + em): even, mu 0.5 (ep - em) and mu^2 even.
- * The outside one (one exponent block) at v, of owner rate -2 kappa r:
- *   e = exp(rate v), mu = sqrt(mu0^2 + v^2): v e / mu, v e and mu v e.
+ * fixed_exp(x) evaluates exp in a fixed order of correctly rounded
+ * operations (Tang, "Table-driven implementation of the exponential
+ * function in IEEE floating-point arithmetic", ACM TOMS 15(2), 1989, with
+ * a table of one entry): x = k ln2 + r with k = rint(x / ln2), so that
+ * |r| <= ln2 / 2; r_hi = x - k ln2_hi is exact (ln2_hi holds 32 bits and
+ * |k| < 2^11), r = r_hi - k ln2_lo; exp(r) = 1 + r + r^2 q(r), summed as
+ * 1 + (r_hi - (k ln2_lo - r^2 q)) so that r's rounding enters once.
+ * exp(x) is then that times 2^k, as y 2^a 2^(k - a): the first product is
+ * exact, the second rounds once, also into the subnormal range and to
+ * infinity, as ldexp does.  Its measured error is at most 0.83 ulp on 10^5
+ * arguments over [-746, 710] against mpmath (test_native.py), and 0.87 ulp
+ * on 2 10^7 more against long double.  x is clamped to [-746, 710] first,
+ * outside of which exp is 0 or inf; NaN stays NaN.
  *
- * Each operation is the one numpy runs in sphere.py, in its order, and is
- * correctly rounded, as numpy's is; exp, the one that is not, stays
- * numpy's.  So the estimates are the bits of the numpy path.  Both passes
- * work on tiles of ORACLE_TILE panels, looping over the panels of a tile
- * innermost, so every loop runs across panels and vectorizes.
+ * There is no branch and no table, so every clone vectorizes it; the
+ * clamp's bounds are read once per call through a volatile, since gcc,
+ * seeing constants there, splits the select into two paths that the
+ * baseline (SSE2) vectorizer rejects.  sphere._exp is the same operations
+ * in numpy, each correctly rounded, so the two give the same bits.
  */
 #define ORACLE_NODES 15
 #define ORACLE_TILE 256
+
+static const double INV_LN2 = 0x1.71547652b82fep+0;
+static const double LN2_HI = 0x1.62e42feep-1, LN2_LO = 0x1.a39ef35793c76p-33;
+static const double EXP_SHIFT = 0x1.8p52; /* x + EXP_SHIFT - EXP_SHIFT is x rounded to an integer */
+/*
+ * q(r) ~ (exp(r) - 1 - r) / r^2, degree 10: mpmath's chebyfit of it on
+ * |r| <= (1 + 1e-9) ln2 / 2, each coefficient rounded to double.  Its error
+ * in exp(r), in exact arithmetic, is below 0.004 ulp over 2001 points of
+ * that interval, and it takes one term fewer than q's Taylor polynomial of
+ * the same accuracy (degree 11).
+ */
+static const double EXP_Q[11] = {
+    0x1.1f72fc730fcb1p-29, 0x1.af4ddd849007ep-26, 0x1.27e4db67b42e0p-22, 0x1.71de023756530p-19,
+    0x1.a01a01a6d7808p-16, 0x1.a01a01abe62ddp-13, 0x1.6c16c16c162d6p-10, 0x1.11111111100dfp-7,
+    0x1.5555555555556p-5,  0x1.5555555555557p-3,  0x1p-1,
+};
+static volatile const double EXP_BOUNDS[2] = {-746.0, 710.0};
+
+static INLINE double fixed_exp(double x, double lo, double hi)
+{
+    const double xc = min_b(max_b(x, lo), hi);
+    const double t = xc * INV_LN2 + EXP_SHIFT, k = t - EXP_SHIFT;
+    const double r_hi = xc - k * LN2_HI, r_lo = k * LN2_LO;
+    const double r = r_hi - r_lo;
+    double q = EXP_Q[0];
+    for (int i = 1; i < 11; i++)
+        q = EXP_Q[i] + r * q;
+    const double y = 1.0 + (r_hi - (r_lo - r * r * q));
+    /* 2^k = 2^a 2^b, a = floor(k / 2), b = k - a, from t's bits, which
+     * hold k in their low ones: u = k + 2048 and h = a + 1024. */
+    unsigned long long u, shift;
+    memcpy(&u, &t, sizeof u);
+    memcpy(&shift, &EXP_SHIFT, sizeof shift);
+    u = u - shift + 2048;
+    const unsigned long long h = u >> 1, a_bits = (h - 1) << 52, b_bits = (u - h - 1) << 52;
+    double scale_a, scale_b;
+    memcpy(&scale_a, &a_bits, sizeof scale_a);
+    memcpy(&scale_b, &b_bits, sizeof scale_b);
+    /* Below k = -1075 exp rounds to 0, and a factor 0 gives that 0 without
+     * the slow subnormal path that an underflowing product takes. */
+    scale_b = k < -1075.0 ? 0.0 : scale_b;
+    return y * scale_a * scale_b;
+}
+
+/* exp of n values, for the tests of fixed_exp (not cloned: the tests
+ * build each level on its own). */
+void oracle_exp(long long n, const double *restrict x, double *restrict out)
+{
+    const double lo = EXP_BOUNDS[0], hi = EXP_BOUNDS[1];
+    for (long long i = 0; i < n; i++)
+        out[i] = fixed_exp(x[i], lo, hi);
+}
 
 typedef struct {
     int inside;                  /* 1: the inside integrand, 0: the outside one */
@@ -381,88 +439,76 @@ typedef struct {
  */
 static const int WEIGH_ORDER[ORACLE_NODES] = {6, 7, 4, 5, 2, 3, 0, 1, 8, 9, 10, 11, 12, 13, 14};
 
-static INLINE long long tile_size(long long p, long long i0)
-{
-    return p - i0 < ORACLE_TILE ? p - i0 : ORACLE_TILE;
-}
-
+/*
+ * The Gauss-Legendre estimates of m panels [A_i, B_i] of owners owners[i],
+ * into est, shape (3, m).  Each panel's nodes are x = mid + half node_j,
+ * with mid = 0.5 (A + B) and half = 0.5 (B - A), and at each node the pass
+ * evaluates the three integrands and adds them, weighted, to the panel's
+ * lanes in the order above; the sums times half are the estimates.
+ *
+ * The inside integrand at mu, of owner radius r:
+ *   RG = R sqrt(max(0, 1 - (r/R)^2 (1 - mu^2))),
+ *   ep = exp(kappa (r mu - RG)), em = exp(-kappa (r mu + RG)),
+ *   even = 0.5 (ep + em): even, mu 0.5 (ep - em) and mu^2 even.
+ * The outside one at v, of owner rate -2 kappa r:
+ *   e = exp(rate v), mu = sqrt(mu0^2 + v^2): v e / mu, v e and mu v e.
+ *
+ * Each operation is the one numpy runs in sphere.py, in its order, and is
+ * correctly rounded, as numpy's is, and exp is fixed_exp on both paths.
+ * So the estimates are the bits of the numpy path.  The pass works on
+ * tiles of ORACLE_TILE panels, looping over the panels of a tile
+ * innermost, so every loop runs across panels and vectorizes.
+ */
 MARCH_CLONES
-void oracle_nodes(const oracle_integrand *g, long long p, const long long *owners,
-                  const double *a, const double *b, double *buf)
+static void panel_estimates(const oracle_integrand *g, long long m, const long long *owners,
+                            const double *A, const double *B, double *est)
 {
-    const double R = g->R, kappa = g->kappa;
-    for (long long i0 = 0; i0 < p; i0 += ORACLE_TILE) {
-        const long long m = tile_size(p, i0);
+    const double R = g->R, kappa = g->kappa, lo = EXP_BOUNDS[0], hi = EXP_BOUNDS[1];
+    for (long long i0 = 0; i0 < m; i0 += ORACLE_TILE) {
+        const long long n = m - i0 < ORACLE_TILE ? m - i0 : ORACLE_TILE;
+        /* per panel: mid, half, and the owner's r and (r/R)^2, or rate and mu0^2 */
         double mid[ORACLE_TILE], half[ORACLE_TILE], c[ORACLE_TILE], q2[ORACLE_TILE];
-        for (long long t = 0; t < m; t++) {
-            mid[t] = 0.5 * (a[i0 + t] + b[i0 + t]);
-            half[t] = 0.5 * (b[i0 + t] - a[i0 + t]);
-        }
-        if (g->inside) {
-            for (long long t = 0; t < m; t++) {
-                c[t] = g->r[owners[i0 + t]];
-                const double q = c[t] / R;
-                q2[t] = q * q;
-            }
-        } else {
-            for (long long t = 0; t < m; t++)
-                c[t] = g->rate[owners[i0 + t]];
-        }
-        for (int j = 0; j < ORACLE_NODES; j++) {
-            double *restrict x = buf + j * p + i0, *restrict e0 = x + ORACLE_NODES * p;
-            const double node = g->node[j];
-            for (long long t = 0; t < m; t++)
-                x[t] = mid[t] + half[t] * node;
-            if (g->inside) {
-                double *restrict e1 = e0 + ORACLE_NODES * p;
-                for (long long t = 0; t < m; t++) {
-                    /* np.clip(., 0, None): NaN stays NaN, -0 becomes 0 */
-                    const double arg = max_b(1.0 - q2[t] * (1.0 - x[t] * x[t]), 0.0);
-                    const double RG = R * sqrt(arg), rmu = c[t] * x[t];
-                    e0[t] = kappa * (rmu - RG);
-                    e1[t] = -kappa * (rmu + RG);
-                }
-            } else {
-                for (long long t = 0; t < m; t++)
-                    e0[t] = c[t] * x[t];
-            }
-        }
-    }
-}
-
-MARCH_CLONES
-void oracle_panels(const oracle_integrand *g, long long p, const long long *owners,
-                   const double *a, const double *b, const double *buf, double *est)
-{
-    for (long long i0 = 0; i0 < p; i0 += ORACLE_TILE) {
-        const long long m = tile_size(p, i0);
-        /* lane[k][c]: lane k of component c */
-        double lane[2][3][ORACLE_TILE], mu0_sq[ORACLE_TILE];
-        for (long long t = 0; t < m; t++) {
+        double lane[2][3][ORACLE_TILE]; /* lane[k][c]: lane k of component c */
+        for (long long t = 0; t < n; t++) {
+            mid[t] = 0.5 * (A[i0 + t] + B[i0 + t]);
+            half[t] = 0.5 * (B[i0 + t] - A[i0 + t]);
             lane[0][0][t] = lane[0][1][t] = lane[0][2][t] = 0.0;
             lane[1][0][t] = lane[1][1][t] = lane[1][2][t] = 0.0;
         }
-        if (!g->inside)
-            for (long long t = 0; t < m; t++)
-                mu0_sq[t] = g->mu0_sq[owners[i0 + t]];
+        for (long long t = 0; t < n; t++) {
+            const long long o = owners[i0 + t];
+            if (g->inside) {
+                c[t] = g->r[o];
+                const double q = c[t] / R;
+                q2[t] = q * q;
+            } else {
+                c[t] = g->rate[o];
+                q2[t] = g->mu0_sq[o];
+            }
+        }
         for (int s = 0; s < ORACLE_NODES; s++) {
             const int j = WEIGH_ORDER[s];
-            const double w = g->weight[j];
-            const double *restrict x = buf + j * p + i0, *restrict e0 = x + ORACLE_NODES * p;
+            const double node = g->node[j], w = g->weight[j];
             double *restrict l0 = lane[j & 1][0], *restrict l1 = lane[j & 1][1],
                    *restrict l2 = lane[j & 1][2];
             if (g->inside) {
-                const double *restrict e1 = e0 + ORACLE_NODES * p;
-                for (long long t = 0; t < m; t++) {
-                    const double mu = x[t], even = 0.5 * (e0[t] + e1[t]);
-                    const double odd = 0.5 * (e0[t] - e1[t]);
+                for (long long t = 0; t < n; t++) {
+                    const double mu = mid[t] + half[t] * node;
+                    /* np.clip(., 0, None): NaN stays NaN, -0 becomes 0 */
+                    const double arg = max_b(1.0 - q2[t] * (1.0 - mu * mu), 0.0);
+                    const double RG = R * sqrt(arg), rmu = c[t] * mu;
+                    const double ep = fixed_exp(kappa * (rmu - RG), lo, hi);
+                    const double em = fixed_exp(-kappa * (rmu + RG), lo, hi);
+                    const double even = 0.5 * (ep + em), odd = 0.5 * (ep - em);
                     l0[t] = l0[t] + even * w;
                     l1[t] = l1[t] + mu * odd * w;
                     l2[t] = l2[t] + mu * mu * even * w;
                 }
             } else {
-                for (long long t = 0; t < m; t++) {
-                    const double v = x[t], mu = sqrt(mu0_sq[t] + v * v), ve = v * e0[t];
+                for (long long t = 0; t < n; t++) {
+                    const double v = mid[t] + half[t] * node;
+                    const double e = fixed_exp(c[t] * v, lo, hi);
+                    const double mu = sqrt(q2[t] + v * v), ve = v * e;
                     l0[t] = l0[t] + ve / mu * w;
                     l1[t] = l1[t] + ve * w;
                     l2[t] = l2[t] + mu * ve * w;
@@ -471,10 +517,332 @@ void oracle_panels(const oracle_integrand *g, long long p, const long long *owne
         }
         /* the odd lane's zero padding, then 0 + (even lane + odd lane) */
         for (int k = 0; k < 3; k++)
-            for (long long t = 0; t < m; t++) {
-                const double half = 0.5 * (b[i0 + t] - a[i0 + t]);
-                est[k * p + i0 + t] = (0.0 + (lane[0][k][t] + (lane[1][k][t] + 0.0 * 0.0))) * half;
+            for (long long t = 0; t < n; t++)
+                est[k * m + i0 + t] =
+                    (0.0 + (lane[0][k][t] + (lane[1][k][t] + 0.0 * 0.0))) * half[t];
+    }
+}
+
+/*
+ * The outcome of oracle_integrate: kind is ORACLE_OK, or why it stopped,
+ * with what QuadratureError's message names; and the counts of the work
+ * done, over the blocks integrated.
+ */
+enum { ORACLE_OK, ORACLE_NON_FINITE, ORACLE_TOO_DEEP, ORACLE_TOO_MANY, ORACLE_NO_MEMORY };
+
+typedef struct {
+    int kind;
+    long long owner;    /* the owner named, an index into the batch */
+    double value;       /* NON_FINITE: the estimate; TOO_DEEP: the worst panel error */
+    long long live;     /* TOO_MANY: the live panels the next level would hold, */
+    long long held;     /* the owner's share of them, */
+    int depth;          /* and that level */
+    long long panels;   /* panel estimates computed */
+    int max_depth;      /* the deepest level of bisection reached */
+    long long max_live; /* the most panels a block held past level 0 */
+} oracle_status;
+
+/* A panel queue: each panel's block-local owner, bounds, midpoint and estimate (3, size). */
+typedef struct {
+    int *own;
+    double *a, *b, *mid, *est;
+} oracle_queue;
+
+/* The buffers of one call, grown as a level needs more. */
+typedef struct {
+    long long cap_eval, cap_queue;
+    long long *owners;          /* the panels evaluated: batch owner, */
+    double *A, *B, *E;          /* bounds and estimates (3, m) */
+    double *err;                /* (3, p) */
+    signed char *done;
+    oracle_queue q[2];          /* the live queue and the next one */
+} oracle_scratch;
+
+static int grow(void **p, long long n, size_t size)
+{
+    void *q = realloc(*p, (size_t)n * size);
+    if (!q)
+        return 0;
+    *p = q;
+    return 1;
+}
+
+static int reserve(oracle_scratch *s, long long eval, long long queue)
+{
+    if (eval > s->cap_eval) {
+        eval = eval > 2 * s->cap_eval ? eval : 2 * s->cap_eval;
+        if (!(grow((void **)&s->owners, eval, sizeof *s->owners) &&
+              grow((void **)&s->A, eval, sizeof *s->A) &&
+              grow((void **)&s->B, eval, sizeof *s->B) &&
+              grow((void **)&s->E, 3 * eval, sizeof *s->E)))
+            return 0;
+        s->cap_eval = eval;
+    }
+    if (queue > s->cap_queue) {
+        queue = queue > 2 * s->cap_queue ? queue : 2 * s->cap_queue;
+        if (!(grow((void **)&s->err, 3 * queue, sizeof *s->err) &&
+              grow((void **)&s->done, queue, sizeof *s->done)))
+            return 0;
+        for (int k = 0; k < 2; k++) {
+            oracle_queue *q = &s->q[k];
+            if (!(grow((void **)&q->own, queue, sizeof *q->own) &&
+                  grow((void **)&q->a, queue, sizeof *q->a) &&
+                  grow((void **)&q->b, queue, sizeof *q->b) &&
+                  grow((void **)&q->mid, queue, sizeof *q->mid) &&
+                  grow((void **)&q->est, 3 * queue, sizeof *q->est)))
+                return 0;
+        }
+        s->cap_queue = queue;
+    }
+    return 1;
+}
+
+/* Evaluates the m panels in s, and names the first with a non-finite
+ * estimate (its first such component); returns whether all are finite, and
+ * counts them if so. */
+static int evaluate(const oracle_integrand *g, long long m, oracle_scratch *s, oracle_status *st)
+{
+    panel_estimates(g, m, s->owners, s->A, s->B, s->E);
+    double bad = 0.0;
+    for (long long k = 0; k < 3 * m; k++)
+        bad = !(fabs(s->E[k]) <= DBL_MAX) ? 1.0 : bad;
+    if (bad != 0.0) {
+        for (long long i = 0; i < m; i++)
+            for (int c = 0; c < 3; c++)
+                if (!isfinite(s->E[c * m + i])) {
+                    st->kind = ORACLE_NON_FINITE;
+                    st->owner = s->owners[i];
+                    st->value = s->E[c * m + i];
+                    return 0;
+                }
+    }
+    st->panels += m;
+    return 1;
+}
+
+/*
+ * quadrature._retired for component c of a panel: its owner's error sum
+ * meets the budget max(tol, tol |total|), or its error the
+ * width-proportional 0.25 budget width / span.  tol is positive, so the
+ * max is max_b's.
+ */
+static INLINE int meets(double err, double err_sum, double total, double width, double span,
+                        double tol)
+{
+    const double budget = max_b(tol * fabs(total), tol);
+    return (err_sum <= budget) | (err <= 0.25 * budget * width / span);
+}
+
+/*
+ * quadrature._integrate_block for the owners base .. base + nb - 1, into
+ * acc (3, nb): level 0 evaluates every owner's whole panel and both halves,
+ * then each level bisects the live panels, the left halves of all of them
+ * first.  The sums run in numpy's order: np.add.at adds in panel order.
+ * Level 0, which holds most of the work outside the passes, runs as loops
+ * over owners that vectorize; total, err_sum, span and flag hold nb values
+ * each (3 nb for the first two), count nb.
+ */
+static int integrate_block(const oracle_integrand *g, long long base, int nb, const double *lo,
+                           const double *hi, double tol, int max_depth, long long max_live,
+                           double *acc, double *total, double *err_sum, double *span,
+                           double *flag, long long *count, oracle_scratch *s, oracle_status *st)
+{
+    if (!reserve(s, 3LL * nb, nb)) {
+        st->kind = ORACLE_NO_MEMORY;
+        return 0;
+    }
+    oracle_queue *q = &s->q[0];
+    for (int i = 0; i < nb; i++) {
+        q->mid[i] = 0.5 * (lo[i] + hi[i]);
+        span[i] = max_b(hi[i] - lo[i], 0x1p-1022);
+        q->own[i] = i;
+        s->owners[i] = s->owners[nb + i] = s->owners[2 * nb + i] = base + i;
+    }
+    memcpy(q->a, lo, nb * sizeof *lo);
+    memcpy(q->b, hi, nb * sizeof *hi);
+    /* the whole panels, the left halves, the right halves */
+    memcpy(s->A, lo, nb * sizeof *lo);
+    memcpy(s->A + nb, lo, nb * sizeof *lo);
+    memcpy(s->A + 2 * nb, q->mid, nb * sizeof *lo);
+    memcpy(s->B, hi, nb * sizeof *hi);
+    memcpy(s->B + nb, q->mid, nb * sizeof *hi);
+    memcpy(s->B + 2 * nb, hi, nb * sizeof *hi);
+    if (!evaluate(g, 3LL * nb, s, st))
+        return 0;
+
+    /* Level 0: refined = left + right, err = |est - refined|, and each
+     * owner's sums are its one panel's (0.0 + refined). */
+    long long p = nb, m = 3LL * nb, left = nb, right = 2LL * nb;
+    double *err = s->err;
+    for (int i = 0; i < nb; i++)
+        flag[i] = 1.0;
+    for (int c = 0; c < 3; c++) {
+        const double *est = s->E + c * m, *l = est + left, *r = est + right;
+        double *restrict e = err + c * p, *restrict t = total + c * nb;
+        memcpy(q->est + c * p, est, p * sizeof *est);
+        for (int i = 0; i < nb; i++) {
+            const double refined = l[i] + r[i];
+            e[i] = fabs(est[i] - refined);
+            t[i] = 0.0 + refined;
+            flag[i] = meets(e[i], e[i], t[i], hi[i] - lo[i], span[i], tol) ? flag[i] : 0.0;
+        }
+    }
+    for (int c = 0; c < 3; c++)
+        for (int i = 0; i < nb; i++)
+            acc[c * nb + i] = flag[i] != 0.0 ? total[c * nb + i] : 0.0;
+    for (int i = 0; i < nb; i++)
+        s->done[i] = flag[i] != 0.0;
+
+    int depth = 0;
+    for (;;) {
+        long long live = 0;
+        for (long long i = 0; i < p; i++)
+            live += !s->done[i];
+        if (live == 0)
+            return 1;
+        live *= 2;
+
+        if (depth + 1 > max_depth) {
+            /* the first kept panel of the largest error over components */
+            long long worst = -1;
+            double worst_err = 0.0;
+            for (long long i = 0; i < p; i++) {
+                if (s->done[i])
+                    continue;
+                const double e = np_max(np_max(err[i], err[p + i]), err[2 * p + i]);
+                if (worst < 0 || e > worst_err || (e != e && worst_err == worst_err)) {
+                    worst = i;
+                    worst_err = e;
+                }
             }
+            st->kind = ORACLE_TOO_DEEP;
+            st->owner = base + q->own[worst];
+            st->value = worst_err;
+            return 0;
+        }
+        if (live > max_live) {
+            memset(count, 0, nb * sizeof *count);
+            for (long long i = 0; i < p; i++)
+                count[q->own[i]] += !s->done[i];
+            int top = 0;
+            for (int o = 1; o < nb; o++)
+                if (count[o] > count[top])
+                    top = o;
+            st->kind = ORACLE_TOO_MANY;
+            st->owner = base + top;
+            st->live = live;
+            st->held = 2 * count[top];
+            st->depth = depth + 1;
+            return 0;
+        }
+
+        /* Bisect the kept panels: the left halves, then the right ones. */
+        if (!reserve(s, 2 * live, live)) {
+            st->kind = ORACLE_NO_MEMORY;
+            return 0;
+        }
+        err = s->err;
+        oracle_queue *next = &s->q[(depth + 1) & 1];
+        const long long half = live / 2;
+        for (long long i = 0, k = 0; i < p; i++) {
+            if (s->done[i])
+                continue;
+            next->own[k] = next->own[half + k] = q->own[i];
+            next->a[k] = q->a[i];
+            next->b[k] = next->a[half + k] = q->mid[i];
+            next->b[half + k] = q->b[i];
+            for (int c = 0; c < 3; c++) {
+                next->est[c * live + k] = s->E[c * m + left + i];
+                next->est[c * live + half + k] = s->E[c * m + right + i];
+            }
+            k++;
+        }
+        q = next;
+        p = live;
+        depth++;
+
+        m = 2 * p;
+        left = 0;
+        right = p;
+        for (long long i = 0; i < p; i++) {
+            q->mid[i] = 0.5 * (q->a[i] + q->b[i]);
+            s->owners[i] = s->owners[p + i] = base + q->own[i];
+            s->A[i] = q->a[i];
+            s->B[i] = s->A[p + i] = q->mid[i];
+            s->B[p + i] = q->b[i];
+        }
+        if (!evaluate(g, m, s, st))
+            return 0;
+        st->max_depth = depth > st->max_depth ? depth : st->max_depth;
+        st->max_live = p > st->max_live ? p : st->max_live;
+
+        /* totals = accepted + the refined sums, err_sum the error sums, by
+         * owner in panel order; then which panels retire, and their sums */
+        memcpy(total, acc, 3 * nb * sizeof *total);
+        memset(err_sum, 0, 3 * nb * sizeof *err_sum);
+        for (long long i = 0; i < p; i++)
+            for (int c = 0; c < 3; c++) {
+                const double refined = s->E[c * m + left + i] + s->E[c * m + right + i];
+                err[c * p + i] = fabs(q->est[c * p + i] - refined);
+                total[c * nb + q->own[i]] += refined;
+                err_sum[c * nb + q->own[i]] += err[c * p + i];
+            }
+        for (long long i = 0; i < p; i++) {
+            const int o = q->own[i];
+            int c = 0;
+            while (c < 3 && meets(err[c * p + i], err_sum[c * nb + o], total[c * nb + o],
+                                  q->b[i] - q->a[i], span[o], tol))
+                c++;
+            s->done[i] = c == 3;
+        }
+        for (long long i = 0; i < p; i++)
+            if (s->done[i])
+                for (int c = 0; c < 3; c++)
+                    acc[c * nb + q->own[i]] += s->E[c * m + left + i] + s->E[c * m + right + i];
+    }
+}
+
+/*
+ * integrate_batch over the n owners with limits lo and hi, for the oracle's
+ * integrand g, into out (3, n), block by block; status says how it ended
+ * and counts the work.  On a failure out is partly written.
+ */
+void oracle_integrate(const oracle_integrand *g, long long n, const double *lo, const double *hi,
+                      double tol, int block, int max_depth, long long max_live, double *out,
+                      oracle_status *status)
+{
+    oracle_scratch s = {0};
+    memset(status, 0, sizeof *status);
+    double *acc = malloc(11 * (size_t)block * sizeof *acc);
+    long long *count = malloc((size_t)block * sizeof *count);
+    if (!acc || !count) {
+        status->kind = ORACLE_NO_MEMORY;
+    } else {
+        double *total = acc + 3 * block, *err_sum = total + 3 * block, *span = err_sum + 3 * block,
+               *flag = span + block;
+        for (long long base = 0; base < n; base += block) {
+            const int nb = n - base < block ? (int)(n - base) : block;
+            if (!integrate_block(g, base, nb, lo + base, hi + base, tol, max_depth, max_live, acc,
+                                 total, err_sum, span, flag, count, &s, status))
+                break;
+            for (int c = 0; c < 3; c++)
+                memcpy(out + c * n + base, acc + c * nb, nb * sizeof *out);
+        }
+    }
+    free(acc);
+    free(count);
+    free(s.owners);
+    free(s.A);
+    free(s.B);
+    free(s.E);
+    free(s.err);
+    free(s.done);
+    for (int k = 0; k < 2; k++) {
+        free(s.q[k].own);
+        free(s.q[k].a);
+        free(s.q[k].b);
+        free(s.q[k].mid);
+        free(s.q[k].est);
     }
 }
 

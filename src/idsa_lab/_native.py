@@ -1,13 +1,13 @@
 """
 Loader for the native kernels, ``_march.c``: the switched scheme's march,
-the exact sphere's quadrature panels, the domain-split schemes'
-tridiagonal solve and the CSV row formatter.  The oracle's two passes
-evaluate its integrands and weigh each panel, with numpy's exp run between
-them, so only exp is left to numpy.  The formatter writes ``%.17g``
-itself for +-0, NaN and every 1e-38 < |x| < 1e17, with exact integer
-arithmetic, and calls glibc's ``snprintf`` only for the rest (subnormals,
-0 < |x| <= 1e-38, |x| >= 1e17, the infinities); ``cli`` writes its buffer
-to the file as bytes.
+the exact sphere's adaptive quadrature, the domain-split schemes'
+tridiagonal solve and the CSV row formatter.  The oracle's quadrature runs
+whole in C, one call per batch, its integrands and an exp of the lab's own
+evaluated in one pass over each tile of panels; no numpy function is left
+in it.  The formatter writes ``%.17g`` itself for +-0, NaN and every
+1e-38 < |x| < 1e17, with exact integer arithmetic, and calls glibc's
+``snprintf`` only for the rest (subnormals, 0 < |x| <= 1e-38, |x| >= 1e17,
+the infinities); ``cli`` writes its buffer to the file as bytes.
 
 The module is compiled with cffi (API mode) on first use, into
 ``_native_cache/`` next to this file, with
@@ -24,8 +24,8 @@ The module is compiled with cffi (API mode) on first use, into
   ``errno`` is no longer set for a negative argument.
 - No fast-math, which would reorder sums, assume no NaN and flush
   subnormals.
-- With gcc 12 or later on x86-64 and glibc, ``march()`` and the two
-  oracle passes are compiled three times from the one source
+- With gcc 12 or later on x86-64 and glibc, ``march()`` and the oracle's
+  pass over its panels are compiled three times from the one source
   (``target_clones``): for x86-64-v4 (AVX-512, eight doubles per
   instruction), x86-64-v3 (AVX2, four) and the x86-64 baseline (SSE2,
   two).  The loader runs the widest clone the CPU supports, and
@@ -33,7 +33,7 @@ The module is compiled with cffi (API mode) on first use, into
   for every clone, so every clone gives the same bits.  The build is not
   ``-march=native``: the cache key below does not name the CPU, and a
   package directory shared between machines would load code that another
-  CPU cannot run.  A cold build takes about 3 s on a 2-vCPU x86-64 host,
+  CPU cannot run.  A cold build takes about 2 s on a 2-vCPU x86-64 host,
   once per source change.
 
 The module name, and so the file, is keyed by a hash of the C source, the
@@ -48,8 +48,9 @@ exact moments, domain-split scheme or CSV file imports it and calls
 When the module cannot be built or loaded (no cffi, no compiler, a
 read-only package directory), ``load`` says why on stderr once and returns
 None.  Each kernel then falls back to its reference, which gives the same
-bits: the switched scheme marches with numpy, the oracle evaluates its
-numpy integrands, and the solve and the CSV formatting run in Python.
+bits: the switched scheme marches with numpy, the oracle integrates its
+numpy integrands with ``quadrature.integrate_batch``, and the solve and
+the CSV formatting run in Python.
 """
 
 from __future__ import annotations
@@ -116,10 +117,23 @@ typedef struct {
     double R, kappa;
 } oracle_integrand;
 
-void oracle_nodes(const oracle_integrand *g, long long p, const long long *owners,
-                  const double *a, const double *b, double *buf);
-void oracle_panels(const oracle_integrand *g, long long p, const long long *owners,
-                   const double *a, const double *b, const double *buf, double *est);
+enum { ORACLE_OK, ORACLE_NON_FINITE, ORACLE_TOO_DEEP, ORACLE_TOO_MANY, ORACLE_NO_MEMORY };
+
+typedef struct {
+    int kind;
+    long long owner;
+    double value;
+    long long live, held;
+    int depth;
+    long long panels;
+    int max_depth;
+    long long max_live;
+} oracle_status;
+
+void oracle_integrate(const oracle_integrand *g, long long n, const double *lo, const double *hi,
+                      double tol, int block, int max_depth, long long max_live, double *out,
+                      oracle_status *status);
+void oracle_exp(long long n, const double *x, double *out);
 """
 
 

@@ -188,9 +188,10 @@ def _spec(cfg: RunConfig) -> ProblemSpec:
     return ProblemSpec(B=cfg.B, R=cfg.R, kappa=cfg.kappa, **opacities)
 
 
-def _run_oracle(cfg: RunConfig, out: Path) -> list[str]:
+def _run_oracle(cfg: RunConfig, out: Path, manifest: dict) -> list[str]:
     grid = make_uniform_grid(cfg.r_max, cfg.n_cells)
-    moments = exact_moments(grid, _spec(cfg), tol=cfg.oracle_tol)
+    stats = manifest["quadrature"] = {}
+    moments = exact_moments(grid, _spec(cfg), tol=cfg.oracle_tol, stats=stats)
     ff = moments.flux_factors()
     block = (grid.r_centers, moments.J.values, moments.H.values, moments.K.values,
              ff.h.values, ff.k.values)
@@ -198,7 +199,7 @@ def _run_oracle(cfg: RunConfig, out: Path) -> list[str]:
     return ["oracle.csv"]
 
 
-def _run_solve(cfg: RunConfig, out: Path) -> list[str]:
+def _run_solve(cfg: RunConfig, out: Path, manifest: dict) -> list[str]:
     grid = make_uniform_grid(cfg.r_max, cfg.n_cells)
     variant = cfg.experiment.removeprefix("solve-")
     solver = SolverConfig(cfg.dt, cfg.t_end, cfg.stationarity_tol)
@@ -226,7 +227,7 @@ def _run_solve(cfg: RunConfig, out: Path) -> list[str]:
     return ["snapshots.csv"]
 
 
-def _run_spurious(cfg: RunConfig, out: Path) -> list[str]:
+def _run_spurious(cfg: RunConfig, out: Path, manifest: dict) -> list[str]:
     grid = make_uniform_grid(cfg.r_max, cfg.n_cells)
     records = run_spurious_trapped_experiment(
         cfg.eps_list, _spec(cfg), grid, SolverConfig(dt=cfg.dt, t_end=cfg.horizon)
@@ -255,7 +256,7 @@ def _run_spurious(cfg: RunConfig, out: Path) -> list[str]:
     return files
 
 
-def _run_instability(cfg: RunConfig, out: Path) -> list[str]:
+def _run_instability(cfg: RunConfig, out: Path, manifest: dict) -> list[str]:
     grid = make_uniform_grid(cfg.r_max, cfg.n_cells)
     result = run_instability_experiment(
         _spec(cfg), grid, SolverConfig(dt=cfg.dt, t_end=cfg.t_end),
@@ -281,9 +282,10 @@ def _run_instability(cfg: RunConfig, out: Path) -> list[str]:
     return ["instability.csv"]
 
 
-def _run_convergence(cfg: RunConfig, out: Path) -> list[str]:
+def _run_convergence(cfg: RunConfig, out: Path, manifest: dict) -> list[str]:
     grid = make_uniform_grid(cfg.r_max, cfg.n_cells)
-    oracle = oracle_moments_for(cfg.kappa_list, grid, cfg.R, cfg.B, tol=cfg.oracle_tol)
+    stats = manifest["quadrature"] = {}
+    oracle = oracle_moments_for(cfg.kappa_list, grid, cfg.R, cfg.B, tol=cfg.oracle_tol, stats=stats)
     records = convergence_sweep(cfg.kappa_list, cfg.R, cfg.B, grid, cfg.variant, oracle)
     block = [
         np.array([getattr(r, name) for r in records], dtype=float)
@@ -309,7 +311,7 @@ def _run_convergence(cfg: RunConfig, out: Path) -> list[str]:
     return files
 
 
-def _run_err0(cfg: RunConfig, out: Path) -> list[str]:
+def _run_err0(cfg: RunConfig, out: Path, manifest: dict) -> list[str]:
     block = np.array(err0_curve(cfg.kappaR_list), dtype=float).reshape(-1, 2).T
     _write_csv(out / "err0.csv", _scenario_meta(cfg), ["kappaR", "err0"], [block])
     return ["err0.csv"]
@@ -325,6 +327,21 @@ _RUNNERS = {
     "convergence": _run_convergence,
     "err0": _run_err0,
 }
+
+
+def _numpy_dispatch() -> list[str]:
+    """
+    The AVX2 and AVX-512 targets numpy dispatches to in this process: the
+    bytes of the closed forms (``reformed.py``) that feed convergence.csv
+    and err0.csv depend on them through numpy's exp, expm1 and power.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    features = getattr(umath, "__cpu_features__", {})
+    return sorted(name for name, on in features.items()
+                  if on and name.startswith(("AVX2", "AVX512")))
 
 
 def _listed_outputs(out: Path) -> list[str]:
@@ -366,6 +383,7 @@ def run(cfg: RunConfig) -> int:
         "version": __version__,
         "parameters": cfg.resolved(),
         "outputs": [],
+        "numpy_dispatch": _numpy_dispatch(),
     }
     # The runs that read dt march a scheme, and those that read oracle_tol
     # integrate the exact sphere; the manifest says which kernels did
@@ -382,7 +400,7 @@ def run(cfg: RunConfig) -> int:
         if cfg.experiment == "instability":  # above 1/2 the sup bound may not hold
             grid = make_uniform_grid(cfg.r_max, cfg.n_cells)
             manifest["diffusion_number"] = diffusion_number(_spec(cfg), grid, SolverConfig(dt=cfg.dt))
-        files = _RUNNERS[cfg.experiment](cfg, out)
+        files = _RUNNERS[cfg.experiment](cfg, out, manifest)
     except ValueError as exc:
         # Bad scenario/grid combinations surface as ValueError from the
         # domain types; they are configuration problems, not solver crashes.

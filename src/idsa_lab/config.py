@@ -9,6 +9,7 @@ bit-identical.  Any other key set is checked, then named in ``unread``.
 
 from __future__ import annotations
 
+import sys
 import textwrap
 from dataclasses import dataclass, field
 
@@ -164,6 +165,38 @@ def _oracle_tol_floor(kappa_R: float) -> float:
     return float(f"{1e-15 * max(1.0, kappa_R / 6.0):.3g}")
 
 
+# The kernels count steps in a signed 64-bit integer.
+_MAX_STEPS = 2.0**63
+
+
+def _check_derived(v: dict, reads: set, need) -> None:
+    """
+    The quantities the run derives from its keys must be representable: its
+    step counts below 2^63, and as normal doubles the square of its cell
+    width r_max / n_cells (the diffusion number divides by it) and that of
+    2 kappa R (the new variant's closed-form edge value divides by it).
+    """
+    if "dt" in reads:
+        for key in ("t_end", "snapshot_times", "horizon"):
+            if key in reads and v[key]:
+                value = max(v[key]) if isinstance(v[key], tuple) else v[key]
+                steps = value / v["dt"]
+                need(steps < _MAX_STEPS,
+                     f"{key} = {value:g} is {steps:.3g} steps of dt = {v['dt']:g}: a run takes"
+                     " fewer than 2^63 steps")
+    tiny = sys.float_info.min
+    if {"r_max", "n_cells"} <= reads:
+        dr = v["r_max"] / v["n_cells"]
+        need(tiny <= dr * dr < np.inf,
+             f"r_max = {v['r_max']:g} (R = {v['R']:g}) over n_cells = {v['n_cells']} gives the cell"
+             f" width {dr:g}, whose square is not a normal double")
+    if {"kappa", "R"} <= reads:
+        x = 2.0 * v["kappa"] * v["R"]
+        need(x * x >= tiny,
+             f"kappa = {v['kappa']:g} and R = {v['R']:g} give kappa*R = {x / 2.0:g}, whose"
+             " (2 kappa R)^2 is not a normal double")
+
+
 def _validate(v: dict, spec: Experiment) -> None:
     """Check each key, then the keys the run reads against each other."""
 
@@ -193,6 +226,7 @@ def _validate(v: dict, spec: Experiment) -> None:
         items = value if isinstance(value, tuple) else (value,)
         need(all(np.isfinite(x) for x in items if isinstance(x, float)),
              f"{key} must be finite, got {value}")
+    _check_derived(v, set(spec.reads), need)
 
     exp, reads = v["experiment"], set(spec.reads)
     # A run that does not read an opacity runs it at 0.

@@ -47,11 +47,13 @@ def err0_curve(kappaR_list) -> list[tuple[float, float]]:
 
 
 def oracle_moments_for(
-    kappa_list, grid: RadialGrid, R: float, B: float, tol: float = 1e-10
+    kappa_list, grid: RadialGrid, R: float, B: float, tol: float = 1e-10,
+    stats: dict | None = None,
 ) -> dict[float, MomentTriple]:
-    """Exact moments per opacity on a shared grid (reused across sweeps)."""
+    """Exact moments per opacity on a shared grid (reused across sweeps);
+    ``stats``, if given, counts the quadrature's work over all of them."""
     return {
-        float(k): exact_moments(grid, ProblemSpec(B=B, R=R, kappa=float(k)), tol)
+        float(k): exact_moments(grid, ProblemSpec(B=B, R=R, kappa=float(k)), tol, stats)
         for k in kappa_list
     }
 

@@ -39,12 +39,14 @@ nodes and the odd, adds the first eight nodes from the back (6, 4, 2, 0
 and 7, 5, 3, 1) and the rest in order, and returns
 0 + (even lane + odd lane).
 
-A caller may hand ``integrate_batch`` estimates of its own (``native``) in
-place of evaluating and weighing ``f``: the exact sphere's native passes
-(``_march.c``), which write that two-lane order down and leave only
-``exp`` to numpy, and so give the bits of ``f``'s path
-(``test_native.py`` checks that this numpy still adds in that order).
-Everything else, the non-finite check and the bisection, is shared.
+The exact sphere's oracle runs this algorithm whole in C
+(``oracle_integrate`` in ``_march.c``): the same blocks, limits, queue
+order, retirement test and order of sums, with its integrands and their
+exp evaluated in one pass per tile of panels and weighed in that two-lane
+order (``test_native.py`` checks that this numpy's einsum still adds in
+it).  Its results, its failures and its counts (``_count``) are this
+module's for the same integrands, and the messages of its failures are
+built here.
 """
 
 from __future__ import annotations
@@ -83,32 +85,64 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
 
 
-def _panel_estimates(f, owners, a, b, native=None):
+def _count(stats: dict | None, panels: int, depth: int, live: int) -> None:
     """
-    Gauss-Legendre estimates, shape (n_panels,) or (n_components, n_panels),
-    from ``native(owners, a, b)`` if given, else from f's values.  Each row
-    is weighted alone, so its bits do not depend on the other rows.
+    Add work to ``stats``, the counts of the ``integrate_batch`` calls it
+    is handed to (None: count nothing): ``panels``, the panel estimates
+    computed; ``max_depth``, the deepest level of bisection reached; and
+    ``max_live_panels``, the most panels one block queued past level 0
+    (what ``_MAX_LIVE_PANELS`` bounds).  The last two are 0 where every
+    owner retires at level 0.
     """
-    if native is not None:
-        est = native(owners, a, b)
-    else:
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        x = mid[:, None] + half[:, None] * _NODES[None, :]
-        vals = f(owners[:, None], x)
-        est = np.einsum("...j,j->...", vals, _WEIGHTS)
-        est *= half
+    if stats is not None:
+        stats["panels"] = stats.get("panels", 0) + panels
+        stats["max_depth"] = max(stats.get("max_depth", 0), depth)
+        stats["max_live_panels"] = max(stats.get("max_live_panels", 0), live)
+
+
+# The failures, as both integrate_batch and the native oracle report them.
+def _non_finite(owner: int, value: float) -> QuadratureError:
+    return QuadratureError(
+        owner, f"quadrature: batch entry {owner} has a non-finite panel estimate ({value})"
+    )
+
+
+def _too_deep(owner: int, err: float) -> QuadratureError:
+    return QuadratureError(
+        owner,
+        f"quadrature did not converge within depth {_MAX_DEPTH}: "
+        f"worst batch entry {owner} has panel error {err:.3e}",
+    )
+
+
+def _too_many(owner: int, live: int, depth: int, held: int, tol: float) -> QuadratureError:
+    return QuadratureError(
+        owner,
+        f"quadrature: {live} live panels at depth {depth} exceed the cap of "
+        f"{_MAX_LIVE_PANELS}; batch entry {owner} holds {held} "
+        f"of them (is the tolerance {tol:g} below roundoff?)",
+    )
+
+
+def _panel_estimates(f, owners, a, b):
+    """
+    Gauss-Legendre estimates of f, shape (n_panels,) or (n_components,
+    n_panels).  Each row is weighted alone, so its bits do not depend on
+    the other rows.
+    """
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    x = mid[:, None] + half[:, None] * _NODES[None, :]
+    vals = f(owners[:, None], x)
+    est = np.einsum("...j,j->...", vals, _WEIGHTS)
+    est *= half
     finite = np.isfinite(est)
     if not finite.all():
         # NaN errors never meet a budget, so bisection would double the queue
         # at every level until memory runs out; stop at the first one instead.
         finite = np.atleast_2d(finite)
         i = int(np.argmin(finite.all(axis=0)))
-        bad = np.atleast_2d(est)[:, i][~finite[:, i]][0]
-        raise QuadratureError(
-            int(owners[i]),
-            f"quadrature: batch entry {owners[i]} has a non-finite panel estimate ({bad})",
-        )
+        raise _non_finite(int(owners[i]), np.atleast_2d(est)[:, i][~finite[:, i]][0])
     return est
 
 
@@ -127,7 +161,7 @@ def _retired(err, err_sum, totals, width, span, tol: float) -> np.ndarray:
     return ((err_sum <= budget) | (err <= 0.25 * budget * width / span)).all(axis=0)
 
 
-def _integrate_block(f, lo, hi, base: int, tol: float, native) -> np.ndarray:
+def _integrate_block(f, lo, hi, base: int, tol: float, stats: dict | None) -> np.ndarray:
     """Owners base .. base + lo.size - 1, in integrate_batch's result shape."""
     nb = lo.size
     span = np.maximum(hi - lo, _TINY)
@@ -141,9 +175,9 @@ def _integrate_block(f, lo, hi, base: int, tol: float, native) -> np.ndarray:
     mid = 0.5 * (a + b)
     ids = base + own
     first = _panel_estimates(
-        f, np.concatenate([ids, ids, ids]), np.concatenate([a, a, mid]), np.concatenate([b, mid, b]),
-        native,
+        f, np.concatenate([ids, ids, ids]), np.concatenate([a, a, mid]), np.concatenate([b, mid, b])
     )
+    _count(stats, 3 * nb, 0, 0)
     level = np.atleast_2d(first)
     est, left, right = level[:, :nb], level[:, nb : 2 * nb], level[:, 2 * nb :]
     refined = left + right
@@ -159,22 +193,12 @@ def _integrate_block(f, lo, hi, base: int, tol: float, native) -> np.ndarray:
         keep = ~done
         if depth + 1 > _MAX_DEPTH:
             worst = np.argmax(np.where(keep, err.max(axis=0), -np.inf))
-            raise QuadratureError(
-                int(base + own[worst]),
-                f"quadrature did not converge within depth {_MAX_DEPTH}: "
-                f"worst batch entry {base + own[worst]} has panel error "
-                f"{err[:, worst].max():.3e}",
-            )
+            raise _too_deep(int(base + own[worst]), err[:, worst].max())
         live = 2 * int(keep.sum())
         if live > _MAX_LIVE_PANELS:
             counts = np.bincount(own[keep], minlength=nb)
             top = int(np.argmax(counts))
-            raise QuadratureError(
-                base + top,
-                f"quadrature: {live} live panels at depth {depth + 1} exceed the cap of "
-                f"{_MAX_LIVE_PANELS}; batch entry {base + top} holds {2 * counts[top]} "
-                f"of them (is the tolerance {tol:g} below roundoff?)",
-            )
+            raise _too_many(base + top, live, depth + 1, 2 * int(counts[top]), tol)
 
         own = np.concatenate([own[keep], own[keep]])
         a, b = np.concatenate([a[keep], mid[keep]]), np.concatenate([mid[keep], b[keep]])
@@ -184,9 +208,9 @@ def _integrate_block(f, lo, hi, base: int, tol: float, native) -> np.ndarray:
         p = own.size
         mid = 0.5 * (a + b)
         halves = np.atleast_2d(_panel_estimates(
-            f, base + np.concatenate([own, own]), np.concatenate([a, mid]), np.concatenate([mid, b]),
-            native,
+            f, base + np.concatenate([own, own]), np.concatenate([a, mid]), np.concatenate([mid, b])
         ))
+        _count(stats, 2 * p, depth, p)
         left, right = halves[:, :p], halves[:, p:]
         refined = left + right
         err = np.abs(est - refined)
@@ -200,7 +224,9 @@ def _integrate_block(f, lo, hi, base: int, tol: float, native) -> np.ndarray:
     return accepted if first.ndim == 2 else accepted[0]
 
 
-def integrate_batch(f, lo, hi, tol: float = 1e-10, native=None) -> np.ndarray:
+def integrate_batch(
+    f, lo, hi, tol: float = 1e-10, stats: dict | None = None
+) -> np.ndarray:
     """
     Integrate f over [lo_i, hi_i] for a batch of owners i = 0..n-1.
 
@@ -220,10 +246,8 @@ def integrate_batch(f, lo, hi, tol: float = 1e-10, native=None) -> np.ndarray:
         width.  Bisecting past ``_MAX_DEPTH`` raises QuadratureError naming
         the worst owner.  A non-finite panel estimate raises it at once,
         and so does a block queueing more than ``_MAX_LIVE_PANELS`` panels.
-    native : callable, optional
-        ``native(owners, a, b)`` returns, bit for bit and in the same shape,
-        the estimates ``f`` would give over the panels [a, b] of
-        ``owners``, and is called instead of evaluating ``f``.
+    stats : dict, optional
+        Counts the call's work, added to what it holds (``_count``).
 
     Returns
     -------
@@ -240,7 +264,7 @@ def integrate_batch(f, lo, hi, tol: float = 1e-10, native=None) -> np.ndarray:
     # An empty batch still runs one (empty) block, so its result takes the
     # integrand's shape.
     blocks = [
-        _integrate_block(f, lo[s : s + _BLOCK], hi[s : s + _BLOCK], s, tol, native)
+        _integrate_block(f, lo[s : s + _BLOCK], hi[s : s + _BLOCK], s, tol, stats)
         for s in range(0, max(n, 1), _BLOCK)
     ]
     return np.concatenate(blocks, axis=-1)

@@ -22,10 +22,14 @@ first exponent is negative for r < R (r*mu < R*G there) and the second is
 always negative, so nothing overflows even at kappa*R of several hundred.
 
 Each integrand is written here once in numpy, one ufunc per operation, and
-once in C (``oracle_nodes`` and ``oracle_panels`` in ``_march.c``) with the
-same operations in the same order; numpy's exp runs between the two C
-passes.  ``_native.load`` picks the C passes whenever the module can be
-built, and both give the same bits.
+once in C (``panel_estimates`` in ``_march.c``) with the same operations in
+the same order.  exp is the lab's own on both paths: ``_exp`` here and
+``fixed_exp`` there evaluate the same reduction and polynomial, one
+correctly rounded operation at a time, so the oracle's bits do not depend
+on numpy's SIMD dispatch.  ``_native.load`` runs the whole
+quadrature in C (``oracle_integrate``) whenever the module can be built,
+and ``quadrature.integrate_batch`` over the numpy integrands otherwise;
+both give the same bits, the same failures and the same counts.
 """
 
 from __future__ import annotations
@@ -35,7 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import ProblemSpec, RadialField, RadialGrid
-from .quadrature import _NODES, _WEIGHTS, QuadratureError, integrate_batch
+from . import quadrature
+from .quadrature import (
+    _NODES, _WEIGHTS, QuadratureError, _count, _non_finite, _too_deep, _too_many, integrate_batch,
+)
 
 
 @dataclass(eq=False)
@@ -116,10 +123,69 @@ def exact_distribution(r, mu, spec: ProblemSpec):
     return f if f.ndim else float(f)
 
 
-def _native_estimates(inside: bool, R: float = 0.0, kappa: float = 0.0, **per_owner):
+# fixed_exp's constants (_march.c): ln2 split so that k ln2_hi is exact,
+# and q's coefficients, highest degree first.
+_INV_LN2 = float.fromhex("0x1.71547652b82fep+0")
+_LN2_HI = float.fromhex("0x1.62e42feep-1")
+_LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
+_EXP_SHIFT = float.fromhex("0x1.8p52")
+_EXP_SHIFT_BITS = int(np.float64(_EXP_SHIFT).view(np.uint64))
+_EXP_Q = tuple(float.fromhex(h) for h in (
+    "0x1.1f72fc730fcb1p-29", "0x1.af4ddd849007ep-26", "0x1.27e4db67b42e0p-22",
+    "0x1.71de023756530p-19", "0x1.a01a01a6d7808p-16", "0x1.a01a01abe62ddp-13",
+    "0x1.6c16c16c162d6p-10", "0x1.11111111100dfp-7", "0x1.5555555555556p-5",
+    "0x1.5555555555557p-3", "0x1p-1",
+))
+
+
+def _exp(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """
-    ``integrate_batch``'s ``native`` panel estimates for the inside or the
-    outside integrand, or None where the native module cannot be built.
+    exp(x) into ``out`` (which may be x), as ``fixed_exp`` in ``_march.c``
+    computes it, one ufunc per operation in its order: each is correctly
+    rounded, so the bits are C's, under any SIMD dispatch.  At most 0.87 ulp from
+    exp, measured.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = np.clip(x, -746.0, 710.0)
+        t = np.multiply(xc, _INV_LN2)  # k = rint(x / ln2), by the shift
+        t += _EXP_SHIFT
+        k = np.subtract(t, _EXP_SHIFT)
+        r_hi = np.multiply(k, _LN2_HI)
+        np.subtract(xc, r_hi, out=r_hi)
+        r_lo = np.multiply(k, _LN2_LO, out=xc)
+        r = np.subtract(r_hi, r_lo)
+        q = np.multiply(r, _EXP_Q[0])  # q = ((c0 r + c1) r + ...) r + c10
+        for c in _EXP_Q[1:-1]:
+            q += c
+            q *= r
+        q += _EXP_Q[-1]
+        # y = 1 + (r_hi - (r_lo - r^2 q))
+        y = np.multiply(r, r, out=r)
+        y *= q
+        np.subtract(r_lo, y, out=y)
+        np.subtract(r_hi, y, out=y)
+        y += 1.0
+        # times 2^a 2^b, a = floor(k / 2), b = k - a, from t's bits:
+        # u = k + 2048, h = a + 1024
+        u = t.view(np.uint64)
+        u -= _EXP_SHIFT_BITS - 2048
+        h = np.right_shift(u, 1, out=r_hi.view(np.uint64))
+        b = np.subtract(u, h, out=u)
+        b -= 1
+        b <<= 52
+        h -= 1
+        h <<= 52
+        np.multiply(y, h.view(np.float64), out=y)
+        scale_b = b.view(np.float64)
+        scale_b[k < -1075.0] = 0.0  # exp rounds to 0 there
+        return np.multiply(y, scale_b, out=out)
+
+
+def _integrals(f, lo, hi, tol: float, stats, inside: bool, R: float = 0.0, kappa: float = 0.0,
+               **per_owner):
+    """
+    ``integrate_batch(f, lo, hi, tol, stats)``, shape (3, n), run whole by
+    the native ``oracle_integrate`` where the module can be built.
     ``per_owner`` holds the integrand's arrays, indexed by owner: ``r``
     inside, ``rate`` and ``mu0_sq`` outside.
     """
@@ -127,7 +193,7 @@ def _native_estimates(inside: bool, R: float = 0.0, kappa: float = 0.0, **per_ow
 
     native = _native.load()
     if native is None:
-        return None
+        return integrate_batch(f, lo, hi, tol=tol, stats=stats)
     ffi, lib = native.ffi, native.lib
     g = ffi.new("oracle_integrand *")
     g.inside, g.R, g.kappa = inside, R, kappa
@@ -135,26 +201,26 @@ def _native_estimates(inside: bool, R: float = 0.0, kappa: float = 0.0, **per_ow
     for name, a in {"node": _NODES, "weight": _WEIGHTS, **per_owner}.items():
         keep.append(ffi.from_buffer("double[]", a))
         setattr(g, name, keep[-1])
-    exponents = 2 if inside else 1
+    out = np.empty((3, lo.size))
+    st = ffi.new("oracle_status *")
+    lib.oracle_integrate(
+        g, lo.size, ffi.from_buffer("double[]", lo), ffi.from_buffer("double[]", hi), tol,
+        quadrature._BLOCK, quadrature._MAX_DEPTH, quadrature._MAX_LIVE_PANELS,
+        ffi.from_buffer("double[]", out), st,
+    )
+    _count(stats, st.panels, st.max_depth, st.max_live)
+    if st.kind == lib.ORACLE_NON_FINITE:
+        raise _non_finite(st.owner, st.value)
+    if st.kind == lib.ORACLE_TOO_DEEP:
+        raise _too_deep(st.owner, st.value)
+    if st.kind == lib.ORACLE_TOO_MANY:
+        raise _too_many(st.owner, st.live, st.depth, st.held, tol)
+    if st.kind == lib.ORACLE_NO_MEMORY:
+        raise MemoryError("the native oracle could not allocate its panel buffers")
+    return out
 
-    def estimates(owners, a, b):
-        # The nodes go to buf[0] and the exponent arguments after them, for
-        # numpy's exp to turn into the exponentials in place.
-        p = owners.size
-        buf = np.empty((1 + exponents, _NODES.size, p))
-        args = (g, p, ffi.from_buffer("long long[]", owners), ffi.from_buffer("double[]", a),
-                ffi.from_buffer("double[]", b), ffi.from_buffer("double[]", buf))
-        lib.oracle_nodes(*args)
-        np.exp(buf[1:], out=buf[1:])
-        est = np.empty((3, p))
-        lib.oracle_panels(*args, ffi.from_buffer("double[]", est))
-        return est
 
-    estimates.keep = keep  # g points into these buffers: they live as long as it is used
-    return estimates
-
-
-def _inside_integrals(r_in: np.ndarray, kap: float, R: float, tol: float):
+def _inside_integrals(r_in: np.ndarray, kap: float, R: float, tol: float, stats=None):
     """
     The three mu-integrals of the inside-sphere moment formulas, as one
     vector-valued integrand: G and both exponentials are computed once per
@@ -179,10 +245,10 @@ def _inside_integrals(r_in: np.ndarray, kap: float, R: float, tol: float):
         rmu = r * mu
         np.subtract(rmu, RG, out=ep)
         np.multiply(kap, ep, out=ep)
-        np.exp(ep, out=ep)
+        _exp(ep, out=ep)
         np.add(rmu, RG, out=em)
         np.multiply(-kap, em, out=em)
-        np.exp(em, out=em)
+        _exp(em, out=em)
         # even = (ep + em) / 2, then the integrands even, mu * (ep - em) / 2
         # and mu^2 * even
         odd = np.subtract(ep, em, out=rmu)
@@ -194,11 +260,11 @@ def _inside_integrals(r_in: np.ndarray, kap: float, R: float, tol: float):
         np.multiply(out[2], even, out=out[2])
         return out
 
-    native = _native_estimates(True, R, kap, r=r_in)
-    return integrate_batch(f, np.zeros(r_in.size), np.ones(r_in.size), tol=tol, native=native)
+    return _integrals(f, np.zeros(r_in.size), np.ones(r_in.size), tol, stats, True, R, kap, r=r_in)
 
 
-def _outside_integrals(r_out: np.ndarray, mu0: np.ndarray, kap: float, R: float, tol: float):
+def _outside_integrals(r_out: np.ndarray, mu0: np.ndarray, kap: float, R: float, tol: float,
+                       stats=None):
     """
     Exponential-weight integrals over the admissible cone mu > mu0 of each
     radius, computed in the substituted variable v = sqrt(mu^2 - mu0^2),
@@ -221,7 +287,7 @@ def _outside_integrals(r_out: np.ndarray, mu0: np.ndarray, kap: float, R: float,
         out = np.empty((3,) + v.shape)
         e, ve, mu = out
         np.multiply(rate2[idx], v, out=e)
-        np.exp(e, out=e)
+        _exp(e, out=e)
         np.multiply(v, v, out=mu)
         np.add(mu0_sq2[idx], mu, out=mu)
         np.sqrt(mu, out=mu)
@@ -230,14 +296,13 @@ def _outside_integrals(r_out: np.ndarray, mu0: np.ndarray, kap: float, R: float,
         np.multiply(mu, ve, out=out[2])
         return out
 
-    native = _native_estimates(False, rate=rate2, mu0_sq=mu0_sq2)
-    parts = integrate_batch(
-        f, np.concatenate([np.zeros(n), w]), np.concatenate([w, vmax]), tol=tol, native=native
-    )
+    parts = _integrals(f, np.concatenate([np.zeros(n), w]), np.concatenate([w, vmax]), tol, stats,
+                       False, rate=rate2, mu0_sq=mu0_sq2)
     return parts[:, :n] + parts[:, n:]
 
 
-def moments_at(radii: np.ndarray, spec: ProblemSpec, tol: float = 1e-10):
+def moments_at(radii: np.ndarray, spec: ProblemSpec, tol: float = 1e-10,
+               stats: dict | None = None):
     """
     Exact J, H, K at arbitrary radii by adaptive quadrature.
 
@@ -247,7 +312,8 @@ def moments_at(radii: np.ndarray, spec: ProblemSpec, tol: float = 1e-10):
     close to R at large kappa*R; the quadrature then raises
     QuadratureError at its live-panel cap, naming the radius by its index
     in ``radii``.  A radius that is negative or not finite raises
-    ValueError naming its index.
+    ValueError naming its index.  ``stats``, if given, counts the
+    quadrature's work (``quadrature._count``).
     """
     _require_bare_sphere(spec, "the exact moments")
     if tol <= 0:
@@ -268,18 +334,19 @@ def moments_at(radii: np.ndarray, spec: ProblemSpec, tol: float = 1e-10):
     try:
         if np.any(inside):
             r_in = radii[inside]
-            i0, i1, i2 = _inside_integrals(r_in, kap, R, tol)
+            i0, i1, i2 = _inside_integrals(r_in, kap, R, tol, stats)
             J[inside] = B * (1.0 - i0)
             H[inside] = B * i1
             K[inside] = B * (1.0 / 3.0 - i2)
         batch = ~inside
         if np.any(batch):
-            r_out = radii[~inside]
+            r_out = radii[batch]
             _, ratio2, mu0 = _opaque_geometry(r_out, R)
-            e0, e1, e2 = _outside_integrals(r_out, mu0, kap, R, tol)
-            J[~inside] = 0.5 * B * (1.0 - mu0 - e0)
-            H[~inside] = 0.5 * B * (0.5 * ratio2 - e1)
-            K[~inside] = B / 6.0 * (1.0 - (1.0 - ratio2) ** 1.5 - 3.0 * e2)
+            e0, e1, e2 = _outside_integrals(r_out, mu0, kap, R, tol, stats)
+            J[batch] = 0.5 * B * (1.0 - mu0 - e0)
+            H[batch] = 0.5 * B * (0.5 * ratio2 - e1)
+            # (1 - ratio2)^1.5 as (1 - ratio2) mu0: numpy's power rounds by its dispatch
+            K[batch] = B / 6.0 * (1.0 - (1.0 - ratio2) * mu0 - 3.0 * e2)
     except QuadratureError as exc:
         # A batch holds one owner per radius of its n, or, outside, two pieces
         # per radius, owners j and n + j: name the radius by its index in radii.
@@ -289,9 +356,10 @@ def moments_at(radii: np.ndarray, spec: ProblemSpec, tol: float = 1e-10):
     return J, H, K
 
 
-def exact_moments(grid: RadialGrid, spec: ProblemSpec, tol: float = 1e-10) -> MomentTriple:
+def exact_moments(grid: RadialGrid, spec: ProblemSpec, tol: float = 1e-10,
+                  stats: dict | None = None) -> MomentTriple:
     """Exact moments sampled at every cell center of ``grid``."""
-    J, H, K = moments_at(grid.r_centers, spec, tol)
+    J, H, K = moments_at(grid.r_centers, spec, tol, stats)
     return MomentTriple(
         J=RadialField(grid, J), H=RadialField(grid, H), K=RadialField(grid, K)
     )

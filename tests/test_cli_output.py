@@ -1,17 +1,23 @@
 """
 CLI output bytes: the columnar CSV writer against value-at-a-time
 formatting, checked-in digests of the domain-split snapshot files, of
-small switched-scheme runs and of oracle and convergence outputs, and a
-solve-old run through the CLI checked against the direct stationary solve.
+small switched-scheme runs and of oracle and convergence outputs, the
+oracle's digests again under narrower numpy dispatch, and a solve-old run
+through the CLI checked against the direct stationary solve.
 """
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import idsa_lab
 from idsa_lab import (
     ProblemSpec,
     RadialField,
@@ -110,22 +116,23 @@ _N_CELLS = 300  # a multiple of 3, so R = 6 lands on a face of [0, 18]
 # panels and halves together moved bits, since it rounds a row by the row
 # count of its product.  (n_cells, kappa) -> digest of the non-comment lines
 # of oracle.csv, and the digests of the whole convergence.csv and fit.txt of
-# one sweep at 90 cells.  Re-pinned after commit e5a6962, when the weighted
-# sum became per-row; that moved 73 of the 1476 oracle values here by at
-# most 3.5e-16 relative.  They also move if numpy rounds differently.  The
-# convergence.csv digest was re-pinned again after commit 3642be4, when the
-# scenario echo came to hold only the keys the run reads: it lost its
-# kappa, kappa_outside and kappa_s lines, and its other lines kept their bytes.
+# one sweep at 90 cells.  Re-pinned after commit 3b4ea9b, when the oracle's
+# exp became the lab's own (_march.c's fixed_exp, numpy's _exp in
+# sphere.py) and its outside K took (1 - (R/r)^2)^1.5 as a product with
+# mu0 instead of numpy's power: both made the oracle's bytes independent of
+# numpy's SIMD dispatch, which they were not (test_oracle_digests_do_not_
+# depend_on_numpys_dispatch).  They move if numpy's basic operations stop
+# rounding correctly, or if einsum adds in another order (test_native.py).
 _ORACLE_RUNS = {
-    (33, 1): "6602f244e0783230e345fe787748165b2a43ffe4d59ff737e18943ed7689ed93",
-    (33, 20): "84b1a1ca91e9509c5f08cb3a697619950ae173ed870dbac7b37fa9375563bf9f",
-    (90, 1): "a0a8a074e209113843a07febf5c50e4a0dd78a03a9ce3c5a39af2d09189e6298",
-    (90, 20): "6c4a8c7c039e0b9eb067bdf07c43e30fcd62a51eee04cfb628b7f21fa5c5f0b1",
+    (33, 1): "375a2b11e2f18d4b4bcbc5e321428236bd1b80e61c3284eb2fd449e44d0a2b16",
+    (33, 20): "96f51e3f5c314f7edbe0d0f64c3af6df06cea598e4a93887a16289d78129b54a",
+    (90, 1): "210315a7c4ded8f9e3179b3c3baceaac003fcb7b0cd63a2777bea87728f48a07",
+    (90, 20): "99e4ed7cde2dfae010edf674eaa369602031b878b8e9bc6f269159637e6bf901",
 }
 _CONVERGENCE_KAPPAS = "1, 2, 5, 10, 20"
 _CONVERGENCE_RUN = {
-    "convergence.csv": "8f64cff0844289e222525a8d7672ca255ae9941a7237b922553bacc735218cac",
-    "fit.txt": "4827d40d7da8fa1dcdab748705817187b41974799aba7b43ed7403677eaff712",
+    "convergence.csv": "6da86484bf13ec5f7b5df08fa59e97d8660908dc9d30c5d2e2d3e215eebf7ada",
+    "fit.txt": "6778cd5663d2e08edd383660b8ad04af44115a966018b8a937c180ab6f14bf69",
 }
 
 
@@ -187,6 +194,36 @@ def test_oracle_matches_checked_in_digest(tmp_path, n_cells, kappa):
     )
     assert main(["run", str(cfg)]) == 0
     assert _body_sha256(tmp_path / "out" / "oracle.csv") == _ORACLE_RUNS[n_cells, kappa]
+
+
+# numpy's dispatch as a host without AVX-512 (X86_V3, AVX2) and one without
+# AVX2 as well (X86_V2) would see it.
+_NUMPY_DISPATCH = {
+    "no-x86-64-v4": "AVX512_SPR AVX512_ICL X86_V4",
+    "no-x86-64-v3": "AVX512_SPR AVX512_ICL X86_V4 X86_V3",
+}
+
+
+@pytest.mark.parametrize("disabled", sorted(_NUMPY_DISPATCH))
+def test_oracle_digests_do_not_depend_on_numpys_dispatch(tmp_path, disabled):
+    # Each pinned oracle run again, in a process whose numpy dispatches
+    # narrower loops: the oracle uses none of numpy's transcendentals.
+    src = str(Path(idsa_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": _NUMPY_DISPATCH[disabled],
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    runs = []
+    for n_cells, kappa in sorted(_ORACLE_RUNS):
+        out = tmp_path / f"{n_cells}-{kappa}"
+        cfg = tmp_path / f"{n_cells}-{kappa}.cfg"
+        cfg.write_text(f"experiment = oracle\nn_cells = {n_cells}\nkappa = {kappa}\n"
+                       f"output_dir = {out}\n")
+        runs.append(f"assert main(['run', {str(cfg)!r}]) == 0")
+    code = "\n".join(["from idsa_lab.cli import main", *runs])
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for n_cells, kappa in sorted(_ORACLE_RUNS):
+        oracle_csv = tmp_path / f"{n_cells}-{kappa}" / "oracle.csv"
+        assert _body_sha256(oracle_csv) == _ORACLE_RUNS[n_cells, kappa]
 
 
 def test_convergence_matches_checked_in_digests(tmp_path):

@@ -645,3 +645,32 @@ def test_solve_idsa_keeps_its_step_zero_snapshot(tmp_path):
     assert _run_cli(tmp_path, text, f"output_dir={out}") == 0
     lines = (out / "snapshots.csv").read_text().splitlines()
     assert {line.split(",")[0] for line in lines if line[0].isdigit()} == {"0", "1"}
+
+
+# Inputs that a sweep of edge values over every key found crashing with a
+# traceback (exit 1) or stepping toward 1e301 steps: each derives a step
+# count of 2^63 or more, a cell width whose square is not a normal double,
+# or a kappa R whose (2 kappa R)^2 is not.  (experiment, key, value)
+_DERIVED_PROBES = [
+    *[(exp, "dt", "1e-300")
+      for exp in ("solve-idsa", "spurious", "instability", "solve-old", "solve-new")],
+    *[(exp, key, "1e300") for exp in ("solve-idsa", "instability")
+      for key in ("t_end", "snapshot_times")],
+    *[(exp, "snapshot_times", "1e300") for exp in ("solve-old", "solve-new")],
+    ("solve-new", "R", "1e-300"),
+    ("solve-new", "kappa", "1e-300"),
+    ("instability", "R", "1e-300"),
+    ("instability", "r_max", "1e300"),
+]
+
+
+@pytest.mark.parametrize("experiment, key, value", _DERIVED_PROBES)
+def test_cli_rejects_unrepresentable_derived_quantities(tmp_path, capsys, experiment, key,
+                                                         value):
+    out = tmp_path / "a" / "out"
+    text = f"experiment = {experiment}\n{key} = {value}\n"
+    assert _run_cli(tmp_path, text, f"output_dir={out}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "Traceback" not in err
+    assert f"{key} = {float(value):g}" in err
+    assert not (tmp_path / "a").exists()

@@ -1,8 +1,10 @@
 """
 The native kernels against their references: the march against the numpy
-march (fields, tags, stops and records), the oracle's panel passes against
-its numpy integrands, the tridiagonal solve against the Python dgtsv and
-scipy, and the CSV formatter against Python's ``.17g``, all bit for bit;
+march (fields, tags, stops and records), the oracle's quadrature against
+integrate_batch over its numpy integrands (values, failures and counts)
+and its exp against the numpy transcription, the tridiagonal solve against
+the Python dgtsv and scipy, and the CSV formatter against Python's
+``.17g``, all bit for bit; the oracle's exp within 1 ulp of mpmath;
 the march and the oracle built on their own at each x86-64 level this CPU
 runs, against numpy; both marches never writing to an array they have
 shown; the removal of stale builds; and the fallback when the module cannot
@@ -13,6 +15,7 @@ import contextlib
 import itertools
 import math
 import signal
+import unittest.mock
 from decimal import Decimal
 import importlib.machinery
 import importlib.util
@@ -48,6 +51,7 @@ from idsa_lab.config import parse_config
 from idsa_lab.idsa import (
     _CONFIRM, _MIN_HOLD, _Holds, _Kernel, _Reductions, _march, diffusion_number,
 )
+from idsa_lab import quadrature, sphere
 from idsa_lab.quadrature import _WEIGHTS, QuadratureError
 from idsa_lab.reformed import ReformedScheme, _gtsv_factor, _gtsv_solve, _Tridiagonal
 from idsa_lab.sphere import moments_at
@@ -140,12 +144,12 @@ def test_native_source_compiles_without_warnings():
     assert proc.stderr == ""
     if not (_host_levels() and _cc_clones_the_march()):
         return
-    # The cached module holds three clones of the march and of each oracle
+    # The cached module holds three clones of the march and of the oracle's
     # pass, and names the widest this CPU runs.
     native = _native.load()
     module = Path(native.__file__).read_bytes()
     for kernel, level in itertools.product(
-        ("march", "oracle_nodes", "oracle_panels"), ("arch_x86_64_v4", "arch_x86_64_v3", "default")
+        ("march", "panel_estimates"), ("arch_x86_64_v4", "arch_x86_64_v3", "default")
     ):
         assert f"{kernel}.{level}".encode() + b"\0" in module
     assert _native.march_isa() == _host_levels()[-1]
@@ -617,11 +621,37 @@ def test_build_removes_stale_builds(tmp_path, fresh_load):
 
 
 def _oracle_bytes(radii, spec, tol):
-    """J, H and K as bytes, or the QuadratureError's message."""
+    """J, H and K as bytes, or the QuadratureError's owner and message; and
+    the quadrature's counts."""
+    stats = {}
     try:
-        return np.stack(moments_at(radii, spec, tol)).tobytes()
+        return np.stack(moments_at(radii, spec, tol, stats)).tobytes(), stats
     except QuadratureError as exc:
-        return str(exc)
+        return (exc.owner, str(exc)), stats
+
+
+def _oracle_failures():
+    """The oracle's three failures, each raised on the path that runs: a
+    non-finite estimate (an infinite opacity makes inf * 0 at r = R, mu = 1),
+    the depth cap and the live-panel cap, both lowered."""
+    radii = _edge_radii(6.0, *make_uniform_grid(18.0, 60).r_centers)
+    failures = []
+    for what, patch in (("non-finite", {}), ("depth", {"_MAX_DEPTH": 2}),
+                        ("live panels", {"_MAX_LIVE_PANELS": 16})):
+        with contextlib.ExitStack() as stack:
+            for name, value in patch.items():
+                stack.enter_context(unittest.mock.patch.object(quadrature, name, value))
+            try:
+                if what == "non-finite":
+                    with np.errstate(invalid="ignore"):
+                        sphere._inside_integrals(np.array([1.0, 3.0, 6.0]), np.inf, 6.0, 1e-10)
+                else:
+                    moments_at(radii, ProblemSpec(B=1.0, R=6.0, kappa=97.0), 1e-13)
+            except QuadratureError as exc:
+                failures.append((exc.owner, str(exc)))
+            else:
+                failures.append(f"no {what} failure")
+    return failures
 
 
 def _edge_radii(R, *more):
@@ -647,7 +677,7 @@ def _clone_cases():
     radii = _edge_radii(6.0, *make_uniform_grid(18.0, 600).r_centers)
     oracle = [_oracle_bytes(radii, ProblemSpec(B=1.0, R=6.0, kappa=kappa), 1e-10)
               for kappa in (0.01, 1.0, 97.0, 1000.0)]
-    return instability, spurious, stationary, oracle
+    return instability, spurious, stationary, (oracle, _oracle_failures())
 
 
 @pytest.fixture(scope="module")
@@ -689,8 +719,13 @@ def test_every_clone_level_matches_numpy_bit_for_bit(
     assert any(r.censored for r in spurious) and any(not r.censored for r in spurious)
     assert stationary.stopped == "stationary"
     _assert_same_trajectory(stationary, stationary_ref, n_snapshots=3)
-    assert all(isinstance(case, bytes) for case in oracle_ref)
+    assert all(isinstance(case, bytes) for case, _ in oracle_ref[0])
+    kinds = ("entry 2 has a non-finite panel estimate (nan)", "within depth 2:", "cap of 16;")
+    assert all(kind in message for kind, (_, message) in zip(kinds, oracle_ref[1]))
     assert oracle == oracle_ref
+    # The exp of the oracle, at this level, against its numpy transcription.
+    x = _exp_arguments(np.random.default_rng(5), 20000)
+    assert _native_exp(x).tobytes() == sphere._exp(x, np.empty_like(x)).tobytes()
 
 
 @needs_native
@@ -735,8 +770,9 @@ def test_import_neither_loads_cffi_nor_builds():
     fractions=st.lists(st.floats(0.0, 3.0), max_size=12),
 )
 def test_native_oracle_matches_numpy_bit_for_bit(kappa, R, tol, fractions):
-    # The C passes run the numpy integrands' operations in their order, with
-    # numpy's exp between them: the same J, H and K, or the same failure.
+    # The native quadrature runs integrate_batch's bisection over the numpy
+    # integrands' operations in their order, exp included: the same J, H and
+    # K, or the same failure, and the same counts.
     radii = _edge_radii(R, *(f * R for f in fractions))
     spec = ProblemSpec(B=1.0, R=R, kappa=kappa)
     native, reference = _both(lambda: _oracle_bytes(radii, spec, tol))
@@ -744,12 +780,80 @@ def test_native_oracle_matches_numpy_bit_for_bit(kappa, R, tol, fractions):
 
 
 @needs_native
-def test_native_panel_sum_adds_in_einsums_order():
-    # The panels pass writes down the order in which np.einsum adds a row of
-    # 15 (quadrature's docstring), and the numpy oracle weighs with einsum.
-    # The outside integrand's second component is v e, so at v = 1 and
-    # half = 1 it weighs the rows of e as they are.  A numpy whose einsum
-    # adds in another order fails here, not by splitting the two oracles.
+def test_native_oracle_fails_as_numpy():
+    # The same owner and message for a non-finite estimate, the depth cap
+    # and the live-panel cap.
+    native, reference = _both(_oracle_failures)
+    assert all(isinstance(failure, tuple) for failure in reference)
+    assert native == reference
+
+
+def _exp_arguments(rng, n):
+    """n arguments over [-746, 710], denser in the subnormal band and at the
+    ends, and the edge cases: +-0, NaN, +-inf, the bounds, 0 and overflow."""
+    ln_min_sub = math.log(2.0) * -1075.0  # below it exp rounds to 0
+    ln_max = math.log(sys.float_info.max)
+    edges = [0.0, -0.0, np.nan, np.inf, -np.inf, -746.0, 710.0, -745.0, 709.0, 1e-300,
+             -1e-300, 5e-324, 1e300, -1e300, ln_max, math.log(sys.float_info.min)]
+    for x in (ln_min_sub, ln_max):
+        edges += [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+    return np.concatenate([
+        rng.uniform(-746.0, 710.0, n - n // 4),
+        rng.uniform(-745.2, -708.3, n // 8),                          # subnormal results
+        rng.uniform(-1.0, 1.0, n // 16) * 10.0 ** rng.uniform(-20, 0, n // 16),
+        rng.uniform(709.0, 709.79, n - (n - n // 4) - n // 8 - n // 16),
+        edges,
+    ])
+
+
+def _native_exp(x):
+    native = _native.load()
+    ffi = native.ffi
+    x = np.ascontiguousarray(x)
+    out = np.empty_like(x)
+    native.lib.oracle_exp(x.size, ffi.from_buffer("double[]", x), ffi.from_buffer("double[]", out))
+    return out
+
+
+@needs_native
+def test_exp_is_within_one_ulp_and_matches_its_numpy_transcription():
+    # The oracle's exp, against exp of each argument from mpmath (100 bits)
+    # rounded to double, on 10^5 arguments: at most 1 ulp off, 0 and
+    # infinity where exp rounds to them, NaN for NaN; and sphere._exp gives
+    # the same bits.  mpmath's low-level functions keep this to a second.
+    libmp = pytest.importorskip("mpmath.libmp")
+    x = _exp_arguments(np.random.default_rng(21), 100_000)
+    y = _native_exp(x)
+    assert y.tobytes() == sphere._exp(x, np.empty_like(x)).tobytes()
+    assert np.isnan(y[np.isnan(x)]).all()
+    x, y = x[~np.isnan(x)], y[~np.isnan(x)]
+    # exp(x) = hi + rest, hi the double nearest to it and rest in units of
+    # the ulp of exp(x): the ulp below hi where exp(x) is below a power of 2
+    hi, ulp, rest = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    for i, xi in enumerate(x.tolist()):
+        e = libmp.mpf_exp(libmp.from_float(xi), 100, libmp.round_nearest)
+        hi[i] = libmp.to_float(e, rnd=libmp.round_nearest)
+        if 0.0 < hi[i] < math.inf:
+            d = libmp.mpf_sub(e, libmp.from_float(hi[i]), 100)
+            below = libmp.mpf_sign(d) < 0 and math.frexp(hi[i])[0] == 0.5
+            ulp[i] = math.ulp(hi[i]) / (2.0 if below and hi[i] > sys.float_info.min else 1.0)
+            rest[i] = libmp.to_float(libmp.mpf_div(d, libmp.from_float(ulp[i]), 100))
+    ends = (hi == 0.0) | np.isinf(hi)
+    assert np.array_equal(y[ends], hi[ends])
+    off = np.abs((y[~ends] - hi[~ends]) / ulp[~ends] - rest[~ends])
+    assert off.max() <= 1.0
+    assert off.max() > 0.5  # not correctly rounded: the bound is the claim
+
+
+def test_einsum_adds_in_the_order_the_native_oracle_weighs():
+    # The native oracle weighs a panel's 15 integrand values in the order
+    # that _march.c's WEIGH_ORDER writes down, in two lanes (quadrature's
+    # docstring), and the numpy oracle weighs with np.einsum.  A numpy whose
+    # einsum adds in another order fails here, not by splitting the oracles.
+    source = _native._SOURCE.read_text()
+    order = [int(j) for j in re.search(r"WEIGH_ORDER\[ORACLE_NODES\] = \{([^}]*)\}",
+                                         source).group(1).split(",")]
+    assert sorted(order) == list(range(15))
     rng = np.random.default_rng(19)
     n = 3000
     zeros = np.where(rng.random((n, 15)) < 0.5, 0.0, -0.0)
@@ -763,25 +867,14 @@ def test_native_panel_sum_adds_in_einsums_order():
         -np.zeros((1, 15)),
         _random_bit_patterns(rng, n * 15, (0, 2040)).reshape(n, 15),
     ])
-    p = len(rows)
-    native = _native.load()
-    ffi = native.ffi
-    keep = [np.ascontiguousarray(a) for a in (
-        _WEIGHTS, np.zeros(p), np.arange(p), np.zeros(p), np.full(p, 2.0),
-        np.stack([np.ones((15, p)), rows.T]),  # v and e, node-major
-    )]
-    weights, mu0_sq, owners, a, b, buf = keep
-    g = ffi.new("oracle_integrand *")
-    g.weight, g.mu0_sq = ffi.from_buffer("double[]", weights), ffi.from_buffer("double[]", mu0_sq)
-    est = np.empty((3, p))
-    native.lib.oracle_panels(
-        g, p, ffi.from_buffer("long long[]", owners), ffi.from_buffer("double[]", a),
-        ffi.from_buffer("double[]", b), ffi.from_buffer("double[]", buf),
-        ffi.from_buffer("double[]", est),
-    )
+    lanes = np.zeros((2, len(rows)))
+    for j in order:  # each lane starts at 0 and adds v_j w_j
+        lanes[j & 1] = lanes[j & 1] + rows[:, j] * _WEIGHTS[j]
+    lanes[1] = lanes[1] + 0.0 * 0.0  # the odd lane's zero padding
+    weighed = 0.0 + (lanes[0] + lanes[1])
     expected = np.einsum("...j,j->...", rows, _WEIGHTS)
     assert np.isfinite(expected).all()
-    assert est[1].tobytes() == expected.tobytes()
+    assert weighed.tobytes() == expected.tobytes()
 
 
 @needs_native
@@ -799,6 +892,8 @@ def test_manifest_names_the_oracle_path(tmp_path, experiment):
         bodies[name] = [(tmp_path / name / f).read_bytes() for f in manifests[name]["outputs"]]
     native, reference = manifests["native"], manifests["numpy"]
     assert native["oracle"] == "native" and native["march_isa"] == _native.march_isa()
+    assert native["quadrature"] == reference["quadrature"]
+    assert native["quadrature"]["panels"] > 0
     assert reference["oracle"] == "numpy" and "march_isa" not in reference
     assert "march" not in native and "march" not in reference
     assert bodies["native"] == bodies["numpy"]

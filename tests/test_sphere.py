@@ -198,14 +198,14 @@ def test_an_outside_piece_names_its_radius(monkeypatch):
     # The outside batch holds two pieces per radius, [0, w] of each, then
     # [w, vmax] of each: entry n + j is radius j of the n outside radii.
     radii = np.array([1.0, 7.0, 8.0, 2.0, 9.0])  # outside: radii[1], radii[2], radii[4]
-    integrate = sphere.integrate_batch
+    integrals = sphere._integrals  # both the native and the numpy quadrature
 
-    def failing(f, lo, hi, **kw):
+    def failing(f, lo, hi, *args, **kw):
         if lo.size == 6:  # the outside batch
             raise QuadratureError(4, "quadrature: batch entry 4 has a non-finite panel estimate")
-        return integrate(f, lo, hi, **kw)
+        return integrals(f, lo, hi, *args, **kw)
 
-    monkeypatch.setattr(sphere, "integrate_batch", failing)
+    monkeypatch.setattr(sphere, "_integrals", failing)
     with pytest.raises(QuadratureError) as ei:
         moments_at(radii, SPEC)
     assert ei.value.owner == 2
