@@ -10,7 +10,10 @@
  *   and by glibc's snprintf otherwise;
  * - oracle_integrate(): the exact sphere's adaptive quadrature (sphere.py
  *   and quadrature.py), whole, with an exp of its own (fixed_exp(), also
- *   as oracle_exp()) fused into its pass over the nodes.
+ *   as oracle_exp()) fused into its pass over the nodes, its independent
+ *   blocks on a few POSIX threads started and joined within each call
+ *   (built with -pthread), merged in block order so that the bits do not
+ *   depend on how many ran.
  *
  * Each gives the bits of its Python reference: built without fast-math and
  * without contraction into fused multiply-adds, every operation rounds as
@@ -30,6 +33,8 @@
 
 #include <float.h>
 #include <math.h>
+#include <pthread.h>
+#include <stdatomic.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
@@ -526,9 +531,13 @@ static void panel_estimates(const oracle_integrand *g, long long m, const long l
 /*
  * The outcome of oracle_integrate: kind is ORACLE_OK, or why it stopped,
  * with what QuadratureError's message names; and the counts of the work
- * done, over the blocks integrated.
+ * done, over the blocks up to the first that failed.  Each block has one
+ * of its own, and oracle_integrate merges them into the call's.
  */
 enum { ORACLE_OK, ORACLE_NON_FINITE, ORACLE_TOO_DEEP, ORACLE_TOO_MANY, ORACLE_NO_MEMORY };
+
+/* The most threads one call runs, the calling one included. */
+#define ORACLE_MAX_WORKERS 64
 
 typedef struct {
     int kind;
@@ -540,6 +549,7 @@ typedef struct {
     long long panels;   /* panel estimates computed */
     int max_depth;      /* the deepest level of bisection reached */
     long long max_live; /* the most panels a block held past level 0 */
+    int workers;        /* the threads that integrated the blocks */
 } oracle_status;
 
 /* A panel queue: each panel's block-local owner, bounds, midpoint and estimate (3, size). */
@@ -803,30 +813,59 @@ static int integrate_block(const oracle_integrand *g, long long base, int nb, co
 }
 
 /*
- * integrate_batch over the n owners with limits lo and hi, for the oracle's
- * integrand g, into out (3, n), block by block; status says how it ended
- * and counts the work.  On a failure out is partly written.
+ * One call of oracle_integrate, shared by its workers: the problem, the
+ * next block to take, the lowest block known to have failed (n_blocks
+ * while none has), and each block's status.
  */
-void oracle_integrate(const oracle_integrand *g, long long n, const double *lo, const double *hi,
-                      double tol, int block, int max_depth, long long max_live, double *out,
-                      oracle_status *status)
+typedef struct {
+    const oracle_integrand *g;
+    long long n, n_blocks;
+    const double *lo, *hi;
+    double tol;
+    int block, max_depth;
+    long long max_live;
+    double *out;
+    oracle_status *slots;
+    atomic_llong next, failed;
+} oracle_job;
+
+/*
+ * A worker: takes the next block until none is left, each into its own
+ * scratch, and writes the block's values into out and its outcome into its
+ * slot.  A block after one known to have failed is not integrated: the
+ * merge stops at the first failure.
+ */
+static void *oracle_worker(void *arg)
 {
+    oracle_job *job = arg;
+    const int block = job->block;
     oracle_scratch s = {0};
-    memset(status, 0, sizeof *status);
     double *acc = malloc(11 * (size_t)block * sizeof *acc);
     long long *count = malloc((size_t)block * sizeof *count);
-    if (!acc || !count) {
-        status->kind = ORACLE_NO_MEMORY;
-    } else {
-        double *total = acc + 3 * block, *err_sum = total + 3 * block, *span = err_sum + 3 * block,
-               *flag = span + block;
-        for (long long base = 0; base < n; base += block) {
-            const int nb = n - base < block ? (int)(n - base) : block;
-            if (!integrate_block(g, base, nb, lo + base, hi + base, tol, max_depth, max_live, acc,
-                                 total, err_sum, span, flag, count, &s, status))
-                break;
+    for (;;) {
+        const long long k = atomic_fetch_add(&job->next, 1);
+        if (k >= job->n_blocks || k > atomic_load(&job->failed))
+            break;
+        const long long base = k * block, n = job->n;
+        const int nb = n - base < block ? (int)(n - base) : block;
+        oracle_status *st = &job->slots[k];
+        int ok = 0;
+        if (!acc || !count) {
+            st->kind = ORACLE_NO_MEMORY;
+        } else {
+            double *total = acc + 3 * block, *err_sum = total + 3 * block,
+                   *span = err_sum + 3 * block, *flag = span + block;
+            ok = integrate_block(job->g, base, nb, job->lo + base, job->hi + base, job->tol,
+                                 job->max_depth, job->max_live, acc, total, err_sum, span, flag,
+                                 count, &s, st);
+        }
+        if (ok) {
             for (int c = 0; c < 3; c++)
-                memcpy(out + c * n + base, acc + c * nb, nb * sizeof *out);
+                memcpy(job->out + c * n + base, acc + c * nb, nb * sizeof *job->out);
+        } else {
+            long long failed = atomic_load(&job->failed);
+            while (k < failed && !atomic_compare_exchange_weak(&job->failed, &failed, k))
+                ;
         }
     }
     free(acc);
@@ -844,6 +883,65 @@ void oracle_integrate(const oracle_integrand *g, long long n, const double *lo, 
         free(s.q[k].mid);
         free(s.q[k].est);
     }
+    return NULL;
+}
+
+/*
+ * integrate_batch over the n owners with limits lo and hi, for the oracle's
+ * integrand g, into out (3, n), in blocks of `block` owners; status says
+ * how it ended and counts the work.  On a failure out is partly written.
+ *
+ * Blocks are independent, so up to `workers` threads integrate them: the
+ * calling thread and min(workers, blocks) - 1 helpers, started and joined
+ * here, each taking the next block in turn.  The blocks' outcomes are then
+ * merged in block order, as one thread taking them in turn would have
+ * counted them, up to the first failing block, whose failure is reported.
+ * So the values, counts and failures do not depend on the number of
+ * workers, nor on which worker took which block.  status->workers is the
+ * number of threads that ran (a helper that cannot be started is not).
+ */
+void oracle_integrate(const oracle_integrand *g, long long n, const double *lo, const double *hi,
+                      double tol, int block, int max_depth, long long max_live, int workers,
+                      double *out, oracle_status *status)
+{
+    memset(status, 0, sizeof *status);
+    const long long n_blocks = (n + block - 1) / block;
+    oracle_job job = {.g = g, .n = n, .n_blocks = n_blocks, .lo = lo, .hi = hi, .tol = tol,
+                      .block = block, .max_depth = max_depth, .max_live = max_live, .out = out,
+                      .slots = calloc(n_blocks > 0 ? n_blocks : 1, sizeof *job.slots)};
+    atomic_init(&job.next, 0);
+    atomic_init(&job.failed, n_blocks);
+    if (!job.slots) {
+        status->kind = ORACLE_NO_MEMORY;
+        return;
+    }
+    pthread_t helpers[ORACLE_MAX_WORKERS - 1];
+    const long long want = workers < n_blocks ? workers : n_blocks;
+    int started = 0;
+    while (started + 1 < want && started + 1 < ORACLE_MAX_WORKERS &&
+           pthread_create(&helpers[started], NULL, oracle_worker, &job) == 0)
+        started++;
+    oracle_worker(&job);
+    for (int k = 0; k < started; k++)
+        pthread_join(helpers[k], NULL);
+    status->workers = started + 1;
+
+    for (long long k = 0; k < n_blocks; k++) {
+        const oracle_status *st = &job.slots[k];
+        status->panels += st->panels;
+        status->max_depth = st->max_depth > status->max_depth ? st->max_depth : status->max_depth;
+        status->max_live = st->max_live > status->max_live ? st->max_live : status->max_live;
+        if (st->kind != ORACLE_OK) {
+            status->kind = st->kind;
+            status->owner = st->owner;
+            status->value = st->value;
+            status->live = st->live;
+            status->held = st->held;
+            status->depth = st->depth;
+            break;
+        }
+    }
+    free(job.slots);
 }
 
 /*

@@ -4,14 +4,19 @@ the exact sphere's adaptive quadrature, the domain-split schemes'
 tridiagonal solve and the CSV row formatter.  The oracle's quadrature runs
 whole in C, one call per batch, its integrands and an exp of the lab's own
 evaluated in one pass over each tile of panels; no numpy function is left
-in it.  The formatter writes ``%.17g`` itself for +-0, NaN and every
+in it.  Its blocks of owners are independent, so each call integrates them
+on up to as many threads as the process may use CPUs (``sphere._cpus``),
+started and joined within the call, and merges their outcomes in block
+order: the values, counts and failures do not depend on how many ran.
+The formatter writes ``%.17g`` itself for +-0, NaN and every
 1e-38 < |x| < 1e17, with exact integer arithmetic, and calls glibc's
 ``snprintf`` only for the rest (subnormals, 0 < |x| <= 1e-38, |x| >= 1e17,
 the infinities); ``cli`` writes its buffer to the file as bytes.
 
 The module is compiled with cffi (API mode) on first use, into
 ``_native_cache/`` next to this file, with
-``-O3 -ffp-contract=off -fno-math-errno``:
+``-O3 -ffp-contract=off -fno-math-errno -pthread`` and linked with
+``-pthread``:
 
 - ``-O3`` lets gcc vectorize the march's elementwise passes.  A vector
   add, multiply, divide or compare rounds each element as the scalar one
@@ -24,6 +29,7 @@ The module is compiled with cffi (API mode) on first use, into
   ``errno`` is no longer set for a negative argument.
 - No fast-math, which would reorder sums, assume no NaN and flush
   subnormals.
+- ``-pthread`` for the oracle's workers.
 - With gcc 12 or later on x86-64 and glibc, ``march()`` and the oracle's
   pass over its panels are compiled three times from the one source
   (``target_clones``): for x86-64-v4 (AVX-512, eight doubles per
@@ -67,7 +73,7 @@ from pathlib import Path
 
 _SOURCE = Path(__file__).with_name("_march.c")
 _CACHE = Path(__file__).with_name("_native_cache")
-_CFLAGS = ["-O3", "-ffp-contract=off", "-fno-math-errno"]
+_CFLAGS = ["-O3", "-ffp-contract=off", "-fno-math-errno", "-pthread"]
 _CDEF = """
 typedef struct {
     int n_rows, n_cells, n_scan;
@@ -128,11 +134,12 @@ typedef struct {
     long long panels;
     int max_depth;
     long long max_live;
+    int workers;
 } oracle_status;
 
 void oracle_integrate(const oracle_integrand *g, long long n, const double *lo, const double *hi,
-                      double tol, int block, int max_depth, long long max_live, double *out,
-                      oracle_status *status);
+                      double tol, int block, int max_depth, long long max_live, int workers,
+                      double *out, oracle_status *status);
 void oracle_exp(long long n, const double *x, double *out);
 """
 
@@ -156,7 +163,7 @@ def _build(name: str, source: str, target: Path) -> None:
         raise BuildError(f"cffi is not installed ({exc})") from exc
     ffi = cffi.FFI()
     ffi.cdef(_CDEF)
-    ffi.set_source(name, source, extra_compile_args=_CFLAGS)
+    ffi.set_source(name, source, extra_compile_args=_CFLAGS, extra_link_args=["-pthread"])
     target.parent.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory(dir=target.parent) as tmp:
         try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .idsa import Schedule, SolverConfig
+from .idsa import _MAX_STEPS, Schedule, SolverConfig
 
 
 class ConfigError(ValueError):
@@ -163,10 +163,6 @@ def _oracle_tol_floor(kappa_R: float) -> float:
     at 0.2 to 0.5 eps * kappa_R.
     """
     return float(f"{1e-15 * max(1.0, kappa_R / 6.0):.3g}")
-
-
-# The kernels count steps in a signed 64-bit integer.
-_MAX_STEPS = 2.0**63
 
 
 def _check_derived(v: dict, reads: set, need) -> None:

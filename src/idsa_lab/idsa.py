@@ -89,6 +89,11 @@ class UnboundedError(RuntimeError):
 _KAPPA_FLOOR = 1e-30
 
 
+# Step counts must stay below 2^63: the kernels count them in a signed 64-bit
+# integer.
+_MAX_STEPS = 2.0**63
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     dt: float = 0.1
@@ -98,8 +103,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.dt < math.inf):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not (0.0 <= self.t_end / self.dt < math.inf):
-            raise ValueError(f"t_end must be >= 0 and finite in steps of dt = {self.dt}, "
+        if not (0.0 <= self.t_end / self.dt < _MAX_STEPS):
+            raise ValueError(f"t_end must be >= 0 and below 2^63 steps of dt = {self.dt}, "
                              f"got {self.t_end}")
         if not (self.stationarity_tol > 0):
             raise ValueError(f"stationarity_tol must be positive, got {self.stationarity_tol}")
@@ -161,8 +166,8 @@ class Schedule:
         self.dt, self.tol = cfg.dt, cfg.stationarity_tol
         self.n_steps = self.step(cfg.t_end)
         times = list(snapshot_times)
-        if not all(math.isfinite(t / cfg.dt) for t in times):
-            raise ValueError(f"snapshot_times {times} must be finite in steps of dt = {cfg.dt}")
+        if not all(abs(t / cfg.dt) < _MAX_STEPS for t in times):
+            raise ValueError(f"snapshot_times {times} must be below 2^63 steps of dt = {cfg.dt}")
         steps = [max(0, self.step(t)) for t in times]
         if len(set(steps)) < len(steps):
             raise ValueError(f"snapshot_times {times} name one step twice (dt = {cfg.dt})")

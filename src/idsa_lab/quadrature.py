@@ -44,9 +44,10 @@ The exact sphere's oracle runs this algorithm whole in C
 order, retirement test and order of sums, with its integrands and their
 exp evaluated in one pass per tile of panels and weighed in that two-lane
 order (``test_native.py`` checks that this numpy's einsum still adds in
-it).  Its results, its failures and its counts (``_count``) are this
-module's for the same integrands, and the messages of its failures are
-built here.
+it).  It integrates the blocks on several threads and reports the first
+failing block's failure, as this module does taking them in turn.  Its
+results, its failures and its counts (``_count``) are this module's for
+the same integrands, and the messages of its failures are built here.
 """
 
 from __future__ import annotations
@@ -58,14 +59,17 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 # Owners integrated together.  Level 0 holds 3 * _BLOCK panels: a
 # (3 * _BLOCK, 15) array of doubles is 369 kB, and the oracle's three
 # components of them 1.1 MB, within a 2 MB-per-core L2.  Larger blocks mean
-# fewer calls, each with its fixed Python cost.
+# fewer calls, each with its fixed Python cost.  The native oracle runs one
+# block per worker thread at a time, each in its own buffers, so what a
+# block holds is held once per worker.
 _BLOCK = 1024
 # Ceiling on the panels one block may queue for bisection, 4x the largest
 # queue of any oracle run that converges (2048 panels, over kappa 0.01 to 1000
 # at R = 6, tol 1e-10 to 1e-15, 2000 and 19998 cells, in blocks of 1024).  The
 # runs that do not converge are owners just inside R bisecting every panel at
 # every level, at a tolerance below roundoff; they are the same runs in blocks
-# of 256 and of 1024.
+# of 256 and of 1024.  It bounds the memory of each of the native oracle's
+# workers, not of the call: a call holds up to one worker's worth per CPU.
 _MAX_LIVE_PANELS = 8192
 # Bisection depth cap: an owner still live past it raises QuadratureError.
 _MAX_DEPTH = 40
@@ -85,19 +89,22 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
 
 
-def _count(stats: dict | None, panels: int, depth: int, live: int) -> None:
+def _count(stats: dict | None, panels: int, depth: int, live: int, workers: int = 1) -> None:
     """
     Add work to ``stats``, the counts of the ``integrate_batch`` calls it
     is handed to (None: count nothing): ``panels``, the panel estimates
-    computed; ``max_depth``, the deepest level of bisection reached; and
+    computed; ``max_depth``, the deepest level of bisection reached;
     ``max_live_panels``, the most panels one block queued past level 0
-    (what ``_MAX_LIVE_PANELS`` bounds).  The last two are 0 where every
-    owner retires at level 0.
+    (what ``_MAX_LIVE_PANELS`` bounds), 0 where every owner retires at
+    level 0, as ``max_depth`` is; and ``workers``, the most threads one
+    call integrated its blocks on (1 here; the native oracle may run more,
+    with the same three counts).
     """
     if stats is not None:
         stats["panels"] = stats.get("panels", 0) + panels
         stats["max_depth"] = max(stats.get("max_depth", 0), depth)
         stats["max_live_panels"] = max(stats.get("max_live_panels", 0), live)
+        stats["workers"] = max(stats.get("workers", 0), workers)
 
 
 # The failures, as both integrate_batch and the native oracle report them.

@@ -2,11 +2,12 @@
 CLI output bytes: the columnar CSV writer against value-at-a-time
 formatting, checked-in digests of the domain-split snapshot files, of
 small switched-scheme runs and of oracle and convergence outputs, the
-oracle's digests again under narrower numpy dispatch, and a solve-old run
-through the CLI checked against the direct stationary solve.
+oracle's digests again under narrower numpy dispatch and on one CPU, and a
+solve-old run through the CLI checked against the direct stationary solve.
 """
 
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -224,6 +225,30 @@ def test_oracle_digests_do_not_depend_on_numpys_dispatch(tmp_path, disabled):
     for n_cells, kappa in sorted(_ORACLE_RUNS):
         oracle_csv = tmp_path / f"{n_cells}-{kappa}" / "oracle.csv"
         assert _body_sha256(oracle_csv) == _ORACLE_RUNS[n_cells, kappa]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call here")
+def test_oracle_digests_on_one_cpu(tmp_path):
+    # Each pinned oracle run again, in a process that may run on one CPU and
+    # integrates in blocks of 8 owners, so that each batch spans several
+    # blocks: the oracle runs them on one worker, with the pinned bytes.
+    src = str(Path(idsa_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ["import os", "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})",
+            "from idsa_lab import quadrature", "quadrature._BLOCK = 8",
+            "from idsa_lab.cli import main"]
+    for n_cells, kappa in sorted(_ORACLE_RUNS):
+        cfg = tmp_path / f"{n_cells}-{kappa}.cfg"
+        cfg.write_text(f"experiment = oracle\nn_cells = {n_cells}\nkappa = {kappa}\n"
+                       f"output_dir = {tmp_path / f'{n_cells}-{kappa}'}\n")
+        code.append(f"assert main(['run', {str(cfg)!r}]) == 0")
+    proc = subprocess.run([sys.executable, "-c", "\n".join(code)], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    for n_cells, kappa in sorted(_ORACLE_RUNS):
+        out = tmp_path / f"{n_cells}-{kappa}"
+        assert json.loads((out / "manifest.json").read_text())["quadrature"]["workers"] == 1
+        assert _body_sha256(out / "oracle.csv") == _ORACLE_RUNS[n_cells, kappa]
 
 
 def test_convergence_matches_checked_in_digests(tmp_path):

@@ -1,14 +1,14 @@
 """
 The native kernels against their references: the march against the numpy
 march (fields, tags, stops and records), the oracle's quadrature against
-integrate_batch over its numpy integrands (values, failures and counts)
-and its exp against the numpy transcription, the tridiagonal solve against
-the Python dgtsv and scipy, and the CSV formatter against Python's
-``.17g``, all bit for bit; the oracle's exp within 1 ulp of mpmath;
-the march and the oracle built on their own at each x86-64 level this CPU
-runs, against numpy; both marches never writing to an array they have
-shown; the removal of stale builds; and the fallback when the module cannot
-be built.
+integrate_batch over its numpy integrands (values, failures and counts,
+on any number of worker threads) and its exp against the numpy
+transcription, the tridiagonal solve against the Python dgtsv and scipy,
+and the CSV formatter against Python's ``.17g``, all bit for bit; the
+oracle's exp within 1 ulp of mpmath; the march and the oracle built on
+their own at each x86-64 level this CPU runs, against numpy; both marches
+never writing to an array they have shown; the removal of stale builds;
+and the fallback when the module cannot be built.
 """
 
 import contextlib
@@ -620,14 +620,23 @@ def test_build_removes_stale_builds(tmp_path, fresh_load):
     )
 
 
+@contextlib.contextmanager
+def _workers(n):
+    """Inside the block the native oracle runs its blocks on up to n threads."""
+    with unittest.mock.patch.object(sphere, "_cpus", lambda: n):
+        yield
+
+
 def _oracle_bytes(radii, spec, tol):
     """J, H and K as bytes, or the QuadratureError's owner and message; and
-    the quadrature's counts."""
+    the quadrature's counts of its work (not the workers that did it)."""
     stats = {}
     try:
-        return np.stack(moments_at(radii, spec, tol, stats)).tobytes(), stats
+        result = np.stack(moments_at(radii, spec, tol, stats)).tobytes()
     except QuadratureError as exc:
-        return (exc.owner, str(exc)), stats
+        result = exc.owner, str(exc)
+    stats.pop("workers", None)
+    return result, stats
 
 
 def _oracle_failures():
@@ -659,10 +668,11 @@ def _edge_radii(R, *more):
     return np.array([0.0, R, np.nextafter(R, 0.0), np.nextafter(R, np.inf), *more])
 
 
-def _clone_cases():
+def _clone_cases(workers=(1, 2, 3)):
     """An instability row with its reductions, a spurious batch with a sweep
     row and confirmed holds, a run_to_time stationary stop, and the oracle
-    at four opacities."""
+    at four opacities and its three failures, in blocks of 64 owners on each
+    number of workers."""
     spec = ProblemSpec(B=1.0, R=6.0, kappa=1.0)
     coarse = make_uniform_grid(18.0, 50)
     instability = run_instability_experiment(
@@ -675,15 +685,18 @@ def _clone_cases():
         spec, coarse, SolverConfig(dt=0.1, t_end=30.0, stationarity_tol=1e-8), (5.0, 20.0, 40.0)
     )
     radii = _edge_radii(6.0, *make_uniform_grid(18.0, 600).r_centers)
-    oracle = [_oracle_bytes(radii, ProblemSpec(B=1.0, R=6.0, kappa=kappa), 1e-10)
-              for kappa in (0.01, 1.0, 97.0, 1000.0)]
-    return instability, spurious, stationary, (oracle, _oracle_failures())
+    oracle = []
+    for n in workers:
+        with _workers(n), unittest.mock.patch.object(quadrature, "_BLOCK", 64):
+            oracle.append(([_oracle_bytes(radii, ProblemSpec(B=1.0, R=6.0, kappa=kappa), 1e-10)
+                            for kappa in (0.01, 1.0, 97.0, 1000.0)], _oracle_failures()))
+    return instability, spurious, stationary, oracle
 
 
 @pytest.fixture(scope="module")
 def numpy_clone_cases():
     with _numpy_march():
-        return _clone_cases()
+        return _clone_cases(workers=(1,))
 
 
 @pytest.mark.parametrize("level", list(_LEVEL_FLAGS))
@@ -719,10 +732,11 @@ def test_every_clone_level_matches_numpy_bit_for_bit(
     assert any(r.censored for r in spurious) and any(not r.censored for r in spurious)
     assert stationary.stopped == "stationary"
     _assert_same_trajectory(stationary, stationary_ref, n_snapshots=3)
+    [oracle_ref] = oracle_ref
     assert all(isinstance(case, bytes) for case, _ in oracle_ref[0])
     kinds = ("entry 2 has a non-finite panel estimate (nan)", "within depth 2:", "cap of 16;")
     assert all(kind in message for kind, (_, message) in zip(kinds, oracle_ref[1]))
-    assert oracle == oracle_ref
+    assert oracle == [oracle_ref] * 3  # on 1, 2 and 3 workers
     # The exp of the oracle, at this level, against its numpy transcription.
     x = _exp_arguments(np.random.default_rng(5), 20000)
     assert _native_exp(x).tobytes() == sphere._exp(x, np.empty_like(x)).tobytes()
@@ -772,11 +786,18 @@ def test_import_neither_loads_cffi_nor_builds():
 def test_native_oracle_matches_numpy_bit_for_bit(kappa, R, tol, fractions):
     # The native quadrature runs integrate_batch's bisection over the numpy
     # integrands' operations in their order, exp included: the same J, H and
-    # K, or the same failure, and the same counts.
+    # K, or the same failure, and the same counts; at the default block, and
+    # in blocks of 2 owners on 1, 2 and 3 workers.
     radii = _edge_radii(R, *(f * R for f in fractions))
     spec = ProblemSpec(B=1.0, R=R, kappa=kappa)
     native, reference = _both(lambda: _oracle_bytes(radii, spec, tol))
     assert native == reference
+    with unittest.mock.patch.object(quadrature, "_BLOCK", 2):
+        with _numpy_march():
+            reference = _oracle_bytes(radii, spec, tol)
+        for n in (1, 2, 3):
+            with _workers(n):
+                assert _oracle_bytes(radii, spec, tol) == reference
 
 
 @needs_native
@@ -786,6 +807,83 @@ def test_native_oracle_fails_as_numpy():
     native, reference = _both(_oracle_failures)
     assert all(isinstance(failure, tuple) for failure in reference)
     assert native == reference
+
+
+def _two_failing_blocks():
+    """Two batches, each with two failing blocks: in blocks of 4 owners, a
+    non-finite estimate in blocks 1 and 3 (an infinite opacity at r = R);
+    and in blocks of 64, the depth cap, lowered to 3, in blocks 0 and 1 of
+    the inside radii, whose last owner is R one ulp below, after all the
+    block's other owners have been bisected.  The QuadratureError's owner
+    and message, the workers and the counts of each."""
+    cases = []
+    stats = {}
+    try:
+        with unittest.mock.patch.object(quadrature, "_BLOCK", 4), np.errstate(invalid="ignore"):
+            sphere._inside_integrals(np.array([1.0, 2.0, 3.0, 4.0, 1.0, 6.0, 2.0, 3.0,
+                                               1.0, 2.0, 3.0, 4.0, 6.0, 5.0]),
+                                     np.inf, 6.0, 1e-10, stats)
+    except QuadratureError as exc:
+        cases.append((exc.owner, str(exc), stats.pop("workers"), stats))
+    stats = {}
+    edge = np.nextafter(6.0, 0.0)
+    radii = np.array([*np.linspace(0.1, 5.9, 63), edge, *np.linspace(0.2, 5.8, 63), edge, 1.0])
+    try:
+        with unittest.mock.patch.object(quadrature, "_BLOCK", 64), \
+                unittest.mock.patch.object(quadrature, "_MAX_DEPTH", 3):
+            moments_at(radii, ProblemSpec(B=1.0, R=6.0, kappa=97.0), 1e-13, stats)
+    except QuadratureError as exc:
+        cases.append((exc.owner, str(exc), stats.pop("workers"), stats))
+    return cases
+
+
+@needs_native
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_native_oracle_reports_the_lower_of_two_failing_blocks(workers):
+    # Every worker count reports the failure of the lowest failing block, as
+    # integrate_batch does, and counts the work of the blocks up to it.  Which
+    # block fails first in time varies from run to run: five runs.
+    with _numpy_march():
+        reference = _two_failing_blocks()
+    assert [owner for owner, *_ in reference] == [5, 63]
+    assert "non-finite" in reference[0][1] and "within depth 3" in reference[1][1]
+    assert [case[2] for case in reference] == [1, 1]
+    for _ in range(5):
+        with _workers(workers):
+            native = _two_failing_blocks()
+        assert [case[:2] + case[3:] for case in native] == [case[:2] + case[3:] for case in reference]
+        assert [case[2] for case in native] == [min(workers, 4), min(workers, 3)]
+
+
+@needs_native
+def test_native_oracle_runs_on_the_workers_it_is_given():
+    # Up to one worker per block; the numpy reference runs one.
+    radii = make_uniform_grid(18.0, 600).r_centers  # 200 owners inside, 800 outside
+    spec = ProblemSpec(B=1.0, R=6.0, kappa=10.0)
+    for block, n, expected in ((1024, 3, 1), (64, 3, 3), (64, 1, 1), (64, 40, 13)):
+        stats = {}
+        with _workers(n), unittest.mock.patch.object(quadrature, "_BLOCK", block):
+            moments_at(radii, spec, 1e-10, stats)
+        assert stats["workers"] == expected
+    with _numpy_march():
+        stats = {}
+        moments_at(radii, spec, 1e-10, stats)
+    assert stats["workers"] == 1
+
+
+@needs_native
+def test_native_oracle_on_more_workers_than_cpus_loses_no_block():
+    # Hundreds of blocks of 3 owners on 8 threads, again and again: a block
+    # taken twice or never, or a slot merged out of order, moves the values
+    # (out is not zeroed) or the counts.
+    radii = make_uniform_grid(18.0, 600).r_centers
+    spec = ProblemSpec(B=1.0, R=6.0, kappa=30.0)
+    with unittest.mock.patch.object(quadrature, "_BLOCK", 3), _time_limit(60):
+        with _workers(1):
+            reference = _oracle_bytes(radii, spec, 1e-10)
+        for _ in range(10):
+            with _workers(8):
+                assert _oracle_bytes(radii, spec, 1e-10) == reference
 
 
 def _exp_arguments(rng, n):
@@ -892,8 +990,13 @@ def test_manifest_names_the_oracle_path(tmp_path, experiment):
         bodies[name] = [(tmp_path / name / f).read_bytes() for f in manifests[name]["outputs"]]
     native, reference = manifests["native"], manifests["numpy"]
     assert native["oracle"] == "native" and native["march_isa"] == _native.march_isa()
-    assert native["quadrature"] == reference["quadrature"]
+    counts = ("panels", "max_depth", "max_live_panels")
+    assert [native["quadrature"][key] for key in counts] == [
+        reference["quadrature"][key] for key in counts
+    ]
     assert native["quadrature"]["panels"] > 0
+    assert reference["quadrature"]["workers"] == 1
+    assert 1 <= native["quadrature"]["workers"] <= sphere._cpus()
     assert reference["oracle"] == "numpy" and "march_isa" not in reference
     assert "march" not in native and "march" not in reference
     assert bodies["native"] == bodies["numpy"]

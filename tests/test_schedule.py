@@ -58,6 +58,30 @@ def test_no_driver_runs_a_step_count_that_is_not_finite(driver, dt, t_end, match
         _DRIVERS[driver](SolverConfig(dt=dt, t_end=t_end))
 
 
+@pytest.mark.parametrize("driver", sorted(_DRIVERS))
+@pytest.mark.parametrize("dt, t_end, times, match", [
+    (1e-300, 1.0, (), "t_end must be >= 0 and below 2\\^63 steps"),
+    (0.1, 2.0, (1e300,), "snapshot_times .* must be below 2\\^63 steps"),
+    (0.1, 2.0, (1.0, -1e300), "snapshot_times .* must be below 2\\^63 steps"),
+])
+def test_no_driver_runs_2_to_the_63_steps_or_more(driver, dt, t_end, times, match):
+    # The kernels count steps in a signed 64-bit integer; a finite count that
+    # does not fit raised OverflowError there, or ran toward 1e300 steps.
+    with pytest.raises(ValueError, match=match):
+        _DRIVERS[driver](SolverConfig(dt=dt, t_end=t_end), times)
+
+
+def test_the_step_bound_is_2_to_the_63():
+    # Only built, never run.
+    below = float(2**63 - 1024)  # the double just below 2^63
+    SolverConfig(dt=1.0, t_end=below)
+    Schedule(SolverConfig(dt=1.0, t_end=1.0), (below,))
+    with pytest.raises(ValueError, match="t_end"):
+        SolverConfig(dt=1.0, t_end=2.0**63)
+    with pytest.raises(ValueError, match="snapshot_times"):
+        Schedule(SolverConfig(dt=1.0, t_end=1.0), (2.0**63,))
+
+
 # (driver, snapshot times, the error): times the march would merge or never take.
 _BAD_TIMES = [
     ("run_to_time", (-1.0, 0.0, 5.0), "name one step twice"),
