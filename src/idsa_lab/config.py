@@ -5,17 +5,26 @@ A config file is plain text: one ``key = value`` per line, set once; ``#``
 starts a comment.  A run resolves the keys ``EXPERIMENTS`` says it reads
 (the manifest records all of them), so two runs with the same config are
 bit-identical.  Any other key set is checked, then named in ``unread``.
+
+Each key's domain is stated once, by the library type that reads it, and
+``parse_config`` builds that type from every resolved key, read or not:
+``grids.ProblemSpec`` (the scenario keys, and each kappa_list entry as a
+kappa), ``grids.cell_width`` (r_max, n_cells), ``idsa.SolverConfig`` (dt,
+t_end, stationarity_tol, and horizon, the spurious sweep's t_end) and, for
+the runs that take snapshots, ``idsa.Schedule`` (snapshot_times).  Here
+stay the finiteness of every value, the keys only a run function reads,
+and the policies across keys.
 """
 
 from __future__ import annotations
 
-import sys
 import textwrap
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .idsa import _MAX_STEPS, Schedule, SolverConfig
+from .grids import ProblemSpec, cell_width
+from .idsa import Schedule, SolverConfig
 
 
 class ConfigError(ValueError):
@@ -165,66 +174,51 @@ def _oracle_tol_floor(kappa_R: float) -> float:
     return float(f"{1e-15 * max(1.0, kappa_R / 6.0):.3g}")
 
 
-def _check_derived(v: dict, reads: set, need) -> None:
-    """
-    The quantities the run derives from its keys must be representable: its
-    step counts below 2^63, and as normal doubles the square of its cell
-    width r_max / n_cells (the diffusion number divides by it) and that of
-    2 kappa R (the new variant's closed-form edge value divides by it).
-    """
-    if "dt" in reads:
-        for key in ("t_end", "snapshot_times", "horizon"):
-            if key in reads and v[key]:
-                value = max(v[key]) if isinstance(v[key], tuple) else v[key]
-                steps = value / v["dt"]
-                need(steps < _MAX_STEPS,
-                     f"{key} = {value:g} is {steps:.3g} steps of dt = {v['dt']:g}: a run takes"
-                     " fewer than 2^63 steps")
-    tiny = sys.float_info.min
-    if {"r_max", "n_cells"} <= reads:
-        dr = v["r_max"] / v["n_cells"]
-        need(tiny <= dr * dr < np.inf,
-             f"r_max = {v['r_max']:g} (R = {v['R']:g}) over n_cells = {v['n_cells']} gives the cell"
-             f" width {dr:g}, whose square is not a normal double")
-    if {"kappa", "R"} <= reads:
-        x = 2.0 * v["kappa"] * v["R"]
-        need(x * x >= tiny,
-             f"kappa = {v['kappa']:g} and R = {v['R']:g} give kappa*R = {x / 2.0:g}, whose"
-             " (2 kappa R)^2 is not a normal double")
+def _build(make, *args, name: str = ""):
+    """``make(*args)``: a ValueError, which names the input outside its
+    domain, becomes a ConfigError, prefixed by ``name``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{name}{exc}") from exc
 
 
 def _validate(v: dict, spec: Experiment) -> None:
-    """Check each key, then the keys the run reads against each other."""
+    """Check every key, read by the run or not, then the keys the run reads
+    against each other (the module docstring says where each check lives)."""
 
     def need(cond, msg):
         if not cond:
             raise ConfigError(msg)
 
-    for key in ("B", "R", "kappa", "dt", "t_end", "stationarity_tol", "bound_margin"):
-        need(v[key] > 0, f"{key} must be positive, got {v[key]}")
-    for key in ("kappa_outside", "kappa_s", "exclude_largest"):
-        need(v[key] >= 0, f"{key} must be >= 0, got {v[key]}")
-    need(v["n_cells"] >= 2, f"n_cells must be >= 2, got {v['n_cells']}")
+    need(v["bound_margin"] > 0, f"bound_margin must be positive, got {v['bound_margin']}")
+    need(v["exclude_largest"] >= 0, f"exclude_largest must be >= 0, got {v['exclude_largest']}")
     # Below roundoff no panel meets its budget and the quadrature can only
     # bisect until its live-panel cap stops it.
     need(v["oracle_tol"] >= 1e-15, f"oracle_tol must be >= 1e-15, got {v['oracle_tol']}")
     need(v["variant"] in ("old", "new"), f"variant must be old or new, got {v['variant']!r}")
-    for key in ("kappa_list", "kappaR_list"):
-        need(all(x > 0 for x in v[key]), f"{key} entries must be positive")
+    need(all(x > 0 for x in v["kappaR_list"]), "kappaR_list entries must be positive")
     need(all(0 < e < np.inf for e in v["eps_list"]),
          "eps_list entries must be positive and finite")
-    # The spurious sweep runs to the step nearest horizon (an infinite dt is named below).
-    need(not np.isfinite(v["dt"]) or 0 < v["horizon"] / v["dt"] < np.inf,
-         f"horizon must be positive and finite in steps of dt = {v['dt']}, got {v['horizon']}")
     # inf passes a plain sign check; an infinite opacity sends NaN into the
     # oracle's quadrature and an infinite time into the step counts.
     for key, value in v.items():
         items = value if isinstance(value, tuple) else (value,)
         need(all(np.isfinite(x) for x in items if isinstance(x, float)),
              f"{key} must be finite, got {value}")
-    _check_derived(v, set(spec.reads), need)
 
     exp, reads = v["experiment"], set(spec.reads)
+    _build(ProblemSpec, v["B"], v["R"], v["kappa"], v["kappa_outside"], v["kappa_s"])
+    for kappa in v["kappa_list"]:
+        _build(ProblemSpec, v["B"], v["R"], kappa, name="kappa_list: ")
+    _build(cell_width, v["r_max"], v["n_cells"])
+    # horizon is the spurious sweep's t_end; the end the run reads is checked first.
+    for key in ("horizon", "t_end") if "horizon" in reads else ("t_end", "horizon"):
+        try:
+            SolverConfig(v["dt"], v[key], v["stationarity_tol"])
+        except ValueError as exc:
+            raise ConfigError(str(exc).replace("t_end", key)) from exc
+
     # A run that does not read an opacity runs it at 0.
     for key in ("kappa_outside", "kappa_s"):
         need(key in reads or v[key] == 0,
@@ -240,11 +234,8 @@ def _validate(v: dict, spec: Experiment) -> None:
              f" the smallest admissible oracle_tol there is {floor:g}")
     if spec.first_snapshot_step is not None:
         # Snapshot times the run would merge or never reach are rejected.
-        try:
-            sched = Schedule(SolverConfig(v["dt"], v["t_end"]), v["snapshot_times"],
-                             first=spec.first_snapshot_step, name=exp)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        sched = _build(Schedule, SolverConfig(v["dt"], v["t_end"]), v["snapshot_times"],
+                       spec.first_snapshot_step, exp)
         # The domain-split schemes need a state past zero data: at step 0 the
         # interface gradient and J vanish.
         need(sched.n_steps >= 1 or exp not in ("solve-old", "solve-new"),

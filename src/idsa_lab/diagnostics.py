@@ -62,7 +62,7 @@ def stationary_state(variant: str, spec: ProblemSpec, grid: RadialGrid):
     """
     Stationary state of a variant: the closed form for "new"; for "old" the
     direct solve of the scheme's stationary linear system, not a march, so
-    no step or tolerance enters.
+    no step or tolerance enters.  Any other variant raises ValueError.
     """
     if variant == "new":
         return new_idsa_stationary_closed_form(grid, spec)

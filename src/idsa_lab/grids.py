@@ -16,6 +16,7 @@ Conventions
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,31 +41,29 @@ class RadialGrid:
         return hash((self.r_max, self.n_cells))
 
 
-def make_uniform_grid(r_max: float, n_cells: int) -> RadialGrid:
+def cell_width(r_max: float, n_cells: int) -> float:
     """
-    Build a uniform cell-centered grid on [0, r_max].
+    The cell width of ``make_uniform_grid(r_max, n_cells)``, without building
+    the grid: r_max positive and finite, n_cells an integer >= 2, and the
+    width's square (the diffusion operators divide by it) a normal double.
+    """
+    if not 0 < r_max < np.inf:
+        raise ValueError(f"r_max must be positive and finite, got r_max = {r_max:g}")
+    if not (2 <= n_cells < np.inf and int(n_cells) == n_cells):
+        raise ValueError(f"n_cells must be an integer >= 2, got n_cells = {n_cells}")
+    dr = float(r_max) / int(n_cells)
+    if not sys.float_info.min <= dr * dr < np.inf:
+        raise ValueError(f"r_max = {r_max:g} over n_cells = {n_cells} gives the cell width"
+                         f" {dr:g}, whose square is not a normal double")
+    return dr
 
-    Parameters
-    ----------
-    r_max : float
-        Outer edge of the domain.  Must be positive.
-    n_cells : int
-        Number of cells.  Must be at least 2.
-    """
-    if not np.isfinite(r_max) or r_max <= 0:
-        raise ValueError(f"r_max must be positive and finite, got {r_max}")
-    if int(n_cells) != n_cells or n_cells < 2:
-        raise ValueError(f"n_cells must be an integer >= 2, got {n_cells}")
-    n_cells = int(n_cells)
-    edges = np.linspace(0.0, float(r_max), n_cells + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return RadialGrid(
-        r_max=float(r_max),
-        n_cells=n_cells,
-        r_edges=edges,
-        r_centers=centers,
-        dr=float(r_max) / n_cells,
-    )
+
+def make_uniform_grid(r_max: float, n_cells: int) -> RadialGrid:
+    """A uniform cell-centered grid on [0, r_max], its domain that of ``cell_width``."""
+    dr = cell_width(r_max, n_cells)
+    edges = np.linspace(0.0, float(r_max), int(n_cells) + 1)
+    return RadialGrid(r_max=float(r_max), n_cells=int(n_cells), r_edges=edges,
+                      r_centers=0.5 * (edges[:-1] + edges[1:]), dr=dr)
 
 
 @dataclass(eq=False)
@@ -108,16 +107,16 @@ class ProblemSpec:
     kappa_s: float = 0.0
 
     def __post_init__(self):
-        if not (0 < self.B < np.inf):
-            raise ValueError(f"B must be positive and finite, got {self.B}")
-        if not (0 < self.R < np.inf):
-            raise ValueError(f"R must be positive and finite, got {self.R}")
-        if not (0 < self.kappa < np.inf):
-            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
-        if not (0 <= self.kappa_outside < np.inf):
-            raise ValueError(f"kappa_outside must be >= 0 and finite, got {self.kappa_outside}")
-        if not (0 <= self.kappa_s < np.inf):
-            raise ValueError(f"kappa_s must be >= 0 and finite, got {self.kappa_s}")
+        for key in ("B", "R", "kappa", "kappa_outside", "kappa_s"):
+            x, may_vanish = getattr(self, key), key.startswith("kappa_")
+            if not (0 < x < np.inf or may_vanish and x == 0):
+                domain = ">= 0" if may_vanish else "positive"
+                raise ValueError(f"{key} must be {domain} and finite, got {key} = {x:g}")
+        # The closed-form boundary values divide by (2 kappa R)^2.
+        x = 2.0 * self.kappa * self.R
+        if not sys.float_info.min <= x * x < np.inf:
+            raise ValueError(f"kappa = {self.kappa:g} and R = {self.R:g} give kappa*R = {x / 2:g},"
+                             " whose (2 kappa R)^2 is not a normal double")
 
     def absorption(self, r: np.ndarray) -> np.ndarray:
         """Absorption opacity profile kappa_a(r) at the given radii."""

@@ -96,18 +96,22 @@ _MAX_STEPS = 2.0**63
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """A march's time step, end time and stationarity tolerance, in the
+    domains ``__post_init__`` states (else ValueError naming the value)."""
+
     dt: float = 0.1
     t_end: float = 1000.0
     stationarity_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (0.0 < self.dt < math.inf):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not (0.0 <= self.t_end / self.dt < _MAX_STEPS):
-            raise ValueError(f"t_end must be >= 0 and below 2^63 steps of dt = {self.dt}, "
-                             f"got {self.t_end}")
-        if not (self.stationarity_tol > 0):
-            raise ValueError(f"stationarity_tol must be positive, got {self.stationarity_tol}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got dt = {self.dt:g}")
+        if not 0.0 <= self.t_end / self.dt < _MAX_STEPS:
+            raise ValueError(f"t_end must be >= 0 and below 2^63 steps of dt, got t_end ="
+                             f" {self.t_end:g} at dt = {self.dt:g}")
+        if not self.stationarity_tol > 0:
+            raise ValueError("stationarity_tol must be positive, got stationarity_tol ="
+                             f" {self.stationarity_tol:g}")
 
 
 @dataclass(eq=False)
@@ -156,8 +160,8 @@ class Schedule:
       when n_steps is 0.
     - The march goes on to the last snapshot step: it ends at ``last``.
 
-    Snapshot times that name one step twice, or a step before ``first`` (the
-    march's first written step; ``name`` names the march), raise ValueError.
+    Snapshot times 2^63 steps or more ahead, on one step twice or before ``first``
+    (the march's first written step; ``name`` names the march) raise ValueError.
     ``see`` follows one march, and ``record`` returns what it kept.
     """
 
@@ -166,8 +170,10 @@ class Schedule:
         self.dt, self.tol = cfg.dt, cfg.stationarity_tol
         self.n_steps = self.step(cfg.t_end)
         times = list(snapshot_times)
-        if not all(abs(t / cfg.dt) < _MAX_STEPS for t in times):
-            raise ValueError(f"snapshot_times {times} must be below 2^63 steps of dt = {cfg.dt}")
+        for t in times:
+            if not abs(t / cfg.dt) < _MAX_STEPS:
+                raise ValueError("snapshot_times entries must be below 2^63 steps of dt, got"
+                                 f" snapshot_times = {t:g} at dt = {cfg.dt:g}")
         steps = [max(0, self.step(t)) for t in times]
         if len(set(steps)) < len(steps):
             raise ValueError(f"snapshot_times {times} name one step twice (dt = {cfg.dt})")

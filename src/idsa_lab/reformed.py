@@ -169,7 +169,6 @@ class ReformedScheme:
 
     def __init__(self, variant: str, spec: ProblemSpec, grid: RadialGrid,
                  cfg: SolverConfig = SolverConfig()):
-        variant = variant.lower()
         if variant not in ("old", "new"):
             raise ValueError(f"variant must be 'old' or 'new', got {variant!r}")
         _require_bare_sphere(spec, "the domain-split schemes")
@@ -365,8 +364,9 @@ def err0(kappa_R):
     Vanishes for large kappa*R; order one when the sphere is translucent.
     """
     x = np.asarray(kappa_R, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("kappa_R must be positive")
+    bad = x[~((0 < x) & (x < np.inf))]
+    if bad.size:
+        raise ValueError(f"kappa_R must be positive and finite, got kappa_R = {bad[0]:g}")
     X = np.sqrt(3.0) * x
     ratio = 2.0 * X * np.exp(-X) / -np.expm1(-2.0 * X)
     out = (ratio - np.exp(-x)) / -np.expm1(-x)

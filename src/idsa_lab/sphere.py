@@ -343,8 +343,8 @@ def moments_at(radii: np.ndarray, spec: ProblemSpec, tol: float = 1e-10,
     quadrature's work (``quadrature._count``).
     """
     _require_bare_sphere(spec, "the exact moments")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got tol = {tol:g}")
     radii = np.asarray(radii, dtype=float)
     bad = np.flatnonzero(~(np.isfinite(radii) & (radii >= 0.0)))
     if bad.size:

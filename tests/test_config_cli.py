@@ -6,10 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import idsa_lab
 from idsa_lab.cli import main, run
 from idsa_lab.config import EXPERIMENTS, KEYS, SCENARIO, ConfigError, describe_keys, parse_config
+from idsa_lab.grids import ProblemSpec, cell_width
+from idsa_lab.idsa import Schedule, SolverConfig
 
 
 def test_parse_minimal_with_defaults():
@@ -452,7 +456,7 @@ def test_cli_rejects_unbounded_spurious_sweep(tmp_path):
     assert not (tmp_path / "out" / "spurious.csv").exists()
     with pytest.raises(ConfigError, match="eps_list entries must be positive and finite"):
         parse_config("experiment = spurious\neps_list = 0.1, 0.01, nan\n")
-    with pytest.raises(ConfigError, match="horizon must be positive and finite"):
+    with pytest.raises(ConfigError, match="horizon must be finite"):
         parse_config("experiment = spurious\nhorizon = inf\n")
 
 
@@ -460,8 +464,8 @@ def test_config_rejects_a_horizon_with_no_finite_step_count(tmp_path, capsys):
     # horizon / dt overflows: the sweep would have no step to end at.  This
     # used to pass the config and exit 2 from inside the run.
     text = "experiment = spurious\ndt = 1e-300\nhorizon = 1e10\n"
-    with pytest.raises(ConfigError, match=r"^horizon must be positive and finite in steps of "
-                                          r"dt = 1e-300, got 10000000000\.0$"):
+    with pytest.raises(ConfigError, match=r"^horizon must be >= 0 and below 2\^63 steps of dt, "
+                                          r"got horizon = 1e\+10 at dt = 1e-300$"):
         parse_config(text)
     out = tmp_path / "a" / "out"
     assert _run_cli(tmp_path, text, f"output_dir={out}") == 2
@@ -674,3 +678,108 @@ def test_cli_rejects_unrepresentable_derived_quantities(tmp_path, capsys, experi
     assert err.startswith("configuration error: ") and "Traceback" not in err
     assert f"{key} = {float(value):g}" in err
     assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("entry", ["1e-300", "-2", "1e200"])
+def test_convergence_checks_each_kappa_list_entry_as_a_kappa(tmp_path, capsys, entry):
+    # kappa_list = 1e-300 used to pass the config, then write a NaN failure
+    # row with a RuntimeWarning and exit 0.
+    out = tmp_path / "a" / "out"
+    text = f"experiment = convergence\nn_cells = 90\nkappa_list = 1, {entry}\n"
+    assert _run_cli(tmp_path, text, f"output_dir={out}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: kappa_list: ")
+    assert f"kappa = {float(entry):g}" in err
+    assert not (tmp_path / "a").exists()
+
+
+# Each pair ends on step 0 at dt = 0.1: t_end = 0.04 was accepted, t_end = 0
+# and horizon = 0 exited 2.  Now all are SolverConfig's t_end >= 0.
+_STEP_ZERO_RUNS = [
+    ("experiment = solve-idsa\nn_cells = 30\nsnapshot_times = 1\n", "t_end"),
+    ("experiment = instability\nn_cells = 60\nsnapshot_times = 1\n", "t_end"),
+    ("experiment = spurious\neps_list = 0.1, 0.05\n", "horizon"),
+]
+
+
+@pytest.mark.parametrize("text, key", _STEP_ZERO_RUNS)
+def test_a_run_may_end_on_step_0(tmp_path, text, key):
+    runs = [tmp_path / "zero", tmp_path / "near"]
+    for out, value in zip(runs, ("0", "0.04")):
+        assert _run_cli(tmp_path, text, f"{key}={value}", f"output_dir={out}") == 0
+    assert _bodies(runs[0]) == _bodies(runs[1])
+
+
+# Valid values of the keys the library types read; each draw puts one or two
+# of them anywhere in the double range, or on the edge of a domain.
+_VALID = {"B": 1.0, "R": 6.0, "kappa": 1.0, "kappa_outside": 0.0, "kappa_s": 0.0, "r_max": 18.0,
+          "n_cells": 50, "dt": 0.1, "t_end": 2.0, "stationarity_tol": 1e-8,
+          "snapshot_times": [1.0]}
+_EDGES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-160, 1.0, 1e160, 1e300,
+          -1e300, -1.0, np.inf, -np.inf, np.nan]
+_DOUBLES = st.one_of(st.sampled_from(_EDGES), st.floats())
+_DRAWS = {"n_cells": st.one_of(st.sampled_from([-1, 0, 1, 2, 2**62, 2**63]),
+                               st.integers(-5, 10**6)),
+          "snapshot_times": st.lists(_DOUBLES, max_size=3)}
+
+
+@st.composite
+def _inputs(draw):
+    values = dict(_VALID)
+    for key in draw(st.lists(st.sampled_from(sorted(_VALID)), min_size=1, max_size=2,
+                             unique=True)):
+        values[key] = draw(_DRAWS.get(key, _DOUBLES))
+    return values
+
+
+def _rejects(build, *args) -> bool:
+    try:
+        build(*args)
+    except ValueError:
+        return True
+    return False
+
+
+def _probe(experiment, **changed):
+    return {**_VALID, **changed}, experiment
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(v=_inputs(), experiment=st.sampled_from(sorted(EXPERIMENTS)))
+@example(*_probe("instability", r_max=1e300, n_cells=10000))
+@example(*_probe("solve-new", R=1e-300))
+@example(*_probe("convergence", kappa=1e-300))
+@example(*_probe("spurious", dt=1e-300))
+@example(*_probe("solve-old", snapshot_times=[1e300]))
+def test_each_type_states_its_domain_and_the_config_admits_no_more(v, experiment):
+    # Only built, never run.  A type either raises ValueError or leaves the
+    # quantities the solvers derive from its inputs finite and in range, and
+    # parse_config rejects what any type rejects.
+    tiny = sys.float_info.min
+    scenario = [v[key] for key in ("B", "R", "kappa", "kappa_outside", "kappa_s")]
+    rejected = _rejects(ProblemSpec, *scenario)
+    if not rejected:
+        assert all(0 < x < np.inf for x in scenario[:3])
+        assert all(0 <= x < np.inf for x in scenario[3:])
+        assert tiny <= (2.0 * v["kappa"] * v["R"]) ** 2 < np.inf
+    if _rejects(cell_width, v["r_max"], v["n_cells"]):
+        rejected = True
+    else:
+        assert tiny <= cell_width(v["r_max"], v["n_cells"]) ** 2 < np.inf
+    steps = v["dt"], v["t_end"], v["stationarity_tol"]
+    if _rejects(SolverConfig, *steps):
+        rejected = True
+    else:
+        assert 0 < v["dt"] < np.inf and 0 <= v["t_end"] / v["dt"] < 2.0**63 and steps[2] > 0
+        # A run that takes no snapshots does not check them against a step.
+        first = EXPERIMENTS[experiment].first_snapshot_step
+        if _rejects(Schedule, SolverConfig(*steps), v["snapshot_times"], first or 0):
+            rejected |= first is not None
+        else:
+            assert all(abs(t / v["dt"]) < 2.0**63 for t in v["snapshot_times"])
+
+    text = "".join(f"{key} = {value!r}\n" for key, value in v.items() if key != "snapshot_times")
+    text += f"snapshot_times = {', '.join(map(repr, v['snapshot_times']))}\n"
+    if rejected:
+        with pytest.raises(ConfigError):
+            parse_config(f"experiment = {experiment}\n{text}")

@@ -27,6 +27,17 @@ def test_fit_power_law_two_points():
     assert fit.exponent == pytest.approx(-0.5, rel=1e-12)
     assert fit.points_used == 2
 
+@pytest.mark.parametrize("variant", ["NEW", "Old", "new ", "closed"])
+def test_stationary_state_takes_exactly_old_or_new(variant):
+    # "NEW" returned the new scheme's direct solve, which ReformedScheme
+    # lower-cased it to, in place of the closed form.
+    spec, grid = ProblemSpec(B=1.0, R=6.0, kappa=5.0), make_uniform_grid(18.0, 90)
+    with pytest.raises(ValueError, match=f"got {variant!r}"):
+        stationary_state(variant, spec, grid)
+    with pytest.raises(ValueError, match=f"got {variant!r}"):
+        ReformedScheme(variant, spec, grid)
+
+
 
 def test_fit_power_law_constant():
     fit = fit_power_law([1.0, 10.0], [3.0, 3.0])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from idsa_lab import (
     make_uniform_grid,
     pointwise_relative_error,
 )
+from idsa_lab.grids import cell_width
 
 
 def test_uniform_grid_small():
@@ -133,3 +136,45 @@ def test_absorption_profile_is_step():
     assert np.allclose(spec.total_opacity(r), [2.25, 2.25, 0.25 + 1e-3, 0.25 + 1e-3])
     assert not spec.is_bare_sphere
     assert ProblemSpec(B=1.0, R=6.0, kappa=2.0).is_bare_sphere
+
+
+# dr^2 overflowed (OverflowError in diffusion_number) or underflowed to 0
+# (ZeroDivisionError there): the cell width is rejected up front instead.
+@pytest.mark.parametrize("r_max, n_cells", [(1e300, 2), (1e300, 10000), (3e-300, 10000)])
+def test_grid_rejects_a_cell_width_whose_square_is_not_a_normal_double(r_max, n_cells):
+    message = re.escape(f"r_max = {r_max:g} over n_cells = {n_cells} gives the cell width")
+    with pytest.raises(ValueError, match=message):
+        make_uniform_grid(r_max, n_cells)
+    with pytest.raises(ValueError, match=message):
+        cell_width(r_max, n_cells)
+
+
+def test_cell_width_is_the_grids():
+    for r_max, n_cells in [(18.0, 2000), (18.0, 19998), (7.3, 3), (1e150, 2)]:
+        assert cell_width(r_max, n_cells) == make_uniform_grid(r_max, n_cells).dr
+
+
+@pytest.mark.parametrize("r_max, n_cells, key", [
+    (0.0, 10, "r_max"), (np.nan, 10, "r_max"), (np.inf, 10, "r_max"),
+    (1.0, np.nan, "n_cells"), (1.0, np.inf, "n_cells"), (1.0, 1, "n_cells"),
+])
+def test_grid_names_the_input_outside_its_domain(r_max, n_cells, key):
+    with pytest.raises(ValueError, match=f"^{key} must be .*, got {key} = "):
+        cell_width(r_max, n_cells)
+
+
+# (2 kappa R)^2 underflowed to 0 (ZeroDivisionError in special_values) or
+# overflowed (OverflowError there).
+@pytest.mark.parametrize("R, kappa", [(1e-300, 1.0), (6.0, 1e-300), (6.0, 1e200)])
+def test_spec_rejects_a_kappa_R_whose_square_is_not_a_normal_double(R, kappa):
+    with pytest.raises(ValueError, match=re.escape(f"kappa = {kappa:g} and R = {R:g} give")):
+        ProblemSpec(B=1.0, R=R, kappa=kappa)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("B", 0.0), ("R", -1.0), ("kappa", np.inf), ("kappa_outside", -0.5), ("kappa_s", np.nan),
+])
+def test_spec_names_the_input_outside_its_domain(key, value):
+    fields = {"B": 1.0, "R": 6.0, "kappa": 1.0, key: value}
+    with pytest.raises(ValueError, match=f"^{key} must be .*, got {key} = {value:g}$"):
+        ProblemSpec(**fields)

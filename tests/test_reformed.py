@@ -383,3 +383,12 @@ def test_err0_values():
     assert vals[0] == pytest.approx(ERR0_6, rel=1e-12)
     with pytest.raises(ValueError):
         err0(-1.0)
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+def test_err0_names_a_kappa_R_outside_its_domain(bad):
+    # inf and nan returned NaN with a RuntimeWarning.
+    with pytest.raises(ValueError, match=f"got kappa_R = {bad:g}$"):
+        err0(bad)
+    with pytest.raises(ValueError, match=f"got kappa_R = {bad:g}$"):
+        err0(np.array([6.0, bad]))
+

@@ -183,6 +183,14 @@ def test_moments_reject_a_radius_that_is_negative_or_not_finite(bad, recwarn):
     assert J[1] == moments_at([0.0], SPEC)[0][0]
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-10])
+def test_moments_reject_a_tolerance_outside_its_domain(tol):
+    # A NaN tolerance bisected every panel to the live-panel cap, then raised
+    # QuadratureError.
+    with pytest.raises(ValueError, match=f"^tol must be positive and finite, got tol = {tol:g}$"):
+        moments_at([3.0, 9.0], SPEC, tol=tol)
+
+
 def test_quadrature_error_names_the_failing_radius_by_its_index_in_radii():
     # At a tolerance below roundoff R(1 - 1e-12) fails: entry 1 of the inside
     # sub-batch, radii[2] of the whole (radii[1] is R).
