@@ -39,6 +39,113 @@
 #include <stdlib.h>
 #include <string.h>
 
+/* === cffi interface === */
+/*
+ * The structs Python fills, the oracle's outcomes and the kernels Python
+ * calls, declared once: _native.py hands this block, up to the end marker,
+ * to cffi's cdef, and the module is compiled against it.  So it is written
+ * in the C that cdef parses: no preprocessor line, restrict, attribute or
+ * static.  The kernels' definitions below add their restrict and clones.
+ */
+
+/* march(): the rows of a batch (idsa.py). */
+typedef struct {
+    int n_rows, n_cells, n_scan;
+    double dt;
+    /* (n_rows, n_cells) arrays, row-major */
+    const double *ka, *kaB, *den, *r2dr, *a, *P, *d, *r2g, *floor;
+    /* (n_rows, n_cells - 1) arrays, one value per interior face */
+    const double *kf3, *rf2;
+    /* scratch rows: n_cells + 1 face fluxes, n_cells trapped values, n_cells
+     * streaming terms and n_cells tags (when the caller asks for none) */
+    double *flux, *trapped, *terms;
+    signed char *tags;
+} march_rows;
+
+/*
+ * The observers' reductions.  A max over cells is numpy's (NaN if any value
+ * is), a max of two scalars Python's (the first unless the second is
+ * greater); max and compare are exact, so the values are the observers'.
+ */
+typedef struct {
+    double bound;             /* stop once a row's sup exceeds it */
+    double stat_tol;          /* stop once a row's change falls below it; 0: no change */
+    double mono_tol;          /* a pair is non-monotone where Jt[i + 1] - Jt[i] > mono_tol */
+    int mono_pairs;           /* the pairs i < mono_pairs are checked */
+    /* per row */
+    double *sup;              /* max(sup, max(Jt + Js)) */
+    double *change;           /* max(max|dJt|, max|dJs|) / max(max(0, Jt), max(0, Js), 1e-300) */
+    signed char *nonmono;     /* the last step had a non-monotone pair */
+    long long *first_nonmono; /* the first step that had one, or -1 */
+} march_reductions;
+
+/*
+ * The spurious sweep's takeover holds (idsa._Holds).  The hold's end is
+ * computed as numpy computes it: the times are the step counts times dt,
+ * and the max is of two values that are not NaN.
+ */
+typedef struct {
+    int watch;                /* the cells i >= watch are watched */
+    double confirm, min_hold; /* a hold from t ends at max(confirm t, t + min_hold) */
+    long long *since;         /* per row: the step its domination began, or -1 */
+} march_holds;
+
+long march(const march_rows *m, march_reductions *red, march_holds *hold, const double *Jt0,
+           const double *Js0, double *Jt, double *Js, signed char *tags, long long k0,
+           long steps, int *negative);
+const char *march_isa(void);
+
+/* oracle_integrate(): the oracle's integrand (sphere.py). */
+typedef struct {
+    int inside;                  /* 1: the inside integrand, 0: the outside one */
+    const double *node, *weight; /* the Gauss-Legendre nodes and weights on [-1, 1] */
+    /* per owner: inside, the radius r; outside, the rate and mu0^2 */
+    const double *r, *rate, *mu0_sq;
+    double R, kappa;             /* inside */
+} oracle_integrand;
+
+/*
+ * The outcome of oracle_integrate: kind is ORACLE_OK, or why it stopped,
+ * with what QuadratureError's message names; and the counts of the work
+ * done, over the blocks up to the first that failed.  Each block has one
+ * of its own, and oracle_integrate merges them into the call's.
+ */
+enum { ORACLE_OK, ORACLE_NON_FINITE, ORACLE_TOO_DEEP, ORACLE_TOO_MANY, ORACLE_NO_MEMORY };
+
+typedef struct {
+    int kind;
+    long long owner;    /* the owner named, an index into the batch */
+    double value;       /* NON_FINITE: the estimate; TOO_DEEP: the worst panel error */
+    long long live;     /* TOO_MANY: the live panels the next level would hold, */
+    long long held;     /* the owner's share of them, */
+    int depth;          /* and that level */
+    long long panels;   /* panel estimates computed */
+    int max_depth;      /* the deepest level of bisection reached */
+    long long max_live; /* the most panels a block held past level 0 */
+    int workers;        /* the threads that integrated the blocks */
+} oracle_status;
+
+void oracle_integrate(const oracle_integrand *g, long long n, const double *lo, const double *hi,
+                      double tol, int block, int max_depth, long long max_live, int workers,
+                      double *out, oracle_status *status);
+void oracle_exp(long long n, const double *x, double *out);
+
+/* gtsv_factor() and gtsv_solve(): the tridiagonal solve (reformed.py). */
+int gtsv_factor(int n, double *dl, double *d, double *du, double *fact, signed char *swap);
+void gtsv_solve(int n, const double *dl, const double *d, const double *du,
+                const double *fact, const signed char *swap, double *b);
+
+/* format_rows(): one column of a block of CSV rows (cli.py). */
+typedef struct {
+    char kind;                  /* 'f' double, 'b' bool (one byte), 't' text */
+    const void *data;
+    const long long *ends;      /* 't': end of each row's text in data; NULL: the same text every row */
+    long long len;              /* 't' without ends: the text's length */
+} csv_column;
+
+long long format_rows(long long n_rows, int n_cols, const csv_column *cols, char *out);
+/* === end of the cffi interface === */
+
 /* Clones need gcc's ifunc, which needs glibc; gcc 12 knows the level names. */
 #if defined(__GNUC__) && __GNUC__ >= 12 && !defined(__clang__) && defined(__x86_64__) && \
     defined(__GLIBC__)
@@ -96,47 +203,6 @@
  * or after `steps` steps.  The first non-monotone step is recorded, and a
  * domination that begins or ends is recorded, not returned at.
  */
-
-typedef struct {
-    int n_rows, n_cells, n_scan;
-    double dt;
-    /* (n_rows, n_cells) arrays, row-major */
-    const double *ka, *kaB, *den, *r2dr, *a, *P, *d, *r2g, *floor;
-    /* (n_rows, n_cells - 1) arrays, one value per interior face */
-    const double *kf3, *rf2;
-    /* scratch rows: n_cells + 1 face fluxes, n_cells trapped values, n_cells
-     * streaming terms and n_cells tags (when the caller asks for none) */
-    double *flux, *trapped, *terms;
-    signed char *tags;
-} march_rows;
-
-/*
- * The observers' reductions.  A max over cells is numpy's (NaN if any value
- * is), a max of two scalars Python's (the first unless the second is
- * greater); max and compare are exact, so the values are the observers'.
- */
-typedef struct {
-    double bound;             /* stop once a row's sup exceeds it */
-    double stat_tol;          /* stop once a row's change falls below it; 0: no change */
-    double mono_tol;          /* a pair is non-monotone where Jt[i + 1] - Jt[i] > mono_tol */
-    int mono_pairs;           /* the pairs i < mono_pairs are checked */
-    /* per row */
-    double *sup;              /* max(sup, max(Jt + Js)) */
-    double *change;           /* max(max|dJt|, max|dJs|) / max(max(0, Jt), max(0, Js), 1e-300) */
-    signed char *nonmono;     /* the last step had a non-monotone pair */
-    long long *first_nonmono; /* the first step that had one, or -1 */
-} march_reductions;
-
-/*
- * The spurious sweep's takeover holds (idsa._Holds).  The hold's end is
- * computed as numpy computes it: the times are the step counts times dt,
- * and the max is of two values that are not NaN.
- */
-typedef struct {
-    int watch;                /* the cells i >= watch are watched */
-    double confirm, min_hold; /* a hold from t ends at max(confirm t, t + min_hold) */
-    long long *since;         /* per row: the step its domination began, or -1 */
-} march_holds;
 
 /* numpy's maximum(a, b): a NaN operand propagates, and of two equal
  * operands (+0 and -0) b is returned. */
@@ -427,14 +493,6 @@ void oracle_exp(long long n, const double *restrict x, double *restrict out)
         out[i] = fixed_exp(x[i], lo, hi);
 }
 
-typedef struct {
-    int inside;                  /* 1: the inside integrand, 0: the outside one */
-    const double *node, *weight; /* the Gauss-Legendre nodes and weights on [-1, 1] */
-    /* per owner: inside, the radius r; outside, the rate and mu0^2 */
-    const double *r, *rate, *mu0_sq;
-    double R, kappa;             /* inside */
-} oracle_integrand;
-
 /*
  * The order in which np.einsum("...j,j->...", v, w) adds a row of 15 on
  * numpy's baseline (SSE2) build: two lanes, the even nodes and the odd; the
@@ -528,29 +586,8 @@ static void panel_estimates(const oracle_integrand *g, long long m, const long l
     }
 }
 
-/*
- * The outcome of oracle_integrate: kind is ORACLE_OK, or why it stopped,
- * with what QuadratureError's message names; and the counts of the work
- * done, over the blocks up to the first that failed.  Each block has one
- * of its own, and oracle_integrate merges them into the call's.
- */
-enum { ORACLE_OK, ORACLE_NON_FINITE, ORACLE_TOO_DEEP, ORACLE_TOO_MANY, ORACLE_NO_MEMORY };
-
 /* The most threads one call runs, the calling one included. */
 #define ORACLE_MAX_WORKERS 64
-
-typedef struct {
-    int kind;
-    long long owner;    /* the owner named, an index into the batch */
-    double value;       /* NON_FINITE: the estimate; TOO_DEEP: the worst panel error */
-    long long live;     /* TOO_MANY: the live panels the next level would hold, */
-    long long held;     /* the owner's share of them, */
-    int depth;          /* and that level */
-    long long panels;   /* panel estimates computed */
-    int max_depth;      /* the deepest level of bisection reached */
-    long long max_live; /* the most panels a block held past level 0 */
-    int workers;        /* the threads that integrated the blocks */
-} oracle_status;
 
 /* A panel queue: each panel's block-local owner, bounds, midpoint and estimate (3, size). */
 typedef struct {
@@ -1016,13 +1053,6 @@ void gtsv_solve(int n, const double *dl, const double *d, const double *du,
  * exact integer arithmetic; glibc's snprintf, which is exact too, writes
  * the rest: subnormals, 0 < |x| <= 1e-38, |x| >= 1e17 and the infinities.
  */
-typedef struct {
-    char kind;                  /* 'f' double, 'b' bool (one byte), 't' text */
-    const void *data;
-    const long long *ends;      /* 't': end of each row's text in data; NULL: the same text every row */
-    long long len;              /* 't' without ends: the text's length */
-} csv_column;
-
 typedef unsigned __int128 u128;
 typedef unsigned long long u64;
 

@@ -13,6 +13,11 @@ The formatter writes ``%.17g`` itself for +-0, NaN and every
 ``snprintf`` only for the rest (subnormals, 0 < |x| <= 1e-38, |x| >= 1e17,
 the infinities); ``cli`` writes its buffer to the file as bytes.
 
+The structs, enum and prototypes that Python uses are declared once, in
+the block at the top of ``_march.c`` between the ``cffi interface``
+markers; ``_build`` hands that block to cffi's ``cdef`` and the whole
+source to the compiler, so the two cannot differ.
+
 The module is compiled with cffi (API mode) on first use, into
 ``_native_cache/`` next to this file, with
 ``-O3 -ffp-contract=off -fno-math-errno -pthread`` and linked with
@@ -42,10 +47,10 @@ The module is compiled with cffi (API mode) on first use, into
   CPU cannot run.  A cold build takes about 2 s on a 2-vCPU x86-64 host,
   once per source change.
 
-The module name, and so the file, is keyed by a hash of the C source, the
-declarations, the flags and the interpreter's extension suffix (its ABI
-tag); a build goes to a temporary directory and is published by an atomic
-rename, so concurrent first runs are safe.
+The module name, and so the file, is keyed by a hash of the C source
+(declarations included), the flags and the interpreter's extension suffix
+(its ABI tag); a build goes to a temporary directory and is published by
+an atomic rename, so concurrent first runs are safe.
 
 Importing idsa_lab imports neither this module nor cffi: the first march,
 exact moments, domain-split scheme or CSV file imports it and calls
@@ -74,74 +79,8 @@ from pathlib import Path
 _SOURCE = Path(__file__).with_name("_march.c")
 _CACHE = Path(__file__).with_name("_native_cache")
 _CFLAGS = ["-O3", "-ffp-contract=off", "-fno-math-errno", "-pthread"]
-_CDEF = """
-typedef struct {
-    int n_rows, n_cells, n_scan;
-    double dt;
-    const double *ka, *kaB, *den, *r2dr, *a, *P, *d, *r2g, *floor;
-    const double *kf3, *rf2;
-    double *flux, *trapped, *terms;
-    signed char *tags;
-} march_rows;
-
-typedef struct {
-    double bound, stat_tol, mono_tol;
-    int mono_pairs;
-    double *sup, *change;
-    signed char *nonmono;
-    long long *first_nonmono;
-} march_reductions;
-
-typedef struct {
-    int watch;
-    double confirm, min_hold;
-    long long *since;
-} march_holds;
-
-long march(const march_rows *m, march_reductions *red, march_holds *hold, const double *Jt0,
-           const double *Js0, double *Jt, double *Js, signed char *tags, long long k0,
-           long steps, int *negative);
-const char *march_isa(void);
-
-int gtsv_factor(int n, double *dl, double *d, double *du, double *fact, signed char *swap);
-void gtsv_solve(int n, const double *dl, const double *d, const double *du,
-                const double *fact, const signed char *swap, double *b);
-
-typedef struct {
-    char kind;
-    const void *data;
-    const long long *ends;
-    long long len;
-} csv_column;
-
-long long format_rows(long long n_rows, int n_cols, const csv_column *cols, char *out);
-
-typedef struct {
-    int inside;
-    const double *node, *weight;
-    const double *r, *rate, *mu0_sq;
-    double R, kappa;
-} oracle_integrand;
-
-enum { ORACLE_OK, ORACLE_NON_FINITE, ORACLE_TOO_DEEP, ORACLE_TOO_MANY, ORACLE_NO_MEMORY };
-
-typedef struct {
-    int kind;
-    long long owner;
-    double value;
-    long long live, held;
-    int depth;
-    long long panels;
-    int max_depth;
-    long long max_live;
-    int workers;
-} oracle_status;
-
-void oracle_integrate(const oracle_integrand *g, long long n, const double *lo, const double *hi,
-                      double tol, int block, int max_depth, long long max_live, int workers,
-                      double *out, oracle_status *status);
-void oracle_exp(long long n, const double *x, double *out);
-"""
+# The markers of the source's block of declarations, what cffi compiles against.
+_BEGIN, _END = "/* === cffi interface === */", "/* === end of the cffi interface === */"
 
 
 class BuildError(RuntimeError):
@@ -162,7 +101,7 @@ def _build(name: str, source: str, target: Path) -> None:
     except ImportError as exc:
         raise BuildError(f"cffi is not installed ({exc})") from exc
     ffi = cffi.FFI()
-    ffi.cdef(_CDEF)
+    ffi.cdef(source.split(_BEGIN)[1].split(_END)[0])
     ffi.set_source(name, source, extra_compile_args=_CFLAGS, extra_link_args=["-pthread"])
     target.parent.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory(dir=target.parent) as tmp:
@@ -192,7 +131,7 @@ def load():
         source = _SOURCE.read_text()
         suffix = importlib.machinery.EXTENSION_SUFFIXES[0]  # carries the ABI tag
         # zlib, not hashlib: hashlib loads OpenSSL, 3.6 MB of resident memory.
-        key = "\0".join([source, _CDEF, *_CFLAGS, suffix]).encode()
+        key = "\0".join([source, *_CFLAGS, suffix]).encode()
         name = f"_idsa_march_{zlib.crc32(key):08x}{zlib.adler32(key):08x}"
         target = _CACHE / (name + suffix)
         if not target.exists():

@@ -401,10 +401,12 @@ def run(cfg: RunConfig) -> int:
             grid = make_uniform_grid(cfg.r_max, cfg.n_cells)
             manifest["diffusion_number"] = diffusion_number(_spec(cfg), grid, SolverConfig(dt=cfg.dt))
         files = _RUNNERS[cfg.experiment](cfg, out, manifest)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         # Bad scenario/grid combinations surface as ValueError from the
-        # domain types; they are configuration problems, not solver crashes.
-        print(f"configuration error: {exc}", file=sys.stderr)
+        # domain types, and arrays too large to allocate as MemoryError;
+        # they are configuration problems, not solver crashes.
+        what = "cannot allocate the run's arrays: " if isinstance(exc, MemoryError) else ""
+        print(f"configuration error: {what}{exc}", file=sys.stderr)
         for d in created:
             try:
                 d.rmdir()

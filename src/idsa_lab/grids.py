@@ -44,13 +44,14 @@ class RadialGrid:
 def cell_width(r_max: float, n_cells: int) -> float:
     """
     The cell width of ``make_uniform_grid(r_max, n_cells)``, without building
-    the grid: r_max positive and finite, n_cells an integer >= 2, and the
-    width's square (the diffusion operators divide by it) a normal double.
+    the grid: r_max positive and finite, n_cells an integer from 2 to 2^31 - 1
+    (the native kernels index cells with a C int), and the width's square
+    (the diffusion operators divide by it) a normal double.
     """
     if not 0 < r_max < np.inf:
         raise ValueError(f"r_max must be positive and finite, got r_max = {r_max:g}")
-    if not (2 <= n_cells < np.inf and int(n_cells) == n_cells):
-        raise ValueError(f"n_cells must be an integer >= 2, got n_cells = {n_cells}")
+    if not (2 <= n_cells <= 2**31 - 1 and int(n_cells) == n_cells):
+        raise ValueError(f"n_cells must be an integer from 2 to 2^31 - 1, got n_cells = {n_cells}")
     dr = float(r_max) / int(n_cells)
     if not sys.float_info.min <= dr * dr < np.inf:
         raise ValueError(f"r_max = {r_max:g} over n_cells = {n_cells} gives the cell width"
@@ -82,13 +83,6 @@ class RadialField:
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
-
-    @property
-    def r(self) -> np.ndarray:
-        return self.grid.r_centers
-
-    def copy(self) -> "RadialField":
-        return RadialField(self.grid, self.values.copy())
 
 
 @dataclass(frozen=True)

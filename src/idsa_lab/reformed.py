@@ -326,6 +326,27 @@ def _edge_bracket(x: np.ndarray, X: float) -> np.ndarray:
     return np.where(small, series, general)
 
 
+def _edge_constants(kap: float, R: float) -> tuple[float, float]:
+    """
+    q = 1 - (1 - exp(-2 kR)) / (2 kR), the edge value J(R) = B q / 2, and
+    C = R q / (2 (1 - X coth X)), X = sqrt3 kR, which scales the inside Js to
+    meet it.  Below X = 0.05 both differences cancel, so their Taylor series
+    are summed: q = y/2 (1 - y/3 (1 - y/4 (...))), y = 2 kR, and
+    1 - X coth X = -(X^2/3) (1 - X^2/15 + 2 X^4/315 - X^6/1575 + 2 X^8/31185).
+    """
+    X = np.sqrt(3.0) * kap * R
+    if X >= 0.05:
+        q = 1.0 + np.expm1(-2.0 * kap * R) / (2.0 * kap * R)
+        X_over_tanh = X * (1.0 + np.exp(-2.0 * X)) / -np.expm1(-2.0 * X)
+        return q, 0.5 * R * q / (1.0 - X_over_tanh)
+    y, q = 2.0 * kap * R, 0.0
+    for n in range(10, 1, -1):
+        q = y / n * (1.0 - q)
+    s = X * X
+    series = 1.0 - s / 15.0 + 2.0 * s**2 / 315.0 - s**3 / 1575.0 + 2.0 * s**4 / 31185.0
+    return q, 0.5 * R * q / (-(s / 3.0) * series)
+
+
 def new_idsa_stationary_closed_form(grid: RadialGrid, spec: ProblemSpec) -> TwoComponentState:
     """
     Closed-form stationary state of the "new" variant.
@@ -339,10 +360,8 @@ def new_idsa_stationary_closed_form(grid: RadialGrid, spec: ProblemSpec) -> TwoC
     _require_bare_sphere(spec, "the closed-form stationary state")
     B, R, kap = spec.B, spec.R, spec.kappa
     X = np.sqrt(3.0) * kap * R
-    q = 1.0 + np.expm1(-2.0 * kap * R) / (2.0 * kap * R)   # J(R) = B q / 2
+    q, C = _edge_constants(kap, R)
     edge = 0.5 * B * q
-    X_over_tanh = X * (1.0 + np.exp(-2.0 * X)) / -np.expm1(-2.0 * X)
-    C = 0.5 * R * q / (1.0 - X_over_tanh)
 
     r = grid.r_centers
     out, _, s0 = _opaque_geometry(r, R)

@@ -693,6 +693,48 @@ def test_convergence_checks_each_kappa_list_entry_as_a_kappa(tmp_path, capsys, e
     assert not (tmp_path / "a").exists()
 
 
+def test_convergence_at_a_small_kappa_writes_no_failure(tmp_path):
+    # kappa = 1e-9 and 1e-150 used to write NaN rows failing with "field
+    # values must be finite", after a RuntimeWarning: the closed form's
+    # 1 - X coth X cancelled to 0.
+    out = tmp_path / "out"
+    text = "experiment = convergence\nn_cells = 90\nkappa_list = 1, 1e-9, 1e-150\n"
+    assert _run_cli(tmp_path, text, f"output_dir={out}") == 0
+    header, *rows = _bodies(out)["convergence.csv"]
+    assert header == b"kappa,errJ,errH,errK,failure"
+    assert [float(row.split(b",")[0]) for row in rows] == [1.0, 1e-9, 1e-150]
+    for row in rows:
+        *errors, failure = row.split(b",")
+        assert failure == b"" and all(np.isfinite(float(e)) for e in errors)
+
+
+@pytest.mark.parametrize("n_cells", ["10000000000000", str(2**31)])
+def test_cli_rejects_more_cells_than_the_kernels_index(tmp_path, capsys, n_cells):
+    # n_cells = 1e13 used to pass the config, then exit 1 with an
+    # _ArrayMemoryError traceback from make_uniform_grid, leaving its
+    # output directory behind.
+    out = tmp_path / "a" / "out"
+    text = f"experiment = oracle\nn_cells = {n_cells}\n"
+    assert _run_cli(tmp_path, text, f"output_dir={out}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: n_cells must be ") and "Traceback" not in err
+    assert f"n_cells = {n_cells}" in err
+    assert not (tmp_path / "a").exists()
+
+
+def test_a_run_that_cannot_allocate_exits_2(tmp_path, capsys, monkeypatch):
+    def out_of_memory(cfg, out, manifest):
+        raise MemoryError("Unable to allocate 72.8 TiB")
+
+    monkeypatch.setitem(idsa_lab.cli._RUNNERS, "oracle", out_of_memory)
+    out = tmp_path / "a" / "out"
+    assert _run_cli(tmp_path, "experiment = oracle\n", f"output_dir={out}") == 2
+    err = capsys.readouterr().err
+    assert err == ("configuration error: cannot allocate the run's arrays: "
+                   "Unable to allocate 72.8 TiB\n")
+    assert not (tmp_path / "a").exists()
+
+
 # Each pair ends on step 0 at dt = 0.1: t_end = 0.04 was accepted, t_end = 0
 # and horizon = 0 exited 2.  Now all are SolverConfig's t_end >= 0.
 _STEP_ZERO_RUNS = [
@@ -718,7 +760,7 @@ _VALID = {"B": 1.0, "R": 6.0, "kappa": 1.0, "kappa_outside": 0.0, "kappa_s": 0.0
 _EDGES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-160, 1.0, 1e160, 1e300,
           -1e300, -1.0, np.inf, -np.inf, np.nan]
 _DOUBLES = st.one_of(st.sampled_from(_EDGES), st.floats())
-_DRAWS = {"n_cells": st.one_of(st.sampled_from([-1, 0, 1, 2, 2**62, 2**63]),
+_DRAWS = {"n_cells": st.one_of(st.sampled_from([-1, 0, 1, 2, 2**31 - 1, 2**31, 2**62, 2**63]),
                                st.integers(-5, 10**6)),
           "snapshot_times": st.lists(_DOUBLES, max_size=3)}
 
@@ -747,6 +789,8 @@ def _probe(experiment, **changed):
 @settings(derandomize=True, max_examples=600, deadline=None)
 @given(v=_inputs(), experiment=st.sampled_from(sorted(EXPERIMENTS)))
 @example(*_probe("instability", r_max=1e300, n_cells=10000))
+@example(*_probe("oracle", n_cells=2**31 - 1))  # the most cells a C int indexes
+@example(*_probe("oracle", n_cells=2**31))
 @example(*_probe("solve-new", R=1e-300))
 @example(*_probe("convergence", kappa=1e-300))
 @example(*_probe("spurious", dt=1e-300))
@@ -765,6 +809,7 @@ def test_each_type_states_its_domain_and_the_config_admits_no_more(v, experiment
     if _rejects(cell_width, v["r_max"], v["n_cells"]):
         rejected = True
     else:
+        assert v["n_cells"] <= 2**31 - 1
         assert tiny <= cell_width(v["r_max"], v["n_cells"]) ** 2 < np.inf
     steps = v["dt"], v["t_end"], v["stationarity_tol"]
     if _rejects(SolverConfig, *steps):

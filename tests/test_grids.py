@@ -157,6 +157,7 @@ def test_cell_width_is_the_grids():
 @pytest.mark.parametrize("r_max, n_cells, key", [
     (0.0, 10, "r_max"), (np.nan, 10, "r_max"), (np.inf, 10, "r_max"),
     (1.0, np.nan, "n_cells"), (1.0, np.inf, "n_cells"), (1.0, 1, "n_cells"),
+    (1.0, 2**31, "n_cells"), (1.0, 1e13, "n_cells"),
 ])
 def test_grid_names_the_input_outside_its_domain(r_max, n_cells, key):
     with pytest.raises(ValueError, match=f"^{key} must be .*, got {key} = "):

@@ -136,8 +136,8 @@ def test_native_source_compiles_without_warnings():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler: the numpy march is the only one")
     proc = subprocess.run(
-        ["cc", *_native._CFLAGS, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
-         str(_native._SOURCE)],
+        ["cc", *_native._CFLAGS, "-Wall", "-Wextra", "-Wmissing-prototypes", "-Werror",
+         "-fsyntax-only", str(_native._SOURCE)],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ evaluation of the closed-form stationary state at kappa=1, R=6, B=1.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from idsa_lab import (
     make_uniform_grid,
     new_idsa_stationary_closed_form,
     reconstruct_moments,
+    reformed,
 )
 
 SPEC = ProblemSpec(B=1.0, R=6.0, kappa=1.0)
@@ -87,6 +89,43 @@ def test_closed_form_small_x_series_branch():
     # Linear growth near the origin: Js ~ r.
     ratio = st.Js.values[1] / st.Js.values[0]
     assert ratio == pytest.approx(grid.r_centers[1] / grid.r_centers[0], rel=1e-3)
+
+
+def _edge_constants_mpmath(kappa, R):
+    """q and C of reformed._edge_constants at 450 digits, enough for the
+    1 - X coth X of about -(kappa R)^2 that kappa R = 6e-150 gives."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(450):
+        kR = mpmath.mpf(kappa) * R
+        X = mpmath.sqrt(3) * kR
+        q = 1 - (1 - mpmath.exp(-2 * kR)) / (2 * kR)
+        return float(q), float(R * q / (2 * (1 - X * mpmath.coth(X))))
+
+
+# X = sqrt3 kappa R just above and just below the series' threshold 0.05,
+# and far below it.
+@pytest.mark.parametrize("kappa", [1.0, 0.0501 / (6.0 * math.sqrt(3.0)),
+                                   0.0499 / (6.0 * math.sqrt(3.0)), 1e-8, 1e-9, 1e-12, 1e-150])
+def test_edge_constants_match_mpmath_on_both_sides_of_the_series_threshold(kappa):
+    q, C = reformed._edge_constants(kappa, 6.0)
+    q_ref, C_ref = _edge_constants_mpmath(kappa, 6.0)
+    assert q == pytest.approx(q_ref, rel=1e-12)
+    assert C == pytest.approx(C_ref, rel=1e-12)
+    if kappa == 1.0:
+        assert C == pytest.approx(C_NEW, rel=1e-13)
+
+
+@pytest.mark.parametrize("kappa", [1e-8, 1e-9, 1e-12, 1e-150])
+def test_closed_form_is_finite_at_a_small_kappa_R(kappa):
+    # 1 - X coth X cancelled: 3% off at kappa = 1e-8, 0/0 (NaN, with a
+    # RuntimeWarning) below kappa R of about 6e-9.
+    grid = grid_div3(90)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        st = new_idsa_stationary_closed_form(grid, ProblemSpec(B=1.0, R=6.0, kappa=kappa))
+    # Nearly transparent: Js = J(R) r / R inside, J(R) = B kappa R / 2 to first order.
+    inside = grid.r_centers < 6.0
+    assert st.Js.values[inside] == pytest.approx(0.5 * kappa * grid.r_centers[inside], rel=1e-6)
 
 
 def test_closed_form_satisfies_discrete_operator_at_second_order():
@@ -245,8 +284,6 @@ def test_tridiagonal_solve_rejects_mismatched_shapes():
 def test_direct_solve_factors_only_its_own_matrix(monkeypatch):
     # The direct stationary solve never steps, so it factors -L and not the
     # step matrix I - dt L; a march factors I - dt L once for all its steps.
-    from idsa_lab import reformed
-
     factored = []
 
     class Counting(reformed._Tridiagonal):
