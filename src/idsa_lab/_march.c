@@ -494,20 +494,12 @@ void oracle_exp(long long n, const double *restrict x, double *restrict out)
 }
 
 /*
- * The order in which np.einsum("...j,j->...", v, w) adds a row of 15 on
- * numpy's baseline (SSE2) build: two lanes, the even nodes and the odd; the
- * first eight nodes from the back (6, 4, 2, 0 and 7, 5, 3, 1), then the rest
- * in order, the odd lane ending on its zero padding, 0 * 0; then
- * 0 + (even lane + odd lane).  Each lane starts at 0 and adds v_j w_j.
- */
-static const int WEIGH_ORDER[ORACLE_NODES] = {6, 7, 4, 5, 2, 3, 0, 1, 8, 9, 10, 11, 12, 13, 14};
-
-/*
  * The Gauss-Legendre estimates of m panels [A_i, B_i] of owners owners[i],
  * into est, shape (3, m).  Each panel's nodes are x = mid + half node_j,
  * with mid = 0.5 (A + B) and half = 0.5 (B - A), and at each node the pass
  * evaluates the three integrands and adds them, weighted, to the panel's
- * lanes in the order above; the sums times half are the estimates.
+ * sums in node order, from -0.0, the additive identity, so the first add
+ * gives the bits of v_0 w_0; the sums times half are the estimates.
  *
  * The inside integrand at mu, of owner radius r:
  *   RG = R sqrt(max(0, 1 - (r/R)^2 (1 - mu^2))),
@@ -531,12 +523,11 @@ static void panel_estimates(const oracle_integrand *g, long long m, const long l
         const long long n = m - i0 < ORACLE_TILE ? m - i0 : ORACLE_TILE;
         /* per panel: mid, half, and the owner's r and (r/R)^2, or rate and mu0^2 */
         double mid[ORACLE_TILE], half[ORACLE_TILE], c[ORACLE_TILE], q2[ORACLE_TILE];
-        double lane[2][3][ORACLE_TILE]; /* lane[k][c]: lane k of component c */
+        double sum[3][ORACLE_TILE]; /* sum[c]: the weighted sum of component c */
         for (long long t = 0; t < n; t++) {
             mid[t] = 0.5 * (A[i0 + t] + B[i0 + t]);
             half[t] = 0.5 * (B[i0 + t] - A[i0 + t]);
-            lane[0][0][t] = lane[0][1][t] = lane[0][2][t] = 0.0;
-            lane[1][0][t] = lane[1][1][t] = lane[1][2][t] = 0.0;
+            sum[0][t] = sum[1][t] = sum[2][t] = -0.0;
         }
         for (long long t = 0; t < n; t++) {
             const long long o = owners[i0 + t];
@@ -549,11 +540,8 @@ static void panel_estimates(const oracle_integrand *g, long long m, const long l
                 q2[t] = g->mu0_sq[o];
             }
         }
-        for (int s = 0; s < ORACLE_NODES; s++) {
-            const int j = WEIGH_ORDER[s];
+        for (int j = 0; j < ORACLE_NODES; j++) {
             const double node = g->node[j], w = g->weight[j];
-            double *restrict l0 = lane[j & 1][0], *restrict l1 = lane[j & 1][1],
-                   *restrict l2 = lane[j & 1][2];
             if (g->inside) {
                 for (long long t = 0; t < n; t++) {
                     const double mu = mid[t] + half[t] * node;
@@ -563,26 +551,24 @@ static void panel_estimates(const oracle_integrand *g, long long m, const long l
                     const double ep = fixed_exp(kappa * (rmu - RG), lo, hi);
                     const double em = fixed_exp(-kappa * (rmu + RG), lo, hi);
                     const double even = 0.5 * (ep + em), odd = 0.5 * (ep - em);
-                    l0[t] = l0[t] + even * w;
-                    l1[t] = l1[t] + mu * odd * w;
-                    l2[t] = l2[t] + mu * mu * even * w;
+                    sum[0][t] = sum[0][t] + even * w;
+                    sum[1][t] = sum[1][t] + mu * odd * w;
+                    sum[2][t] = sum[2][t] + mu * mu * even * w;
                 }
             } else {
                 for (long long t = 0; t < n; t++) {
                     const double v = mid[t] + half[t] * node;
                     const double e = fixed_exp(c[t] * v, lo, hi);
                     const double mu = sqrt(q2[t] + v * v), ve = v * e;
-                    l0[t] = l0[t] + ve / mu * w;
-                    l1[t] = l1[t] + ve * w;
-                    l2[t] = l2[t] + mu * ve * w;
+                    sum[0][t] = sum[0][t] + ve / mu * w;
+                    sum[1][t] = sum[1][t] + ve * w;
+                    sum[2][t] = sum[2][t] + mu * ve * w;
                 }
             }
         }
-        /* the odd lane's zero padding, then 0 + (even lane + odd lane) */
         for (int k = 0; k < 3; k++)
             for (long long t = 0; t < n; t++)
-                est[k * m + i0 + t] =
-                    (0.0 + (lane[0][k][t] + (lane[1][k][t] + 0.0 * 0.0))) * half[t];
+                est[k * m + i0 + t] = sum[k][t] * half[t];
     }
 }
 

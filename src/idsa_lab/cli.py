@@ -258,10 +258,12 @@ def _run_spurious(cfg: RunConfig, out: Path, manifest: dict) -> list[str]:
 
 def _run_instability(cfg: RunConfig, out: Path, manifest: dict) -> list[str]:
     grid = make_uniform_grid(cfg.r_max, cfg.n_cells)
+    spec, solver = _spec(cfg), SolverConfig(dt=cfg.dt, t_end=cfg.t_end)
+    # Above 1/2 the sup bound may not hold.
+    manifest["diffusion_number"] = diffusion_number(spec, grid, solver)
     result = run_instability_experiment(
-        _spec(cfg), grid, SolverConfig(dt=cfg.dt, t_end=cfg.t_end),
-        snapshot_times=tuple(cfg.snapshot_times), vb_threshold=cfg.vb_threshold,
-        bound_margin=cfg.bound_margin,
+        spec, grid, solver, snapshot_times=tuple(cfg.snapshot_times),
+        vb_threshold=cfg.vb_threshold, bound_margin=cfg.bound_margin,
     )
     snaps = result.snapshots
     block = (
@@ -397,9 +399,6 @@ def run(cfg: RunConfig) -> int:
         if _native.backend() == "native":
             manifest["march_isa"] = _native.march_isa()
     try:
-        if cfg.experiment == "instability":  # above 1/2 the sup bound may not hold
-            grid = make_uniform_grid(cfg.r_max, cfg.n_cells)
-            manifest["diffusion_number"] = diffusion_number(_spec(cfg), grid, SolverConfig(dt=cfg.dt))
         files = _RUNNERS[cfg.experiment](cfg, out, manifest)
     except (ValueError, MemoryError) as exc:
         # Bad scenario/grid combinations surface as ValueError from the

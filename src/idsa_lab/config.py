@@ -154,7 +154,7 @@ def _resolve(raw: dict[str, str]) -> RunConfig:
     if values["r_max"] is None:
         values["r_max"] = 3.0 * values["R"]
 
-    _validate(values, spec)
+    _validate(values, spec, set(raw))
     kept = {"experiment", "output_dir", *spec.reads}
     return RunConfig({key: v for key, v in values.items() if key in kept},
                      unread=tuple(key for key in KEYS if key in raw and key not in kept))
@@ -183,7 +183,7 @@ def _build(make, *args, name: str = ""):
         raise ConfigError(f"{name}{exc}") from exc
 
 
-def _validate(v: dict, spec: Experiment) -> None:
+def _validate(v: dict, spec: Experiment, set_keys: set[str]) -> None:
     """Check every key, read by the run or not, then the keys the run reads
     against each other (the module docstring says where each check lives)."""
 
@@ -212,10 +212,12 @@ def _validate(v: dict, spec: Experiment) -> None:
     for kappa in v["kappa_list"]:
         _build(ProblemSpec, v["B"], v["R"], kappa, name="kappa_list: ")
     _build(cell_width, v["r_max"], v["n_cells"])
-    # horizon is the spurious sweep's t_end; the end the run reads is checked first.
-    for key in ("horizon", "t_end") if "horizon" in reads else ("t_end", "horizon"):
+    _build(SolverConfig, v["dt"], 0.0, v["stationarity_tol"])
+    # horizon is the spurious sweep's t_end.  An end is checked against dt
+    # where the run reads it or the config sets it, the one the run reads first.
+    for key in sorted({"t_end", "horizon"} & (reads | set_keys), key=lambda k: (k not in reads, k)):
         try:
-            SolverConfig(v["dt"], v[key], v["stationarity_tol"])
+            SolverConfig(v["dt"], v[key])
         except ValueError as exc:
             raise ConfigError(str(exc).replace("t_end", key)) from exc
 

@@ -50,6 +50,7 @@ exists to expose must not be masked.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
@@ -162,7 +163,8 @@ class Schedule:
 
     Snapshot times 2^63 steps or more ahead, on one step twice or before ``first``
     (the march's first written step; ``name`` names the march) raise ValueError.
-    ``see`` follows one march, and ``record`` returns what it kept.
+    ``see`` follows one march, and ``record`` returns what it kept.  ``see``
+    and ``upcoming`` take O(log S) time for S snapshot steps.
     """
 
     def __init__(self, cfg: SolverConfig, snapshot_times=(), first: int = 1,
@@ -175,7 +177,8 @@ class Schedule:
                 raise ValueError("snapshot_times entries must be below 2^63 steps of dt, got"
                                  f" snapshot_times = {t:g} at dt = {cfg.dt:g}")
         steps = [max(0, self.step(t)) for t in times]
-        if len(set(steps)) < len(steps):
+        self.snap_set = frozenset(steps)
+        if len(self.snap_set) < len(steps):
             raise ValueError(f"snapshot_times {times} name one step twice (dt = {cfg.dt})")
         if min(steps, default=first) < first:
             raise ValueError(f"snapshot_times {times} name step 0 or earlier, which {name} "
@@ -191,7 +194,8 @@ class Schedule:
 
     def upcoming(self, k: int) -> int | None:
         """The next step after k to look at: a snapshot, or n_steps until the final state."""
-        later = [j for j in self.snap_steps if j > k]
+        i = bisect.bisect_right(self.snap_steps, k)
+        later = self.snap_steps[i : i + 1]
         if self.final is None and self.n_steps > k:
             later.append(self.n_steps)
         return min(later, default=None)
@@ -202,9 +206,9 @@ class Schedule:
         stop = None
         if self.final is None:
             stop = "stationary" if change < self.tol else "t_end" if k >= self.n_steps else None
-        if stop or k in self.snap_steps:
+        if stop or k in self.snap_set:
             kept = state()
-            if k in self.snap_steps:
+            if k in self.snap_set:
                 self.snapshots.append(kept)
             if stop:
                 self.final, self.steps, self.stopped = kept, k, stop
@@ -641,7 +645,7 @@ def run_instability_experiment(
                 f"sup(Jt + Js) = {sup:.9g} exceeds B(1 + {bound_margin:g}) at t = {t:g}; "
                 f"diffusion number dt/(3 kappa dr^2) = {diffusion_number(spec, grid, cfg):.3g}"
             )
-        if k in sched.snap_steps:
+        if k in sched.snap_set:
             above = np.nonzero(Jt[0] > vb_threshold * spec.B)[0]
             vb = float(r[above[-1]]) if above.size else 0.0
             snaps.append(InstabilitySnapshot(t, vb, bool(red.nonmono[0]), sup))

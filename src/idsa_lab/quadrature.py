@@ -28,26 +28,18 @@ instead of doubling until memory runs out, which is what a tolerance below
 roundoff does.
 
 An owner's value does not depend on its batch or on ``_BLOCK``.  A panel
-estimate weights the panel's own nodes row by row with ``np.einsum`` (a
-BLAS product would round a row by the row count of its call), and an
-owner's panels, their bisection and its running sums follow from its own
-values alone.  So for an integrand that computes each node from its owner
-and x alone, an owner gets the same bits by itself, in any batch and at
-any offset.  That einsum does not add a row in node order: numpy's
-x86-64 build, compiled for its SSE baseline, keeps two lanes, the even
-nodes and the odd, adds the first eight nodes from the back (6, 4, 2, 0
-and 7, 5, 3, 1) and the rest in order, and returns
-0 + (even lane + odd lane).
+estimate weighs the panel's nodes row by row in node order, one correctly
+rounded product and one add per node, then scales by the half-width: no
+BLAS product (which rounds a row by the row count of its call) and no
+reduction in an order of numpy's own.  An owner's panels, their bisection
+and its running sums follow from its own values alone.  So for an
+integrand that computes each node from its owner and x alone, an owner
+gets the same bits by itself, in any batch and at any offset.
 
 The exact sphere's oracle runs this algorithm whole in C
-(``oracle_integrate`` in ``_march.c``): the same blocks, limits, queue
-order, retirement test and order of sums, with its integrands and their
-exp evaluated in one pass per tile of panels and weighed in that two-lane
-order (``test_native.py`` checks that this numpy's einsum still adds in
-it).  It integrates the blocks on several threads and reports the first
-failing block's failure, as this module does taking them in turn.  Its
-results, its failures and its counts (``_count``) are this module's for
-the same integrands, and the messages of its failures are built here.
+(``oracle_integrate`` in ``_march.c``; ``sphere`` says how), with this
+module's results, failures and counts (``_count``) for the same
+integrands; the messages of its failures are built here.
 """
 
 from __future__ import annotations
@@ -134,14 +126,16 @@ def _too_many(owner: int, live: int, depth: int, held: int, tol: float) -> Quadr
 def _panel_estimates(f, owners, a, b):
     """
     Gauss-Legendre estimates of f, shape (n_panels,) or (n_components,
-    n_panels).  Each row is weighted alone, so its bits do not depend on
-    the other rows.
+    n_panels).  Each row is weighed alone, in node order, so its bits do
+    not depend on the other rows.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * _NODES[None, :]
     vals = f(owners[:, None], x)
-    est = np.einsum("...j,j->...", vals, _WEIGHTS)
+    est = vals[..., 0] * _WEIGHTS[0]
+    for j in range(1, _NODES.size):
+        est += vals[..., j] * _WEIGHTS[j]
     est *= half
     finite = np.isfinite(est)
     if not finite.all():

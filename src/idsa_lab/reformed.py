@@ -43,6 +43,7 @@ from .grids import ProblemSpec, RadialField, RadialGrid
 from .idsa import NegativityError, RunRecord, Schedule, SolverConfig, TwoComponentState
 from .sphere import (
     MomentTriple,
+    _edge_fraction,
     _opaque_geometry,
     _require_bare_sphere,
     free_streaming_flux_ratio,
@@ -328,20 +329,17 @@ def _edge_bracket(x: np.ndarray, X: float) -> np.ndarray:
 
 def _edge_constants(kap: float, R: float) -> tuple[float, float]:
     """
-    q = 1 - (1 - exp(-2 kR)) / (2 kR), the edge value J(R) = B q / 2, and
+    q of the edge value J(R) = B q / 2 (``sphere._edge_fraction``), and
     C = R q / (2 (1 - X coth X)), X = sqrt3 kR, which scales the inside Js to
-    meet it.  Below X = 0.05 both differences cancel, so their Taylor series
-    are summed: q = y/2 (1 - y/3 (1 - y/4 (...))), y = 2 kR, and
-    1 - X coth X = -(X^2/3) (1 - X^2/15 + 2 X^4/315 - X^6/1575 + 2 X^8/31185).
+    meet it.  Below X = 0.05 the difference cancels, so its Taylor series is
+    summed: 1 - X coth X = -(X^2/3) (1 - X^2/15 + 2 X^4/315 - X^6/1575 +
+    2 X^8/31185).
     """
+    q = _edge_fraction(kap, R)
     X = np.sqrt(3.0) * kap * R
     if X >= 0.05:
-        q = 1.0 + np.expm1(-2.0 * kap * R) / (2.0 * kap * R)
         X_over_tanh = X * (1.0 + np.exp(-2.0 * X)) / -np.expm1(-2.0 * X)
         return q, 0.5 * R * q / (1.0 - X_over_tanh)
-    y, q = 2.0 * kap * R, 0.0
-    for n in range(10, 1, -1):
-        q = y / n * (1.0 - q)
     s = X * X
     series = 1.0 - s / 15.0 + 2.0 * s**2 / 315.0 - s**3 / 1575.0 + 2.0 * s**4 / 31185.0
     return q, 0.5 * R * q / (-(s / 3.0) * series)

@@ -24,17 +24,17 @@ always negative, so nothing overflows even at kappa*R of several hundred.
 Each integrand is written here once in numpy, one ufunc per operation, and
 once in C (``panel_estimates`` in ``_march.c``) with the same operations in
 the same order.  exp is the lab's own on both paths: ``_exp`` here and
-``fixed_exp`` there evaluate the same reduction and polynomial, one
-correctly rounded operation at a time, so the oracle's bits do not depend
-on numpy's SIMD dispatch.  ``_native.load`` runs the whole
+``fixed_exp`` there evaluate the same reduction and polynomial, and every
+operation, the panel sums' too, is correctly rounded, so the oracle's bits
+do not depend on numpy's SIMD dispatch.  ``_native.load`` runs the whole
 quadrature in C (``oracle_integrate``) whenever the module can be built,
-its blocks on every CPU the process may use, and
-``quadrature.integrate_batch`` over the numpy integrands otherwise; both
-give the same bits, the same failures and the same counts.
+its blocks on every CPU the process may use, and ``integrate_batch`` over
+the numpy integrands otherwise, with the same bits, failures and counts.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -392,15 +392,31 @@ def exact_moments(grid: RadialGrid, spec: ProblemSpec, tol: float = 1e-10,
     )
 
 
+def _edge_fraction(kap: float, R: float) -> float:
+    """q = 1 - (1 - exp(-x)) / x, x = 2 kappa R, so that J(R) = B q / 2; below
+    x = 0.05, where that cancels, q = sum_n>=1 (-1)^(n+1) x^n / (n+1)!."""
+    x = 2.0 * kap * R
+    if x >= 0.05:
+        return 1.0 + np.expm1(-x) / x
+    return sum((-1) ** (n + 1) * x**n / math.factorial(n + 1) for n in range(10, 0, -1))
+
+
 def special_values(spec: ProblemSpec) -> SpecialValues:
-    """Closed-form J(0), J(R), H(0), H(R) of the exact solution."""
+    """
+    Closed-form J(0), J(R), H(0), H(R) of the exact solution.  Below x = 2 kappa R
+    = 0.05 H(R) = (B/2) sum_n>=1 (-1)^(n+1) (n+1) x^n / (n+2)!, since its closed
+    form cancels (to about 3e-12 relative just above).
+    """
     _require_bare_sphere(spec, "the closed-form boundary values")
     B, kap, R = spec.B, spec.kappa, spec.R
     x = 2.0 * kap * R
-    J0 = B * -np.expm1(-kap * R)
-    JR = 0.5 * B * (1.0 + np.expm1(-x) / x)
-    HR = 0.5 * B * (0.5 + np.exp(-x) * (1.0 / x + 1.0 / x**2) - 1.0 / x**2)
-    return SpecialValues(J0=float(J0), JR=float(JR), H0=0.0, HR=float(HR))
+    if x >= 0.05:
+        HR = 0.5 * B * (0.5 + np.exp(-x) * (1.0 / x + 1.0 / x**2) - 1.0 / x**2)
+    else:
+        HR = 0.5 * B * sum((-1) ** (n + 1) * (n + 1) * x**n / math.factorial(n + 2)
+                           for n in range(10, 0, -1))
+    return SpecialValues(J0=float(B * -np.expm1(-kap * R)),
+                         JR=float(0.5 * B * _edge_fraction(kap, R)), H0=0.0, HR=float(HR))
 
 
 def limit_moments_infinite_kappa(grid: RadialGrid, R: float, B: float) -> MomentTriple:

@@ -122,18 +122,19 @@ _N_CELLS = 300  # a multiple of 3, so R = 6 lands on a face of [0, 18]
 # sphere.py) and its outside K took (1 - (R/r)^2)^1.5 as a product with
 # mu0 instead of numpy's power: both made the oracle's bytes independent of
 # numpy's SIMD dispatch, which they were not (test_oracle_digests_do_not_
-# depend_on_numpys_dispatch).  They move if numpy's basic operations stop
-# rounding correctly, or if einsum adds in another order (test_native.py).
+# depend_on_numpys_dispatch).  Re-pinned after commit 27a5b1d, when each
+# panel came to be weighed in node order, which moved J, H and K by at most
+# 3 ulp.  They move if numpy's basic operations stop rounding correctly.
 _ORACLE_RUNS = {
-    (33, 1): "375a2b11e2f18d4b4bcbc5e321428236bd1b80e61c3284eb2fd449e44d0a2b16",
-    (33, 20): "96f51e3f5c314f7edbe0d0f64c3af6df06cea598e4a93887a16289d78129b54a",
-    (90, 1): "210315a7c4ded8f9e3179b3c3baceaac003fcb7b0cd63a2777bea87728f48a07",
-    (90, 20): "99e4ed7cde2dfae010edf674eaa369602031b878b8e9bc6f269159637e6bf901",
+    (33, 1): "f5a5fd1bc2f53f93ee3e7f6b52db8bc57385578e9d7abc1beb9e7df36c772d6e",
+    (33, 20): "cd098a2334fae827562f62d1bc95d0473be816af58a101f56cd27edab4e65543",
+    (90, 1): "16515eee5d9eb42757723adbf6655bf3d6acd560e8203971c685a6a95039ad53",
+    (90, 20): "86003ec1a88b07655e8681f1119666ae4ae524401c60d387a96caa2dd8c84a1a",
 }
 _CONVERGENCE_KAPPAS = "1, 2, 5, 10, 20"
 _CONVERGENCE_RUN = {
-    "convergence.csv": "6da86484bf13ec5f7b5df08fa59e97d8660908dc9d30c5d2e2d3e215eebf7ada",
-    "fit.txt": "6778cd5663d2e08edd383660b8ad04af44115a966018b8a937c180ab6f14bf69",
+    "convergence.csv": "98c85581b45e6e0ef07ff199fbd8c277e8c3c186fb69f3b748b1f1dc985f9084",
+    "fit.txt": "76cad4e5b020891ede9f1579e9a281878ee8e3e8afda6352c304adb048e7e1cf",
 }
 
 
@@ -205,14 +206,16 @@ _NUMPY_DISPATCH = {
 }
 
 
+@pytest.mark.parametrize("path", ["native", "numpy"])
 @pytest.mark.parametrize("disabled", sorted(_NUMPY_DISPATCH))
-def test_oracle_digests_do_not_depend_on_numpys_dispatch(tmp_path, disabled):
+def test_oracle_digests_do_not_depend_on_numpys_dispatch(tmp_path, disabled, path):
     # Each pinned oracle run again, in a process whose numpy dispatches
-    # narrower loops: the oracle uses none of numpy's transcendentals.
+    # narrower loops: the oracle uses none of numpy's transcendentals, on the
+    # native path or on the numpy one (the native module not loaded).
     src = str(Path(idsa_lab.__file__).resolve().parents[1])
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": _NUMPY_DISPATCH[disabled],
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    runs = []
+    runs = ["from idsa_lab import _native", "_native.load = lambda: None"] if path == "numpy" else []
     for n_cells, kappa in sorted(_ORACLE_RUNS):
         out = tmp_path / f"{n_cells}-{kappa}"
         cfg = tmp_path / f"{n_cells}-{kappa}.cfg"
@@ -223,8 +226,10 @@ def test_oracle_digests_do_not_depend_on_numpys_dispatch(tmp_path, disabled):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     for n_cells, kappa in sorted(_ORACLE_RUNS):
-        oracle_csv = tmp_path / f"{n_cells}-{kappa}" / "oracle.csv"
-        assert _body_sha256(oracle_csv) == _ORACLE_RUNS[n_cells, kappa]
+        out = tmp_path / f"{n_cells}-{kappa}"
+        if path == "numpy":
+            assert json.loads((out / "manifest.json").read_text())["oracle"] == "numpy"
+        assert _body_sha256(out / "oracle.csv") == _ORACLE_RUNS[n_cells, kappa]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call here")

@@ -708,6 +708,16 @@ def test_convergence_at_a_small_kappa_writes_no_failure(tmp_path):
         assert failure == b"" and all(np.isfinite(float(e)) for e in errors)
 
 
+def test_solve_new_at_a_tiny_kappa_runs(tmp_path):
+    # At kappa = 1e-150 the closed form of J(R) used to cancel to 0, so the
+    # run's flux factors were NaN and it exited 2 with "field values must be
+    # finite".
+    out = tmp_path / "out"
+    text = "experiment = solve-new\nn_cells = 90\nkappa = 1e-150\n"
+    assert _run_cli(tmp_path, text, f"output_dir={out}") == 0
+    assert (out / "snapshots.csv").exists()
+
+
 @pytest.mark.parametrize("n_cells", ["10000000000000", str(2**31)])
 def test_cli_rejects_more_cells_than_the_kernels_index(tmp_path, capsys, n_cells):
     # n_cells = 1e13 used to pass the config, then exit 1 with an
@@ -750,6 +760,26 @@ def test_a_run_may_end_on_step_0(tmp_path, text, key):
     for out, value in zip(runs, ("0", "0.04")):
         assert _run_cli(tmp_path, text, f"{key}={value}", f"output_dir={out}") == 0
     assert _bodies(runs[0]) == _bodies(runs[1])
+
+
+# dt = 1e-16 with an end 100 steps ahead.  Each run used to exit 2 naming the
+# end it does not read, left at its default (horizon = 1e+06; t_end = 1000
+# for spurious), which is 2^63 steps or more of that dt.
+_SMALL_DT_RUNS = [
+    ("experiment = instability\nt_end = 1e-14\nsnapshot_times = 1e-14\n", "horizon"),
+    ("experiment = solve-idsa\nt_end = 1e-14\nsnapshot_times = 1e-14\n", "horizon"),
+    ("experiment = solve-old\nt_end = 1e-14\nsnapshot_times = 1e-14\n", "horizon"),
+    ("experiment = spurious\nhorizon = 1e-14\neps_list = 0.1, 0.05\n", "t_end"),
+]
+
+
+@pytest.mark.parametrize("text, unread", _SMALL_DT_RUNS)
+def test_a_small_dt_is_checked_against_the_ends_a_run_reads_or_sets(tmp_path, text, unread):
+    text += "dt = 1e-16\nn_cells = 90\n"
+    assert _run_cli(tmp_path, text, f"output_dir={tmp_path / 'out'}") == 0
+    # The end the run does not read is still checked once the config sets it.
+    with pytest.raises(ConfigError, match=rf"^{unread} must be .* got {unread} = 1e\+06 "):
+        parse_config(f"{text}{unread} = 1e6\n")
 
 
 # Valid values of the keys the library types read; each draw puts one or two

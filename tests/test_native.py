@@ -943,38 +943,6 @@ def test_exp_is_within_one_ulp_and_matches_its_numpy_transcription():
     assert off.max() > 0.5  # not correctly rounded: the bound is the claim
 
 
-def test_einsum_adds_in_the_order_the_native_oracle_weighs():
-    # The native oracle weighs a panel's 15 integrand values in the order
-    # that _march.c's WEIGH_ORDER writes down, in two lanes (quadrature's
-    # docstring), and the numpy oracle weighs with np.einsum.  A numpy whose
-    # einsum adds in another order fails here, not by splitting the oracles.
-    source = _native._SOURCE.read_text()
-    order = [int(j) for j in re.search(r"WEIGH_ORDER\[ORACLE_NODES\] = \{([^}]*)\}",
-                                         source).group(1).split(",")]
-    assert sorted(order) == list(range(15))
-    rng = np.random.default_rng(19)
-    n = 3000
-    zeros = np.where(rng.random((n, 15)) < 0.5, 0.0, -0.0)
-    rows = np.concatenate([
-        rng.standard_normal((n, 15)),                                    # cancelling sums
-        rng.standard_normal((n, 15)) * 10.0 ** rng.uniform(-20, 20, (n, 15)),
-        rng.standard_normal((n, 15)) * 10.0 ** rng.uniform(299, 301, (n, 1)),
-        rng.standard_normal((n, 15)) * 1e-310,                           # subnormal
-        np.where(rng.random((n, 15)) < 0.7, zeros, rng.standard_normal((n, 15))),
-        zeros,
-        -np.zeros((1, 15)),
-        _random_bit_patterns(rng, n * 15, (0, 2040)).reshape(n, 15),
-    ])
-    lanes = np.zeros((2, len(rows)))
-    for j in order:  # each lane starts at 0 and adds v_j w_j
-        lanes[j & 1] = lanes[j & 1] + rows[:, j] * _WEIGHTS[j]
-    lanes[1] = lanes[1] + 0.0 * 0.0  # the odd lane's zero padding
-    weighed = 0.0 + (lanes[0] + lanes[1])
-    expected = np.einsum("...j,j->...", rows, _WEIGHTS)
-    assert np.isfinite(expected).all()
-    assert weighed.tobytes() == expected.tobytes()
-
-
 @needs_native
 @pytest.mark.parametrize("experiment", ["oracle", "convergence"])
 def test_manifest_names_the_oracle_path(tmp_path, experiment):

@@ -162,6 +162,54 @@ def test_blocks_match_singleton_calls():
         assert batch[i] == one[0]
 
 
+def _random_bit_patterns(rng, n, exponents):
+    """n doubles of random sign and mantissa, biased exponents drawn from range(*exponents)."""
+    mantissa = rng.integers(0, 2**52, size=n, dtype=np.uint64)
+    sign = rng.integers(0, 2, size=n, dtype=np.uint64) << np.uint64(63)
+    exponent = rng.integers(*exponents, size=n, dtype=np.uint64) << np.uint64(52)
+    return (sign | exponent | mantissa).view(np.float64)
+
+
+def test_panel_estimates_weigh_the_nodes_in_order():
+    # A panel's estimate is ((v_0 w_0 + v_1 w_1) + ... + v_14 w_14) * half,
+    # each product and sum rounded once, as Python's floats do: no order of
+    # numpy's own.  Rows of cancelling sums, wide exponents, subnormals,
+    # signed zeros and random bit patterns, at a random half-width.
+    rng = np.random.default_rng(19)
+    n = 3000
+    zeros = np.where(rng.random((n, 15)) < 0.5, 0.0, -0.0)
+    rows = np.concatenate([
+        rng.standard_normal((n, 15)),                                    # cancelling sums
+        rng.standard_normal((n, 15)) * 10.0 ** rng.uniform(-20, 20, (n, 15)),
+        rng.standard_normal((n, 15)) * 10.0 ** rng.uniform(299, 301, (n, 1)),
+        rng.standard_normal((n, 15)) * 1e-310,                           # subnormal
+        np.where(rng.random((n, 15)) < 0.7, zeros, rng.standard_normal((n, 15))),
+        zeros,
+        -np.zeros((1, 15)),
+        _random_bit_patterns(rng, n * 15, (0, 2040)).reshape(n, 15),
+    ])
+    half = rng.uniform(0.25, 1.0, len(rows))
+
+    def weighed(rows):
+        out = []
+        for row, h in zip(rows.tolist(), half.tolist()):
+            total = row[0] * _WEIGHTS[0].item()
+            for j in range(1, 15):
+                total = total + row[j] * _WEIGHTS[j].item()
+            out.append(total * h)
+        return np.array(out)
+
+    expected = weighed(rows)
+    assert np.isfinite(expected).all()
+    owners = np.arange(len(rows))
+    est = quadrature._panel_estimates(lambda idx, x: rows[idx[:, 0]], owners, -half, half)
+    assert est.tobytes() == expected.tobytes()
+    # Each component of a vector-valued integrand is weighed alike.
+    stacked = np.stack([rows, rows[::-1]])
+    est = quadrature._panel_estimates(lambda idx, x: stacked[:, idx[:, 0]], owners, -half, half)
+    assert est.tobytes() == np.stack([expected, weighed(rows[::-1])]).tobytes()
+
+
 def _scatter_reference(f, lo, hi, tol):
     """
     The bisection of one block with level 0 as two integrand calls and a
@@ -174,7 +222,11 @@ def _scatter_reference(f, lo, hi, tol):
     def estimates(owners, a, b):
         half = 0.5 * (b - a)
         x = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
-        return half * np.einsum("...j,j->...", f(owners[:, None], x), _WEIGHTS)
+        vals = f(owners[:, None], x)
+        weighed = vals[..., 0] * _WEIGHTS[0]
+        for j in range(1, _NODES.size):
+            weighed = weighed + vals[..., j] * _WEIGHTS[j]
+        return half * weighed
 
     own, a, b = np.arange(nb), lo, hi
     first = estimates(own, a, b)

@@ -6,6 +6,7 @@ policy of ``Schedule`` as the records of ``run_to_time`` and both
 """
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -168,3 +169,25 @@ def test_a_stationary_step_at_t_end_is_a_stationary_stop(driver):
     steps = _DRIVERS[driver](cfg).steps
     run = _DRIVERS[driver](SolverConfig(dt=0.1, t_end=steps * 0.1, stationarity_tol=1e-6))
     assert (run.steps, run.stopped) == (steps, "stationary")
+
+
+def test_a_schedule_of_many_snapshots_is_walked_in_log_time_per_step():
+    # upcoming scanned every snapshot step and see searched a list, so a march
+    # past S snapshots took O(S^2) time: 1.5 s at S = 8,000 on a 2-vCPU x86-64
+    # host, against 0.2 s for this walk past 200,000.  The alarm fails the
+    # test instead of waiting.
+    def expire(signum, frame):
+        raise TimeoutError("the walk ran past its 10 s limit")
+
+    n = 200_000
+    sched = Schedule(SolverConfig(dt=1.0, t_end=n / 2), [float(k) for k in range(1, n + 1)])
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        for k in range(n + 1):  # run_to_stationarity's walk: see on every step
+            assert sched.see(k, 1.0, lambda: k) == (k + 1 if k < n else None)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert sched.snapshots == list(range(1, n + 1))
+    assert (sched.final, sched.steps, sched.stopped) == (n // 2, n // 2, "t_end")

@@ -232,6 +232,25 @@ def test_special_values():
     assert opaque.JR == pytest.approx(0.5, rel=1e-4)
 
 
+# x = 2 kappa R just above and just below the series' threshold 0.05, and far
+# below it; the closed form of H(R) cancels to about 3e-12 just above.
+@pytest.mark.parametrize("kappa, hr_rel", [
+    (1.0, 1e-14), (0.0501 / 12.0, 1e-11), (0.0499 / 12.0, 1e-14), (1e-6, 1e-14),
+    (1e-9, 1e-14), (1e-12, 1e-14), (1e-150, 1e-14),
+])
+def test_edge_values_match_mpmath_on_both_sides_of_the_series_threshold(kappa, hr_rel):
+    # J(R) used to be 6e-9 off at kappa = 1e-9 and 0 at 1e-150, and H(R)
+    # 5% off at 1e-6: their closed forms cancel.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(520):  # H(R) ~ x/6 from terms of 1/x^2, x = 1.2e-149
+        x = 2 * mpmath.mpf(kappa) * 6
+        JR_ref = (1 - (1 - mpmath.exp(-x)) / x) / 2
+        HR_ref = (mpmath.mpf(1) / 2 + mpmath.exp(-x) * (1 / x + 1 / x**2) - 1 / x**2) / 2
+    sv = special_values(ProblemSpec(B=1.0, R=6.0, kappa=kappa))
+    assert sv.JR == pytest.approx(float(JR_ref), rel=1e-14, abs=0.0)
+    assert sv.HR == pytest.approx(float(HR_ref), rel=hr_rel, abs=0.0)
+
+
 @pytest.mark.parametrize("kappa", [1.0, 10.0])
 def test_moment_bounds(kappa):
     # Note the Eddington factor genuinely dips slightly BELOW 1/3 inside the
