@@ -13,7 +13,9 @@
  *   as oracle_exp()) fused into its pass over the nodes, its independent
  *   blocks on a few POSIX threads started and joined within each call
  *   (built with -pthread), merged in block order so that the bits do not
- *   depend on how many ran.
+ *   depend on how many ran.  A call allocates once: per worker, room for
+ *   max(3 block, 2 max_live) panels evaluated and max(block, max_live)
+ *   queued, block and max_live being quadrature's _BLOCK and _MAX_LIVE_PANELS.
  *
  * Each gives the bits of its Python reference: built without fast-math and
  * without contraction into fused multiply-adds, every operation rounds as
@@ -35,9 +37,11 @@
 #include <math.h>
 #include <pthread.h>
 #include <stdatomic.h>
+#include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/mman.h>
 
 /* === cffi interface === */
 /*
@@ -581,53 +585,46 @@ typedef struct {
     double *a, *b, *mid, *est;
 } oracle_queue;
 
-/* The buffers of one call, grown as a level needs more. */
+/* One worker's buffers, its slice of the call's one allocation (oracle_integrate). */
 typedef struct {
-    long long cap_eval, cap_queue;
     long long *owners;          /* the panels evaluated: batch owner, */
-    double *A, *B, *E;          /* bounds and estimates (3, m) */
-    double *err;                /* (3, p) */
+    double *A, *B, *E;          /* bounds and estimates (3, eval) */
+    double *err;                /* the queue's errors (3, queue) */
     signed char *done;
     oracle_queue q[2];          /* the live queue and the next one */
+    /* per owner: accepted sums, totals and error sums (3, block); span, flag, count */
+    double *acc, *total, *err_sum, *span, *flag;
+    long long *count;
 } oracle_scratch;
 
-static int grow(void **p, long long n, size_t size)
+/* Lays out a worker's buffers from base, the 8-byte ones first so that each
+ * is aligned, and returns their bytes; from NULL it only measures them. */
+static size_t lay_out(oracle_scratch *s, char *base, long long eval, long long queue, int block)
 {
-    void *q = realloc(*p, (size_t)n * size);
-    if (!q)
-        return 0;
-    *p = q;
-    return 1;
-}
-
-static int reserve(oracle_scratch *s, long long eval, long long queue)
-{
-    if (eval > s->cap_eval) {
-        eval = eval > 2 * s->cap_eval ? eval : 2 * s->cap_eval;
-        if (!(grow((void **)&s->owners, eval, sizeof *s->owners) &&
-              grow((void **)&s->A, eval, sizeof *s->A) &&
-              grow((void **)&s->B, eval, sizeof *s->B) &&
-              grow((void **)&s->E, 3 * eval, sizeof *s->E)))
-            return 0;
-        s->cap_eval = eval;
+    size_t at = 0;
+#define TAKE(p, n) ((p) = base ? (void *)(base + at) : NULL, at += (size_t)(n) * sizeof *(p))
+    TAKE(s->owners, eval);
+    TAKE(s->A, eval);
+    TAKE(s->B, eval);
+    TAKE(s->E, 3 * eval);
+    TAKE(s->err, 3 * queue);
+    for (int k = 0; k < 2; k++) {
+        TAKE(s->q[k].a, queue);
+        TAKE(s->q[k].b, queue);
+        TAKE(s->q[k].mid, queue);
+        TAKE(s->q[k].est, 3 * queue);
     }
-    if (queue > s->cap_queue) {
-        queue = queue > 2 * s->cap_queue ? queue : 2 * s->cap_queue;
-        if (!(grow((void **)&s->err, 3 * queue, sizeof *s->err) &&
-              grow((void **)&s->done, queue, sizeof *s->done)))
-            return 0;
-        for (int k = 0; k < 2; k++) {
-            oracle_queue *q = &s->q[k];
-            if (!(grow((void **)&q->own, queue, sizeof *q->own) &&
-                  grow((void **)&q->a, queue, sizeof *q->a) &&
-                  grow((void **)&q->b, queue, sizeof *q->b) &&
-                  grow((void **)&q->mid, queue, sizeof *q->mid) &&
-                  grow((void **)&q->est, 3 * queue, sizeof *q->est)))
-                return 0;
-        }
-        s->cap_queue = queue;
-    }
-    return 1;
+    TAKE(s->acc, 3 * block);
+    TAKE(s->total, 3 * block);
+    TAKE(s->err_sum, 3 * block);
+    TAKE(s->span, block);
+    TAKE(s->flag, block);
+    TAKE(s->count, block);
+    TAKE(s->q[0].own, queue);
+    TAKE(s->q[1].own, queue);
+    TAKE(s->done, queue);
+#undef TAKE
+    return at;
 }
 
 /* Evaluates the m panels in s, and names the first with a non-finite
@@ -668,22 +665,19 @@ static INLINE int meets(double err, double err_sum, double total, double width, 
 
 /*
  * quadrature._integrate_block for the owners base .. base + nb - 1, into
- * acc (3, nb): level 0 evaluates every owner's whole panel and both halves,
- * then each level bisects the live panels, the left halves of all of them
- * first.  The sums run in numpy's order: np.add.at adds in panel order.
- * Level 0, which holds most of the work outside the passes, runs as loops
- * over owners that vectorize; total, err_sum, span and flag hold nb values
- * each (3 nb for the first two), count nb.
+ * s->acc (3, nb): level 0 evaluates every owner's whole panel and both
+ * halves, then each level bisects the live panels, the left halves of all
+ * of them first.  The sums run in numpy's order: np.add.at adds in panel
+ * order.  Level 0, which holds most of the work outside the passes, runs as
+ * loops over owners that vectorize.  s holds any level (oracle_integrate).
  */
 static int integrate_block(const oracle_integrand *g, long long base, int nb, const double *lo,
                            const double *hi, double tol, int max_depth, long long max_live,
-                           double *acc, double *total, double *err_sum, double *span,
-                           double *flag, long long *count, oracle_scratch *s, oracle_status *st)
+                           oracle_scratch *s, oracle_status *st)
 {
-    if (!reserve(s, 3LL * nb, nb)) {
-        st->kind = ORACLE_NO_MEMORY;
-        return 0;
-    }
+    double *acc = s->acc, *total = s->total, *err_sum = s->err_sum, *span = s->span,
+           *flag = s->flag, *err = s->err;
+    long long *count = s->count;
     oracle_queue *q = &s->q[0];
     for (int i = 0; i < nb; i++) {
         q->mid[i] = 0.5 * (lo[i] + hi[i]);
@@ -706,7 +700,6 @@ static int integrate_block(const oracle_integrand *g, long long base, int nb, co
     /* Level 0: refined = left + right, err = |est - refined|, and each
      * owner's sums are its one panel's (0.0 + refined). */
     long long p = nb, m = 3LL * nb, left = nb, right = 2LL * nb;
-    double *err = s->err;
     for (int i = 0; i < nb; i++)
         flag[i] = 1.0;
     for (int c = 0; c < 3; c++) {
@@ -770,11 +763,6 @@ static int integrate_block(const oracle_integrand *g, long long base, int nb, co
         }
 
         /* Bisect the kept panels: the left halves, then the right ones. */
-        if (!reserve(s, 2 * live, live)) {
-            st->kind = ORACLE_NO_MEMORY;
-            return 0;
-        }
-        err = s->err;
         oracle_queue *next = &s->q[(depth + 1) & 1];
         const long long half = live / 2;
         for (long long i = 0, k = 0; i < p; i++) {
@@ -838,7 +826,8 @@ static int integrate_block(const oracle_integrand *g, long long base, int nb, co
 /*
  * One call of oracle_integrate, shared by its workers: the problem, the
  * next block to take, the lowest block known to have failed (n_blocks
- * while none has), and each block's status.
+ * while none has), each block's status, and the workers' scratch with the
+ * next one to take.
  */
 typedef struct {
     const oracle_integrand *g;
@@ -849,65 +838,52 @@ typedef struct {
     long long max_live;
     double *out;
     oracle_status *slots;
+    oracle_scratch *scratch;
     atomic_llong next, failed;
+    atomic_int seat;
 } oracle_job;
 
 /*
- * A worker: takes the next block until none is left, each into its own
- * scratch, and writes the block's values into out and its outcome into its
- * slot.  A block after one known to have failed is not integrated: the
- * merge stops at the first failure.
+ * A worker: takes a scratch, then the next block until none is left, and
+ * writes the block's values into out and its outcome into its slot.  A
+ * block after one known to have failed is not integrated: the merge stops
+ * at the first failure.
  */
 static void *oracle_worker(void *arg)
 {
     oracle_job *job = arg;
     const int block = job->block;
-    oracle_scratch s = {0};
-    double *acc = malloc(11 * (size_t)block * sizeof *acc);
-    long long *count = malloc((size_t)block * sizeof *count);
+    oracle_scratch *s = &job->scratch[atomic_fetch_add(&job->seat, 1)];
     for (;;) {
         const long long k = atomic_fetch_add(&job->next, 1);
         if (k >= job->n_blocks || k > atomic_load(&job->failed))
             break;
         const long long base = k * block, n = job->n;
         const int nb = n - base < block ? (int)(n - base) : block;
-        oracle_status *st = &job->slots[k];
-        int ok = 0;
-        if (!acc || !count) {
-            st->kind = ORACLE_NO_MEMORY;
-        } else {
-            double *total = acc + 3 * block, *err_sum = total + 3 * block,
-                   *span = err_sum + 3 * block, *flag = span + block;
-            ok = integrate_block(job->g, base, nb, job->lo + base, job->hi + base, job->tol,
-                                 job->max_depth, job->max_live, acc, total, err_sum, span, flag,
-                                 count, &s, st);
-        }
-        if (ok) {
+        if (integrate_block(job->g, base, nb, job->lo + base, job->hi + base, job->tol,
+                            job->max_depth, job->max_live, s, &job->slots[k])) {
             for (int c = 0; c < 3; c++)
-                memcpy(job->out + c * n + base, acc + c * nb, nb * sizeof *job->out);
+                memcpy(job->out + c * n + base, s->acc + c * nb, nb * sizeof *job->out);
         } else {
             long long failed = atomic_load(&job->failed);
             while (k < failed && !atomic_compare_exchange_weak(&job->failed, &failed, k))
                 ;
         }
     }
-    free(acc);
-    free(count);
-    free(s.owners);
-    free(s.A);
-    free(s.B);
-    free(s.E);
-    free(s.err);
-    free(s.done);
-    for (int k = 0; k < 2; k++) {
-        free(s.q[k].own);
-        free(s.q[k].a);
-        free(s.q[k].b);
-        free(s.q[k].mid);
-        free(s.q[k].est);
-    }
     return NULL;
 }
+
+#ifdef __SANITIZE_ADDRESS__
+#define map_memory malloc
+#define unmap_memory(p, bytes) free(p)
+#else
+static void *map_memory(size_t bytes)
+{
+    void *p = mmap(NULL, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    return p == MAP_FAILED ? NULL : p;
+}
+#define unmap_memory munmap
+#endif
 
 /*
  * integrate_batch over the n owners with limits lo and hi, for the oracle's
@@ -922,6 +898,17 @@ static void *oracle_worker(void *arg)
  * So the values, counts and failures do not depend on the number of
  * workers, nor on which worker took which block.  status->workers is the
  * number of threads that ran (a helper that cannot be started is not).
+ *
+ * The call allocates its memory once, before any thread starts: the
+ * blocks' slots, then a slice per thread that may run, for the largest
+ * level of a block: 3 nb panels evaluated and nb queued at level 0, 2 live
+ * and live deeper, once live has passed its check against max_live.
+ * ORACLE_NO_MEMORY is that allocation failing, or a cap too large for any
+ * address space.  The memory is mapped, not malloc'd: glibc raises its mmap
+ * threshold to the size of each mapped block it frees, after which numpy's
+ * freed arrays below it stay resident (2 MB more peak RSS at 19998 cells).
+ * Untouched pages cost nothing; each page a level writes costs a fault.
+ * ASan guards malloc's blocks, not mappings, so its build mallocs.
  */
 void oracle_integrate(const oracle_integrand *g, long long n, const double *lo, const double *hi,
                       double tol, int block, int max_depth, long long max_live, int workers,
@@ -929,20 +916,31 @@ void oracle_integrate(const oracle_integrand *g, long long n, const double *lo, 
 {
     memset(status, 0, sizeof *status);
     const long long n_blocks = (n + block - 1) / block;
-    oracle_job job = {.g = g, .n = n, .n_blocks = n_blocks, .lo = lo, .hi = hi, .tol = tol,
-                      .block = block, .max_depth = max_depth, .max_live = max_live, .out = out,
-                      .slots = calloc(n_blocks > 0 ? n_blocks : 1, sizeof *job.slots)};
-    atomic_init(&job.next, 0);
-    atomic_init(&job.failed, n_blocks);
-    if (!job.slots) {
+    const long long want = workers < n_blocks ? workers : n_blocks;
+    const int seats = want < 1 ? 1 : want < ORACLE_MAX_WORKERS ? (int)want : ORACLE_MAX_WORKERS;
+    const long long queue = max_live > block ? max_live : block;
+    const long long eval = 3LL * block > 2 * max_live ? 3LL * block : 2 * max_live;
+    oracle_scratch scratch[ORACLE_MAX_WORKERS];
+    /* in whole doubles, so that each slice starts aligned */
+    const size_t slots = n_blocks * sizeof(oracle_status),
+                 slice = (lay_out(scratch, NULL, eval, queue, block) + 7) / 8 * 8,
+                 bytes = slots + seats * slice;
+    char *memory = queue <= PTRDIFF_MAX / 1024 / ORACLE_MAX_WORKERS ? map_memory(bytes) : NULL;
+    if (!memory) {
         status->kind = ORACLE_NO_MEMORY;
         return;
     }
+    oracle_job job = {.g = g, .n = n, .n_blocks = n_blocks, .lo = lo, .hi = hi, .tol = tol,
+                      .block = block, .max_depth = max_depth, .max_live = max_live, .out = out,
+                      .slots = memset(memory, 0, slots), .scratch = scratch};
+    for (int k = 0; k < seats; k++)
+        lay_out(&scratch[k], memory + slots + k * slice, eval, queue, block);
+    atomic_init(&job.next, 0);
+    atomic_init(&job.failed, n_blocks);
+    atomic_init(&job.seat, 0);
     pthread_t helpers[ORACLE_MAX_WORKERS - 1];
-    const long long want = workers < n_blocks ? workers : n_blocks;
     int started = 0;
-    while (started + 1 < want && started + 1 < ORACLE_MAX_WORKERS &&
-           pthread_create(&helpers[started], NULL, oracle_worker, &job) == 0)
+    while (started + 1 < seats && pthread_create(&helpers[started], NULL, oracle_worker, &job) == 0)
         started++;
     oracle_worker(&job);
     for (int k = 0; k < started; k++)
@@ -964,7 +962,7 @@ void oracle_integrate(const oracle_integrand *g, long long n, const double *lo, 
             break;
         }
     }
-    free(job.slots);
+    unmap_memory(memory, bytes);
 }
 
 /*

@@ -334,8 +334,9 @@ _RUNNERS = {
 def _numpy_dispatch() -> list[str]:
     """
     The AVX2 and AVX-512 targets numpy dispatches to in this process: the
-    bytes of the closed forms (``reformed.py``) that feed convergence.csv
-    and err0.csv depend on them through numpy's exp, expm1 and power.
+    bytes of the closed forms that feed convergence.csv and err0.csv
+    (``reformed.py``, and ``sphere._edge_fraction`` and ``special_values``
+    under them) depend on them through numpy's exp, expm1 and power.
     """
     try:
         from numpy._core import _multiarray_umath as umath

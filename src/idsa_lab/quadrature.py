@@ -52,16 +52,19 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 # (3 * _BLOCK, 15) array of doubles is 369 kB, and the oracle's three
 # components of them 1.1 MB, within a 2 MB-per-core L2.  Larger blocks mean
 # fewer calls, each with its fixed Python cost.  The native oracle runs one
-# block per worker thread at a time, each in its own buffers, so what a
-# block holds is held once per worker.
+# block per worker thread at a time, each in its own slice of the call's
+# memory, so what a block holds is held once per worker.
 _BLOCK = 1024
 # Ceiling on the panels one block may queue for bisection, 4x the largest
 # queue of any oracle run that converges (2048 panels, over kappa 0.01 to 1000
 # at R = 6, tol 1e-10 to 1e-15, 2000 and 19998 cells, in blocks of 1024).  The
 # runs that do not converge are owners just inside R bisecting every panel at
 # every level, at a tolerance below roundoff; they are the same runs in blocks
-# of 256 and of 1024.  It bounds the memory of each of the native oracle's
-# workers, not of the call: a call holds up to one worker's worth per CPU.
+# of 256 and of 1024.  With _BLOCK it sizes the native oracle's memory, which
+# a call allocates once: per worker, max(3 * _BLOCK, 2 * _MAX_LIVE_PANELS)
+# panels evaluated and max(_BLOCK, _MAX_LIVE_PANELS) queued, about 1.9 MB
+# (touched only as far as a level reaches), and a call holds up to one
+# worker's worth per CPU.
 _MAX_LIVE_PANELS = 8192
 # Bisection depth cap: an owner still live past it raises QuadratureError.
 _MAX_DEPTH = 40

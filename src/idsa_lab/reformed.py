@@ -377,8 +377,12 @@ def new_idsa_stationary_closed_form(grid: RadialGrid, spec: ProblemSpec) -> TwoC
 def err0(kappa_R):
     """
     Closed-form relative error of the "new" stationary state at r = 0,
-    (sqrt3 kR / sinh(sqrt3 kR) - exp(-kR)) / (1 - exp(-kR)).
-    Vanishes for large kappa*R; order one when the sphere is translucent.
+    (X / sinh(X) - exp(-kR)) / (1 - exp(-kR)), X = sqrt3 kR.
+    Vanishes for large kappa*R; order one when the sphere is translucent,
+    and 1 - kR/2 + O(kR^2) as kR -> 0.  Below kR = 0.5 the numerator
+    cancels, so X / sinh(X) is written 1 / (1 + u), u = sinh(X)/X - 1 =
+    sum_k>=1 X^2k / (2k+1)!, its Taylor series summed, and
+    err0 = 1 - u / ((1 + u) (1 - exp(-kR))).
     """
     x = np.asarray(kappa_R, dtype=float)
     bad = x[~((0 < x) & (x < np.inf))]
@@ -386,5 +390,9 @@ def err0(kappa_R):
         raise ValueError(f"kappa_R must be positive and finite, got kappa_R = {bad[0]:g}")
     X = np.sqrt(3.0) * x
     ratio = 2.0 * X * np.exp(-X) / -np.expm1(-2.0 * X)
-    out = (ratio - np.exp(-x)) / -np.expm1(-x)
+    small = x < 0.5
+    X2 = np.where(small, X * X, 0.0)
+    u = sum(X2**k / math.factorial(2 * k + 1) for k in range(10, 0, -1))
+    out = np.where(small, 1.0 - u / ((1.0 + u) * -np.expm1(-x)),
+                   (ratio - np.exp(-x)) / -np.expm1(-x))
     return out if out.ndim else float(out)

@@ -153,6 +153,15 @@ def _run_cli(tmp_path, text, *sets):
     return main(argv)
 
 
+def test_cli_err0_at_a_tiny_kappa_R_writes_its_limit(tmp_path):
+    # err0 -> 1 - kR/2 as kR -> 0; its closed form cancelled to 0 at 1e-16.
+    out = tmp_path / "out"
+    assert _run_cli(tmp_path, "experiment = err0\nkappaR_list = 1e-16, 1e-300\n",
+                    f"output_dir={out}") == 0
+    rows = (out / "err0.csv").read_text().splitlines()[-2:]
+    assert [row.split(",")[1] for row in rows] == ["1", "1"]
+
+
 def test_cli_err0_roundtrip(tmp_path):
     out = tmp_path / "out"
     code = _run_cli(tmp_path, "experiment = err0\n", f"output_dir={out}")

@@ -6,9 +6,10 @@ on any number of worker threads) and its exp against the numpy
 transcription, the tridiagonal solve against the Python dgtsv and scipy,
 and the CSV formatter against Python's ``.17g``, all bit for bit; the
 oracle's exp within 1 ulp of mpmath; the march and the oracle built on
-their own at each x86-64 level this CPU runs, against numpy; both marches
-never writing to an array they have shown; the removal of stale builds;
-and the fallback when the module cannot be built.
+their own at each x86-64 level this CPU runs, against numpy; the kernels
+built with AddressSanitizer, running clean; both marches never writing to
+an array they have shown; the removal of stale builds; and the fallback
+when the module cannot be built.
 """
 
 import contextlib
@@ -663,6 +664,17 @@ def _oracle_failures():
     return failures
 
 
+def _bounds_case():
+    """The oracle in blocks of 64 owners with the live-panel cap lowered to 16:
+    level 0 evaluates 3 * 64 panels and queues 64, more than any later level
+    may, and the bisection, 3 levels deep, stays within the cap.  As
+    ``_oracle_bytes``."""
+    radii = make_uniform_grid(18.0, 200).r_centers
+    with unittest.mock.patch.object(quadrature, "_BLOCK", 64), \
+            unittest.mock.patch.object(quadrature, "_MAX_LIVE_PANELS", 16):
+        return _oracle_bytes(radii, ProblemSpec(B=1.0, R=6.0, kappa=97.0), 1e-12)
+
+
 def _edge_radii(R, *more):
     """0, R, R one ulp either side, and ``more``."""
     return np.array([0.0, R, np.nextafter(R, 0.0), np.nextafter(R, np.inf), *more])
@@ -671,8 +683,8 @@ def _edge_radii(R, *more):
 def _clone_cases(workers=(1, 2, 3)):
     """An instability row with its reductions, a spurious batch with a sweep
     row and confirmed holds, a run_to_time stationary stop, and the oracle
-    at four opacities and its three failures, in blocks of 64 owners on each
-    number of workers."""
+    at four opacities, its three failures and ``_bounds_case``, in blocks of
+    64 owners on each number of workers."""
     spec = ProblemSpec(B=1.0, R=6.0, kappa=1.0)
     coarse = make_uniform_grid(18.0, 50)
     instability = run_instability_experiment(
@@ -689,7 +701,8 @@ def _clone_cases(workers=(1, 2, 3)):
     for n in workers:
         with _workers(n), unittest.mock.patch.object(quadrature, "_BLOCK", 64):
             oracle.append(([_oracle_bytes(radii, ProblemSpec(B=1.0, R=6.0, kappa=kappa), 1e-10)
-                            for kappa in (0.01, 1.0, 97.0, 1000.0)], _oracle_failures()))
+                            for kappa in (0.01, 1.0, 97.0, 1000.0)], _oracle_failures(),
+                           _bounds_case()))
     return instability, spurious, stationary, oracle
 
 
@@ -801,6 +814,36 @@ def test_native_oracle_matches_numpy_bit_for_bit(kappa, R, tol, fractions):
 
 
 @needs_native
+def test_native_oracle_fills_the_memory_its_caps_size():
+    # A worker's slice holds max(3 block, 2 cap) evaluated and max(block, cap)
+    # queued panels.  Here level 0 fills the first of each, and the levels
+    # past it stay within the cap: the same bits and counts as numpy on 1
+    # and 2 workers.
+    with _numpy_march():
+        reference = _bounds_case()
+    result, stats = reference
+    assert isinstance(result, bytes)
+    assert stats["max_depth"] >= 2 and 2 <= stats["max_live_panels"] <= 16
+    for n in (1, 2):
+        with _workers(n):
+            assert _bounds_case() == reference
+
+
+@needs_native
+def test_native_oracle_that_cannot_allocate_raises_before_any_block():
+    # A call allocates once, sized from the caps, before any block runs: a
+    # cap past the address space fails there, and one past what a size could
+    # count fails before its size overflows.  Nothing is integrated.
+    radii = make_uniform_grid(18.0, 60).r_centers
+    for cap in (2**44, 2**62):
+        stats = {}
+        with unittest.mock.patch.object(quadrature, "_MAX_LIVE_PANELS", cap), \
+                pytest.raises(MemoryError, match="could not allocate its panel buffers"):
+            moments_at(radii, ProblemSpec(B=1.0, R=6.0, kappa=1.0), 1e-10, stats)
+        assert stats == {"panels": 0, "max_depth": 0, "max_live_panels": 0, "workers": 0}
+
+
+@needs_native
 def test_native_oracle_fails_as_numpy():
     # The same owner and message for a non-finite estimate, the depth cap
     # and the live-panel cap.
@@ -884,6 +927,82 @@ def test_native_oracle_on_more_workers_than_cpus_loses_no_block():
         for _ in range(10):
             with _workers(8):
                 assert _oracle_bytes(radii, spec, 1e-10) == reference
+
+
+# Run under AddressSanitizer, with the instrumented module's name and file
+# and this directory as arguments: the oracle's three failures,
+# _bounds_case, and four opacities at the default block and cap and in
+# blocks of 2 owners whose deeper levels fill a cap of 4, on 1 and 2
+# workers; a short march, a tridiagonal solve and a block of CSV rows; each
+# against its reference.
+_ASAN_RUN = """
+import importlib.util, sys, unittest.mock
+import numpy as np
+from idsa_lab import _native
+
+spec = importlib.util.spec_from_file_location(sys.argv[1], sys.argv[2])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+_native.load = lambda: module
+
+sys.path.insert(0, sys.argv[3])
+from test_native import (_block_text, _bounds_case, _numpy_march, _oracle_bytes,
+                         _oracle_failures, _workers, ProblemSpec, SolverConfig, make_uniform_grid,
+                         quadrature, run_instability_experiment)
+from idsa_lab.reformed import _Tridiagonal
+
+
+def run():
+    radii = make_uniform_grid(18.0, 200).r_centers
+    oracle = [_bounds_case(), _oracle_failures()]
+    for block, cap in ((1024, 8192), (2, 4)):
+        with unittest.mock.patch.object(quadrature, "_BLOCK", block), \\
+                unittest.mock.patch.object(quadrature, "_MAX_LIVE_PANELS", cap):
+            oracle += [_oracle_bytes(radii, ProblemSpec(B=1.0, R=6.0, kappa=kappa), 1e-12)
+                       for kappa in (0.01, 1.0, 97.0, 1000.0)]
+    march = run_instability_experiment(ProblemSpec(B=1.0, R=6.0, kappa=1.0),
+                                       make_uniform_grid(18.0, 50),
+                                       SolverConfig(dt=0.1, t_end=5.0), (1.0, 5.0)).snapshots
+    rng = np.random.default_rng(3)
+    solve = _Tridiagonal(*(rng.standard_normal(k) for k in (49, 50, 49))).solve(rng.random(50))
+    rows = bytes(_block_text([rng.random(40), rng.random(40) < 0.5, ["a", "bc"] * 20, 0.25]))
+    return oracle, march, solve.tobytes(), rows
+
+
+with _numpy_march():
+    reference = run()
+assert reference[0][0][1]["max_live_panels"] <= 16
+assert max(stats["max_live_panels"] for _, stats in reference[0][6:]) == 4
+for n in (1, 2):
+    with _workers(n):
+        assert run() == reference
+print("ok")
+"""
+
+
+@pytest.mark.skipif(not (shutil.which("gcc") and importlib.util.find_spec("cffi")),
+                    reason="no gcc or no cffi")
+def test_native_kernels_run_clean_under_address_sanitizer(tmp_path, monkeypatch):
+    # Every heap buffer the kernels write, the oracle's one allocation per
+    # call among them, ends where AddressSanitizer poisons: a write or read
+    # past one aborts the run.
+    libasan = subprocess.run(["gcc", "-print-file-name=libasan.so"],
+                             capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(libasan):
+        pytest.skip("gcc has no libasan here")
+    monkeypatch.setattr(_native, "_CFLAGS",
+                        ["-fsanitize=address", "-O1", "-g", "-ffp-contract=off", "-pthread"])
+    name = "_idsa_march_asan"
+    target = tmp_path / (name + importlib.machinery.EXTENSION_SUFFIXES[0])
+    _native._build(name, _native._SOURCE.read_text(), target)
+    src = str(Path(idsa_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _ASAN_RUN, name, str(target), str(Path(__file__).parent)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr[-4000:]
 
 
 def _exp_arguments(rng, n):

@@ -421,6 +421,30 @@ def test_err0_values():
     with pytest.raises(ValueError):
         err0(-1.0)
 
+
+def _err0_error(kR):
+    """err0(kR)'s relative error against mpmath, with digits to spare for
+    the numerator's cancellation, which takes about -log10(kR) of them."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30 + 2 * max(0, -math.floor(math.log10(kR)))):
+        x = mpmath.mpf(kR)
+        X = mpmath.sqrt(3) * x
+        exact = (X / mpmath.sinh(X) - mpmath.exp(-x)) / -mpmath.expm1(-x)
+        return float(abs(err0(kR) / exact - 1))
+
+
+def test_err0_matches_mpmath_down_to_the_smallest_kappa_R():
+    # Below kR = 0.5 the numerator's series holds err0 within 4e-16, where
+    # its closed form cancelled: 2.3e-8 off at kR = 1e-8, 8e-4 at 1e-14 and
+    # 0 at 1e-16.  Above it, to kR = 2, the closed form is within 2e-15.
+    series = [*np.geomspace(1e-300, 1e-4, 120).tolist(), 1e-16, 1e-14, 1e-12, 1e-8,
+              *np.geomspace(1e-4, 0.4999, 60).tolist(), np.nextafter(0.5, 0.0)]
+    closed = [0.5, *np.geomspace(0.5, 2.0, 40).tolist()[1:]]
+    assert max(map(_err0_error, series)) <= 4e-16
+    assert max(map(_err0_error, closed)) <= 2e-15
+    assert err0(np.array(series + closed)).tolist() == [err0(x) for x in series + closed]
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
 def test_err0_names_a_kappa_R_outside_its_domain(bad):
     # inf and nan returned NaN with a RuntimeWarning.
