@@ -15,7 +15,8 @@
  *   (built with -pthread), merged in block order so that the bits do not
  *   depend on how many ran.  A call allocates once: per worker, room for
  *   max(3 block, 2 max_live) panels evaluated and max(block, max_live)
- *   queued, block and max_live being quadrature's _BLOCK and _MAX_LIVE_PANELS.
+ *   queued, block and max_live being quadrature's _BLOCK and _MAX_LIVE_PANELS,
+ *   1.42 MB at their defaults.  A level evaluates its panels in its queue.
  *
  * Each gives the bits of its Python reference: built without fast-math and
  * without contraction into fused multiply-adds, every operation rounds as
@@ -78,7 +79,7 @@ typedef struct {
     int mono_pairs;           /* the pairs i < mono_pairs are checked */
     /* per row */
     double *sup;              /* max(sup, max(Jt + Js)) */
-    double *change;           /* max(max|dJt|, max|dJs|) / max(max(0, Jt), max(0, Js), 1e-300) */
+    double *change;           /* max(max|dJt|, max|dJs|) / max(max(0, Jt), max(0, Js), 2^-1074) */
     signed char *nonmono;     /* the last step had a non-monotone pair */
     long long *first_nonmono; /* the first step that had one, or -1 */
 } march_reductions;
@@ -292,7 +293,7 @@ static INLINE double streaming(int n, const double *restrict jt_new, const doubl
     return bad;
 }
 
-/* max(max|dJt|, max|dJs|) / max(max(0, Jt), max(0, Js), 1e-300) from
+/* max(max|dJt|, max|dJs|) / max(max(0, Jt), max(0, Js), 2^-1074) from
  * (jt, js) to (jt_new, js_new), the maxima over cells numpy's. */
 static INLINE double relative_change(int n, const double *jt, const double *js,
                                      const double *jt_new, const double *js_new)
@@ -304,7 +305,7 @@ static INLINE double relative_change(int n, const double *jt, const double *js,
         mjt = np_max(mjt, jt_new[i]);
         mjs = np_max(mjs, js_new[i]);
     }
-    return py_max(djt, djs) / py_max(py_max(mjt, mjs), 1e-300);
+    return py_max(djt, djs) / py_max(py_max(mjt, mjs), 0x1p-1074);
 }
 
 /* max(sup, max(Jt + Js)), the max over cells numpy's: a NaN sum leaves sup
@@ -339,7 +340,7 @@ static INLINE int dominated(int n, int i0, const double *restrict jt, const doub
 {
     double not_all = 0.0;
     for (int i = i0; i < n; i++)
-        not_all = !(jt[i] > 0.5 * max_b(jt[i] + js[i], 1e-300)) ? 1.0 : not_all;
+        not_all = !(jt[i] > 0.5 * (jt[i] + js[i])) ? 1.0 : not_all;
     return not_all == 0.0;
 }
 
@@ -497,13 +498,18 @@ void oracle_exp(long long n, const double *restrict x, double *restrict out)
         out[i] = fixed_exp(x[i], lo, hi);
 }
 
+/* The parts of a queued panel [a, b]: all of it, [a, s] and [s, b], s = 0.5 (a + b). */
+enum { PANEL_WHOLE, PANEL_LEFT, PANEL_RIGHT };
+
 /*
- * The Gauss-Legendre estimates of m panels [A_i, B_i] of owners owners[i],
- * into est, shape (3, m).  Each panel's nodes are x = mid + half node_j,
- * with mid = 0.5 (A + B) and half = 0.5 (B - A), and at each node the pass
- * evaluates the three integrands and adds them, weighted, to the panel's
- * sums in node order, from -0.0, the additive identity, so the first add
- * gives the bits of v_0 w_0; the sums times half are the estimates.
+ * The Gauss-Legendre estimates of p queued panels [a_i, b_i] of owners
+ * base + own[i], into est, shape (3, m): p columns for each part from
+ * `first` to the right halves, so m = (3 - first) p.  A part [A, B] has
+ * nodes x = mid + half node_j, mid = 0.5 (A + B) and half = 0.5 (B - A),
+ * and at each node the pass evaluates the three integrands and adds them,
+ * weighted, to the panel's sums in node order, from -0.0, the additive
+ * identity, so the first add gives the bits of v_0 w_0; the sums times
+ * half are the estimates.
  *
  * The inside integrand at mu, of owner radius r:
  *   RG = R sqrt(max(0, 1 - (r/R)^2 (1 - mu^2))),
@@ -519,76 +525,83 @@ void oracle_exp(long long n, const double *restrict x, double *restrict out)
  * innermost, so every loop runs across panels and vectorizes.
  */
 MARCH_CLONES
-static void panel_estimates(const oracle_integrand *g, long long m, const long long *owners,
-                            const double *A, const double *B, double *est)
+static void panel_estimates(const oracle_integrand *g, long long base, long long p,
+                            const int *own, const double *a, const double *b, int first,
+                            double *est)
 {
     const double R = g->R, kappa = g->kappa, lo = EXP_BOUNDS[0], hi = EXP_BOUNDS[1];
-    for (long long i0 = 0; i0 < m; i0 += ORACLE_TILE) {
-        const long long n = m - i0 < ORACLE_TILE ? m - i0 : ORACLE_TILE;
-        /* per panel: mid, half, and the owner's r and (r/R)^2, or rate and mu0^2 */
-        double mid[ORACLE_TILE], half[ORACLE_TILE], c[ORACLE_TILE], q2[ORACLE_TILE];
-        double sum[3][ORACLE_TILE]; /* sum[c]: the weighted sum of component c */
-        for (long long t = 0; t < n; t++) {
-            mid[t] = 0.5 * (A[i0 + t] + B[i0 + t]);
-            half[t] = 0.5 * (B[i0 + t] - A[i0 + t]);
-            sum[0][t] = sum[1][t] = sum[2][t] = -0.0;
-        }
-        for (long long t = 0; t < n; t++) {
-            const long long o = owners[i0 + t];
-            if (g->inside) {
-                c[t] = g->r[o];
-                const double q = c[t] / R;
-                q2[t] = q * q;
-            } else {
-                c[t] = g->rate[o];
-                q2[t] = g->mu0_sq[o];
+    const long long m = (3 - first) * p;
+    for (int part = first; part <= PANEL_RIGHT; part++)
+        for (long long i0 = 0; i0 < p; i0 += ORACLE_TILE) {
+            const long long n = p - i0 < ORACLE_TILE ? p - i0 : ORACLE_TILE;
+            /* per panel: mid, half, and the owner's r and (r/R)^2, or rate and mu0^2 */
+            double mid[ORACLE_TILE], half[ORACLE_TILE], c[ORACLE_TILE], q2[ORACLE_TILE];
+            double sum[3][ORACLE_TILE]; /* sum[c]: the weighted sum of component c */
+            for (long long t = 0; t < n; t++) {
+                const double x = a[i0 + t], y = b[i0 + t], split = 0.5 * (x + y);
+                const double A = part == PANEL_RIGHT ? split : x;
+                const double B = part == PANEL_LEFT ? split : y;
+                mid[t] = 0.5 * (A + B);
+                half[t] = 0.5 * (B - A);
+                sum[0][t] = sum[1][t] = sum[2][t] = -0.0;
             }
-        }
-        for (int j = 0; j < ORACLE_NODES; j++) {
-            const double node = g->node[j], w = g->weight[j];
-            if (g->inside) {
-                for (long long t = 0; t < n; t++) {
-                    const double mu = mid[t] + half[t] * node;
-                    /* np.clip(., 0, None): NaN stays NaN, -0 becomes 0 */
-                    const double arg = max_b(1.0 - q2[t] * (1.0 - mu * mu), 0.0);
-                    const double RG = R * sqrt(arg), rmu = c[t] * mu;
-                    const double ep = fixed_exp(kappa * (rmu - RG), lo, hi);
-                    const double em = fixed_exp(-kappa * (rmu + RG), lo, hi);
-                    const double even = 0.5 * (ep + em), odd = 0.5 * (ep - em);
-                    sum[0][t] = sum[0][t] + even * w;
-                    sum[1][t] = sum[1][t] + mu * odd * w;
-                    sum[2][t] = sum[2][t] + mu * mu * even * w;
-                }
-            } else {
-                for (long long t = 0; t < n; t++) {
-                    const double v = mid[t] + half[t] * node;
-                    const double e = fixed_exp(c[t] * v, lo, hi);
-                    const double mu = sqrt(q2[t] + v * v), ve = v * e;
-                    sum[0][t] = sum[0][t] + ve / mu * w;
-                    sum[1][t] = sum[1][t] + ve * w;
-                    sum[2][t] = sum[2][t] + mu * ve * w;
+            for (long long t = 0; t < n; t++) {
+                const long long o = base + own[i0 + t];
+                if (g->inside) {
+                    c[t] = g->r[o];
+                    const double q = c[t] / R;
+                    q2[t] = q * q;
+                } else {
+                    c[t] = g->rate[o];
+                    q2[t] = g->mu0_sq[o];
                 }
             }
+            for (int j = 0; j < ORACLE_NODES; j++) {
+                const double node = g->node[j], w = g->weight[j];
+                if (g->inside) {
+                    for (long long t = 0; t < n; t++) {
+                        const double mu = mid[t] + half[t] * node;
+                        /* np.clip(., 0, None): NaN stays NaN, -0 becomes 0 */
+                        const double arg = max_b(1.0 - q2[t] * (1.0 - mu * mu), 0.0);
+                        const double RG = R * sqrt(arg), rmu = c[t] * mu;
+                        const double ep = fixed_exp(kappa * (rmu - RG), lo, hi);
+                        const double em = fixed_exp(-kappa * (rmu + RG), lo, hi);
+                        const double even = 0.5 * (ep + em), odd = 0.5 * (ep - em);
+                        sum[0][t] = sum[0][t] + even * w;
+                        sum[1][t] = sum[1][t] + mu * odd * w;
+                        sum[2][t] = sum[2][t] + mu * mu * even * w;
+                    }
+                } else {
+                    for (long long t = 0; t < n; t++) {
+                        const double v = mid[t] + half[t] * node;
+                        const double e = fixed_exp(c[t] * v, lo, hi);
+                        const double mu = sqrt(q2[t] + v * v), ve = v * e;
+                        sum[0][t] = sum[0][t] + ve / mu * w;
+                        sum[1][t] = sum[1][t] + ve * w;
+                        sum[2][t] = sum[2][t] + mu * ve * w;
+                    }
+                }
+            }
+            double *out = est + (part - first) * p + i0;
+            for (int k = 0; k < 3; k++)
+                for (long long t = 0; t < n; t++)
+                    out[k * m + t] = sum[k][t] * half[t];
         }
-        for (int k = 0; k < 3; k++)
-            for (long long t = 0; t < n; t++)
-                est[k * m + i0 + t] = sum[k][t] * half[t];
-    }
 }
 
 /* The most threads one call runs, the calling one included. */
 #define ORACLE_MAX_WORKERS 64
 
-/* A panel queue: each panel's block-local owner, bounds, midpoint and estimate (3, size). */
+/* A panel queue: each panel's block-local owner, bounds and estimate (3, size). */
 typedef struct {
     int *own;
-    double *a, *b, *mid, *est;
+    double *a, *b, *est;
 } oracle_queue;
 
-/* One worker's buffers, its slice of the call's one allocation (oracle_integrate). */
+/* One worker's buffers, its slice of the call's one allocation (oracle_integrate),
+ * 1.42 MB at quadrature's defaults.  Level 0 reads lo and hi in place. */
 typedef struct {
-    long long *owners;          /* the panels evaluated: batch owner, */
-    double *A, *B, *E;          /* bounds and estimates (3, eval) */
+    double *E;                  /* the estimates of the parts evaluated (3, eval) */
     double *err;                /* the queue's errors (3, queue) */
     signed char *done;
     oracle_queue q[2];          /* the live queue and the next one */
@@ -603,15 +616,11 @@ static size_t lay_out(oracle_scratch *s, char *base, long long eval, long long q
 {
     size_t at = 0;
 #define TAKE(p, n) ((p) = base ? (void *)(base + at) : NULL, at += (size_t)(n) * sizeof *(p))
-    TAKE(s->owners, eval);
-    TAKE(s->A, eval);
-    TAKE(s->B, eval);
     TAKE(s->E, 3 * eval);
     TAKE(s->err, 3 * queue);
     for (int k = 0; k < 2; k++) {
         TAKE(s->q[k].a, queue);
         TAKE(s->q[k].b, queue);
-        TAKE(s->q[k].mid, queue);
         TAKE(s->q[k].est, 3 * queue);
     }
     TAKE(s->acc, 3 * block);
@@ -627,12 +636,16 @@ static size_t lay_out(oracle_scratch *s, char *base, long long eval, long long q
     return at;
 }
 
-/* Evaluates the m panels in s, and names the first with a non-finite
- * estimate (its first such component); returns whether all are finite, and
- * counts them if so. */
-static int evaluate(const oracle_integrand *g, long long m, oracle_scratch *s, oracle_status *st)
+/* Evaluates the parts from `first` of the p panels [a_i, b_i] of owners
+ * base + own[i] into s->E, and names the first with a non-finite estimate
+ * (its first such component); returns whether all are finite, and counts
+ * them if so. */
+static int evaluate(const oracle_integrand *g, long long base, long long p, const int *own,
+                    const double *a, const double *b, int first, oracle_scratch *s,
+                    oracle_status *st)
 {
-    panel_estimates(g, m, s->owners, s->A, s->B, s->E);
+    const long long m = (3 - first) * p;
+    panel_estimates(g, base, p, own, a, b, first, s->E);
     double bad = 0.0;
     for (long long k = 0; k < 3 * m; k++)
         bad = !(fabs(s->E[k]) <= DBL_MAX) ? 1.0 : bad;
@@ -641,7 +654,7 @@ static int evaluate(const oracle_integrand *g, long long m, oracle_scratch *s, o
             for (int c = 0; c < 3; c++)
                 if (!isfinite(s->E[c * m + i])) {
                     st->kind = ORACLE_NON_FINITE;
-                    st->owner = s->owners[i];
+                    st->owner = base + own[i % p];
                     st->value = s->E[c * m + i];
                     return 0;
                 }
@@ -665,57 +678,48 @@ static INLINE int meets(double err, double err_sum, double total, double width, 
 
 /*
  * quadrature._integrate_block for the owners base .. base + nb - 1, into
- * s->acc (3, nb): level 0 evaluates every owner's whole panel and both
- * halves, then each level bisects the live panels, the left halves of all
- * of them first.  The sums run in numpy's order: np.add.at adds in panel
- * order.  Level 0, which holds most of the work outside the passes, runs as
- * loops over owners that vectorize.  s holds any level (oracle_integrate).
+ * s->acc (3, nb): level 0 evaluates every owner's whole panel [lo, hi] and
+ * both halves, then each level queues the halves of the live panels, the
+ * left ones first, and evaluates the halves of those.  The sums run in
+ * numpy's order: np.add.at adds in panel order.  Level 0, which holds most
+ * of the work outside the passes, runs as loops over owners that
+ * vectorize.  s holds any level (oracle_integrate).
  */
 static int integrate_block(const oracle_integrand *g, long long base, int nb, const double *lo,
                            const double *hi, double tol, int max_depth, long long max_live,
                            oracle_scratch *s, oracle_status *st)
 {
     double *acc = s->acc, *total = s->total, *err_sum = s->err_sum, *span = s->span,
-           *flag = s->flag, *err = s->err;
+           *flag = s->flag, *err = s->err, *E = s->E;
     long long *count = s->count;
+    /* the live queue: level 0's owners, with its bounds lo and hi */
     oracle_queue *q = &s->q[0];
+    const double *a = lo, *b = hi;
     for (int i = 0; i < nb; i++) {
-        q->mid[i] = 0.5 * (lo[i] + hi[i]);
         span[i] = max_b(hi[i] - lo[i], 0x1p-1022);
         q->own[i] = i;
-        s->owners[i] = s->owners[nb + i] = s->owners[2 * nb + i] = base + i;
     }
-    memcpy(q->a, lo, nb * sizeof *lo);
-    memcpy(q->b, hi, nb * sizeof *hi);
-    /* the whole panels, the left halves, the right halves */
-    memcpy(s->A, lo, nb * sizeof *lo);
-    memcpy(s->A + nb, lo, nb * sizeof *lo);
-    memcpy(s->A + 2 * nb, q->mid, nb * sizeof *lo);
-    memcpy(s->B, hi, nb * sizeof *hi);
-    memcpy(s->B + nb, q->mid, nb * sizeof *hi);
-    memcpy(s->B + 2 * nb, hi, nb * sizeof *hi);
-    if (!evaluate(g, 3LL * nb, s, st))
+    if (!evaluate(g, base, nb, q->own, a, b, PANEL_WHOLE, s, st))
         return 0;
 
     /* Level 0: refined = left + right, err = |est - refined|, and each
      * owner's sums are its one panel's (0.0 + refined). */
-    long long p = nb, m = 3LL * nb, left = nb, right = 2LL * nb;
+    long long p = nb, m = 3LL * nb;
     for (int i = 0; i < nb; i++)
         flag[i] = 1.0;
     for (int c = 0; c < 3; c++) {
-        const double *est = s->E + c * m, *l = est + left, *r = est + right;
-        double *restrict e = err + c * p, *restrict t = total + c * nb;
-        memcpy(q->est + c * p, est, p * sizeof *est);
+        const double *est = E + c * m, *l = est + p, *r = est + 2 * p;
+        double *restrict e = err + c * p, *restrict sums = acc + c * nb;
         for (int i = 0; i < nb; i++) {
             const double refined = l[i] + r[i];
             e[i] = fabs(est[i] - refined);
-            t[i] = 0.0 + refined;
-            flag[i] = meets(e[i], e[i], t[i], hi[i] - lo[i], span[i], tol) ? flag[i] : 0.0;
+            sums[i] = 0.0 + refined;
+            flag[i] = meets(e[i], e[i], sums[i], hi[i] - lo[i], span[i], tol) ? flag[i] : 0.0;
         }
     }
     for (int c = 0; c < 3; c++)
         for (int i = 0; i < nb; i++)
-            acc[c * nb + i] = flag[i] != 0.0 ? total[c * nb + i] : 0.0;
+            acc[c * nb + i] = flag[i] != 0.0 ? acc[c * nb + i] : 0.0;
     for (int i = 0; i < nb; i++)
         s->done[i] = flag[i] != 0.0;
 
@@ -764,35 +768,29 @@ static int integrate_block(const oracle_integrand *g, long long base, int nb, co
 
         /* Bisect the kept panels: the left halves, then the right ones. */
         oracle_queue *next = &s->q[(depth + 1) & 1];
-        const long long half = live / 2;
+        /* the columns of E that hold the kept panels' left and right halves */
+        const long long half = live / 2, left = m - 2 * p, right = m - p;
         for (long long i = 0, k = 0; i < p; i++) {
             if (s->done[i])
                 continue;
             next->own[k] = next->own[half + k] = q->own[i];
-            next->a[k] = q->a[i];
-            next->b[k] = next->a[half + k] = q->mid[i];
-            next->b[half + k] = q->b[i];
+            next->a[k] = a[i];
+            next->b[k] = next->a[half + k] = 0.5 * (a[i] + b[i]);
+            next->b[half + k] = b[i];
             for (int c = 0; c < 3; c++) {
-                next->est[c * live + k] = s->E[c * m + left + i];
-                next->est[c * live + half + k] = s->E[c * m + right + i];
+                next->est[c * live + k] = E[c * m + left + i];
+                next->est[c * live + half + k] = E[c * m + right + i];
             }
             k++;
         }
         q = next;
+        a = q->a;
+        b = q->b;
         p = live;
+        m = 2 * p;
         depth++;
 
-        m = 2 * p;
-        left = 0;
-        right = p;
-        for (long long i = 0; i < p; i++) {
-            q->mid[i] = 0.5 * (q->a[i] + q->b[i]);
-            s->owners[i] = s->owners[p + i] = base + q->own[i];
-            s->A[i] = q->a[i];
-            s->B[i] = s->A[p + i] = q->mid[i];
-            s->B[p + i] = q->b[i];
-        }
-        if (!evaluate(g, m, s, st))
+        if (!evaluate(g, base, p, q->own, a, b, PANEL_LEFT, s, st))
             return 0;
         st->max_depth = depth > st->max_depth ? depth : st->max_depth;
         st->max_live = p > st->max_live ? p : st->max_live;
@@ -803,7 +801,7 @@ static int integrate_block(const oracle_integrand *g, long long base, int nb, co
         memset(err_sum, 0, 3 * nb * sizeof *err_sum);
         for (long long i = 0; i < p; i++)
             for (int c = 0; c < 3; c++) {
-                const double refined = s->E[c * m + left + i] + s->E[c * m + right + i];
+                const double refined = E[c * m + i] + E[c * m + p + i];
                 err[c * p + i] = fabs(q->est[c * p + i] - refined);
                 total[c * nb + q->own[i]] += refined;
                 err_sum[c * nb + q->own[i]] += err[c * p + i];
@@ -812,14 +810,14 @@ static int integrate_block(const oracle_integrand *g, long long base, int nb, co
             const int o = q->own[i];
             int c = 0;
             while (c < 3 && meets(err[c * p + i], err_sum[c * nb + o], total[c * nb + o],
-                                  q->b[i] - q->a[i], span[o], tol))
+                                  b[i] - a[i], span[o], tol))
                 c++;
             s->done[i] = c == 3;
         }
         for (long long i = 0; i < p; i++)
             if (s->done[i])
                 for (int c = 0; c < 3; c++)
-                    acc[c * nb + q->own[i]] += s->E[c * m + left + i] + s->E[c * m + right + i];
+                    acc[c * nb + q->own[i]] += E[c * m + i] + E[c * m + p + i];
     }
 }
 
@@ -902,7 +900,8 @@ static void *map_memory(size_t bytes)
  * The call allocates its memory once, before any thread starts: the
  * blocks' slots, then a slice per thread that may run, for the largest
  * level of a block: 3 nb panels evaluated and nb queued at level 0, 2 live
- * and live deeper, once live has passed its check against max_live.
+ * and live deeper, once live has passed its check against max_live: 1.42 MB
+ * at quadrature's defaults.
  * ORACLE_NO_MEMORY is that allocation failing, or a cap too large for any
  * address space.  The memory is mapped, not malloc'd: glibc raises its mmap
  * threshold to the size of each mapped block it frees, after which numpy's

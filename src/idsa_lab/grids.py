@@ -136,9 +136,18 @@ def _require_same_grid(a: RadialField, b: RadialField) -> None:
 
 
 def shell_l2_norm(field: RadialField) -> float:
-    """sqrt( sum_i r_i^2 f_i^2 dr ) — the volume-weighted L2 norm."""
+    """
+    sqrt( sum_i r_i^2 f_i^2 dr ) — the volume-weighted L2 norm.  It is
+    summed over f 2^-e, the power of two that brings the largest |f_i| into
+    [0.5, 1), then scaled back by 2^e, so that no square overflows or
+    underflows at any scale of f: the norm of 2^k f is 2^k times the norm
+    of f, bit for bit.  ``np.ldexp`` scales without forming 2^e, which
+    overflows for a subnormal |f_i| (2^1074).
+    """
     r = field.grid.r_centers
-    return float(np.sqrt(np.sum(r * r * field.values**2) * field.grid.dr))
+    _, e = np.frexp(np.max(np.abs(field.values)))
+    f = np.ldexp(field.values, -e)
+    return float(np.ldexp(np.sqrt(np.sum(r * r * f**2) * field.grid.dr), e))
 
 
 def l2_relative_error(approx: RadialField, exact: RadialField) -> float:

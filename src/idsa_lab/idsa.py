@@ -352,9 +352,11 @@ class _Reductions:
     pair among the first ``mono_pairs`` (Jt[i + 1] - Jt[i] > ``mono_tol``),
     and the first step that had one (-1 if none); and, while ``stat_tol``
     is positive, the relative change max(|dJt|, |dJs|) / max(max Jt, max
-    Js, 1e-300).  ``update`` is the numpy reference; the native kernel
-    reduces the same values itself and returns at a step whose sup exceeds
-    ``bound`` or whose change falls below ``stat_tol``.
+    Js, 5e-324), whose floor, the smallest double, guards only all-zero
+    fields, so that the change does not depend on B's scale.  ``update`` is
+    the numpy reference; the native kernel reduces the same values itself
+    and returns at a step whose sup exceeds ``bound`` or whose change falls
+    below ``stat_tol``.
     """
 
     def __init__(self, n_rows: int, bound=math.inf, stat_tol=0.0, mono_tol=0.0, mono_pairs=0):
@@ -376,7 +378,7 @@ class _Reductions:
             dJt = np.max(np.abs(Jt - Jt_old), axis=1)
             dJs = np.max(np.abs(Js - Js_old), axis=1)
             scale = _py_max(Jt.max(axis=1, initial=0.0), Js.max(axis=1, initial=0.0))
-            self.change = _py_max(dJt, dJs) / _py_max(scale, 1e-300)
+            self.change = _py_max(dJt, dJs) / _py_max(scale, 5e-324)
 
     def keep(self, rows: np.ndarray) -> None:
         """Drop the rows where ``rows`` is False."""
@@ -418,7 +420,7 @@ class _Holds:
     def update(self, k: int, Jt, Js) -> None:
         """Update the holds after step ``k``, which left (Jt, Js)."""
         out = slice(self.watch, None)
-        dominated = (Jt[:, out] > 0.5 * np.maximum(Jt[:, out] + Js[:, out], 1e-300)).all(axis=1)
+        dominated = (Jt[:, out] > 0.5 * (Jt[:, out] + Js[:, out])).all(axis=1)
         self.since = np.where(dominated, np.where(self.since < 0, k, self.since), -1)
 
     def ended(self, k: int) -> np.ndarray:

@@ -62,7 +62,7 @@ _BLOCK = 1024
 # every level, at a tolerance below roundoff; they are the same runs in blocks
 # of 256 and of 1024.  With _BLOCK it sizes the native oracle's memory, which
 # a call allocates once: per worker, max(3 * _BLOCK, 2 * _MAX_LIVE_PANELS)
-# panels evaluated and max(_BLOCK, _MAX_LIVE_PANELS) queued, about 1.9 MB
+# panels evaluated and max(_BLOCK, _MAX_LIVE_PANELS) queued, 1.42 MB
 # (touched only as far as a level reaches), and a call holds up to one
 # worker's worth per CPU.
 _MAX_LIVE_PANELS = 8192

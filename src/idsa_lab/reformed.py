@@ -294,7 +294,7 @@ class ReformedScheme:
                 raise NegativityError("trapped component", t, i, float(Jt_new[i]))
             self._streaming(Jt_new, t)
             if sched.final is None:  # no change is read after the final state
-                change = np.max(np.abs(Jt_new - Jt)) / max(np.max(np.abs(Jt_new)), 1e-300)
+                change = np.max(np.abs(Jt_new - Jt)) / max(np.max(np.abs(Jt_new)), 5e-324)
             upcoming = sched.see(k, change, lambda: self._assemble_state(Jt_new, t))
             Jt = Jt_new
         return sched.record()

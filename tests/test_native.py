@@ -137,8 +137,8 @@ def test_native_source_compiles_without_warnings():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler: the numpy march is the only one")
     proc = subprocess.run(
-        ["cc", *_native._CFLAGS, "-Wall", "-Wextra", "-Wmissing-prototypes", "-Werror",
-         "-fsyntax-only", str(_native._SOURCE)],
+        ["cc", *_native._CFLAGS, "-Wall", "-Wextra", "-Wmissing-prototypes", "-Wcast-qual",
+         "-Wshadow", "-Werror", "-fsyntax-only", str(_native._SOURCE)],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
@@ -841,6 +841,41 @@ def test_native_oracle_that_cannot_allocate_raises_before_any_block():
                 pytest.raises(MemoryError, match="could not allocate its panel buffers"):
             moments_at(radii, ProblemSpec(B=1.0, R=6.0, kappa=1.0), 1e-10, stats)
         assert stats == {"panels": 0, "max_depth": 0, "max_live_panels": 0, "workers": 0}
+
+
+@needs_native
+@pytest.mark.skipif(not hasattr(os, "sysconf") or os.sysconf("SC_PAGE_SIZE") != 4096,
+                    reason="the budget counts 4 kB pages")
+def test_native_oracle_faults_in_few_pages_per_call():
+    # Each call maps its memory afresh, so every page a level writes faults
+    # in again: a level that restated its queue or lo and hi in copies would
+    # write more of them.  One worker integrates the inside owners of 19998
+    # cells (7 blocks, 4 levels deep), its inputs and output touched already,
+    # in 56 faults a call.  The least of 5 calls, so that no fault of the
+    # interpreter's counts.
+    import resource
+
+    native = _native.load()
+    ffi, lib = native.ffi, native.lib
+    r = make_uniform_grid(18.0, 19998).r_centers
+    r_in = r[r < 6.0]
+    g = ffi.new("oracle_integrand *")
+    g.inside, g.R, g.kappa = 1, 6.0, 1.0
+    keep = [ffi.from_buffer("double[]", a) for a in (quadrature._NODES, _WEIGHTS, r_in)]
+    g.node, g.weight, g.r = keep
+    # np.full writes every page; np.zeros may hand out pages not yet faulted in
+    lo, hi, out = np.full(r_in.size, 0.0), np.full(r_in.size, 1.0), np.full((3, r_in.size), 0.0)
+    status = ffi.new("oracle_status *")
+    call = (g, r_in.size, ffi.from_buffer("double[]", lo), ffi.from_buffer("double[]", hi), 1e-10,
+            quadrature._BLOCK, quadrature._MAX_DEPTH, quadrature._MAX_LIVE_PANELS, 1,
+            ffi.from_buffer("double[]", out), status)
+    faults = []
+    for _ in range(5):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        lib.oracle_integrate(*call)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert status.kind == lib.ORACLE_OK and status.max_depth >= 2 and status.workers == 1
+    assert min(faults) <= 70, faults
 
 
 @needs_native

@@ -122,12 +122,12 @@ def _schedules(draw, first):
 def _switched_change(a, b):
     """run_to_time's change from (Jt, Js) a to b: max(|dJt|, |dJs|) / max(max Jt, max Js)."""
     d = max(np.max(np.abs(b[0] - a[0])), np.max(np.abs(b[1] - a[1])))
-    return d / max(b[0].max(), b[1].max(), 1e-300)
+    return d / max(b[0].max(), b[1].max(), 5e-324)
 
 
 def _split_change(a, b):
     """The domain split's change, of Jt only: max |dJt| / max |Jt|."""
-    return np.max(np.abs(b[0] - a[0])) / max(np.max(np.abs(b[0])), 1e-300)
+    return np.max(np.abs(b[0] - a[0])) / max(np.max(np.abs(b[0])), 5e-324)
 
 
 def _check_record(march, change, cfg, times, first):
