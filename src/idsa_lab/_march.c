@@ -1,7 +1,8 @@
 /*
  * The native kernels of idsa-lab, built by _native.py into one module:
  *
- * - march(): the switched two-component scheme's steps (idsa.py);
+ * - march(): the switched two-component scheme's steps (idsa.py), each row
+ *   in blocks of 128 cells, each step into the other of two pairs of fields;
  * - gtsv_factor() and gtsv_solve(): the domain-split schemes' tridiagonal
  *   solve (reformed.py), LAPACK's dgtsv split into a factor pass and a
  *   right-hand-side pass;
@@ -61,10 +62,9 @@ typedef struct {
     const double *ka, *kaB, *den, *r2dr, *a, *P, *d, *r2g, *floor;
     /* (n_rows, n_cells - 1) arrays, one value per interior face */
     const double *kf3, *rf2;
-    /* scratch rows: n_cells + 1 face fluxes, n_cells trapped values, n_cells
-     * streaming terms and n_cells tags (when the caller asks for none) */
-    double *flux, *trapped, *terms;
-    signed char *tags;
+    /* scratch: the spare pair of (n_rows, n_cells) fields, which every other
+     * step writes */
+    double *Jt_spare, *Js_spare;
 } march_rows;
 
 /*
@@ -171,25 +171,43 @@ long long format_rows(long long n_rows, int n_cols, const csv_column *cols, char
  *
  * march() advances every row of a batch by up to `steps` steps.  Each step
  * evaluates, per row, exactly the numpy expressions of idsa._Kernel in the
- * same order, in four passes over the cells:
+ * same order.  A row is stepped in blocks of MARCH_BLOCK cells, from r = 0
+ * out, and a block runs four passes over its cells before the next block
+ * begins:
  *
  *   1. the face fluxes;
- *   2. the min-max source (and its regime tag), the backward-Euler trapped
- *      update and the streaming terms: d S, times a / P on the rows below
- *      n_scan (the cumulative-product scan);
+ *   2. the min-max source (and its regime tag, when the caller asks for the
+ *      tags), the backward-Euler trapped update and the streaming terms: d S,
+ *      times a / P on the rows below n_scan (the cumulative-product scan);
  *   3. the serial prefix, the flux r^2 g Js: P times the running sum of the
  *      terms on a scan row, phi = (phi + d S) a on the others (the
  *      sequential sweep);
- *   4. the streaming field, flux / r2g, and the negativity checks.
+ *   4. the streaming field, flux / r2g, and the negativity checks;
  *
- * The passes write to the scratch rows of march_rows; the new fields then
- * replace the old ones, and the reductions and the domination test read
- * them.  Every loop but the prefix, the relative change and the max of
- * Jt + Js (taken only at a step where a sum passes the running sup) carries
- * no dependence from one cell to the next, and vectorizes.  Built without
- * fast-math and without contraction into fused multiply-adds, every
- * operation rounds as numpy's does, so the fields are bit-identical to the
- * numpy path.
+ * then, on its new values, the flags of the running sup and the maxima of
+ * the relative change.  The last face flux, the prefix's running sum or
+ * phi, the flags and the maxima carry from one block to the next, so each
+ * value is computed by the operations of a pass over the whole row, in the
+ * same order: blocking only interleaves passes that are independent cell by
+ * cell.  A block's face fluxes and terms stay on the stack (2 kB), in L1
+ * from one pass to the next, where passes over whole rows stream through
+ * L2: a step of a row of 10000 cells reads 13 arrays of 80 kB.
+ *
+ * A step reads one pair of fields and writes the other: the first step
+ * reads (Jt0, Js0) and writes (Jt, Js), and later steps alternate between
+ * (Jt, Js) and march_rows' spare pair.  If the last step wrote the spare
+ * pair, it is copied to (Jt, Js) at the end.  So no step copies a field,
+ * and (Jt0, Js0) are never written.  The domination test and the
+ * non-monotone pairs read the new fields once the row's blocks are done.
+ *
+ * Every loop but the prefix, the relative change and the max of Jt + Js
+ * (taken only at a step where a sum passes the running sup) carries no
+ * dependence from one cell to the next, and vectorizes.  Each loop indexes
+ * its block through pointers offset to the block's first cell: the module
+ * is built with -fwrapv (_native.py), under which gcc vectorizes a loop
+ * indexed by a sum of ints poorly.  Built without fast-math and without
+ * contraction into fused multiply-adds, every operation rounds as numpy's
+ * does, so the fields are bit-identical to the numpy path.
  *
  * Given `red`, each step also reduces per row what the observers in
  * idsa.py would reduce with numpy (march_reductions); given `hold`, it
@@ -209,6 +227,10 @@ long long format_rows(long long n_rows, int n_cols, const csv_column *cols, char
  * domination that begins or ends is recorded, not returned at.
  */
 
+/* The cells of a block; a power of two, so that a block's loops split into
+ * whole vectors at every clone's width. */
+#define MARCH_BLOCK 128
+
 /* numpy's maximum(a, b): a NaN operand propagates, and of two equal
  * operands (+0 and -0) b is returned. */
 static INLINE double np_max(double a, double b) { return (a != a || a > b) ? a : b; }
@@ -224,17 +246,21 @@ static INLINE double py_max(double a, double b) { return b > a ? b : a; }
 /* The flags below are doubles, 0.0 or 1.0, set by a select: a flag of the
  * width of the values keeps its loop vectorizable. */
 
-/* Pass 1: the n + 1 face fluxes, zero at r = 0 and at r_max. */
-static INLINE void face_fluxes(int n, const double *restrict jt, const double *restrict rf2,
-                               const double *restrict kf3, double *restrict F)
+/* Pass 1: the fluxes F[1..n] at the block's outer faces, given F[0] at its
+ * first; the face r_max, where the row's last block ends, has zero flux. */
+static INLINE void face_fluxes(int n, int last, const double *restrict jt,
+                               const double *restrict rf2, const double *restrict kf3,
+                               double *restrict F)
 {
-    F[0] = F[n] = 0.0;
-    for (int i = 0; i < n - 1; i++)
+    const int faces = last ? n - 1 : n;
+    for (int i = 0; i < faces; i++)
         F[i + 1] = rf2[i] * (jt[i + 1] - jt[i]) / kf3[i];
+    if (last)
+        F[n] = 0.0;
 }
 
-/* Pass 2: the source, its regime tags, the new trapped values and the
- * streaming terms d S. */
+/* Pass 2: the source, its regime tags (given `tag`), the new trapped values
+ * and the streaming terms d S. */
 static INLINE void sources(int n, double dt, const double *restrict jt, const double *restrict js,
                            const double *restrict F, const double *restrict ka,
                            const double *restrict kaB, const double *restrict den,
@@ -247,7 +273,8 @@ static INLINE void sources(int n, double dt, const double *restrict jt, const do
         const double S = min_b(max_b(inner, 0.0), kaB[i]);
         jt_new[i] = (jt[i] + dt * (kaB[i] - S)) / den[i];
         terms[i] = d[i] * S;
-        tag[i] = inner <= 0.0 ? 0 : inner >= kaB[i] ? 2 : 1;
+        if (tag)
+            tag[i] = inner <= 0.0 ? 0 : inner >= kaB[i] ? 2 : 1;
     }
 }
 
@@ -260,66 +287,79 @@ static INLINE void scan_terms(int n, const double *restrict a, const double *res
 }
 
 /* Pass 3, in place: the flux r^2 g Js, as P times the scan's running sum or
- * as the sweep's running phi = (phi + d S) a. */
-static INLINE void prefix(int n, int scan, const double *restrict a, const double *restrict P,
-                          double *restrict acc)
+ * as the sweep's running phi = (phi + d S) a, from the value `run` carried
+ * from the row's cells before; returns the value to carry on.  A scan row's
+ * sum starts at -0.0, which adds to the first term exactly, keeping its
+ * sign as numpy's cumsum keeps it; a sweep row's phi starts at 0.0. */
+static INLINE double prefix(int n, int scan, const double *restrict a, const double *restrict P,
+                            double *restrict acc, double run)
 {
     if (scan) {
-        double sum = acc[0];
-        acc[0] = P[0] * sum;
-        for (int i = 1; i < n; i++) {
-            sum = sum + acc[i];
-            acc[i] = P[i] * sum;
+        for (int i = 0; i < n; i++) {
+            run = run + acc[i];
+            acc[i] = P[i] * run;
         }
     } else {
-        double phi = 0.0;
         for (int i = 0; i < n; i++)
-            acc[i] = phi = (phi + acc[i]) * a[i];
+            acc[i] = run = (run + acc[i]) * a[i];
     }
+    return run;
 }
 
-/* Pass 4, in place: the new streaming values; returns 1.0 if a value fell
- * below its floor. */
+/* Pass 4: the new streaming values; returns 1.0 if a value fell below its
+ * floor. */
 static INLINE double streaming(int n, const double *restrict jt_new, const double *restrict floor,
-                               const double *restrict r2g, double *restrict flux)
+                               const double *restrict r2g, const double *restrict flux,
+                               double *restrict js_new)
 {
     double bad = 0.0;
     for (int i = 0; i < n; i++) {
-        const double js_new = flux[i] / r2g[i];
+        const double v = flux[i] / r2g[i];
         bad = jt_new[i] < floor[i] ? 1.0 : bad;
-        bad = js_new < 0.0 ? 1.0 : bad;
-        flux[i] = js_new;
+        bad = v < 0.0 ? 1.0 : bad;
+        js_new[i] = v;
     }
     return bad;
 }
 
-/* max(max|dJt|, max|dJs|) / max(max(0, Jt), max(0, Js), 2^-1074) from
- * (jt, js) to (jt_new, js_new), the maxima over cells numpy's. */
-static INLINE double relative_change(int n, const double *jt, const double *js,
-                                     const double *jt_new, const double *js_new)
+/* The maxima of the relative change, numpy's, carried in max[4]:
+ * max|dJt|, max|dJs|, max(0, Jt) and max(0, Js) from (jt, js) to
+ * (jt_new, js_new). */
+static INLINE void change_maxima(int n, const double *restrict jt, const double *restrict js,
+                                 const double *restrict jt_new, const double *restrict js_new,
+                                 double max[4])
 {
-    double djt = 0.0, djs = 0.0, mjt = 0.0, mjs = 0.0;
+    double djt = max[0], djs = max[1], mjt = max[2], mjs = max[3];
     for (int i = 0; i < n; i++) {
         djt = np_max(djt, fabs(jt_new[i] - jt[i]));
         djs = np_max(djs, fabs(js_new[i] - js[i]));
         mjt = np_max(mjt, jt_new[i]);
         mjs = np_max(mjs, js_new[i]);
     }
-    return py_max(djt, djs) / py_max(py_max(mjt, mjs), 0x1p-1074);
+    max[0] = djt, max[1] = djs, max[2] = mjt, max[3] = mjs;
 }
 
-/* max(sup, max(Jt + Js)), the max over cells numpy's: a NaN sum leaves sup
- * as it is.  Only when a sum exceeds sup is the max taken. */
-static INLINE double running_sup(int n, double sup, const double *restrict jt,
-                                 const double *restrict js)
+/* The running sup's flags, carried in flag[2]: some Jt + Js exceeds sup,
+ * and some Jt + Js is NaN. */
+static INLINE void sup_flags(int n, double sup, const double *restrict jt,
+                             const double *restrict js, double flag[2])
 {
-    double above = 0.0, nan = 0.0;
+    double above = flag[0], nan = flag[1];
     for (int i = 0; i < n; i++) {
         const double t = jt[i] + js[i];
         above = t > sup ? 1.0 : above;
         nan = t != t ? 1.0 : nan;
     }
-    if (above == 0.0 || nan != 0.0)
+    flag[0] = above, flag[1] = nan;
+}
+
+/* max(sup, max(Jt + Js)), the max over cells numpy's, given sup_flags over
+ * the row: a NaN sum leaves sup as it is.  Only when a sum exceeds sup is
+ * the max taken. */
+static INLINE double running_sup(int n, double sup, const double *restrict jt,
+                                 const double *restrict js, const double flag[2])
+{
+    if (flag[0] == 0.0 || flag[1] != 0.0)
         return sup;
     for (int i = 0; i < n; i++)
         sup = py_max(sup, jt[i] + js[i]);
@@ -365,13 +405,12 @@ long march(const march_rows *m, march_reductions *red, march_holds *hold, const 
            long steps, int *negative)
 {
     const int n = m->n_cells;
-    const size_t row = n * sizeof(double);
-    /* js_new holds the streaming terms, then the flux, then the new values */
-    double *F = m->flux, *jt_new = m->trapped, *js_new = m->terms;
+    /* a block's face fluxes, then its streaming terms, prefix and fluxes */
+    double F[MARCH_BLOCK + 1], acc[MARCH_BLOCK];
+    /* a step takes (jt_in, js_in) to (jt_out, js_out) */
+    const double *Jt_in = Jt0, *Js_in = Js0;
+    double *Jt_out = Jt, *Js_out = Js;
 
-    /* Every step works in place on the output. */
-    memcpy(Jt, Jt0, m->n_rows * row);
-    memcpy(Js, Js0, m->n_rows * row);
     *negative = 0;
     long s = 0;
     while (s < steps) {
@@ -379,37 +418,58 @@ long march(const march_rows *m, march_reductions *red, march_holds *hold, const 
         for (int r = 0; r < m->n_rows; r++) {
             const long o = (long)r * n, of = (long)r * (n - 1);
             const int scan = r < m->n_scan;
-            double *jt = Jt + o, *js = Js + o;
+            const double *jt = Jt_in + o, *js = Js_in + o;
+            double *jt_new = Jt_out + o, *js_new = Js_out + o;
+            const double sup = red ? red->sup[r] : 0.0;
+            double run = scan ? -0.0 : 0.0, flag[2] = {0.0, 0.0};
+            double max[4] = {0.0, 0.0, 0.0, 0.0};
 
-            face_fluxes(n, jt, m->rf2 + of, m->kf3 + of, F);
-            sources(n, m->dt, jt, js, F, m->ka + o, m->kaB + o, m->den + o, m->r2dr + o,
-                    m->d + o, jt_new, js_new, tags ? tags + o : m->tags);
-            if (scan)
-                scan_terms(n, m->a + o, m->P + o, js_new);
-            prefix(n, scan, m->a + o, m->P + o, js_new);
-            bad |= streaming(n, jt_new, m->floor + o, m->r2g + o, js_new) != 0.0;
+            F[0] = 0.0;
+            for (int b = 0; b < n; b += MARCH_BLOCK) {
+                const int len = n - b < MARCH_BLOCK ? n - b : MARCH_BLOCK;
+                const long c = o + b, cf = of + b;
+                face_fluxes(len, b + len == n, jt + b, m->rf2 + cf, m->kf3 + cf, F);
+                sources(len, m->dt, jt + b, js + b, F, m->ka + c, m->kaB + c, m->den + c,
+                        m->r2dr + c, m->d + c, jt_new + b, acc, tags ? tags + c : NULL);
+                if (scan)
+                    scan_terms(len, m->a + c, m->P + c, acc);
+                run = prefix(len, scan, m->a + c, m->P + c, acc, run);
+                bad |= streaming(len, jt_new + b, m->floor + c, m->r2g + c, acc, js_new + b) != 0.0;
+                if (red) {
+                    sup_flags(len, sup, jt_new + b, js_new + b, flag);
+                    if (red->stat_tol > 0.0)
+                        change_maxima(len, jt + b, js + b, jt_new + b, js_new + b, max);
+                }
+                F[0] = F[len];
+            }
             if (red && red->stat_tol > 0.0) {
-                red->change[r] = relative_change(n, jt, js, jt_new, js_new);
+                red->change[r] = py_max(max[0], max[1]) / py_max(py_max(max[2], max[3]), 0x1p-1074);
                 stop |= red->change[r] < red->stat_tol;
             }
-            memcpy(jt, jt_new, row);
-            memcpy(js, js_new, row);
             if (red) {
-                const int nm = nonmonotone(red->mono_pairs, red->mono_tol, jt);
-                red->sup[r] = running_sup(n, red->sup[r], jt, js);
+                const int nm = nonmonotone(red->mono_pairs, red->mono_tol, jt_new);
+                red->sup[r] = running_sup(n, sup, jt_new, js_new, flag);
                 red->nonmono[r] = (signed char)nm;
                 if (nm && red->first_nonmono[r] < 0)
                     red->first_nonmono[r] = k0 + s + 1;
                 stop |= red->sup[r] > red->bound;
             }
             if (hold)
-                stop |= hold_ended(hold, r, k0 + s + 1, m->dt, n, jt, js);
+                stop |= hold_ended(hold, r, k0 + s + 1, m->dt, n, jt_new, js_new);
         }
         s++;
+        Jt_in = Jt_out, Js_in = Js_out;
+        Jt_out = Jt_out == Jt ? m->Jt_spare : Jt;
+        Js_out = Js_out == Js ? m->Js_spare : Js;
         if (bad || stop) {
             *negative = bad;
             break;
         }
+    }
+    if (Jt_in != Jt) {
+        const size_t bytes = (size_t)m->n_rows * n * sizeof(double);
+        memcpy(Jt, Jt_in, bytes);
+        memcpy(Js, Js_in, bytes);
     }
     return s;
 }

@@ -272,7 +272,13 @@ class _Kernel:
         """
         Up to ``steps`` steps of the native kernel from (Jt, Js) at step
         ``k``, written to fresh arrays, so arrays handed out before are
-        never overwritten.  ``hold`` (a ``_Holds``) and ``red`` (a
+        never overwritten.  The kernel steps each row in blocks of 128
+        cells, and each step writes its fields into the other of two pairs:
+        the fresh arrays and a spare pair, allocated here with the C view
+        of the rows, once per compaction.  So no step copies its fields,
+        and one copy at the end brings them out of the spare pair if the
+        last step wrote there; every value is computed by the operations of
+        the numpy step, in its order.  ``hold`` (a ``_Holds``) and ``red`` (a
         ``_Reductions``), each optional, are updated as their numpy
         references would be, and the kernel stops where they ask: at a
         step that ends a hold, or whose sup or change crosses its limit.
@@ -283,11 +289,11 @@ class _Kernel:
         if self._c_rows is None:  # the C view of the rows, once per compaction
             c = ffi.new("march_rows *")
             c.n_rows, c.n_cells, c.n_scan, c.dt = len(self.rows), self.n_cells, self.n_scan, self.dt
-            scratch = np.empty((3, self.n_cells + 1))  # the kernel's scratch rows
             arrays = [(name, np.ascontiguousarray(getattr(self, name), float)) for name in _C_FIELDS]
-            buffers = [ffi.from_buffer("signed char[]", np.empty(self.n_cells, np.int8))]
-            c.tags = buffers[0]
-            for name, array in [*arrays, *zip(("flux", "trapped", "terms"), scratch)]:
+            # The spare pair of fields, which the kernel writes every other step.
+            arrays += [(name, np.empty(Jt.shape)) for name in ("Jt_spare", "Js_spare")]
+            buffers = []
+            for name, array in arrays:
                 buf = ffi.from_buffer("double[]", array)
                 setattr(c, name, buf)
                 buffers.append(buf)  # keeps each array alive while c points into it

@@ -27,6 +27,7 @@ import re
 import shutil
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -136,8 +137,10 @@ def _cc_clones_the_march() -> bool:
 def test_native_source_compiles_without_warnings():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler: the numpy march is the only one")
+    # The flags the module is built with: the interpreter's, then _native's.
+    flags = [*(sysconfig.get_config_var("CFLAGS") or "").split(), *_native._CFLAGS]
     proc = subprocess.run(
-        ["cc", *_native._CFLAGS, "-Wall", "-Wextra", "-Wmissing-prototypes", "-Wcast-qual",
+        ["cc", *flags, "-Wall", "-Wextra", "-Wmissing-prototypes", "-Wcast-qual",
          "-Wshadow", "-Werror", "-fsyntax-only", str(_native._SOURCE)],
         capture_output=True, text=True,
     )
@@ -156,22 +159,29 @@ def test_native_source_compiles_without_warnings():
     assert _native.march_isa() == _host_levels()[-1]
 
 
-def _march_log(specs, grid, cfg, steps, with_tags, stride, retire, n_sweep, watch):
+def _march_log(specs, grid, cfg, steps, with_tags, stride, retire, n_sweep, watch,
+               reductions=None):
     """
     March a batch with ``_Holds`` on the cells from ``watch`` on and log
     what the observer was shown: step -> (rows, Jt, Js, tags, since, ended),
     keeping the arrays themselves, not copies.  It asks for every stride-th
     step and for step ``retire``, where it retires the first row, up to
-    step ``steps``; the last ``n_sweep`` rows take the sweep.  Returns the
-    log and the NegativityError message, if one was raised.
+    step ``steps``; the last ``n_sweep`` rows take the sweep.  Given
+    ``reductions``, the keywords of a ``_Reductions``, it marches with
+    those too, and each entry goes on with copies of their sup, change,
+    nonmono and first_nonmono.  Returns the log and the NegativityError
+    message, if one was raised.
     """
     kern = _Kernel(specs, grid, cfg)
     kern.n_scan = min(kern.n_scan, len(specs) - n_sweep)
     hold = _Holds(len(specs), watch, cfg.dt)
+    red = None if reductions is None else _Reductions(len(specs), **reductions)
     log = {}
 
     def observe(k, t, Jt, Js, tags):
         log[k] = (kern.rows.tolist(), Jt, Js, tags, hold.since.copy(), hold.ended(k))
+        if red is not None:
+            log[k] += tuple(a.copy() for a in (red.sup, red.change, red.nonmono, red.first_nonmono))
         done = None
         if k == retire and len(Jt) > 1:
             done = np.zeros(len(Jt), bool)
@@ -180,7 +190,7 @@ def _march_log(specs, grid, cfg, steps, with_tags, stride, retire, n_sweep, watc
         return done, min(upcoming, steps) if k < steps else None
 
     try:
-        _march(kern, observe, with_tags=with_tags, hold=hold)
+        _march(kern, observe, with_tags=with_tags, hold=hold, red=red)
     except NegativityError as exc:
         return log, str(exc)
     return log, None
@@ -230,6 +240,58 @@ def test_native_march_matches_numpy_bit_for_bit(
     # r >= R ends; a domination that begins or ends is no stop.
     for k, (*_, ended) in reference.items():
         assert k in native or not ended.any(), f"a hold ended at step {k} unseen"
+
+
+# Row lengths at and next to the powers of two up to 512, so that a row ends
+# just before, at and just after a block edge for any power-of-two block of
+# cells up to 512.
+_BLOCK_EDGE_CELLS = (2, 3, 63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 512, 513)
+
+
+@needs_native
+@pytest.mark.parametrize("n_cells", _BLOCK_EDGE_CELLS)
+def test_native_march_matches_numpy_at_block_edges(n_cells):
+    # A scan row and a sweep row, with tags and without, holds that end on
+    # the cells r >= R, and reductions with a positive stat_tol whose
+    # non-monotone pairs end just before, at and just after a power of two;
+    # the first row retires at step 45.  Every step shown is the numpy
+    # step's, bit for bit: fields, tags, holds, sup, change and the first
+    # non-monotone step.
+    grid = make_uniform_grid(18.0, n_cells)
+    specs = [ProblemSpec(B=1.0, R=6.0, kappa=1.0, kappa_outside=k) for k in (0.01, 1e3)]
+    cfg = SolverConfig(dt=0.5)
+    watch = int(np.searchsorted(grid.r_centers, 6.0))
+    edge = 1 << (n_cells - 1).bit_length() - 1  # the largest power of two below n_cells
+    for with_tags, pairs in itertools.product((False, True), (edge - 1, edge, edge + 1)):
+        reductions = dict(stat_tol=1e-3, mono_tol=1e-10, mono_pairs=min(pairs, n_cells - 1))
+        (native, native_err), (reference, reference_err) = _both(lambda: _march_log(
+            specs, grid, cfg, 60, with_tags, 7, 45, 1, watch, reductions=reductions))
+        assert native_err is None and reference_err is None
+        assert set(native) <= set(reference) and max(native) == max(reference) == 60
+        for k, (rows, *values) in native.items():
+            ref_rows, *ref_values = reference[k]
+            assert rows == ref_rows
+            assert (values[2] is None) == (ref_values[2] is None) == (not with_tags)
+            for value, ref in zip(values, ref_values, strict=True):
+                if value is not None:
+                    assert value.shape == ref.shape and value.tobytes() == ref.tobytes(), k
+        # The holds end and the change falls below stat_tol within the march.
+        assert any(entry[5].any() for entry in native.values())
+        assert any((entry[7] < 1e-3).any() for k, entry in native.items() if k)
+
+    # A trapped value that turns negative in the row's first cell or in its
+    # last stops both marches at the same step, named alike.
+    def negative(cell):
+        kern = _Kernel(specs, grid, cfg)
+        kern.n_scan = 1
+        kern.den[1, cell] *= -1.0
+        with pytest.raises(NegativityError) as info:
+            _march(kern, lambda k, t, Jt, Js, tags: (None, k + 1 if k < 5 else None))
+        return str(info.value)
+
+    for cell in (0, n_cells - 1):
+        native, reference = _both(lambda: negative(cell))
+        assert native == reference and f", cell {cell} (" in native
 
 
 def _holds_log(specs, grid, cfg, steps, retire, n_sweep):
@@ -969,7 +1031,10 @@ def test_native_oracle_on_more_workers_than_cpus_loses_no_block():
 # _bounds_case, and four opacities at the default block and cap and in
 # blocks of 2 owners whose deeper levels fill a cap of 4, on 1 and 2
 # workers; a short march, a tridiagonal solve and a block of CSV rows; each
-# against its reference.
+# against its reference.  The march is a scan row and a sweep row of
+# 2 * 128 + 1 cells, with tags, holds and reductions, for 25 steps; the
+# kernel takes runs of 4 steps, of 3 and of 1, so that some end in its spare
+# pair of fields and are copied out, and the batch shrinks at step 9.
 _ASAN_RUN = """
 import importlib.util, sys, unittest.mock
 import numpy as np
@@ -981,9 +1046,9 @@ spec.loader.exec_module(module)
 _native.load = lambda: module
 
 sys.path.insert(0, sys.argv[3])
-from test_native import (_block_text, _bounds_case, _numpy_march, _oracle_bytes,
+from test_native import (_block_text, _bounds_case, _march_log, _numpy_march, _oracle_bytes,
                          _oracle_failures, _workers, ProblemSpec, SolverConfig, make_uniform_grid,
-                         quadrature, run_instability_experiment)
+                         quadrature)
 from idsa_lab.reformed import _Tridiagonal
 
 
@@ -995,9 +1060,11 @@ def run():
                 unittest.mock.patch.object(quadrature, "_MAX_LIVE_PANELS", cap):
             oracle += [_oracle_bytes(radii, ProblemSpec(B=1.0, R=6.0, kappa=kappa), 1e-12)
                        for kappa in (0.01, 1.0, 97.0, 1000.0)]
-    march = run_instability_experiment(ProblemSpec(B=1.0, R=6.0, kappa=1.0),
-                                       make_uniform_grid(18.0, 50),
-                                       SolverConfig(dt=0.1, t_end=5.0), (1.0, 5.0)).snapshots
+    specs = [ProblemSpec(B=1.0, R=6.0, kappa=1.0, kappa_outside=k) for k in (0.01, 1e3)]
+    log, error = _march_log(specs, make_uniform_grid(18.0, 257), SolverConfig(dt=0.5), 25, True,
+                            4, 9, 1, 86, dict(stat_tol=1e-3, mono_tol=1e-10, mono_pairs=128))
+    march = error, {k: tuple(v if isinstance(v, list) else v.tobytes() for v in entry)
+                    for k, entry in log.items()}
     rng = np.random.default_rng(3)
     solve = _Tridiagonal(*(rng.standard_normal(k) for k in (49, 50, 49))).solve(rng.random(50))
     rows = bytes(_block_text([rng.random(40), rng.random(40) < 0.5, ["a", "bc"] * 20, 0.25]))
@@ -1010,7 +1077,12 @@ assert reference[0][0][1]["max_live_panels"] <= 16
 assert max(stats["max_live_panels"] for _, stats in reference[0][6:]) == 4
 for n in (1, 2):
     with _workers(n):
-        assert run() == reference
+        oracle, (error, march), *rest = run()
+        assert [oracle, *rest] == [reference[0], *reference[2:]]
+        # The kernel shows the steps asked for, and each from step 16 on,
+        # where the change has fallen below stat_tol.
+        assert error is None and march.items() <= reference[1][1].items()
+        assert set(march) == {0, 4, 8, 9, 13, *range(16, 26)}
 print("ok")
 """
 
