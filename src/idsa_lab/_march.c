@@ -2,7 +2,9 @@
  * The native kernels of idsa-lab, built by _native.py into one module:
  *
  * - march(): the switched two-component scheme's steps (idsa.py), each row
- *   in blocks of 128 cells, each step into the other of two pairs of fields;
+ *   in blocks of 128 cells, each step into the other of two pairs of fields,
+ *   multiplying by the reciprocals of its divisors that idsa._Kernel rounds
+ *   once per march;
  * - gtsv_factor() and gtsv_solve(): the domain-split schemes' tridiagonal
  *   solve (reformed.py), LAPACK's dgtsv split into a factor pass and a
  *   right-hand-side pass;
@@ -58,10 +60,11 @@
 typedef struct {
     int n_rows, n_cells, n_scan;
     double dt;
-    /* (n_rows, n_cells) arrays, row-major */
-    const double *ka, *kaB, *den, *r2dr, *a, *P, *d, *r2g, *floor;
+    /* (n_rows, n_cells) arrays, row-major; inv_x is 1 / x, and aP is a / P
+     * (0 on the rows from n_scan on) */
+    const double *ka, *kaB, *inv_den, *inv_r2dr, *a, *P, *aP, *d, *inv_r2g, *floor;
     /* (n_rows, n_cells - 1) arrays, one value per interior face */
-    const double *kf3, *rf2;
+    const double *inv_kf3, *rf2;
     /* scratch: the spare pair of (n_rows, n_cells) fields, which every other
      * step writes */
     double *Jt_spare, *Js_spare;
@@ -171,27 +174,34 @@ long long format_rows(long long n_rows, int n_cols, const csv_column *cols, char
  *
  * march() advances every row of a batch by up to `steps` steps.  Each step
  * evaluates, per row, exactly the numpy expressions of idsa._Kernel in the
- * same order.  A row is stepped in blocks of MARCH_BLOCK cells, from r = 0
- * out, and a block runs four passes over its cells before the next block
- * begins:
+ * same order.  Those divide by nothing: each divisor of the scheme (1 + dt
+ * ka, 3 kf dr, r^2 dr, r^2 g and, on a scan row, P) is constant over a
+ * march, so _Kernel rounds its reciprocal once (a / P for P), and both
+ * paths multiply by it: a vector divide has a fraction of a multiply's
+ * throughput, and five divides per cell bounded the step at 10000 cells.
+ * A row is stepped in blocks of MARCH_BLOCK cells, from r = 0 out, and a
+ * block runs four passes over its cells before the next block begins:
  *
- *   1. the face fluxes;
+ *   1. the face fluxes, rf2 (Jt[i + 1] - Jt[i]) times 1 / kf3;
  *   2. the min-max source (and its regime tag, when the caller asks for the
- *      tags), the backward-Euler trapped update and the streaming terms: d S,
- *      times a / P on the rows below n_scan (the cumulative-product scan);
+ *      tags), from the flux difference times 1 / r2dr, the backward-Euler
+ *      trapped update, times 1 / den, and the streaming terms: d S, times
+ *      a / P on the rows below n_scan (the cumulative-product scan);
  *   3. the serial prefix, the flux r^2 g Js: P times the running sum of the
  *      terms on a scan row, phi = (phi + d S) a on the others (the
  *      sequential sweep);
- *   4. the streaming field, flux / r2g, and the negativity checks;
+ *   4. the streaming field, flux times 1 / r2g, and the negativity checks;
  *
  * then, on its new values, the flags of the running sup and the maxima of
  * the relative change.  The last face flux, the prefix's running sum or
  * phi, the flags and the maxima carry from one block to the next, so each
  * value is computed by the operations of a pass over the whole row, in the
- * same order: blocking only interleaves passes that are independent cell by
- * cell.  A block's face fluxes and terms stay on the stack (2 kB), in L1
- * from one pass to the next, where passes over whole rows stream through
- * L2: a step of a row of 10000 cells reads 13 arrays of 80 kB.
+ * same order (but the maxima, which do not depend on it: change_maxima()):
+ * blocking only interleaves passes that are independent cell by cell.  A
+ * block's face fluxes and terms stay on the stack (2 kB), and so do the
+ * values whose maxima it takes (4 kB), in L1 from one pass to the next,
+ * where passes over whole rows stream through L2: a step of a row of 10000
+ * cells reads 13 arrays of 80 kB.
  *
  * A step reads one pair of fields and writes the other: the first step
  * reads (Jt0, Js0) and writes (Jt, Js), and later steps alternate between
@@ -200,14 +210,15 @@ long long format_rows(long long n_rows, int n_cols, const csv_column *cols, char
  * and (Jt0, Js0) are never written.  The domination test and the
  * non-monotone pairs read the new fields once the row's blocks are done.
  *
- * Every loop but the prefix, the relative change and the max of Jt + Js
- * (taken only at a step where a sum passes the running sup) carries no
- * dependence from one cell to the next, and vectorizes.  Each loop indexes
- * its block through pointers offset to the block's first cell: the module
- * is built with -fwrapv (_native.py), under which gcc vectorizes a loop
- * indexed by a sum of ints poorly.  Built without fast-math and without
- * contraction into fused multiply-adds, every operation rounds as numpy's
- * does, so the fields are bit-identical to the numpy path.
+ * Every loop but the prefix, the relative change's running max (taken only
+ * in a block with a NaN) and the max of Jt + Js (taken only at a step where
+ * a sum passes the running sup) carries no dependence from one cell to the
+ * next, and vectorizes.  Each loop indexes its block through pointers
+ * offset to the block's first cell: the module is built with -fwrapv
+ * (_native.py), under which gcc vectorizes a loop indexed by a sum of ints
+ * poorly.  Built without fast-math and without contraction into fused
+ * multiply-adds, every operation rounds as numpy's does, so the fields are
+ * bit-identical to the numpy path.
  *
  * Given `red`, each step also reduces per row what the observers in
  * idsa.py would reduce with numpy (march_reductions); given `hold`, it
@@ -249,12 +260,12 @@ static INLINE double py_max(double a, double b) { return b > a ? b : a; }
 /* Pass 1: the fluxes F[1..n] at the block's outer faces, given F[0] at its
  * first; the face r_max, where the row's last block ends, has zero flux. */
 static INLINE void face_fluxes(int n, int last, const double *restrict jt,
-                               const double *restrict rf2, const double *restrict kf3,
+                               const double *restrict rf2, const double *restrict inv_kf3,
                                double *restrict F)
 {
     const int faces = last ? n - 1 : n;
     for (int i = 0; i < faces; i++)
-        F[i + 1] = rf2[i] * (jt[i + 1] - jt[i]) / kf3[i];
+        F[i + 1] = rf2[i] * (jt[i + 1] - jt[i]) * inv_kf3[i];
     if (last)
         F[n] = 0.0;
 }
@@ -263,27 +274,26 @@ static INLINE void face_fluxes(int n, int last, const double *restrict jt,
  * and the streaming terms d S. */
 static INLINE void sources(int n, double dt, const double *restrict jt, const double *restrict js,
                            const double *restrict F, const double *restrict ka,
-                           const double *restrict kaB, const double *restrict den,
-                           const double *restrict r2dr, const double *restrict d,
+                           const double *restrict kaB, const double *restrict inv_den,
+                           const double *restrict inv_r2dr, const double *restrict d,
                            double *restrict jt_new, double *restrict terms,
                            signed char *restrict tag)
 {
     for (int i = 0; i < n; i++) {
-        const double inner = ka[i] * js[i] - (F[i + 1] - F[i]) / r2dr[i];
+        const double inner = ka[i] * js[i] - (F[i + 1] - F[i]) * inv_r2dr[i];
         const double S = min_b(max_b(inner, 0.0), kaB[i]);
-        jt_new[i] = (jt[i] + dt * (kaB[i] - S)) / den[i];
+        jt_new[i] = (jt[i] + dt * (kaB[i] - S)) * inv_den[i];
         terms[i] = d[i] * S;
         if (tag)
             tag[i] = inner <= 0.0 ? 0 : inner >= kaB[i] ? 2 : 1;
     }
 }
 
-/* Pass 2 of a scan row: the terms d S a / P. */
-static INLINE void scan_terms(int n, const double *restrict a, const double *restrict P,
-                              double *restrict terms)
+/* Pass 2 of a scan row: the terms d S (a / P). */
+static INLINE void scan_terms(int n, const double *restrict aP, double *restrict terms)
 {
     for (int i = 0; i < n; i++)
-        terms[i] = terms[i] * a[i] / P[i];
+        terms[i] = terms[i] * aP[i];
 }
 
 /* Pass 3, in place: the flux r^2 g Js, as P times the scan's running sum or
@@ -309,12 +319,12 @@ static INLINE double prefix(int n, int scan, const double *restrict a, const dou
 /* Pass 4: the new streaming values; returns 1.0 if a value fell below its
  * floor. */
 static INLINE double streaming(int n, const double *restrict jt_new, const double *restrict floor,
-                               const double *restrict r2g, const double *restrict flux,
+                               const double *restrict inv_r2g, const double *restrict flux,
                                double *restrict js_new)
 {
     double bad = 0.0;
     for (int i = 0; i < n; i++) {
-        const double v = flux[i] / r2g[i];
+        const double v = flux[i] * inv_r2g[i];
         bad = jt_new[i] < floor[i] ? 1.0 : bad;
         bad = v < 0.0 ? 1.0 : bad;
         js_new[i] = v;
@@ -324,19 +334,47 @@ static INLINE double streaming(int n, const double *restrict jt_new, const doubl
 
 /* The maxima of the relative change, numpy's, carried in max[4]:
  * max|dJt|, max|dJs|, max(0, Jt) and max(0, Js) from (jt, js) to
- * (jt_new, js_new). */
+ * (jt_new, js_new), over a block of n <= MARCH_BLOCK cells.
+ *
+ * A max is exact, so its value does not depend on the order it is taken in,
+ * except for a NaN, which numpy's propagates, and for the sign of a zero.
+ * So a block without a NaN is reduced by halving: its values are staged,
+ * padded to MARCH_BLOCK with the first (which a max leaves as it is), and
+ * the upper half of each array is folded onto the lower half until one
+ * value is left; each fold is elementwise and vectorizes, where a running
+ * max, whose compare reads the value it updates, runs scalar.  A block with
+ * a NaN takes numpy's running max, so the NaN carried is numpy's, and no
+ * value of a later block replaces it, since none compares greater.  Only
+ * the sign of a zero maximum may differ from numpy's: |dJ| is never -0, and
+ * the change floors its scale at 2^-1074, so the change keeps its bits. */
 static INLINE void change_maxima(int n, const double *restrict jt, const double *restrict js,
                                  const double *restrict jt_new, const double *restrict js_new,
                                  double max[4])
 {
-    double djt = max[0], djs = max[1], mjt = max[2], mjs = max[3];
+    double v[4][MARCH_BLOCK], nan = 0.0;
     for (int i = 0; i < n; i++) {
-        djt = np_max(djt, fabs(jt_new[i] - jt[i]));
-        djs = np_max(djs, fabs(js_new[i] - js[i]));
-        mjt = np_max(mjt, jt_new[i]);
-        mjs = np_max(mjs, js_new[i]);
+        v[0][i] = fabs(jt_new[i] - jt[i]);
+        v[1][i] = fabs(js_new[i] - js[i]);
+        v[2][i] = jt_new[i];
+        v[3][i] = js_new[i];
+        /* a NaN in jt_new or js_new makes its difference NaN too */
+        nan = v[0][i] != v[0][i] || v[1][i] != v[1][i] ? 1.0 : nan;
     }
-    max[0] = djt, max[1] = djs, max[2] = mjt, max[3] = mjs;
+    if (nan != 0.0) {
+        for (int i = 0; i < n; i++)
+            for (int k = 0; k < 4; k++)
+                max[k] = np_max(max[k], v[k][i]);
+        return;
+    }
+    for (int k = 0; k < 4; k++) {
+        double *restrict x = v[k];
+        for (int i = n; i < MARCH_BLOCK; i++)
+            x[i] = x[0];
+        for (int w = MARCH_BLOCK / 2; w > 0; w /= 2)
+            for (int i = 0; i < w; i++)
+                x[i] = x[i + w] > x[i] ? x[i + w] : x[i];
+        max[k] = x[0] > max[k] ? x[0] : max[k];
+    }
 }
 
 /* The running sup's flags, carried in flag[2]: some Jt + Js exceeds sup,
@@ -428,13 +466,14 @@ long march(const march_rows *m, march_reductions *red, march_holds *hold, const 
             for (int b = 0; b < n; b += MARCH_BLOCK) {
                 const int len = n - b < MARCH_BLOCK ? n - b : MARCH_BLOCK;
                 const long c = o + b, cf = of + b;
-                face_fluxes(len, b + len == n, jt + b, m->rf2 + cf, m->kf3 + cf, F);
-                sources(len, m->dt, jt + b, js + b, F, m->ka + c, m->kaB + c, m->den + c,
-                        m->r2dr + c, m->d + c, jt_new + b, acc, tags ? tags + c : NULL);
+                face_fluxes(len, b + len == n, jt + b, m->rf2 + cf, m->inv_kf3 + cf, F);
+                sources(len, m->dt, jt + b, js + b, F, m->ka + c, m->kaB + c, m->inv_den + c,
+                        m->inv_r2dr + c, m->d + c, jt_new + b, acc, tags ? tags + c : NULL);
                 if (scan)
-                    scan_terms(len, m->a + c, m->P + c, acc);
+                    scan_terms(len, m->aP + c, acc);
                 run = prefix(len, scan, m->a + c, m->P + c, acc, run);
-                bad |= streaming(len, jt_new + b, m->floor + c, m->r2g + c, acc, js_new + b) != 0.0;
+                bad |= streaming(len, jt_new + b, m->floor + c, m->inv_r2g + c, acc,
+                                 js_new + b) != 0.0;
                 if (red) {
                     sup_flags(len, sup, jt_new + b, js_new + b, flag);
                     if (red->stat_tol > 0.0)

@@ -28,9 +28,10 @@ interpreter's own flags first, ``sysconfig``'s ``CFLAGS`` and
 gcc may not assume that an int index ``b + i`` grows with ``i``, and it
 vectorizes a loop indexed so poorly: the march's loops over a block of
 cells index through pointers offset to the block's first cell instead
-(at 10000 cells, on a 2-vCPU AVX-512 host, the march ran at 73 µs/step
-indexed by ``b + i`` and at 31.5 through offset pointers).  The flags of
-``_CFLAGS``:
+(at 10000 cells, on a 2-vCPU AVX-512 host, the march, still dividing, ran
+at 73 µs/step indexed by ``b + i`` and at 31.5 through offset pointers;
+multiplying by reciprocals took it to about 0.7 of that, 38.7–48.9 against
+63.5–68.7 µs/step on a slower host).  The flags of ``_CFLAGS``:
 
 - ``-O3`` lets gcc vectorize the march's elementwise passes.  A vector
   add, multiply, divide or compare rounds each element as the scalar one

@@ -219,7 +219,8 @@ class Schedule:
 
 
 # The per-row arrays the native kernel reads: march_rows fields in _march.c.
-_C_FIELDS = ("ka", "kaB", "den", "r2dr", "a", "P", "d", "r2g", "floor", "kf3", "rf2")
+_C_FIELDS = ("ka", "kaB", "inv_den", "inv_r2dr", "a", "P", "aP", "d", "inv_r2g", "floor",
+             "inv_kf3", "rf2")
 
 
 class _Kernel:
@@ -228,7 +229,10 @@ class _Kernel:
     arrays too: same-shape operands beat broadcasting on small grids).  Rows
     on the cumprod scan come first; ``rows`` maps them to indices in ``specs``.
     Each row evaluates the single-spec expressions, so it does not depend on
-    the rest of the batch.
+    the rest of the batch.  Every divisor of a step is constant over the
+    march, so the step multiplies by its reciprocal, rounded once here:
+    ``inv_den``, ``inv_kf3``, ``inv_r2dr``, ``inv_r2g``, and ``aP`` = a / P
+    on the scan rows (0 on the others, whose P may underflow to 0).
     """
 
     def __init__(self, specs, grid: RadialGrid, cfg: SolverConfig, labels=None):
@@ -250,11 +254,14 @@ class _Kernel:
         scan = np.array([float(np.sum(np.log1p(row))) < 400.0 for row in c])
         self.n_scan = int(np.count_nonzero(scan))
         self.rows = np.argsort(~scan, kind="stable")
+        P = np.cumprod(a, axis=1)
         per_row = {
-            "ka": ka, "kaB": ka * B, "den": 1.0 + cfg.dt * ka, "kf3": 3.0 * kf * grid.dr,
-            "a": a, "P": np.cumprod(a, axis=1), "r2g": r * r * g,
-            "floor": np.broadcast_to(-1e-12 * B, ka.shape),
-            "rf2": grid.r_edges[1:-1] ** 2, "r2dr": r * r * grid.dr, "d": h * (r * r),
+            "ka": ka, "kaB": ka * B, "inv_den": 1.0 / (1.0 + cfg.dt * ka),
+            "inv_kf3": 1.0 / (3.0 * kf * grid.dr), "a": a, "P": P,
+            "aP": np.divide(a, P, out=np.zeros_like(a), where=scan[:, None]),
+            "inv_r2g": 1.0 / (r * r * g), "floor": np.broadcast_to(-1e-12 * B, ka.shape),
+            "rf2": grid.r_edges[1:-1] ** 2, "inv_r2dr": 1.0 / (r * r * grid.dr),
+            "d": h * (r * r),
         }
         self._per_row = ("rows", *per_row)
         for name, value in per_row.items():
@@ -315,9 +322,9 @@ class _Kernel:
         """Switched source per row, and the regime tags when asked for."""
         # D[Jt] from face fluxes, zero at r = 0 and at r_max.
         F = np.zeros((len(Jt), self.n_cells + 1))
-        F[:, 1:-1] = self.rf2 * (Jt[:, 1:] - Jt[:, :-1]) / self.kf3
+        F[:, 1:-1] = self.rf2 * (Jt[:, 1:] - Jt[:, :-1]) * self.inv_kf3
         # ka Js - D equals -D + ka Js exactly (IEEE a - b is a + (-b)).
-        inner = self.ka * Js - (F[:, 1:] - F[:, :-1]) / self.r2dr
+        inner = self.ka * Js - (F[:, 1:] - F[:, :-1]) * self.inv_r2dr
         S = np.minimum(np.maximum(inner, 0.0), self.kaB)
         if not with_tags:
             return S, None
@@ -328,18 +335,18 @@ class _Kernel:
         return S, tags
 
     def trapped_step(self, Jt: np.ndarray, S: np.ndarray) -> np.ndarray:
-        return (Jt + self.dt * (self.kaB - S)) / self.den
+        return (Jt + self.dt * (self.kaB - S)) * self.inv_den
 
     def stream(self, S: np.ndarray) -> np.ndarray:
         n = self.n_scan
-        Phi = self.P[:n] * np.cumsum(self.d[:n] * S[:n] * self.a[:n] / self.P[:n], axis=1)
+        Phi = self.P[:n] * np.cumsum(self.d[:n] * S[:n] * self.aP[:n], axis=1)
         if n < len(S):  # the other rows sweep sequentially, one at a time
             sweep = []
             for row in zip(self.a[n:].tolist(), self.d[n:].tolist(), S[n:].tolist()):
                 phi = 0.0  # running flux, updated by the comprehension
                 sweep.append([phi := (phi + di * si) * ai for ai, di, si in zip(*row)])
             Phi = np.concatenate((Phi, sweep))
-        return Phi / self.r2g
+        return Phi * self.inv_r2g
 
     def check(self, values: np.ndarray, bad: np.ndarray, which: str, t: float) -> None:
         """Raise NegativityError at the first row with a ``bad`` cell."""

@@ -321,12 +321,14 @@ def test_spurious_batch_matches_one_row_at_a_time(scan_eps, sweep_eps, t_end, or
 @example(kappas=[1.0], kappa_outside=0.0, kappa_s=0.0, R=6.0, stretch=3.0,
          source=np.linspace(0.3, 0.0, 50).tolist())
 def test_stream_scan_matches_sequential_sweep(kappas, kappa_outside, kappa_s, R, stretch, source):
-    # The scan writes the flux as P_i * sum_{j <= i} d_j S_j a_j / P_j, P the
-    # running product of a; the sweep as phi_i = (phi_{i-1} + d_i S_i) a_i.
-    # Every term is non-negative, so neither cancels: each carries about one
-    # rounding per cell and operation, at most (5 n + 6) eps relative between
-    # the two on n cells to first order.  Hence rtol = 8 n eps, and equality
-    # where S vanishes up to the cell.  The native kernel runs the same two.
+    # The scan writes the flux as P_i * sum_{j <= i} d_j S_j (a_j / P_j), P the
+    # running product of a and a_j / P_j rounded once, when the _Kernel is
+    # built; the sweep as phi_i = (phi_{i-1} + d_i S_i) a_i.  Every term is
+    # non-negative, so neither cancels: each carries about one rounding per
+    # cell and operation, the quotient's included, at most (5 n + 6) eps
+    # relative between the two on n cells to first order.  Hence rtol = 8 n
+    # eps, and equality where S vanishes up to the cell.  The native kernel
+    # runs the same two.
     specs = [ProblemSpec(B=1.0, R=R, kappa=k, kappa_outside=kappa_outside, kappa_s=kappa_s)
              for k in kappas]
     grid = make_uniform_grid(stretch * R, len(source))
@@ -367,7 +369,7 @@ def test_batch_negativity_names_the_row(monkeypatch):
             _march(kern, lambda k, t, Jt, Js, tags: (None, k + 1 if k < 20 else None))
         return str(info.value)
 
-    for which, component in (("den", "trapped"), ("r2g", "streaming")):
+    for which, component in (("inv_den", "trapped"), ("inv_r2g", "streaming")):
         native = march(which)
         with monkeypatch.context() as m:
             m.setattr(_native, "load", lambda: None)

@@ -63,9 +63,12 @@ def _body(out):
 
 # An absolute floor in the takeover test or the relative change censors
 # every row of the sweep near B = 1e-300, and unscaled squares in the norms
-# overflow into NaN errors near 2^700.
+# overflow into NaN errors near 2^700.  Both B are powers of two, the only B
+# at which the bits are linear: at B = 1e-300 the fields round differently
+# from B = 1's, and a chattering takeover may move by 2 steps (the physics
+# gate's bound), while 2^-997 (7.5e-301) still sits below any floor of 1e-300.
 @pytest.mark.parametrize("experiment, keys, B", [
-    ("spurious", "eps_list = 0.1, 0.03, 0.01\nexclude_largest = 0\n", 1e-300),
+    ("spurious", "eps_list = 0.1, 0.03, 0.01\nexclude_largest = 0\n", 2.0**-997),
     ("convergence", "n_cells = 90\nkappa_list = 1, 10\n", 2.0**700),
 ], ids=["spurious", "convergence"])
 def test_cli_at_an_extreme_B_writes_the_body_of_B_1(tmp_path, experiment, keys, B):

@@ -51,7 +51,7 @@ from idsa_lab import _native
 from idsa_lab.cli import _block_text, _block_text_python, main
 from idsa_lab.config import parse_config
 from idsa_lab.idsa import (
-    _CONFIRM, _MIN_HOLD, _Holds, _Kernel, _Reductions, _march, diffusion_number,
+    _C_FIELDS, _CONFIRM, _MIN_HOLD, _Holds, _Kernel, _Reductions, _march, diffusion_number,
 )
 from idsa_lab import quadrature, sphere
 from idsa_lab.quadrature import _WEIGHTS, QuadratureError
@@ -103,6 +103,16 @@ def test_native_kernel_builds_here():
         pytest.skip("no cffi or no C compiler: the numpy march is the only one")
     assert _native.load() is not None
     assert _native.backend() == "native"
+
+
+@needs_native
+def test_march_rows_points_only_at_arrays_the_kernel_fills():
+    # _Kernel.advance fills each pointer of march_rows from _C_FIELDS and the
+    # spare pair; a pointer named nowhere there would stay NULL, and the
+    # march would read through it.
+    fields = _native.load().ffi.typeof("march_rows").fields
+    pointers = [name for name, field in fields if field.type.kind == "pointer"]
+    assert sorted(pointers) == sorted([*_C_FIELDS, "Jt_spare", "Js_spare"])
 
 
 # The x86-64 levels of the march's clones, and the /proc/cpuinfo flags each
@@ -284,7 +294,7 @@ def test_native_march_matches_numpy_at_block_edges(n_cells):
     def negative(cell):
         kern = _Kernel(specs, grid, cfg)
         kern.n_scan = 1
-        kern.den[1, cell] *= -1.0
+        kern.inv_den[1, cell] *= -1.0
         with pytest.raises(NegativityError) as info:
             _march(kern, lambda k, t, Jt, Js, tags: (None, k + 1 if k < 5 else None))
         return str(info.value)
@@ -423,6 +433,35 @@ def test_native_reductions_match_numpy(
             assert np.array_equal(a, b, equal_nan=True)
     for k, (_, sup, change, _, _) in reference.items():
         assert k in native or not (np.any(sup > bound) or np.any(change < stat_tol))
+
+
+@needs_native
+@pytest.mark.parametrize("cell", [0, 127, 128, 200, 256])
+def test_native_change_through_a_nan_matches_numpy(cell):
+    # A NaN that enters one row's fields, in its first block, at a block
+    # edge or in its last, spreads from step to step: the kernel reduces a
+    # block with a NaN by numpy's running max, and the blocks without one by
+    # halving.  The change of both rows keeps numpy's bits, NaN included.
+    grid = make_uniform_grid(18.0, 257)
+    spec = ProblemSpec(B=1.0, R=6.0, kappa=1.0)
+
+    def march():
+        kern = _Kernel([spec, spec], grid, SolverConfig(dt=0.1))
+        kern.inv_den[1, cell] = np.nan
+        red = _Reductions(2, stat_tol=1e-300)
+        log = []
+
+        def observe(k, t, Jt, Js, tags):
+            log.append(red.change.tobytes())
+            return None, k + 1 if k < 8 else None
+
+        _march(kern, observe, red=red)
+        return log
+
+    native, reference = _both(march)
+    assert native == reference
+    last = np.frombuffer(native[-1])
+    assert np.isfinite(last[0]) and np.isnan(last[1])
 
 
 @pytest.mark.parametrize("path", [pytest.param("native", marks=needs_native), "numpy"])
