@@ -8,6 +8,10 @@
  * - gtsv_factor() and gtsv_solve(): the domain-split schemes' tridiagonal
  *   solve (reformed.py), LAPACK's dgtsv split into a factor pass and a
  *   right-hand-side pass;
+ * - reformed_march(): the domain-split schemes' march (reformed.py), from
+ *   one stop of the schedule to the next in one call, each step one
+ *   right-hand-side pass with the step's right-hand side, checks and
+ *   relative change fused into it, each into the other of two fields;
  * - format_rows(): the CSV rows of a block (cli.py), with "%.17g" floats,
  *   written with exact integer arithmetic for +-0 and 1e-38 < |x| < 1e17
  *   and by glibc's snprintf otherwise;
@@ -142,6 +146,23 @@ void oracle_exp(long long n, const double *x, double *out);
 int gtsv_factor(int n, double *dl, double *d, double *du, double *fact, signed char *swap);
 void gtsv_solve(int n, const double *dl, const double *d, const double *du,
                 const double *fact, const signed char *swap, double *b);
+
+/* reformed_march(): the domain-split march (reformed.py). */
+typedef struct {
+    int m;                       /* the inside cells, m >= 2 */
+    /* the step matrix I - dt L as gtsv_factor left it */
+    const double *dl, *d, *du, *fact;
+    const signed char *swap;
+    double dtq;                  /* dt kappa B, which the right-hand side adds to each Jt */
+    double floor;                /* -1e-12 B: a trapped value below it is negative */
+    double dr;
+    int normalize;               /* 0 ("old"): Js = scale dJt/dr; 1 ("new"): scale = edge / the face gradient */
+    double scale, edge;
+    double *spare;               /* scratch: m doubles, which every other step writes */
+} reformed_step;
+
+long reformed_march(const reformed_step *s, const double *Jt0, double *Jt, long steps,
+                    double stat_tol, double *change, int *failed);
 
 /* format_rows(): one column of a block of CSV rows (cli.py). */
 typedef struct {
@@ -1103,24 +1124,130 @@ int gtsv_factor(int n, double *dl, double *d, double *du, double *fact, signed c
     return d[n - 1] == 0.0 ? n : 0;
 }
 
-/* Solves in place for b (n), given gtsv_factor's output. */
-void gtsv_solve(int n, const double *dl, const double *d, const double *du,
-                const double *fact, const signed char *swap, double *b)
+/*
+ * dgtsv's right-hand-side pass, given gtsv_factor's output: the solution b
+ * (n) of A b = x, where b may be x.  Given a domain-split step `s`, the
+ * pass is that step of reformed_march(), with its work fused into dgtsv's
+ * two passes, which are chains of dependent operations, so that it runs
+ * in their shadow:
+ *
+ * - the forward pass forms the right-hand side x + dt q and flags a
+ *   non-finite entry, and then the back substitution is skipped;
+ * - the back substitution, once rows m - 1 and m - 2 are solved, takes the
+ *   face gradient and from it the streaming scale and threshold
+ *   (ReformedScheme._streaming); then each row i flags a trapped value
+ *   below s->floor and, from the gradient at row i + 1, whose three values
+ *   are now known, a streaming value scale dJt/dr below the threshold; and
+ *   it folds max |b - x| and max |b| (numpy's max, NaN if any value is).
+ *
+ * Each is computed by the operations of the numpy step, in its order, so
+ * the bits and the flags are its.  Returns 1 if the step failed a check,
+ * and otherwise 0 with its relative change in *change,
+ * max |dJt| / max(max |Jt|, 2^-1074).  gtsv_solve() calls the pass
+ * without `s`; it is inlined there, and the compiler drops the extras.
+ */
+static INLINE int gtsv_pass(int n, const double *dl, const double *d, const double *du,
+                            const double *fact, const signed char *swap,
+                            const reformed_step *s, const double *x, double *b, double *change)
 {
+    double bad = 0.0;
+    if (s) {
+        b[0] = x[0] + s->dtq;
+        bad = isfinite(b[0]) ? bad : 1.0;
+    }
     for (int i = 0; i < n - 1; i++) {
+        double next = x[i + 1];
+        if (s) {
+            next = next + s->dtq;
+            bad = isfinite(next) ? bad : 1.0;
+        }
         if (!swap[i]) {
-            b[i + 1] = b[i + 1] - fact[i] * b[i];
+            b[i + 1] = next - fact[i] * b[i];
         } else {
             const double temp = b[i];
-            b[i] = b[i + 1];
-            b[i + 1] = temp - fact[i] * b[i + 1];
+            b[i] = next;
+            b[i + 1] = temp - fact[i] * next;
         }
     }
+    if (bad != 0.0)
+        return 1;
     b[n - 1] = b[n - 1] / d[n - 1];
     if (n > 1)
         b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2];
-    for (int i = n - 3; i >= 0; i--)
+    double scale = 0.0, thr = 0.0, dJ = 0.0, J = 0.0, two_dr = 0.0, three_dr = 0.0;
+    if (s) {
+        two_dr = 2.0 * s->dr, three_dr = 3.0 * s->dr;
+        scale = s->scale;
+        if (s->normalize) {
+            const double face = (b[n - 2] - 9.0 * b[n - 1]) / three_dr;
+            bad = face == 0.0 ? 1.0 : bad;
+            scale = s->edge / face;
+        }
+        thr = s->floor * py_max(1.0, fabs(scale) / s->dr);
+        const double g = -(3.0 * b[n - 1] + b[n - 2]) / three_dr;
+        for (int i = n - 1; i >= n - 2; i--) {
+            bad = b[i] < s->floor ? 1.0 : bad;
+            dJ = np_max(dJ, fabs(b[i] - x[i]));
+            J = np_max(J, fabs(b[i]));
+        }
+        bad = scale * g < thr ? 1.0 : bad;
+    }
+    for (int i = n - 3; i >= 0; i--) {
         b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i];
+        if (s) {
+            const double g = (b[i + 2] - b[i]) / two_dr;
+            bad = b[i] < s->floor ? 1.0 : bad;
+            bad = scale * g < thr ? 1.0 : bad;
+            dJ = np_max(dJ, fabs(b[i] - x[i]));
+            J = np_max(J, fabs(b[i]));
+        }
+    }
+    if (s) {
+        bad = scale * ((b[1] - b[0]) / two_dr) < thr ? 1.0 : bad;
+        *change = dJ / py_max(J, 0x1p-1074);
+    }
+    return bad != 0.0;
+}
+
+void gtsv_solve(int n, const double *dl, const double *d, const double *du,
+                const double *fact, const signed char *swap, double *b)
+{
+    gtsv_pass(n, dl, d, du, fact, swap, NULL, b, b, NULL);
+}
+
+/*
+ * The domain-split march (ReformedScheme.run_to_stationarity): up to
+ * `steps` steps from Jt0, m = s->m cells, each gtsv_pass() with the step's
+ * checks.  The first step reads Jt0, which is never written, and writes
+ * Jt; later steps alternate between Jt and s->spare.  Returns the steps
+ * taken, with the last one's state in Jt and its relative change in
+ * *change, after `steps` steps, after a step whose change is below
+ * stat_tol (0: none is), or before a step that fails a check: then
+ * *failed is set, and Jt holds the state the failed step started from.
+ */
+long reformed_march(const reformed_step *s, const double *Jt0, double *Jt, long steps,
+                    double stat_tol, double *change, int *failed)
+{
+    const double *in = Jt0;
+    double *out = Jt;
+    long k = 0;
+    *failed = 0;
+    while (k < steps) {
+        double c;
+        if (gtsv_pass(s->m, s->dl, s->d, s->du, s->fact, s->swap, s, in, out, &c)) {
+            *failed = 1;
+            break;
+        }
+        k++;
+        *change = c;
+        in = out;
+        out = out == Jt ? s->spare : Jt;
+        if (c < stat_tol)
+            break;
+    }
+    if (in != Jt)
+        memcpy(Jt, in, (size_t)s->m * sizeof(double));
+    return k;
 }
 
 /*

@@ -1,7 +1,10 @@
 """
 Loader for the native kernels, ``_march.c``: the switched scheme's march,
 the exact sphere's adaptive quadrature, the domain-split schemes'
-tridiagonal solve and the CSV row formatter.  The oracle's quadrature runs
+tridiagonal solve and their march, and the CSV row formatter.  The
+domain-split march runs from one stop of its schedule to the next in one
+call, each step's right-hand side, checks and relative change fused into
+the solve's two passes.  The oracle's quadrature runs
 whole in C, one call per batch, its integrands and an exp of the lab's own
 evaluated in one pass over each tile of panels; no numpy function is left
 in it.  Its blocks of owners are independent, so each call integrates them
@@ -69,9 +72,9 @@ exact moments, domain-split scheme or CSV file imports it and calls
 When the module cannot be built or loaded (no cffi, no compiler, a
 read-only package directory), ``load`` says why on stderr once and returns
 None.  Each kernel then falls back to its reference, which gives the same
-bits: the switched scheme marches with numpy, the oracle integrates its
-numpy integrands with ``quadrature.integrate_batch``, and the solve and
-the CSV formatting run in Python.
+bits: both schemes march with numpy, the oracle integrates its numpy
+integrands with ``quadrature.integrate_batch``, and the solve and the CSV
+formatting run in Python.
 """
 
 from __future__ import annotations

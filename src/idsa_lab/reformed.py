@@ -30,6 +30,15 @@ and each step repeats only dgtsv's right-hand-side work, in the native
 module when it can be built and in Python otherwise, with the same bits.
 The step matrix I - dt L is factored on the first step of a march, so a
 direct stationary solve factors only its own matrix.
+
+A march (``run_to_stationarity``) steps with numpy (``_step``), or with the
+native ``reformed_march``, one call from each stop of ``idsa.Schedule`` to
+the next.  The kernel does the rest of a step (the right-hand side, the
+checks of ``_step`` and the relative change) inside dgtsv's two passes, with
+the same operations, so the bits do not change.  It stops before a step that
+fails a check, and ``_step`` takes that step again and raises, so both paths
+raise the same errors.  The source kappa B is one number, since the kernel
+reads no other.
 """
 
 from __future__ import annotations
@@ -188,6 +197,8 @@ class ReformedScheme:
         self.snapped_R = m * dr
         self.kappa_tot = spec.kappa + spec.kappa_s
         self.edge_value = special_values(spec).JR if variant == "new" else None
+        # "old" scales the trapped gradient to Js by a constant; "new" by edge_value / grad_face
+        self._scale = -2.0 / (3.0 * self.kappa_tot) if variant == "old" else None
         # Outside R the streaming field is the edge value carried outward by
         # the free-streaming closure; its geometry is fixed per grid.
         r_out = grid.r_centers[m:]
@@ -220,7 +231,8 @@ class ReformedScheme:
         diag -= spec.kappa
 
         self._L = (lower, diag, upper)
-        self._q = np.full(m, spec.kappa * spec.B)
+        # kappa B on every inside cell: one number, since the native march reads one
+        self._q = spec.kappa * spec.B
 
     @functools.cached_property
     def _M(self) -> _Tridiagonal:
@@ -245,7 +257,7 @@ class ReformedScheme:
         grad, grad_face = self._gradient(Jt_in)
         B = self.spec.B
         if self.variant == "old":
-            scale = -2.0 / (3.0 * self.kappa_tot)
+            scale = self._scale
             edge = scale * grad_face
         else:
             if grad_face == 0.0:
@@ -274,35 +286,99 @@ class ReformedScheme:
             RadialField(self.grid, Jt), RadialField(self.grid, Js), t=t
         )
 
+    @functools.cached_property
+    def _native_step(self):
+        """
+        The native march's view of a step (``reformed_step``) and the buffers
+        it points into, or None where the solve runs in Python.
+        """
+        M = self._M
+        if M._native is None:
+            return None
+        ffi = M._native.ffi
+        c = ffi.new("reformed_step *")
+        c.m, c.dr = self.m, self.grid.dr
+        c.dtq, c.floor = self.cfg.dt * self._q, -1e-12 * self.spec.B
+        c.dl, c.d, c.du, c.fact, c.swap = M._ptrs
+        if self.variant == "old":
+            c.scale = self._scale
+        else:
+            c.normalize, c.edge = 1, self.edge_value
+        c.spare = spare = ffi.from_buffer("double[]", np.empty(self.m))
+        return c, spare  # spare keeps its array alive while c points into it
+
+    def _step(self, Jt: np.ndarray, t: float) -> np.ndarray:
+        """
+        One step from Jt, to time t, in numpy: the trapped update, raising
+        if it or its streaming reconstruction is negative.  The reference for
+        ``reformed_march`` in ``_march.c``.
+        """
+        Jt_new = self._M.solve(Jt + self.cfg.dt * self._q)
+        if np.any(Jt_new < -1e-12 * self.spec.B):
+            i = int(np.argmin(Jt_new))
+            raise NegativityError("trapped component", t, i, float(Jt_new[i]))
+        self._streaming(Jt_new, t)
+        return Jt_new
+
+    def _advance(self, Jt: np.ndarray, k: int, steps: int, stat_tol: float):
+        """
+        Up to ``steps`` steps from Jt at step k, stopping after a step whose
+        relative change max |dJt| / max |Jt| is below ``stat_tol``; returns the
+        step reached, its state (a fresh array) and its change (inf where none
+        was computed).  Raises at a step that ``_step`` rejects.
+
+        The native kernel takes the steps in one call.  It stops before a step
+        that fails a check and returns the state that step started from; the
+        step is then taken again by ``_step``, which raises what the check
+        found, so both paths raise the same errors.
+        """
+        change = math.inf
+        if self._native_step is not None:
+            native, c = self._M._native, self._native_step[0]
+            ffi = native.ffi
+            out = np.empty(self.m)
+            last, failed = ffi.new("double *", change), ffi.new("int *")
+            taken = native.lib.reformed_march(
+                c, ffi.from_buffer("double[]", Jt), ffi.from_buffer("double[]", out), steps,
+                stat_tol, last, failed,
+            )
+            k, Jt, change = k + taken, out, last[0]
+            if not failed[0]:
+                return k, Jt, change
+            steps = 1
+        for _ in range(steps):
+            Jt_new = self._step(Jt, (k + 1) * self.cfg.dt)
+            if stat_tol > 0.0:  # no change falls below a stat_tol <= 0: none is read
+                change = np.max(np.abs(Jt_new - Jt)) / max(np.max(np.abs(Jt_new)), 5e-324)
+            k, Jt = k + 1, Jt_new
+            if change < stat_tol:
+                break
+        return k, Jt, change
+
     def run_to_stationarity(self, snapshot_times=()) -> RunRecord:
         """
         March the m inside cells from zero, checking every step for a negative
         trapped component or streaming reconstruction, and build full states
         only for the snapshots and the final state ``idsa.Schedule`` names,
-        with the trapped update's relative change max |dJt| / max |Jt|.
+        with the trapped update's relative change max |dJt| / max |Jt|.  The
+        native kernel marches from each stop of the schedule to the next in
+        one call.
         """
-        dt, B = self.cfg.dt, self.spec.B
+        dt = self.cfg.dt
         sched = Schedule(self.cfg, snapshot_times)
-        Jt, change = np.zeros(self.m), math.inf
-        k, upcoming = 0, sched.see(0, change, lambda: self._assemble_state(Jt, 0.0))
+        Jt = np.zeros(self.m)
+        k, upcoming = 0, sched.see(0, math.inf, lambda: self._assemble_state(Jt, 0.0))
         while upcoming is not None:
-            k += 1
-            t = k * dt
-            Jt_new = self._M.solve(Jt + dt * self._q)
-            if np.any(Jt_new < -1e-12 * B):
-                i = int(np.argmin(Jt_new))
-                raise NegativityError("trapped component", t, i, float(Jt_new[i]))
-            self._streaming(Jt_new, t)
-            if sched.final is None:  # no change is read after the final state
-                change = np.max(np.abs(Jt_new - Jt)) / max(np.max(np.abs(Jt_new)), 5e-324)
-            upcoming = sched.see(k, change, lambda: self._assemble_state(Jt_new, t))
-            Jt = Jt_new
+            # no change is read after the final state, so none stops the march
+            stat_tol = self.cfg.stationarity_tol if sched.final is None else 0.0
+            k, Jt, change = self._advance(Jt, k, upcoming - k, stat_tol)
+            upcoming = sched.see(k, change, lambda: self._assemble_state(Jt, k * dt))
         return sched.record()
 
     def stationary_direct(self) -> TwoComponentState:
         """The exact stationary state: one direct solve of L Jt = -q, no march."""
         lower, diag, upper = self._L
-        Jt = _Tridiagonal(-lower[1:], -diag, -upper[:-1]).solve(self._q)
+        Jt = _Tridiagonal(-lower[1:], -diag, -upper[:-1]).solve(np.full(self.m, self._q))
         return self._assemble_state(Jt, np.inf)
 
 

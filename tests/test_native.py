@@ -39,6 +39,7 @@ from hypothesis import strategies as st
 import idsa_lab
 from idsa_lab import (
     NegativityError,
+    NormalizationSingularityError,
     ProblemSpec,
     SolverConfig,
     UnboundedError,
@@ -1085,8 +1086,9 @@ spec.loader.exec_module(module)
 _native.load = lambda: module
 
 sys.path.insert(0, sys.argv[3])
-from test_native import (_block_text, _bounds_case, _march_log, _numpy_march, _oracle_bytes,
-                         _oracle_failures, _workers, ProblemSpec, SolverConfig, make_uniform_grid,
+from test_native import (_SPLIT_FAILURES, _SPLIT_MARCHES, _block_text, _bounds_case, _march_log,
+                         _numpy_march, _oracle_bytes, _oracle_failures, _split_failure,
+                         _split_record, _workers, ProblemSpec, SolverConfig, make_uniform_grid,
                          quadrature)
 from idsa_lab.reformed import _Tridiagonal
 
@@ -1107,13 +1109,17 @@ def run():
     rng = np.random.default_rng(3)
     solve = _Tridiagonal(*(rng.standard_normal(k) for k in (49, 50, 49))).solve(rng.random(50))
     rows = bytes(_block_text([rng.random(40), rng.random(40) < 0.5, ["a", "bc"] * 20, 0.25]))
-    return oracle, march, solve.tobytes(), rows
+    split = [_split_record(variant, *_SPLIT_MARCHES[march]) for variant in ("old", "new")
+             for march in ("m = 2", "m = 3, past stationary", "stop at t_end")]
+    split += [_split_failure(case) for case in _SPLIT_FAILURES]
+    return oracle, march, solve.tobytes(), rows, split
 
 
 with _numpy_march():
     reference = run()
 assert reference[0][0][1]["max_live_panels"] <= 16
 assert max(stats["max_live_panels"] for _, stats in reference[0][6:]) == 4
+assert None not in reference[4]  # each failure case raised
 for n in (1, 2):
     with _workers(n):
         oracle, (error, march), *rest = run()
@@ -1442,6 +1448,7 @@ def test_native_solve_matches_python_dgtsv_and_scipy():
         ):
             scheme, matrices = _banded_matrices(n_cells, kappa, variant, dt)
             m = scheme.m
+            source = np.full(m, scheme._q)
             for which, (dl, d, du) in enumerate(matrices):
                 ab = np.zeros((3, m))
                 ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
@@ -1450,14 +1457,14 @@ def test_native_solve_matches_python_dgtsv_and_scipy():
                 if which == 0 and any(swap):
                     swapped.add((n_cells, variant, dt, swap.index(True) - m))
                 native = scheme._M if which == 0 else _Tridiagonal(dl, d, du)
-                for b in [scheme._q, *(rng.random(m) * 10.0 ** rng.uniform(-3, 3) for _ in range(2))]:
+                for b in [source, *(rng.random(m) * 10.0 ** rng.uniform(-3, 3) for _ in range(2))]:
                     expected = solve_banded((1, 1), ab, b)
                     reference = np.array(_gtsv_solve(*factors, fact, swap, b.tolist()))
                     assert reference.tobytes() == expected.tobytes()
                     assert native.solve(b).tobytes() == expected.tobytes()
                     solves += 1
             direct = scheme.stationary_direct().Jt.values[:m]
-            assert direct.tobytes() == _Tridiagonal(*matrices[1]).solve(scheme._q).tobytes()
+            assert direct.tobytes() == _Tridiagonal(*matrices[1]).solve(source).tobytes()
     # dgtsv interchanges rows where |d_i| < |dl_i|: at 19998 cells it does
     # so for each variant and dt, and only ever at row m - 2.
     assert {(v, dt, offset) for n, v, dt, offset in swapped if n == 19998} == {
@@ -1490,6 +1497,140 @@ def test_native_solve_matches_python_dgtsv_and_scipy_on_random_matrices():
                     assert reference.tobytes() == expected.tobytes()
                     assert matrix.solve(b).tobytes() == expected.tobytes()
     assert interior_swaps > 50
+
+
+# ------------------------------------------------------------ domain-split march
+
+# (n_cells, config, snapshot times), marched by both variants on R = 6,
+# r_max = 18, at the kappa where, on 19998 cells, the roundoff of the
+# "old" gradient passes -1e-12 B at t = 1, but not the scaled threshold
+# (test_reformed.py::test_old_fine_grid_roundoff_is_not_negativity).
+_SPLIT_KAPPA = 3.1667953321301963
+_SPLIT_MARCHES = {
+    # m = 6666: dgtsv interchanges row m - 2; one snapshot before the
+    # stationary step, one after it
+    "19998 cells": (19998, SolverConfig(dt=0.1, t_end=400.0, stationarity_tol=1e-10), (2.0, 40.0)),
+    "m = 2": (6, SolverConfig(dt=0.1, t_end=400.0, stationarity_tol=1e-10), ()),
+    "m = 3, past stationary": (9, SolverConfig(dt=0.1, t_end=400.0, stationarity_tol=1e-10),
+                               (0.5, 100.0)),
+    "stop at t_end": (300, SolverConfig(dt=0.1, t_end=2.0, stationarity_tol=1e-10), (1.0,)),
+}
+
+
+def _split_record(variant, n_cells, cfg, snapshot_times):
+    """The run of one domain-split march as bytes: every state, the steps, the
+    stop, and the rows (counted from m) that dgtsv interchanged."""
+    grid = make_uniform_grid(18.0, n_cells)
+    scheme = ReformedScheme(variant, ProblemSpec(B=1.0, R=6.0, kappa=_SPLIT_KAPPA), grid, cfg)
+    run = scheme.run_to_stationarity(snapshot_times)
+    states = [(s.Jt.values.tobytes(), s.Js.values.tobytes(), s.t)
+              for s in [*run.snapshots, run.final]]
+    swapped = (np.flatnonzero(scheme._M._factors[4]) - scheme.m).tolist()
+    return states, run.steps, run.stopped, swapped
+
+
+@needs_native
+@pytest.mark.parametrize("march", _SPLIT_MARCHES)
+@pytest.mark.parametrize("variant", ["old", "new"])
+def test_native_split_march_matches_the_reference_bit_for_bit(variant, march):
+    n_cells, cfg, times = _SPLIT_MARCHES[march]
+    # no step fails a check, so none runs in Python
+    with unittest.mock.patch.object(ReformedScheme, "_step", side_effect=AssertionError):
+        native = _split_record(variant, n_cells, cfg, times)
+    with _numpy_march():
+        assert _split_record(variant, n_cells, cfg, times) == native
+    steps, stopped, swapped = native[1:]
+    last = max(round(t / cfg.dt) for t in times) if times else 0
+    if march == "stop at t_end":
+        assert stopped == "t_end" and steps == 20
+    else:
+        assert stopped == "stationary" and (last > steps or not times)
+    assert swapped == ([-2] if n_cells == 19998 else [])
+
+
+# Initial states no march from zero reaches, each with the error the step
+# that rejects it raises: (variant, n_cells, scheme attributes set, Jt0 of
+# the scheme, error, message, the 1-based step that fails), at kappa = 1
+# and B = 1 (so _q = 1), dt = 0.1.  Several checks often fail at one step;
+# where a label names a part of the back substitution (before, in or after
+# its loop over the rows), only a check of that part fails.
+_SPLIT_FAILURES = {
+    "non-finite right-hand side": (
+        "old", 300, {}, lambda s: np.where(np.arange(s.m) == 5, np.nan, 0.0),
+        ValueError, "right-hand side has non-finite entries", 1),
+    "streaming negativity, old": (
+        "old", 300, {}, lambda s: np.linspace(0.0, 1.0, s.m),
+        NegativityError, "streaming reconstruction became negative", 1),
+    "streaming negativity at r = 0 (after the loop)": (
+        "old", 6, {}, lambda s: np.array([0.0, 1.0]),
+        NegativityError, "streaming reconstruction became negative at t = 0.1, cell 0 ", 1),
+    "streaming negativity at cell m - 1 (before the loop)": (
+        "new", 9, {}, lambda s: np.array([0.0, 5.0, 0.2]),
+        NegativityError, "streaming reconstruction became negative at t = 0.1, cell 2 ", 1),
+    "streaming negativity, new": (
+        "new", 300, {}, lambda s: np.sin(np.pi * s.grid.r_centers[: s.m] / 6.0),
+        NegativityError, "streaming reconstruction became negative", 1),
+    # Jt0 = -dt q: the right-hand side, and so the step, is exactly zero
+    "zero face gradient (before the loop)": (
+        "new", 300, {}, lambda s: np.full(s.m, -s.cfg.dt * s._q),
+        NormalizationSingularityError, "trapped gradient at the interface is zero", 1),
+    # a negative source, and Js = 0: negative at cells 0 to 6 of 100 only
+    "trapped negativity inside (in the loop)": (
+        "old", 300, {"_q": -1.0, "_scale": 0.0}, lambda s: np.linspace(0.0, 1.0, s.m),
+        NegativityError, "trapped component became negative at t = 0.1, cell 0 ", 1),
+    # a negative source: a uniform Jt0 reaches -1e-12 B at steps 1, 2 and 3,
+    # so the kernel returns the state from Jt0, its output and its spare
+    **{f"trapped negativity at step {k}": (
+        "old", 300, {"_q": -1.0}, lambda s, a=a: np.full(s.m, a),
+        NegativityError, "trapped component became negative", k)
+       for k, a in ((1, 0.05), (2, 0.1), (3, 0.4))},
+}
+
+
+def _failing_scheme(case):
+    """The scheme of a _SPLIT_FAILURES case and its Jt0."""
+    variant, n_cells, attributes, Jt0 = _SPLIT_FAILURES[case][:4]
+    scheme = ReformedScheme(variant, ProblemSpec(B=1.0, R=6.0, kappa=1.0),
+                            make_uniform_grid(18.0, n_cells), SolverConfig(dt=0.1))
+    for name, value in attributes.items():
+        setattr(scheme, name, value)
+    return scheme, Jt0(scheme)
+
+
+def _split_failure(case):
+    """What the march of a _SPLIT_FAILURES case raises: type, message and t."""
+    scheme, Jt0 = _failing_scheme(case)
+    try:
+        scheme._advance(Jt0, 0, 6, 0.0)
+    except (ValueError, NegativityError, NormalizationSingularityError) as exc:
+        return type(exc), str(exc), getattr(exc, "t", None)
+    return None
+
+
+@needs_native
+@pytest.mark.parametrize("case", _SPLIT_FAILURES)
+def test_native_split_march_stops_before_the_step_the_reference_rejects(case):
+    # The kernel returns the state before the step that fails a check, and
+    # only that step runs in Python, which raises what the numpy march
+    # raises: the same type, message and t.
+    error, message, failing = _SPLIT_FAILURES[case][4:]
+    outcomes = {}
+    for path in ("native", "numpy"):
+        with _numpy_march() if path == "numpy" else contextlib.nullcontext():
+            scheme, Jt0 = _failing_scheme(case)
+            reference, stepped = scheme._step, []
+
+            def step(Jt, t):
+                stepped.append((Jt.tobytes(), t))
+                return reference(Jt, t)
+
+            scheme._step = step
+            with pytest.raises(error, match=message) as info:
+                scheme._advance(Jt0, 0, 6, 0.0)
+            outcomes[path] = str(info.value), getattr(info.value, "t", None), stepped
+    assert len(outcomes["numpy"][2]) == failing and len(outcomes["native"][2]) == 1
+    assert outcomes["native"][:2] == outcomes["numpy"][:2]
+    assert outcomes["native"][2][0] == outcomes["numpy"][2][-1]
 
 
 # ------------------------------------------------------------ fallback
