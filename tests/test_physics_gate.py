@@ -31,6 +31,29 @@ chattering switch at the interface makes that step sensitive to rounding:
 on the code of commit 1bf3ed6 itself, B = 3, 0.1 and 1e-300 (whose
 roundings differ from B = 1's, unlike a power of two) move 1, 2 and 5 of
 the 40 steps by 2, and never by more; the reciprocals above moved 2 by 2.
+
+Domain-split marches.  ``ReformedScheme.run_to_stationarity`` for both
+variants on bare spheres (B = 1, R = 6, r_max = 18) at stationarity_tol =
+1e-10 and t_end = 2000, over kappa = 0.3 to 10, 90 to 360 cells and dt =
+0.05 to 0.5 (the scheme is implicit: no diffusion limit).  The values were
+measured on commit 4d5871e.
+- Each must stop "stationary" at its pinned step, +-1 step, as above.
+- The march's fixed point is ``stationary_direct``'s solution, so the
+  relative shell L2 distance of the final Jt + Js to it is the march's
+  unconverged rest, 7e-12 to 5e-10, which shrinks by a factor 0.33-0.9 a
+  step.  It is pinned at the pinned step and at one step either side; the
+  run must match the value for the step it stopped at to 1e-12 absolute.
+  Those three values are 1.1e-11 apart or more, so the bound tells the
+  steps apart.  A back substitution that multiplies by the reciprocals of
+  its pivots moved the states after 400 steps by at most 1.1e-14 relative
+  (ROADMAP item 11's prototype), and a state moved by e relative moves
+  this distance by at most e: 1e-12 admits that rounding with a margin
+  of 90.
+- For "new", the relative shell L2 distance of the final Jt + Js to
+  ``new_idsa_stationary_closed_form`` is the scheme's discretization
+  error, 3.7e-4 to 6.6e-3, and is pinned to 1e-9 absolute: the final state
+  lies within 4.5e-10 of ``stationary_direct``'s at any of the three steps,
+  so a stop one step off moves this distance by less than that.
 """
 
 import numpy as np
@@ -46,6 +69,7 @@ from idsa_lab import (
 )
 from idsa_lab.diagnostics import stationary_state
 from idsa_lab.idsa import diffusion_number
+from idsa_lab.reformed import ReformedScheme, new_idsa_stationary_closed_form
 
 # (kappa, n_cells, dt) -> (stop step, L2 gap of Jt + Js, L2 gap of Jt)
 _STATIONARY = {
@@ -54,6 +78,20 @@ _STATIONARY = {
     (10.0, 180, 0.1): (160, 6.00026075132e-2, 2.44687645009e-3),
     (1.0, 180, 0.01): (1274, 1.65058387086e-2, 3.61113578482e-3),
     (0.3, 90, 0.01): (1945, 2.52264792487e-2, 1.41597415919e-2),
+}
+
+# (variant, kappa, n_cells, dt) -> (stop step, the L2 distance to
+# stationary_direct one step before it, at it and one step after it, and for
+# "new" the L2 distance to the closed form)
+_SPLIT = {
+    ("old", 1.0, 90, 0.1): (161, (1.684974e-10, 1.455423e-10, 1.257135e-10), None),
+    ("new", 1.0, 90, 0.1): (207, (4.489633e-10, 4.047896e-10, 3.649622e-10), 2.40713652430e-3),
+    ("old", 3.0, 180, 0.05): (149, (8.597141e-11, 7.294102e-11, 6.187716e-11), None),
+    ("new", 3.0, 180, 0.05): (152, (4.411279e-10, 3.829774e-10, 3.324933e-10), 3.85502581762e-3),
+    ("old", 10.0, 360, 0.2): (22, (6.082850e-11, 1.996084e-11, 6.549405e-12), None),
+    ("new", 10.0, 360, 0.2): (22, (8.147772e-11, 2.710161e-11, 9.015050e-12), 6.58145112151e-3),
+    ("old", 0.3, 90, 0.5): (60, (1.198966e-10, 8.141185e-11, 5.528000e-11), None),
+    ("new", 0.3, 90, 0.5): (84, (2.327632e-10, 1.787368e-10, 1.372505e-10), 3.71892387251e-4),
 }
 
 # The takeover steps of the default spurious scenario at each eps of
@@ -89,3 +127,21 @@ def test_spurious_takeovers_happen_where_they_are_pinned():
     assert not any(record.censored for record in records)
     steps = np.array([round(record.time / cfg.dt) for record in records])
     assert np.max(np.abs(steps - _TAKEOVER_STEPS)) <= 2
+
+
+@pytest.mark.parametrize("variant, kappa, n_cells, dt", sorted(_SPLIT))
+def test_domain_split_march_settles_where_it_is_pinned(variant, kappa, n_cells, dt):
+    steps, gaps, gap_closed = _SPLIT[variant, kappa, n_cells, dt]
+    spec = ProblemSpec(B=1.0, R=6.0, kappa=kappa)
+    grid = make_uniform_grid(18.0, n_cells)
+    scheme = ReformedScheme(variant, spec, grid,
+                            SolverConfig(dt=dt, t_end=2000.0, stationarity_tol=1e-10))
+    run = scheme.run_to_stationarity()
+    assert run.stopped == "stationary"
+    assert abs(run.steps - steps) <= 1
+    gap = l2_relative_error(run.final.total(), scheme.stationary_direct().total())
+    assert gap == pytest.approx(gaps[run.steps - steps + 1], rel=0, abs=1e-12)
+    if variant == "new":
+        closed = new_idsa_stationary_closed_form(grid, spec)
+        assert l2_relative_error(run.final.total(), closed.total()) == pytest.approx(
+            gap_closed, rel=0, abs=1e-9)
