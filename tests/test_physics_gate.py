@@ -18,10 +18,22 @@ step that multiplies by reciprocals in place of its divisions, rounding
 differently, kept every stop step and moved the distances by at most
 2.3e-13 relative; one step more or less moves the fields by about 1e-10 B,
 and a distance of 2-6% by up to a few 1e-9 relative.  So 1e-9 admits
-rounding and little else.  Whether the distances are a discretization
-error or the switched source's model difference from the old domain split
-is still open (ROADMAP item 6): this gate pins them, it does not judge
-them.
+rounding and little else.
+
+The distances are a discretization error of first order in dr, not a
+model difference between the switched source and the old domain split:
+halving dr halves them, and dt does not move them.  Two tests pin these
+orders in place of values, so that they hold for any change that keeps
+the scheme's physics.  With kappa = 1 and 3, 90 -> 180 -> 360 cells (dt
+inside the diffusion limit), each halving divides the gap of Jt + Js, and
+of Jt alone, by 1.92-2.09 (measured on commit 4d5871e); the band is
+[1.8, 2.2], which a first-order error meets on these grids and one of
+order 1/2 (1.41) or 2 (4) does not.  At one grid, a dt 1.5 to 5 times
+another gives the same gaps to 5.1e-7 relative (measured likewise): the
+stop at stationarity_tol 1e-10 leaves an unconverged rest that depends on
+dt, about 1e-9 B at most, which is that much of the smallest gap, Jt's at
+360 cells (1.9e-3).  The bound is 1e-5 relative, where an error of first
+order in dt would move the gap by about its own size.
 
 Spurious takeovers.  The default spurious scenario (B = 1, R = 6, kappa = 1,
 r_max = 18, 50 cells, dt = 0.1) over eps = logspace(-1, -2.5, 40): every
@@ -94,6 +106,14 @@ _SPLIT = {
     ("new", 0.3, 90, 0.5): (84, (2.327632e-10, 1.787368e-10, 1.372505e-10), 3.71892387251e-4),
 }
 
+# kappa -> (n_cells, dt) halving dr, each inside the diffusion limit
+_HALVINGS = {1.0: [(90, 0.01), (180, 0.01), (360, 0.003)],
+             3.0: [(90, 0.1), (180, 0.04), (360, 0.01)]}
+
+# (kappa, n_cells) -> two dt at which the gaps must agree
+_DT_PAIRS = {(1.0, 90): (0.05, 0.01), (1.0, 360): (0.003, 0.002), (3.0, 90): (0.1, 0.02),
+             (3.0, 360): (0.01, 0.005)}
+
 # The takeover steps of the default spurious scenario at each eps of
 # logspace(-1, -2.5, 40), largest eps first.
 _TAKEOVER_STEPS = [
@@ -116,6 +136,33 @@ def test_switched_scheme_settles_where_it_is_pinned(kappa, n_cells, dt):
     assert abs(run.steps - steps) <= 1
     assert l2_relative_error(run.final.total(), ref.total()) == pytest.approx(gap_total, rel=1e-9)
     assert l2_relative_error(run.final.Jt, ref.Jt) == pytest.approx(gap_trapped, rel=1e-9)
+
+
+def _switched_gaps(kappa, n_cells, dt):
+    """The relative shell L2 gaps of the switched scheme's stationary Jt + Js,
+    and of its Jt, to ``stationary_state("old")``."""
+    spec = ProblemSpec(B=1.0, R=6.0, kappa=kappa)
+    grid = make_uniform_grid(18.0, n_cells)
+    cfg = SolverConfig(dt=dt, t_end=2000.0, stationarity_tol=1e-10)
+    assert diffusion_number(spec, grid, cfg) <= 0.5
+    run = run_to_time(spec, grid, cfg)
+    assert run.stopped == "stationary"
+    ref = stationary_state("old", spec, grid)
+    return np.array([l2_relative_error(run.final.total(), ref.total()),
+                     l2_relative_error(run.final.Jt, ref.Jt)])
+
+
+@pytest.mark.parametrize("kappa", sorted(_HALVINGS))
+def test_switched_gap_is_first_order_in_dr(kappa):
+    gaps = [_switched_gaps(kappa, n_cells, dt) for n_cells, dt in _HALVINGS[kappa]]
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert np.all((1.8 <= coarse / fine) & (coarse / fine <= 2.2))
+
+
+@pytest.mark.parametrize("kappa, n_cells", sorted(_DT_PAIRS))
+def test_switched_gap_does_not_depend_on_dt(kappa, n_cells):
+    first, second = (_switched_gaps(kappa, n_cells, dt) for dt in _DT_PAIRS[kappa, n_cells])
+    np.testing.assert_allclose(second, first, rtol=1e-5, atol=0)
 
 
 def test_spurious_takeovers_happen_where_they_are_pinned():
