@@ -61,7 +61,11 @@ from .sphere import (
 
 
 class NormalizationSingularityError(RuntimeError):
-    """The trapped edge gradient vanished; the streaming scale is undefined."""
+    """The trapped edge gradient vanished at time t; the streaming scale is undefined."""
+
+    def __init__(self, t: float):
+        self.t = t
+        super().__init__(f"trapped gradient at the interface is zero at t = {t:g}")
 
 
 def reconstruct_moments(state: TwoComponentState, closures) -> MomentTriple:
@@ -261,9 +265,7 @@ class ReformedScheme:
             edge = scale * grad_face
         else:
             if grad_face == 0.0:
-                raise NormalizationSingularityError(
-                    "trapped gradient at the interface is zero"
-                )
+                raise NormalizationSingularityError(t)
             scale = self.edge_value / grad_face
             edge = self.edge_value
         Js_in = scale * grad

@@ -1573,7 +1573,7 @@ _SPLIT_FAILURES = {
     # Jt0 = -dt q: the right-hand side, and so the step, is exactly zero
     "zero face gradient (before the loop)": (
         "new", 300, {}, lambda s: np.full(s.m, -s.cfg.dt * s._q),
-        NormalizationSingularityError, "trapped gradient at the interface is zero", 1),
+        NormalizationSingularityError, "trapped gradient at the interface is zero at t = 0.1$", 1),
     # a negative source, and Js = 0: negative at cells 0 to 6 of 100 only
     "trapped negativity inside (in the loop)": (
         "old", 300, {"_q": -1.0, "_scale": 0.0}, lambda s: np.linspace(0.0, 1.0, s.m),
@@ -1630,6 +1630,8 @@ def test_native_split_march_stops_before_the_step_the_reference_rejects(case):
             outcomes[path] = str(info.value), getattr(info.value, "t", None), stepped
     assert len(outcomes["numpy"][2]) == failing and len(outcomes["native"][2]) == 1
     assert outcomes["native"][:2] == outcomes["numpy"][:2]
+    if error is not ValueError:  # a failed check names the step it failed at
+        assert outcomes["numpy"][1] == failing * 0.1
     assert outcomes["native"][2][0] == outcomes["numpy"][2][-1]
 
 

@@ -409,8 +409,10 @@ def test_march_checks_trapped_negativity_every_step(variant, march_path):
 def test_new_normalization_singularity():
     grid = grid_div3(300)
     scheme = ReformedScheme("new", SPEC, grid, CFG)
-    with pytest.raises(NormalizationSingularityError):
-        scheme._streaming(np.zeros(scheme.m), t=0.0)
+    with pytest.raises(NormalizationSingularityError, match="^trapped gradient at the interface "
+                       "is zero at t = 2.5$") as info:
+        scheme._streaming(np.zeros(scheme.m), t=2.5)
+    assert info.value.t == 2.5
 
 
 def test_scheme_validation():
