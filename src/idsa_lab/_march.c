@@ -14,7 +14,8 @@
  *   relative change fused into it, each into the other of two fields;
  * - format_rows(): the CSV rows of a block (cli.py), with "%.17g" floats,
  *   written with exact integer arithmetic for +-0 and 1e-38 < |x| < 1e17
- *   and by glibc's snprintf otherwise;
+ *   and by glibc's snprintf otherwise, a large block's row ranges on a few
+ *   POSIX threads started and joined within each call;
  * - oracle_integrate(): the exact sphere's adaptive quadrature (sphere.py
  *   and quadrature.py), whole, with an exp of its own (fixed_exp(), also
  *   as oracle_exp()) fused into its pass over the nodes, its independent
@@ -172,7 +173,11 @@ typedef struct {
     long long len;              /* 't' without ends: the text's length */
 } csv_column;
 
-long long format_rows(long long n_rows, int n_cols, const csv_column *cols, char *out);
+/* A block is split only into ranges of at least this many rows. */
+enum { FORMAT_MIN_ROWS = 4096 };
+
+long long format_rows(long long n_rows, int n_cols, const csv_column *cols, int workers,
+                      char *out, int *used);
 /* === end of the cffi interface === */
 
 /* Clones need gcc's ifunc, which needs glibc; gcc 12 knows the level names. */
@@ -1258,6 +1263,16 @@ long reformed_march(const reformed_step *s, const double *Jt0, double *Jt, long 
  * out must hold the widest case: 24 bytes per float cell, 1 per bool, the
  * text, and n_cols separators per row.
  *
+ * The rows are independent, so up to `workers` threads write them: the
+ * block is cut into min(workers, n_rows / FORMAT_MIN_ROWS) contiguous row
+ * ranges, at least one.  The calling thread writes the first and a helper
+ * started here each other one, or the calling thread after its own where
+ * a helper cannot be started.  Each range writes from its widest case's
+ * offset in out, the widest cases of the ranges before it summed, so no
+ * two ranges touch one byte; after the joins, one memmove per range closes
+ * the gap before it.  So the bytes do not depend on how many threads ran,
+ * and *used is how many did.
+ *
  * format_double writes NaN, +-0 and every 1e-38 < |x| < 1e17 itself, with
  * exact integer arithmetic; glibc's snprintf, which is exact too, writes
  * the rest: subnormals, 0 < |x| <= 1e-38, |x| >= 1e17 and the infinities.
@@ -1415,10 +1430,12 @@ static int format_double(double x, char *out)
     return (int)(o - out);
 }
 
-long long format_rows(long long n_rows, int n_cols, const csv_column *cols, char *out)
+/* The rows [r0, r1) of a block, from out on; returns the bytes written. */
+static long long write_rows(long long r0, long long r1, int n_cols, const csv_column *cols,
+                            char *out)
 {
     char *o = out;
-    for (long long r = 0; r < n_rows; r++) {
+    for (long long r = r0; r < r1; r++) {
         for (int c = 0; c < n_cols; c++) {
             const csv_column *col = cols + c;
             if (c)
@@ -1441,4 +1458,74 @@ long long format_rows(long long n_rows, int n_cols, const csv_column *cols, char
         *o++ = '\n';
     }
     return o - out;
+}
+
+/* The widest case of the rows [r0, r1), r0 < r1. */
+static long long rows_bound(long long r0, long long r1, int n_cols, const csv_column *cols)
+{
+    const long long n = r1 - r0;
+    long long bytes = n * n_cols;  /* separators and newlines */
+    for (int c = 0; c < n_cols; c++) {
+        const csv_column *col = cols + c;
+        if (col->kind == 'f')
+            bytes += 24 * n;
+        else if (col->kind == 'b')
+            bytes += n;
+        else if (col->ends)
+            bytes += col->ends[r1 - 1] - (r0 ? col->ends[r0 - 1] : 0);
+        else
+            bytes += col->len * n;
+    }
+    return bytes;
+}
+
+/* One range of a block's rows and where its thread writes them. */
+typedef struct {
+    long long r0, r1;
+    int n_cols;
+    const csv_column *cols;
+    char *out;
+    long long written;
+} csv_range;
+
+static void *write_range(void *arg)
+{
+    csv_range *range = arg;
+    range->written = write_rows(range->r0, range->r1, range->n_cols, range->cols, range->out);
+    return NULL;
+}
+
+#define FORMAT_MAX_THREADS 64
+
+long long format_rows(long long n_rows, int n_cols, const csv_column *cols, int workers,
+                      char *out, int *used)
+{
+    const long long want = workers < n_rows / FORMAT_MIN_ROWS ? workers : n_rows / FORMAT_MIN_ROWS;
+    const int n = want < 1 ? 1 : want < FORMAT_MAX_THREADS ? (int)want : FORMAT_MAX_THREADS;
+    csv_range ranges[FORMAT_MAX_THREADS];
+    char *at = out;
+    for (int k = 0; k < n; k++) {
+        const long long r0 = n_rows * k / n, r1 = n_rows * (k + 1) / n;
+        ranges[k] = (csv_range){.r0 = r0, .r1 = r1, .n_cols = n_cols, .cols = cols, .out = at};
+        if (k + 1 < n)
+            at += rows_bound(r0, r1, n_cols, cols);
+    }
+    pthread_t helpers[FORMAT_MAX_THREADS];
+    signed char started[FORMAT_MAX_THREADS];
+    *used = 1;
+    for (int k = 1; k < n; k++) {
+        started[k] = pthread_create(&helpers[k], NULL, write_range, &ranges[k]) == 0;
+        *used += started[k];
+    }
+    write_range(&ranges[0]);
+    long long written = ranges[0].written;
+    for (int k = 1; k < n; k++) {
+        if (started[k])
+            pthread_join(helpers[k], NULL);
+        else
+            write_range(&ranges[k]);
+        memmove(out + written, ranges[k].out, ranges[k].written);
+        written += ranges[k].written;
+    }
+    return written;
 }

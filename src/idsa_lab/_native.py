@@ -8,13 +8,17 @@ the solve's two passes.  The oracle's quadrature runs
 whole in C, one call per batch, its integrands and an exp of the lab's own
 evaluated in one pass over each tile of panels; no numpy function is left
 in it.  Its blocks of owners are independent, so each call integrates them
-on up to as many threads as the process may use CPUs (``sphere._cpus``),
-started and joined within the call, and merges their outcomes in block
-order: the values, counts and failures do not depend on how many ran.
+on up to as many threads as the process may use CPUs (``cpus``), started
+and joined within the call, and merges their outcomes in block order: the
+values, counts and failures do not depend on how many ran.
 The formatter writes ``%.17g`` itself for +-0, NaN and every
 1e-38 < |x| < 1e17, with exact integer arithmetic, and calls glibc's
 ``snprintf`` only for the rest (subnormals, 0 < |x| <= 1e-38, |x| >= 1e17,
-the infinities); ``cli`` writes its buffer to the file as bytes.
+the infinities).  A block of at least twice ``FORMAT_MIN_ROWS`` rows is cut
+into contiguous row ranges, one per thread, up to ``cpus``; each range
+writes at its own widest-case offset in the one buffer, and a memmove
+closes the gaps, so the bytes do not depend on how many ran.  ``cli``
+writes the buffer to the file as bytes.
 
 The structs, enum and prototypes that Python uses are declared once, in
 the block at the top of ``_march.c`` between the ``cffi interface``
@@ -47,7 +51,7 @@ multiplying by reciprocals took it to about 0.7 of that, 38.7–48.9 against
   ``errno`` is no longer set for a negative argument.
 - No fast-math, which would reorder sums, assume no NaN and flush
   subnormals.
-- ``-pthread`` for the oracle's workers.
+- ``-pthread`` for the oracle's and the formatter's threads.
 - With gcc 12 or later on x86-64 and glibc, ``march()`` and the oracle's
   pass over its panels are compiled three times from the one source
   (``target_clones``): for x86-64-v4 (AVX-512, eight doubles per
@@ -157,6 +161,15 @@ def load():
         print("idsa-lab: native kernels unavailable, solving and formatting in Python, "
               f"integrating and marching with numpy: {exc}", file=sys.stderr)
         return None
+
+
+def cpus() -> int:
+    """The CPUs this process may run on: the most threads one call of the
+    native oracle or formatter runs on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def backend() -> str:

@@ -14,11 +14,13 @@ into one output directory leaves no stale artifact beside its own.
 Runners hand ``_write_csv`` arrays, not rows.  A file is written one
 block (one snapshot) at a time: the native formatter (``_march.c``)
 writes a block's rows from its columns into a byte buffer, with the same
-``.17g`` text as formatting value by value, and the buffer goes to disk
+``.17g`` text as formatting value by value, a large block's row ranges on
+as many threads as the process may use CPUs, and the buffer goes to disk
 as bytes, neither decoded nor re-encoded, before the next block is
 formatted.  ``_block_text_python`` is its reference, and the fallback
 when the native module cannot be built.  The snapshot time is formatted
-once per block.
+once per block.  The manifest records the most threads one block was
+formatted on, as ``csv.workers``.
 
 ``solve-idsa``, ``solve-old`` and ``solve-new`` each march once and write
 the snapshots, then the final state, of the ``RunRecord`` their marcher
@@ -102,7 +104,7 @@ def _kind(a: np.ndarray) -> str:
     return a.dtype.kind
 
 
-def _block_text(columns):
+def _block_text(columns, stats=None):
     """
     The rows of one block as bytes, columns in header order, each cell
     written as ``_fmt`` writes it.  An array column is formatted by its
@@ -110,12 +112,16 @@ def _block_text(columns):
     time) is formatted once.  At least one column must be an array or list.
     The rows are written by the native formatter, which returns a
     memoryview of its buffer, or by ``_block_text_python``, its reference,
-    when the native module cannot be built.
+    when the native module cannot be built.  The native formatter writes a
+    block of at least twice ``FORMAT_MIN_ROWS`` rows on up to
+    ``_native.cpus()`` threads, with the same bytes; ``stats["workers"]``,
+    if given, keeps the most threads a block ran on (1 in Python).
     """
     from . import _native  # here: importing idsa_lab should not pay for it
 
     native = _native.load()
     if native is None:
+        _count_workers(stats, 1)
         return _block_text_python(columns)
     ffi = native.ffi
     n_rows = min(len(col) for col in columns if isinstance(col, list) or np.ndim(col))
@@ -144,9 +150,18 @@ def _block_text(columns):
             continue
         c.kind, c.data, c.len = b"t", ffi.from_buffer(text), len(text)
         keep.append(text)
-    out = bytearray(size)
-    n = native.lib.format_rows(n_rows, len(columns), cols, ffi.from_buffer(out))
+    # Not cleared: the bytes returned are all written, and the gaps between
+    # the threads' row ranges are never read.
+    out, used = np.empty(size, np.uint8), ffi.new("int *")
+    n = native.lib.format_rows(n_rows, len(columns), cols, _native.cpus(), ffi.from_buffer(out),
+                               used)
+    _count_workers(stats, used[0])
     return memoryview(out)[:n]
+
+
+def _count_workers(stats: dict | None, workers: int) -> None:
+    if stats is not None:
+        stats["workers"] = max(stats.get("workers", 0), workers)
 
 
 def _block_text_python(columns) -> bytes:
@@ -167,14 +182,18 @@ def _block_text_python(columns) -> bytes:
     return "".join(map((",".join(template) + "\n").format, *cells)).encode()
 
 
-def _write_csv(path: Path, meta: dict, header: list[str], blocks) -> None:
+def _write_csv(path: Path, meta: dict, header: list[str], blocks, manifest=None) -> None:
     """
     Write ``# key = value`` meta lines, the header and the rows of each block.
     Each block is formatted from its columns and written before the next is
-    formatted, so only one block's bytes are held in memory.
+    formatted, so only one block's bytes are held in memory.  A manifest, if
+    given, gets the most threads one block was formatted on, as
+    ``manifest["csv"]["workers"]``.
     """
+    stats = None if manifest is None else manifest.setdefault("csv", {})
     head = "".join(f"# {k} = {_fmt(v)}\n" for k, v in meta.items()) + ",".join(header) + "\n"
-    _atomic_write(path, itertools.chain([head.encode()], map(_block_text, blocks)))
+    texts = (_block_text(block, stats) for block in blocks)
+    _atomic_write(path, itertools.chain([head.encode()], texts))
 
 
 def _scenario_meta(cfg: RunConfig) -> dict:
@@ -195,7 +214,8 @@ def _run_oracle(cfg: RunConfig, out: Path, manifest: dict) -> list[str]:
     ff = moments.flux_factors()
     block = (grid.r_centers, moments.J.values, moments.H.values, moments.K.values,
              ff.h.values, ff.k.values)
-    _write_csv(out / "oracle.csv", _scenario_meta(cfg), ["r", "J", "H", "K", "h", "k"], [block])
+    _write_csv(out / "oracle.csv", _scenario_meta(cfg), ["r", "J", "H", "K", "h", "k"], [block],
+               manifest)
     return ["oracle.csv"]
 
 
@@ -223,7 +243,8 @@ def _run_solve(cfg: RunConfig, out: Path, manifest: dict) -> list[str]:
 
     blocks = ((st.t, grid.r_centers, st.Jt.values, st.Js.values, *columns(st))
               for st in [*run.snapshots, run.final])
-    _write_csv(out / "snapshots.csv", _scenario_meta(cfg), ["t", "r", "Jt", "Js", *header], blocks)
+    _write_csv(out / "snapshots.csv", _scenario_meta(cfg), ["t", "r", "Jt", "Js", *header], blocks,
+               manifest)
     return ["snapshots.csv"]
 
 
@@ -237,7 +258,8 @@ def _run_spurious(cfg: RunConfig, out: Path, manifest: dict) -> list[str]:
         np.array([r.time if r.time is not None else np.nan for r in records], dtype=float),
         np.array([r.censored for r in records], dtype=bool),
     )
-    _write_csv(out / "spurious.csv", _scenario_meta(cfg), ["eps", "time", "censored"], [block])
+    _write_csv(out / "spurious.csv", _scenario_meta(cfg), ["eps", "time", "censored"], [block],
+               manifest)
 
     usable = sorted((r for r in records if not r.censored), key=lambda r: -r.eps)
     kept = usable[cfg.exclude_largest :]
@@ -279,7 +301,7 @@ def _run_instability(cfg: RunConfig, out: Path, manifest: dict) -> list[str]:
     meta["vb_threshold"] = cfg.vb_threshold
     _write_csv(
         out / "instability.csv", meta,
-        ["t", "virtual_boundary", "nonmonotone_flag", "sup_norm"], [block],
+        ["t", "virtual_boundary", "nonmonotone_flag", "sup_norm"], [block], manifest,
     )
     return ["instability.csv"]
 
@@ -296,7 +318,7 @@ def _run_convergence(cfg: RunConfig, out: Path, manifest: dict) -> list[str]:
     block.append([r.failure or "" for r in records])
     _write_csv(
         out / "convergence.csv", _scenario_meta(cfg),
-        ["kappa", "errJ", "errH", "errK", "failure"], [block],
+        ["kappa", "errJ", "errH", "errK", "failure"], [block], manifest,
     )
     ok = [r for r in records if r.failure is None]
     files = ["convergence.csv"]
@@ -315,7 +337,7 @@ def _run_convergence(cfg: RunConfig, out: Path, manifest: dict) -> list[str]:
 
 def _run_err0(cfg: RunConfig, out: Path, manifest: dict) -> list[str]:
     block = np.array(err0_curve(cfg.kappaR_list), dtype=float).reshape(-1, 2).T
-    _write_csv(out / "err0.csv", _scenario_meta(cfg), ["kappaR", "err0"], [block])
+    _write_csv(out / "err0.csv", _scenario_meta(cfg), ["kappaR", "err0"], [block], manifest)
     return ["err0.csv"]
 
 

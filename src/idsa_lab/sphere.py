@@ -35,7 +35,6 @@ the numpy integrands otherwise, with the same bits, failures and counts.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,20 +198,12 @@ def _exp(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on: the native oracle's workers."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _integrals(f, lo, hi, tol: float, stats, inside: bool, R: float = 0.0, kappa: float = 0.0,
                **per_owner):
     """
     ``integrate_batch(f, lo, hi, tol, stats)``, shape (3, n), run whole by
     the native ``oracle_integrate`` where the module can be built, its
-    blocks on up to ``_cpus()`` threads (the bits do not depend on how
+    blocks on up to ``_native.cpus()`` threads (the bits do not depend on how
     many).  ``per_owner`` holds the integrand's arrays, indexed by owner:
     ``r`` inside, ``rate`` and ``mu0_sq`` outside.
     """
@@ -232,7 +223,7 @@ def _integrals(f, lo, hi, tol: float, stats, inside: bool, R: float = 0.0, kappa
     st = ffi.new("oracle_status *")
     lib.oracle_integrate(
         g, lo.size, ffi.from_buffer("double[]", lo), ffi.from_buffer("double[]", hi), tol,
-        quadrature._BLOCK, quadrature._MAX_DEPTH, quadrature._MAX_LIVE_PANELS, _cpus(),
+        quadrature._BLOCK, quadrature._MAX_DEPTH, quadrature._MAX_LIVE_PANELS, _native.cpus(),
         ffi.from_buffer("double[]", out), st,
     )
     _count(stats, st.panels, st.max_depth, st.max_live, st.workers)

@@ -2,8 +2,9 @@
 CLI output bytes: the columnar CSV writer against value-at-a-time
 formatting, checked-in digests of the domain-split snapshot files, of
 small switched-scheme runs and of oracle and convergence outputs, the
-oracle's digests again under narrower numpy dispatch and on one CPU, and a
-solve-old run through the CLI checked against the direct stationary solve.
+oracle's digests again under narrower numpy dispatch and on one CPU, the
+CSV writer's threads on one CPU and on several, and a solve-old run through
+the CLI checked against the direct stationary solve.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import unittest.mock
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import idsa_lab
+from idsa_lab import _native
 from idsa_lab import (
     ProblemSpec,
     RadialField,
@@ -259,7 +262,38 @@ def test_oracle_digests_on_one_cpu(tmp_path):
         assert _body_sha256(out / "oracle.csv") == _ORACLE_RUNS[n_cells, kappa]
 
 
-def test_convergence_matches_checked_in_digests(tmp_path):
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call here")
+def test_csv_writer_workers_on_one_cpu(tmp_path):
+    # A solve-old run whose two blocks hold 12288 rows, three times the
+    # formatter's FORMAT_MIN_ROWS: in a process that may run on one CPU each
+    # block is formatted on one thread; in this one on up to three (as many
+    # as it may use CPUs), and by the Python formatter on one.  The manifest
+    # says how many, and the bodies are the same bytes.
+    def config(name):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"experiment = solve-old\nn_cells = 12288\nt_end = 2\n"
+                       f"snapshot_times = 1\noutput_dir = {tmp_path / name}\n")
+        return str(cfg)
+
+    src = str(Path(idsa_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ["import os", "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})",
+            "from idsa_lab.cli import main", f"assert main(['run', {config('one-cpu')!r}]) == 0"]
+    proc = subprocess.run([sys.executable, "-c", "\n".join(code)], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["run", config("here")]) == 0
+    with unittest.mock.patch.object(_native, "load", lambda: None):
+        assert main(["run", config("python")]) == 0
+    workers = 1 if _native.load() is None else min(_native.cpus(), 3)
+    for name, expected in (("one-cpu", 1), ("here", workers), ("python", 1)):
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["csv"] == {"workers": expected}
+        assert _body_sha256(tmp_path / name / "snapshots.csv") == _body_sha256(
+            tmp_path / "here" / "snapshots.csv")
+
+
+
     cfg = tmp_path / "convergence.cfg"
     cfg.write_text(
         f"experiment = convergence\nn_cells = 90\nkappa_list = {_CONVERGENCE_KAPPAS}\n"

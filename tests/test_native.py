@@ -725,8 +725,8 @@ def test_build_removes_stale_builds(tmp_path, fresh_load):
 
 @contextlib.contextmanager
 def _workers(n):
-    """Inside the block the native oracle runs its blocks on up to n threads."""
-    with unittest.mock.patch.object(sphere, "_cpus", lambda: n):
+    """Inside the block the native oracle and formatter run on up to n threads."""
+    with unittest.mock.patch.object(_native, "cpus", lambda: n):
         yield
 
 
@@ -1070,11 +1070,19 @@ def test_native_oracle_on_more_workers_than_cpus_loses_no_block():
 # and this directory as arguments: the oracle's three failures,
 # _bounds_case, and four opacities at the default block and cap and in
 # blocks of 2 owners whose deeper levels fill a cap of 4, on 1 and 2
-# workers; a short march, a tridiagonal solve and a block of CSV rows; each
-# against its reference.  The march is a scan row and a sweep row of
+# workers; a short march, a tridiagonal solve and two blocks of CSV rows,
+# the second formatted in two ranges on 2 workers and filling its buffer to
+# the last byte; each against its reference.  The march is a scan row and a sweep row of
 # 2 * 128 + 1 cells, with tags, holds and reductions, for 25 steps; the
 # kernel takes runs of 4 steps, of 3 and of 1, so that some end in its spare
 # pair of fields and are copied out, and the batch shrinks at step 9.
+def _widest_block(n):
+    """A block of n rows whose every cell is as wide as its column's widest
+    case (24 bytes per float), so that its rows fill the formatter's buffer."""
+    floats = np.where(np.arange(n) % 2, -2.2250738585072014e-308, -1.7976931348623157e308)
+    return [floats, np.arange(n) % 3 == 0, ["a", "bc", ""] * (n // 3) + ["d"] * (n % 3), 0.25]
+
+
 _ASAN_RUN = """
 import importlib.util, sys, unittest.mock
 import numpy as np
@@ -1088,8 +1096,8 @@ _native.load = lambda: module
 sys.path.insert(0, sys.argv[3])
 from test_native import (_SPLIT_FAILURES, _SPLIT_MARCHES, _block_text, _bounds_case, _march_log,
                          _numpy_march, _oracle_bytes, _oracle_failures, _split_failure,
-                         _split_record, _workers, ProblemSpec, SolverConfig, make_uniform_grid,
-                         quadrature)
+                         _split_record, _widest_block, _workers, ProblemSpec, SolverConfig,
+                         make_uniform_grid, quadrature)
 from idsa_lab.reformed import _Tridiagonal
 
 
@@ -1108,7 +1116,9 @@ def run():
                     for k, entry in log.items()}
     rng = np.random.default_rng(3)
     solve = _Tridiagonal(*(rng.standard_normal(k) for k in (49, 50, 49))).solve(rng.random(50))
-    rows = bytes(_block_text([rng.random(40), rng.random(40) < 0.5, ["a", "bc"] * 20, 0.25]))
+    rows = [bytes(_block_text(block))
+            for block in ([rng.random(40), rng.random(40) < 0.5, ["a", "bc"] * 20, 0.25],
+                          _widest_block(2 * module.lib.FORMAT_MIN_ROWS + 1))]
     split = [_split_record(variant, *_SPLIT_MARCHES[march]) for variant in ("old", "new")
              for march in ("m = 2", "m = 3, past stationary", "stop at t_end")]
     split += [_split_failure(case) for case in _SPLIT_FAILURES]
@@ -1235,7 +1245,7 @@ def test_manifest_names_the_oracle_path(tmp_path, experiment):
     ]
     assert native["quadrature"]["panels"] > 0
     assert reference["quadrature"]["workers"] == 1
-    assert 1 <= native["quadrature"]["workers"] <= sphere._cpus()
+    assert 1 <= native["quadrature"]["workers"] <= _native.cpus()
     assert reference["oracle"] == "numpy" and "march_isa" not in reference
     assert "march" not in native and "march" not in reference
     assert bodies["native"] == bodies["numpy"]
@@ -1344,6 +1354,104 @@ def test_native_formatter_matches_python_on_edge_values():
     assert text == _python_text(values)
     assert text == _block_text_python([values])
     assert b"-nan" not in text
+
+
+def _threaded_block(rng, n):
+    """
+    A block of n rows with a column of each kind: a float scalar, floats on
+    both of format_double's paths (one in ten drawn over every bit pattern),
+    bools, text of 0 to 4 bytes and a bool scalar.
+    """
+    wide = rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
+    narrow = _random_bit_patterns(rng, n, (1002, 1080))
+    text = ["ab"[: i % 3] * (i % 5 > 2) + "xy"[: i % 2] for i in range(n)]
+    return [0.25, np.where(rng.random(n) < 0.1, wide, narrow), rng.random(n) < 0.5, text, True]
+
+
+@needs_native
+def test_native_formatter_writes_the_same_bytes_on_any_number_of_threads():
+    # At, one below and one above each multiple of FORMAT_MIN_ROWS up to 7,
+    # on 1, 2, 3 and 7 threads: a block of n rows runs on
+    # min(threads, n // FORMAT_MIN_ROWS) of them, at least one, with the
+    # bytes of the Python formatter.
+    rows = _native.load().lib.FORMAT_MIN_ROWS
+    rng = np.random.default_rng(31)
+    with _time_limit(60):
+        for n in sorted({k * rows + d for k in range(1, 8) for d in (-1, 0, 1)}):
+            block = _threaded_block(rng, n)
+            expected = _block_text_python(block)
+            for threads in (1, 2, 3, 7):
+                stats = {}
+                with _workers(threads):
+                    assert bytes(_block_text(block, stats)) == expected, (n, threads)
+                assert stats == {"workers": max(1, min(threads, n // rows))}, (n, threads)
+
+
+# A preloaded pthread_create that refuses the next `refuse` calls, and
+# starts the rest.
+_REFUSING_PTHREAD_CREATE = r"""
+#define _GNU_SOURCE
+#include <dlfcn.h>
+#include <errno.h>
+#include <pthread.h>
+
+static int refuse;
+
+void refuse_threads(int n) { refuse = n; }
+
+int pthread_create(pthread_t *t, const pthread_attr_t *attr, void *(*f)(void *), void *arg)
+{
+    if (refuse > 0) {
+        refuse--;
+        return EAGAIN;
+    }
+    int (*create)(pthread_t *, const pthread_attr_t *, void *(*)(void *), void *) =
+        (int (*)(pthread_t *, const pthread_attr_t *, void *(*)(void *), void *))dlsym(
+            RTLD_NEXT, "pthread_create");
+    return create(t, attr, f, arg);
+}
+"""
+
+_REFUSED_THREADS = """
+import ctypes, sys
+import numpy as np
+sys.path.insert(0, sys.argv[2])
+from test_native import _block_text, _block_text_python, _threaded_block, _workers
+refuse = ctypes.CDLL(sys.argv[1]).refuse_threads
+from idsa_lab import _native
+rows = _native.load().lib.FORMAT_MIN_ROWS
+block = _threaded_block(np.random.default_rng(4), 3 * rows + 1)
+expected = _block_text_python(block)
+for n in (2, 1, 0):
+    stats = {}
+    refuse(n)
+    with _workers(3):
+        assert bytes(_block_text(block, stats)) == expected
+    print(stats["workers"])
+"""
+
+
+@needs_native
+def test_formatter_that_cannot_start_a_thread_writes_its_range_itself(tmp_path):
+    # A block of three ranges on 3 threads, with both helpers refused, the
+    # first refused, and none: the calling thread writes each refused
+    # range, with the same bytes, and the block ran on 1, 2 and 3 threads.
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        pytest.skip("no C compiler to build the refusing pthread_create")
+    (tmp_path / "refuse.c").write_text(_REFUSING_PTHREAD_CREATE)
+    shim = tmp_path / "refuse.so"
+    subprocess.run([cc, "-shared", "-fPIC", "-O2", "-o", str(shim), str(tmp_path / "refuse.c"),
+                    "-ldl"], check=True)
+    _native.load()  # built before the shim is preloaded
+    src = str(Path(idsa_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "LD_PRELOAD": str(shim),
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _REFUSED_THREADS, str(shim),
+                           str(Path(__file__).parent)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "2", "3"]
 
 
 # A preloaded snprintf (and its fortified twin) that counts its calls.
