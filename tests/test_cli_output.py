@@ -293,7 +293,7 @@ def test_csv_writer_workers_on_one_cpu(tmp_path):
             tmp_path / "here" / "snapshots.csv")
 
 
-
+def test_convergence_matches_checked_in_digests(tmp_path):
     cfg = tmp_path / "convergence.cfg"
     cfg.write_text(
         f"experiment = convergence\nn_cells = 90\nkappa_list = {_CONVERGENCE_KAPPAS}\n"

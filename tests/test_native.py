@@ -1066,16 +1066,6 @@ def test_native_oracle_on_more_workers_than_cpus_loses_no_block():
                 assert _oracle_bytes(radii, spec, 1e-10) == reference
 
 
-# Run under AddressSanitizer, with the instrumented module's name and file
-# and this directory as arguments: the oracle's three failures,
-# _bounds_case, and four opacities at the default block and cap and in
-# blocks of 2 owners whose deeper levels fill a cap of 4, on 1 and 2
-# workers; a short march, a tridiagonal solve and two blocks of CSV rows,
-# the second formatted in two ranges on 2 workers and filling its buffer to
-# the last byte; each against its reference.  The march is a scan row and a sweep row of
-# 2 * 128 + 1 cells, with tags, holds and reductions, for 25 steps; the
-# kernel takes runs of 4 steps, of 3 and of 1, so that some end in its spare
-# pair of fields and are copied out, and the batch shrinks at step 9.
 def _widest_block(n):
     """A block of n rows whose every cell is as wide as its column's widest
     case (24 bytes per float), so that its rows fill the formatter's buffer."""
@@ -1083,6 +1073,17 @@ def _widest_block(n):
     return [floats, np.arange(n) % 3 == 0, ["a", "bc", ""] * (n // 3) + ["d"] * (n % 3), 0.25]
 
 
+# Run under AddressSanitizer, with the instrumented module's name and file
+# and this directory as arguments: the oracle's three failures,
+# _bounds_case, and four opacities at the default block and cap and in
+# blocks of 2 owners whose deeper levels fill a cap of 4, on 1 and 2
+# workers; a short march, a tridiagonal solve and two blocks of CSV rows,
+# the second formatted in two ranges on 2 workers and filling its buffer to
+# the last byte; each against its reference.  The march is a scan row and a
+# sweep row of 2 * 128 + 1 cells, with tags, holds and reductions, for 25
+# steps; the kernel takes runs of 4 steps, of 3 and of 1, so that some end
+# in its spare pair of fields and are copied out, and the batch shrinks at
+# step 9.
 _ASAN_RUN = """
 import importlib.util, sys, unittest.mock
 import numpy as np
@@ -1415,10 +1416,10 @@ int pthread_create(pthread_t *t, const pthread_attr_t *attr, void *(*f)(void *),
 _REFUSED_THREADS = """
 import ctypes, sys
 import numpy as np
+from idsa_lab import _native
 sys.path.insert(0, sys.argv[2])
 from test_native import _block_text, _block_text_python, _threaded_block, _workers
 refuse = ctypes.CDLL(sys.argv[1]).refuse_threads
-from idsa_lab import _native
 rows = _native.load().lib.FORMAT_MIN_ROWS
 block = _threaded_block(np.random.default_rng(4), 3 * rows + 1)
 expected = _block_text_python(block)
