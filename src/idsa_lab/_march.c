@@ -11,7 +11,10 @@
  * - reformed_march(): the domain-split schemes' march (reformed.py), from
  *   one stop of the schedule to the next in one call, each step one
  *   right-hand-side pass with the step's right-hand side, checks and
- *   relative change fused into it, each into the other of two fields;
+ *   relative change fused into it, each into the other of two fields,
+ *   multiplying by the reciprocals of the pivots that reformed.py rounds
+ *   once per scheme where gtsv_solve() divides by them, so a direct solve
+ *   keeps dgtsv's bits and a march step does not;
  * - format_rows(): the CSV rows of a block (cli.py), with "%.17g" floats,
  *   written with exact integer arithmetic for +-0 and 1e-38 < |x| < 1e17
  *   and by glibc's snprintf otherwise, a large block's row ranges on a few
@@ -151,8 +154,9 @@ void gtsv_solve(int n, const double *dl, const double *d, const double *du,
 /* reformed_march(): the domain-split march (reformed.py). */
 typedef struct {
     int m;                       /* the inside cells, m >= 2 */
-    /* the step matrix I - dt L as gtsv_factor left it */
-    const double *dl, *d, *du, *fact;
+    /* the step matrix I - dt L as gtsv_factor left it, and rd = 1 / d,
+     * rounded once per scheme, which the back substitution multiplies by */
+    const double *dl, *d, *du, *fact, *rd;
     const signed char *swap;
     double dtq;                  /* dt kappa B, which the right-hand side adds to each Jt */
     double floor;                /* -1e-12 B: a trapped value below it is negative */
@@ -1146,10 +1150,16 @@ int gtsv_factor(int n, double *dl, double *d, double *du, double *fact, signed c
  *   it folds max |b - x| and max |b| (numpy's max, NaN if any value is).
  *
  * Each is computed by the operations of the numpy step, in its order, so
- * the bits and the flags are its.  Returns 1 if the step failed a check,
+ * the bits and the flags are its.  Its back substitution multiplies by
+ * s->rd, the pivots' reciprocals rounded once per scheme, where dgtsv
+ * divides by d: a division on the chain of dependent operations cost
+ * about a quarter of the step.  The numpy step's Python solve multiplies
+ * by the same reciprocals, so the bits are still its, but no longer
+ * dgtsv's (within tens of ulps).  Returns 1 if the step failed a check,
  * and otherwise 0 with its relative change in *change,
  * max |dJt| / max(max |Jt|, 2^-1074).  gtsv_solve() calls the pass
- * without `s`; it is inlined there, and the compiler drops the extras.
+ * without `s`, and so divides, with dgtsv's bits; the pass is inlined
+ * there, and the compiler drops the extras.
  */
 static INLINE int gtsv_pass(int n, const double *dl, const double *d, const double *du,
                             const double *fact, const signed char *swap,
@@ -1176,9 +1186,11 @@ static INLINE int gtsv_pass(int n, const double *dl, const double *d, const doub
     }
     if (bad != 0.0)
         return 1;
-    b[n - 1] = b[n - 1] / d[n - 1];
-    if (n > 1)
-        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2];
+    b[n - 1] = s ? b[n - 1] * s->rd[n - 1] : b[n - 1] / d[n - 1];
+    if (n > 1) {
+        const double r = b[n - 2] - du[n - 2] * b[n - 1];
+        b[n - 2] = s ? r * s->rd[n - 2] : r / d[n - 2];
+    }
     double scale = 0.0, thr = 0.0, dJ = 0.0, J = 0.0, two_dr = 0.0, three_dr = 0.0;
     if (s) {
         two_dr = 2.0 * s->dr, three_dr = 3.0 * s->dr;
@@ -1198,7 +1210,8 @@ static INLINE int gtsv_pass(int n, const double *dl, const double *d, const doub
         bad = scale * g < thr ? 1.0 : bad;
     }
     for (int i = n - 3; i >= 0; i--) {
-        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i];
+        const double r = b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2];
+        b[i] = s ? r * s->rd[i] : r / d[i];
         if (s) {
             const double g = (b[i + 2] - b[i]) / two_dr;
             bad = b[i] < s->floor ? 1.0 : bad;

@@ -4,7 +4,9 @@ the exact sphere's adaptive quadrature, the domain-split schemes'
 tridiagonal solve and their march, and the CSV row formatter.  The
 domain-split march runs from one stop of its schedule to the next in one
 call, each step's right-hand side, checks and relative change fused into
-the solve's two passes.  The oracle's quadrature runs
+the solve's two passes, its back substitution multiplying by the pivots'
+reciprocals, rounded once per scheme, where a direct solve divides with
+dgtsv's bits.  The oracle's quadrature runs
 whole in C, one call per batch, its integrands and an exp of the lab's own
 evaluated in one pass over each tile of panels; no numpy function is left
 in it.  Its blocks of owners are independent, so each call integrates them
@@ -38,7 +40,10 @@ cells index through pointers offset to the block's first cell instead
 (at 10000 cells, on a 2-vCPU AVX-512 host, the march, still dividing, ran
 at 73 µs/step indexed by ``b + i`` and at 31.5 through offset pointers;
 multiplying by reciprocals took it to about 0.7 of that, 38.7–48.9 against
-63.5–68.7 µs/step on a slower host).  The flags of ``_CFLAGS``:
+63.5–68.7 µs/step on a slower host).  The domain-split march's back
+substitution, a chain of dependent rows, gained likewise from multiplying
+by the pivots' reciprocals: 102–119 against 76–89 µs/step at 19998 cells,
+both variants.  The flags of ``_CFLAGS``:
 
 - ``-O3`` lets gcc vectorize the march's elementwise passes.  A vector
   add, multiply, divide or compare rounds each element as the scalar one

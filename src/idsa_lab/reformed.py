@@ -29,15 +29,22 @@ matrix is factored once (``_Tridiagonal``), with dgtsv's row interchanges,
 and each step repeats only dgtsv's right-hand-side work, in the native
 module when it can be built and in Python otherwise, with the same bits.
 The step matrix I - dt L is factored on the first step of a march, so a
-direct stationary solve factors only its own matrix.
+direct stationary solve factors only its own matrix.  A direct solve gives
+dgtsv's bits.  A march step's back substitution multiplies by the pivots'
+reciprocals (``_Tridiagonal.reciprocals``), rounded once per scheme, where
+dgtsv divides by the pivots: a division on that chain of dependent rows
+cost about a quarter of a step.  So a march moves off dgtsv's bits by
+tens of ulps a step (test_native.py bounds it), in the native module and
+in Python alike.
 
 A march (``run_to_stationarity``) steps with numpy (``_step``), or with the
 native ``reformed_march``, one call from each stop of ``idsa.Schedule`` to
 the next.  The kernel does the rest of a step (the right-hand side, the
-checks of ``_step`` and the relative change) inside dgtsv's two passes, with
-the same operations, so the bits do not change.  It stops before a step that
-fails a check, and ``_step`` takes that step again and raises, so both paths
-raise the same errors.  The source kappa B is one number, since the kernel
+checks of ``_step`` and the relative change) inside the solve's two
+passes, with the same operations, so the bits are those of ``_step``.  It
+stops before a step that fails a check, and ``_step`` takes that step again,
+with the same reciprocals, and raises, so both paths raise the same errors
+from the same state.  The source kappa B is one number, since the kernel
 reads no other.
 """
 
@@ -116,19 +123,26 @@ def _gtsv_factor(dl: list, d: list, du: list):
     return fact, swap
 
 
-def _gtsv_solve(dl, d, du, fact, swap, b: list) -> list:
-    """dgtsv's right-hand-side pass, in place on b; the reference for ``gtsv_solve``."""
+def _gtsv_solve(dl, d, du, fact, swap, b: list, rd: list | None = None) -> list:
+    """
+    dgtsv's right-hand-side pass, in place on b; the reference for
+    ``gtsv_solve``.  Given the reciprocals ``rd`` = 1 / d, the back
+    substitution multiplies by them where dgtsv divides by d: the reference
+    for the pass of ``reformed_march``.
+    """
     n = len(b)
     for i in range(n - 1):
         if swap[i]:
             b[i], b[i + 1] = b[i + 1], b[i] - fact[i] * b[i + 1]
         else:
             b[i + 1] = b[i + 1] - fact[i] * b[i]
-    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 1] = b[n - 1] / d[n - 1] if rd is None else b[n - 1] * rd[n - 1]
     if n > 1:
-        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+        r = b[n - 2] - du[n - 2] * b[n - 1]
+        b[n - 2] = r / d[n - 2] if rd is None else r * rd[n - 2]
     for i in range(n - 3, -1, -1):
-        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+        r = b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]
+        b[i] = r / d[i] if rd is None else r * rd[i]
     return b
 
 
@@ -137,7 +151,8 @@ class _Tridiagonal:
     The tridiagonal matrix with sub-, main and superdiagonals ``dl`` (n - 1),
     ``d`` (n) and ``du`` (n - 1), factored once as LAPACK's dgtsv factors it
     (what scipy's ``solve_banded((1, 1), ...)`` calls), so that ``solve``
-    gives dgtsv's bits with only its right-hand-side work.
+    gives dgtsv's bits with only its right-hand-side work.  A march solves
+    with ``reciprocals``, multiplying by 1 / d where dgtsv divides by d.
     """
 
     def __init__(self, dl: np.ndarray, d: np.ndarray, du: np.ndarray):
@@ -163,14 +178,27 @@ class _Tridiagonal:
         if info:
             raise ValueError(f"singular tridiagonal matrix: zero pivot in row {info}")
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """The solution x of A x = b, as a new array."""
+    @functools.cached_property
+    def reciprocals(self) -> np.ndarray:
+        """1 / d of the factored main diagonal, each rounded once."""
+        return 1.0 / np.asarray(self._factors[1])
+
+    def solve(self, b: np.ndarray, reciprocals: bool = False) -> np.ndarray:
+        """
+        The solution x of A x = b, as a new array: dgtsv's bits, or with
+        ``reciprocals`` a march step's (``reformed_march``), whose back
+        substitution multiplies by ``self.reciprocals``.  That one is solved
+        in Python, where it is the reference for the kernel.
+        """
         if b.shape != (self.n,):
             raise ValueError(f"right-hand side of shape {b.shape} for {self.n} unknowns")
         if not np.isfinite(b).all():
             raise ValueError("right-hand side has non-finite entries")
-        if self._native is None:
-            return np.array(_gtsv_solve(*self._factors, b.tolist()))
+        if self._native is None or reciprocals:
+            factors = self._factors if self._native is None else [
+                f.tolist() for f in self._factors]
+            rd = self.reciprocals.tolist() if reciprocals else None
+            return np.array(_gtsv_solve(*factors, b.tolist(), rd))
         x = np.array(b, dtype=float)
         self._native.lib.gtsv_solve(
             x.size, *self._ptrs, self._native.ffi.from_buffer("double[]", x)
@@ -302,6 +330,7 @@ class ReformedScheme:
         c.m, c.dr = self.m, self.grid.dr
         c.dtq, c.floor = self.cfg.dt * self._q, -1e-12 * self.spec.B
         c.dl, c.d, c.du, c.fact, c.swap = M._ptrs
+        c.rd = ffi.from_buffer("double[]", M.reciprocals)
         if self.variant == "old":
             c.scale = self._scale
         else:
@@ -315,7 +344,7 @@ class ReformedScheme:
         if it or its streaming reconstruction is negative.  The reference for
         ``reformed_march`` in ``_march.c``.
         """
-        Jt_new = self._M.solve(Jt + self.cfg.dt * self._q)
+        Jt_new = self._M.solve(Jt + self.cfg.dt * self._q, reciprocals=True)
         if np.any(Jt_new < -1e-12 * self.spec.B):
             i = int(np.argmin(Jt_new))
             raise NegativityError("trapped component", t, i, float(Jt_new[i]))

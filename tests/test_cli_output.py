@@ -103,16 +103,19 @@ def test_failed_write_removes_its_tmp_file(tmp_path):
 # kappa = 10 stationarity comes at t = 3.4, so the march goes on past it to
 # the snapshot at t = 50.  The digests pin the CSV text, so they also move if
 # numpy or the tridiagonal solve round differently; the solve keeps LAPACK
-# dgtsv's operations, so these digests held when it replaced scipy's.
+# dgtsv's operations, so these digests held when it replaced scipy's.  They
+# were re-pinned when the march's back substitution came to multiply by
+# reciprocals of the pivots rounded once per scheme, where dgtsv divides:
+# no value moved by more than 1.3e-15 (Js of "old" at kappa = 2, B = 1).
 _REFORMED_RUNS = {
     "old": ("old", 2, "1, 2.5",
-            "e44d1046a503ca72cf3994d1fafec6d5b02e71b06237a7c3f98248543799aba5"),
+            "b4fd2b7a1df7970ae3d8b712247c1918902dff0f46e761c027bad3b29d8ac33e"),
     "new": ("new", 2, "0.5, 2, 3",
-            "b5c2207b3ff601c7005a0ee1d17bb440d11e363f7765f452bd92fe6e30b5a348"),
+            "fecf97085d41e46684c1f9ea60707d42d77def87fba187a34c4125562e8e93f7"),
     "old-past-stationarity": ("old", 10, "1, 50",
-                              "7496dfb57ff04b5bb5cc90a0af32a7d52e68dccd85c459a389730c255c274035"),
+                              "2c53e62f70d6d5f99d151c12fd1e522f1518285dd26181a5735866bcc4b0781b"),
     "new-past-stationarity": ("new", 10, "1, 50",
-                              "da3a03ef7034e69185e1e7381bd439ac4e517ad413711ac1650359305c1bb02d"),
+                              "d3c02271d22706eb9749541b58835d9512ceb54feaf114237d7bc2959a707396"),
 }
 _N_CELLS = 300  # a multiple of 3, so R = 6 lands on a face of [0, 18]
 

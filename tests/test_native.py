@@ -1083,7 +1083,9 @@ def _widest_block(n):
 # sweep row of 2 * 128 + 1 cells, with tags, holds and reductions, for 25
 # steps; the kernel takes runs of 4 steps, of 3 and of 1, so that some end
 # in its spare pair of fields and are copied out, and the batch shrinks at
-# step 9.
+# step 9.  The domain-split marches run both variants at m = 2, 3 and 100
+# inside cells, each step reading all m of the scheme's reciprocals 1 / d,
+# and every _SPLIT_FAILURES case.
 _ASAN_RUN = """
 import importlib.util, sys, unittest.mock
 import numpy as np
@@ -1655,6 +1657,30 @@ def test_native_split_march_matches_the_reference_bit_for_bit(variant, march):
     else:
         assert stopped == "stationary" and (last > steps or not times)
     assert swapped == ([-2] if n_cells == 19998 else [])
+
+
+@needs_native
+@pytest.mark.parametrize("kappa", [1.0, 3.0, 9.0])
+@pytest.mark.parametrize("variant", ["old", "new"])
+def test_split_march_stays_within_rounding_of_dgtsv(variant, kappa):
+    # The march multiplies by the reciprocals of dgtsv's pivots where dgtsv
+    # divides, so it no longer gives dgtsv's bits.  Each of the first 400
+    # steps at 19998 cells, against _M.solve (dgtsv) from the same state,
+    # moves max |Jt| by at most 64 ulps of it: the rounding error of a row
+    # carries to the rows below it by |du / d|, near 1 on this grid, so
+    # either solve is tens of ulps off (measured up to 26.2).  After 400
+    # steps, the march is within 1e-13 relative of 400 dgtsv solves, the
+    # march's bits before the change (measured up to 9.9e-15).
+    scheme = ReformedScheme(variant, ProblemSpec(B=1.0, R=6.0, kappa=kappa),
+                            make_uniform_grid(18.0, 19998), SolverConfig(dt=0.1))
+    dtq = scheme.cfg.dt * scheme._q
+    march = dgtsv = np.zeros(scheme.m)
+    for k in range(400):
+        step = scheme._advance(march, k, 1, 0.0)[1]
+        solved = scheme._M.solve(march + dtq)
+        assert np.max(np.abs(step - solved)) <= 64 * np.finfo(float).eps * np.max(np.abs(solved))
+        march, dgtsv = step, scheme._M.solve(dgtsv + dtq)
+    assert np.max(np.abs(march - dgtsv)) <= 1e-13 * np.max(np.abs(dgtsv))
 
 
 # Initial states no march from zero reaches, each with the error the step
