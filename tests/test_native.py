@@ -1665,12 +1665,12 @@ def test_native_split_march_matches_the_reference_bit_for_bit(variant, march):
 def test_split_march_stays_within_rounding_of_dgtsv(variant, kappa):
     # The march multiplies by the reciprocals of dgtsv's pivots where dgtsv
     # divides, so it no longer gives dgtsv's bits.  Each of the first 400
-    # steps at 19998 cells, against _M.solve (dgtsv) from the same state,
-    # moves max |Jt| by at most 64 ulps of it: the rounding error of a row
-    # carries to the rows below it by |du / d|, near 1 on this grid, so
-    # either solve is tens of ulps off (measured up to 26.2).  After 400
-    # steps, the march is within 1e-13 relative of 400 dgtsv solves, the
-    # march's bits before the change (measured up to 9.9e-15).
+    # steps at 19998 cells differs from _M.solve (dgtsv) from the same state
+    # by at most 64 ulps of max |Jt|: the rounding error of a row carries to
+    # the rows below it by |du / d|, near 1 on this grid, so either solve is
+    # tens of ulps off (measured up to 26.2).  After 400 steps, the march is
+    # within 1e-13 relative of 400 dgtsv solves, which it gave bit for bit
+    # while it divided (measured up to 9.9e-15).
     scheme = ReformedScheme(variant, ProblemSpec(B=1.0, R=6.0, kappa=kappa),
                             make_uniform_grid(18.0, 19998), SolverConfig(dt=0.1))
     dtq = scheme.cfg.dt * scheme._q
