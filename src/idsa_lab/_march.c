@@ -48,6 +48,7 @@
 #include <float.h>
 #include <math.h>
 #include <pthread.h>
+#include <sched.h>
 #include <stdatomic.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -73,9 +74,10 @@ typedef struct {
     const double *ka, *kaB, *inv_den, *inv_r2dr, *a, *P, *aP, *d, *inv_r2g, *floor;
     /* (n_rows, n_cells - 1) arrays, one value per interior face */
     const double *inv_kf3, *rf2;
-    /* scratch: the spare pair of (n_rows, n_cells) fields, which every other
-     * step writes */
+    /* scratch: the spare pair of (n_rows, n_cells) fields and the spare tags,
+     * which every other step writes */
     double *Jt_spare, *Js_spare;
+    signed char *tags_spare;
 } march_rows;
 
 /*
@@ -106,9 +108,12 @@ typedef struct {
     long long *since;         /* per row: the step its domination began, or -1 */
 } march_holds;
 
+/* A row of at least this many cells is stepped on two threads. */
+enum { MARCH_SPLIT_MIN_CELLS = 2048 };
+
 long march(const march_rows *m, march_reductions *red, march_holds *hold, const double *Jt0,
            const double *Js0, double *Jt, double *Js, signed char *tags, long long k0,
-           long steps, int *negative);
+           long steps, int workers, int *negative, int *used);
 const char *march_isa(void);
 
 /* oracle_integrate(): the oracle's integrand (sphere.py). */
@@ -224,21 +229,50 @@ long long format_rows(long long n_rows, int n_cols, const csv_column *cols, int 
  *
  * then, on its new values, the flags of the running sup and the maxima of
  * the relative change.  The last face flux, the prefix's running sum or
- * phi, the flags and the maxima carry from one block to the next, so each
- * value is computed by the operations of a pass over the whole row, in the
- * same order (but the maxima, which do not depend on it: change_maxima()):
+ * phi and the maxima carry from one block to the next, so each value is
+ * computed by the operations of a pass over the whole row, in the same
+ * order (but the maxima, which do not depend on it: change_maxima()):
  * blocking only interleaves passes that are independent cell by cell.  A
  * block's face fluxes and terms stay on the stack (2 kB), and so do the
  * values whose maxima it takes (4 kB), in L1 from one pass to the next,
  * where passes over whole rows stream through L2: a step of a row of 10000
- * cells reads 13 arrays of 80 kB.
+ * cells reads 13 arrays of 80 kB.  step_range() steps the blocks of one
+ * range of a row's cells, given the carry from the cells before it
+ * (march_part), and reduces over the range what is a max, an any or an
+ * all: the sup, the non-monotone pairs, the domination and the negativity
+ * checks, each exact, so that ranges combine to the bits of the whole row.
  *
  * A step reads one pair of fields and writes the other: the first step
  * reads (Jt0, Js0) and writes (Jt, Js), and later steps alternate between
- * (Jt, Js) and march_rows' spare pair.  If the last step wrote the spare
- * pair, it is copied to (Jt, Js) at the end.  So no step copies a field,
- * and (Jt0, Js0) are never written.  The domination test and the
- * non-monotone pairs read the new fields once the row's blocks are done.
+ * (Jt, Js) and march_rows' spare pair, the tags likewise between `tags`
+ * and the spare tags.  If the last step wrote the spare pair, it is copied
+ * to (Jt, Js) at the end.  So no step copies a field, and (Jt0, Js0) are
+ * never written.
+ *
+ * A row of at least MARCH_SPLIT_MIN_CELLS cells is stepped on two threads
+ * when the caller gives two workers and more than one step: it is split at
+ * the block edge `split` nearest n / 2; the calling thread steps every
+ * row's head [0, split) and one helper, started and joined within the
+ * call, every row's tail [split, n).  Each waits on the other only where
+ * the data flows (Wellein et al., "Efficient temporal blocking for stencil
+ * computations by multicore-aware wavefront parallelization", COMPSAC
+ * 2009): a tail waits for its head's carry, and the head of the next step
+ * for the tail's first block, which holds the Jt[split] its last face
+ * reads; so the tail of one step runs beside the head of the next.  The
+ * head runs a step before the tail has said whether the march stops, so
+ * nothing it writes may be seen: it writes the pair of fields and tags
+ * that the step before read, whose values are dead, and its carry and
+ * partial reductions into the row's slot of its step's parity.  It flags
+ * the sup against the latest one the tail has published, which is never
+ * above the true one since a sup does not decrease, and the tail takes
+ * the max against the true one.  The tail alone combines the two ranges in
+ * step order, writes the reductions, the holds and the negativity flag,
+ * and decides whether to stop.  The handoffs are C11 atomics, waited on by
+ * a spin loop that yields after MARCH_SPINS pauses.  Every cell is
+ * computed by the same operations in the same order, so the bits do not
+ * depend on how many threads ran; a helper that cannot be started leaves
+ * the march on the calling thread, as a short row, one step or one worker
+ * does.
  *
  * Every loop but the prefix, the relative change's running max (taken only
  * in a block with a NaN) and the max of Jt + Js (taken only at a step where
@@ -257,7 +291,8 @@ long long format_rows(long long n_rows, int n_cols, const csv_column *cols, int 
  * (march_holds).  The kernel returns after completing a step at which
  *
  *   - a trapped value fell below its row's floor or a streaming value below
- *     zero: *negative is set, and the caller names the row and cell;
+ *     zero, or either is NaN: *negative is set, and the caller names the
+ *     row and cell;
  *   - a row's hold ended: it had been dominated since step j and the step's
  *     time reached max(confirm t, t + min_hold), t = j dt (a confirmed
  *     takeover of the spurious sweep);
@@ -265,12 +300,22 @@ long long format_rows(long long n_rows, int n_cols, const csv_column *cols, int 
  *   - a row's relative change fell below red->stat_tol;
  *
  * or after `steps` steps.  The first non-monotone step is recorded, and a
- * domination that begins or ends is recorded, not returned at.
+ * domination that begins or ends is recorded, not returned at.  *used is
+ * the number of threads that ran, 1 or 2.
  */
 
 /* The cells of a block; a power of two, so that a block's loops split into
  * whole vectors at every clone's width. */
 #define MARCH_BLOCK 128
+
+/* The pauses a thread of a split march spins before it yields its CPU. */
+#define MARCH_SPINS 1024
+
+#if defined(__x86_64__) || defined(__i386__)
+#define SPIN_PAUSE() __builtin_ia32_pause()
+#else
+#define SPIN_PAUSE() ((void)0)
+#endif
 
 /* numpy's maximum(a, b): a NaN operand propagates, and of two equal
  * operands (+0 and -0) b is returned. */
@@ -347,7 +392,7 @@ static INLINE double prefix(int n, int scan, const double *restrict a, const dou
 }
 
 /* Pass 4: the new streaming values; returns 1.0 if a value fell below its
- * floor. */
+ * floor or is NaN (the compares are negated, so that a NaN fails them). */
 static INLINE double streaming(int n, const double *restrict jt_new, const double *restrict floor,
                                const double *restrict inv_r2g, const double *restrict flux,
                                double *restrict js_new)
@@ -355,8 +400,8 @@ static INLINE double streaming(int n, const double *restrict jt_new, const doubl
     double bad = 0.0;
     for (int i = 0; i < n; i++) {
         const double v = flux[i] * inv_r2g[i];
-        bad = jt_new[i] < floor[i] ? 1.0 : bad;
-        bad = v < 0.0 ? 1.0 : bad;
+        bad = !(jt_new[i] >= floor[i]) ? 1.0 : bad;
+        bad = !(v >= 0.0) ? 1.0 : bad;
         js_new[i] = v;
     }
     return bad;
@@ -422,15 +467,29 @@ static INLINE void sup_flags(int n, double sup, const double *restrict jt,
 }
 
 /* max(sup, max(Jt + Js)), the max over cells numpy's, given sup_flags over
- * the row: a NaN sum leaves sup as it is.  Only when a sum exceeds sup is
- * the max taken. */
+ * the cells: a NaN sum leaves sup as it is.  Only when a sum exceeds sup is
+ * the max taken.  No sum is NaN then, so the max is exact in any order, and
+ * it is taken in SUP_LANES running maxima, one per cell modulo SUP_LANES,
+ * which vectorize, and then over those; the sup is never -0 (it starts at
+ * +0 and takes only a greater value), so neither is the sign of a zero in
+ * doubt. */
+#define SUP_LANES 8
 static INLINE double running_sup(int n, double sup, const double *restrict jt,
                                  const double *restrict js, const double flag[2])
 {
     if (flag[0] == 0.0 || flag[1] != 0.0)
         return sup;
-    for (int i = 0; i < n; i++)
+    double lane[SUP_LANES];
+    for (int k = 0; k < SUP_LANES; k++)
+        lane[k] = sup;
+    int i = 0;
+    for (; i + SUP_LANES <= n; i += SUP_LANES)
+        for (int k = 0; k < SUP_LANES; k++)
+            lane[k] = py_max(lane[k], jt[i + k] + js[i + k]);
+    for (; i < n; i++)
         sup = py_max(sup, jt[i] + js[i]);
+    for (int k = 0; k < SUP_LANES; k++)
+        sup = py_max(sup, lane[k]);
     return sup;
 }
 
@@ -452,11 +511,11 @@ static INLINE int dominated(int n, int i0, const double *restrict jt, const doub
     return not_all == 0.0;
 }
 
-/* Updates row r's hold after step k; returns whether the hold ended there. */
-static INLINE int hold_ended(const march_holds *h, int r, long long k, double dt, int n,
-                             const double *jt, const double *js)
+/* Updates row r's hold after step k, which left it dominated or not;
+ * returns whether the hold ended there. */
+static INLINE int hold_ended(const march_holds *h, int r, long long k, double dt, int dom)
 {
-    if (!dominated(n, h->watch, jt, js)) {
+    if (!dom) {
         h->since[r] = -1;
         return 0;
     }
@@ -466,81 +525,295 @@ static INLINE int hold_ended(const march_holds *h, int r, long long k, double dt
     return (double)k * dt >= py_max(h->confirm * t, t + h->min_hold);
 }
 
+/*
+ * What one step of a row's cells [lo, hi) takes from the cells before them
+ * and gives to the cells after (the carry), and what it reduces over them.
+ * The carry's maxima run on through the row, block after block; the
+ * reductions are each a max, an any or an all over the range, so those of
+ * two ranges combine exactly (merge_part()).
+ */
+typedef struct {
+    double F;                     /* the flux at face lo, then at face hi */
+    double run;                   /* the prefix's running sum or phi */
+    double max[4];                /* change_maxima()'s */
+    double sup;                   /* in: the sup to flag against; out: max(sup, Jt + Js) if a
+                                   * sum passed it and none is NaN (running_sup()) */
+    int nan;                      /* some Jt + Js is NaN */
+    int bad;                      /* a value failed a negativity check */
+    int nonmono;                  /* a pair i < mono_pairs, i + 1 in the range, is non-monotone */
+    int dominated;                /* every watched cell of the range is dominated */
+} march_part;
+
+/* The part that goes on from p's carry, flagging against sup. */
+static INLINE march_part carried(const march_part *p, double sup)
+{
+    return (march_part){.F = p->F, .run = p->run,
+                        .max = {p->max[0], p->max[1], p->max[2], p->max[3]}, .sup = sup};
+}
+
+/*
+ * One step of the cells [lo, hi) of row r, from (jt, js) into (jt_new,
+ * js_new) and the tags `tag` (NULL: none), each pointing at the row's
+ * first cell, given the carry in p; leaves the carry and the range's
+ * reductions in p.
+ */
+MARCH_CLONES
+static void step_range(const march_rows *m, const march_reductions *red,
+                       const march_holds *hold, int r, int lo, int hi, const double *jt,
+                       const double *js, double *jt_new, double *js_new, signed char *tag,
+                       march_part *p)
+{
+    const int n = m->n_cells, scan = r < m->n_scan;
+    const long o = (long)r * n, of = (long)r * (n - 1);
+    /* a block's face fluxes, then its streaming terms, prefix and fluxes */
+    double F[MARCH_BLOCK + 1], acc[MARCH_BLOCK], flag[2] = {0.0, 0.0}, run = p->run;
+    int bad = 0;
+
+    F[0] = p->F;
+    for (int b = lo; b < hi; b += MARCH_BLOCK) {
+        const int len = hi - b < MARCH_BLOCK ? hi - b : MARCH_BLOCK;
+        const long c = o + b, cf = of + b;
+        face_fluxes(len, b + len == n, jt + b, m->rf2 + cf, m->inv_kf3 + cf, F);
+        sources(len, m->dt, jt + b, js + b, F, m->ka + c, m->kaB + c, m->inv_den + c,
+                m->inv_r2dr + c, m->d + c, jt_new + b, acc, tag ? tag + b : NULL);
+        if (scan)
+            scan_terms(len, m->aP + c, acc);
+        run = prefix(len, scan, m->a + c, m->P + c, acc, run);
+        bad |= streaming(len, jt_new + b, m->floor + c, m->inv_r2g + c, acc, js_new + b) != 0.0;
+        if (red) {
+            sup_flags(len, p->sup, jt_new + b, js_new + b, flag);
+            if (red->stat_tol > 0.0)
+                change_maxima(len, jt + b, js + b, jt_new + b, js_new + b, p->max);
+        }
+        F[0] = F[len];
+    }
+    p->F = F[0], p->run = run, p->bad = bad;
+    if (red) {
+        /* the pairs i whose right cell i + 1 is in the range */
+        const int i0 = lo > 0 ? lo - 1 : 0;
+        const int i1 = hi - 1 < red->mono_pairs ? hi - 1 : red->mono_pairs;
+        p->nonmono = i1 > i0 && nonmonotone(i1 - i0, red->mono_tol, jt_new + i0);
+        p->nan = flag[1] != 0.0;
+        p->sup = running_sup(hi - lo, p->sup, jt_new + lo, js_new + lo, flag);
+    }
+    if (hold)
+        p->dominated = dominated(hi, lo > hold->watch ? lo : hold->watch, jt_new, js_new);
+}
+
+/* Folds the reductions of the cells before p's into p's. */
+static INLINE void merge_part(march_part *p, const march_part *before)
+{
+    p->sup = py_max(p->sup, before->sup);
+    p->nan |= before->nan;
+    p->bad |= before->bad;
+    p->nonmono |= before->nonmono;
+    p->dominated &= before->dominated;
+}
+
+/* The bytes of a cache line: what one thread writes and another reads is
+ * kept apart from what either only reads, and from what the other writes,
+ * so that a handoff moves only the lines it hands off. */
+#define LINE 64
+
+/* A row's seam in a split march: the head's part of a step, by the step's
+ * parity, and the row's sup as the tail last reduced it. */
+typedef struct {
+    _Alignas(LINE) march_part head[2];
+    _Alignas(LINE) _Atomic double sup;
+} march_seam;
+
+/* One call of march(), shared by its threads. */
+typedef struct {
+    const march_rows *m;
+    march_reductions *red;
+    march_holds *hold;
+    const double *Jt0, *Js0;
+    double *Jt, *Js;
+    signed char *tags;
+    long long k0;
+    long steps;
+    int split;                   /* the head's cells [0, split); 0: not split */
+    march_seam *seams;           /* per row, when split */
+    /* the units (step s, row r), s n_rows + r + 1, whose head is done, and
+     * (the tail's line) whose tail's first block is */
+    _Alignas(LINE) atomic_llong head_done;
+    _Alignas(LINE) atomic_llong tail_first;
+    atomic_llong kept;           /* the steps the tail has done and gone on from */
+    atomic_int stop;             /* the tail has taken its last step */
+    long taken;                  /* the steps taken */
+    int negative;                /* the last of them failed a negativity check */
+} march_job;
+
+enum { MARCH_WHOLE, MARCH_HEAD, MARCH_TAIL };
+
+/* Waits until *count reaches target; returns 0 if *stop (if given) is set first. */
+static int wait_for(atomic_llong *count, long long target, atomic_int *stop)
+{
+    int spins = 0;
+    while (atomic_load_explicit(count, memory_order_acquire) < target) {
+        if (stop && atomic_load_explicit(stop, memory_order_relaxed))
+            return 0;
+        if (spins < MARCH_SPINS) {
+            SPIN_PAUSE();
+            spins++;
+        } else {
+            sched_yield();
+        }
+    }
+    return 1;
+}
+
+/*
+ * The steps of a march, on its whole rows or on their heads or tails
+ * (march()).  A head or tail steps its range in two parts: a head waits
+ * for the tail's first block only before its own last block, which reads
+ * the tail's first value, and a tail hands its first block on as soon as
+ * it is done.  A head begins a step once the tail has kept the step before
+ * the last, whose fields the step overwrites.  All but the head reduce and
+ * decide whether to stop.
+ */
+static void march_steps(march_job *job, int role)
+{
+    const march_rows *m = job->m;
+    march_reductions *red = job->red;
+    march_holds *hold = job->hold;
+    const int n = m->n_cells, rows = m->n_rows;
+    const int lo = role == MARCH_TAIL ? job->split : 0, hi = role == MARCH_HEAD ? job->split : n;
+    /* where the range's second part begins */
+    const int cut = role == MARCH_HEAD ? hi - MARCH_BLOCK : role == MARCH_TAIL ? lo + MARCH_BLOCK : hi;
+    const double *Jt_in = job->Jt0, *Js_in = job->Js0;
+    long s = 0;
+    int bad = 0;
+
+    while (s < job->steps) {
+        /* the first step writes (Jt, Js) and `tags`, the next the spare pair, ... */
+        double *Jt_out = s & 1 ? m->Jt_spare : job->Jt, *Js_out = s & 1 ? m->Js_spare : job->Js;
+        signed char *tags = !job->tags ? NULL : s & 1 ? m->tags_spare : job->tags;
+        int stop = 0;
+        if (role == MARCH_HEAD && !wait_for(&job->kept, s - 1, &job->stop))
+            return;
+        bad = 0;
+        for (int r = 0; r < rows; r++) {
+            const long o = (long)r * n;
+            const long long unit = (long long)s * rows + r + 1;
+            march_seam *seam = role == MARCH_WHOLE ? NULL : job->seams + r;
+            /* the sup to flag against: the head never reads red, which the tail writes */
+            const double sup = !red ? 0.0
+                               : role == MARCH_HEAD ? atomic_load_explicit(&seam->sup,
+                                                                           memory_order_relaxed)
+                               : red->sup[r];
+            march_part p = {.F = 0.0, .run = r < m->n_scan ? -0.0 : 0.0, .sup = sup}, head = p;
+            if (role == MARCH_TAIL) {
+                wait_for(&job->head_done, unit, NULL);
+                head = seam->head[s & 1];
+                p = carried(&head, sup);
+            }
+            step_range(m, red, hold, r, lo, cut, Jt_in + o, Js_in + o, Jt_out + o, Js_out + o,
+                       tags ? tags + o : NULL, &p);
+            if (cut < hi) {
+                /* a head's last block reads the value the tail's first block of
+                 * the step before wrote; the tail's first block is handed on */
+                if (role == MARCH_HEAD && !wait_for(&job->tail_first, unit - rows, &job->stop))
+                    return;
+                if (role == MARCH_TAIL)
+                    atomic_store_explicit(&job->tail_first, unit, memory_order_release);
+                march_part rest = carried(&p, sup);
+                step_range(m, red, hold, r, cut, hi, Jt_in + o, Js_in + o, Jt_out + o,
+                           Js_out + o, tags ? tags + o : NULL, &rest);
+                merge_part(&rest, &p);
+                p = rest;
+            }
+            if (role == MARCH_HEAD) {
+                seam->head[s & 1] = p;
+                atomic_store_explicit(&job->head_done, unit, memory_order_release);
+                continue;
+            }
+            if (role == MARCH_TAIL)
+                merge_part(&p, &head);
+            bad |= p.bad;
+            if (red && red->stat_tol > 0.0) {
+                red->change[r] =
+                    py_max(p.max[0], p.max[1]) / py_max(py_max(p.max[2], p.max[3]), 0x1p-1074);
+                stop |= red->change[r] < red->stat_tol;
+            }
+            if (red) {
+                red->sup[r] = p.nan ? sup : p.sup;
+                red->nonmono[r] = (signed char)p.nonmono;
+                if (p.nonmono && red->first_nonmono[r] < 0)
+                    red->first_nonmono[r] = job->k0 + s + 1;
+                stop |= red->sup[r] > red->bound;
+                if (role == MARCH_TAIL)
+                    atomic_store_explicit(&seam->sup, red->sup[r], memory_order_relaxed);
+            }
+            if (hold)
+                stop |= hold_ended(hold, r, job->k0 + s + 1, m->dt, p.dominated);
+        }
+        s++;
+        Jt_in = Jt_out, Js_in = Js_out;
+        if (role == MARCH_HEAD)
+            continue;
+        if (bad || stop)
+            break;
+        if (role == MARCH_TAIL)
+            atomic_store_explicit(&job->kept, s, memory_order_release);
+    }
+    if (role != MARCH_HEAD) {
+        job->taken = s;
+        job->negative = bad;
+        atomic_store_explicit(&job->stop, 1, memory_order_relaxed);
+    }
+}
+
+/* The helper of a split march: the tails. */
+static void *march_helper(void *job)
+{
+    march_steps(job, MARCH_TAIL);
+    return NULL;
+}
+
 /* Steps k0 + 1 .. k0 + steps from (Jt0, Js0), into (Jt, Js); returns the steps taken. */
 MARCH_CLONES
 long march(const march_rows *m, march_reductions *red, march_holds *hold, const double *Jt0,
            const double *Js0, double *Jt, double *Js, signed char *tags, long long k0,
-           long steps, int *negative)
+           long steps, int workers, int *negative, int *used)
 {
     const int n = m->n_cells;
-    /* a block's face fluxes, then its streaming terms, prefix and fluxes */
-    double F[MARCH_BLOCK + 1], acc[MARCH_BLOCK];
-    /* a step takes (jt_in, js_in) to (jt_out, js_out) */
-    const double *Jt_in = Jt0, *Js_in = Js0;
-    double *Jt_out = Jt, *Js_out = Js;
-
-    *negative = 0;
-    long s = 0;
-    while (s < steps) {
-        int bad = 0, stop = 0;
-        for (int r = 0; r < m->n_rows; r++) {
-            const long o = (long)r * n, of = (long)r * (n - 1);
-            const int scan = r < m->n_scan;
-            const double *jt = Jt_in + o, *js = Js_in + o;
-            double *jt_new = Jt_out + o, *js_new = Js_out + o;
-            const double sup = red ? red->sup[r] : 0.0;
-            double run = scan ? -0.0 : 0.0, flag[2] = {0.0, 0.0};
-            double max[4] = {0.0, 0.0, 0.0, 0.0};
-
-            F[0] = 0.0;
-            for (int b = 0; b < n; b += MARCH_BLOCK) {
-                const int len = n - b < MARCH_BLOCK ? n - b : MARCH_BLOCK;
-                const long c = o + b, cf = of + b;
-                face_fluxes(len, b + len == n, jt + b, m->rf2 + cf, m->inv_kf3 + cf, F);
-                sources(len, m->dt, jt + b, js + b, F, m->ka + c, m->kaB + c, m->inv_den + c,
-                        m->inv_r2dr + c, m->d + c, jt_new + b, acc, tags ? tags + c : NULL);
-                if (scan)
-                    scan_terms(len, m->aP + c, acc);
-                run = prefix(len, scan, m->a + c, m->P + c, acc, run);
-                bad |= streaming(len, jt_new + b, m->floor + c, m->inv_r2g + c, acc,
-                                 js_new + b) != 0.0;
-                if (red) {
-                    sup_flags(len, sup, jt_new + b, js_new + b, flag);
-                    if (red->stat_tol > 0.0)
-                        change_maxima(len, jt + b, js + b, jt_new + b, js_new + b, max);
-                }
-                F[0] = F[len];
-            }
-            if (red && red->stat_tol > 0.0) {
-                red->change[r] = py_max(max[0], max[1]) / py_max(py_max(max[2], max[3]), 0x1p-1074);
-                stop |= red->change[r] < red->stat_tol;
-            }
-            if (red) {
-                const int nm = nonmonotone(red->mono_pairs, red->mono_tol, jt_new);
-                red->sup[r] = running_sup(n, sup, jt_new, js_new, flag);
-                red->nonmono[r] = (signed char)nm;
-                if (nm && red->first_nonmono[r] < 0)
-                    red->first_nonmono[r] = k0 + s + 1;
-                stop |= red->sup[r] > red->bound;
-            }
-            if (hold)
-                stop |= hold_ended(hold, r, k0 + s + 1, m->dt, n, jt_new, js_new);
+    march_job job = {.m = m, .red = red, .hold = hold, .Jt0 = Jt0, .Js0 = Js0, .Jt = Jt,
+                     .Js = Js, .tags = tags, .k0 = k0, .steps = steps};
+    *used = 1;
+    if (workers > 1 && n >= MARCH_SPLIT_MIN_CELLS && steps > 1 &&
+        (job.seams = aligned_alloc(LINE, (size_t)m->n_rows * sizeof *job.seams))) {
+        /* the block edge nearest n / 2 */
+        job.split = (n / 2 + MARCH_BLOCK / 2) / MARCH_BLOCK * MARCH_BLOCK;
+        for (int r = 0; r < m->n_rows; r++)
+            atomic_init(&job.seams[r].sup, red ? red->sup[r] : 0.0);
+        atomic_init(&job.head_done, 0);
+        atomic_init(&job.tail_first, 0);
+        atomic_init(&job.kept, 0);
+        atomic_init(&job.stop, 0);
+        pthread_t helper;
+        if (pthread_create(&helper, NULL, march_helper, &job) == 0) {
+            *used = 2;
+            march_steps(&job, MARCH_HEAD);
+            pthread_join(helper, NULL);
         }
-        s++;
-        Jt_in = Jt_out, Js_in = Js_out;
-        Jt_out = Jt_out == Jt ? m->Jt_spare : Jt;
-        Js_out = Js_out == Js ? m->Js_spare : Js;
-        if (bad || stop) {
-            *negative = bad;
-            break;
-        }
+        free(job.seams);
+        job.seams = NULL;
     }
-    if (Jt_in != Jt) {
-        const size_t bytes = (size_t)m->n_rows * n * sizeof(double);
-        memcpy(Jt, Jt_in, bytes);
-        memcpy(Js, Js_in, bytes);
+    if (*used == 1) {
+        job.split = 0;
+        march_steps(&job, MARCH_WHOLE);
     }
-    return s;
+    *negative = job.negative;
+    /* the last step wrote the spare pair, or none was taken */
+    if (job.taken % 2 == 0) {
+        const size_t cells = (size_t)m->n_rows * n;
+        memcpy(Jt, job.taken ? m->Jt_spare : Jt0, cells * sizeof(double));
+        memcpy(Js, job.taken ? m->Js_spare : Js0, cells * sizeof(double));
+        if (tags && job.taken)
+            memcpy(tags, m->tags_spare, cells);
+    }
+    return job.taken;
 }
 
 /* The instruction-set level of the clones (march() and the oracle's pass)

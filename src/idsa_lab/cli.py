@@ -224,7 +224,7 @@ def _run_solve(cfg: RunConfig, out: Path, manifest: dict) -> list[str]:
     variant = cfg.experiment.removeprefix("solve-")
     solver = SolverConfig(cfg.dt, cfg.t_end, cfg.stationarity_tol)
     if variant == "idsa":
-        run = run_to_time(_spec(cfg), grid, solver, cfg.snapshot_times)
+        run = run_to_time(_spec(cfg), grid, solver, cfg.snapshot_times, stats=manifest)
         regime_names = [regime.name.lower() for regime in Regime]
         header = ["h_t", "h_s", "regime"]
 
@@ -251,7 +251,8 @@ def _run_solve(cfg: RunConfig, out: Path, manifest: dict) -> list[str]:
 def _run_spurious(cfg: RunConfig, out: Path, manifest: dict) -> list[str]:
     grid = make_uniform_grid(cfg.r_max, cfg.n_cells)
     records = run_spurious_trapped_experiment(
-        cfg.eps_list, _spec(cfg), grid, SolverConfig(dt=cfg.dt, t_end=cfg.horizon)
+        cfg.eps_list, _spec(cfg), grid, SolverConfig(dt=cfg.dt, t_end=cfg.horizon),
+        stats=manifest,
     )
     block = (
         np.array([r.eps for r in records], dtype=float),
@@ -285,7 +286,7 @@ def _run_instability(cfg: RunConfig, out: Path, manifest: dict) -> list[str]:
     manifest["diffusion_number"] = diffusion_number(spec, grid, solver)
     result = run_instability_experiment(
         spec, grid, solver, snapshot_times=tuple(cfg.snapshot_times),
-        vb_threshold=cfg.vb_threshold, bound_margin=cfg.bound_margin,
+        vb_threshold=cfg.vb_threshold, bound_margin=cfg.bound_margin, stats=manifest,
     )
     snaps = result.snapshots
     block = (
@@ -413,12 +414,16 @@ def run(cfg: RunConfig) -> int:
     # The runs that read dt march a scheme, and those that read oracle_tol
     # integrate the exact sphere; the manifest says which kernels did
     # ("native" or "numpy") and, if native, which clone ran ("march_isa").
+    # "march_workers", the most threads one march call ran on, is 1 but
+    # where the switched march splits its rows.
     kernels = [name for key, name in (("dt", "march"), ("oracle_tol", "oracle"))
                if key in cfg.values]
     if kernels:
         from . import _native
 
         manifest.update(dict.fromkeys(kernels, _native.backend()))
+        if "march" in kernels:
+            manifest["march_workers"] = 1
         if _native.backend() == "native":
             manifest["march_isa"] = _native.march_isa()
     try:

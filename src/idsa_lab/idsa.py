@@ -69,16 +69,15 @@ class Regime(IntEnum):
 
 
 class NegativityError(RuntimeError):
-    """A component went negative: the modeling broke down."""
+    """A component went negative or NaN: the modeling broke down."""
 
     def __init__(self, which: str, t: float, cell: int, value: float):
         self.which = which
         self.t = t
         self.cell = cell
         self.value = value
-        super().__init__(
-            f"{which} became negative at t = {t:g}, cell {cell} (value {value:.3e})"
-        )
+        state = "NaN" if math.isnan(value) else "negative"
+        super().__init__(f"{which} became {state} at t = {t:g}, cell {cell} (value {value:.3e})")
 
 
 class UnboundedError(RuntimeError):
@@ -218,6 +217,26 @@ class Schedule:
         return RunRecord(self.final, self.steps, self.snapshots, self.stopped)
 
 
+def _line_aligned(shape, dtype=np.float64) -> np.ndarray:
+    """
+    An uninitialized array whose data begins on a 64-byte cache line, for
+    the native kernel: a vector load of a block of cells then splits no
+    line, and a row split between two threads at a block edge shares none
+    of the lines they write.  numpy aligns an array's data to 16 bytes.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    raw = np.empty(nbytes + 64, np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + nbytes].view(dtype).reshape(shape)
+
+
+def _aligned_copy(values: np.ndarray) -> np.ndarray:
+    out = _line_aligned(values.shape)
+    out[...] = values
+    return out
+
+
 # The per-row arrays the native kernel reads: march_rows fields in _march.c.
 _C_FIELDS = ("ka", "kaB", "inv_den", "inv_r2dr", "a", "P", "aP", "d", "inv_r2g", "floor",
              "inv_kf3", "rf2")
@@ -275,47 +294,60 @@ class _Kernel:
             setattr(self, name, getattr(self, name)[keep])
         self._c_rows = None
 
-    def advance(self, native, Jt, Js, steps: int, with_tags: bool, hold, red, k: int):
+    def advance(self, native, Jt, Js, steps: int, with_tags: bool, hold, red, k: int,
+                stats: dict | None = None):
         """
         Up to ``steps`` steps of the native kernel from (Jt, Js) at step
         ``k``, written to fresh arrays, so arrays handed out before are
         never overwritten.  The kernel steps each row in blocks of 128
-        cells, and each step writes its fields into the other of two pairs:
-        the fresh arrays and a spare pair, allocated here with the C view
-        of the rows, once per compaction.  So no step copies its fields,
-        and one copy at the end brings them out of the spare pair if the
-        last step wrote there; every value is computed by the operations of
-        the numpy step, in its order.  ``hold`` (a ``_Holds``) and ``red`` (a
-        ``_Reductions``), each optional, are updated as their numpy
-        references would be, and the kernel stops where they ask: at a
-        step that ends a hold, or whose sup or change crosses its limit.
-        Returns the steps taken, Jt, Js, the last step's tags (None unless
-        ``with_tags``) and whether that step left a negative value.
+        cells, and each step writes its fields and tags into the other of
+        two sets: the fresh arrays and a spare set, allocated here with the
+        C view of the rows, once per compaction.  So no step copies its
+        fields, and one copy at the end brings them out of the spare set if
+        the last step wrote there; every value is computed by the
+        operations of the numpy step, in its order.  The kernel is given
+        ``_native.cpus()`` workers: with two or more, and more than one
+        step, a row of at least ``MARCH_SPLIT_MIN_CELLS`` cells is stepped
+        on two threads, its head on this one and its tail on a helper one
+        step behind, with the same bits.  ``hold`` (a ``_Holds``) and
+        ``red`` (a ``_Reductions``), each optional, are updated as their
+        numpy references would be, and the kernel stops where they ask: at
+        a step that ends a hold, or whose sup or change crosses its limit.
+        ``stats``, if given, keeps under ``march_workers`` the most threads
+        one call ran on.  Returns the steps taken, Jt, Js, the last step's
+        tags (None unless ``with_tags``) and whether that step left a
+        negative or NaN value.
         """
+        from . import _native  # here: importing idsa_lab should not pay for it
+
         ffi = native.ffi
         if self._c_rows is None:  # the C view of the rows, once per compaction
             c = ffi.new("march_rows *")
             c.n_rows, c.n_cells, c.n_scan, c.dt = len(self.rows), self.n_cells, self.n_scan, self.dt
-            arrays = [(name, np.ascontiguousarray(getattr(self, name), float)) for name in _C_FIELDS]
-            # The spare pair of fields, which the kernel writes every other step.
-            arrays += [(name, np.empty(Jt.shape)) for name in ("Jt_spare", "Js_spare")]
+            arrays = [(name, "double[]", _aligned_copy(getattr(self, name))) for name in _C_FIELDS]
+            # The spare fields and tags, which the kernel writes every other step.
+            arrays += [(name, "double[]", _line_aligned(Jt.shape))
+                       for name in ("Jt_spare", "Js_spare")]
+            arrays.append(("tags_spare", "signed char[]", _line_aligned(Jt.shape, np.int8)))
             buffers = []
-            for name, array in arrays:
-                buf = ffi.from_buffer("double[]", array)
+            for name, ctype, array in arrays:
+                buf = ffi.from_buffer(ctype, array)
                 setattr(c, name, buf)
                 buffers.append(buf)  # keeps each array alive while c points into it
             self._c_rows = c, buffers
-        Jt_new, Js_new = np.empty_like(Jt), np.empty_like(Js)
-        tags = np.empty(Jt.shape, np.int8) if with_tags else None
-        negative = ffi.new("int *")
+        Jt_new, Js_new = _line_aligned(Jt.shape), _line_aligned(Js.shape)
+        tags = _line_aligned(Jt.shape, np.int8) if with_tags else None
+        negative, used = ffi.new("int *"), ffi.new("int *")
         taken = native.lib.march(
             self._c_rows[0], ffi.NULL if red is None else red.c_view(ffi),
             ffi.NULL if hold is None else hold.c_view(ffi),
             ffi.from_buffer("double[]", Jt), ffi.from_buffer("double[]", Js),
             ffi.from_buffer("double[]", Jt_new), ffi.from_buffer("double[]", Js_new),
             ffi.NULL if tags is None else ffi.from_buffer("signed char[]", tags),
-            k, steps, negative,
+            k, steps, _native.cpus(), negative, used,
         )
+        if stats is not None:
+            stats["march_workers"] = max(stats.get("march_workers", 1), used[0])
         return taken, Jt_new, Js_new, tags, bool(negative[0])
 
     def sigma(self, Jt: np.ndarray, Js: np.ndarray, with_tags: bool = False):
@@ -349,7 +381,8 @@ class _Kernel:
         return Phi * self.inv_r2g
 
     def check(self, values: np.ndarray, bad: np.ndarray, which: str, t: float) -> None:
-        """Raise NegativityError at the first row with a ``bad`` cell."""
+        """Raise NegativityError at the first row with a ``bad`` cell, naming
+        its first NaN, or else its least value."""
         if np.count_nonzero(bad):
             row = int(np.argmax(bad.any(axis=1)))
             i = int(np.argmin(values[row]))
@@ -459,7 +492,7 @@ def _py_max(a, b):
 
 
 def _march(kern: _Kernel, observe, *, with_tags: bool = False,
-           hold: _Holds | None = None, red: _Reductions | None = None):
+           hold: _Holds | None = None, red: _Reductions | None = None, stats: dict | None = None):
     """
     March every row of ``kern`` from zero data while its observer has steps to see.
 
@@ -472,21 +505,27 @@ def _march(kern: _Kernel, observe, *, with_tags: bool = False,
     shows each ``upcoming`` step, any step at which a row's hold ends and
     any step where ``red`` asks to stop; so an observer must have nothing to
     do at the steps in between.  Both paths compute the same bits, and never
-    write to an array already shown.  Returns the fields once the observer
-    names no upcoming step or every row has retired.
+    write to an array already shown.  A step that leaves a value below its
+    floor (the trapped component's, or zero for the streaming one) or NaN
+    raises NegativityError.  ``stats``, if given, keeps under
+    ``march_workers`` the most threads one native call ran on (1 on numpy,
+    ``_Kernel.advance``).  Returns the fields once the observer names no
+    upcoming step or every row has retired.
     """
     from . import _native  # here: importing idsa_lab should not pay for it
 
     native = _native.load()
+    if stats is not None:
+        stats.setdefault("march_workers", 1)
     Jt = np.zeros((len(kern.rows), kern.n_cells))
     Js = np.zeros_like(Jt)
     tags = np.full(Jt.shape, Regime.REACTION, np.int8) if with_tags else None
     k, negative = 0, False
     while True:
         t = k * kern.dt
-        if negative:  # name the first row, and its cell, that went negative
-            kern.check(Jt, Jt < kern.floor, "trapped component", t)
-            kern.check(Js, Js < 0.0, "streaming component", t)
+        if negative:  # name the first row, and its cell, that went negative or NaN
+            kern.check(Jt, ~(Jt >= kern.floor), "trapped component", t)
+            kern.check(Js, ~(Js >= 0.0), "streaming component", t)
         done, upcoming = observe(k, t, Jt, Js, tags)
         if done is not None and np.count_nonzero(done):
             if done.all():
@@ -510,7 +549,7 @@ def _march(kern: _Kernel, observe, *, with_tags: bool = False,
                 red.update(k, Jt_old, Js_old, Jt, Js)
         else:
             taken, Jt, Js, tags, negative = kern.advance(
-                native, Jt, Js, max(upcoming - k, 1), with_tags, hold, red, k
+                native, Jt, Js, max(upcoming - k, 1), with_tags, hold, red, k, stats
             )
             k += taken
     return Jt, Js
@@ -521,13 +560,15 @@ def run_to_time(
     grid: RadialGrid,
     cfg: SolverConfig,
     snapshot_times: tuple = (),
+    stats: dict | None = None,
 ) -> RunRecord:
     """
     March the coupled system from zero initial data and take the snapshots
     and the final state as ``Schedule`` says, with the per-step relative
     change max(|dJt|, |dJs|) / max(|Jt|, |Js|); the march ends at the last
     step the schedule still names.  Each state carries the regime tags of
-    the source that produced it (REACTION everywhere at t = 0).
+    the source that produced it (REACTION everywhere at t = 0).  ``stats``
+    is ``_march``'s.
     """
     sched = Schedule(cfg, snapshot_times, first=0)
     red = _Reductions(1, stat_tol=cfg.stationarity_tol)
@@ -538,7 +579,7 @@ def run_to_time(
             red.stat_tol = 0.0
         return None, upcoming
 
-    _march(_Kernel([spec], grid, cfg), observe, with_tags=True, red=red)
+    _march(_Kernel([spec], grid, cfg), observe, with_tags=True, red=red, stats=stats)
     return sched.record()
 
 
@@ -560,6 +601,7 @@ def run_spurious_trapped_experiment(
     spec_base: ProblemSpec,
     grid: RadialGrid,
     cfg: SolverConfig,
+    stats: dict | None = None,
 ) -> list[TakeoverRecord]:
     """
     Time for spurious trapped particles to take over the streaming region.
@@ -575,6 +617,7 @@ def run_spurious_trapped_experiment(
     A run whose takeover is not confirmed by step ``Schedule(cfg).n_steps``,
     the step nearest ``cfg.t_end``, is reported censored.
     All eps march as one batch, a row retiring once its record is known.
+    ``stats`` is ``_march``'s.
     """
     eps_all = [float(eps) for eps in eps_list]
     for eps in eps_all:
@@ -596,7 +639,7 @@ def run_spurious_trapped_experiment(
             records[i] = TakeoverRecord(eps_all[i], float(hold.since[row] * cfg.dt), censored=False)
         return done, last if k < last else None  # the rows left at t_end are censored
 
-    _march(kern, observe, hold=hold)
+    _march(kern, observe, hold=hold, stats=stats)
     return [rec or TakeoverRecord(eps, None, censored=True) for rec, eps in zip(records, eps_all)]
 
 
@@ -632,6 +675,7 @@ def run_instability_experiment(
     snapshot_times: tuple = (10.0, 50.0, 100.0, 200.0),
     vb_threshold: float = 0.9,
     bound_margin: float = 1e-6,
+    stats: dict | None = None,
 ) -> InstabilityResult:
     """
     Track the coupling instability at the sphere edge.
@@ -645,6 +689,7 @@ def run_instability_experiment(
     sup ever exceeds B * (1 + bound_margin); the instability is a modeling
     artifact and must stay bounded.  The bound is expected to hold only
     while ``diffusion_number`` is at most 1/2, so the error gives it.
+    ``stats`` is ``_march``'s.
     """
     r = grid.r_centers
     sched = Schedule(cfg, snapshot_times)
@@ -667,7 +712,7 @@ def run_instability_experiment(
         # The bound and the first non-monotone step are the kernel's to watch.
         return None, sched.upcoming(k)
 
-    Jt, Js = _march(_Kernel([spec], grid, cfg), observe, red=red)
+    Jt, Js = _march(_Kernel([spec], grid, cfg), observe, red=red, stats=stats)
     first_bad = int(red.first_nonmono[0])
     return InstabilityResult(
         snapshots=snaps,

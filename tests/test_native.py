@@ -108,12 +108,12 @@ def test_native_kernel_builds_here():
 
 @needs_native
 def test_march_rows_points_only_at_arrays_the_kernel_fills():
-    # _Kernel.advance fills each pointer of march_rows from _C_FIELDS and the
-    # spare pair; a pointer named nowhere there would stay NULL, and the
-    # march would read through it.
+    # _Kernel.advance fills each pointer of march_rows from _C_FIELDS, the
+    # spare pair and the spare tags; a pointer named nowhere there would stay
+    # NULL, and the march would read through it.
     fields = _native.load().ffi.typeof("march_rows").fields
     pointers = [name for name, field in fields if field.type.kind == "pointer"]
-    assert sorted(pointers) == sorted([*_C_FIELDS, "Jt_spare", "Js_spare"])
+    assert sorted(pointers) == sorted([*_C_FIELDS, "Jt_spare", "Js_spare", "tags_spare"])
 
 
 # The x86-64 levels of the march's clones, and the /proc/cpuinfo flags each
@@ -171,26 +171,30 @@ def test_native_source_compiles_without_warnings():
 
 
 def _march_log(specs, grid, cfg, steps, with_tags, stride, retire, n_sweep, watch,
-               reductions=None):
+               reductions=None, tweak=None, stats=None):
     """
-    March a batch with ``_Holds`` on the cells from ``watch`` on and log
-    what the observer was shown: step -> (rows, Jt, Js, tags, since, ended),
-    keeping the arrays themselves, not copies.  It asks for every stride-th
-    step and for step ``retire``, where it retires the first row, up to
-    step ``steps``; the last ``n_sweep`` rows take the sweep.  Given
-    ``reductions``, the keywords of a ``_Reductions``, it marches with
-    those too, and each entry goes on with copies of their sup, change,
-    nonmono and first_nonmono.  Returns the log and the NegativityError
-    message, if one was raised.
+    March a batch with ``_Holds`` on the cells from ``watch`` on (None: no
+    holds) and log what the observer was shown: step -> (rows, Jt, Js,
+    tags, since, ended), keeping the arrays themselves, not copies.  It
+    asks for every stride-th step and for step ``retire``, where it retires
+    the first row, up to step ``steps``; the last ``n_sweep`` rows take the
+    sweep.  Given ``reductions``, the keywords of a ``_Reductions``, it
+    marches with those too, and each entry goes on with copies of their
+    sup, change, nonmono and first_nonmono.  ``tweak``, if given, is called
+    with the ``_Kernel`` before the march, and ``stats`` is ``_march``'s.
+    Returns the log and the NegativityError message, if one was raised.
     """
     kern = _Kernel(specs, grid, cfg)
     kern.n_scan = min(kern.n_scan, len(specs) - n_sweep)
-    hold = _Holds(len(specs), watch, cfg.dt)
+    if tweak is not None:
+        tweak(kern)
+    hold = None if watch is None else _Holds(len(specs), watch, cfg.dt)
     red = None if reductions is None else _Reductions(len(specs), **reductions)
     log = {}
 
     def observe(k, t, Jt, Js, tags):
-        log[k] = (kern.rows.tolist(), Jt, Js, tags, hold.since.copy(), hold.ended(k))
+        log[k] = (kern.rows.tolist(), Jt, Js, tags,
+                  *((None, None) if hold is None else (hold.since.copy(), hold.ended(k))))
         if red is not None:
             log[k] += tuple(a.copy() for a in (red.sup, red.change, red.nonmono, red.first_nonmono))
         done = None
@@ -201,7 +205,7 @@ def _march_log(specs, grid, cfg, steps, with_tags, stride, retire, n_sweep, watc
         return done, min(upcoming, steps) if k < steps else None
 
     try:
-        _march(kern, observe, with_tags=with_tags, hold=hold, red=red)
+        _march(kern, observe, with_tags=with_tags, hold=hold, red=red, stats=stats)
     except NegativityError as exc:
         return log, str(exc)
     return log, None
@@ -303,6 +307,86 @@ def test_native_march_matches_numpy_at_block_edges(n_cells):
     for cell in (0, n_cells - 1):
         native, reference = _both(lambda: negative(cell))
         assert native == reference and f", cell {cell} (" in native
+
+
+# Marches of rows one cell longer than MARCH_SPLIT_MIN_CELLS (R = 6, r_max =
+# 18), which the kernel splits at the block edge 1024 on two workers: each
+# row's kappa_outside, dt, the steps, the stride of the steps asked for, the
+# step at which the first row retires, tags or not, the keywords of the
+# _Reductions (mono_pairs: the pairs inside R), holds on the cells r >= R
+# or not, and a streaming term d or a 1 / den scaled at a cell of the last
+# row.  Each stops where its name says inside a call of several steps.
+_SPLIT_ROW_CASES = {
+    # sup passes 0.95 at step 7, and stays above it
+    "stop at bound": ((0.01, 0.03), 0.5, 40, 13, 20, False, dict(bound=0.95), False, None),
+    # the change falls below 1e-2 at steps 10-13, then chatters at 0.33
+    "stop at stat_tol": ((1e3, 300.0), 0.5, 40, 25, 30, True, dict(stat_tol=1e-2), False, None),
+    "negative in the head": ((0.01, 0.01), 0.5, 20, 20, 20, False, dict(stat_tol=1e-300), False,
+                             ("d", 683, -1e3)),
+    "negative in the tail": ((0.01, 0.01), 0.5, 20, 20, 20, True, None, False, ("d", 1100, -1e3)),
+    "NaN in the tail": ((0.01, 0.01), 0.5, 20, 20, 20, False, dict(stat_tol=1e-300), False,
+                        ("inv_den", 1500, np.nan)),
+    # the first row's hold ends at step 21
+    "hold ends": ((1e3, 0.01), 0.5, 60, 60, 40, False, None, True, None),
+    # every call of 4 steps ends in the spare pair and tags, and is copied out
+    "last step in the spare pair": ((0.01, 1e3), 0.5, 40, 4, 18, True, dict(stat_tol=1e-300),
+                                    False, None),
+}
+
+
+def _split_log(case, n_cells, n_rows, stats=None):
+    """``_march_log`` of ``_SPLIT_ROW_CASES[case]`` on the first ``n_rows``
+    rows of n_cells cells, its arrays as bytes."""
+    kappas, dt, steps, stride, retire, with_tags, reductions, holds, scaled = _SPLIT_ROW_CASES[case]
+    grid = make_uniform_grid(18.0, n_cells)
+    specs = [ProblemSpec(B=1.0, R=6.0, kappa=1.0, kappa_outside=k) for k in kappas[:n_rows]]
+    inside = int(np.searchsorted(grid.r_centers, 6.0))
+    if reductions is not None:
+        reductions = dict(reductions, mono_tol=1e-10, mono_pairs=inside - 1)
+
+    def tweak(kern):
+        if scaled is not None:
+            name, cell, factor = scaled
+            getattr(kern, name)[-1, cell] *= factor
+
+    log, error = _march_log(specs, grid, SolverConfig(dt=dt), steps, with_tags, stride, retire, 0,
+                            inside if holds else None, reductions, tweak, stats)
+    return {k: tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in entry)
+            for k, entry in log.items()}, error
+
+
+@needs_native
+@pytest.mark.parametrize("n_rows", [1, 2])
+@pytest.mark.parametrize("case", _SPLIT_ROW_CASES)
+def test_split_rows_match_one_thread_and_numpy_bit_for_bit(case, n_rows):
+    # On two workers each row's head and tail run on two threads, the head
+    # one step ahead; on one the rows run whole.  Both show the same steps,
+    # with the fields, tags, holds, sup, change, nonmono and first_nonmono
+    # of the numpy march at each, bit for bit, and stop with its error.
+    n_cells = _native.load().lib.MARCH_SPLIT_MIN_CELLS + 1
+    runs = []
+    for workers in (1, 2):
+        stats = {}
+        with _workers(workers):
+            runs.append(_split_log(case, n_cells, n_rows, stats))
+        assert stats == {"march_workers": workers}
+    with _numpy_march():
+        reference, reference_error = _split_log(case, n_cells, n_rows)
+    assert runs[0] == runs[1]
+    log, error = runs[0]
+    assert error == reference_error  # the same step, row and cell
+    assert set(log) <= set(reference) and (error or max(log) == max(reference))
+    for k, entry in log.items():
+        assert entry == reference[k], k
+    # Each case stops as its name says, within a call of several steps.
+    asked = {k for k in log if k % _SPLIT_ROW_CASES[case][3] == 0}
+    if case.startswith(("negative", "NaN")):
+        where = re.search(r"became (\w+) at t = [0-9.]+, cell (\d+)", error).groups()
+        assert where == ("NaN" if case.startswith("NaN") else "negative",
+                         str(_SPLIT_ROW_CASES[case][8][1]))
+        assert max(log) < _SPLIT_ROW_CASES[case][3]
+    else:
+        assert error is None and log.keys() - asked - {_SPLIT_ROW_CASES[case][4]}
 
 
 def _holds_log(specs, grid, cfg, steps, retire, n_sweep):
@@ -440,9 +524,11 @@ def test_native_reductions_match_numpy(
 @pytest.mark.parametrize("cell", [0, 127, 128, 200, 256])
 def test_native_change_through_a_nan_matches_numpy(cell):
     # A NaN that enters one row's fields, in its first block, at a block
-    # edge or in its last, spreads from step to step: the kernel reduces a
-    # block with a NaN by numpy's running max, and the blocks without one by
-    # halving.  The change of both rows keeps numpy's bits, NaN included.
+    # edge or in its last, stops the march at the step it appears, which
+    # the kernel still reduces: it takes a block with a NaN by numpy's
+    # running max, and the blocks without one by halving.  The change of
+    # both rows keeps numpy's bits, NaN included, and both paths name the
+    # NaN alike.
     grid = make_uniform_grid(18.0, 257)
     spec = ProblemSpec(B=1.0, R=6.0, kappa=1.0)
 
@@ -456,12 +542,16 @@ def test_native_change_through_a_nan_matches_numpy(cell):
             log.append(red.change.tobytes())
             return None, k + 1 if k < 8 else None
 
-        _march(kern, observe, red=red)
-        return log
+        with pytest.raises(NegativityError) as info:
+            _march(kern, observe, red=red)
+        return log, red.change.tobytes(), str(info.value)
 
     native, reference = _both(march)
     assert native == reference
-    last = np.frombuffer(native[-1])
+    log, last, message = native
+    assert len(log) == 1  # step 0: the NaN appears at step 1
+    assert message == f"trapped component became NaN at t = 0.1, cell {cell} (value nan)"
+    last = np.frombuffer(last)
     assert np.isfinite(last[0]) and np.isnan(last[1])
 
 
@@ -699,6 +789,19 @@ def test_manifest_names_the_march_clone_only_on_the_native_path(tmp_path):
     assert native["march_isa"] == _native.march_isa()
     assert native["march_isa"] in ("x86-64-v4", "x86-64-v3", "x86-64", "default")
     assert reference["march"] == "numpy" and "march_isa" not in reference
+    # Rows of 50 cells are below MARCH_SPLIT_MIN_CELLS: one thread on either path.
+    assert native["march_workers"] == reference["march_workers"] == 1
+
+
+@needs_native
+def test_manifest_counts_the_threads_of_the_default_instability_march(tmp_path):
+    # The default instability run marches one row of 10000 cells, which is
+    # split on two threads wherever the process may use two CPUs.
+    cfg = tmp_path / "instability.cfg"
+    cfg.write_text(f"experiment = instability\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["march_workers"] == min(2, _native.cpus())
 
 
 @needs_native
@@ -1073,20 +1176,22 @@ def _widest_block(n):
     return [floats, np.arange(n) % 3 == 0, ["a", "bc", ""] * (n // 3) + ["d"] * (n % 3), 0.25]
 
 
-# Run under AddressSanitizer, with the instrumented module's name and file
-# and this directory as arguments: the oracle's three failures,
-# _bounds_case, and four opacities at the default block and cap and in
-# blocks of 2 owners whose deeper levels fill a cap of 4, on 1 and 2
-# workers; a short march, a tridiagonal solve and two blocks of CSV rows,
+# Run under AddressSanitizer or ThreadSanitizer, with the instrumented
+# module's name and file and this directory as arguments: the oracle's
+# three failures, _bounds_case, and four opacities at the default block and
+# cap and in blocks of 2 owners whose deeper levels fill a cap of 4, on 1
+# and 2 workers; a march, a tridiagonal solve and two blocks of CSV rows,
 # the second formatted in two ranges on 2 workers and filling its buffer to
 # the last byte; each against its reference.  The march is a scan row and a
-# sweep row of 2 * 128 + 1 cells, with tags, holds and reductions, for 25
-# steps; the kernel takes runs of 4 steps, of 3 and of 1, so that some end
-# in its spare pair of fields and are copied out, and the batch shrinks at
-# step 9.  The domain-split marches run both variants at m = 2, 3 and 100
+# sweep row of MARCH_SPLIT_MIN_CELLS + 1 = 16 * 128 + 1 cells, split on 2
+# workers, with tags, holds and reductions, for 25 steps; the kernel takes
+# runs of 4 steps and of 1, and stops within a run where the change falls
+# below stat_tol and where a hold ends, so that some runs end in its spare
+# pair of fields and tags and are copied out, and the batch shrinks at step
+# 9.  The domain-split marches run both variants at m = 2, 3 and 100
 # inside cells, each step reading all m of the scheme's reciprocals 1 / d,
 # and every _SPLIT_FAILURES case.
-_ASAN_RUN = """
+_SANITIZED_RUN = """
 import importlib.util, sys, unittest.mock
 import numpy as np
 from idsa_lab import _native
@@ -1113,8 +1218,9 @@ def run():
             oracle += [_oracle_bytes(radii, ProblemSpec(B=1.0, R=6.0, kappa=kappa), 1e-12)
                        for kappa in (0.01, 1.0, 97.0, 1000.0)]
     specs = [ProblemSpec(B=1.0, R=6.0, kappa=1.0, kappa_outside=k) for k in (0.01, 1e3)]
-    log, error = _march_log(specs, make_uniform_grid(18.0, 257), SolverConfig(dt=0.5), 25, True,
-                            4, 9, 1, 86, dict(stat_tol=1e-3, mono_tol=1e-10, mono_pairs=128))
+    grid = make_uniform_grid(18.0, module.lib.MARCH_SPLIT_MIN_CELLS + 1)
+    log, error = _march_log(specs, grid, SolverConfig(dt=0.5), 25, True, 4, 9, 1, 683,
+                            dict(stat_tol=1e-2, mono_tol=1e-10, mono_pairs=682))
     march = error, {k: tuple(v if isinstance(v, list) else v.tobytes() for v in entry)
                     for k, entry in log.items()}
     rng = np.random.default_rng(3)
@@ -1137,12 +1243,37 @@ for n in (1, 2):
     with _workers(n):
         oracle, (error, march), *rest = run()
         assert [oracle, *rest] == [reference[0], *reference[2:]]
-        # The kernel shows the steps asked for, and each from step 16 on,
-        # where the change has fallen below stat_tol.
+        # The kernel shows the steps asked for, those from 10 to 12, where
+        # the change is below stat_tol, and each from step 21 on, where the
+        # hold of the cells r >= R ends.
         assert error is None and march.items() <= reference[1][1].items()
-        assert set(march) == {0, 4, 8, 9, 13, *range(16, 26)}
+        assert set(march) == {0, 4, 8, 9, 10, 11, 12, 13, 17, *range(21, 26)}
 print("ok")
 """
+
+
+def _run_sanitized(tmp_path, monkeypatch, sanitizer, source, options):
+    """_SANITIZED_RUN on the kernels built from ``source`` with
+    -fsanitize=``sanitizer``, its runtime preloaded and ``options`` set."""
+    runtime = {"address": "libasan.so", "thread": "libtsan.so"}[sanitizer]
+    library = subprocess.run(["gcc", f"-print-file-name={runtime}"],
+                             capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(library):
+        pytest.skip(f"gcc has no {runtime} here")
+    monkeypatch.setattr(_native, "_CFLAGS",
+                        [f"-fsanitize={sanitizer}", "-O1", "-g", "-ffp-contract=off", "-pthread"])
+    name = f"_idsa_march_{sanitizer}"
+    target = tmp_path / (name + importlib.machinery.EXTENSION_SUFFIXES[0])
+    _native._build(name, source, target)
+    src = str(Path(idsa_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "LD_PRELOAD": library, **options,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SANITIZED_RUN, name, str(target), str(Path(__file__).parent)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr[-4000:]
+    return proc.stderr
 
 
 @pytest.mark.skipif(not (shutil.which("gcc") and importlib.util.find_spec("cffi")),
@@ -1151,23 +1282,23 @@ def test_native_kernels_run_clean_under_address_sanitizer(tmp_path, monkeypatch)
     # Every heap buffer the kernels write, the oracle's one allocation per
     # call among them, ends where AddressSanitizer poisons: a write or read
     # past one aborts the run.
-    libasan = subprocess.run(["gcc", "-print-file-name=libasan.so"],
-                             capture_output=True, text=True).stdout.strip()
-    if not os.path.isabs(libasan):
-        pytest.skip("gcc has no libasan here")
-    monkeypatch.setattr(_native, "_CFLAGS",
-                        ["-fsanitize=address", "-O1", "-g", "-ffp-contract=off", "-pthread"])
-    name = "_idsa_march_asan"
-    target = tmp_path / (name + importlib.machinery.EXTENSION_SUFFIXES[0])
-    _native._build(name, _native._SOURCE.read_text(), target)
-    src = str(Path(idsa_lab.__file__).resolve().parents[1])
-    env = {**os.environ, "LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0",
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-c", _ASAN_RUN, name, str(target), str(Path(__file__).parent)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr[-4000:]
+    _run_sanitized(tmp_path, monkeypatch, "address", _native._SOURCE.read_text(),
+                   {"ASAN_OPTIONS": "detect_leaks=0"})
+
+
+@pytest.mark.skipif(not (shutil.which("gcc") and importlib.util.find_spec("cffi")),
+                    reason="no gcc or no cffi")
+def test_native_kernels_run_clean_under_thread_sanitizer(tmp_path, monkeypatch):
+    # The threads of the split march, of the oracle on 2 workers and of the
+    # formatter on 2 share no memory but through their handoffs: a read or
+    # write that races another thread's aborts the run.  Built without the
+    # clones, whose ifunc resolvers run while the loader relocates the
+    # module, before the calls ThreadSanitizer adds to them can be bound.
+    source = re.sub(r"__attribute__\(\(target_clones\([^)]*\)\)\)", "",
+                    _native._SOURCE.read_text())
+    stderr = _run_sanitized(tmp_path, monkeypatch, "thread", source,
+                            {"TSAN_OPTIONS": "halt_on_error=1"})
+    assert "ThreadSanitizer" not in stderr, stderr[-4000:]
 
 
 def _exp_arguments(rng, n):
@@ -1434,11 +1565,9 @@ for n in (2, 1, 0):
 """
 
 
-@needs_native
-def test_formatter_that_cannot_start_a_thread_writes_its_range_itself(tmp_path):
-    # A block of three ranges on 3 threads, with both helpers refused, the
-    # first refused, and none: the calling thread writes each refused
-    # range, with the same bytes, and the block ran on 1, 2 and 3 threads.
+def _run_refusing_threads(tmp_path, script):
+    """The output of ``script`` run with _REFUSING_PTHREAD_CREATE preloaded,
+    given the shim's path and this directory as arguments."""
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         pytest.skip("no C compiler to build the refusing pthread_create")
@@ -1450,11 +1579,45 @@ def test_formatter_that_cannot_start_a_thread_writes_its_range_itself(tmp_path):
     src = str(Path(idsa_lab.__file__).resolve().parents[1])
     env = {**os.environ, "LD_PRELOAD": str(shim),
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", _REFUSED_THREADS, str(shim),
-                           str(Path(__file__).parent)],
+    proc = subprocess.run([sys.executable, "-c", script, str(shim), str(Path(__file__).parent)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "2", "3"]
+    return proc.stdout
+
+
+@needs_native
+def test_formatter_that_cannot_start_a_thread_writes_its_range_itself(tmp_path):
+    # A block of three ranges on 3 threads, with both helpers refused, the
+    # first refused, and none: the calling thread writes each refused
+    # range, with the same bytes, and the block ran on 1, 2 and 3 threads.
+    assert _run_refusing_threads(tmp_path, _REFUSED_THREADS).split() == ["1", "2", "3"]
+
+
+_REFUSED_HELPER = """
+import ctypes, sys
+from idsa_lab import _native
+sys.path.insert(0, sys.argv[2])
+from test_native import _split_log, _workers
+refuse = ctypes.CDLL(sys.argv[1]).refuse_threads
+n_cells = _native.load().lib.MARCH_SPLIT_MIN_CELLS + 1
+with _workers(1):
+    expected = _split_log("last step in the spare pair", n_cells, 2)
+for n in (1000, 1, 0):
+    stats = {}
+    refuse(n)
+    with _workers(2):
+        assert _split_log("last step in the spare pair", n_cells, 2, stats) == expected
+    print(stats["march_workers"])
+"""
+
+
+@needs_native
+def test_split_march_whose_helper_cannot_start_runs_whole(tmp_path):
+    # Split rows on 2 workers, in calls of 4 steps, with every helper
+    # refused, the first refused, and none: a call whose helper is refused
+    # steps its rows whole on the calling thread, with the same bits, so
+    # the march ran on 1, 2 and 2 threads.
+    assert _run_refusing_threads(tmp_path, _REFUSED_HELPER).split() == ["1", "2", "2"]
 
 
 # A preloaded snprintf (and its fortified twin) that counts its calls.
