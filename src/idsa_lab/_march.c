@@ -557,11 +557,10 @@ static INLINE march_part carried(const march_part *p, double sup)
  * first cell, given the carry in p; leaves the carry and the range's
  * reductions in p.
  */
-MARCH_CLONES
-static void step_range(const march_rows *m, const march_reductions *red,
-                       const march_holds *hold, int r, int lo, int hi, const double *jt,
-                       const double *js, double *jt_new, double *js_new, signed char *tag,
-                       march_part *p)
+static INLINE void step_range(const march_rows *m, const march_reductions *red,
+                              const march_holds *hold, int r, int lo, int hi,
+                              const double *jt, const double *js, double *jt_new,
+                              double *js_new, signed char *tag, march_part *p)
 {
     const int n = m->n_cells, scan = r < m->n_scan;
     const long o = (long)r * n, of = (long)r * (n - 1);
@@ -670,8 +669,10 @@ static int wait_for(atomic_llong *count, long long target, atomic_int *stop)
  * the tail's first value, and a tail hands its first block on as soon as
  * it is done.  A head begins a step once the tail has kept the step before
  * the last, whose fields the step overwrites.  All but the head reduce and
- * decide whether to stop.
+ * decide whether to stop.  step_range() is inlined at one call site, so
+ * that the code of a step is one copy, as the whole row's is.
  */
+MARCH_CLONES
 static void march_steps(march_job *job, int role)
 {
     const march_rows *m = job->m;
@@ -680,7 +681,9 @@ static void march_steps(march_job *job, int role)
     const int n = m->n_cells, rows = m->n_rows;
     const int lo = role == MARCH_TAIL ? job->split : 0, hi = role == MARCH_HEAD ? job->split : n;
     /* where the range's second part begins */
-    const int cut = role == MARCH_HEAD ? hi - MARCH_BLOCK : role == MARCH_TAIL ? lo + MARCH_BLOCK : hi;
+    const int cut = role == MARCH_HEAD   ? hi - MARCH_BLOCK
+                    : role == MARCH_TAIL ? lo + MARCH_BLOCK
+                                         : hi;
     const double *Jt_in = job->Jt0, *Js_in = job->Js0;
     long s = 0;
     int bad = 0;
@@ -702,27 +705,31 @@ static void march_steps(march_job *job, int role)
                                : role == MARCH_HEAD ? atomic_load_explicit(&seam->sup,
                                                                            memory_order_relaxed)
                                : red->sup[r];
-            march_part p = {.F = 0.0, .run = r < m->n_scan ? -0.0 : 0.0, .sup = sup}, head = p;
+            march_part p = {.F = 0.0, .run = r < m->n_scan ? -0.0 : 0.0, .sup = sup}, head = p,
+                       first = p;
             if (role == MARCH_TAIL) {
                 wait_for(&job->head_done, unit, NULL);
                 head = seam->head[s & 1];
                 p = carried(&head, sup);
             }
-            step_range(m, red, hold, r, lo, cut, Jt_in + o, Js_in + o, Jt_out + o, Js_out + o,
-                       tags ? tags + o : NULL, &p);
-            if (cut < hi) {
-                /* a head's last block reads the value the tail's first block of
-                 * the step before wrote; the tail's first block is handed on */
-                if (role == MARCH_HEAD && !wait_for(&job->tail_first, unit - rows, &job->stop))
-                    return;
-                if (role == MARCH_TAIL)
-                    atomic_store_explicit(&job->tail_first, unit, memory_order_release);
-                march_part rest = carried(&p, sup);
-                step_range(m, red, hold, r, cut, hi, Jt_in + o, Js_in + o, Jt_out + o,
-                           Js_out + o, tags ? tags + o : NULL, &rest);
-                merge_part(&rest, &p);
-                p = rest;
+            /* [lo, cut), then [cut, hi) */
+            for (int a = lo, b = cut; a < hi; a = b, b = hi) {
+                if (a > lo) {
+                    /* a head's last block reads the value the tail's first block
+                     * of the step before wrote; the tail's first block is handed on */
+                    if (role == MARCH_HEAD &&
+                        !wait_for(&job->tail_first, unit - rows, &job->stop))
+                        return;
+                    if (role == MARCH_TAIL)
+                        atomic_store_explicit(&job->tail_first, unit, memory_order_release);
+                    first = p;
+                    p = carried(&first, sup);
+                }
+                step_range(m, red, hold, r, a, b, Jt_in + o, Js_in + o, Jt_out + o, Js_out + o,
+                           tags ? tags + o : NULL, &p);
             }
+            if (cut < hi)
+                merge_part(&p, &first);
             if (role == MARCH_HEAD) {
                 seam->head[s & 1] = p;
                 atomic_store_explicit(&job->head_done, unit, memory_order_release);

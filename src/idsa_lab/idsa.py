@@ -217,6 +217,11 @@ class Schedule:
         return RunRecord(self.final, self.steps, self.snapshots, self.stopped)
 
 
+# Rows of at least a page of doubles are marched in arrays that start on
+# cache lines; on shorter ones a step costs too little to repay the copies.
+_ALIGNED_MIN_CELLS = 512
+
+
 def _line_aligned(shape, dtype=np.float64) -> np.ndarray:
     """
     An uninitialized array whose data begins on a 64-byte cache line, for
@@ -229,12 +234,6 @@ def _line_aligned(shape, dtype=np.float64) -> np.ndarray:
     raw = np.empty(nbytes + 64, np.uint8)
     start = -raw.ctypes.data % 64
     return raw[start:start + nbytes].view(dtype).reshape(shape)
-
-
-def _aligned_copy(values: np.ndarray) -> np.ndarray:
-    out = _line_aligned(values.shape)
-    out[...] = values
-    return out
 
 
 # The per-row arrays the native kernel reads: march_rows fields in _march.c.
@@ -305,7 +304,9 @@ class _Kernel:
         C view of the rows, once per compaction.  So no step copies its
         fields, and one copy at the end brings them out of the spare set if
         the last step wrote there; every value is computed by the
-        operations of the numpy step, in its order.  The kernel is given
+        operations of the numpy step, in its order.  On rows of at least
+        ``_ALIGNED_MIN_CELLS`` cells, those arrays and the per-row ones,
+        copied once per compaction, start on cache lines.  The kernel is given
         ``_native.cpus()`` workers: with two or more, and more than one
         step, a row of at least ``MARCH_SPLIT_MIN_CELLS`` cells is stepped
         on two threads, its head on this one and its tail on a helper one
@@ -321,22 +322,28 @@ class _Kernel:
         from . import _native  # here: importing idsa_lab should not pay for it
 
         ffi = native.ffi
+        empty = _line_aligned if self.n_cells >= _ALIGNED_MIN_CELLS else np.empty
         if self._c_rows is None:  # the C view of the rows, once per compaction
             c = ffi.new("march_rows *")
             c.n_rows, c.n_cells, c.n_scan, c.dt = len(self.rows), self.n_cells, self.n_scan, self.dt
-            arrays = [(name, "double[]", _aligned_copy(getattr(self, name))) for name in _C_FIELDS]
+            if empty is _line_aligned:
+                for name in _C_FIELDS:
+                    rows = empty(getattr(self, name).shape)
+                    rows[...] = getattr(self, name)
+                    setattr(self, name, rows)
+            arrays = [(name, "double[]", np.ascontiguousarray(getattr(self, name), float))
+                      for name in _C_FIELDS]
             # The spare fields and tags, which the kernel writes every other step.
-            arrays += [(name, "double[]", _line_aligned(Jt.shape))
-                       for name in ("Jt_spare", "Js_spare")]
-            arrays.append(("tags_spare", "signed char[]", _line_aligned(Jt.shape, np.int8)))
+            arrays += [(name, "double[]", empty(Jt.shape)) for name in ("Jt_spare", "Js_spare")]
+            arrays.append(("tags_spare", "signed char[]", empty(Jt.shape, np.int8)))
             buffers = []
             for name, ctype, array in arrays:
                 buf = ffi.from_buffer(ctype, array)
                 setattr(c, name, buf)
                 buffers.append(buf)  # keeps each array alive while c points into it
             self._c_rows = c, buffers
-        Jt_new, Js_new = _line_aligned(Jt.shape), _line_aligned(Js.shape)
-        tags = _line_aligned(Jt.shape, np.int8) if with_tags else None
+        Jt_new, Js_new = empty(Jt.shape), empty(Js.shape)
+        tags = empty(Jt.shape, np.int8) if with_tags else None
         negative, used = ffi.new("int *"), ffi.new("int *")
         taken = native.lib.march(
             self._c_rows[0], ffi.NULL if red is None else red.c_view(ffi),
