@@ -4,7 +4,10 @@
  * - march(): the switched two-component scheme's steps (idsa.py), each row
  *   in blocks of 128 cells, each step into the other of two pairs of fields,
  *   multiplying by the reciprocals of its divisors that idsa._Kernel rounds
- *   once per march;
+ *   once per march; a row of at least MARCH_SPLIT_MIN_CELLS cells on two
+ *   POSIX threads, its head on the calling one and its tail on a helper
+ *   started and joined within each call, one step apart, with the same bits
+ *   on any number of threads;
  * - gtsv_factor() and gtsv_solve(): the domain-split schemes' tridiagonal
  *   solve (reformed.py), LAPACK's dgtsv split into a factor pass and a
  *   right-hand-side pass;
@@ -33,9 +36,9 @@
  * without contraction into fused multiply-adds, every operation rounds as
  * numpy's and Python's do.
  *
- * With gcc 12 or later on x86-64 and glibc, march() and the oracle's pass
- * over its panels (panel_estimates()) are compiled three times from this
- * one source
+ * With gcc 12 or later on x86-64 and glibc, march(), its steps
+ * (march_steps()) and the oracle's pass over its panels (panel_estimates())
+ * are compiled three times from this one source
  * (MARCH_CLONES), for x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and the x86-64
  * baseline (SSE2), and the loader's ifunc resolver runs the widest clone
  * the CPU supports; march_isa() names it.  The pass helpers are inlined

@@ -1,6 +1,8 @@
 """
 Loader for the native kernels, ``_march.c``: the switched scheme's march,
-the exact sphere's adaptive quadrature, the domain-split schemes'
+a row of at least ``MARCH_SPLIT_MIN_CELLS`` cells on two threads, its head
+and its tail one step apart, with the same bits as on one; the exact
+sphere's adaptive quadrature, the domain-split schemes'
 tridiagonal solve and their march, and the CSV row formatter.  The
 domain-split march runs from one stop of its schedule to the next in one
 call, each step's right-hand side, checks and relative change fused into
@@ -56,7 +58,7 @@ both variants.  The flags of ``_CFLAGS``:
   ``errno`` is no longer set for a negative argument.
 - No fast-math, which would reorder sums, assume no NaN and flush
   subnormals.
-- ``-pthread`` for the oracle's and the formatter's threads.
+- ``-pthread`` for the march's, the oracle's and the formatter's threads.
 - With gcc 12 or later on x86-64 and glibc, ``march()`` and the oracle's
   pass over its panels are compiled three times from the one source
   (``target_clones``): for x86-64-v4 (AVX-512, eight doubles per
@@ -170,7 +172,7 @@ def load():
 
 def cpus() -> int:
     """The CPUs this process may run on: the most threads one call of the
-    native oracle or formatter runs on."""
+    native oracle or formatter runs on (the march runs on two at most)."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform

@@ -26,14 +26,16 @@ is confirmed, so the smallest eps sets the cost of the sweep.
 The steps run in a native kernel (``_march.c``, built by ``_native`` with
 cffi on first use into ``_native_cache/`` beside this file) that evaluates
 the numpy expressions of ``_Kernel`` in the same order and rounding, so
-both paths give the same bits.  The kernel also runs, on every step, the
-negativity checks, the takeover holds of ``_Holds`` (the step at which each
-row's domination of the cells outside the sphere began) and the
-reductions of ``_Reductions`` (the running sup of Jt + Js, the first
-non-monotone step, the relative change), so it hands control back only at
+both paths give the same bits; it steps a long row on two threads, its
+head and tail one step apart, with the same bits.  The kernel also runs,
+on every step, the negativity checks, the takeover holds of ``_Holds``
+(the step at which each row's domination of the cells outside the sphere
+began) and the reductions of ``_Reductions`` (the running sup of Jt + Js,
+the first non-monotone step, the relative change), so it hands control
+back only at
 
 - a step an observer asked for (a snapshot, t_end);
-- a negative value;
+- a negative or NaN value;
 - a confirmed takeover, where a row's hold ends (the spurious sweep);
 - a sup above the bound (the instability run);
 - a relative change below the tolerance (the stationary stop of
@@ -44,8 +46,8 @@ stderr, and the numpy step of ``_Kernel``, ``_Holds.update`` and
 ``_Reductions.update`` run instead; the CLI manifest records which ran
 under the key ``march`` ("native" or "numpy").
 
-Negativity is an error here, never clamped: the failure modes this module
-exists to expose must not be masked.
+Negativity, and a NaN, is an error here, never clamped: the failure modes
+this module exists to expose must not be masked.
 """
 
 from __future__ import annotations
