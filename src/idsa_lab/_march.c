@@ -36,8 +36,8 @@
  * without contraction into fused multiply-adds, every operation rounds as
  * numpy's and Python's do.
  *
- * With gcc 12 or later on x86-64 and glibc, march(), its steps
- * (march_steps()) and the oracle's pass over its panels (panel_estimates())
+ * With gcc 12 or later on x86-64 and glibc, march(), its range of cells
+ * (step_range()) and the oracle's pass over its panels (panel_estimates())
  * are compiled three times from this one source
  * (MARCH_CLONES), for x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and the x86-64
  * baseline (SSE2), and the loader's ifunc resolver runs the widest clone
@@ -259,13 +259,15 @@ long long format_rows(long long n_rows, int n_cols, const csv_column *cols, int 
  * call, every row's tail [split, n).  Each waits on the other only where
  * the data flows (Wellein et al., "Efficient temporal blocking for stencil
  * computations by multicore-aware wavefront parallelization", COMPSAC
- * 2009): a tail waits for its head's carry, and the head of the next step
- * for the tail's first block, which holds the Jt[split] its last face
- * reads; so the tail of one step runs beside the head of the next.  The
- * head runs a step before the tail has said whether the march stops, so
- * nothing it writes may be seen: it writes the pair of fields and tags
- * that the step before read, whose values are dead, and its carry and
- * partial reductions into the row's slot of its step's parity.  It flags
+ * 2009): a tail waits for its head's carry, and the last block of the
+ * head of the next step for the tail's first block, which holds the
+ * Jt[split] its last face reads; so the tail of one step runs beside the
+ * head of the next.  The head runs a step before the tail has said whether
+ * the march stops, so nothing it writes may be seen: it begins a step only
+ * once the tail has gone on from the step before the last, and writes the
+ * pair of fields and tags that the step before read, whose values are then
+ * dead, and its carry and partial reductions into the row's slot of its
+ * step's parity.  It flags
  * the sup against the latest one the tail has published, which is never
  * above the true one since a sup does not decrease, and the tail takes
  * the max against the true one.  The tail alone combines the two ranges in
@@ -560,10 +562,11 @@ static INLINE march_part carried(const march_part *p, double sup)
  * first cell, given the carry in p; leaves the carry and the range's
  * reductions in p.
  */
-static INLINE void step_range(const march_rows *m, const march_reductions *red,
-                              const march_holds *hold, int r, int lo, int hi,
-                              const double *jt, const double *js, double *jt_new,
-                              double *js_new, signed char *tag, march_part *p)
+MARCH_CLONES
+static void step_range(const march_rows *m, const march_reductions *red,
+                       const march_holds *hold, int r, int lo, int hi, const double *jt,
+                       const double *js, double *jt_new, double *js_new, signed char *tag,
+                       march_part *p)
 {
     const int n = m->n_cells, scan = r < m->n_scan;
     const long o = (long)r * n, of = (long)r * (n - 1);
@@ -636,12 +639,14 @@ typedef struct {
     long steps;
     int split;                   /* the head's cells [0, split); 0: not split */
     march_seam *seams;           /* per row, when split */
-    /* the units (step s, row r), s n_rows + r + 1, whose head is done, and
-     * (the tail's line) whose tail's first block is */
+    /* the last unit (step s, row r), numbered s n_rows + r + 1, whose head
+     * is done; then, on the tail's own line, the last whose tail's first
+     * block is done, the steps the tail has done and gone on from, and
+     * whether it has taken its last step */
     _Alignas(LINE) atomic_llong head_done;
     _Alignas(LINE) atomic_llong tail_first;
-    atomic_llong kept;           /* the steps the tail has done and gone on from */
-    atomic_int stop;             /* the tail has taken its last step */
+    atomic_llong kept;
+    atomic_int stop;
     long taken;                  /* the steps taken */
     int negative;                /* the last of them failed a negativity check */
 } march_job;
@@ -672,10 +677,8 @@ static int wait_for(atomic_llong *count, long long target, atomic_int *stop)
  * the tail's first value, and a tail hands its first block on as soon as
  * it is done.  A head begins a step once the tail has kept the step before
  * the last, whose fields the step overwrites.  All but the head reduce and
- * decide whether to stop.  step_range() is inlined at one call site, so
- * that the code of a step is one copy, as the whole row's is.
+ * decide whether to stop.
  */
-MARCH_CLONES
 static void march_steps(march_job *job, int role)
 {
     const march_rows *m = job->m;

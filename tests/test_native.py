@@ -6,8 +6,10 @@ on any number of worker threads) and its exp against the numpy
 transcription, the tridiagonal solve against the Python dgtsv and scipy,
 and the CSV formatter against Python's ``.17g``, all bit for bit; the
 oracle's exp within 1 ulp of mpmath; the march and the oracle built on
-their own at each x86-64 level this CPU runs, against numpy; the kernels
-built with AddressSanitizer, running clean; both marches never writing to
+their own at each x86-64 level this CPU runs, against numpy; the march's
+split rows on one thread, on two, on two sharing one CPU and with a helper
+that cannot start, against numpy; the kernels built with AddressSanitizer
+and with ThreadSanitizer, running clean; both marches never writing to
 an array they have shown; the removal of stale builds; and the fallback
 when the module cannot be built.
 """
@@ -387,6 +389,40 @@ def test_split_rows_match_one_thread_and_numpy_bit_for_bit(case, n_rows):
         assert max(log) < _SPLIT_ROW_CASES[case][3]
     else:
         assert error is None and log.keys() - asked - {_SPLIT_ROW_CASES[case][4]}
+
+
+# Both threads of every split row on one CPU: each handoff waits for the
+# other thread to be scheduled, past the spin loop's pauses.
+_SPLIT_ON_ONE_CPU = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from idsa_lab import _native
+sys.path.insert(0, sys.argv[1])
+from test_native import _SPLIT_ROW_CASES, _split_log, _workers
+n_cells = _native.load().lib.MARCH_SPLIT_MIN_CELLS + 1
+for case in _SPLIT_ROW_CASES:
+    with _workers(1):
+        expected = _split_log(case, n_cells, 2)
+    stats = {}
+    with _workers(2):
+        assert _split_log(case, n_cells, 2, stats) == expected, case
+    assert stats == {"march_workers": 2}, case
+print("ok")
+"""
+
+
+@needs_native
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call here")
+def test_split_rows_on_one_cpu_match_one_thread(tmp_path):
+    # Given two workers in a process that may run on one CPU, the kernel
+    # still splits the rows; its two threads take turns, and every case
+    # gives the bits of one thread, within a bounded time.
+    _native.load()  # built before the child imports it
+    src = str(Path(idsa_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _SPLIT_ON_ONE_CPU, str(Path(__file__).parent)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr[-4000:]
 
 
 def _holds_log(specs, grid, cfg, steps, retire, n_sweep):
@@ -828,7 +864,8 @@ def test_build_removes_stale_builds(tmp_path, fresh_load):
 
 @contextlib.contextmanager
 def _workers(n):
-    """Inside the block the native oracle and formatter run on up to n threads."""
+    """Inside the block the native oracle and formatter run on up to n threads,
+    and the native march splits its long rows given n of 2 or more."""
     with unittest.mock.patch.object(_native, "cpus", lambda: n):
         yield
 
