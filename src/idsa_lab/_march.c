@@ -259,15 +259,13 @@ long long format_rows(long long n_rows, int n_cols, const csv_column *cols, int 
  * call, every row's tail [split, n).  Each waits on the other only where
  * the data flows (Wellein et al., "Efficient temporal blocking for stencil
  * computations by multicore-aware wavefront parallelization", COMPSAC
- * 2009): a tail waits for its head's carry, and the last block of the
- * head of the next step for the tail's first block, which holds the
- * Jt[split] its last face reads; so the tail of one step runs beside the
- * head of the next.  The head runs a step before the tail has said whether
- * the march stops, so nothing it writes may be seen: it begins a step only
- * once the tail has gone on from the step before the last, and writes the
- * pair of fields and tags that the step before read, whose values are then
- * dead, and its carry and partial reductions into the row's slot of its
- * step's parity.  It flags
+ * 2009): a tail waits for its head's carry, and the head of the next
+ * step for the tail's first block, which holds the Jt[split] its last face
+ * reads; so the tail of one step runs beside the head of the next.  The
+ * head runs a step before the tail has said whether the march stops, so
+ * nothing it writes may be seen: it writes the pair of fields and tags
+ * that the step before read, whose values are dead, and its carry and
+ * partial reductions into the row's slot of its step's parity.  It flags
  * the sup against the latest one the tail has published, which is never
  * above the true one since a sup does not decrease, and the tail takes
  * the max against the true one.  The tail alone combines the two ranges in
@@ -641,11 +639,9 @@ typedef struct {
     march_seam *seams;           /* per row, when split */
     /* the last unit (step s, row r), numbered s n_rows + r + 1, whose head
      * is done; then, on the tail's own line, the last whose tail's first
-     * block is done, the steps the tail has done and gone on from, and
-     * whether it has taken its last step */
+     * block is done, and whether the tail has taken its last step */
     _Alignas(LINE) atomic_llong head_done;
     _Alignas(LINE) atomic_llong tail_first;
-    atomic_llong kept;
     atomic_int stop;
     long taken;                  /* the steps taken */
     int negative;                /* the last of them failed a negativity check */
@@ -672,11 +668,11 @@ static int wait_for(atomic_llong *count, long long target, atomic_int *stop)
 
 /*
  * The steps of a march, on its whole rows or on their heads or tails
- * (march()).  A head or tail steps its range in two parts: a head waits
- * for the tail's first block only before its own last block, which reads
- * the tail's first value, and a tail hands its first block on as soon as
- * it is done.  A head begins a step once the tail has kept the step before
- * the last, whose fields the step overwrites.  All but the head reduce and
+ * (march()).  A tail steps its range in two parts, and hands its first
+ * block on between them.  The tail goes on to a step only once it has
+ * decided not to stop at the one before, so a head that has waited for a
+ * tail's first block of step k knows that the march goes on past step
+ * k - 1, whose fields step k + 1 overwrites.  All but the head reduce and
  * decide whether to stop.
  */
 static void march_steps(march_job *job, int role)
@@ -686,10 +682,8 @@ static void march_steps(march_job *job, int role)
     march_holds *hold = job->hold;
     const int n = m->n_cells, rows = m->n_rows;
     const int lo = role == MARCH_TAIL ? job->split : 0, hi = role == MARCH_HEAD ? job->split : n;
-    /* where the range's second part begins */
-    const int cut = role == MARCH_HEAD   ? hi - MARCH_BLOCK
-                    : role == MARCH_TAIL ? lo + MARCH_BLOCK
-                                         : hi;
+    /* a tail hands its first block on before it steps the rest */
+    const int cut = role == MARCH_TAIL ? lo + MARCH_BLOCK : hi;
     const double *Jt_in = job->Jt0, *Js_in = job->Js0;
     long s = 0;
     int bad = 0;
@@ -699,8 +693,6 @@ static void march_steps(march_job *job, int role)
         double *Jt_out = s & 1 ? m->Jt_spare : job->Jt, *Js_out = s & 1 ? m->Js_spare : job->Js;
         signed char *tags = !job->tags ? NULL : s & 1 ? m->tags_spare : job->tags;
         int stop = 0;
-        if (role == MARCH_HEAD && !wait_for(&job->kept, s - 1, &job->stop))
-            return;
         bad = 0;
         for (int r = 0; r < rows; r++) {
             const long o = (long)r * n;
@@ -713,6 +705,11 @@ static void march_steps(march_job *job, int role)
                                : red->sup[r];
             march_part p = {.F = 0.0, .run = r < m->n_scan ? -0.0 : 0.0, .sup = sup}, head = p,
                        first = p;
+            /* a head's last face reads the Jt[split] that the tail's first
+             * block of the step before wrote */
+            if (role == MARCH_HEAD && s > 0 &&
+                !wait_for(&job->tail_first, unit - rows, &job->stop))
+                return;
             if (role == MARCH_TAIL) {
                 wait_for(&job->head_done, unit, NULL);
                 head = seam->head[s & 1];
@@ -721,13 +718,7 @@ static void march_steps(march_job *job, int role)
             /* [lo, cut), then [cut, hi) */
             for (int a = lo, b = cut; a < hi; a = b, b = hi) {
                 if (a > lo) {
-                    /* a head's last block reads the value the tail's first block
-                     * of the step before wrote; the tail's first block is handed on */
-                    if (role == MARCH_HEAD &&
-                        !wait_for(&job->tail_first, unit - rows, &job->stop))
-                        return;
-                    if (role == MARCH_TAIL)
-                        atomic_store_explicit(&job->tail_first, unit, memory_order_release);
+                    atomic_store_explicit(&job->tail_first, unit, memory_order_release);
                     first = p;
                     p = carried(&first, sup);
                 }
@@ -767,8 +758,6 @@ static void march_steps(march_job *job, int role)
             continue;
         if (bad || stop)
             break;
-        if (role == MARCH_TAIL)
-            atomic_store_explicit(&job->kept, s, memory_order_release);
     }
     if (role != MARCH_HEAD) {
         job->taken = s;
@@ -802,7 +791,6 @@ long march(const march_rows *m, march_reductions *red, march_holds *hold, const 
             atomic_init(&job.seams[r].sup, red ? red->sup[r] : 0.0);
         atomic_init(&job.head_done, 0);
         atomic_init(&job.tail_first, 0);
-        atomic_init(&job.kept, 0);
         atomic_init(&job.stop, 0);
         pthread_t helper;
         if (pthread_create(&helper, NULL, march_helper, &job) == 0) {

@@ -319,9 +319,9 @@ def test_native_march_matches_numpy_at_block_edges(n_cells):
 # or not, and a streaming term d or a 1 / den scaled at a cell of the last
 # row.  Each stops where its name says inside a call of several steps.
 _SPLIT_ROW_CASES = {
-    # sup passes 0.95 at step 7, and stays above it
+    # sup passes 0.95 near step 8, and stays above it
     "stop at bound": ((0.01, 0.03), 0.5, 40, 13, 20, False, dict(bound=0.95), False, None),
-    # the change falls below 1e-2 at steps 10-13, then chatters at 0.33
+    # the change falls below 1e-2 for a few steps near step 10, then chatters
     "stop at stat_tol": ((1e3, 300.0), 0.5, 40, 25, 30, True, dict(stat_tol=1e-2), False, None),
     "negative in the head": ((0.01, 0.01), 0.5, 20, 20, 20, False, dict(stat_tol=1e-300), False,
                              ("d", 683, -1e3)),
