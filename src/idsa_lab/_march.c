@@ -228,13 +228,14 @@ long long format_rows(long long n_rows, int n_cols, const csv_column *cols, int 
  *   3. the serial prefix, the flux r^2 g Js: P times the running sum of the
  *      terms on a scan row, phi = (phi + d S) a on the others (the
  *      sequential sweep);
- *   4. the streaming field, flux times 1 / r2g, and the negativity checks;
+ *   4. the streaming field, flux times 1 / r2g, the negativity checks and
+ *      the flags of the running sup;
  *
- * then, on its new values, the flags of the running sup and the maxima of
- * the relative change.  The last face flux, the prefix's running sum or
- * phi and the maxima carry from one block to the next, so each value is
- * computed by the operations of a pass over the whole row, in the same
- * order (but the maxima, which do not depend on it: change_maxima()):
+ * then, on its new values, the maxima of the relative change.  The last
+ * face flux, the prefix's running sum or phi and the maxima carry from one
+ * block to the next, so each value is computed by the operations of a pass
+ * over the whole row, in the same order (but the maxima, which do not
+ * depend on it: change_maxima()):
  * blocking only interleaves passes that are independent cell by cell.  A
  * block's face fluxes and terms stay on the stack (2 kB), and so do the
  * values whose maxima it takes (4 kB), in L1 from one pass to the next,
@@ -394,19 +395,28 @@ static INLINE double prefix(int n, int scan, const double *restrict a, const dou
     return run;
 }
 
-/* Pass 4: the new streaming values; returns 1.0 if a value fell below its
- * floor or is NaN (the compares are negated, so that a NaN fails them). */
+/* Pass 4: the new streaming values, and, given `flag`, the running sup's
+ * flags carried in flag[2]: some Jt + Js exceeds sup, and some Jt + Js is
+ * NaN.  Returns 1.0 if a value fell below its floor or is NaN (the compares
+ * are negated, so that a NaN fails them). */
 static INLINE double streaming(int n, const double *restrict jt_new, const double *restrict floor,
                                const double *restrict inv_r2g, const double *restrict flux,
-                               double *restrict js_new)
+                               double *restrict js_new, double sup, double *restrict flag)
 {
-    double bad = 0.0;
+    double bad = 0.0, above = flag ? flag[0] : 0.0, nan = flag ? flag[1] : 0.0;
     for (int i = 0; i < n; i++) {
         const double v = flux[i] * inv_r2g[i];
         bad = !(jt_new[i] >= floor[i]) ? 1.0 : bad;
         bad = !(v >= 0.0) ? 1.0 : bad;
         js_new[i] = v;
+        if (flag) {
+            const double t = jt_new[i] + v;
+            above = t > sup ? 1.0 : above;
+            nan = t != t ? 1.0 : nan;
+        }
     }
+    if (flag)
+        flag[0] = above, flag[1] = nan;
     return bad;
 }
 
@@ -455,21 +465,7 @@ static INLINE void change_maxima(int n, const double *restrict jt, const double 
     }
 }
 
-/* The running sup's flags, carried in flag[2]: some Jt + Js exceeds sup,
- * and some Jt + Js is NaN. */
-static INLINE void sup_flags(int n, double sup, const double *restrict jt,
-                             const double *restrict js, double flag[2])
-{
-    double above = flag[0], nan = flag[1];
-    for (int i = 0; i < n; i++) {
-        const double t = jt[i] + js[i];
-        above = t > sup ? 1.0 : above;
-        nan = t != t ? 1.0 : nan;
-    }
-    flag[0] = above, flag[1] = nan;
-}
-
-/* max(sup, max(Jt + Js)), the max over cells numpy's, given sup_flags over
+/* max(sup, max(Jt + Js)), the max over cells numpy's, given the flags over
  * the cells: a NaN sum leaves sup as it is.  Only when a sum exceeds sup is
  * the max taken.  No sum is NaN then, so the max is exact in any order, and
  * it is taken in SUP_LANES running maxima, one per cell modulo SUP_LANES,
@@ -582,12 +578,10 @@ static void step_range(const march_rows *m, const march_reductions *red,
         if (scan)
             scan_terms(len, m->aP + c, acc);
         run = prefix(len, scan, m->a + c, m->P + c, acc, run);
-        bad |= streaming(len, jt_new + b, m->floor + c, m->inv_r2g + c, acc, js_new + b) != 0.0;
-        if (red) {
-            sup_flags(len, p->sup, jt_new + b, js_new + b, flag);
-            if (red->stat_tol > 0.0)
-                change_maxima(len, jt + b, js + b, jt_new + b, js_new + b, p->max);
-        }
+        bad |= streaming(len, jt_new + b, m->floor + c, m->inv_r2g + c, acc, js_new + b, p->sup,
+                         red ? flag : NULL) != 0.0;
+        if (red && red->stat_tol > 0.0)
+            change_maxima(len, jt + b, js + b, jt_new + b, js_new + b, p->max);
         F[0] = F[len];
     }
     p->F = F[0], p->run = run, p->bad = bad;
