@@ -323,8 +323,11 @@ _SPLIT_ROW_CASES = {
     "stop at bound": ((0.01, 0.03), 0.5, 40, 13, 20, False, dict(bound=0.95), False, None),
     # the change falls below 1e-2 for a few steps near step 10, then chatters
     "stop at stat_tol": ((1e3, 300.0), 0.5, 40, 25, 30, True, dict(stat_tol=1e-2), False, None),
+    # a trapped value in the head, which stays in its cell (a negative
+    # streaming one would reach the tail through the prefix), and a
+    # streaming one in the tail
     "negative in the head": ((0.01, 0.01), 0.5, 20, 20, 20, False, dict(stat_tol=1e-300), False,
-                             ("d", 683, -1e3)),
+                             ("inv_den", 683, -1.0)),
     "negative in the tail": ((0.01, 0.01), 0.5, 20, 20, 20, True, None, False, ("d", 1100, -1e3)),
     "NaN in the tail": ((0.01, 0.01), 0.5, 20, 20, 20, False, dict(stat_tol=1e-300), False,
                         ("inv_den", 1500, np.nan)),
