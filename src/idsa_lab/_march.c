@@ -793,12 +793,9 @@ long march(const march_rows *m, march_reductions *red, march_holds *hold, const 
             pthread_join(helper, NULL);
         }
         free(job.seams);
-        job.seams = NULL;
     }
-    if (*used == 1) {
-        job.split = 0;
+    if (*used == 1)
         march_steps(&job, MARCH_WHOLE);
-    }
     *negative = job.negative;
     /* the last step wrote the spare pair, or none was taken */
     if (job.taken % 2 == 0) {
@@ -811,8 +808,8 @@ long march(const march_rows *m, march_reductions *red, march_holds *hold, const 
     return job.taken;
 }
 
-/* The instruction-set level of the clones (march() and the oracle's pass)
- * that run in this process, or "default" where nothing is cloned. */
+/* The instruction-set level of the clones (the march's and the oracle's
+ * pass) that run in this process, or "default" where nothing is cloned. */
 const char *march_isa(void) { return MARCH_ISA(); }
 
 /*
