@@ -36,9 +36,9 @@
  * without contraction into fused multiply-adds, every operation rounds as
  * numpy's and Python's do.
  *
- * With gcc 12 or later on x86-64 and glibc, march(), its range of cells
- * (step_range()) and the oracle's pass over its panels (panel_estimates())
- * are compiled three times from this one source
+ * With gcc 12 or later on x86-64 and glibc, the march's step over a range
+ * of a row's cells (step_range()) and the oracle's pass over its panels
+ * (panel_estimates()) are compiled three times from this one source
  * (MARCH_CLONES), for x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and the x86-64
  * baseline (SSE2), and the loader's ifunc resolver runs the widest clone
  * the CPU supports; march_isa() names it.  The pass helpers are inlined
@@ -190,6 +190,8 @@ enum { FORMAT_MIN_ROWS = 4096 };
 
 long long format_rows(long long n_rows, int n_cols, const csv_column *cols, int workers,
                       char *out, int *used);
+/* The bytes that format_rows() may write for the rows [r0, r1): its buffer's size. */
+long long rows_bound(long long r0, long long r1, int n_cols, const csv_column *cols);
 /* === end of the cffi interface === */
 
 /* Clones need gcc's ifunc, which needs glibc; gcc 12 knows the level names. */
@@ -667,9 +669,11 @@ static int wait_for(atomic_llong *count, long long target, atomic_int *stop)
  * decided not to stop at the one before, so a head that has waited for a
  * tail's first block of step k knows that the march goes on past step
  * k - 1, whose fields step k + 1 overwrites.  All but the head reduce and
- * decide whether to stop.
+ * decide whether to stop.  Inlined into each caller, so that each compiles
+ * its own role's loop: at 50 cells a step takes 3-5% longer through one
+ * copy that tests the role at run time.
  */
-static void march_steps(march_job *job, int role)
+static INLINE void march_steps(march_job *job, int role)
 {
     const march_rows *m = job->m;
     march_reductions *red = job->red;
@@ -768,7 +772,6 @@ static void *march_helper(void *job)
 }
 
 /* Steps k0 + 1 .. k0 + steps from (Jt0, Js0), into (Jt, Js); returns the steps taken. */
-MARCH_CLONES
 long march(const march_rows *m, march_reductions *red, march_holds *hold, const double *Jt0,
            const double *Js0, double *Jt, double *Js, signed char *tags, long long k0,
            long steps, int workers, int *negative, int *used)
@@ -1538,8 +1541,8 @@ long reformed_march(const reformed_step *s, const double *Jt0, double *Jt, long 
  * commas and ended by newlines, into out, and returns the bytes written.
  * A float cell is written as "%.17g" (what Python's format(x, ".17g")
  * writes: every NaN is "nan"), a bool as 0 or 1 and a text cell verbatim.
- * out must hold the widest case: 24 bytes per float cell, 1 per bool, the
- * text, and n_cols separators per row.
+ * out must hold the widest case, rows_bound(0, n_rows, ...): 24 bytes per
+ * float cell, 1 per bool, the text, and n_cols separators per row.
  *
  * The rows are independent, so up to `workers` threads write them: the
  * block is cut into min(workers, n_rows / FORMAT_MIN_ROWS) contiguous row
@@ -1738,8 +1741,8 @@ static long long write_rows(long long r0, long long r1, int n_cols, const csv_co
     return o - out;
 }
 
-/* The widest case of the rows [r0, r1), r0 < r1. */
-static long long rows_bound(long long r0, long long r1, int n_cols, const csv_column *cols)
+/* The widest case of the rows [r0, r1), r0 <= r1: 0 where there are none. */
+long long rows_bound(long long r0, long long r1, int n_cols, const csv_column *cols)
 {
     const long long n = r1 - r0;
     long long bytes = n * n_cols;  /* separators and newlines */
@@ -1750,7 +1753,7 @@ static long long rows_bound(long long r0, long long r1, int n_cols, const csv_co
         else if (col->kind == 'b')
             bytes += n;
         else if (col->ends)
-            bytes += col->ends[r1 - 1] - (r0 ? col->ends[r0 - 1] : 0);
+            bytes += n ? col->ends[r1 - 1] - (r0 ? col->ends[r0 - 1] : 0) : 0;
         else
             bytes += col->len * n;
     }

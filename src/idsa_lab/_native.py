@@ -27,7 +27,18 @@ writes the buffer to the file as bytes.
 The structs, enum and prototypes that Python uses are declared once, in
 the block at the top of ``_march.c`` between the ``cffi interface``
 markers; ``_build`` hands that block to cffi's ``cdef`` and the whole
-source to the compiler, so the two cannot differ.
+source to the compiler, so the two cannot differ.  Every array reaches a
+kernel through ``ptr``, which types it by its dtype (float64 as
+``double``, int8 as ``signed char``, int64 as ``long long``, any other
+as ``char``), so that cffi rejects an array of another dtype at the call
+where it would read its bytes as the declared type, and numpy refuses a
+pointer to an array that is not C-contiguous.  Every struct that Python
+fills is built by ``struct`` (``structs`` for an array of them), which
+takes each of its fields by name exactly once, an array through ``ptr``
+and None as NULL, and returns it with the pointers that keep its arrays
+alive, to be held as long as a kernel may read it.  What a kernel only
+writes back, a count, a flag or the oracle's status, is cffi's own
+memory, ``ffi.new``.
 
 The module is compiled with cffi (API mode) on first use, into
 ``_native_cache/`` next to this file.  cffi compiles with the
@@ -37,15 +48,9 @@ interpreter's own flags first, ``sysconfig``'s ``CFLAGS`` and
 ``-O3 -ffp-contract=off -fno-math-errno -pthread``, and links with
 ``-pthread``.  The interpreter's ``-fwrapv`` makes int overflow wrap, so
 gcc may not assume that an int index ``b + i`` grows with ``i``, and it
-vectorizes a loop indexed so poorly: the march's loops over a block of
-cells index through pointers offset to the block's first cell instead
-(at 10000 cells, on a 2-vCPU AVX-512 host, the march, still dividing, ran
-at 73 µs/step indexed by ``b + i`` and at 31.5 through offset pointers;
-multiplying by reciprocals took it to about 0.7 of that, 38.7–48.9 against
-63.5–68.7 µs/step on a slower host).  The domain-split march's back
-substitution, a chain of dependent rows, gained likewise from multiplying
-by the pivots' reciprocals: 102–119 against 76–89 µs/step at 19998 cells,
-both variants.  The flags of ``_CFLAGS``:
+does not vectorize a loop indexed so: the march's loops over a block of
+cells index through pointers offset to the block's first cell instead.
+The flags of ``_CFLAGS``:
 
 - ``-O3`` lets gcc vectorize the march's elementwise passes.  A vector
   add, multiply, divide or compare rounds each element as the scalar one
@@ -59,11 +64,11 @@ both variants.  The flags of ``_CFLAGS``:
 - No fast-math, which would reorder sums, assume no NaN and flush
   subnormals.
 - ``-pthread`` for the march's, the oracle's and the formatter's threads.
-- With gcc 12 or later on x86-64 and glibc, ``march()`` and the oracle's
-  pass over its panels are compiled three times from the one source
-  (``target_clones``): for x86-64-v4 (AVX-512, eight doubles per
-  instruction), x86-64-v3 (AVX2, four) and the x86-64 baseline (SSE2,
-  two).  The loader runs the widest clone the CPU supports, and
+- With gcc 12 or later on x86-64 and glibc, the march's step over a range
+  of cells (``step_range``) and the oracle's pass over its panels are
+  compiled three times from the one source (``target_clones``): for
+  x86-64-v4 (AVX-512, eight doubles per instruction), x86-64-v3 (AVX2,
+  four) and the x86-64 baseline (SSE2, two).  The loader runs the widest clone the CPU supports, and
   ``march_isa()`` names it; the manifest records it.  The flags above hold
   for every clone, so every clone gives the same bits.  The build is not
   ``-march=native``: the cache key below does not name the CPU, and a
@@ -100,11 +105,16 @@ import time
 import zlib
 from pathlib import Path
 
+import numpy as np
+
 _SOURCE = Path(__file__).with_name("_march.c")
 _CACHE = Path(__file__).with_name("_native_cache")
 _CFLAGS = ["-O3", "-ffp-contract=off", "-fno-math-errno", "-pthread"]
 # The markers of the source's block of declarations, what cffi compiles against.
 _BEGIN, _END = "/* === cffi interface === */", "/* === end of the cffi interface === */"
+# The C type of an array of each dtype; an array of any other is char.
+_CTYPES = {np.dtype(np.float64): "double[]", np.dtype(np.int8): "signed char[]",
+           np.dtype(np.int64): "long long[]"}
 
 
 class BuildError(RuntimeError):
@@ -189,3 +199,45 @@ def march_isa() -> str | None:
     process, or None on numpy."""
     native = load()
     return None if native is None else native.ffi.string(native.lib.march_isa()).decode()
+
+
+def ptr(a: np.ndarray | None):
+    """A pointer to the C-contiguous array ``a``, of the C type of its dtype
+    (``_CTYPES``, else char), which keeps ``a`` alive; NULL for None."""
+    ffi = load().ffi
+    return ffi.NULL if a is None else ffi.from_buffer(_CTYPES.get(a.dtype, "char[]"), a)
+
+
+@functools.cache
+def _fields(ctype: str) -> frozenset:
+    """The field names of the struct ``ctype``, looked up once per process."""
+    return frozenset(name for name, _ in load().ffi.typeof(ctype).fields)
+
+
+def _values(ctype: str, fields: dict, keep: list) -> dict:
+    """``fields`` as the initializer of a ``ctype``: each array (or None)
+    through ``ptr``, its pointer also appended to ``keep``."""
+    names = _fields(ctype)
+    if fields.keys() != names:
+        raise ValueError(f"{ctype}: missing fields {sorted(names - fields.keys())}, "
+                         f"unknown fields {sorted(fields.keys() - names)}")
+    arrays = {name: ptr(v) for name, v in fields.items() if v is None or isinstance(v, np.ndarray)}
+    keep.extend(arrays.values())
+    return fields | arrays
+
+
+def struct(ctype: str, **fields):
+    """
+    A new ``ctype *`` whose every field is given in ``fields``, an array
+    through ``ptr`` and None as NULL, and the pointers that keep its arrays
+    alive: hold both while a kernel may read it.  ValueError names a field
+    missing from ``fields`` or unknown to ``ctype``.
+    """
+    keep = []
+    return load().ffi.new(ctype + " *", _values(ctype, fields, keep)), keep
+
+
+def structs(ctype: str, rows: list[dict]):
+    """``struct`` for an array of ``ctype``, one per dict in ``rows``."""
+    keep = []
+    return load().ffi.new(ctype + "[]", [_values(ctype, row, keep) for row in rows]), keep

@@ -93,9 +93,8 @@ def _atomic_write(path: Path, data) -> None:
 
 # Cell format per dtype kind: what ``_fmt`` writes for a value of that kind.
 _CELL = {"f": "{:.17g}", "b": "{:d}"}
-# The dtype the native formatter reads a column of that kind as, and the
-# widest cell it writes for it: "-2.2250738585072014e-308", "1".
-_NATIVE = {"f": (np.float64, 24), "b": (np.bool_, 1)}
+# The dtype the native formatter reads a column of that kind as.
+_NATIVE = {"f": np.float64, "b": np.bool_}
 
 
 def _kind(a: np.ndarray) -> str:
@@ -123,38 +122,29 @@ def _block_text(columns, stats=None):
     if native is None:
         _count_workers(stats, 1)
         return _block_text_python(columns)
-    ffi = native.ffi
+    lib = native.lib
     n_rows = min(len(col) for col in columns if isinstance(col, list) or np.ndim(col))
-    cols = ffi.new("csv_column[]", len(columns))
-    keep = []  # the buffers cols points into
-    size = n_rows * len(columns)  # separators and newlines
-    for c, col in zip(cols, columns):
+    cols = []
+    for col in columns:
         if isinstance(col, list):
             cells = [cell.encode() for cell in col[:n_rows]]
             ends = np.cumsum([len(cell) for cell in cells], dtype=np.int64)
-            c.ends = ffi.from_buffer("long long[]", ends)
-            keep.append(ends)
             text = b"".join(cells)
-            size += len(text)
         elif np.ndim(col) == 0:
             a = np.asarray(col)
-            text = _CELL[_kind(a)].format(a.item()).encode()
-            size += n_rows * len(text)
+            ends, text = None, _CELL[_kind(a)].format(a.item()).encode()
         else:
             a = np.asarray(col)
-            dtype, width = _NATIVE[_kind(a)]
-            a = np.ascontiguousarray(a[:n_rows], dtype=dtype)
-            c.kind, c.data = a.dtype.kind.encode(), ffi.from_buffer(a)
-            keep.append(a)
-            size += n_rows * width
+            a = np.ascontiguousarray(a[:n_rows], dtype=_NATIVE[_kind(a)])
+            cols.append(dict(kind=a.dtype.kind.encode(), data=a, ends=None, len=0))
             continue
-        c.kind, c.data, c.len = b"t", ffi.from_buffer(text), len(text)
-        keep.append(text)
+        cols.append(dict(kind=b"t", data=np.frombuffer(text, np.uint8), ends=ends, len=len(text)))
+    cols = _native.structs("csv_column", cols)
     # Not cleared: the bytes returned are all written, and the gaps between
     # the threads' row ranges are never read.
-    out, used = np.empty(size, np.uint8), ffi.new("int *")
-    n = native.lib.format_rows(n_rows, len(columns), cols, _native.cpus(), ffi.from_buffer(out),
-                               used)
+    out = np.empty(lib.rows_bound(0, n_rows, len(columns), cols[0]), np.uint8)
+    used = native.ffi.new("int *")
+    n = lib.format_rows(n_rows, len(columns), cols[0], _native.cpus(), _native.ptr(out), used)
     _count_workers(stats, used[0])
     return memoryview(out)[:n]
 

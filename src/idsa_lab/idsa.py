@@ -70,6 +70,10 @@ class Regime(IntEnum):
     FREE_STREAMING = 2
 
 
+# A trapped value below NEGATIVITY_FLOOR * B is negative, in both schemes.
+NEGATIVITY_FLOOR = -1e-12
+
+
 class NegativityError(RuntimeError):
     """A component went negative or NaN: the modeling broke down."""
 
@@ -238,11 +242,6 @@ def _line_aligned(shape, dtype=np.float64) -> np.ndarray:
     return raw[start:start + nbytes].view(dtype).reshape(shape)
 
 
-# The per-row arrays the native kernel reads: march_rows fields in _march.c.
-_C_FIELDS = ("ka", "kaB", "inv_den", "inv_r2dr", "a", "P", "aP", "d", "inv_r2g", "floor",
-             "inv_kf3", "rf2")
-
-
 class _Kernel:
     """
     Arrays for stepping a batch of specs on one grid, stacked per row (grid
@@ -279,11 +278,11 @@ class _Kernel:
             "ka": ka, "kaB": ka * B, "inv_den": 1.0 / (1.0 + cfg.dt * ka),
             "inv_kf3": 1.0 / (3.0 * kf * grid.dr), "a": a, "P": P,
             "aP": np.divide(a, P, out=np.zeros_like(a), where=scan[:, None]),
-            "inv_r2g": 1.0 / (r * r * g), "floor": np.broadcast_to(-1e-12 * B, ka.shape),
+            "inv_r2g": 1.0 / (r * r * g), "floor": np.broadcast_to(NEGATIVITY_FLOOR * B, ka.shape),
             "rf2": grid.r_edges[1:-1] ** 2, "inv_r2dr": 1.0 / (r * r * grid.dr),
             "d": h * (r * r),
         }
-        self._per_row = ("rows", *per_row)
+        self._per_row = tuple(per_row)  # the arrays of march_rows in _march.c
         for name, value in per_row.items():
             setattr(self, name, np.broadcast_to(value, (len(specs), value.shape[-1]))[self.rows])
         self._c_rows = None
@@ -291,7 +290,7 @@ class _Kernel:
     def compact(self, keep: np.ndarray) -> None:
         """Drop the rows where ``keep`` is False."""
         self.n_scan = int(np.count_nonzero(keep[: self.n_scan]))
-        for name in self._per_row:
+        for name in ("rows", *self._per_row):
             setattr(self, name, getattr(self, name)[keep])
         self._c_rows = None
 
@@ -323,37 +322,29 @@ class _Kernel:
         """
         from . import _native  # here: importing idsa_lab should not pay for it
 
-        ffi = native.ffi
+        ffi, ptr = native.ffi, _native.ptr
         empty = _line_aligned if self.n_cells >= _ALIGNED_MIN_CELLS else np.empty
         if self._c_rows is None:  # the C view of the rows, once per compaction
-            c = ffi.new("march_rows *")
-            c.n_rows, c.n_cells, c.n_scan, c.dt = len(self.rows), self.n_cells, self.n_scan, self.dt
             if empty is _line_aligned:
-                for name in _C_FIELDS:
+                for name in self._per_row:
                     rows = empty(getattr(self, name).shape)
                     rows[...] = getattr(self, name)
                     setattr(self, name, rows)
-            arrays = [(name, "double[]", np.ascontiguousarray(getattr(self, name), float))
-                      for name in _C_FIELDS]
-            # The spare fields and tags, which the kernel writes every other step.
-            arrays += [(name, "double[]", empty(Jt.shape)) for name in ("Jt_spare", "Js_spare")]
-            arrays.append(("tags_spare", "signed char[]", empty(Jt.shape, np.int8)))
-            buffers = []
-            for name, ctype, array in arrays:
-                buf = ffi.from_buffer(ctype, array)
-                setattr(c, name, buf)
-                buffers.append(buf)  # keeps each array alive while c points into it
-            self._c_rows = c, buffers
+            self._c_rows = _native.struct(
+                "march_rows", n_rows=len(self.rows), n_cells=self.n_cells, n_scan=self.n_scan,
+                dt=self.dt, **{name: getattr(self, name) for name in self._per_row},
+                # The spare fields and tags, which the kernel writes every other step.
+                Jt_spare=empty(Jt.shape), Js_spare=empty(Jt.shape),
+                tags_spare=empty(Jt.shape, np.int8),
+            )
         Jt_new, Js_new = empty(Jt.shape), empty(Js.shape)
         tags = empty(Jt.shape, np.int8) if with_tags else None
         negative, used = ffi.new("int *"), ffi.new("int *")
+        # each view is held, with the pointers that keep its arrays alive, through the call
+        red_c, hold_c = [(ffi.NULL,) if v is None else v.c_view() for v in (red, hold)]
         taken = native.lib.march(
-            self._c_rows[0], ffi.NULL if red is None else red.c_view(ffi),
-            ffi.NULL if hold is None else hold.c_view(ffi),
-            ffi.from_buffer("double[]", Jt), ffi.from_buffer("double[]", Js),
-            ffi.from_buffer("double[]", Jt_new), ffi.from_buffer("double[]", Js_new),
-            ffi.NULL if tags is None else ffi.from_buffer("signed char[]", tags),
-            k, steps, _native.cpus(), negative, used,
+            self._c_rows[0], red_c[0], hold_c[0], ptr(Jt), ptr(Js), ptr(Jt_new), ptr(Js_new),
+            ptr(tags), k, steps, _native.cpus(), negative, used,
         )
         if stats is not None:
             stats["march_workers"] = max(stats.get("march_workers", 1), used[0])
@@ -440,15 +431,15 @@ class _Reductions:
         for name in ("sup", "change", "nonmono", "first_nonmono"):
             setattr(self, name, getattr(self, name)[rows])
 
-    def c_view(self, ffi):
-        """The march_reductions the native kernel updates in place."""
-        c = ffi.new("march_reductions *")
-        c.bound, c.stat_tol, c.mono_tol = self.bound, self.stat_tol, self.mono_tol
-        c.mono_pairs = self.mono_pairs
-        c.sup, c.change = ffi.from_buffer("double[]", self.sup), ffi.from_buffer("double[]", self.change)
-        c.nonmono = ffi.from_buffer("signed char[]", self.nonmono)
-        c.first_nonmono = ffi.from_buffer("long long[]", self.first_nonmono)
-        return c
+    def c_view(self):
+        """The march_reductions the native kernel updates in place (``_native.struct``)."""
+        from . import _native
+
+        return _native.struct(
+            "march_reductions", bound=self.bound, stat_tol=self.stat_tol, mono_tol=self.mono_tol,
+            mono_pairs=self.mono_pairs, sup=self.sup, change=self.change, nonmono=self.nonmono,
+            first_nonmono=self.first_nonmono,
+        )
 
 
 # A takeover first seen at t is confirmed once it holds until
@@ -487,12 +478,12 @@ class _Holds:
         """Drop the rows where ``rows`` is False."""
         self.since = self.since[rows]
 
-    def c_view(self, ffi):
-        """The march_holds the native kernel updates in place."""
-        c = ffi.new("march_holds *")
-        c.watch, c.confirm, c.min_hold = self.watch, _CONFIRM, _MIN_HOLD
-        c.since = ffi.from_buffer("long long[]", self.since)
-        return c
+    def c_view(self):
+        """The march_holds the native kernel updates in place (``_native.struct``)."""
+        from . import _native
+
+        return _native.struct("march_holds", watch=self.watch, confirm=_CONFIRM,
+                              min_hold=_MIN_HOLD, since=self.since)
 
 
 def _py_max(a, b):

@@ -56,7 +56,9 @@ import math
 import numpy as np
 
 from .grids import ProblemSpec, RadialField, RadialGrid
-from .idsa import NegativityError, RunRecord, Schedule, SolverConfig, TwoComponentState
+from .idsa import (
+    NEGATIVITY_FLOOR, NegativityError, RunRecord, Schedule, SolverConfig, TwoComponentState,
+)
 from .sphere import (
     MomentTriple,
     _edge_fraction,
@@ -169,12 +171,9 @@ class _Tridiagonal:
             self._factors = [dl.tolist(), d.tolist(), du.tolist()]
             self._factors += _gtsv_factor(*self._factors)
             return
-        ffi, lib = self._native.ffi, self._native.lib
         self._factors = [np.array(dl, dtype=float), np.array(d, dtype=float),
                          np.array(du, dtype=float), np.empty(n - 1), np.empty(n - 1, np.int8)]
-        self._ptrs = [ffi.from_buffer(t + "[]", a) for t, a in
-                      zip(["double"] * 4 + ["signed char"], self._factors)]
-        info = lib.gtsv_factor(n, *self._ptrs)
+        info = self._native.lib.gtsv_factor(n, *map(_native.ptr, self._factors))
         if info:
             raise ValueError(f"singular tridiagonal matrix: zero pivot in row {info}")
 
@@ -199,10 +198,10 @@ class _Tridiagonal:
                 f.tolist() for f in self._factors]
             rd = self.reciprocals.tolist() if reciprocals else None
             return np.array(_gtsv_solve(*factors, b.tolist(), rd))
+        from . import _native
+
         x = np.array(b, dtype=float)
-        self._native.lib.gtsv_solve(
-            x.size, *self._ptrs, self._native.ffi.from_buffer("double[]", x)
-        )
+        self._native.lib.gtsv_solve(x.size, *map(_native.ptr, [*self._factors, x]))
         return x
 
 
@@ -299,7 +298,7 @@ class ReformedScheme:
         Js_in = scale * grad
         # A 1e-12 B wobble between neighbouring Jt values reaches Js amplified
         # by |scale| / dr; on fine grids that dust alone passes -1e-12 B.
-        if np.any(Js_in < -1e-12 * B * max(1.0, abs(scale) / self.grid.dr)):
+        if np.any(Js_in < NEGATIVITY_FLOOR * B * max(1.0, abs(scale) / self.grid.dr)):
             i = int(np.argmin(Js_in))
             raise NegativityError("streaming reconstruction", t, i, float(Js_in[i]))
         # Snap roundoff dust only; real negativity was raised above.
@@ -319,24 +318,22 @@ class ReformedScheme:
     @functools.cached_property
     def _native_step(self):
         """
-        The native march's view of a step (``reformed_step``) and the buffers
-        it points into, or None where the solve runs in Python.
+        The native march's view of a step (``reformed_step``) and the pointers
+        that keep its arrays alive (``_native.struct``), or None where the
+        solve runs in Python.
         """
+        from . import _native
+
         M = self._M
         if M._native is None:
             return None
-        ffi = M._native.ffi
-        c = ffi.new("reformed_step *")
-        c.m, c.dr = self.m, self.grid.dr
-        c.dtq, c.floor = self.cfg.dt * self._q, -1e-12 * self.spec.B
-        c.dl, c.d, c.du, c.fact, c.swap = M._ptrs
-        c.rd = ffi.from_buffer("double[]", M.reciprocals)
-        if self.variant == "old":
-            c.scale = self._scale
-        else:
-            c.normalize, c.edge = 1, self.edge_value
-        c.spare = spare = ffi.from_buffer("double[]", np.empty(self.m))
-        return c, spare  # spare keeps its array alive while c points into it
+        old = self.variant == "old"
+        dl, d, du, fact, swap = M._factors
+        return _native.struct(
+            "reformed_step", m=self.m, dl=dl, d=d, du=du, fact=fact, swap=swap, rd=M.reciprocals,
+            dtq=self.cfg.dt * self._q, floor=NEGATIVITY_FLOOR * self.spec.B, dr=self.grid.dr, normalize=int(not old), scale=self._scale if old else 0.0,
+            edge=0.0 if old else self.edge_value, spare=np.empty(self.m),
+        )
 
     def _step(self, Jt: np.ndarray, t: float) -> np.ndarray:
         """
@@ -345,7 +342,7 @@ class ReformedScheme:
         ``reformed_march`` in ``_march.c``.
         """
         Jt_new = self._M.solve(Jt + self.cfg.dt * self._q, reciprocals=True)
-        if np.any(Jt_new < -1e-12 * self.spec.B):
+        if np.any(Jt_new < NEGATIVITY_FLOOR * self.spec.B):
             i = int(np.argmin(Jt_new))
             raise NegativityError("trapped component", t, i, float(Jt_new[i]))
         self._streaming(Jt_new, t)
@@ -365,13 +362,13 @@ class ReformedScheme:
         """
         change = math.inf
         if self._native_step is not None:
-            native, c = self._M._native, self._native_step[0]
-            ffi = native.ffi
-            out = np.empty(self.m)
-            last, failed = ffi.new("double *", change), ffi.new("int *")
+            from . import _native
+
+            native, out = self._M._native, np.empty(self.m)
+            last, failed = native.ffi.new("double *", change), native.ffi.new("int *")
             taken = native.lib.reformed_march(
-                c, ffi.from_buffer("double[]", Jt), ffi.from_buffer("double[]", out), steps,
-                stat_tol, last, failed,
+                self._native_step[0], _native.ptr(Jt), _native.ptr(out), steps, stat_tol, last,
+                failed,
             )
             k, Jt, change = k + taken, out, last[0]
             if not failed[0]:

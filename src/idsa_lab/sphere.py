@@ -199,32 +199,27 @@ def _exp(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _integrals(f, lo, hi, tol: float, stats, inside: bool, R: float = 0.0, kappa: float = 0.0,
-               **per_owner):
+               r=None, rate=None, mu0_sq=None):
     """
     ``integrate_batch(f, lo, hi, tol, stats)``, shape (3, n), run whole by
     the native ``oracle_integrate`` where the module can be built, its
     blocks on up to ``_native.cpus()`` threads (the bits do not depend on how
-    many).  ``per_owner`` holds the integrand's arrays, indexed by owner:
-    ``r`` inside, ``rate`` and ``mu0_sq`` outside.
+    many).  The integrand's arrays are indexed by owner: ``r`` inside,
+    ``rate`` and ``mu0_sq`` outside.
     """
     from . import _native  # here: importing idsa_lab should not pay for it
 
     native = _native.load()
     if native is None:
         return integrate_batch(f, lo, hi, tol=tol, stats=stats)
-    ffi, lib = native.ffi, native.lib
-    g = ffi.new("oracle_integrand *")
-    g.inside, g.R, g.kappa = inside, R, kappa
-    keep = []  # the buffers g points into
-    for name, a in {"node": _NODES, "weight": _WEIGHTS, **per_owner}.items():
-        keep.append(ffi.from_buffer("double[]", a))
-        setattr(g, name, keep[-1])
+    lib, ptr = native.lib, _native.ptr
+    g = _native.struct("oracle_integrand", inside=inside, node=_NODES, weight=_WEIGHTS, r=r,
+                       rate=rate, mu0_sq=mu0_sq, R=R, kappa=kappa)
     out = np.empty((3, lo.size))
-    st = ffi.new("oracle_status *")
+    st = native.ffi.new("oracle_status *")
     lib.oracle_integrate(
-        g, lo.size, ffi.from_buffer("double[]", lo), ffi.from_buffer("double[]", hi), tol,
-        quadrature._BLOCK, quadrature._MAX_DEPTH, quadrature._MAX_LIVE_PANELS, _native.cpus(),
-        ffi.from_buffer("double[]", out), st,
+        g[0], lo.size, ptr(lo), ptr(hi), tol, quadrature._BLOCK, quadrature._MAX_DEPTH,
+        quadrature._MAX_LIVE_PANELS, _native.cpus(), ptr(out), st,
     )
     _count(stats, st.panels, st.max_depth, st.max_live, st.workers)
     if st.kind == lib.ORACLE_NON_FINITE:

@@ -54,7 +54,7 @@ from idsa_lab import _native
 from idsa_lab.cli import _block_text, _block_text_python, main
 from idsa_lab.config import parse_config
 from idsa_lab.idsa import (
-    _C_FIELDS, _CONFIRM, _MIN_HOLD, _Holds, _Kernel, _Reductions, _march, diffusion_number,
+    _CONFIRM, _MIN_HOLD, _Holds, _Kernel, _Reductions, _march, diffusion_number,
 )
 from idsa_lab import quadrature, sphere
 from idsa_lab.quadrature import _WEIGHTS, QuadratureError
@@ -109,13 +109,68 @@ def test_native_kernel_builds_here():
 
 
 @needs_native
-def test_march_rows_points_only_at_arrays_the_kernel_fills():
-    # _Kernel.advance fills each pointer of march_rows from _C_FIELDS, the
-    # spare pair and the spare tags; a pointer named nowhere there would stay
-    # NULL, and the march would read through it.
-    fields = _native.load().ffi.typeof("march_rows").fields
-    pointers = [name for name, field in fields if field.type.kind == "pointer"]
-    assert sorted(pointers) == sorted([*_C_FIELDS, "Jt_spare", "Js_spare", "tags_spare"])
+def test_every_kernel_call_fills_every_field_of_its_struct(monkeypatch):
+    # Each struct of the cffi interface but the oracle's status, which only
+    # the kernel writes, is built by _native.struct or structs on the way to
+    # its kernel, with every field named: a field left out would stay 0 or
+    # NULL, and the kernel would read through it.
+    built, struct, structs = [], _native.struct, _native.structs
+
+    def record_struct(ctype, **fields):
+        built.append((ctype, sorted(fields)))
+        return struct(ctype, **fields)
+
+    def record_structs(ctype, rows):
+        built.extend((ctype, sorted(row)) for row in rows)
+        return structs(ctype, rows)
+
+    monkeypatch.setattr(_native, "struct", record_struct)
+    monkeypatch.setattr(_native, "structs", record_structs)
+    spec, cfg, grid = ProblemSpec(B=1.0, R=6.0, kappa=1.0), SolverConfig(dt=0.1, t_end=1.0), \
+        make_uniform_grid(18.0, 30)
+    run_spurious_trapped_experiment([0.05], spec, grid, cfg)
+    run_instability_experiment(spec, grid, cfg, (0.5,))
+    ReformedScheme("new", spec, grid, cfg).run_to_stationarity()
+    moments_at(grid.r_centers, spec, 1e-8)
+    _block_text([np.zeros(2), np.zeros(2, bool), ["a", "b"], 0.25])
+    interface = _native._SOURCE.read_text().split(_native._BEGIN)[1].split(_native._END)[0]
+    declared = set(re.findall(r"\}\s*(\w+);", interface)) - {"oracle_status"}
+    assert {ctype for ctype, _ in built} == declared
+    ffi = _native.load().ffi
+    for ctype, names in built:
+        assert names == sorted(name for name, _ in ffi.typeof(ctype).fields), ctype
+
+
+@needs_native
+def test_kernels_refuse_an_array_of_another_dtype_or_layout():
+    # A kernel that reads doubles, handed a float32, an int8 or a
+    # non-contiguous array, raises before it reads a byte, in an argument
+    # and in a struct's field.
+    lib = _native.load().lib
+    out = np.full(4, 7.0)
+    for bad in (np.ones(8, np.float32), np.ones(32, np.int8)):
+        with pytest.raises(TypeError):
+            lib.oracle_exp(4, _native.ptr(bad), _native.ptr(out))
+        with pytest.raises(TypeError):
+            _native.struct("oracle_integrand", inside=1, node=bad, weight=None, r=None,
+                           rate=None, mu0_sq=None, R=6.0, kappa=1.0)
+    with pytest.raises(ValueError, match="contiguous"):
+        lib.oracle_exp(4, _native.ptr(np.ones((4, 2))[:, 0]), _native.ptr(out))
+    assert out.tolist() == [7.0] * 4
+    lib.oracle_exp(4, _native.ptr(np.zeros(4)), _native.ptr(out))
+    assert out.tolist() == [1.0] * 4
+
+
+@needs_native
+def test_struct_names_a_missing_and_an_unknown_field():
+    fields = dict(watch=3, confirm=2.0, min_hold=10.0, since=np.full(2, -1, np.int64))
+    c, keep = _native.struct("march_holds", **fields)
+    assert (c.watch, c.min_hold, c.since[1]) == (3, 10.0, -1)
+    del fields["since"]
+    with pytest.raises(ValueError, match=r"missing fields \['since'\], unknown fields \[\]"):
+        _native.struct("march_holds", **fields)
+    with pytest.raises(ValueError, match=r"missing fields \[\], unknown fields \['sice'\]"):
+        _native.struct("march_holds", **fields, since=None, sice=None)
 
 
 # The x86-64 levels of the march's clones, and the /proc/cpuinfo flags each
@@ -161,12 +216,12 @@ def test_native_source_compiles_without_warnings():
     assert proc.stderr == ""
     if not (_host_levels() and _cc_clones_the_march()):
         return
-    # The cached module holds three clones of the march and of the oracle's
-    # pass, and names the widest this CPU runs.
+    # The cached module holds three clones of the march's step over a range
+    # of cells and of the oracle's pass, and names the widest this CPU runs.
     native = _native.load()
     module = Path(native.__file__).read_bytes()
     for kernel, level in itertools.product(
-        ("march", "panel_estimates"), ("arch_x86_64_v4", "arch_x86_64_v3", "default")
+        ("step_range", "panel_estimates"), ("arch_x86_64_v4", "arch_x86_64_v3", "default")
     ):
         assert f"{kernel}.{level}".encode() + b"\0" in module
     assert _native.march_isa() == _host_levels()[-1]
@@ -976,7 +1031,7 @@ def test_every_clone_level_matches_numpy_bit_for_bit(
     monkeypatch.setattr(_native, "_CFLAGS", [*_native._CFLAGS, f"-march={level}"])
     native = _native.load()
     assert native is not None and Path(native.__file__).parent == tmp_path / "cache"
-    assert b"march.arch_x86_64" not in Path(native.__file__).read_bytes()
+    assert b"step_range.arch_x86_64" not in Path(native.__file__).read_bytes()
 
     instability, spurious, stationary, oracle = _clone_cases()
     instability_ref, spurious_ref, stationary_ref, oracle_ref = numpy_clone_cases
@@ -1561,8 +1616,26 @@ def test_native_formatter_writes_the_same_bytes_on_any_number_of_threads():
                 assert stats == {"workers": max(1, min(threads, n // rows))}, (n, threads)
 
 
-# A preloaded pthread_create that refuses the next `refuse` calls, and
-# starts the rest.
+@needs_native
+def test_native_formatter_buffer_is_its_own_bound():
+    # The buffer is sized by rows_bound, which format_rows writes its ranges
+    # by: a block whose every cell is as wide as its column's widest case
+    # fills it to the last byte, on one range and on three, and a block of
+    # no rows, with text cells too, gets an empty one.
+    rows = _native.load().lib.FORMAT_MIN_ROWS
+    for n, threads in ((5, 1), (3 * rows + 2, 3)):
+        block = _widest_block(n)
+        with _workers(threads):
+            text = _block_text(block)
+        assert text.nbytes == text.obj.nbytes
+        assert bytes(text) == _block_text_python(block)
+    empty = [np.zeros(0), np.zeros(0, bool), [], 0.25, True]
+    assert bytes(_block_text(empty)) == _block_text_python(empty) == b""
+    assert _block_text(empty).obj.nbytes == 0
+
+
+# A preloaded pthread_create that refuses the next `refuse` calls, starts
+# the rest and counts those it started.
 _REFUSING_PTHREAD_CREATE = r"""
 #define _GNU_SOURCE
 #include <dlfcn.h>
@@ -1570,8 +1643,10 @@ _REFUSING_PTHREAD_CREATE = r"""
 #include <pthread.h>
 
 static int refuse;
+static long started;
 
 void refuse_threads(int n) { refuse = n; }
+long started_threads(void) { return started; }
 
 int pthread_create(pthread_t *t, const pthread_attr_t *attr, void *(*f)(void *), void *arg)
 {
@@ -1582,7 +1657,9 @@ int pthread_create(pthread_t *t, const pthread_attr_t *attr, void *(*f)(void *),
     int (*create)(pthread_t *, const pthread_attr_t *, void *(*)(void *), void *) =
         (int (*)(pthread_t *, const pthread_attr_t *, void *(*)(void *), void *))dlsym(
             RTLD_NEXT, "pthread_create");
-    return create(t, attr, f, arg);
+    const int error = create(t, attr, f, arg);
+    started += error == 0;
+    return error;
 }
 """
 
@@ -1631,6 +1708,41 @@ def test_formatter_that_cannot_start_a_thread_writes_its_range_itself(tmp_path):
     # first refused, and none: the calling thread writes each refused
     # range, with the same bytes, and the block ran on 1, 2 and 3 threads.
     assert _run_refusing_threads(tmp_path, _REFUSED_THREADS).split() == ["1", "2", "3"]
+
+
+_REFUSED_ORACLE = """
+import ctypes, sys, unittest.mock
+import numpy as np
+sys.path.insert(0, sys.argv[2])
+from test_native import _workers, quadrature, sphere
+shim = ctypes.CDLL(sys.argv[1])
+r = np.linspace(0.01, 5.99, 40)
+
+
+def inside(stats):
+    return np.stack(sphere._inside_integrals(r, 30.0, 6.0, 1e-10, stats)).tobytes()
+
+
+with unittest.mock.patch.object(quadrature, "_BLOCK", 4):
+    with _workers(1):
+        expected = inside({})
+    for n in (2, 1, 0):
+        stats = {}
+        shim.refuse_threads(n)
+        before = shim.started_threads()
+        with _workers(3):
+            assert inside(stats) == expected
+        assert stats["workers"] == 1 + shim.started_threads() - before
+        print(stats["workers"])
+"""
+
+
+@needs_native
+def test_oracle_that_cannot_start_a_helper_loses_no_block(tmp_path):
+    # Ten blocks on 3 workers, with the next 2, 1 and 0 helper starts
+    # refused: the oracle starts no helper after a refused one, and the
+    # threads that did start integrate every block, with the bits of one.
+    assert _run_refusing_threads(tmp_path, _REFUSED_ORACLE).split() == ["1", "1", "3"]
 
 
 _REFUSED_HELPER = """
