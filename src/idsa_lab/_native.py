@@ -68,12 +68,12 @@ The flags of ``_CFLAGS``:
   of cells (``step_range``) and the oracle's pass over its panels are
   compiled three times from the one source (``target_clones``): for
   x86-64-v4 (AVX-512, eight doubles per instruction), x86-64-v3 (AVX2,
-  four) and the x86-64 baseline (SSE2, two).  The loader runs the widest clone the CPU supports, and
-  ``march_isa()`` names it; the manifest records it.  The flags above hold
-  for every clone, so every clone gives the same bits.  The build is not
-  ``-march=native``: the cache key below does not name the CPU, and a
-  package directory shared between machines would load code that another
-  CPU cannot run.  A cold build takes about 2 s on a 2-vCPU x86-64 host,
+  four) and the x86-64 baseline (SSE2, two).  The loader runs the widest
+  clone the CPU supports, and ``march_isa()`` names it; the manifest
+  records it.  The flags above hold for every clone, so every clone gives
+  the same bits.  The build is not ``-march=native``: the cache key below
+  does not name the CPU, and a package directory shared between machines
+  would load code that another CPU cannot run.  A cold build takes about 2 s on a 2-vCPU x86-64 host,
   once per source change.
 
 The module name, and so the file, is keyed by a hash of the C source
@@ -209,21 +209,25 @@ def ptr(a: np.ndarray | None):
 
 
 @functools.cache
-def _fields(ctype: str) -> frozenset:
-    """The field names of the struct ``ctype``, looked up once per process."""
-    return frozenset(name for name, _ in load().ffi.typeof(ctype).fields)
+def _fields(ctype: str) -> tuple[frozenset, tuple]:
+    """The field names of the struct ``ctype``, and those of its pointers,
+    looked up once per process."""
+    fields = load().ffi.typeof(ctype).fields
+    return frozenset(name for name, _ in fields), tuple(
+        name for name, field in fields if field.type.kind == "pointer")
 
 
 def _values(ctype: str, fields: dict, keep: list) -> dict:
-    """``fields`` as the initializer of a ``ctype``: each array (or None)
-    through ``ptr``, its pointer also appended to ``keep``."""
-    names = _fields(ctype)
+    """``fields``, made the initializer of a ``ctype`` in place: each
+    pointer's array (or None) through ``ptr``, also appended to ``keep``."""
+    names, pointers = _fields(ctype)
     if fields.keys() != names:
         raise ValueError(f"{ctype}: missing fields {sorted(names - fields.keys())}, "
                          f"unknown fields {sorted(fields.keys() - names)}")
-    arrays = {name: ptr(v) for name, v in fields.items() if v is None or isinstance(v, np.ndarray)}
-    keep.extend(arrays.values())
-    return fields | arrays
+    for name in pointers:
+        fields[name] = ptr(fields[name])
+        keep.append(fields[name])
+    return fields
 
 
 def struct(ctype: str, **fields):
@@ -240,4 +244,4 @@ def struct(ctype: str, **fields):
 def structs(ctype: str, rows: list[dict]):
     """``struct`` for an array of ``ctype``, one per dict in ``rows``."""
     keep = []
-    return load().ffi.new(ctype + "[]", [_values(ctype, row, keep) for row in rows]), keep
+    return load().ffi.new(ctype + "[]", [_values(ctype, dict(row), keep) for row in rows]), keep

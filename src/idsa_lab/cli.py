@@ -110,7 +110,7 @@ def _block_text(columns, stats=None):
     dtype, a list is text written verbatim, and a scalar (the snapshot
     time) is formatted once.  At least one column must be an array or list.
     The rows are written by the native formatter, which returns a
-    memoryview of its buffer, or by ``_block_text_python``, its reference,
+    memoryview of its buffer, sized by its own bound (``rows_bound``), or by ``_block_text_python``, its reference,
     when the native module cannot be built.  The native formatter writes a
     block of at least twice ``FORMAT_MIN_ROWS`` rows on up to
     ``_native.cpus()`` threads, with the same bytes; ``stats["workers"]``,
@@ -124,7 +124,7 @@ def _block_text(columns, stats=None):
         return _block_text_python(columns)
     lib = native.lib
     n_rows = min(len(col) for col in columns if isinstance(col, list) or np.ndim(col))
-    cols = []
+    fields = []  # of each csv_column
     for col in columns:
         if isinstance(col, list):
             cells = [cell.encode() for cell in col[:n_rows]]
@@ -136,10 +136,11 @@ def _block_text(columns, stats=None):
         else:
             a = np.asarray(col)
             a = np.ascontiguousarray(a[:n_rows], dtype=_NATIVE[_kind(a)])
-            cols.append(dict(kind=a.dtype.kind.encode(), data=a, ends=None, len=0))
+            fields.append(dict(kind=a.dtype.kind.encode(), data=a, ends=None, len=0))
             continue
-        cols.append(dict(kind=b"t", data=np.frombuffer(text, np.uint8), ends=ends, len=len(text)))
-    cols = _native.structs("csv_column", cols)
+        fields.append(dict(kind=b"t", data=np.frombuffer(text, np.uint8), ends=ends,
+                           len=len(text)))
+    cols = _native.structs("csv_column", fields)
     # Not cleared: the bytes returned are all written, and the gaps between
     # the threads' row ranges are never read.
     out = np.empty(lib.rows_bound(0, n_rows, len(columns), cols[0]), np.uint8)
