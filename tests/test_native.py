@@ -1719,21 +1719,23 @@ shim = ctypes.CDLL(sys.argv[1])
 r = np.linspace(0.01, 5.99, 40)
 
 
-def inside(stats):
-    return np.stack(sphere._inside_integrals(r, 30.0, 6.0, 1e-10, stats)).tobytes()
+def inside():  # the values and counts of one oracle call, and its threads
+    stats = {}
+    values = np.stack(sphere._inside_integrals(r, 30.0, 6.0, 1e-10, stats)).tobytes()
+    return (values, stats), stats.pop("workers")
 
 
 with unittest.mock.patch.object(quadrature, "_BLOCK", 4):
     with _workers(1):
-        expected = inside({})
+        expected, _ = inside()
     for n in (2, 1, 0):
-        stats = {}
         shim.refuse_threads(n)
         before = shim.started_threads()
         with _workers(3):
-            assert inside(stats) == expected
-        assert stats["workers"] == 1 + shim.started_threads() - before
-        print(stats["workers"])
+            result, workers = inside()
+        assert result == expected
+        assert workers == 1 + shim.started_threads() - before
+        print(workers)
 """
 
 
@@ -1741,7 +1743,8 @@ with unittest.mock.patch.object(quadrature, "_BLOCK", 4):
 def test_oracle_that_cannot_start_a_helper_loses_no_block(tmp_path):
     # Ten blocks on 3 workers, with the next 2, 1 and 0 helper starts
     # refused: the oracle starts no helper after a refused one, and the
-    # threads that did start integrate every block, with the bits of one.
+    # threads that did start integrate every block, with the values and
+    # counts of one.
     assert _run_refusing_threads(tmp_path, _REFUSED_ORACLE).split() == ["1", "1", "3"]
 
 
