@@ -73,8 +73,8 @@ The flags of ``_CFLAGS``:
   records it.  The flags above hold for every clone, so every clone gives
   the same bits.  The build is not ``-march=native``: the cache key below
   does not name the CPU, and a package directory shared between machines
-  would load code that another CPU cannot run.  A cold build takes about 2 s on a 2-vCPU x86-64 host,
-  once per source change.
+  would load code that another CPU cannot run.  A cold build takes about
+  2 s on a 2-vCPU x86-64 host, once per source change.
 
 The module name, and so the file, is keyed by a hash of the C source
 (declarations included), the flags and the interpreter's extension suffix

@@ -110,11 +110,12 @@ def _block_text(columns, stats=None):
     dtype, a list is text written verbatim, and a scalar (the snapshot
     time) is formatted once.  At least one column must be an array or list.
     The rows are written by the native formatter, which returns a
-    memoryview of its buffer, sized by its own bound (``rows_bound``), or by ``_block_text_python``, its reference,
-    when the native module cannot be built.  The native formatter writes a
-    block of at least twice ``FORMAT_MIN_ROWS`` rows on up to
-    ``_native.cpus()`` threads, with the same bytes; ``stats["workers"]``,
-    if given, keeps the most threads a block ran on (1 in Python).
+    memoryview of its buffer, sized by its own bound (``rows_bound``), or
+    by ``_block_text_python``, its reference, when the native module
+    cannot be built.  The native formatter writes a block of at least twice
+    ``FORMAT_MIN_ROWS`` rows on up to ``_native.cpus()`` threads, with the
+    same bytes; ``stats["workers"]``, if given, keeps the most threads a
+    block ran on (1 in Python).
     """
     from . import _native  # here: importing idsa_lab should not pay for it
 

@@ -331,7 +331,8 @@ class ReformedScheme:
         dl, d, du, fact, swap = M._factors
         return _native.struct(
             "reformed_step", m=self.m, dl=dl, d=d, du=du, fact=fact, swap=swap, rd=M.reciprocals,
-            dtq=self.cfg.dt * self._q, floor=NEGATIVITY_FLOOR * self.spec.B, dr=self.grid.dr, normalize=int(not old), scale=self._scale if old else 0.0,
+            dtq=self.cfg.dt * self._q, floor=NEGATIVITY_FLOOR * self.spec.B, dr=self.grid.dr,
+            normalize=int(not old), scale=self._scale if old else 0.0,
             edge=0.0 if old else self.edge_value, spare=np.empty(self.m),
         )
 
