@@ -669,11 +669,9 @@ static int wait_for(atomic_llong *count, long long target, atomic_int *stop)
  * decided not to stop at the one before, so a head that has waited for a
  * tail's first block of step k knows that the march goes on past step
  * k - 1, whose fields step k + 1 overwrites.  All but the head reduce and
- * decide whether to stop.  Inlined into each caller, so that each compiles
- * its own role's loop: at 50 cells a step takes 3-5% longer through one
- * copy that tests the role at run time.
+ * decide whether to stop.
  */
-static INLINE void march_steps(march_job *job, int role)
+static void march_steps(march_job *job, int role)
 {
     const march_rows *m = job->m;
     march_reductions *red = job->red;
@@ -771,7 +769,13 @@ static void *march_helper(void *job)
     return NULL;
 }
 
-/* Steps k0 + 1 .. k0 + steps from (Jt0, Js0), into (Jt, Js); returns the steps taken. */
+/*
+ * Steps k0 + 1 .. k0 + steps from (Jt0, Js0), into (Jt, Js); returns the
+ * steps taken.  Flattened, so that it compiles march_steps() once for each
+ * of its roles: at 50 cells a step takes 3-5% longer through one copy that
+ * tests the role at run time.
+ */
+__attribute__((flatten))
 long march(const march_rows *m, march_reductions *red, march_holds *hold, const double *Jt0,
            const double *Js0, double *Jt, double *Js, signed char *tags, long long k0,
            long steps, int workers, int *negative, int *used)
@@ -1788,8 +1792,7 @@ long long format_rows(long long n_rows, int n_cols, const csv_column *cols, int 
     for (int k = 0; k < n; k++) {
         const long long r0 = n_rows * k / n, r1 = n_rows * (k + 1) / n;
         ranges[k] = (csv_range){.r0 = r0, .r1 = r1, .n_cols = n_cols, .cols = cols, .out = at};
-        if (k + 1 < n)
-            at += rows_bound(r0, r1, n_cols, cols);
+        at += rows_bound(r0, r1, n_cols, cols);
     }
     pthread_t helpers[FORMAT_MAX_THREADS];
     signed char started[FORMAT_MAX_THREADS];
