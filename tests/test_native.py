@@ -126,8 +126,8 @@ def test_every_kernel_call_fills_every_field_of_its_struct(monkeypatch):
 
     monkeypatch.setattr(_native, "struct", record_struct)
     monkeypatch.setattr(_native, "structs", record_structs)
-    spec, cfg, grid = ProblemSpec(B=1.0, R=6.0, kappa=1.0), SolverConfig(dt=0.1, t_end=1.0), \
-        make_uniform_grid(18.0, 30)
+    spec, cfg = ProblemSpec(B=1.0, R=6.0, kappa=1.0), SolverConfig(dt=0.1, t_end=1.0)
+    grid = make_uniform_grid(18.0, 30)
     run_spurious_trapped_experiment([0.05], spec, grid, cfg)
     run_instability_experiment(spec, grid, cfg, (0.5,))
     ReformedScheme("new", spec, grid, cfg).run_to_stationarity()
